@@ -8,9 +8,10 @@ four-matrix system, diagonal ratio obstructions, constant R-matrices,
 permutation rigidity) with zero numerical error.  A dense floating-point
 oracle cross-validates the reduced formalism on small spins.
 """
-from .amatrix import (GaugedMatrix, LevelRange, RankOneProjector, SignDiagonal,
-                      a_matrix, consecutive_level_ratio, eta, eta_closed_form,
-                      top_level, verify_a_properties, verify_projector_algebra,
+from .amatrix import (GaugedMatrix, LevelRange, a_matrix,
+                      consecutive_level_ratio, eta, eta_closed_form,
+                      rank_one_projector, sign_diagonal, top_level,
+                      verify_a_properties, verify_projector_algebra,
                       verify_sign_conjugation)
 from .classify import (DegeneracyRecord, FghSystem, constant_m_prime,
                        constant_roots, degeneracy_scan, eta_incompatibility,
@@ -23,10 +24,10 @@ from .sixj import SixJArgs, racah_identity_residual, sixj, triangle_ok
 from .spectral import (PoleError, RationalFunction, ReducedDiagonal,
                        SpectralFamily, baxter_b, baxter_tl,
                        check_regularity_unitarity, constant_baxter,
-                       custom_family, eval_coeff, exceptional_s3,
-                       family_from_json, family_to_json, identity_family,
-                       krs_prefix, make_family, permutation_family, reduced_d,
-                       yang, zamolodchikov)
+                       custom_family, exceptional_s3, family_from_json,
+                       family_to_json, identity_family, krs_prefix,
+                       make_family, permutation_family, reduced_d, yang,
+                       zamolodchikov)
 from .ybe import (CoeffTriple, ReducedResidual, ansatz_residual_crosscheck,
                   coeff_functions, constant_check, full_check,
                   reduced_ybe_check)

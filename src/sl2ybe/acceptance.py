@@ -31,7 +31,7 @@ from .spectral import (RationalFunction, baxter_tl, custom_family,
 from .ybe import (constant_check, default_grid, full_check,
                   reduced_ybe_check, second_grid)
 
-__all__ = ["CRITERIA", "CriterionResult", "run_all", "run_plan"]
+__all__ = ["CRITERIA", "CriterionResult", "run_all"]
 
 F = Fraction
 
@@ -353,20 +353,11 @@ CRITERIA = (criterion_1, criterion_2, criterion_3, criterion_4, criterion_5,
             criterion_11)
 
 
-def run_plan(max_two_s: int = 6):
-    """Zero-argument jobs for every criterion, grid bounds applied where a
-    criterion scans an adjustable grid."""
-    from functools import partial
-    plan = []
-    for fn in CRITERIA:
-        if fn in (criterion_1, criterion_2, criterion_6):
-            plan.append(partial(fn, max_two_s))
-        elif fn in (criterion_8, criterion_9):
-            plan.append(partial(fn, min(max_two_s, 6)))
-        else:
-            plan.append(fn)
-    return plan
-
-
 def run_all(max_two_s: int = 6) -> list[CriterionResult]:
-    return [job() for job in run_plan(max_two_s)]
+    """Every criterion in order; max_two_s widens the adjustable scan grids
+    (criteria 8 and 9 stay capped at 2s <= 6)."""
+    capped = min(max_two_s, 6)
+    return [criterion_1(max_two_s), criterion_2(max_two_s), criterion_3(),
+            criterion_4(), criterion_5(), criterion_6(max_two_s), criterion_7(),
+            criterion_8(capped), criterion_9(capped), criterion_10(),
+            criterion_11()]

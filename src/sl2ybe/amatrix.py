@@ -20,19 +20,19 @@ from functools import lru_cache
 
 from .exact import (DomainError, HalfInt, SqrtRational, factorial,
                     minus_one_pow, sqrt_canonicalize)
-from .linalg import diagonal, identity, mat_eq, mat_mul, mat_scale, mat_sub
+from .linalg import diagonal, identity, mat_eq, mat_mul, mat_scale
 from .sixj import SixJArgs, sixj
 
 __all__ = [
     "GaugedMatrix",
     "LevelRange",
-    "RankOneProjector",
-    "SignDiagonal",
     "a_entry_from_sixj",
     "a_matrix",
     "consecutive_level_ratio",
     "eta",
     "eta_closed_form",
+    "rank_one_projector",
+    "sign_diagonal",
     "top_level",
     "verify_a_properties",
     "verify_projector_algebra",
@@ -79,40 +79,25 @@ class LevelRange:
         return self.n > self.s.twice
 
 
-@dataclass(frozen=True)
-class SignDiagonal:
+def sign_diagonal(rng: LevelRange):
     """The alternating diagonal with entries (-1)^k over a level range."""
-
-    range: LevelRange
-
-    def matrix(self):
-        return diagonal(Fraction(minus_one_pow(k)) for k in self.range.indices())
+    return diagonal(Fraction(minus_one_pow(k)) for k in rng.indices())
 
 
-@dataclass(frozen=True)
-class RankOneProjector:
+def rank_one_projector(rng: LevelRange, m: int):
     """(pi)_{kk'} = delta_{km} delta_{k'm} over a level range."""
-
-    range: LevelRange
-    m: int
-
-    def __post_init__(self):
-        if self.m not in self.range:
-            raise DomainError(
-                f"index m={self.m} outside level range "
-                f"{self.range.k_min}..{self.range.k_max}")
-
-    def matrix(self):
-        i = self.m - self.range.k_min
-        dim = self.range.dim
-        return tuple(tuple(Fraction(int(r == i and c == i)) for c in range(dim))
-                     for r in range(dim))
+    if m not in rng:
+        raise DomainError(
+            f"index m={m} outside level range {rng.k_min}..{rng.k_max}")
+    i = m - rng.k_min
+    return tuple(tuple(Fraction(int(r == i and c == i)) for c in range(rng.dim))
+                 for r in range(rng.dim))
 
 
 class GaugedMatrix:
     """X = U^(1/2) M U^(1/2) with rational weights u and rational core M."""
 
-    __slots__ = ("range", "weights", "core")
+    __slots__ = ("range", "weights", "core", "_ucore")
 
     def __init__(self, rng: LevelRange, weights, core):
         self.range = rng
@@ -120,15 +105,21 @@ class GaugedMatrix:
         self.core = tuple(tuple(row) for row in core)
         if any(w <= 0 for w in self.weights):
             raise DomainError("gauge weights must be positive")
+        self._ucore = tuple(tuple(row[j] * self.weights[j] for j in range(rng.dim))
+                            for row in self.core)
 
     @property
     def dim(self) -> int:
         return self.range.dim
 
     def ucore(self):
-        """Similarity image U^(-1/2) X U^(1/2) = M * diag(u), rational."""
-        return tuple(tuple(row[j] * self.weights[j] for j in range(self.dim))
-                     for row in self.core)
+        """Similarity image U^(-1/2) X U^(1/2) = M * diag(u), rational;
+        computed once per matrix, since every residual check needs it."""
+        return self._ucore
+
+    def hat(self, y):
+        """The hat X Y X of a gauge-form matrix y: ucore * y * ucore."""
+        return mat_mul(mat_mul(self._ucore, y), self._ucore)
 
     def entry(self, k: int, kp: int) -> SqrtRational:
         """Raw entry sqrt(u_k) M_{kk'} sqrt(u_{k'})."""
@@ -139,10 +130,6 @@ class GaugedMatrix:
         """Raw diagonal entry u_k M_kk, rational with no radical at all."""
         i = k - self.range.k_min
         return self.weights[i] * self.core[i][i]
-
-    def to_sqrt_entries(self):
-        return tuple(tuple(self.entry(k, kp) for kp in self.range.indices())
-                     for k in self.range.indices())
 
     def __repr__(self):
         return f"GaugedMatrix(s={self.range.s}, n={self.range.n}, dim={self.dim})"
@@ -212,19 +199,17 @@ def verify_a_properties(s, n: int) -> bool:
 def verify_sign_conjugation(s, n: int) -> bool:
     """A D0 A == (-1)^n D0 A D0 with the alternating sign diagonal D0."""
     a = a_matrix(s, n)
-    mu = a.ucore()
-    d0 = SignDiagonal(a.range).matrix()
-    lhs = mat_mul(mat_mul(mu, d0), mu)
-    rhs = mat_scale(Fraction(minus_one_pow(n)), mat_mul(mat_mul(d0, mu), d0))
-    return mat_eq(lhs, rhs)
+    d0 = sign_diagonal(a.range)
+    rhs = mat_mul(mat_mul(d0, a.ucore()), d0)
+    return mat_eq(a.hat(d0), mat_scale(Fraction(minus_one_pow(n)), rhs))
 
 
 def eta(s, m: int, n: int) -> Fraction:
     """(-1)^n times the (m,m) diagonal entry of A^(s,n), exactly rational.
 
     The raw diagonal entry carries u_m under one square root; the gauge
-    form never creates the radical, and the SqrtRational route is asserted
-    to collapse to the same rational as a cross-check.
+    form never creates the radical, and the SqrtRational route is checked
+    to collapse to the same rational.
     """
     a = a_matrix(s, n)
     if m not in a.range:
@@ -234,7 +219,10 @@ def eta(s, m: int, n: int) -> Fraction:
     raw = a.entry(m, m)
     if not raw.is_rational:
         raise DomainError(f"diagonal entry ({m},{m}) of A^({s},{n}) not rational")
-    assert raw.as_fraction() == a.diagonal_rational(m)
+    if raw.as_fraction() != a.diagonal_rational(m):
+        raise AssertionError(
+            f"diagonal entry ({m},{m}) of A^({s},{n}): square-root route "
+            f"{raw} disagrees with the gauge value {a.diagonal_rational(m)}")
     return value
 
 
@@ -256,14 +244,6 @@ def consecutive_level_ratio(s, m: int) -> Fraction:
     return (Fraction(m * m - m) - 3 * m * sf + sf) / (2 * sf)
 
 
-def xi_sign(m: int) -> int:
-    return minus_one_pow(m)
-
-
-def _hat(mu, x):
-    return mat_mul(mat_mul(mu, x), mu)
-
-
 def verify_projector_algebra(s, m: int, n: int) -> bool:
     """The reduced operator algebra at level n with distinguished index m:
     the involutions, braid identity, and sandwich relations
@@ -275,11 +255,10 @@ def verify_projector_algebra(s, m: int, n: int) -> bool:
     substitution directions.
     """
     a = a_matrix(s, n)
-    mu = a.ucore()
-    d0 = SignDiagonal(a.range).matrix()
-    pi = RankOneProjector(a.range, m).matrix()
-    d0h, pih = _hat(mu, d0), _hat(mu, pi)
-    xi = Fraction(xi_sign(m))
+    d0 = sign_diagonal(a.range)
+    pi = rank_one_projector(a.range, m)
+    d0h, pih = a.hat(d0), a.hat(pi)
+    xi = Fraction(minus_one_pow(m))
     eta_mn = eta(s, m, n)
     e = identity(a.dim)
 

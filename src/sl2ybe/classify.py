@@ -11,9 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .amatrix import (GaugedMatrix, LevelRange, RankOneProjector, SignDiagonal,
-                      a_matrix, consecutive_level_ratio, eta, eta_closed_form,
-                      top_level, xi_sign)
+from .amatrix import (GaugedMatrix, LevelRange, a_matrix,
+                      consecutive_level_ratio, eta, eta_closed_form,
+                      rank_one_projector, sign_diagonal, top_level)
 from .exact import DomainError, HalfInt, QuadExt, minus_one_pow
 from .linalg import (is_zero_matrix, mat_add, mat_mul, mat_scale, mat_sub,
                      span_rank)
@@ -58,13 +58,6 @@ class FghSystem:
         return (self.F, self.G, self.H, self.Ht)
 
 
-def _gauge_parts(s, n: int):
-    a = a_matrix(s, n)
-    mu = a.ucore()
-    hat = lambda x: mat_mul(mat_mul(mu, x), mu)
-    return a, hat
-
-
 def _entrywise_h(a: GaugedMatrix, m: int, transposed: bool):
     """Gauge image of the closed-form entries
 
@@ -101,10 +94,10 @@ def fgh_matrices(s, m: int, n: int) -> FghSystem:
     s = HalfInt.coerce(s)
     if theta(s, m, n) != 1:
         raise DomainError(f"index m={m} not active at level n={n} for s={s}")
-    a, hat = _gauge_parts(s, n)
-    d0 = SignDiagonal(a.range).matrix()
-    pi = RankOneProjector(a.range, m).matrix()
-    d0h, pih = hat(d0), hat(pi)
+    a = a_matrix(s, n)
+    d0 = sign_diagonal(a.range)
+    pi = rank_one_projector(a.range, m)
+    d0h, pih = a.hat(d0), a.hat(pi)
     big_f = mat_sub(d0, d0h)
     big_g = mat_sub(pi, pih)
     big_h = mat_sub(mat_mul(pi, d0h), mat_mul(d0, pih))
@@ -379,7 +372,7 @@ def projector_obstruction_check(s, m: int) -> bool:
     if any(a.core[i][i_m] == 0 for i in range(a.dim)):
         return False
     mu = a.ucore()
-    pi = RankOneProjector(a.range, m).matrix()
+    pi = rank_one_projector(a.range, m)
     return not is_zero_matrix(mat_sub(mat_mul(mu, pi), mat_mul(pi, mu)))
 
 
@@ -404,7 +397,7 @@ def exceptional_level_combination(s, lam, mu):
     s = HalfInt.coerce(s)
     if s.twice < 3:
         raise DomainError("needs s >= 3/2")
-    xi = xi_sign(3)
+    xi = minus_one_pow(3)
     eta_33 = eta_closed_form(s, 3)
 
     def f(x):
@@ -418,5 +411,7 @@ def exceptional_level_combination(s, lam, mu):
 
     triple = coeff_functions(s, 3, 4, f, g, lam, mu, eta_value=eta_level4_m3(s))
     swapped = coeff_functions(s, 3, 4, f, g, mu, lam, eta_value=eta_level4_m3(s))
-    assert swapped.H == triple.H_swapped
+    if swapped.H != triple.H_swapped:
+        raise AssertionError(
+            f"H with swapped samples disagrees with H~ at (s={s}, {lam}, {mu})")
     return triple.G + triple.H + triple.H_swapped

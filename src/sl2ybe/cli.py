@@ -4,18 +4,14 @@ reports.
 All spins are given in "p/2" or integer notation and all sample points as
 exact rationals "p/q"; floating-point input is rejected at the boundary.
 JSON payloads are byte-stable for identical invocations (wall time is
-shown only in the human-readable summary).  SL2YBE_THREADS > 1 runs the
-independent suite criteria in a thread pool; the result order and the
-payload stay identical either way.
+shown only in the human-readable summary).
 """
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from . import __version__
@@ -33,13 +29,6 @@ from .ybe import (constant_check, default_grid, full_check, second_grid,
                   unitarity_samples)
 
 EXIT_PASS, EXIT_FAIL, EXIT_USAGE = 0, 1, 2
-
-
-def _thread_count() -> int:
-    try:
-        return max(1, int(os.environ.get("SL2YBE_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 def _emit(doc, args, human_lines=None):
@@ -263,14 +252,7 @@ def cmd_oracle(args):
 
 def cmd_suite(args):
     start = time.monotonic()
-    workers = _thread_count()
-    if workers > 1:
-        from .acceptance import run_plan
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(job) for job in run_plan(args.max_2s)]
-            results = [f.result() for f in futures]
-    else:
-        results = run_all(args.max_2s)
+    results = run_all(args.max_2s)
     elapsed = time.monotonic() - start
     overall = all(r.passed for r in results)
     doc = {"check": "acceptance-suite", "version": __version__,

@@ -1,18 +1,20 @@
 """Catalog of sl2-invariant R-matrix families with exact coefficient
 evaluation.
 
-Each family evaluates its spectral coefficients r_j at rational sample
-points, over Q or over a quadratic extension Q(sqrt(d)).  The
-Temperley-Lieb style family is parameterized multiplicatively: samples
-are values of t = exp(gamma*lambda), so the additive arguments
-(lambda, mu, lambda+mu) become (t, u, t*u) and everything stays exact.
+Every family, catalog or custom, is a table of spectral coefficients
+r_j, each an exact RationalFunction with coefficients in Q (Fraction) or
+in a quadratic extension Q(sqrt(d)) (QuadExt), evaluated at rational
+sample points.  The Temperley-Lieb style family is parameterized
+multiplicatively: samples are values of t = exp(gamma*lambda), so the
+additive arguments (lambda, mu, lambda+mu) become (t, u, t*u) and
+everything stays exact.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Mapping
+from typing import Mapping
 
 from .amatrix import LevelRange, eta_closed_form
 from .exact import (DomainError, HalfInt, QuadExt, format_rational,
@@ -29,7 +31,6 @@ __all__ = [
     "constant_baxter",
     "constant_root",
     "custom_family",
-    "eval_coeff",
     "exceptional_s3",
     "family_from_json",
     "family_to_json",
@@ -53,38 +54,59 @@ TAGS = ("yang", "baxter-tl", "zamolodchikov", "krs-prefix", "exceptional-s3",
 
 @dataclass(frozen=True)
 class RationalFunction:
-    """num(x)/den(x) with rational coefficients, ascending powers."""
+    """num(x)/den(x) with coefficients in Q or Q(sqrt(d)), ascending powers.
+
+    Evaluation is the single pole check of the package: it raises
+    PoleError wherever the denominator vanishes.
+    """
 
     num: tuple
     den: tuple
 
+    def __post_init__(self):
+        if not self.num or not self.den:
+            raise DomainError("a rational function needs at least one numerator "
+                              "and one denominator coefficient")
+
     def __call__(self, x):
-        num = _horner(self.num, x)
         den = _horner(self.den, x)
         if den == 0:
-            raise PoleError(f"denominator {list(self.den)} vanishes at {x}")
-        return num / den
+            raise PoleError(f"denominator {[str(c) for c in self.den]} "
+                            f"vanishes at {x}")
+        return _horner(self.num, x) / den
+
+    def __mul__(self, other: "RationalFunction") -> "RationalFunction":
+        return RationalFunction(_poly_mul(self.num, other.num),
+                                _poly_mul(self.den, other.den))
 
 
 def _horner(coeffs, x):
-    acc = x * 0
-    for c in reversed(coeffs):
+    acc = coeffs[-1]
+    for c in coeffs[-2::-1]:
         acc = acc * x + c
     return acc
+
+
+def _poly_mul(p, q) -> tuple:
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return tuple(out)
 
 
 @dataclass(frozen=True)
 class SpectralFamily:
     """A named R-matrix family with evaluable spectral coefficients.
 
-    coeffs maps the total-spin label j to its coefficient function;
+    coeffs maps the total-spin label j to its coefficient table;
     labels absent from the map are undefined for this family (the
     prefix-style families only pin the top few).
     """
 
     tag: str
     s: HalfInt
-    coeffs: Mapping[int, Callable]
+    coeffs: Mapping[int, RationalFunction]
     m: int | None = None
     discriminant: int = 1
     multiplicative: bool = False
@@ -128,10 +150,6 @@ class SpectralFamily:
 
     def __str__(self):
         return f"{self.tag}(s={self.s})"
-
-
-def eval_coeff(fam: SpectralFamily, j: int, lam):
-    return fam.eval_coeff(j, lam)
 
 
 @dataclass(frozen=True)
@@ -187,22 +205,21 @@ def _require_spin(s, minimum_twice: int, why: str) -> HalfInt:
     return s
 
 
+def _ratio(num, den) -> RationalFunction:
+    """(num[0] + num[1] x + ...)/(den[0] + den[1] x + ...) over Q."""
+    return RationalFunction(tuple(map(Fraction, num)), tuple(map(Fraction, den)))
+
+
+def _constant(value) -> RationalFunction:
+    return RationalFunction((value,), (Fraction(1),))
+
+
 def yang(s) -> SpectralFamily:
     """Rational family r_j = (1 + (-1)^(2s-j) lambda)/(1 + lambda)."""
     s = HalfInt.coerce(s)
     ts = s.twice
-
-    def coeff(j):
-        sign = minus_one_pow(ts - j)
-
-        def r(lam):
-            den = 1 + lam
-            if den == 0:
-                raise PoleError("1 + lambda vanishes at lambda = -1")
-            return (1 + sign * lam) / den
-        return r
-
-    return SpectralFamily("yang", s, {j: coeff(j) for j in range(ts + 1)})
+    return SpectralFamily("yang", s, {
+        j: _ratio((1, minus_one_pow(ts - j)), (1, 1)) for j in range(ts + 1)})
 
 
 def zamolodchikov(s, m: int | None = None) -> SpectralFamily:
@@ -212,7 +229,9 @@ def zamolodchikov(s, m: int | None = None) -> SpectralFamily:
         g(lambda) = lambda / (eta - xi/2 - xi eta lambda),
 
     with xi = (-1)^m and eta the level-m diagonal constant.  Coefficients
-    below j = 2s - m are undefined unless m = 2s.
+    below j = 2s - m are undefined unless m = 2s.  The shifted r_{2s-m}
+    is stored over the single denominator (1 + lambda)(c0 - c1 lambda),
+    c0 = eta - xi/2, c1 = xi eta.
     """
     s = _require_spin(s, 2, "the shifted family needs s >= 1")
     ts = s.twice
@@ -222,29 +241,11 @@ def zamolodchikov(s, m: int | None = None) -> SpectralFamily:
         raise DomainError(f"m={m} must satisfy 2 <= m <= 2s={ts}")
     xi = minus_one_pow(m)
     eta = eta_closed_form(s, m)
-
-    def g(lam):
-        den = eta - Fraction(xi, 2) - xi * eta * lam
-        if den == 0:
-            raise PoleError(f"eta - xi/2 - xi*eta*lambda vanishes at {lam}")
-        return lam / den
-
-    def coeff(j):
-        sign = minus_one_pow(ts - j)
-        shifted = j == ts - m
-
-        def r(lam):
-            den = 1 + lam
-            if den == 0:
-                raise PoleError("1 + lambda vanishes at lambda = -1")
-            base = 1 + sign * lam
-            if shifted:
-                base = base + g(lam)
-            return base / den
-        return r
-
-    return SpectralFamily("zamolodchikov", s,
-                          {j: coeff(j) for j in range(ts - m, ts + 1)},
+    c0, c1 = eta - Fraction(xi, 2), xi * eta
+    coeffs = {j: _ratio((1, minus_one_pow(ts - j)), (1, 1))
+              for j in range(ts - m + 1, ts + 1)}
+    coeffs[ts - m] = _ratio((c0, xi * c0 - c1 + 1, -xi * c1), (c0, c0 - c1, -c1))
+    return SpectralFamily("zamolodchikov", s, coeffs,
                           m=m, params={"xi": xi, "eta": eta})
 
 
@@ -255,7 +256,8 @@ def baxter_tl(s, m: int | None = None) -> SpectralFamily:
 
     where A = eta*b, B = eta/b are the roots of x^2 - x + eta^2 and
     b + 1/b = 1/eta with eta = 1/(2s+1).  Only the m = 2s member has a
-    closed form for every coefficient.
+    closed form for every coefficient.  r_0 is stored as
+    ((A - 1) + (1 - B) t)/(A - B t); the r_j for j >= 1 stay rational.
     """
     s = _require_spin(s, 2, "the Temperley-Lieb family needs s >= 1")
     ts = s.twice
@@ -267,17 +269,9 @@ def baxter_tl(s, m: int | None = None) -> SpectralFamily:
     eta = eta_closed_form(s, ts)
     b = baxter_b(eta)
     big_a, big_b = eta * b, eta * b.inverse()
-    d = b.d
-
-    def r0(t):
-        den = big_a - big_b * t
-        if den.is_zero:
-            raise PoleError(f"A - B*t vanishes at t = {t}")
-        return 1 + (t - 1) * den.inverse()
-
-    coeffs = {j: (lambda t: QuadExt(1, 0, d)) for j in range(1, ts + 1)}
-    coeffs[0] = r0
-    return SpectralFamily("baxter-tl", s, coeffs, m=ts, discriminant=d,
+    coeffs = {j: _constant(Fraction(1)) for j in range(1, ts + 1)}
+    coeffs[0] = RationalFunction((big_a - 1, 1 - big_b), (big_a, -big_b))
+    return SpectralFamily("baxter-tl", s, coeffs, m=ts, discriminant=b.d,
                           multiplicative=True, params={"eta": eta})
 
 
@@ -292,20 +286,11 @@ def krs_prefix(s) -> SpectralFamily:
     s = _require_spin(s, 2, "the prefix family needs s >= 1")
     ts = s.twice
     tau = Fraction(ts, ts - 1)
-
-    def ratio(c):
-        def r(lam):
-            den = 1 + c * lam
-            if den == 0:
-                raise PoleError(f"1 + {c}*lambda vanishes at {lam}")
-            return (1 - c * lam) / den
-        return r
-
-    r1, rtau = ratio(Fraction(1)), ratio(tau)
+    r1 = _ratio((1, -1), (1, 1))
     return SpectralFamily("krs-prefix", s, {
-        ts: lambda lam: Fraction(1) + 0 * lam,
+        ts: _constant(Fraction(1)),
         ts - 1: r1,
-        ts - 2: lambda lam: r1(lam) * rtau(lam),
+        ts - 2: r1 * _ratio((1, -tau), (1, tau)),
     }, params={"tau": tau})
 
 
@@ -315,21 +300,13 @@ def exceptional_s3() -> SpectralFamily:
         r_6 = r_4 = r_2 = 1,  r_5 = r_1 = (1-l)/(1+l),
         r_3 = (4-l)/(4+l),    r_0 = (1-l)/(1+l) * (6-l)/(6+l).
     """
-    def ratio(a):
-        def r(lam):
-            den = a + lam
-            if den == 0:
-                raise PoleError(f"{a} + lambda vanishes at {lam}")
-            return (a - lam) / den
-        return r
-
-    one = lambda lam: Fraction(1) + 0 * lam
-    r1, r4, r6 = ratio(Fraction(1)), ratio(Fraction(4)), ratio(Fraction(6))
+    one = _constant(Fraction(1))
+    r1 = _ratio((1, -1), (1, 1))
     return SpectralFamily("exceptional-s3", HalfInt(6), {
         6: one, 4: one, 2: one,
         5: r1, 1: r1,
-        3: r4,
-        0: lambda lam: r1(lam) * r6(lam),
+        3: _ratio((4, -1), (4, 1)),
+        0: r1 * _ratio((6, -1), (6, 1)),
     }, m=3)
 
 
@@ -347,15 +324,12 @@ def constant_baxter(s, m: int, branch: int = +1) -> SpectralFamily:
         raise DomainError(f"m={m} must satisfy 2 <= m <= 2s={ts}")
     eta = eta_closed_form(s, m)
     g = constant_root(eta, branch)
-    d = g.d
-
-    def coeff(j):
-        value = QuadExt(1, 0, d) + (g if j == ts - m else 0)
-        return lambda lam: value
-
-    return SpectralFamily("constant-baxter", s,
-                          {j: coeff(j) for j in range(ts + 1)},
-                          m=m, discriminant=d, constant=True,
+    shifted = 1 + g
+    coeffs = {j: _constant(Fraction(1)) for j in range(ts + 1)}
+    coeffs[ts - m] = _constant(shifted.as_fraction() if shifted.is_rational
+                               else shifted)
+    return SpectralFamily("constant-baxter", s, coeffs,
+                          m=m, discriminant=g.d, constant=True,
                           params={"eta": eta, "g": g, "branch": branch})
 
 
@@ -364,16 +338,14 @@ def permutation_family(s) -> SpectralFamily:
     ts = s.twice
     return SpectralFamily(
         "permutation", s,
-        {j: (lambda v: (lambda lam: v))(Fraction(minus_one_pow(ts - j)))
-         for j in range(ts + 1)},
+        {j: _constant(Fraction(minus_one_pow(ts - j))) for j in range(ts + 1)},
         constant=True)
 
 
 def identity_family(s) -> SpectralFamily:
     s = HalfInt.coerce(s)
     return SpectralFamily(
-        "identity", s,
-        {j: (lambda lam: Fraction(1)) for j in range(s.twice + 1)},
+        "identity", s, {j: _constant(Fraction(1)) for j in range(s.twice + 1)},
         constant=True)
 
 
@@ -386,28 +358,30 @@ def custom_family(s, tables: Mapping[int, RationalFunction],
                           multiplicative=multiplicative, constant=constant)
 
 
-_BUILTIN_FACTORIES = {
-    "yang": lambda s, m: yang(s),
-    "baxter-tl": lambda s, m: baxter_tl(s, m),
-    "zamolodchikov": lambda s, m: zamolodchikov(s, m),
-    "krs-prefix": lambda s, m: krs_prefix(s),
-    "exceptional-s3": lambda s, m: exceptional_s3(),
-    "constant-baxter": lambda s, m: constant_baxter(s, m if m else None),
-    "permutation": lambda s, m: permutation_family(s),
-    "identity": lambda s, m: identity_family(s),
+_FACTORIES = {
+    "yang": yang,
+    "baxter-tl": baxter_tl,
+    "zamolodchikov": zamolodchikov,
+    "krs-prefix": krs_prefix,
+    "constant-baxter": constant_baxter,
+    "permutation": permutation_family,
+    "identity": identity_family,
 }
+_TAKES_M = ("baxter-tl", "zamolodchikov", "constant-baxter")
 
 
 def make_family(tag: str, s=None, m: int | None = None) -> SpectralFamily:
     if tag == "exceptional-s3":
         return exceptional_s3()
-    if tag not in _BUILTIN_FACTORIES:
+    if tag not in _FACTORIES:
         raise DomainError(f"unknown family tag {tag!r} (one of {TAGS})")
     if s is None:
         raise DomainError(f"family {tag!r} needs a spin")
     if tag == "constant-baxter" and m is None:
         raise DomainError("constant-baxter needs m")
-    return _BUILTIN_FACTORIES[tag](s, m)
+    if tag in _TAKES_M:
+        return _FACTORIES[tag](s, m)
+    return _FACTORIES[tag](s)
 
 
 def family_to_json(fam: SpectralFamily) -> dict:
@@ -417,7 +391,7 @@ def family_to_json(fam: SpectralFamily) -> dict:
     if fam.tag == "custom":
         coeffs = []
         for j in range(fam.s.twice + 1):
-            if j in fam.coeffs and isinstance(fam.coeffs[j], RationalFunction):
+            if j in fam.coeffs:
                 rf = fam.coeffs[j]
                 coeffs.append({"num": [format_rational(c) for c in rf.num],
                                "den": [format_rational(c) for c in rf.den]})
@@ -431,24 +405,37 @@ def family_to_json(fam: SpectralFamily) -> dict:
     return doc
 
 
+def _coefficient_list(entry, key: str, j: int) -> tuple:
+    values = entry.get(key) if isinstance(entry, dict) else None
+    if not isinstance(values, list):
+        raise DomainError(f"coeffs[{j}] needs a {key!r} list")
+    return tuple(parse_rational(str(c)) for c in values)
+
+
 def family_from_json(doc: dict | str) -> SpectralFamily:
     """Family description: {"tag": ..., "s": "p/2", "m": int?, "coeffs":
     [{"num": [...], "den": [...]} | null, ...]?}; coefficient lists are
-    ascending powers, entries rational strings or numbers."""
+    ascending powers, entries rational strings or numbers.  A document of
+    any other shape raises DomainError."""
     if isinstance(doc, str):
         doc = json.loads(doc)
+    if not isinstance(doc, dict) or not isinstance(doc.get("tag"), str):
+        raise DomainError("a family document is a JSON object with a string \"tag\"")
     tag = doc["tag"]
     s = HalfInt.parse(str(doc["s"])) if "s" in doc else None
     m = doc.get("m")
+    if m is not None and not isinstance(m, int):
+        raise DomainError(f"\"m\" must be an integer, not {m!r}")
     if tag != "custom":
         return make_family(tag, s, m)
-    tables = {}
-    for j, entry in enumerate(doc.get("coeffs", [])):
-        if entry is None:
-            continue
-        num = tuple(parse_rational(str(c)) for c in entry["num"])
-        den = tuple(parse_rational(str(c)) for c in entry["den"])
-        tables[j] = RationalFunction(num, den)
+    if s is None:
+        raise DomainError("a custom family needs \"s\"")
+    coeffs = doc.get("coeffs", [])
+    if not isinstance(coeffs, list):
+        raise DomainError("\"coeffs\" must be a list")
+    tables = {j: RationalFunction(_coefficient_list(entry, "num", j),
+                                  _coefficient_list(entry, "den", j))
+              for j, entry in enumerate(coeffs) if entry is not None}
     return custom_family(s, tables,
                          multiplicative=bool(doc.get("multiplicative", False)),
                          constant=bool(doc.get("constant", False)))

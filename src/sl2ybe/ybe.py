@@ -12,9 +12,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .amatrix import (LevelRange, RankOneProjector, SignDiagonal, a_matrix,
-                      eta, top_level, xi_sign)
-from .exact import DomainError, HalfInt
+from .amatrix import (LevelRange, a_matrix, eta, rank_one_projector,
+                      sign_diagonal, top_level)
+from .exact import DomainError, HalfInt, minus_one_pow
 from .linalg import (diag_mul_left, diag_mul_right, diagonal, identity,
                      is_zero_matrix, mat_add, mat_mul, mat_scale, mat_sub)
 from .spectral import SpectralFamily, reduced_d
@@ -88,13 +88,9 @@ class ReducedResidual:
         return is_zero_matrix(self.residual)
 
 
-def _hatter(s, n: int):
-    mu_core = a_matrix(s, n).ucore()
-    return lambda x: mat_mul(mat_mul(mu_core, x), mu_core)
-
-
 def reduced_ybe_check(fam: SpectralFamily, n: int, lam, mu) -> ReducedResidual:
-    """Exact level-n residual for the family at samples (lam, mu)."""
+    """Exact level-n residual for the family at samples (lam, mu).  Each
+    hat is taken as (M U) diag(d) (M U): one matrix product per hat."""
     mu_core = a_matrix(fam.s, n).ucore()
     comp = fam.compose(lam, mu)
     d1 = reduced_d(fam, n, lam).entries
@@ -158,9 +154,8 @@ def constant_check(fam: SpectralFamily, levels=None) -> dict:
     ok = True
     for n in levels:
         _check_level_defined(fam, n)
-        hat = _hatter(fam.s, n)
         d = diagonal(reduced_d(fam, n, marker).entries)
-        dh = hat(d)
+        dh = a_matrix(fam.s, n).hat(d)
         zero = is_zero_matrix(mat_sub(mat_mul(mat_mul(d, dh), d),
                                       mat_mul(mat_mul(dh, d), dh)))
         ok = ok and zero
@@ -202,7 +197,7 @@ def coeff_functions(s, m: int, n: int, f: Callable, g: Callable,
     s = HalfInt.coerce(s)
     comp = combine(lam, mu) if combine is not None else lam + mu
     th = 1 if eta_value is not None else theta(s, m, n)
-    xi = xi_sign(m)
+    xi = minus_one_pow(m)
     fl, fm, fc = f(lam), f(mu), f(comp)
     big_f = fl + fm - fc
     if not th:
@@ -244,14 +239,13 @@ def ansatz_residual_crosscheck(s, m: int, n: int, f: Callable, g: Callable,
     if pref == 0:
         raise DomainError("sample hits a zero of the 1 + f prefactor")
     a = a_matrix(s, n)
-    hat = _hatter(s, n)
-    d0 = SignDiagonal(a.range).matrix()
+    d0 = sign_diagonal(a.range)
     th = theta(s, m, n)
     if th:
-        pi = RankOneProjector(a.range, m).matrix()
+        pi = rank_one_projector(a.range, m)
     else:
         pi = mat_scale(Fraction(0), identity(a.dim))
-    d0h, pih = hat(d0), hat(pi)
+    d0h, pih = a.hat(d0), a.hat(pi)
     e = identity(a.dim)
 
     def cleared(x, hatted):

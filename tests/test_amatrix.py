@@ -2,11 +2,11 @@ from fractions import Fraction
 
 import pytest
 
-from sl2ybe.amatrix import (LevelRange, RankOneProjector, SignDiagonal,
-                            a_entry_from_sixj, a_matrix,
+from sl2ybe.amatrix import (LevelRange, a_entry_from_sixj, a_matrix,
                             consecutive_level_ratio, eta, eta_closed_form,
-                            top_level, verify_a_properties,
-                            verify_projector_algebra, verify_sign_conjugation)
+                            rank_one_projector, sign_diagonal, top_level,
+                            verify_a_properties, verify_projector_algebra,
+                            verify_sign_conjugation)
 from sl2ybe.exact import DomainError, HalfInt, SqrtRational
 
 GRID = [(ts, n) for ts in range(1, 7) for n in range(0, 3 * ts // 2 + 1)]
@@ -30,7 +30,7 @@ class TestLevelRange:
     def test_projector_requires_index_in_range(self):
         rng = LevelRange.for_level("3/2", 4)
         with pytest.raises(DomainError):
-            RankOneProjector(rng, 3)
+            rank_one_projector(rng, 3)
 
 
 class TestConstruction:
@@ -95,7 +95,7 @@ class TestProperties:
         assert verify_sign_conjugation(2, 6)
 
     def test_sign_diagonal_entries(self):
-        d0 = SignDiagonal(LevelRange.for_level(2, 5)).matrix()
+        d0 = sign_diagonal(LevelRange.for_level(2, 5))
         assert [d0[i][i] for i in range(3)] == [-1, 1, -1]  # k = 1, 2, 3
 
 

@@ -93,6 +93,19 @@ class TestVerifyCommand:
                                "--levels", "1")
         assert code == 1 and out.startswith("FAIL")
 
+    @pytest.mark.parametrize("doc", [
+        {},
+        {"tag": "custom"},
+        {"tag": "custom", "s": "1/2", "coeffs": [{"num": ["1"]}]},
+        {"tag": "custom", "s": "1/2", "coeffs": [{"num": [], "den": ["1"]}]},
+        [{"tag": "yang", "s": "1"}],
+    ], ids=["empty", "custom-without-s", "missing-den", "empty-num", "list"])
+    def test_malformed_family_file_is_usage_error(self, capsys, tmp_path, doc):
+        path = tmp_path / "family.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "verify", "--family-file", str(path))
+        assert code == 2 and out == "" and err.startswith("error:")
+
     def test_constant_family_verify(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--family", "permutation",
                                "--s", "1")

@@ -1,0 +1,46 @@
+"""Golden `--json` payloads: a refactor must keep every exact-only CLI
+payload byte-identical.  Each entry is (arguments, exit code, SHA-256 of
+stdout).  `oracle` and `suite` are left out: their float residuals depend
+on the numpy and BLAS build.
+
+Only an intended payload change may re-record a digest: print
+`hashlib.sha256(out.encode()).hexdigest()` for the command's stdout.
+"""
+import hashlib
+
+import pytest
+
+from sl2ybe.cli import main
+
+GOLDEN = [
+    ("verify --family yang --s 3/2", 0, "31a6c6756c2630d4f09dae8ae2f2530c9b27d54d9e3ad5066cd7483b997bef58"),
+    ("verify --family baxter-tl --s 1", 0, "68a05636ec3e58f5ad71b6317e54e22407ea1b362665efc6b553fed094e9d767"),
+    ("verify --family zamolodchikov --s 3/2 --m 2", 0, "6b6566c26feb91dca85d23f63c0e28411ebc0e4a484bc06b15b1fcab14316326"),
+    ("verify --family krs-prefix --s 2", 0, "f94b26cda3eedd7af2e9be8066fd08e06792c60555b53eb5486a68f6ca0c5325"),
+    ("verify --family exceptional-s3 --levels 0..9", 0, "c76c0f200a4c24c44fd78b9cfd94bb481e66509b5ebb66f53c330ff7a90895be"),
+    ("verify --family constant-baxter --s 2 --m 3", 1, "d9eeb9324febcaf3c78c3a589e23f07e106fbe0a0e827a91483e891db766d8ca"),
+    ("verify --family permutation --s 3/2", 0, "a4026793619f3dc3b7318fcf6a8a8dc1fcdf3f4b3b38a4154e5ddf363832c7b9"),
+    ("verify --family identity --s 1", 0, "5a7c94297514b68940ba09593ce30335624a9fecbdc7249fbcbb362b64d319be"),
+    ("family show --tag yang --s 3/2", 0, "f08c40de4b68f66b691c015ee34bb3310c352a0a7f9d6b771001e64abf35e9fb"),
+    ("family show --tag baxter-tl --s 1", 0, "c617164fe0bed5b9ab31e6f8a889197579e96517cfb4d695e79698bad951e4e4"),
+    ("family show --tag zamolodchikov --s 2 --m 3", 0, "c60017832744d3e4b1a530d66854275216ef26a677f27b5a6ef966a62266fd35"),
+    ("family show --tag krs-prefix --s 2", 0, "f402de42dfc7a1cf6f53002e7211cd159f6e392a06f959b0e06f20175fe531f4"),
+    ("family show --tag exceptional-s3", 0, "b3a8eb9266fdb33483ed655cca8838b76f1a3256185380948ec206f9a658d647"),
+    ("family show --tag constant-baxter --s 2 --m 3", 0, "1f2948c3f35118a252d615371dcf153adba48af0da35cc336b78c2a573776161"),
+    ("family show --tag permutation --s 3/2", 0, "9128aeb369f740d9222c10f53d7a2b1244fb09caf98a77e50c572b3ecf940133"),
+    ("family show --tag identity --s 1", 0, "7799c7bec8895cd910b691c5061ea455d1ebbd735f33c16417d37aabd69bd54b"),
+    ("classify-constant --s 1 --m 2", 0, "e3c4dd10c1748574c1bcd65ef44152f7fc4b99ecc5eacaf1226ad584a5b4cc26"),
+    ("rigidity --s 3 --m 3", 0, "d3e928c01c016b2bfe14cf258f9b2df45a31eb111d4162318035c436c3b5637a"),
+    ("scan-degeneracy --max-2s 6", 0, "160e28dd4d21619860a4dccff7a0f3d73895f8fbdf7b04c3855407eb8781f403"),
+    ("amat --s 3/2 --n 3", 0, "7f464c807f202105e604f8d408595d580666a0cf35fad3dc277c6bf9c1909f8f"),
+    ("amat --s 3/2 --n 3 --gauge", 0, "bdaae3a56043ff507fb6a584027ff284986d054e6dbc60fe8eac7b00ddb14f8f"),
+    ("eta --s 5/2 --m 3 --n 4", 0, "7faf29411cc15a1579354fc1720a29eee29a985f3e8ed60f0960d947cf5ac5b1"),
+    ("sixj 3/2 3/2 0 1/2 1/2 2", 0, "d11e52b99c1768ad470aa3edbab9fda3315aeb1210469f221e61ee38a5774de7"),
+]
+
+
+@pytest.mark.parametrize("command, code, digest", GOLDEN, ids=[g[0] for g in GOLDEN])
+def test_payload_unchanged(capsys, command, code, digest):
+    got = main(command.split() + ["--json"])
+    out = capsys.readouterr().out
+    assert (got, hashlib.sha256(out.encode()).hexdigest()) == (code, digest)

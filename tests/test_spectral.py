@@ -6,8 +6,8 @@ import pytest
 from sl2ybe.exact import DomainError, HalfInt, QuadExt
 from sl2ybe.spectral import (PoleError, RationalFunction, baxter_b, baxter_tl,
                              check_regularity_unitarity, constant_baxter,
-                             constant_root, custom_family, eval_coeff,
-                             exceptional_s3, family_from_json, family_to_json,
+                             constant_root, custom_family, exceptional_s3,
+                             family_from_json, family_to_json,
                              identity_family, krs_prefix, make_family,
                              permutation_family, reduced_d, yang,
                              zamolodchikov)
@@ -18,12 +18,12 @@ F = Fraction
 class TestYang:
     def test_coefficient_value(self):
         fam = yang(1)
-        assert eval_coeff(fam, 1, F(2)) == F(-1, 3)
-        assert eval_coeff(fam, 2, F(2)) == 1
+        assert fam.eval_coeff(1, F(2)) == F(-1, 3)
+        assert fam.eval_coeff(2, F(2)) == 1
 
     def test_pole(self):
         with pytest.raises(PoleError):
-            eval_coeff(yang(1), 0, F(-1))
+            yang(1).eval_coeff(0, F(-1))
 
     def test_reduced_diagonal(self):
         d = reduced_d(yang("1/2"), 1, F(1))
@@ -34,18 +34,18 @@ class TestZamolodchikov:
     def test_shifted_coefficient_factorizes(self):
         fam = zamolodchikov(1, 2)
         # r_0 = (1-l)(1-2l)/((1+l)(1+2l))
-        assert eval_coeff(fam, 0, F(1)) == 0
-        assert eval_coeff(fam, 0, F(1, 3)) == (F(2, 3) * F(1, 3)) / (F(4, 3) * F(5, 3))
+        assert fam.eval_coeff(0, F(1)) == 0
+        assert fam.eval_coeff(0, F(1, 3)) == (F(2, 3) * F(1, 3)) / (F(4, 3) * F(5, 3))
 
     def test_g_pole_reported(self):
         fam = zamolodchikov(1, 2)  # g = -6l/(1+2l)
         with pytest.raises(PoleError):
-            eval_coeff(fam, 0, F(-1, 2))
+            fam.eval_coeff(0, F(-1, 2))
 
     def test_lower_coefficients_undefined(self):
         fam = zamolodchikov(2, 2)
         with pytest.raises(DomainError):
-            eval_coeff(fam, 0, F(1))
+            fam.eval_coeff(0, F(1))
 
     def test_m_bounds(self):
         with pytest.raises(DomainError):
@@ -81,7 +81,7 @@ class TestBaxterTL:
         for ts in (2, 3, 4):
             fam = baxter_tl(HalfInt(ts))
             eta = fam.params["eta"]
-            g = lambda t: eval_coeff(fam, 0, t) - 1
+            g = lambda t: fam.eval_coeff(0, t) - 1
             for (t, u) in ((F(2), F(3)), (F(5), F(2)), (F(3), F(7))):
                 lhs = (g(t) + g(u) - g(t * u) + g(t) * g(u)
                        + eta * eta * g(t) * g(u) * g(t * u))
@@ -109,27 +109,27 @@ class TestKrsPrefix:
         tau = F(4, 3)
         lam = F(1, 2)
         expected = (1 - lam) / (1 + lam) * (1 - tau * lam) / (1 + tau * lam)
-        assert eval_coeff(fam, 2, lam) == expected
+        assert fam.eval_coeff(2, lam) == expected
 
     def test_lower_is_domain_error(self):
         with pytest.raises(DomainError):
-            eval_coeff(krs_prefix(2), 1, F(1))
+            krs_prefix(2).eval_coeff(1, F(1))
 
     def test_matches_shifted_family_when_full(self):
         # for s = 1, m = 2 the shifted family defines the same three coefficients
         prefix, shifted = krs_prefix(1), zamolodchikov(1, 2)
         for lam in (F(1, 2), F(2), F(5, 7)):
             for j in (0, 1, 2):
-                assert eval_coeff(prefix, j, lam) == eval_coeff(shifted, j, lam)
+                assert prefix.eval_coeff(j, lam) == shifted.eval_coeff(j, lam)
 
 
 class TestExceptionalS3:
     def test_coefficients(self):
         fam = exceptional_s3()
         assert fam.s == HalfInt(6)
-        assert eval_coeff(fam, 3, F(1)) == F(3, 5)
-        assert eval_coeff(fam, 0, F(1)) == 0
-        assert eval_coeff(fam, 4, F(9)) == 1
+        assert fam.eval_coeff(3, F(1)) == F(3, 5)
+        assert fam.eval_coeff(0, F(1)) == 0
+        assert fam.eval_coeff(4, F(9)) == 1
 
     def test_level_nine_carries_the_middle_coefficient(self):
         # at the top level the single index is k = 3, so the diagonal holds r_3
@@ -140,11 +140,11 @@ class TestExceptionalS3:
 class TestConstantFamilies:
     def test_permutation_signs(self):
         fam = permutation_family(1)
-        assert [eval_coeff(fam, j, F(0)) for j in (0, 1, 2)] == [1, -1, 1]
+        assert [fam.eval_coeff(j, F(0)) for j in (0, 1, 2)] == [1, -1, 1]
 
     def test_identity(self):
         fam = identity_family("3/2")
-        assert all(eval_coeff(fam, j, F(3)) == 1 for j in range(4))
+        assert all(fam.eval_coeff(j, F(3)) == 1 for j in range(4))
 
     def test_constant_baxter_root(self):
         fam = constant_baxter(1, 2)
@@ -205,10 +205,53 @@ class TestFamilySerialization:
         doc = json.loads(json.dumps(family_to_json(fam)))
         back = family_from_json(doc)
         for lam in (F(0), F(1, 3), F(4)):
-            assert eval_coeff(back, 0, lam) == eval_coeff(fam, 0, lam)
+            assert back.eval_coeff(0, lam) == fam.eval_coeff(0, lam)
 
     def test_make_family_dispatch(self):
         assert make_family("exceptional-s3").tag == "exceptional-s3"
         assert make_family("zamolodchikov", HalfInt(2), 2).m == 2
         with pytest.raises(DomainError):
             make_family("nonsense", 1)
+
+
+CATALOG = [yang("1/2"), yang(2), zamolodchikov(1, 2), zamolodchikov("5/2", 3),
+           baxter_tl(1), baxter_tl("3/2"), krs_prefix(2), exceptional_s3(),
+           constant_baxter(1, 2), constant_baxter("3/2", 2),
+           constant_baxter(2, 3, branch=-1), permutation_family("3/2"),
+           identity_family(1)]
+
+
+class TestCoefficientTables:
+    @pytest.mark.parametrize("fam", CATALOG, ids=str)
+    def test_every_coefficient_is_a_table(self, fam):
+        for j, rf in fam.coeffs.items():
+            assert isinstance(rf, RationalFunction), (fam.tag, j)
+            for c in rf.num + rf.den:
+                # rational values stay Fraction, never QuadExt(a, 0)
+                assert isinstance(c, (Fraction, QuadExt)), (fam.tag, j, c)
+                assert not (isinstance(c, QuadExt) and c.b == 0), (fam.tag, j, c)
+
+    def test_rational_constant_root_stays_fraction(self):
+        # at 2s = 3, m = 2 the discriminant 1 - 4 eta^2 is a perfect square
+        fam = constant_baxter("3/2", 2)
+        assert fam.discriminant == 1
+        assert isinstance(fam.eval_coeff(1, F(0)), Fraction)
+
+    def test_empty_coefficient_lists_rejected(self):
+        with pytest.raises(DomainError):
+            RationalFunction((), (F(1),))
+        with pytest.raises(DomainError):
+            RationalFunction((F(1),), ())
+
+    def test_product(self):
+        r = RationalFunction((F(1), F(-1)), (F(1), F(1)))
+        q = RationalFunction((F(2), F(1)), (F(3),))
+        for x in (F(0), F(1, 2), F(5)):
+            assert (r * q)(x) == r(x) * q(x)
+
+    def test_product_pole_is_union_of_poles(self):
+        r = RationalFunction((F(1),), (F(1), F(1)))
+        q = RationalFunction((F(1),), (F(2), F(-1)))
+        for x in (F(-1), F(2)):
+            with pytest.raises(PoleError):
+                (r * q)(x)

@@ -18,7 +18,7 @@ from .amatrix import (LevelRange, a_matrix, consecutive_level_ratio, eta,
                       verify_sign_conjugation)
 from .classify import (constant_m_prime, constant_roots, degeneracy_scan,
                        eta_incompatibility, eta_level4_m3,
-                       exceptional_level_combination, fgh_rank,
+                       exceptional_level_combination,
                        level_three_five_ratio, permutation_rigidity,
                        projector_obstruction_check)
 from .exact import HalfInt
@@ -31,7 +31,7 @@ from .spectral import (RationalFunction, baxter_tl, custom_family,
 from .ybe import (constant_check, default_grid, full_check,
                   reduced_ybe_check, second_grid)
 
-__all__ = ["CRITERIA", "CriterionResult", "run_all"]
+__all__ = ["CriterionResult", "run_all"]
 
 F = Fraction
 
@@ -346,11 +346,6 @@ def criterion_11() -> CriterionResult:
     details.append("level-4 scalar combination exactly zero for 2s in 3..6 on a "
                    "4-point grid (the level-4 constant 1/2 kills it)")
     return CriterionResult(11, "exceptional-level scalar identity (exact)", ok, details)
-
-
-CRITERIA = (criterion_1, criterion_2, criterion_3, criterion_4, criterion_5,
-            criterion_6, criterion_7, criterion_8, criterion_9, criterion_10,
-            criterion_11)
 
 
 def run_all(max_two_s: int = 6) -> list[CriterionResult]:

@@ -20,7 +20,8 @@ from functools import lru_cache
 
 from .exact import (DomainError, HalfInt, SqrtRational, factorial,
                     minus_one_pow, sqrt_canonicalize)
-from .linalg import diagonal, identity, mat_eq, mat_mul, mat_scale
+from .linalg import (diag_mul_left, diag_mul_right, diagonal, identity, mat_eq,
+                     mat_mul, mat_scale)
 from .sixj import SixJArgs, sixj
 
 __all__ = [
@@ -79,19 +80,17 @@ class LevelRange:
         return self.n > self.s.twice
 
 
-def sign_diagonal(rng: LevelRange):
-    """The alternating diagonal with entries (-1)^k over a level range."""
-    return diagonal(Fraction(minus_one_pow(k)) for k in rng.indices())
+def sign_diagonal(rng: LevelRange) -> tuple:
+    """Entries (-1)^k of the alternating diagonal D0 over a level range."""
+    return tuple(Fraction(minus_one_pow(k)) for k in rng.indices())
 
 
-def rank_one_projector(rng: LevelRange, m: int):
-    """(pi)_{kk'} = delta_{km} delta_{k'm} over a level range."""
+def rank_one_projector(rng: LevelRange, m: int) -> tuple:
+    """Entries delta_{km} of the rank-one projector pi over a level range."""
     if m not in rng:
         raise DomainError(
             f"index m={m} outside level range {rng.k_min}..{rng.k_max}")
-    i = m - rng.k_min
-    return tuple(tuple(Fraction(int(r == i and c == i)) for c in range(rng.dim))
-                 for r in range(rng.dim))
+    return tuple(Fraction(int(k == m)) for k in rng.indices())
 
 
 class GaugedMatrix:
@@ -117,9 +116,10 @@ class GaugedMatrix:
         computed once per matrix, since every residual check needs it."""
         return self._ucore
 
-    def hat(self, y):
-        """The hat X Y X of a gauge-form matrix y: ucore * y * ucore."""
-        return mat_mul(mat_mul(self._ucore, y), self._ucore)
+    def hat(self, entries):
+        """The hat X D X of the diagonal D with the given entries, in gauge
+        form: (M U) D (M U), one matrix product."""
+        return mat_mul(diag_mul_right(self._ucore, entries), self._ucore)
 
     def entry(self, k: int, kp: int) -> SqrtRational:
         """Raw entry sqrt(u_k) M_{kk'} sqrt(u_{k'})."""
@@ -200,7 +200,7 @@ def verify_sign_conjugation(s, n: int) -> bool:
     """A D0 A == (-1)^n D0 A D0 with the alternating sign diagonal D0."""
     a = a_matrix(s, n)
     d0 = sign_diagonal(a.range)
-    rhs = mat_mul(mat_mul(d0, a.ucore()), d0)
+    rhs = diag_mul_left(d0, diag_mul_right(a.ucore(), d0))
     return mat_eq(a.hat(d0), mat_scale(Fraction(minus_one_pow(n)), rhs))
 
 
@@ -252,12 +252,12 @@ def verify_projector_algebra(s, m: int, n: int) -> bool:
         pi pi^ D0 = xi eta pi D0^,  D0 pi^ pi = xi eta D0^ pi,  ...
 
     checked exactly in the rational gauge, in both hatted and unhatted
-    substitution directions.
+    substitution directions, so every operand is a dense matrix.
     """
     a = a_matrix(s, n)
-    d0 = sign_diagonal(a.range)
-    pi = rank_one_projector(a.range, m)
+    d0, pi = sign_diagonal(a.range), rank_one_projector(a.range, m)
     d0h, pih = a.hat(d0), a.hat(pi)
+    d0, pi = diagonal(d0), diagonal(pi)
     xi = Fraction(minus_one_pow(m))
     eta_mn = eta(s, m, n)
     e = identity(a.dim)

@@ -15,10 +15,10 @@ from .amatrix import (GaugedMatrix, LevelRange, a_matrix,
                       consecutive_level_ratio, eta, eta_closed_form,
                       rank_one_projector, sign_diagonal, top_level)
 from .exact import DomainError, HalfInt, QuadExt, minus_one_pow
-from .linalg import (is_zero_matrix, mat_add, mat_mul, mat_scale, mat_sub,
-                     span_rank)
-from .spectral import constant_root
-from .ybe import coeff_functions, theta
+from .linalg import (diag_mul_left, diag_mul_right, is_zero_matrix, mat_add,
+                     mat_scale, mat_sub, span_rank)
+from .spectral import RationalFunction, constant_root
+from .ybe import coeff_functions, fgh_operators, theta
 
 __all__ = [
     "DegeneracyRecord",
@@ -95,13 +95,8 @@ def fgh_matrices(s, m: int, n: int) -> FghSystem:
     if theta(s, m, n) != 1:
         raise DomainError(f"index m={m} not active at level n={n} for s={s}")
     a = a_matrix(s, n)
-    d0 = sign_diagonal(a.range)
-    pi = rank_one_projector(a.range, m)
-    d0h, pih = a.hat(d0), a.hat(pi)
-    big_f = mat_sub(d0, d0h)
-    big_g = mat_sub(pi, pih)
-    big_h = mat_sub(mat_mul(pi, d0h), mat_mul(d0, pih))
-    big_ht = mat_sub(mat_mul(d0h, pi), mat_mul(pih, d0))
+    big_f, big_g, big_h, big_ht = fgh_operators(
+        a, sign_diagonal(a.range), rank_one_projector(a.range, m))
     if big_h != _entrywise_h(a, m, transposed=False):
         raise AssertionError(f"H closed form mismatch at (s={s}, m={m}, n={n})")
     if big_ht != _entrywise_h(a, m, transposed=True):
@@ -373,7 +368,7 @@ def projector_obstruction_check(s, m: int) -> bool:
         return False
     mu = a.ucore()
     pi = rank_one_projector(a.range, m)
-    return not is_zero_matrix(mat_sub(mat_mul(mu, pi), mat_mul(pi, mu)))
+    return not is_zero_matrix(mat_sub(diag_mul_right(mu, pi), diag_mul_left(pi, mu)))
 
 
 def eta_level4_m3(s) -> Fraction:
@@ -399,16 +394,9 @@ def exceptional_level_combination(s, lam, mu):
         raise DomainError("needs s >= 3/2")
     xi = minus_one_pow(3)
     eta_33 = eta_closed_form(s, 3)
-
-    def f(x):
-        return x
-
-    def g(x):
-        den = eta_33 - Fraction(xi, 2) - xi * eta_33 * x
-        if den == 0:
-            raise DomainError(f"g has a pole at {x}")
-        return x / den
-
+    c0, c1 = eta_33 - Fraction(xi, 2), xi * eta_33
+    f = RationalFunction((Fraction(0), Fraction(1)), (Fraction(1),))
+    g = RationalFunction((Fraction(0), Fraction(1)), (c0, -c1))
     triple = coeff_functions(s, 3, 4, f, g, lam, mu, eta_value=eta_level4_m3(s))
     swapped = coeff_functions(s, 3, 4, f, g, mu, lam, eta_value=eta_level4_m3(s))
     if swapped.H != triple.H_swapped:

@@ -369,6 +369,10 @@ def main(argv=None) -> int:
     except (DomainError, PoleError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except AssertionError as exc:
+        # raised by the package's own cross-checks, never by bad input
+        print(f"error: internal check failed: {exc}", file=sys.stderr)
+        return EXIT_FAIL
 
 
 if __name__ == "__main__":

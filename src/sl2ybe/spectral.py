@@ -116,6 +116,8 @@ class SpectralFamily:
     def __post_init__(self):
         if self.tag not in TAGS:
             raise DomainError(f"unknown family tag {self.tag!r}")
+        if self.s.twice < 0:
+            raise DomainError(f"spin s={self.s} is negative")
         if not self.constant:
             origin = self.zero_sample()
             for j in sorted(self.coeffs):
@@ -374,7 +376,10 @@ def make_family(tag: str, s=None, m: int | None = None) -> SpectralFamily:
     if tag == "exceptional-s3":
         return exceptional_s3()
     if tag not in _FACTORIES:
-        raise DomainError(f"unknown family tag {tag!r} (one of {TAGS})")
+        catalog = tuple(t for t in TAGS if t != "custom")
+        raise DomainError(f"unknown family tag {tag!r} (one of {catalog}); "
+                          "a custom family is loaded from a family document "
+                          "(--family-file)")
     if s is None:
         raise DomainError(f"family {tag!r} needs a spin")
     if tag == "constant-baxter" and m is None:

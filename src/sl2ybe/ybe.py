@@ -12,11 +12,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .amatrix import (LevelRange, a_matrix, eta, rank_one_projector,
-                      sign_diagonal, top_level)
+from .amatrix import (GaugedMatrix, LevelRange, a_matrix, eta,
+                      rank_one_projector, sign_diagonal, top_level)
 from .exact import DomainError, HalfInt, minus_one_pow
-from .linalg import (diag_mul_left, diag_mul_right, diagonal, identity,
-                     is_zero_matrix, mat_add, mat_mul, mat_scale, mat_sub)
+from .linalg import (diag_mul_left, diag_mul_right, diagonal, is_zero_matrix,
+                     mat_add, mat_mul, mat_scale, mat_sub)
 from .spectral import SpectralFamily, reduced_d
 
 __all__ = [
@@ -24,9 +24,11 @@ __all__ = [
     "CrosscheckResult",
     "ReducedResidual",
     "ansatz_residual_crosscheck",
+    "braid_residual",
     "coeff_functions",
     "constant_check",
     "default_grid",
+    "fgh_operators",
     "full_check",
     "reduced_ybe_check",
     "second_grid",
@@ -88,35 +90,36 @@ class ReducedResidual:
         return is_zero_matrix(self.residual)
 
 
+def braid_residual(a: GaugedMatrix, d1, d2, d3):
+    """D1 D2^ D3 - D3^ D2 D1^ for the diagonals with entries d1, d2, d3 at
+    the level of a, in its rational gauge."""
+    lhs = diag_mul_left(d1, diag_mul_right(a.hat(d2), d3))
+    rhs = mat_mul(diag_mul_right(a.hat(d3), d2), a.hat(d1))
+    return mat_sub(lhs, rhs)
+
+
 def reduced_ybe_check(fam: SpectralFamily, n: int, lam, mu) -> ReducedResidual:
-    """Exact level-n residual for the family at samples (lam, mu).  Each
-    hat is taken as (M U) diag(d) (M U): one matrix product per hat."""
-    mu_core = a_matrix(fam.s, n).ucore()
-    comp = fam.compose(lam, mu)
-    d1 = reduced_d(fam, n, lam).entries
-    d2 = reduced_d(fam, n, comp).entries
-    d3 = reduced_d(fam, n, mu).entries
-
-    def hat(entries):
-        return mat_mul(diag_mul_right(mu_core, entries), mu_core)
-
-    lhs = diag_mul_left(d1, diag_mul_right(hat(d2), d3))
-    rhs = mat_mul(diag_mul_right(hat(d3), d2), hat(d1))
-    return ReducedResidual(n, lam, mu, mat_sub(lhs, rhs))
+    """Exact level-n residual for the family at samples (lam, mu)."""
+    a = a_matrix(fam.s, n)
+    d1, d2, d3 = (reduced_d(fam, n, x).entries for x in (lam, fam.compose(lam, mu), mu))
+    return ReducedResidual(n, lam, mu, braid_residual(a, d1, d2, d3))
 
 
 def _levels_or_default(fam: SpectralFamily, levels):
-    """Requested levels, or the contiguous prefix the family defines."""
-    if levels is not None:
-        return list(levels)
-    ts = fam.s.twice
-    out = []
-    for n in range(top_level(fam.s) + 1):
-        rng = LevelRange.for_level(fam.s, n)
-        if not all(ts - k in fam.coeffs for k in rng.indices()):
-            break
-        out.append(n)
-    return out
+    """Requested levels, or the contiguous prefix the family defines; a
+    check over no level at all is refused."""
+    if levels is None:
+        ts = fam.s.twice
+        levels = []
+        for n in range(top_level(fam.s) + 1):
+            rng = LevelRange.for_level(fam.s, n)
+            if not all(ts - k in fam.coeffs for k in rng.indices()):
+                break
+            levels.append(n)
+    levels = list(levels)
+    if not levels:
+        raise DomainError(f"no level to check for family {fam.tag} at s={fam.s}")
+    return levels
 
 
 def _check_level_defined(fam: SpectralFamily, n: int):
@@ -147,17 +150,15 @@ def full_check(fam: SpectralFamily, levels=None, samples=None) -> dict:
 
 
 def constant_check(fam: SpectralFamily, levels=None) -> dict:
-    """Braid-form check D D^ D = D^ D D^ per level for a constant family."""
+    """Braid-form check D D^ D = D^ D D^ per level for a constant family,
+    whose reduced residual at any one sample pair is that braid."""
     levels = _levels_or_default(fam, levels)
     marker = fam.zero_sample()
     rows = []
     ok = True
     for n in levels:
         _check_level_defined(fam, n)
-        d = diagonal(reduced_d(fam, n, marker).entries)
-        dh = a_matrix(fam.s, n).hat(d)
-        zero = is_zero_matrix(mat_sub(mat_mul(mat_mul(d, dh), d),
-                                      mat_mul(mat_mul(dh, d), dh)))
+        zero = reduced_ybe_check(fam, n, marker, marker).is_zero
         ok = ok and zero
         rows.append({"n": n, "zero": zero})
     return {"family": fam.tag, "s": str(fam.s), "levels": rows, "pass": ok}
@@ -219,6 +220,16 @@ class CrosscheckResult:
     prefactor: object
 
 
+def fgh_operators(a: GaugedMatrix, d0, pi):
+    """F = D0 - D0^, G = pi - pi^, H = pi D0^ - D0 pi^ and H~ = D0^ pi -
+    pi^ D0 at the level of a, from the entries of D0 and pi."""
+    d0h, pih = a.hat(d0), a.hat(pi)
+    return (mat_sub(diagonal(d0), d0h),
+            mat_sub(diagonal(pi), pih),
+            mat_sub(diag_mul_left(pi, d0h), diag_mul_left(d0, pih)),
+            mat_sub(diag_mul_right(d0h, pi), diag_mul_right(pih, d0)))
+
+
 def ansatz_residual_crosscheck(s, m: int, n: int, f: Callable, g: Callable,
                                lam, mu) -> CrosscheckResult:
     """Confirm mechanically that for the ansatz
@@ -232,6 +243,8 @@ def ansatz_residual_crosscheck(s, m: int, n: int, f: Callable, g: Callable,
     with the matrices F = D0 - D0^, G = pi - pi^, H = pi D0^ - D0 pi^,
     H~ = D0^ pi - pi^ D0.  The cleared prefactor
     (1+f(lam))(1+f(mu))(1+f(lam+mu)) is returned; it must be nonzero.
+    The hat of a cleared diagonal is E + f D0^ + theta g pi^, since the hat
+    is linear and A^2 = E.
     """
     s = HalfInt.coerce(s)
     comp = lam + mu
@@ -241,25 +254,14 @@ def ansatz_residual_crosscheck(s, m: int, n: int, f: Callable, g: Callable,
     a = a_matrix(s, n)
     d0 = sign_diagonal(a.range)
     th = theta(s, m, n)
-    if th:
-        pi = rank_one_projector(a.range, m)
-    else:
-        pi = mat_scale(Fraction(0), identity(a.dim))
-    d0h, pih = a.hat(d0), a.hat(pi)
-    e = identity(a.dim)
+    pi = rank_one_projector(a.range, m) if th else (Fraction(0),) * a.dim
 
-    def cleared(x, hatted):
-        dd, pp = (d0h, pih) if hatted else (d0, pi)
-        return mat_add(mat_add(e, mat_scale(f(x), dd)), mat_scale(g(x) * th, pp))
+    def cleared(x):
+        fx, gx = f(x), g(x) * th
+        return tuple(1 + fx * d + gx * p for d, p in zip(d0, pi))
 
-    lhs = mat_mul(mat_mul(cleared(lam, False), cleared(comp, True)), cleared(mu, False))
-    rhs = mat_mul(mat_mul(cleared(mu, True), cleared(comp, False)), cleared(lam, True))
-    resid = mat_sub(lhs, rhs)
-
-    big_f = mat_sub(d0, d0h)
-    big_g = mat_sub(pi, pih)
-    big_h = mat_sub(mat_mul(pi, d0h), mat_mul(d0, pih))
-    big_ht = mat_sub(mat_mul(d0h, pi), mat_mul(pih, d0))
+    resid = braid_residual(a, cleared(lam), cleared(comp), cleared(mu))
+    big_f, big_g, big_h, big_ht = fgh_operators(a, d0, pi)
     c = coeff_functions(s, m, n, f, g, lam, mu)
     combo = mat_add(mat_add(mat_scale(c.F, big_f), mat_scale(c.G, big_g)),
                     mat_add(mat_scale(c.H, big_h), mat_scale(c.H_swapped, big_ht)))

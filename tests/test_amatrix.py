@@ -8,6 +8,7 @@ from sl2ybe.amatrix import (LevelRange, a_entry_from_sixj, a_matrix,
                             verify_a_properties, verify_projector_algebra,
                             verify_sign_conjugation)
 from sl2ybe.exact import DomainError, HalfInt, SqrtRational
+from sl2ybe.linalg import diagonal, mat_mul
 
 GRID = [(ts, n) for ts in range(1, 7) for n in range(0, 3 * ts // 2 + 1)]
 
@@ -96,7 +97,18 @@ class TestProperties:
 
     def test_sign_diagonal_entries(self):
         d0 = sign_diagonal(LevelRange.for_level(2, 5))
-        assert [d0[i][i] for i in range(3)] == [-1, 1, -1]  # k = 1, 2, 3
+        assert d0 == (-1, 1, -1)  # k = 1, 2, 3
+
+    @pytest.mark.parametrize("ts,n", GRID)
+    def test_hat_matches_dense_product(self, ts, n):
+        a = a_matrix(HalfInt(ts), n)
+        mu = a.ucore()
+        rng = a.range
+        ramp = tuple(Fraction(1 + 2 * i, 3 + i) for i in range(rng.dim))
+        cases = [sign_diagonal(rng), ramp]
+        cases += [rank_one_projector(rng, m) for m in rng.indices()]
+        for e in cases:
+            assert a.hat(e) == mat_mul(mat_mul(mu, diagonal(e)), mu), (ts, n, e)
 
 
 class TestEta:

@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from sl2ybe import cli
 from sl2ybe.cli import main
 
 pytestmark = pytest.mark.usefixtures("capsys")
@@ -106,6 +107,20 @@ class TestVerifyCommand:
         code, out, err = run_cli(capsys, "verify", "--family-file", str(path))
         assert code == 2 and out == "" and err.startswith("error:")
 
+    @pytest.mark.parametrize("argv", [
+        ("--family", "yang", "--s", "1", "--levels", "3..1"),
+        ("--family", "yang", "--s", "-1"),
+        ("--family", "permutation", "--s", "1", "--levels", "3..1"),
+    ], ids=["empty-range", "negative-spin", "constant-empty-range"])
+    def test_check_over_no_level_is_usage_error(self, capsys, argv):
+        code, out, err = run_cli(capsys, "verify", *argv)
+        assert code == 2 and out == "" and err.startswith("error:")
+
+    def test_custom_tag_points_to_family_file(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--family", "custom", "--s", "1")
+        assert code == 2 and out == ""
+        assert "--family-file" in err and "'custom'" not in err.split("one of")[1]
+
     def test_constant_family_verify(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--family", "permutation",
                                "--s", "1")
@@ -132,6 +147,16 @@ class TestScanCommand:
     def test_human_summary(self, capsys):
         code, out, _ = run_cli(capsys, "scan-degeneracy", "--max-2s", "4")
         assert "unshifted degenerate cells" in out
+
+
+    def test_internal_check_failure_is_exit_one(self, capsys, monkeypatch):
+        def broken_scan(max_two_s):
+            raise AssertionError("simultaneity violated")
+
+        monkeypatch.setattr(cli, "degeneracy_scan", broken_scan)
+        code, out, err = run_cli(capsys, "scan-degeneracy", "--max-2s", "4")
+        assert code == 1 and out == ""
+        assert err == "error: internal check failed: simultaneity violated\n"
 
 
 class TestClassifyCommands:

@@ -21,9 +21,8 @@ from .classify import (DegeneracyRecord, FghSystem, constant_m_prime,
 from .exact import (DomainError, HalfInt, QuadExt, Rational, SqrtRational,
                     factorial, sqrt_canonicalize)
 from .sixj import SixJArgs, racah_identity_residual, sixj, triangle_ok
-from .spectral import (PoleError, RationalFunction, ReducedDiagonal,
-                       SpectralFamily, baxter_b, baxter_tl,
-                       check_regularity_unitarity, constant_baxter,
+from .spectral import (PoleError, RationalFunction, SpectralFamily, baxter_b,
+                       baxter_tl, check_regularity_unitarity, constant_baxter,
                        custom_family, exceptional_s3, family_from_json,
                        family_to_json, identity_family, krs_prefix,
                        make_family, permutation_family, reduced_d, yang,

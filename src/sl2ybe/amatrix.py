@@ -20,8 +20,8 @@ from functools import lru_cache
 
 from .exact import (DomainError, HalfInt, SqrtRational, factorial,
                     minus_one_pow, sqrt_canonicalize)
-from .linalg import (diag_mul_left, diag_mul_right, diagonal, identity, mat_eq,
-                     mat_mul, mat_scale)
+from .linalg import (diag_mul_left, diag_mul_right, diagonal, identity, mat_mul,
+                     mat_scale)
 from .sixj import SixJArgs, sixj
 
 __all__ = [
@@ -118,8 +118,13 @@ class GaugedMatrix:
 
     def hat(self, entries):
         """The hat X D X of the diagonal D with the given entries, in gauge
-        form: (M U) D (M U), one matrix product."""
-        return mat_mul(diag_mul_right(self._ucore, entries), self._ucore)
+        form: (M U) D (M U), one matrix product summed over the nonzero
+        entries only, so the hat of a rank-one projector is one outer
+        product.  An all-zero D keeps one (zero) term."""
+        mu = self._ucore
+        support = [l for l, e in enumerate(entries) if e != 0] or [0]
+        left = tuple(tuple(row[l] * entries[l] for l in support) for row in mu)
+        return mat_mul(left, tuple(mu[l] for l in support))
 
     def entry(self, k: int, kp: int) -> SqrtRational:
         """Raw entry sqrt(u_k) M_{kk'} sqrt(u_{k'})."""
@@ -193,7 +198,7 @@ def verify_a_properties(s, n: int) -> bool:
     if any(a.core[i][j] != a.core[j][i] for i in range(a.dim) for j in range(a.dim)):
         return False
     mu = a.ucore()
-    return mat_eq(mat_mul(mu, mu), identity(a.dim))
+    return mat_mul(mu, mu) == identity(a.dim)
 
 
 def verify_sign_conjugation(s, n: int) -> bool:
@@ -201,7 +206,7 @@ def verify_sign_conjugation(s, n: int) -> bool:
     a = a_matrix(s, n)
     d0 = sign_diagonal(a.range)
     rhs = diag_mul_left(d0, diag_mul_right(a.ucore(), d0))
-    return mat_eq(a.hat(d0), mat_scale(Fraction(minus_one_pow(n)), rhs))
+    return a.hat(d0) == mat_scale(Fraction(minus_one_pow(n)), rhs)
 
 
 def eta(s, m: int, n: int) -> Fraction:
@@ -263,16 +268,16 @@ def verify_projector_algebra(s, m: int, n: int) -> bool:
     e = identity(a.dim)
 
     def relations(p, ph, d, dh):
-        yield mat_eq(mat_mul(p, p), p)
-        yield mat_eq(mat_mul(d, d), e)
-        yield mat_eq(mat_mul(p, d), mat_scale(xi, p))
-        yield mat_eq(mat_mul(d, p), mat_scale(xi, p))
-        yield mat_eq(mat_mul(mat_mul(d, dh), d), mat_mul(mat_mul(dh, d), dh))
-        yield mat_eq(mat_mul(mat_mul(p, dh), d), mat_mul(mat_mul(dh, d), ph))
-        yield mat_eq(mat_mul(mat_mul(d, ph), d), mat_mul(mat_mul(dh, p), dh))
-        yield mat_eq(mat_mul(mat_mul(p, dh), p), mat_scale(eta_mn, p))
-        yield mat_eq(mat_mul(mat_mul(p, ph), p), mat_scale(eta_mn * eta_mn, p))
-        yield mat_eq(mat_mul(mat_mul(p, ph), d), mat_scale(xi * eta_mn, mat_mul(p, dh)))
-        yield mat_eq(mat_mul(mat_mul(d, ph), p), mat_scale(xi * eta_mn, mat_mul(dh, p)))
+        yield mat_mul(p, p) == p
+        yield mat_mul(d, d) == e
+        yield mat_mul(p, d) == mat_scale(xi, p)
+        yield mat_mul(d, p) == mat_scale(xi, p)
+        yield mat_mul(mat_mul(d, dh), d) == mat_mul(mat_mul(dh, d), dh)
+        yield mat_mul(mat_mul(p, dh), d) == mat_mul(mat_mul(dh, d), ph)
+        yield mat_mul(mat_mul(d, ph), d) == mat_mul(mat_mul(dh, p), dh)
+        yield mat_mul(mat_mul(p, dh), p) == mat_scale(eta_mn, p)
+        yield mat_mul(mat_mul(p, ph), p) == mat_scale(eta_mn * eta_mn, p)
+        yield mat_mul(mat_mul(p, ph), d) == mat_scale(xi * eta_mn, mat_mul(p, dh))
+        yield mat_mul(mat_mul(d, ph), p) == mat_scale(xi * eta_mn, mat_mul(dh, p))
 
     return all(relations(pi, pih, d0, d0h)) and all(relations(pih, pi, d0h, d0))

@@ -16,7 +16,7 @@ from .amatrix import (GaugedMatrix, LevelRange, a_matrix,
                       rank_one_projector, sign_diagonal, top_level)
 from .exact import DomainError, HalfInt, QuadExt, minus_one_pow
 from .linalg import (diag_mul_left, diag_mul_right, is_zero_matrix, mat_add,
-                     mat_scale, mat_sub, span_rank)
+                     span_rank, span_solve)
 from .spectral import RationalFunction, constant_root
 from .ybe import coeff_functions, fgh_operators, theta
 
@@ -67,7 +67,7 @@ def _entrywise_h(a: GaugedMatrix, m: int, transposed: bool):
     (the delta term carries the extra (-1)^n that the sign-conjugation
     identity forces; without it the closed form only covers even n)."""
     rng = a.range
-    n, core, w = rng.n, a.core, a.weights
+    n, u = rng.n, a.ucore()
     i_m = m - rng.k_min
     rows = []
     for k in rng.indices():
@@ -81,8 +81,7 @@ def _entrywise_h(a: GaugedMatrix, m: int, transposed: bool):
             else:
                 delta = Fraction(minus_one_pow(n + m + kp)) if k == m else Fraction(0)
                 sign = minus_one_pow(k)
-            entry = (delta * core[i][j] * w[j]
-                     - sign * core[i][i_m] * w[i_m] * core[i_m][j] * w[j])
+            entry = delta * u[i][j] - sign * u[i][i_m] * u[i_m][j]
             row.append(entry)
         rows.append(tuple(row))
     return tuple(rows)
@@ -108,43 +107,6 @@ def fgh_matrices(s, m: int, n: int) -> FghSystem:
 def fgh_rank(s, m: int, n: int) -> int:
     """Exact rank of span{F, G, H, H~} as vectors of gauge entries."""
     return span_rank(fgh_matrices(s, m, n).matrices())
-
-
-def _scalar_multiple(target, basis):
-    """Return c with target == c*basis, None if no such scalar; a zero
-    target against a zero basis reports the indeterminate scalar as 0."""
-    pivot = next(((i, j) for i, row in enumerate(basis)
-                  for j, v in enumerate(row) if v != 0), None)
-    if pivot is None:
-        return Fraction(0) if is_zero_matrix(target) else None
-    c = target[pivot[0]][pivot[1]] / basis[pivot[0]][pivot[1]]
-    return c if is_zero_matrix(mat_sub(target, mat_scale(c, basis))) else None
-
-
-def _in_span_two(target, b1, b2):
-    """Solve target = x*b1 + y*b2 exactly; returns (x, y) or None."""
-    flat_t = [v for row in target for v in row]
-    flat_1 = [v for row in b1 for v in row]
-    flat_2 = [v for row in b2 for v in row]
-    # pick two coordinates with invertible 2x2 minor
-    idx = [i for i, (p, q) in enumerate(zip(flat_1, flat_2)) if p != 0 or q != 0]
-    for i in idx:
-        for j in idx:
-            det = flat_1[i] * flat_2[j] - flat_1[j] * flat_2[i]
-            if det != 0:
-                x = (flat_t[i] * flat_2[j] - flat_t[j] * flat_2[i]) / det
-                y = (flat_1[i] * flat_t[j] - flat_1[j] * flat_t[i]) / det
-                if all(t == x * p + y * q for t, p, q in zip(flat_t, flat_1, flat_2)):
-                    return x, y
-                return None
-    # b1, b2 proportional (or zero): fall back to single-direction fits
-    c = _scalar_multiple(target, b1)
-    if c is not None:
-        return c, Fraction(0)
-    c = _scalar_multiple(target, b2)
-    if c is not None:
-        return Fraction(0), c
-    return None
 
 
 @dataclass(frozen=True)
@@ -197,24 +159,21 @@ class ScanResult:
 def _scan_cell(s: HalfInt, m: int, n: int) -> DegeneracyRecord:
     sys = fgh_matrices(s, m, n)
     rng = LevelRange.for_level(s, n)
-    h51 = is_zero_matrix(mat_sub(sys.H, sys.Ht))
     total = mat_add(sys.H, sys.Ht)
     if is_zero_matrix(sys.G) and is_zero_matrix(total):
         # dimension-1 levels: every relation is trivial, scalars indeterminate
         holds_multiple, beta, beta_tilde = True, None, None
     else:
-        beta = _scalar_multiple(total, sys.G)
-        holds_multiple = beta is not None
-        decomposition = _in_span_two(total, sys.G, sys.F)
-        beta_tilde = None
-        if decomposition is not None:
-            beta, beta_tilde = decomposition
+        beta, beta_tilde = span_solve(total, [sys.G, sys.F]) or (None, None)
+        # F gets coordinate 0 whenever it adds nothing to span{G}, and when
+        # G = 0 a zero F-coordinate means H + H~ = 0.
+        holds_multiple = beta_tilde == 0
     sf = s.as_fraction()
     cond_a = Fraction(2 * m * m - 2 * m + n * n - n) == 8 * m * sf - 6 * n * sf
     cond_b = Fraction(m * m - m) == 4 * m * sf - n * sf
     return DegeneracyRecord(
         s=s, m=m, n=n, dim=rng.dim, shifted=rng.shifted,
-        holds_transpose=h51, holds_multiple=holds_multiple,
+        holds_transpose=sys.H == sys.Ht, holds_multiple=holds_multiple,
         beta=beta, beta_tilde=beta_tilde, rank=span_rank(sys.matrices()),
         cond_a=cond_a, cond_b=cond_b)
 
@@ -270,8 +229,6 @@ class EtaIncompatibility:
     abs_equal: bool                  # |A_mm^(s,m)| == |A_mm^(s,m+1)|
     ratio: Fraction                  # (m^2 - m - 3ms + s)/(2s)
     ratio_verified: bool | None
-    inequality_3s: bool              # m^2 - m - 3ms + 3s < 0 (variant bound)
-    inequality_s: bool               # m^2 - m - 3ms + s  < 0 (ratio numerator)
     eq61_holds: bool | None = None   # A_33^(s,3) == A_33^(s,5)
     ratio_35: Fraction | None = None
     factorization_ok: bool | None = None  # 6s^2-25s+21 == (s-3)(6s-7)
@@ -295,8 +252,6 @@ def eta_incompatibility(s, m: int) -> EtaIncompatibility:
             eta_next = Fraction(minus_one_pow(m + 1)) * a_next
             abs_equal = abs(a_mm) == abs(a_next)
             ratio_verified = a_next == ratio * a_mm
-    neg_3s = Fraction(m * m - m) - 3 * m * sf + 3 * sf < 0
-    neg_s = Fraction(m * m - m) - 3 * m * sf + sf < 0
     eq61 = ratio_35 = factor_ok = None
     if m == 3 and 2 * 5 <= 3 * ts:
         a3 = _diag_entry(s, 3, 3)
@@ -307,8 +262,7 @@ def eta_incompatibility(s, m: int) -> EtaIncompatibility:
             lhs = 6 * sf * sf - 25 * sf + 21
             factor_ok = lhs == (sf - 3) * (6 * sf - 7)
     return EtaIncompatibility(s, m, eta_mm, eta_next, abs_equal, ratio,
-                              ratio_verified, neg_3s, neg_s, eq61, ratio_35,
-                              factor_ok)
+                              ratio_verified, eq61, ratio_35, factor_ok)
 
 
 def constant_roots(s, m: int) -> tuple[QuadExt, QuadExt]:
@@ -368,7 +322,7 @@ def projector_obstruction_check(s, m: int) -> bool:
         return False
     mu = a.ucore()
     pi = rank_one_projector(a.range, m)
-    return not is_zero_matrix(mat_sub(diag_mul_right(mu, pi), diag_mul_left(pi, mu)))
+    return diag_mul_right(mu, pi) != diag_mul_left(pi, mu)
 
 
 def eta_level4_m3(s) -> Fraction:

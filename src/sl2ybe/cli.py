@@ -283,7 +283,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("sixj", help="exact 6-j symbol {a b e; c d f}")
-    p.add_argument("labels", nargs=6, metavar=("a", "b", "e", "c", "d", "f"))
+    p.add_argument("labels", nargs=6, metavar="label",
+                   help="the six spins of {a b e; c d f}, in the order a b e c d f")
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_sixj)
 

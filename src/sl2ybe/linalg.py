@@ -17,11 +17,11 @@ __all__ = [
     "identity",
     "is_zero_matrix",
     "mat_add",
-    "mat_eq",
     "mat_mul",
     "mat_scale",
     "mat_sub",
     "span_rank",
+    "span_solve",
     "transpose",
 ]
 
@@ -39,11 +39,12 @@ def diagonal(entries) -> Matrix:
 
 
 def mat_mul(x: Matrix, y: Matrix) -> Matrix:
-    dim = len(x)
+    """x @ y; x may be p-by-r and y r-by-q.  Each sum starts at its first
+    term, so entries keep the scalar type of the operands."""
+    inner, cols = range(1, len(y)), range(len(y[0]))
     return tuple(
-        tuple(sum((x[i][l] * y[l][j] for l in range(1, dim)), x[i][0] * y[0][j])
-              for j in range(dim))
-        for i in range(dim))
+        tuple(sum((xi[l] * y[l][j] for l in inner), xi[0] * y[0][j]) for j in cols)
+        for xi in x)
 
 
 def diag_mul_left(entries, x: Matrix) -> Matrix:
@@ -76,29 +77,46 @@ def is_zero_matrix(x: Matrix) -> bool:
     return all(a == 0 for row in x for a in row)
 
 
-def mat_eq(x: Matrix, y: Matrix) -> bool:
-    return is_zero_matrix(mat_sub(x, y))
+def _eliminate(vectors):
+    """Forward elimination of the vectors in the given order: each one is
+    reduced against the echelon rows found before it and becomes a new row
+    if anything is left.  Returns, for each vector, None if it became a row,
+    else its coordinates over the earlier vectors; a vector that became no
+    row gets coordinate 0 in every later solution."""
+    zero = [Fraction(0)] * len(vectors)
+    rows = []   # (pivot column, reduced row, the row over the input vectors)
+    out = []
+    for i, v in enumerate(vectors):
+        coords = zero
+        for p, row, combo in rows:
+            if v[p] != 0:
+                c = v[p] / row[p]
+                v = v[:p] + [a - c * b for a, b in zip(v[p:], row[p:])]
+                coords = [x + c * y for x, y in zip(coords, combo)]
+        pivot = next((j for j, a in enumerate(v) if a != 0), None)
+        if pivot is None:
+            out.append(coords)
+        else:
+            combo = [-x for x in coords]
+            combo[i] += 1
+            rows.append((pivot, v, combo))
+            out.append(None)
+    return out
+
+
+def _flat(m: Matrix) -> list:
+    return [a for row in m for a in row]
 
 
 def span_rank(matrices) -> int:
     """Exact rank of the linear span of the given matrices, flattened to
-    vectors; Gaussian elimination with first-nonzero pivoting."""
-    rows = [[a for row in m for a in row] for m in matrices]
-    if not rows:
-        return 0
-    ncols = len(rows[0])
-    rank = 0
-    for col in range(ncols):
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        pv = rows[rank][col]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col] != 0:
-                factor = rows[r][col] / pv
-                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[rank])]
-        rank += 1
-        if rank == len(rows):
-            break
-    return rank
+    vectors."""
+    return sum(c is None for c in _eliminate([_flat(m) for m in matrices]))
+
+
+def span_solve(target: Matrix, basis):
+    """Exact coordinates of target over the basis matrices, or None when
+    target lies outside their span.  A basis matrix that adds nothing to
+    the span of the earlier ones gets coordinate 0."""
+    coords = _eliminate([_flat(m) for m in basis] + [_flat(target)])[-1]
+    return None if coords is None else coords[:-1]

@@ -44,7 +44,13 @@ class SixJArgs:
 
     @classmethod
     def coerce(cls, *args) -> "SixJArgs":
-        return cls(*(HalfInt.coerce(x) for x in args))
+        """Labels given as text or numbers; a spin label below 0 has no
+        6-j symbol and is refused."""
+        labels = [HalfInt.coerce(x) for x in args]
+        if any(x.twice < 0 for x in labels):
+            raise DomainError("spin labels must be >= 0, got "
+                              + " ".join(str(x) for x in labels))
+        return cls(*labels)
 
     def triads(self):
         return ((self.a, self.b, self.e), (self.a, self.d, self.f),

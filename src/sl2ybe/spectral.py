@@ -23,7 +23,6 @@ from .exact import (DomainError, HalfInt, QuadExt, format_rational,
 __all__ = [
     "PoleError",
     "RationalFunction",
-    "ReducedDiagonal",
     "SpectralFamily",
     "baxter_b",
     "baxter_tl",
@@ -154,22 +153,12 @@ class SpectralFamily:
         return f"{self.tag}(s={self.s})"
 
 
-@dataclass(frozen=True)
-class ReducedDiagonal:
-    """Level-n diagonal with entries r_{2s-k} for k over the level range."""
-
-    range: LevelRange
-    entries: tuple
-
-    def __iter__(self):
-        return iter(self.entries)
-
-
-def reduced_d(fam: SpectralFamily, n: int, lam) -> ReducedDiagonal:
+def reduced_d(fam: SpectralFamily, n: int, lam) -> tuple:
+    """Entries r_{2s-k}(lam) of the level-n diagonal D(lam), k over the
+    level range."""
     rng = LevelRange.for_level(fam.s, n)
     ts = fam.s.twice
-    return ReducedDiagonal(rng, tuple(fam.eval_coeff(ts - k, lam)
-                                      for k in rng.indices()))
+    return tuple(fam.eval_coeff(ts - k, lam) for k in rng.indices())
 
 
 def baxter_b(eta: Fraction) -> QuadExt:

@@ -101,7 +101,7 @@ def braid_residual(a: GaugedMatrix, d1, d2, d3):
 def reduced_ybe_check(fam: SpectralFamily, n: int, lam, mu) -> ReducedResidual:
     """Exact level-n residual for the family at samples (lam, mu)."""
     a = a_matrix(fam.s, n)
-    d1, d2, d3 = (reduced_d(fam, n, x).entries for x in (lam, fam.compose(lam, mu), mu))
+    d1, d2, d3 = (reduced_d(fam, n, x) for x in (lam, fam.compose(lam, mu), mu))
     return ReducedResidual(n, lam, mu, braid_residual(a, d1, d2, d3))
 
 

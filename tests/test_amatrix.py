@@ -105,7 +105,8 @@ class TestProperties:
         mu = a.ucore()
         rng = a.range
         ramp = tuple(Fraction(1 + 2 * i, 3 + i) for i in range(rng.dim))
-        cases = [sign_diagonal(rng), ramp]
+        gaps = tuple(Fraction(0) if i % 2 else x for i, x in enumerate(ramp))
+        cases = [sign_diagonal(rng), ramp, (Fraction(0),) * rng.dim, gaps]
         cases += [rank_one_projector(rng, m) for m in rng.indices()]
         for e in cases:
             assert a.hat(e) == mat_mul(mat_mul(mu, diagonal(e)), mu), (ts, n, e)

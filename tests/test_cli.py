@@ -35,6 +35,17 @@ class TestSixjCommand:
         code, out, _ = run_cli(capsys, "sixj", "3/2", "3/2", "0", "1/2", "1/2", "2")
         assert out.strip() == "1/4*sqrt(2)"
 
+    def test_missing_labels_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["sixj", "1", "1", "1"])
+        err = capsys.readouterr().err
+        assert exc.value.code == 2 and "Traceback" not in err
+        assert "the following arguments are required: label" in err
+
+    def test_negative_label_is_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "sixj", "-1", "1", "1", "1", "1", "1")
+        assert code == 2 and out == "" and err.startswith("error:")
+
 
 class TestAmatCommand:
     def test_entries(self, capsys):

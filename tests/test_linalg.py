@@ -1,0 +1,72 @@
+from fractions import Fraction as F
+
+import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from sl2ybe.linalg import mat_add, mat_scale, span_rank, span_solve
+
+GM = ((F(1), F(2)), (F(0), F(-1)))
+FM = ((F(0), F(1)), (F(3), F(1)))
+ZERO = ((F(0), F(0)), (F(0), F(0)))
+
+
+def combo(*terms):
+    out = ZERO
+    for c, m in terms:
+        out = mat_add(out, mat_scale(F(c), m))
+    return out
+
+
+class TestSpanSolve:
+    @pytest.mark.parametrize("target, basis, expected", [
+        (combo((3, GM), (F(-1, 2), FM)), (GM, FM), [F(3), F(-1, 2)]),
+        (combo((5, GM)), (GM, mat_scale(F(2), GM)), [F(5), F(0)]),
+        (combo((3, FM)), (ZERO, FM), [F(0), F(3)]),
+        (ZERO, (ZERO, ZERO), [F(0), F(0)]),
+        (ZERO, (GM, FM), [F(0), F(0)]),
+        (ZERO, (ZERO, FM), [F(0), F(0)]),
+    ], ids=["independent", "f-twice-g", "g-zero", "both-zero", "zero-target",
+            "zero-target-g-zero"])
+    def test_coordinates(self, target, basis, expected):
+        assert span_solve(target, basis) == expected
+
+    @pytest.mark.parametrize("target, basis", [
+        (FM, (GM, mat_scale(F(2), GM))),
+        (GM, (ZERO, FM)),
+        (GM, (ZERO, ZERO)),
+        (((F(0), F(0)), (F(0), F(1))), (GM, FM)),
+    ], ids=["outside-line", "outside-f-line", "outside-zero-span", "outside-plane"])
+    def test_outside_span(self, target, basis):
+        assert span_solve(target, basis) is None
+
+    def test_rank_of_examples(self):
+        assert span_rank([GM, FM, combo((1, GM), (1, FM)), ZERO]) == 2
+        assert span_rank([ZERO]) == 0
+        assert span_rank([]) == 0
+
+
+entries = st.integers(-2, 2).map(F)
+matrices = st.tuples(st.tuples(entries, entries, entries),
+                     st.tuples(entries, entries, entries),
+                     st.tuples(entries, entries, entries))
+
+
+def sympy_rank(ms):
+    if not ms:
+        return 0
+    return sympy.Matrix([[a for row in m for a in row] for m in ms]).rank()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(matrices, max_size=5), matrices)
+def test_one_elimination_agrees_with_sympy(basis, target):
+    rank = span_rank(basis)
+    assert rank == sympy_rank(basis)
+    coords = span_solve(target, basis)
+    assert (coords is None) == (sympy_rank(basis + [target]) > rank)
+    if coords is not None:
+        assert len(coords) == len(basis)
+        assert all(sum(c * m[i][j] for c, m in zip(coords, basis)) == target[i][j]
+                   for i in range(3) for j in range(3))

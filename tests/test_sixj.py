@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from sl2ybe.exact import HalfInt, SqrtRational
+from sl2ybe.exact import DomainError, HalfInt, SqrtRational
 from sl2ybe.sixj import (SixJArgs, racah_identity_residual, sixj, triangle_ok)
 
 H = HalfInt
@@ -35,6 +35,11 @@ class TestSixJValues:
 
     def test_triangle_violation_is_zero(self):
         assert sixj(S("1/2", "1/2", 2, "1/2", "1/2", 1)).is_zero
+
+    def test_negative_label_is_zero_but_refused_at_coercion(self):
+        assert sixj(SixJArgs(H(-2), H(1), H(1), H(1), H(1), H(1))).is_zero
+        with pytest.raises(DomainError):
+            S(-1, 1, 1, 1, 1, 1)
 
     def test_stretched_symbol(self):
         # {s s 2s; s 3s 2s} = (-1)^2s/(4s+1)

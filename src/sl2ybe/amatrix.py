@@ -10,10 +10,13 @@ with positive rational weights u_k and a symmetric rational core M makes
 every product of A with diagonal matrices exactly rational: conjugating
 any operator word by U^(-1/2) ... U^(1/2) sends A to M*U and leaves
 diagonals untouched.  That similarity image is called the *ucore* here,
-and all verification in this package happens on ucores.
+and all verification in this package happens on ucores.  Each matrix
+also keeps its ucore cleared to integers, N = L*(M*U) with L the lcm of
+the ucore denominators, for the integer residual kernel.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -21,7 +24,7 @@ from functools import lru_cache
 from .exact import (DomainError, HalfInt, SqrtRational, factorial,
                     minus_one_pow, sqrt_canonicalize)
 from .linalg import (diag_mul_left, diag_mul_right, diagonal, identity, mat_mul,
-                     mat_scale)
+                     mat_scale, sandwich)
 from .sixj import SixJArgs, sixj
 
 __all__ = [
@@ -94,9 +97,12 @@ def rank_one_projector(rng: LevelRange, m: int) -> tuple:
 
 
 class GaugedMatrix:
-    """X = U^(1/2) M U^(1/2) with rational weights u and rational core M."""
+    """X = U^(1/2) M U^(1/2) with rational weights u and rational core M.
 
-    __slots__ = ("range", "weights", "core", "_ucore")
+    `ucore_lcm` is the lcm L of the ucore denominators and `int_ucore` the
+    integer matrix N = L * (M U)."""
+
+    __slots__ = ("range", "weights", "core", "_ucore", "ucore_lcm", "int_ucore")
 
     def __init__(self, rng: LevelRange, weights, core):
         self.range = rng
@@ -106,6 +112,10 @@ class GaugedMatrix:
             raise DomainError("gauge weights must be positive")
         self._ucore = tuple(tuple(row[j] * self.weights[j] for j in range(rng.dim))
                             for row in self.core)
+        lcm = math.lcm(*(x.denominator for row in self._ucore for x in row))
+        self.ucore_lcm = lcm
+        self.int_ucore = tuple(tuple(x.numerator * (lcm // x.denominator) for x in row)
+                               for row in self._ucore)
 
     @property
     def dim(self) -> int:
@@ -118,13 +128,9 @@ class GaugedMatrix:
 
     def hat(self, entries):
         """The hat X D X of the diagonal D with the given entries, in gauge
-        form: (M U) D (M U), one matrix product summed over the nonzero
-        entries only, so the hat of a rank-one projector is one outer
-        product.  An all-zero D keeps one (zero) term."""
-        mu = self._ucore
-        support = [l for l, e in enumerate(entries) if e != 0] or [0]
-        left = tuple(tuple(row[l] * entries[l] for l in support) for row in mu)
-        return mat_mul(left, tuple(mu[l] for l in support))
+        form: (M U) D (M U), one sandwich summed over the nonzero entries
+        only, so the hat of a rank-one projector is one outer product."""
+        return sandwich(self._ucore, entries, self._ucore)
 
     def entry(self, k: int, kp: int) -> SqrtRational:
         """Raw entry sqrt(u_k) M_{kk'} sqrt(u_{k'})."""

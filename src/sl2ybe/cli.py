@@ -2,7 +2,11 @@
 reports.
 
 All spins are given in "p/2" or integer notation and all sample points as
-exact rationals "p/q"; floating-point input is rejected at the boundary.
+exact rationals "p/q" or integers; decimal, exponent and float input is
+rejected at the boundary (exit 2), in family files too, where a
+coefficient is a "p/q" string or an integer JSON number.  `verify`,
+`oracle` and `family show` take a catalog family by tag or any family,
+custom ones included, from a family file.
 JSON payloads are byte-stable for identical invocations (wall time is
 shown only in the human-readable summary).
 """
@@ -60,6 +64,8 @@ def _load_family(args):
         with open(args.family_file) as fh:
             return family_from_json(json.load(fh))
     tag = args.family
+    if tag is None:
+        raise DomainError("no family given: name a catalog tag or a family file")
     s = HalfInt.parse(args.s) if getattr(args, "s", None) else None
     return make_family(tag, s, getattr(args, "m", None))
 
@@ -343,7 +349,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_rigidity)
 
     p = sub.add_parser("oracle", help="dense cross-check at one sample pair")
-    p.add_argument("--family", required=True)
+    p.add_argument("--family")
+    p.add_argument("--family-file", dest="family_file")
     p.add_argument("--s")
     p.add_argument("--m", type=int)
     p.add_argument("--lambda", dest="lam", required=True)

@@ -8,6 +8,7 @@ conversions requested by the caller.
 from __future__ import annotations
 
 import math
+import re
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
@@ -99,7 +100,7 @@ class HalfInt:
 
     @classmethod
     def parse(cls, text: str) -> "HalfInt":
-        frac = Fraction(text.strip())
+        frac = parse_rational(text)
         if frac.denominator not in (1, 2):
             raise DomainError(f"{text!r} is not a half-integer")
         return cls(int(2 * frac))
@@ -126,8 +127,19 @@ class HalfInt:
         return f"{self.twice}/2"
 
 
+_RATIONAL_LITERAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+
 def parse_rational(text: str) -> Fraction:
-    return Fraction(text.strip())
+    """An integer or a p/q literal; decimal, exponent and float notation
+    raise DomainError, so inexact input never enters the exact layer."""
+    literal = text.strip()
+    if not _RATIONAL_LITERAL.fullmatch(literal):
+        raise DomainError(f"{text!r} is not an integer or p/q rational")
+    try:
+        return Fraction(literal)
+    except ZeroDivisionError:
+        raise DomainError(f"{text!r} has a zero denominator") from None
 
 
 def format_rational(value: Fraction) -> str:

@@ -1,6 +1,6 @@
 """Small dense matrix helpers over exact scalar types.
 
-Matrices are tuples of tuples.  Entries may be Fraction or QuadExt
+Matrices are tuples of tuples.  Entries may be int, Fraction or QuadExt
 (mixed freely; QuadExt absorbs rationals), anything supporting the
 arithmetic operators and equality with 0.
 """
@@ -20,6 +20,7 @@ __all__ = [
     "mat_mul",
     "mat_scale",
     "mat_sub",
+    "sandwich",
     "span_rank",
     "span_solve",
     "transpose",
@@ -45,6 +46,15 @@ def mat_mul(x: Matrix, y: Matrix) -> Matrix:
     return tuple(
         tuple(sum((xi[l] * y[l][j] for l in inner), xi[0] * y[0][j]) for j in cols)
         for xi in x)
+
+
+def sandwich(x: Matrix, entries, y: Matrix) -> Matrix:
+    """x @ diag(entries) @ y as one product summed over the nonzero entries
+    only, so a diagonal with one nonzero entry gives one outer product.  An
+    all-zero diagonal keeps one (zero) term."""
+    support = [l for l, e in enumerate(entries) if e != 0] or [0]
+    left = tuple(tuple(row[l] * entries[l] for l in support) for row in x)
+    return mat_mul(left, tuple(y[l] for l in support))
 
 
 def diag_mul_left(entries, x: Matrix) -> Matrix:

@@ -409,8 +409,9 @@ def _coefficient_list(entry, key: str, j: int) -> tuple:
 def family_from_json(doc: dict | str) -> SpectralFamily:
     """Family description: {"tag": ..., "s": "p/2", "m": int?, "coeffs":
     [{"num": [...], "den": [...]} | null, ...]?}; coefficient lists are
-    ascending powers, entries rational strings or numbers.  A document of
-    any other shape raises DomainError."""
+    ascending powers, entries "p/q" strings or integer numbers.  A document
+    of any other shape, a non-integer JSON number among them, raises
+    DomainError."""
     if isinstance(doc, str):
         doc = json.loads(doc)
     if not isinstance(doc, dict) or not isinstance(doc.get("tag"), str):

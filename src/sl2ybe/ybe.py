@@ -4,19 +4,24 @@
 
 level by level, where D^ = A D A.  Everything runs on the rational
 similarity gauge: A enters only as its ucore M*U, so residuals are exact
-matrices over Q or Q(sqrt(d)).
+matrices over Q or Q(sqrt(d)).  They are decided over the integers: with
+the ucore cleared to N = L*(M*U) and each diagonal cleared to
+D_i = (A_i + sqrt(d) B_i) / c_i, the residual times L^4 c1 c2 c3 is an
+integer matrix plus sqrt(d) times another.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from typing import Callable
 
 from .amatrix import (GaugedMatrix, LevelRange, a_matrix, eta,
                       rank_one_projector, sign_diagonal, top_level)
-from .exact import DomainError, HalfInt, minus_one_pow
+from .exact import DomainError, HalfInt, QuadExt, minus_one_pow
 from .linalg import (diag_mul_left, diag_mul_right, diagonal, is_zero_matrix,
-                     mat_add, mat_mul, mat_scale, mat_sub)
+                     mat_add, mat_scale, mat_sub, sandwich)
 from .spectral import SpectralFamily, reduced_d
 
 __all__ = [
@@ -77,32 +82,90 @@ def theta(s, m: int, n: int) -> int:
 
 @dataclass(frozen=True)
 class ReducedResidual:
-    """Exact left-minus-right of the level-n reduced equation at one
-    sample pair, in the rational gauge of that level."""
+    """Left-minus-right of the level-n reduced equation at one sample pair,
+    in the rational gauge of that level, kept cleared to integers: the exact
+    residual is (rational + sqrt(d) irrational) / scale with integer
+    matrices, irrational None when every diagonal is rational.  The scale
+    is positive, so the residual is zero iff both integer matrices are, and
+    sqrt(d) is irrational (QuadExt keeps no perfect-square d)."""
 
     n: int
     lam: object
     mu: object
-    residual: tuple
+    rational: tuple
+    irrational: tuple | None
+    d: int
+    scale: int
 
     @property
     def is_zero(self) -> bool:
-        return is_zero_matrix(self.residual)
+        return is_zero_matrix(self.rational) and (
+            self.irrational is None or is_zero_matrix(self.irrational))
+
+    @property
+    def residual(self) -> tuple:
+        """The exact residual matrix over Q or Q(sqrt(d)), built on read."""
+        c = self.scale
+        if self.irrational is None:
+            return tuple(tuple(Fraction(x, c) for x in row) for row in self.rational)
+        return tuple(tuple(QuadExt(Fraction(x, c), Fraction(y, c), self.d)
+                           for x, y in zip(rx, ry))
+                     for rx, ry in zip(self.rational, self.irrational))
+
+
+def _cleared(entries):
+    """Integer vectors A, B and the positive integer c with
+    entries = (A + sqrt(d) B) / c; B is None when every entry is rational."""
+    parts = [[x.a if isinstance(x, QuadExt) else x for x in entries]]
+    b_parts = [x.b if isinstance(x, QuadExt) else 0 for x in entries]
+    if any(b_parts):
+        parts.append(b_parts)
+    c = math.lcm(*(x.denominator for part in parts for x in part))
+    ints = [tuple(x.numerator * (c // x.denominator) for x in part) for part in parts]
+    return ints[0], (ints[1] if len(ints) > 1 else None), c
 
 
 def braid_residual(a: GaugedMatrix, d1, d2, d3):
     """D1 D2^ D3 - D3^ D2 D1^ for the diagonals with entries d1, d2, d3 at
-    the level of a, in its rational gauge."""
-    lhs = diag_mul_left(d1, diag_mul_right(a.hat(d2), d3))
-    rhs = mat_mul(diag_mul_right(a.hat(d3), d2), a.hat(d1))
-    return mat_sub(lhs, rhs)
+    the level of a, in its rational gauge, cleared to integers.  Returns
+    (rational, irrational, d, scale) as in ReducedResidual.
+
+    With X = N / L and D_i = E_i / c_i the residual times L^4 c1 c2 c3 is
+    L^2 E1 (N E2 N) E3 - (N E3 N) E2 (N E1 N).  It is trilinear in the
+    diagonals, so over Q(sqrt(d)) the integer braid is summed over the
+    choice of rational part A_i or sqrt(d) part B_i of each diagonal: a
+    term with k sqrt(d) parts carries d^(k // 2) and goes to the rational
+    part for even k, to the sqrt(d) part for odd k."""
+    ds = {x.d for e in (d1, d2, d3) for x in e if isinstance(x, QuadExt) and x.b}
+    if len(ds) > 1:
+        # as in QuadExt arithmetic: sqrt(d) parts of different d never add
+        raise ValueError(f"mixed discriminants {sorted(ds)} in one residual")
+    d = ds.pop() if ds else 1
+    cleared = [_cleared(e) for e in (d1, d2, d3)]
+    core, l2 = a.int_ucore, a.ucore_lcm ** 2
+    choices = []
+    for a_int, b_int, _ in cleared:
+        parts = [(a_int, sandwich(core, a_int, core), 0)]
+        if b_int is not None:
+            parts.append((b_int, sandwich(core, b_int, core), 1))
+        choices.append(parts)
+    sums = [None, None]
+    for (e1, h1, k1), (e2, h2, k2), (e3, h3, k3) in product(*choices):
+        term = mat_sub(diag_mul_left([l2 * x for x in e1], diag_mul_right(h2, e3)),
+                       sandwich(h3, e2, h1))
+        k = k1 + k2 + k3
+        if k > 1:
+            term = mat_scale(d ** (k // 2), term)
+        sums[k % 2] = term if sums[k % 2] is None else mat_add(sums[k % 2], term)
+    scale = l2 * l2 * math.prod(c for _, _, c in cleared)
+    return sums[0], sums[1], d, scale
 
 
 def reduced_ybe_check(fam: SpectralFamily, n: int, lam, mu) -> ReducedResidual:
     """Exact level-n residual for the family at samples (lam, mu)."""
     a = a_matrix(fam.s, n)
     d1, d2, d3 = (reduced_d(fam, n, x) for x in (lam, fam.compose(lam, mu), mu))
-    return ReducedResidual(n, lam, mu, braid_residual(a, d1, d2, d3))
+    return ReducedResidual(n, lam, mu, *braid_residual(a, d1, d2, d3))
 
 
 def _levels_or_default(fam: SpectralFamily, levels):
@@ -260,11 +323,12 @@ def ansatz_residual_crosscheck(s, m: int, n: int, f: Callable, g: Callable,
         fx, gx = f(x), g(x) * th
         return tuple(1 + fx * d + gx * p for d, p in zip(d0, pi))
 
-    resid = braid_residual(a, cleared(lam), cleared(comp), cleared(mu))
+    resid = ReducedResidual(n, lam, mu, *braid_residual(
+        a, cleared(lam), cleared(comp), cleared(mu)))
     big_f, big_g, big_h, big_ht = fgh_operators(a, d0, pi)
     c = coeff_functions(s, m, n, f, g, lam, mu)
     combo = mat_add(mat_add(mat_scale(c.F, big_f), mat_scale(c.G, big_g)),
                     mat_add(mat_scale(c.H, big_h), mat_scale(c.H_swapped, big_ht)))
-    return CrosscheckResult(matches=is_zero_matrix(mat_sub(resid, combo)),
-                            residual_zero=is_zero_matrix(resid),
+    return CrosscheckResult(matches=resid.residual == combo,
+                            residual_zero=resid.is_zero,
                             prefactor=pref)

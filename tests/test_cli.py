@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +9,9 @@ from sl2ybe import cli
 from sl2ybe.cli import main
 
 pytestmark = pytest.mark.usefixtures("capsys")
+
+
+PERTURBED = Path(__file__).resolve().parent.parent / "perfbench" / "perturbed_spin_half.json"
 
 
 def run_cli(capsys, *argv):
@@ -111,7 +115,16 @@ class TestVerifyCommand:
         {"tag": "custom", "s": "1/2", "coeffs": [{"num": ["1"]}]},
         {"tag": "custom", "s": "1/2", "coeffs": [{"num": [], "den": ["1"]}]},
         [{"tag": "yang", "s": "1"}],
-    ], ids=["empty", "custom-without-s", "missing-den", "empty-num", "list"])
+        {"tag": "custom", "s": "1/2", "coeffs": [{"num": ["1", -0.1], "den": ["1", "1"]},
+                                                 {"num": ["1"], "den": ["1"]}]},
+        {"tag": "custom", "s": "1/2", "coeffs": [{"num": [1.0, "-1"], "den": ["1", "1"]},
+                                                 {"num": ["1"], "den": ["1"]}]},
+        {"tag": "custom", "s": "1/2", "coeffs": [{"num": ["1", "-1"], "den": ["1", 2.5e-5]},
+                                                 {"num": ["1"], "den": ["1"]}]},
+        {"tag": "yang", "s": 1.5},
+    ], ids=["empty", "custom-without-s", "missing-den", "empty-num", "list",
+            "decimal-coefficient", "float-integer-coefficient", "exponent-coefficient",
+            "decimal-spin"])
     def test_malformed_family_file_is_usage_error(self, capsys, tmp_path, doc):
         path = tmp_path / "family.json"
         path.write_text(json.dumps(doc))
@@ -142,6 +155,35 @@ class TestVerifyCommand:
         code, out, _ = run_cli(capsys, "verify", "--family", "yang", "--s", "1/2",
                                "--json", "--out", str(target))
         assert json.loads(target.read_text())["pass"] is True
+
+
+class TestExactInput:
+    """Only integers and p/q literals enter the exact layer."""
+
+    def test_integer_json_numbers_are_accepted(self, capsys, tmp_path):
+        doc = {"tag": "custom", "s": 1,
+               "coeffs": [{"num": [1, 1], "den": [1, 1]},
+                          {"num": [1, -1], "den": [1, 1]},
+                          {"num": [1], "den": [1]}]}
+        path = tmp_path / "family.json"
+        path.write_text(json.dumps(doc))
+        code, out, _ = run_cli(capsys, "verify", "--family-file", str(path))
+        assert code == 0 and out.startswith("PASS")
+
+    @pytest.mark.parametrize("argv", [
+        ("verify", "--family", "yang", "--s", "1.5"),
+        ("verify", "--family", "yang", "--s", "2e0"),
+        ("oracle", "--family", "yang", "--s", "1", "--lambda", "1e-1", "--mu", "0.25"),
+        ("oracle", "--family", "yang", "--s", "1", "--lambda", "1/2", "--mu", "0.25"),
+        ("oracle", "--family", "yang", "--s", "1", "--lambda", "1/0", "--mu", "1"),
+        ("amat", "--s", "0.5", "--n", "1"),
+        ("sixj", "0.5", "0.5", "1", "0.5", "0.5", "1"),
+    ], ids=["verify-decimal-spin", "verify-exponent-spin", "oracle-float-samples",
+            "oracle-decimal-mu", "oracle-zero-denominator", "amat-decimal-spin",
+            "sixj-decimal-labels"])
+    def test_inexact_number_is_usage_error(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "" and err.startswith("error:")
 
 
 class TestScanCommand:
@@ -186,6 +228,30 @@ class TestOracleCommand:
         code, out, _ = run_cli(capsys, "oracle", "--family", "yang", "--s", "1",
                                "--lambda", "1/2", "--mu", "1/3")
         assert code == 0 and "consistent: True" in out
+
+    def test_family_file_negative_control(self, capsys):
+        # the dense oracle sees the perturbed family break (residual 1/2),
+        # and so does the exact reduced check: a float cross-check of a
+        # nonzero exact verdict
+        code, out, _ = run_cli(capsys, "oracle", "--family-file", str(PERTURBED),
+                               "--lambda", "1", "--mu", "2", "--json")
+        doc = json.loads(out)
+        assert code == 0 and doc["family"] == "custom"
+        assert doc["exact_zero"] is False and doc["dense_zero"] is False
+        assert doc["consistent"] is True
+        assert doc["braid_residual"] == pytest.approx(0.5)
+
+    def test_custom_tag_points_to_an_existing_option(self, capsys):
+        code, out, err = run_cli(capsys, "oracle", "--family", "custom", "--s", "1",
+                                 "--lambda", "1", "--mu", "1")
+        assert code == 2 and out == "" and "--family-file" in err
+        with pytest.raises(SystemExit):
+            main(["oracle", "--help"])
+        assert "--family-file" in capsys.readouterr().out
+
+    def test_no_family_is_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "oracle", "--lambda", "1", "--mu", "1")
+        assert code == 2 and out == "" and err.startswith("error:")
 
 
 class TestSuiteCommand:

@@ -6,8 +6,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from sl2ybe.exact import (DomainError, HalfInt, QuadExt, SqrtRational,
-                          factorial, format_rational, sqrt_canonicalize,
-                          squarefree_split)
+                          factorial, format_rational, parse_rational,
+                          sqrt_canonicalize, squarefree_split)
 
 rationals = st.fractions(min_value=Fraction(-10**6), max_value=Fraction(10**6),
                          max_denominator=10**4)
@@ -56,6 +56,11 @@ class TestHalfInt:
         assert str(HalfInt(5)) == "5/2"
         assert str(HalfInt(4)) == "2"
 
+    @pytest.mark.parametrize("text", ["1.5", "0.5", "3e0", "3/2.0", "inf", ""])
+    def test_parse_refuses_inexact_notation(self, text):
+        with pytest.raises(DomainError):
+            HalfInt.parse(text)
+
     def test_coerce(self):
         assert HalfInt.coerce(2).twice == 4
         assert HalfInt.coerce(Fraction(1, 2)).twice == 1
@@ -66,6 +71,22 @@ class TestHalfInt:
         assert (HalfInt(3) + HalfInt(1)).twice == 4
         assert (HalfInt(3) - HalfInt(4)).as_fraction() == Fraction(-1, 2)
         assert HalfInt(2).is_integer and not HalfInt(3).is_integer
+
+
+class TestParseRational:
+    @pytest.mark.parametrize("text, value", [
+        ("3", Fraction(3)), ("-1/2", Fraction(-1, 2)), (" 2/4 ", Fraction(1, 2)),
+        ("+7/3", Fraction(7, 3)), ("0", Fraction(0)),
+    ])
+    def test_integer_and_fraction_literals(self, text, value):
+        assert parse_rational(text) == value
+
+    @pytest.mark.parametrize("text", [
+        "0.25", "1e-1", "-0.1", "1.", ".5", "1/2.5", "1_000", "nan", "1/-2",
+        "1 / 2", "", "1/0"])
+    def test_everything_else_is_refused(self, text):
+        with pytest.raises(DomainError):
+            parse_rational(text)
 
 
 class TestSqrtCanonicalize:

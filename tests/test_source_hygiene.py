@@ -5,13 +5,18 @@ Invariants must be explicit raises, because `python -O` strips `assert`
 statements.  A name imported with `from .x import` that its module never
 uses is dead weight and hides which module really depends on which, and
 so is a module-level private function or class that no module refers to.
+The benchmark in `perfbench/` times package functions by name, so each
+name it lists must stay a public function of its module.
 """
 import ast
+import importlib
+import inspect
 from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "sl2ybe").glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+SOURCES = sorted((ROOT / "src" / "sl2ybe").glob("*.py"))
 
 
 def test_sources_found():
@@ -61,3 +66,32 @@ def test_no_unreferenced_private_definitions():
             and node.name.startswith("_") and not node.name.startswith("__")
             and node.name not in used]
     assert dead == [], f"unreferenced private definitions: {dead}"
+
+
+def _module_value(path, name):
+    """The value assigned to `name` at module level in path, evaluated with
+    only `tuple` and `range` available; the module itself is not imported."""
+    for node in _tree(path).body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == name for t in node.targets):
+            code = compile(ast.Expression(node.value), str(path), "eval")
+            return eval(code, {"__builtins__": {"tuple": tuple, "range": range}})
+    raise LookupError(f"{path.name} assigns no {name}")
+
+
+def _benchmarked_functions():
+    metrics = _module_value(ROOT / "perfbench" / "run.py", "FUNCTION_METRICS")
+    distinct = _module_value(ROOT / "perfbench" / "child.py", "DISTINCT")
+    return sorted({name for name, _ in metrics} | set(distinct))
+
+
+@pytest.mark.parametrize("name", _benchmarked_functions())
+def test_benchmarked_function_is_public(name):
+    """The traced benchmark run wraps the public functions defined in each
+    module; a metric whose function is renamed, made private or moved reads
+    0 without any error."""
+    module, attr = name.split(".")
+    mod = importlib.import_module(f"sl2ybe.{module}")
+    fn = getattr(mod, attr, None)
+    assert not attr.startswith("_") and inspect.isfunction(fn), name
+    assert fn.__module__ == mod.__name__, f"{name} is defined in {fn.__module__}"

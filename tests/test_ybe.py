@@ -1,13 +1,18 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sl2ybe.exact import DomainError, HalfInt
+from sl2ybe.amatrix import LevelRange, a_matrix, top_level
+from sl2ybe.exact import DomainError, HalfInt, QuadExt
+from sl2ybe.linalg import diagonal, is_zero_matrix, mat_mul, mat_sub
 from sl2ybe.spectral import (RationalFunction, baxter_tl, constant_baxter,
                              custom_family, exceptional_s3, identity_family,
-                             krs_prefix, permutation_family, yang,
+                             krs_prefix, permutation_family, reduced_d, yang,
                              zamolodchikov)
-from sl2ybe.ybe import (DEFAULT_GRID, SECOND_GRID, ansatz_residual_crosscheck,
+from sl2ybe.ybe import (DEFAULT_GRID, SECOND_GRID, ReducedResidual,
+                        ansatz_residual_crosscheck, braid_residual,
                         coeff_functions, constant_check, default_grid,
                         full_check, reduced_ybe_check, second_grid, theta)
 
@@ -26,6 +31,113 @@ def perturbed_yang(two_s=1):
             num = (F(1), F(sign), F(1), F(sign))
         tables[j] = RationalFunction(num, (F(1), F(1)))
     return custom_family(HalfInt(ts), tables)
+
+
+def dense_reference(a, d1, d2, d3):
+    """diag(d1) hat(d2) diag(d3) - hat(d3) diag(d2) hat(d1) by dense exact
+    products on the ucore, with hat(e) = ucore diag(e) ucore."""
+    x = a.ucore()
+
+    def hat(e):
+        return mat_mul(mat_mul(x, diagonal(e)), x)
+
+    return mat_sub(mat_mul(mat_mul(diagonal(d1), hat(d2)), diagonal(d3)),
+                   mat_mul(mat_mul(hat(d3), diagonal(d2)), hat(d1)))
+
+
+def defined_levels(fam):
+    """The contiguous run of levels from 0 whose coefficients are defined,
+    the levels `full_check` checks by default."""
+    ts, levels = fam.s.twice, []
+    for n in range(top_level(fam.s) + 1):
+        if not all(ts - k in fam.coeffs for k in LevelRange.for_level(fam.s, n).indices()):
+            break
+        levels.append(n)
+    return levels
+
+
+def kernel_families():
+    for ts in range(1, 7):
+        yield yang(HalfInt(ts))
+        yield perturbed_yang(ts)
+    for ts in range(2, 7):
+        yield baxter_tl(HalfInt(ts))
+        for m in range(2, ts + 1):
+            yield zamolodchikov(HalfInt(ts), m)
+        for m in range(2, ts):
+            for branch in (+1, -1):
+                yield constant_baxter(HalfInt(ts), m, branch)
+
+
+class TestIntegerKernel:
+    """The cleared integer kernel against a dense exact reference."""
+
+    @pytest.mark.parametrize("fam", list(kernel_families()),
+                             ids=lambda f: f"{f.tag}-{f.s}-m{f.m}-{f.params.get('branch', '')}")
+    def test_residual_matches_dense_reference(self, fam):
+        if fam.constant:
+            samples = [(fam.zero_sample(), fam.zero_sample())]
+        elif fam.multiplicative:
+            samples = [(F(2), F(3)), (F(3, 2), F(5))]
+        else:
+            samples = [(F(1, 2), F(1, 3)), (F(3, 2), F(1, 4))]
+        verdicts = []
+        for n in defined_levels(fam):
+            a = a_matrix(fam.s, n)
+            for lam, mu in samples:
+                res = reduced_ybe_check(fam, n, lam, mu)
+                ref = dense_reference(a, *(reduced_d(fam, n, x) for x in
+                                           (lam, fam.compose(lam, mu), mu)))
+                assert res.residual == ref
+                assert res.is_zero == is_zero_matrix(ref)
+                verdicts.append(res.is_zero)
+        solution = fam.tag in ("yang", "baxter-tl", "zamolodchikov") or (
+            fam.tag == "constant-baxter" and fam.m == fam.s.twice)
+        assert all(verdicts) == solution
+
+    @pytest.mark.parametrize("fam", [yang(2), baxter_tl(2), constant_baxter(2, 3)],
+                             ids=str)
+    def test_verdict_is_taken_on_integers(self, fam):
+        lam, mu = (F(2), F(3)) if fam.multiplicative else (F(1, 2), F(1, 3))
+        for n in defined_levels(fam):
+            res = reduced_ybe_check(fam, n, lam, mu)
+            parts = [res.rational] + ([res.irrational] if res.irrational is not None else [])
+            assert all(type(x) is int for part in parts for row in part for x in row)
+            assert type(res.scale) is int and res.scale > 0
+
+    def test_irrational_levels_carry_a_sqrt_part(self):
+        res = reduced_ybe_check(baxter_tl(2), 4, F(2), F(3))
+        assert res.irrational is not None and res.d == 21 and res.is_zero
+        assert reduced_ybe_check(baxter_tl(2), 3, F(2), F(3)).irrational is None
+
+    def test_mixed_discriminants_raise(self):
+        a = a_matrix(1, 2)
+        one = (F(1),) * a.dim
+        with pytest.raises(ValueError, match="mixed discriminants"):
+            braid_residual(a, (QuadExt(0, 1, 2), F(1), F(1)), one,
+                           (F(1), QuadExt(1, 1, 3), F(1)))
+        with pytest.raises(ValueError, match="mixed discriminants"):
+            braid_residual(a, (QuadExt(0, 1, 2), QuadExt(0, 1, 5), F(1)), one, one)
+
+    small = st.fractions(min_value=-4, max_value=4, max_denominator=5)
+    cells = st.sampled_from([(ts, n) for ts in range(1, 5) for n in range(3 * ts // 2 + 1)])
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), cell=cells, irrational=st.booleans())
+    def test_random_diagonals_match_dense_reference(self, data, cell, irrational):
+        ts, n = cell
+        a = a_matrix(HalfInt(ts), n)
+        if irrational:
+            entry = st.builds(lambda x, y: QuadExt(x, y, 5), self.small,
+                              st.one_of(st.just(F(0)), self.small))
+        else:
+            entry = st.one_of(st.just(F(0)), self.small)
+        d1, d2, d3 = (tuple(data.draw(st.lists(entry, min_size=a.dim, max_size=a.dim)))
+                      for _ in range(3))
+        res = ReducedResidual(n, None, None, *braid_residual(a, d1, d2, d3))
+        ref = dense_reference(a, d1, d2, d3)
+        assert res.residual == ref
+        assert res.is_zero == is_zero_matrix(ref)
 
 
 class TestReducedCheck:

@@ -24,7 +24,7 @@ from .classify import (constant_m_prime, constant_roots, degeneracy_scan,
 from .exact import HalfInt
 from .oracle import (IDENTITY_TOL, YBE_TOL, dense_operator_identities,
                      dense_ybe_residual, reduction_consistency)
-from .sixj import racah_identity_residual
+from .sixj import clear_sixj_cache, racah_identity_residual
 from .spectral import (RationalFunction, baxter_tl, custom_family,
                        exceptional_s3, krs_prefix, permutation_family, yang,
                        zamolodchikov)
@@ -95,20 +95,25 @@ def criterion_1(max_two_s: int = 6) -> CriterionResult:
 
 
 def criterion_2(max_two_s: int = 6) -> CriterionResult:
+    """The 6-j memo lives only while the criterion runs: the sum rule reuses
+    each symbol many times, and nothing after it needs them."""
     details, ok = [], True
     cells = 0
-    for s, n in _level_grid(max_two_s):
-        ts = s.twice
-        rng = LevelRange.for_level(s, n)
-        for k in rng.indices():
-            for kp in rng.indices():
-                res = racah_identity_residual(
-                    s, s, s, HalfInt(3 * ts - 2 * n),
-                    HalfInt(2 * ts - 2 * k), HalfInt(2 * ts - 2 * kp))
-                cells += 1
-                if not res.is_zero:
-                    ok = False
-                    details.append(f"nonzero at (s={s}, n={n}, k={k}, k'={kp})")
+    try:
+        for s, n in _level_grid(max_two_s):
+            ts = s.twice
+            rng = LevelRange.for_level(s, n)
+            for k in rng.indices():
+                for kp in rng.indices():
+                    res = racah_identity_residual(
+                        s, s, s, HalfInt(3 * ts - 2 * n),
+                        HalfInt(2 * ts - 2 * k), HalfInt(2 * ts - 2 * kp))
+                    cells += 1
+                    if not res.is_zero:
+                        ok = False
+                        details.append(f"nonzero at (s={s}, n={n}, k={k}, k'={kp})")
+    finally:
+        clear_sixj_cache()
     details.append(f"{cells} Racah sum-rule residuals, all exactly zero")
     return CriterionResult(2, "Racah identity on the full level grid (exact)", ok, details)
 

@@ -25,12 +25,10 @@ from .exact import (DomainError, HalfInt, SqrtRational, factorial,
                     minus_one_pow, sqrt_canonicalize)
 from .linalg import (diag_mul_left, diag_mul_right, diagonal, identity, mat_mul,
                      mat_scale, sandwich)
-from .sixj import SixJArgs, sixj
 
 __all__ = [
     "GaugedMatrix",
     "LevelRange",
-    "a_entry_from_sixj",
     "a_matrix",
     "consecutive_level_ratio",
     "eta",
@@ -182,20 +180,6 @@ def _a_matrix_cached(ts: int, n: int) -> GaugedMatrix:
 def a_matrix(s, n: int) -> GaugedMatrix:
     """Exact A^(s,n) in gauge form; cached per (s, n)."""
     return _a_matrix_cached(HalfInt.coerce(s).twice, n)
-
-
-def a_entry_from_sixj(s, n: int, k: int, kp: int) -> SqrtRational:
-    """Independent route: prefactor times a 6-j symbol,
-
-        (-1)^(2s-n) sqrt((4s-2k+1)(4s-2k'+1)) {s s 2s-k; s 3s-n 2s-k'}.
-    """
-    s = HalfInt.coerce(s)
-    ts = s.twice
-    symbol = sixj(SixJArgs(s, s, HalfInt(2 * ts - 2 * k),
-                           s, HalfInt(3 * ts - 2 * n), HalfInt(2 * ts - 2 * kp)))
-    pref = sqrt_canonicalize(Fraction(minus_one_pow(ts - n)),
-                             Fraction((2 * ts - 2 * k + 1) * (2 * ts - 2 * kp + 1)))
-    return pref * symbol
 
 
 def verify_a_properties(s, n: int) -> bool:

@@ -6,7 +6,7 @@ exact rationals "p/q" or integers; decimal, exponent and float input is
 rejected at the boundary (exit 2), in family files too, where a
 coefficient is a "p/q" string or an integer JSON number.  `verify`,
 `oracle` and `family show` take a catalog family by tag or any family,
-custom ones included, from a family file.
+custom ones included, from a family file, but not both.
 JSON payloads are byte-stable for identical invocations (wall time is
 shown only in the human-readable summary).
 """
@@ -23,7 +23,8 @@ from .acceptance import run_all
 from .amatrix import a_matrix, eta
 from .classify import (constant_m_prime, constant_roots, degeneracy_scan,
                        permutation_rigidity, projector_obstruction_check)
-from .exact import DomainError, HalfInt, format_rational, parse_rational
+from .exact import (DomainError, HalfInt, display_discriminant, format_rational,
+                    parse_rational)
 from .oracle import (IDENTITY_TOL, YBE_TOL, dense_operator_identities,
                      dense_ybe_residual, reduction_consistency)
 from .sixj import SixJArgs, sixj
@@ -60,14 +61,22 @@ def _parse_levels(text: str | None):
 
 
 def _load_family(args):
-    if getattr(args, "family_file", None):
+    """The family named by tag, spin and m, or the one a family file fixes;
+    naming both is a usage error, since the file would silently win."""
+    if args.family_file:
+        tag_option = "--tag" if args.command == "family" else "--family"
+        named = [opt for opt, value in ((tag_option, args.family), ("--s", args.s),
+                                        ("--m", args.m)) if value is not None]
+        if named:
+            raise DomainError("a family file fixes the family, its spin and m; "
+                              f"drop {', '.join(named)}")
         with open(args.family_file) as fh:
             return family_from_json(json.load(fh))
     tag = args.family
     if tag is None:
         raise DomainError("no family given: name a catalog tag or a family file")
-    s = HalfInt.parse(args.s) if getattr(args, "s", None) else None
-    return make_family(tag, s, getattr(args, "m", None))
+    s = HalfInt.parse(args.s) if args.s else None
+    return make_family(tag, s, args.m)
 
 
 def _dense_grid(fam):
@@ -120,11 +129,12 @@ def cmd_eta(args):
 
 def cmd_family(args):
     fam = _load_family(args)
+    disc = display_discriminant(fam.discriminant)
     doc = {
         "check": "family-show", "tag": fam.tag, "s": str(fam.s),
         "m": fam.m, "constant": fam.constant,
         "multiplicative": fam.multiplicative,
-        "discriminant": fam.discriminant,
+        "discriminant": disc,
         "defined_coefficients": fam.defined(),
     }
     samples = ([Fraction(2), Fraction(3)] if fam.multiplicative
@@ -137,7 +147,7 @@ def cmd_family(args):
             values[str(x)] = "pole"
     doc["values"] = values
     lines = [f"{fam.tag}: s={fam.s}, m={fam.m}, field=Q"
-             + (f"(sqrt({fam.discriminant}))" if fam.discriminant != 1 else ""),
+             + (f"(sqrt({disc}))" if disc != 1 else ""),
              f"defined coefficients: r_j for j in {fam.defined()}",
              ("multiplicative samples t" if fam.multiplicative else "additive samples lambda")]
     for x, vals in values.items():
@@ -211,11 +221,12 @@ def cmd_classify_constant(args):
     plus, minus = constant_roots(s, args.m)
     mprime = constant_m_prime(s, args.m)
     obstruction = projector_obstruction_check(s, args.m)
+    disc = display_discriminant(plus.d)
     doc = {"check": "constant-analysis", "s": str(s), "m": args.m,
-           "roots": [str(plus), str(minus)], "discriminant": plus.d,
+           "roots": [str(plus), str(minus)], "discriminant": disc,
            "next_incompatible_level": mprime, "obstruction_holds": obstruction}
     lines = [f"quadratic roots at (s={s}, m={args.m}): {plus}  |  {minus}",
-             f"field: Q(sqrt({plus.d}))",
+             f"field: Q(sqrt({disc}))",
              f"lowest incompatible continuation: m' = {mprime}",
              f"projector obstruction: {obstruction}"]
     _emit(doc, args, lines)

@@ -21,9 +21,11 @@ __all__ = [
     "QuadExt",
     "Rational",
     "SqrtRational",
+    "display_discriminant",
     "factorial",
     "format_rational",
     "parse_rational",
+    "rescale_surd",
     "sqrt_canonicalize",
     "squarefree_split",
 ]
@@ -54,13 +56,16 @@ def minus_one_pow(e: int) -> int:
     return -1 if e % 2 else 1
 
 
-# Radicands produced by this package are products of small factorials,
-# hence smooth; trial division up to this bound extracts every square.
+# Trial division up to this bound extracts every square factor of a smooth
+# integer, such as the products of small factorials this package produces.
+# The bound affects only how a value prints: equality, field membership and
+# arithmetic never factor.
 _TRIAL_BOUND = 100_000
 
 
 def squarefree_split(n: int) -> tuple[int, int]:
-    """Write n = m*m*d with d squarefree (for smooth n); returns (m, d)."""
+    """Write n = m*m*d with d squarefree (for smooth n); returns (m, d).
+    Used for printing only."""
     if n < 0:
         raise DomainError("squarefree_split of negative integer")
     if n == 0:
@@ -75,6 +80,55 @@ def squarefree_split(n: int) -> tuple[int, int]:
     if r * r == d:
         return m * r, 1
     return m, d
+
+
+def display_discriminant(d: int) -> int:
+    """The discriminant printed for the field Q(sqrt(d)): d with its square
+    factors removed (for smooth d).  Display only; arithmetic keeps d."""
+    return squarefree_split(d)[1]
+
+
+def _perfect_root(n: int) -> int | None:
+    """isqrt(n) when n is a perfect square, else None."""
+    r = math.isqrt(n)
+    return r if r * r == n else None
+
+
+def _split_radicand(radicand: Fraction) -> tuple[Fraction | int, int]:
+    """(c, n) with sqrt(radicand) == c*sqrt(n) for a radicand >= 0, where n
+    is 1 or a positive integer that is not a square (n == 1, c == 0 for a
+    zero radicand).  Nothing is factored: only the denominator and the
+    integer radicand are tested for being squares."""
+    p, q = radicand.numerator, radicand.denominator
+    c, n = 1, p
+    if q != 1:
+        root = _perfect_root(q)
+        c, n = (Fraction(1, root), p) if root is not None else (Fraction(1, q), p * q)
+    root = _perfect_root(n)
+    return (c * root, 1) if root is not None else (c, n)
+
+
+def rescale_surd(b: Fraction, d: int, target: int) -> Fraction:
+    """The b' with b*sqrt(d) == b'*sqrt(target), for d and target each 1 or
+    not a square.  The two roots span one field iff d*target is a perfect
+    square, decided by isqrt without factoring; otherwise ValueError."""
+    if d == target:
+        return b
+    root = _perfect_root(d * target)
+    if root is None:
+        raise ValueError(f"mixed discriminants sqrt({d}) vs sqrt({target})")
+    return b * Fraction(root, target)
+
+
+def _sign(x: Fraction) -> int:
+    return (x > 0) - (x < 0)
+
+
+def _surd_eq(b1: Fraction, d1: int, b2: Fraction, d2: int) -> bool:
+    """b1*sqrt(d1) == b2*sqrt(d2): the signs agree and the squares do."""
+    if d1 == d2:
+        return b1 == b2
+    return _sign(b1) == _sign(b2) and b1 * b1 * d1 == b2 * b2 * d2
 
 
 @dataclass(frozen=True, order=True)
@@ -149,25 +203,33 @@ def format_rational(value: Fraction) -> str:
 
 
 def sqrt_canonicalize(coeff: Fraction, radicand: Fraction) -> "SqrtRational":
-    """Canonical form of coeff*sqrt(radicand): all square factors moved
-    into the coefficient, radicand reduced to a squarefree integer."""
+    """Normal form of coeff*sqrt(radicand): the radicand becomes a positive
+    integer, 1 iff the value is rational.  Square factors are not extracted
+    (see SqrtRational), so nothing is factored."""
     coeff, radicand = Fraction(coeff), Fraction(radicand)
     if radicand < 0:
         raise DomainError("negative radicand (no complex support)")
-    if coeff == 0 or radicand == 0:
+    c, n = _split_radicand(radicand)
+    if c != 1:
+        coeff *= c
+    if coeff == 0:
         return SqrtRational._raw(Fraction(0), 1)
-    # sqrt(p/q) = sqrt(p*q)/q
-    p, q = radicand.numerator, radicand.denominator
-    m, d = squarefree_split(p * q)
-    return SqrtRational._raw(coeff * Fraction(m, q), d)
+    return SqrtRational._raw(coeff, n)
 
 
 class SqrtRational:
-    """Exact scalar coeff*sqrt(radicand) with rational coeff and a
-    squarefree integer radicand (radicand == 1 iff the value is rational).
+    """Exact scalar coeff*sqrt(radicand) with rational coeff and a positive
+    integer radicand, 1 iff the value is rational.
+
+    The radicand is not reduced to squarefree form, so one value has many
+    representations (2*sqrt(3) and 1*sqrt(12)).  Equality and hashing are
+    decided on the sign of coeff and the square coeff^2 * radicand, and
+    str() prints the squarefree form, the only place a radicand is
+    factored.
 
     Closed under multiplication.  Addition is defined only between values
-    of the same radicand class; mixing classes raises, by design.
+    of the same radicand class, whose radicands multiply to a square;
+    mixing classes raises, by design.
     """
 
     __slots__ = ("coeff", "radicand")
@@ -208,9 +270,20 @@ class SqrtRational:
         raise TypeError(f"cannot combine SqrtRational with {other!r}")
 
     def __mul__(self, other) -> "SqrtRational":
+        """sqrt(r1) sqrt(r2) = g sqrt((r1/g)(r2/g)) with g = gcd(r1, r2)."""
         other = self._coerce(other)
-        return sqrt_canonicalize(self.coeff * other.coeff,
-                                 Fraction(self.radicand * other.radicand))
+        coeff = self.coeff * other.coeff
+        r1, r2 = self.radicand, other.radicand
+        if coeff == 0:
+            return SqrtRational._raw(Fraction(0), 1)
+        if r1 == 1 or r2 == 1:
+            return SqrtRational._raw(coeff, r1 * r2)
+        g = math.gcd(r1, r2)
+        n = (r1 // g) * (r2 // g)
+        root = _perfect_root(n)
+        if root is not None:
+            return SqrtRational._raw(coeff * g * root, 1)
+        return SqrtRational._raw(coeff * g, n)
 
     __rmul__ = __mul__
 
@@ -223,13 +296,12 @@ class SqrtRational:
             return other
         if other.is_zero:
             return self
-        if self.radicand != other.radicand:
-            raise ValueError(
-                f"cannot add sqrt({self.radicand}) and sqrt({other.radicand}) terms")
-        total = self.coeff + other.coeff
+        # the sum keeps the smaller radicand
+        x, y = (self, other) if self.radicand <= other.radicand else (other, self)
+        total = x.coeff + rescale_surd(y.coeff, y.radicand, x.radicand)
         if total == 0:
             return SqrtRational._raw(Fraction(0), 1)
-        return SqrtRational._raw(total, self.radicand)
+        return SqrtRational._raw(total, x.radicand)
 
     __radd__ = __add__
 
@@ -243,14 +315,17 @@ class SqrtRational:
         if isinstance(other, (int, Fraction)):
             return self.is_rational and self.coeff == other
         if isinstance(other, SqrtRational):
-            return self.coeff == other.coeff and self.radicand == other.radicand
+            return _surd_eq(self.coeff, self.radicand, other.coeff, other.radicand)
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.coeff, self.radicand))
+        if self.is_rational:
+            return hash(self.coeff)
+        return hash((_sign(self.coeff), self.coeff * self.coeff * self.radicand))
 
     def __float__(self) -> float:
-        return float(self.coeff) * math.sqrt(float(self.radicand))
+        return math.copysign(math.sqrt(self.coeff * self.coeff * self.radicand),
+                             self.coeff)
 
     def __repr__(self) -> str:
         return f"SqrtRational({self.coeff!r}, {self.radicand!r})"
@@ -258,16 +333,20 @@ class SqrtRational:
     def __str__(self) -> str:
         if self.is_rational:
             return format_rational(self.coeff)
-        return f"{format_rational(self.coeff)}*sqrt({self.radicand})"
+        m, d = squarefree_split(self.radicand)
+        return f"{format_rational(self.coeff * m)}*sqrt({d})"
 
 
 class QuadExt:
     """Element a + b*sqrt(d) of Q(sqrt(d)).
 
-    The discriminant is canonicalized to a squarefree integer at
-    construction (d == 1 means the value is plain rational).  Arithmetic
-    between two genuinely irrational values requires matching d; rational
-    values embed into any extension.
+    The discriminant d is a positive integer, 1 iff the value is rational
+    (b == 0); it is not reduced to squarefree form.  Two irrational values
+    lie in one field iff the product of their discriminants is a square,
+    and arithmetic then rescales the second to the first one's d.
+    Equality and hashing are decided on a, the sign of b and b^2 d, and
+    str() prints the squarefree form.  Rational values embed into any
+    extension.
     """
 
     __slots__ = ("a", "b", "d")
@@ -276,16 +355,17 @@ class QuadExt:
         a, b, d = Fraction(a), Fraction(b), Fraction(d)
         if d < 0:
             raise DomainError("negative discriminant (no complex support)")
-        if b != 0 and d != 1:
-            # fold sqrt(p/q) = (m/q) sqrt(d0)
-            m, d0 = squarefree_split(d.numerator * d.denominator)
-            b = b * Fraction(m, d.denominator)
-            d = Fraction(d0)
-        if b == 0 or d == 1:
-            a, b, d = a + b * (d if b != 0 else 0), Fraction(0), Fraction(1)
+        n = 1
+        if b != 0:
+            # sqrt(d) = c*sqrt(n), folded into a when n == 1
+            c, n = _split_radicand(d)
+            if c != 1:
+                b *= c
+            if n == 1:
+                a, b = a + b, Fraction(0)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
-        object.__setattr__(self, "d", int(d))
+        object.__setattr__(self, "d", n if b != 0 else 1)
 
     def __setattr__(self, *args):
         raise AttributeError("QuadExt is immutable")
@@ -309,13 +389,11 @@ class QuadExt:
     def _coerce(self, other) -> "QuadExt":
         if isinstance(other, QuadExt):
             if other.b != 0 and self.b != 0 and other.d != self.d:
-                raise ValueError(
-                    f"mixed discriminants sqrt({self.d}) vs sqrt({other.d})")
+                return QuadExt(other.a, rescale_surd(other.b, other.d, self.d), self.d)
             return other
         if isinstance(other, (int, Fraction)):
             return QuadExt(other)
         return None
-
     def _field_d(self, other: "QuadExt") -> int:
         return self.d if self.b != 0 else other.d
 
@@ -368,15 +446,13 @@ class QuadExt:
         if isinstance(other, (int, Fraction)):
             return self.b == 0 and self.a == other
         if isinstance(other, QuadExt):
-            if self.b == 0 and other.b == 0:
-                return self.a == other.a
-            return self.a == other.a and self.b == other.b and self.d == other.d
+            return self.a == other.a and _surd_eq(self.b, self.d, other.b, other.d)
         return NotImplemented
 
     def __hash__(self):
         if self.b == 0:
             return hash(self.a)
-        return hash((self.a, self.b, self.d))
+        return hash((self.a, _sign(self.b), self.b * self.b * self.d))
 
     def __float__(self) -> float:
         return float(self.a) + float(self.b) * math.sqrt(self.d)
@@ -387,5 +463,6 @@ class QuadExt:
     def __str__(self) -> str:
         if self.b == 0:
             return format_rational(self.a)
+        m, d = squarefree_split(self.d)
         sign = "+" if self.b >= 0 else "-"
-        return f"{format_rational(self.a)} {sign} {format_rational(abs(self.b))}*sqrt({self.d})"
+        return f"{format_rational(self.a)} {sign} {format_rational(abs(self.b) * m)}*sqrt({d})"

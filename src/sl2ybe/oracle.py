@@ -28,7 +28,6 @@ __all__ = [
     "permutation_dense",
     "reduction_consistency",
     "spin_matrices",
-    "weight_space_dimension",
 ]
 
 PROJECTOR_TOL = 1e-10   # projector algebra: idempotence, orthogonality, sums
@@ -196,23 +195,3 @@ def reduction_consistency(fam: SpectralFamily, samples) -> dict:
                 f"dense/exact verdict mismatch for {fam.tag} at ({lam}, {mu}): "
                 f"dense {dense} vs exact_zero={exact_zero}")
     return {"family": fam.tag, "s": str(fam.s), "cases": cases, "pass": True}
-
-
-def weight_space_dimension(s, n: int) -> int:
-    """Dimension of the level-n highest-weight space, computed from the
-    null space of the raising operator on the weight-(3s-n) sector."""
-    ts = _two_s(s)
-    if not 0 <= n <= top_level(HalfInt(ts)):
-        raise DomainError(f"level n={n} out of range")
-    dim = ts + 1
-    sz, sp = spin_matrices(HalfInt(ts))
-    eye = np.eye(dim)
-    sz3 = (np.kron(np.kron(sz, eye), eye) + np.kron(np.kron(eye, sz), eye)
-           + np.kron(np.kron(eye, eye), sz))
-    sp3 = (np.kron(np.kron(sp, eye), eye) + np.kron(np.kron(eye, sp), eye)
-           + np.kron(np.kron(eye, eye), sp))
-    target = 3 * ts / 2.0 - n
-    sector = [i for i in range(dim ** 3) if abs(sz3[i, i] - target) < 1e-9]
-    restricted = sp3[:, sector]
-    rank = np.linalg.matrix_rank(restricted, tol=1e-9)
-    return len(sector) - rank

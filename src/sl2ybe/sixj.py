@@ -3,17 +3,20 @@
 A symbol {a b e; c d f} evaluates to a single SqrtRational: the four
 triangle coefficients multiply under one radical and the alternating
 factorial sum is rational.  Inadmissible arguments give exact zero.
+Values are memoized on the six labels until clear_sixj_cache().
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .exact import (DomainError, HalfInt, SqrtRational, factorial,
                     minus_one_pow, sqrt_canonicalize)
 
 __all__ = [
     "SixJArgs",
+    "clear_sixj_cache",
     "racah_identity_residual",
     "sixj",
     "triangle_ok",
@@ -73,14 +76,25 @@ def _triangle_sq(x: HalfInt, y: HalfInt, z: HalfInt) -> Fraction:
 
 
 def sixj(args: SixJArgs) -> SqrtRational:
-    """Exact 6-j value; zero for inadmissible arguments."""
+    """Exact 6-j value; zero for inadmissible arguments.  Memoized on the
+    six labels (twice each spin) until clear_sixj_cache()."""
+    return _sixj_cached(args.a.twice, args.b.twice, args.e.twice,
+                        args.c.twice, args.d.twice, args.f.twice)
+
+
+def clear_sixj_cache() -> None:
+    """Drop every memoized 6-j value."""
+    _sixj_cached.cache_clear()
+
+
+@lru_cache(maxsize=None)
+def _sixj_cached(ta: int, tb: int, te: int, tc: int, td: int, tf: int) -> SqrtRational:
+    args = SixJArgs(*map(HalfInt, (ta, tb, te, tc, td, tf)))
     if not args.admissible():
         return SqrtRational(0)
     radicand = Fraction(1)
     for t in args.triads():
         radicand *= _triangle_sq(*t)
-    ta, tb, te = args.a.twice, args.b.twice, args.e.twice
-    tc, td, tf = args.c.twice, args.d.twice, args.f.twice
     triad_sums = [(ta + tb + te) // 2, (ta + td + tf) // 2,
                   (tb + tc + tf) // 2, (tc + td + te) // 2]
     quad_sums = [(ta + tb + tc + td) // 2, (tb + te + td + tf) // 2,
@@ -121,6 +135,6 @@ def racah_identity_residual(r1: HalfInt, r2: HalfInt, r3: HalfInt,
         term = sixj(SixJArgs(r1, r3, l, r2, r4, p)) * sixj(SixJArgs(r1, r2, lp, r3, r4, p))
         if term.is_zero:
             continue
-        total = total + _half_sign(p) * (tp + 1) * term
+        total = total + term * (_half_sign(p) * (tp + 1))
     rhs = sixj(SixJArgs(r3, r1, l, r2, r4, lp))
     return total - _half_sign(l + lp) * rhs

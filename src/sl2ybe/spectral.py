@@ -18,7 +18,7 @@ from typing import Mapping
 
 from .amatrix import LevelRange, eta_closed_form
 from .exact import (DomainError, HalfInt, QuadExt, format_rational,
-                    minus_one_pow, parse_rational, squarefree_split)
+                    minus_one_pow, parse_rational)
 
 __all__ = [
     "PoleError",
@@ -100,7 +100,9 @@ class SpectralFamily:
 
     coeffs maps the total-spin label j to its coefficient table;
     labels absent from the map are undefined for this family (the
-    prefix-style families only pin the top few).
+    prefix-style families only pin the top few).  discriminant is the d
+    of the coefficient field Q(sqrt(d)) as the arithmetic keeps it, not
+    necessarily squarefree (display_discriminant gives the printed one).
     """
 
     tag: str
@@ -169,9 +171,7 @@ def baxter_b(eta: Fraction) -> QuadExt:
     disc = 1 - 4 * eta * eta
     if disc < 0:
         raise DomainError("discriminant 1 - 4*eta^2 is negative")
-    m, d = squarefree_split(disc.numerator * disc.denominator)
-    root = Fraction(m, disc.denominator)  # sqrt(disc) = root*sqrt(d)
-    return QuadExt(Fraction(1, 2) / eta, root / (2 * eta), d)
+    return QuadExt(Fraction(1, 2) / eta, Fraction(1, 2) / eta, disc)
 
 
 def constant_root(eta: Fraction, branch: int = +1) -> QuadExt:
@@ -182,11 +182,9 @@ def constant_root(eta: Fraction, branch: int = +1) -> QuadExt:
     disc = 1 - 4 * eta * eta
     if disc < 0:
         raise DomainError("discriminant 1 - 4*eta^2 is negative")
-    m, d = squarefree_split(disc.numerator * disc.denominator)
-    root = Fraction(m, disc.denominator)
     scale = Fraction(1) / (2 * eta * eta)
     sign = 1 if branch >= 0 else -1
-    return QuadExt(-scale, sign * root * scale, d)
+    return QuadExt(-scale, sign * scale, disc)
 
 
 def _require_spin(s, minimum_twice: int, why: str) -> HalfInt:

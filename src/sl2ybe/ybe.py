@@ -19,7 +19,7 @@ from typing import Callable
 
 from .amatrix import (GaugedMatrix, LevelRange, a_matrix, eta,
                       rank_one_projector, sign_diagonal, top_level)
-from .exact import DomainError, HalfInt, QuadExt, minus_one_pow
+from .exact import DomainError, HalfInt, QuadExt, minus_one_pow, rescale_surd
 from .linalg import (diag_mul_left, diag_mul_right, diagonal, is_zero_matrix,
                      mat_add, mat_scale, mat_sub, sandwich)
 from .spectral import SpectralFamily, reduced_d
@@ -113,11 +113,14 @@ class ReducedResidual:
                      for rx, ry in zip(self.rational, self.irrational))
 
 
-def _cleared(entries):
+def _cleared(entries, d):
     """Integer vectors A, B and the positive integer c with
-    entries = (A + sqrt(d) B) / c; B is None when every entry is rational."""
+    entries = (A + sqrt(d) B) / c; B is None when every entry is rational.
+    A sqrt part over an equivalent discriminant d*k^2 is rescaled to sqrt(d);
+    an incompatible one raises ValueError."""
     parts = [[x.a if isinstance(x, QuadExt) else x for x in entries]]
-    b_parts = [x.b if isinstance(x, QuadExt) else 0 for x in entries]
+    b_parts = [rescale_surd(x.b, x.d, d) if isinstance(x, QuadExt) and x.b else 0
+               for x in entries]
     if any(b_parts):
         parts.append(b_parts)
     c = math.lcm(*(x.denominator for part in parts for x in part))
@@ -135,13 +138,13 @@ def braid_residual(a: GaugedMatrix, d1, d2, d3):
     diagonals, so over Q(sqrt(d)) the integer braid is summed over the
     choice of rational part A_i or sqrt(d) part B_i of each diagonal: a
     term with k sqrt(d) parts carries d^(k // 2) and goes to the rational
-    part for even k, to the sqrt(d) part for odd k."""
-    ds = {x.d for e in (d1, d2, d3) for x in e if isinstance(x, QuadExt) and x.b}
-    if len(ds) > 1:
-        # as in QuadExt arithmetic: sqrt(d) parts of different d never add
-        raise ValueError(f"mixed discriminants {sorted(ds)} in one residual")
-    d = ds.pop() if ds else 1
-    cleared = [_cleared(e) for e in (d1, d2, d3)]
+    part for even k, to the sqrt(d) part for odd k.  Equivalent
+    discriminants (d and d*k^2) share one residual over the smallest d; as
+    in QuadExt arithmetic, incompatible ones raise ValueError before
+    anything is summed."""
+    d = min((x.d for e in (d1, d2, d3) for x in e if isinstance(x, QuadExt) and x.b),
+            default=1)
+    cleared = [_cleared(e, d) for e in (d1, d2, d3)]
     core, l2 = a.int_ucore, a.ucore_lcm ** 2
     choices = []
     for a_int, b_int, _ in cleared:

@@ -2,15 +2,30 @@ from fractions import Fraction
 
 import pytest
 
-from sl2ybe.amatrix import (LevelRange, a_entry_from_sixj, a_matrix,
+from sl2ybe.amatrix import (LevelRange, a_matrix,
                             consecutive_level_ratio, eta, eta_closed_form,
                             rank_one_projector, sign_diagonal, top_level,
                             verify_a_properties, verify_projector_algebra,
                             verify_sign_conjugation)
-from sl2ybe.exact import DomainError, HalfInt, SqrtRational
+from sl2ybe.exact import (DomainError, HalfInt, SqrtRational, minus_one_pow,
+                          sqrt_canonicalize)
 from sl2ybe.linalg import diagonal, mat_mul
+from sl2ybe.sixj import SixJArgs, sixj
 
 GRID = [(ts, n) for ts in range(1, 7) for n in range(0, 3 * ts // 2 + 1)]
+
+
+def a_entry_from_sixj(s: HalfInt, n: int, k: int, kp: int) -> SqrtRational:
+    """Independent route: prefactor times a 6-j symbol,
+
+        (-1)^(2s-n) sqrt((4s-2k+1)(4s-2k'+1)) {s s 2s-k; s 3s-n 2s-k'}.
+    """
+    ts = s.twice
+    symbol = sixj(SixJArgs(s, s, HalfInt(2 * ts - 2 * k),
+                           s, HalfInt(3 * ts - 2 * n), HalfInt(2 * ts - 2 * kp)))
+    pref = sqrt_canonicalize(Fraction(minus_one_pow(ts - n)),
+                             Fraction((2 * ts - 2 * k + 1) * (2 * ts - 2 * kp + 1)))
+    return pref * symbol
 
 
 class TestLevelRange:

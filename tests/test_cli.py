@@ -140,6 +140,29 @@ class TestVerifyCommand:
         code, out, err = run_cli(capsys, "verify", *argv)
         assert code == 2 and out == "" and err.startswith("error:")
 
+    @pytest.mark.parametrize("argv", [
+        ("verify", "--family", "yang", "--s", "1", "--family-file", str(PERTURBED)),
+        ("verify", "--s", "1", "--family-file", str(PERTURBED)),
+        ("verify", "--m", "2", "--family-file", str(PERTURBED)),
+        ("oracle", "--family", "yang", "--family-file", str(PERTURBED),
+         "--lambda", "1", "--mu", "2"),
+        ("oracle", "--s", "1/2", "--family-file", str(PERTURBED),
+         "--lambda", "1", "--mu", "2"),
+        ("family", "show", "--tag", "yang", "--file", str(PERTURBED)),
+        ("family", "show", "--s", "1", "--m", "2", "--file", str(PERTURBED)),
+    ], ids=["verify-family-s", "verify-s", "verify-m", "oracle-family", "oracle-s",
+            "show-tag", "show-s-m"])
+    def test_family_file_with_catalog_options_is_usage_error(self, capsys, argv):
+        # the file would silently replace the named family
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "" and err.startswith("error:")
+        named = [x for x in argv if x in ("--family", "--tag", "--s", "--m")]
+        assert all(opt in err for opt in named), err
+
+    def test_family_file_alone_still_loads(self, capsys):
+        code, out, _ = run_cli(capsys, "family", "show", "--file", str(PERTURBED))
+        assert code == 0 and out.startswith("custom: s=1/2")
+
     def test_custom_tag_points_to_family_file(self, capsys):
         code, out, err = run_cli(capsys, "verify", "--family", "custom", "--s", "1")
         assert code == 2 and out == ""

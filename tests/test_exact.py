@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from sl2ybe.exact import (DomainError, HalfInt, QuadExt, SqrtRational,
                           factorial, format_rational, parse_rational,
-                          sqrt_canonicalize, squarefree_split)
+                          rescale_surd, sqrt_canonicalize, squarefree_split)
 
 rationals = st.fractions(min_value=Fraction(-10**6), max_value=Fraction(10**6),
                          max_denominator=10**4)
@@ -91,8 +91,11 @@ class TestParseRational:
 
 class TestSqrtCanonicalize:
     def test_square_extraction(self):
+        # the stored radicand may keep its square factor; the value, its
+        # hash and its printed form are those of 2*sqrt(3)
         v = sqrt_canonicalize(Fraction(1), Fraction(12))
-        assert (v.coeff, v.radicand) == (Fraction(2), 3)
+        assert v == SqrtRational(2, 3) and hash(v) == hash(SqrtRational(2, 3))
+        assert str(v) == "2*sqrt(3)"
 
     def test_already_rational(self):
         v = sqrt_canonicalize(Fraction(5), Fraction(1))
@@ -100,7 +103,8 @@ class TestSqrtCanonicalize:
 
     def test_perfect_square_ratio(self):
         v = sqrt_canonicalize(Fraction(1), Fraction(9, 4))
-        assert (v.coeff, v.radicand) == (Fraction(3, 2), 1)
+        assert v.is_rational and v == Fraction(3, 2) and v.as_fraction() == Fraction(3, 2)
+        assert str(v) == "3/2"
 
     def test_negative_radicand_rejected(self):
         with pytest.raises(DomainError):
@@ -126,7 +130,7 @@ class TestSqrtRational:
         x = SqrtRational(Fraction(1, 2), 6)
         y = SqrtRational(3, 10)
         prod = x * y
-        assert prod.coeff == Fraction(3, 2) * 2 and prod.radicand == 15
+        assert prod == SqrtRational(3, 15) and str(prod) == "3*sqrt(15)"
 
     def test_addition_same_class(self):
         x = SqrtRational(1, 3) + SqrtRational(Fraction(1, 2), 3)
@@ -191,9 +195,9 @@ class TestQuadExt:
 
     def test_discriminant_canonicalized(self):
         x = QuadExt(0, 1, Fraction(5, 9))
-        assert x.d == 5 and x.b == Fraction(1, 3)
+        assert x == QuadExt(0, Fraction(1, 3), 5) and str(x) == "0 + 1/3*sqrt(5)"
         y = QuadExt(0, 2, 9)
-        assert y.is_rational and y.a == 6
+        assert y.is_rational and y == 6 and str(y) == "6"
 
     def test_division(self):
         x = QuadExt(1, 1, 2)
@@ -210,3 +214,85 @@ class TestQuadExt:
     def test_format(self):
         assert str(QuadExt(Fraction(-9, 2), Fraction(3, 2), 5)) == "-9/2 + 3/2*sqrt(5)"
         assert format_rational(Fraction(3)) == "3"
+
+
+# Primes above the trial-division bound of squarefree_split: no arithmetic
+# verdict may depend on factoring radicands built from them.
+BIG_PRIMES = (100003, 999983, 1000003, 1000033, 1000037)
+nonzero = small_rationals.filter(lambda x: x != 0)
+# a squarefree kernel of one or two big primes (never a square) and a
+# cofactor k whose square may hide big primes too
+kernels = st.lists(st.sampled_from(BIG_PRIMES), min_size=1, max_size=2,
+                   unique=True).map(math.prod)
+cofactors = st.lists(st.sampled_from(BIG_PRIMES + (2, 3)), max_size=3).map(math.prod)
+distinct_kernels = st.lists(st.sampled_from(BIG_PRIMES), min_size=2, max_size=2,
+                            unique=True)
+
+
+def test_large_prime_square_probe():
+    """sqrt(p^2 q) == p sqrt(q) with p and q beyond any trial division."""
+    p, q = 1000003, 1000033
+    assert QuadExt(0, 1, p * p * q) == QuadExt(0, p, q)
+    assert hash(QuadExt(0, 1, p * p * q)) == hash(QuadExt(0, p, q))
+    assert SqrtRational(1, p * p * q) == SqrtRational(p, q)
+    assert hash(SqrtRational(1, p * p * q)) == hash(SqrtRational(p, q))
+    assert SqrtRational(1, p * p * q) != SqrtRational(-p, q)
+    assert QuadExt(0, 1, p * p * q) - QuadExt(0, p, q) == 0
+
+
+class TestLargePrimeRadicands:
+    @given(nonzero, kernels, cofactors)
+    def test_sqrt_equality_and_hash(self, c, q, k):
+        x, y = SqrtRational(c, k * k * q), SqrtRational(c * k, q)
+        assert x == y and hash(x) == hash(y)
+        assert x != -y and x != SqrtRational(c * k, 4 * q)
+        assert not x.is_rational and not (x * y).is_zero
+
+    @given(nonzero, nonzero, kernels, cofactors, cofactors)
+    def test_sqrt_product_is_rational_in_one_class(self, c1, c2, q, k1, k2):
+        prod = SqrtRational(c1, k1 * k1 * q) * SqrtRational(c2, k2 * k2 * q)
+        assert prod.is_rational and prod == c1 * c2 * k1 * k2 * q
+
+    @given(nonzero, nonzero, distinct_kernels, cofactors, cofactors)
+    def test_sqrt_product_across_classes(self, c1, c2, qs, k1, k2):
+        q1, q2 = qs
+        prod = SqrtRational(c1, k1 * k1 * q1) * SqrtRational(c2, k2 * k2 * q2)
+        assert prod == SqrtRational(c1 * c2 * k1 * k2, q1 * q2)
+
+    @given(nonzero, nonzero, kernels, cofactors, cofactors)
+    def test_sqrt_same_class_sum(self, c1, c2, q, k1, k2):
+        total = SqrtRational(c1, k1 * k1 * q) + SqrtRational(c2, k2 * k2 * q)
+        assert total == SqrtRational(c1 * k1 + c2 * k2, q)
+
+    @given(nonzero, nonzero, distinct_kernels, cofactors, cofactors)
+    def test_sqrt_cross_class_sum_raises(self, c1, c2, qs, k1, k2):
+        q1, q2 = qs
+        with pytest.raises(ValueError):
+            SqrtRational(c1, k1 * k1 * q1) + SqrtRational(c2, k2 * k2 * q2)
+        with pytest.raises(ValueError):
+            SqrtRational(c1, k1 * k1 * q1) + c2
+
+    @given(small_rationals, nonzero, kernels, cofactors)
+    def test_quadext_equality_and_hash(self, a, b, q, k):
+        x, y = QuadExt(a, b, k * k * q), QuadExt(a, b * k, q)
+        assert x == y and hash(x) == hash(y)
+        assert x != y.conjugate() and x != QuadExt(a, b * k, 4 * q)
+
+    @given(small_rationals, nonzero, small_rationals, nonzero, kernels,
+           cofactors, cofactors)
+    def test_quadext_same_class_arithmetic(self, a1, b1, a2, b2, q, k1, k2):
+        x, y = QuadExt(a1, b1, k1 * k1 * q), QuadExt(a2, b2, k2 * k2 * q)
+        x0, y0 = QuadExt(a1, b1 * k1, q), QuadExt(a2, b2 * k2, q)
+        assert x + y == x0 + y0 and x - y == x0 - y0 and x * y == x0 * y0
+        assert x * x.inverse() == 1
+        assert x / y == x0 / y0 and (x / y) * y == x
+        assert rescale_surd(b1, x.d, q) == b1 * k1
+
+    @given(nonzero, nonzero, distinct_kernels, cofactors, cofactors)
+    def test_quadext_cross_class_raises(self, b1, b2, qs, k1, k2):
+        q1, q2 = qs
+        x, y = QuadExt(1, b1, k1 * k1 * q1), QuadExt(1, b2, k2 * k2 * q2)
+        for op in (lambda: x + y, lambda: x * y, lambda: x / y):
+            with pytest.raises(ValueError):
+                op()
+        assert x != y

@@ -9,7 +9,7 @@ from sl2ybe.oracle import (IDENTITY_TOL, PROJECTOR_TOL, YBE_TOL,
                            dense_operator_identities, dense_projectors,
                            dense_r_matrix, dense_ybe_residual,
                            permutation_dense, reduction_consistency,
-                           weight_space_dimension)
+                           spin_matrices)
 from sl2ybe.spectral import (RationalFunction, custom_family,
                              permutation_family, yang, zamolodchikov)
 
@@ -119,6 +119,22 @@ class TestReductionConsistency:
     def test_constant_family_consistent(self):
         report = reduction_consistency(permutation_family(1), [(F(0), F(0))])
         assert report["pass"]
+
+
+def weight_space_dimension(s, n: int) -> int:
+    """Dimension of the level-n highest-weight space, computed from the
+    null space of the raising operator on the weight-(3s-n) sector."""
+    dim = s.twice + 1
+    sz, sp = spin_matrices(s)
+    eye = np.eye(dim)
+    sz3 = (np.kron(np.kron(sz, eye), eye) + np.kron(np.kron(eye, sz), eye)
+           + np.kron(np.kron(eye, eye), sz))
+    sp3 = (np.kron(np.kron(sp, eye), eye) + np.kron(np.kron(eye, sp), eye)
+           + np.kron(np.kron(eye, eye), sp))
+    target = 3 * s.twice / 2.0 - n
+    sector = [i for i in range(dim ** 3) if abs(sz3[i, i] - target) < 1e-9]
+    rank = np.linalg.matrix_rank(sp3[:, sector], tol=1e-9)
+    return len(sector) - rank
 
 
 class TestWeightSpaces:

@@ -5,7 +5,9 @@ from fractions import Fraction
 import pytest
 
 from sl2ybe.exact import DomainError, HalfInt, SqrtRational
-from sl2ybe.sixj import (SixJArgs, racah_identity_residual, sixj, triangle_ok)
+from sl2ybe import acceptance
+from sl2ybe.sixj import (SixJArgs, _sixj_cached, clear_sixj_cache,
+                         racah_identity_residual, sixj, triangle_ok)
 
 H = HalfInt
 
@@ -151,3 +153,34 @@ class TestRacahIdentity:
                             H(ts), H(ts), H(ts), H(3 * ts - 2 * n),
                             H(2 * ts - 2 * k), H(2 * ts - 2 * kp))
                         assert r.is_zero, (ts, n, k, kp)
+
+
+class TestMemo:
+    ARGS = SixJArgs(*map(H, (7, 5, 6, 5, 7, 4)))
+
+    def memo_size(self):
+        return _sixj_cached.cache_info().currsize
+
+    def test_memo_returns_the_computed_value(self):
+        clear_sixj_cache()
+        first = sixj(self.ARGS)
+        assert self.memo_size() == 1 and sixj(self.ARGS) is first
+        clear_sixj_cache()
+        assert self.memo_size() == 0 and sixj(self.ARGS) == first
+        # keyed on the labels, not on the argument object
+        assert sixj(SixJArgs(*map(H, (7, 5, 6, 5, 7, 4)))) is sixj(self.ARGS)
+
+    def test_criterion_2_clears_the_memo(self):
+        sixj(self.ARGS)
+        assert acceptance.criterion_2(3).passed
+        assert self.memo_size() == 0
+
+    def test_criterion_2_clears_the_memo_when_it_raises(self, monkeypatch):
+        def failing(*labels):
+            sixj(self.ARGS)
+            raise RuntimeError("stop")
+
+        monkeypatch.setattr(acceptance, "racah_identity_residual", failing)
+        with pytest.raises(RuntimeError):
+            acceptance.criterion_2(2)
+        assert self.memo_size() == 0

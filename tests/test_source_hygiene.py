@@ -6,7 +6,8 @@ statements.  A name imported with `from .x import` that its module never
 uses is dead weight and hides which module really depends on which, and
 so is a module-level private function or class that no module refers to.
 The benchmark in `perfbench/` times package functions by name, so each
-name it lists must stay a public function of its module.
+name it lists must stay a public function of its module.  Exact verdicts
+never rest on factoring, so `squarefree_split` is for printing only.
 """
 import ast
 import importlib
@@ -66,6 +67,39 @@ def test_no_unreferenced_private_definitions():
             and node.name.startswith("_") and not node.name.startswith("__")
             and node.name not in used]
     assert dead == [], f"unreferenced private definitions: {dead}"
+
+
+# The functions that may factor a radicand: they print values.
+DISPLAY_FUNCTIONS = {"__str__", "display_discriminant"}
+
+
+def _calls_outside(tree, callee, allowed):
+    """(line, enclosing function) of every call to `callee` that is not
+    inside a function named in `allowed` (the innermost function counts)."""
+    found = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name == callee and owner not in allowed:
+                    found.append((child.lineno, owner))
+            visit(child, owner)
+
+    visit(tree, None)
+    return found
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_factoring_only_prints(path):
+    """Equality, field membership and arithmetic are decided by squaring and
+    isqrt; only printing may call squarefree_split."""
+    found = _calls_outside(_tree(path), "squarefree_split", DISPLAY_FUNCTIONS)
+    assert found == [], f"{path.name}: squarefree_split called at {found}"
 
 
 def _module_value(path, name):

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sl2ybe.amatrix import LevelRange, a_matrix, top_level
-from sl2ybe.exact import DomainError, HalfInt, QuadExt
+from sl2ybe.exact import DomainError, HalfInt, QuadExt, rescale_surd
 from sl2ybe.linalg import diagonal, is_zero_matrix, mat_mul, mat_sub
 from sl2ybe.spectral import (RationalFunction, baxter_tl, constant_baxter,
                              custom_family, exceptional_s3, identity_family,
@@ -107,7 +107,12 @@ class TestIntegerKernel:
 
     def test_irrational_levels_carry_a_sqrt_part(self):
         res = reduced_ybe_check(baxter_tl(2), 4, F(2), F(3))
-        assert res.irrational is not None and res.d == 21 and res.is_zero
+        assert res.irrational is not None and res.is_zero
+        # the sqrt part lives in Q(sqrt(21)): sqrt(res.d) is a rational
+        # multiple of sqrt(21), and it prints over sqrt(21)
+        root = QuadExt(0, 1, res.d)
+        assert root == QuadExt(0, rescale_surd(F(1), res.d, 21), 21)
+        assert str(root).endswith("*sqrt(21)")
         assert reduced_ybe_check(baxter_tl(2), 3, F(2), F(3)).irrational is None
 
     def test_mixed_discriminants_raise(self):
@@ -118,6 +123,22 @@ class TestIntegerKernel:
                            (F(1), QuadExt(1, 1, 3), F(1)))
         with pytest.raises(ValueError, match="mixed discriminants"):
             braid_residual(a, (QuadExt(0, 1, 2), QuadExt(0, 1, 5), F(1)), one, one)
+
+    def test_equivalent_discriminants_share_one_residual(self):
+        # y*sqrt(5) written as (y/2)*sqrt(20) in every other entry
+        a = a_matrix(F(3, 2), 3)
+        values = [[(F(i + 1, 3), F(j - i, 2)) for i in range(a.dim)] for j in range(3)]
+        five = [tuple(QuadExt(x, y, 5) for x, y in row) for row in values]
+        mixed = [tuple(QuadExt(x, y / 2, 20) if i % 2 else QuadExt(x, y, 5)
+                       for i, (x, y) in enumerate(row)) for row in values]
+        assert {x.d for row in mixed for x in row if x.b} == {5, 20}
+        want = ReducedResidual(3, None, None, *braid_residual(a, *five))
+        got = ReducedResidual(3, None, None, *braid_residual(a, *mixed))
+        assert got.residual == want.residual == dense_reference(a, *five)
+        assert not got.is_zero and got.d == 5
+        only_twenty = [tuple(QuadExt(x, y / 2, 20) for x, y in row) for row in values]
+        assert ReducedResidual(3, None, None, *braid_residual(a, *only_twenty)
+                               ).residual == want.residual
 
     small = st.fractions(min_value=-4, max_value=4, max_denominator=5)
     cells = st.sampled_from([(ts, n) for ts in range(1, 5) for n in range(3 * ts // 2 + 1)])

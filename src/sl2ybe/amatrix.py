@@ -9,10 +9,10 @@ entries are square roots of rationals; writing
 with positive rational weights u_k and a symmetric rational core M makes
 every product of A with diagonal matrices exactly rational: conjugating
 any operator word by U^(-1/2) ... U^(1/2) sends A to M*U and leaves
-diagonals untouched.  That similarity image is called the *ucore* here,
-and all verification in this package happens on ucores.  Each matrix
-also keeps its ucore cleared to integers, N = L*(M*U) with L the lcm of
-the ucore denominators, for the integer residual kernel.
+diagonals untouched.  Each matrix keeps that image, the *ucore*, in one
+form: the integer core N = L*(M*U), L the lcm of its denominators.  Every
+gauge product runs on N and writes its power of L once (the hat N D N is
+L^2 times the image of A D A).
 """
 from __future__ import annotations
 
@@ -23,8 +23,8 @@ from functools import lru_cache
 
 from .exact import (DomainError, HalfInt, SqrtRational, factorial,
                     minus_one_pow, sqrt_canonicalize)
-from .linalg import (diag_mul_left, diag_mul_right, diagonal, identity, mat_mul,
-                     mat_scale, sandwich)
+from .linalg import (diag_mul_left, diag_mul_right, diagonal, mat_mul, mat_scale,
+                     sandwich)
 
 __all__ = [
     "GaugedMatrix",
@@ -83,7 +83,7 @@ class LevelRange:
 
 def sign_diagonal(rng: LevelRange) -> tuple:
     """Entries (-1)^k of the alternating diagonal D0 over a level range."""
-    return tuple(Fraction(minus_one_pow(k)) for k in rng.indices())
+    return tuple(minus_one_pow(k) for k in rng.indices())
 
 
 def rank_one_projector(rng: LevelRange, m: int) -> tuple:
@@ -91,16 +91,16 @@ def rank_one_projector(rng: LevelRange, m: int) -> tuple:
     if m not in rng:
         raise DomainError(
             f"index m={m} outside level range {rng.k_min}..{rng.k_max}")
-    return tuple(Fraction(int(k == m)) for k in rng.indices())
+    return tuple(int(k == m) for k in rng.indices())
 
 
 class GaugedMatrix:
     """X = U^(1/2) M U^(1/2) with rational weights u and rational core M.
 
-    `ucore_lcm` is the lcm L of the ucore denominators and `int_ucore` the
-    integer matrix N = L * (M U)."""
+    `ucore_lcm` is the lcm L of the denominators of M U and `int_ucore`
+    the integer core N = L * (M U), the one product form of X."""
 
-    __slots__ = ("range", "weights", "core", "_ucore", "ucore_lcm", "int_ucore")
+    __slots__ = ("range", "weights", "core", "ucore_lcm", "int_ucore")
 
     def __init__(self, rng: LevelRange, weights, core):
         self.range = rng
@@ -108,27 +108,21 @@ class GaugedMatrix:
         self.core = tuple(tuple(row) for row in core)
         if any(w <= 0 for w in self.weights):
             raise DomainError("gauge weights must be positive")
-        self._ucore = tuple(tuple(row[j] * self.weights[j] for j in range(rng.dim))
-                            for row in self.core)
-        lcm = math.lcm(*(x.denominator for row in self._ucore for x in row))
+        ucore = [[x * w for x, w in zip(row, self.weights)] for row in self.core]
+        lcm = math.lcm(*(x.denominator for row in ucore for x in row))
         self.ucore_lcm = lcm
         self.int_ucore = tuple(tuple(x.numerator * (lcm // x.denominator) for x in row)
-                               for row in self._ucore)
+                               for row in ucore)
 
     @property
     def dim(self) -> int:
         return self.range.dim
 
-    def ucore(self):
-        """Similarity image U^(-1/2) X U^(1/2) = M * diag(u), rational;
-        computed once per matrix, since every residual check needs it."""
-        return self._ucore
-
     def hat(self, entries):
-        """The hat X D X of the diagonal D with the given entries, in gauge
-        form: (M U) D (M U), one sandwich summed over the nonzero entries
+        """L^2 times the hat X D X of the diagonal D with the given entries,
+        in gauge form: N D N, one sandwich summed over the nonzero entries
         only, so the hat of a rank-one projector is one outer product."""
-        return sandwich(self._ucore, entries, self._ucore)
+        return sandwich(self.int_ucore, entries, self.int_ucore)
 
     def entry(self, k: int, kp: int) -> SqrtRational:
         """Raw entry sqrt(u_k) M_{kk'} sqrt(u_{k'})."""
@@ -187,16 +181,17 @@ def verify_a_properties(s, n: int) -> bool:
     a = a_matrix(s, n)
     if any(a.core[i][j] != a.core[j][i] for i in range(a.dim) for j in range(a.dim)):
         return False
-    mu = a.ucore()
-    return mat_mul(mu, mu) == identity(a.dim)
+    core, lcm = a.int_ucore, a.ucore_lcm
+    return mat_mul(core, core) == diagonal((lcm * lcm,) * a.dim)
 
 
 def verify_sign_conjugation(s, n: int) -> bool:
-    """A D0 A == (-1)^n D0 A D0 with the alternating sign diagonal D0."""
+    """A D0 A == (-1)^n D0 A D0 with the alternating sign diagonal D0, on
+    the integer core: N D0 N == (-1)^n L D0 N D0."""
     a = a_matrix(s, n)
     d0 = sign_diagonal(a.range)
-    rhs = diag_mul_left(d0, diag_mul_right(a.ucore(), d0))
-    return a.hat(d0) == mat_scale(Fraction(minus_one_pow(n)), rhs)
+    rhs = diag_mul_left(d0, diag_mul_right(a.int_ucore, d0))
+    return a.hat(d0) == mat_scale(minus_one_pow(n) * a.ucore_lcm, rhs)
 
 
 def eta(s, m: int, n: int) -> Fraction:
@@ -246,16 +241,18 @@ def verify_projector_algebra(s, m: int, n: int) -> bool:
         pi D0^ pi = eta pi,   pi pi^ pi = eta^2 pi,
         pi pi^ D0 = xi eta pi D0^,  D0 pi^ pi = xi eta D0^ pi,  ...
 
-    checked exactly in the rational gauge, in both hatted and unhatted
-    substitution directions, so every operand is a dense matrix.
+    checked exactly in the rational gauge, with the two hats divided by
+    L^2 once, in both hatted and unhatted substitution directions, so
+    every operand is a dense matrix.
     """
     a = a_matrix(s, n)
     d0, pi = sign_diagonal(a.range), rank_one_projector(a.range, m)
-    d0h, pih = a.hat(d0), a.hat(pi)
+    unscale = Fraction(1, a.ucore_lcm ** 2)
+    d0h, pih = mat_scale(unscale, a.hat(d0)), mat_scale(unscale, a.hat(pi))
     d0, pi = diagonal(d0), diagonal(pi)
     xi = Fraction(minus_one_pow(m))
     eta_mn = eta(s, m, n)
-    e = identity(a.dim)
+    e = diagonal((1,) * a.dim)
 
     def relations(p, ph, d, dh):
         yield mat_mul(p, p) == p

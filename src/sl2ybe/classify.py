@@ -16,7 +16,7 @@ from .amatrix import (GaugedMatrix, LevelRange, a_matrix,
                       rank_one_projector, sign_diagonal, top_level)
 from .exact import DomainError, HalfInt, QuadExt, minus_one_pow
 from .linalg import (diag_mul_left, diag_mul_right, is_zero_matrix, mat_add,
-                     span_rank, span_solve)
+                     span_coordinates, span_rank)
 from .spectral import RationalFunction, constant_root
 from .ybe import coeff_functions, fgh_operators, theta
 
@@ -40,7 +40,9 @@ __all__ = [
 @dataclass(frozen=True)
 class FghSystem:
     """The matrices F = D0 - D0^, G = pi - pi^, H = pi D0^ - D0 pi^ and
-    H~ = H^t at level n with distinguished index m, in the rational gauge."""
+    H~ = H^t at level n with distinguished index m, in the rational gauge,
+    as integer matrices: L^2 times their values, a common positive scale
+    that leaves ranks, span coordinates and H == H~ unchanged."""
 
     s: HalfInt
     m: int
@@ -49,10 +51,6 @@ class FghSystem:
     G: tuple
     H: tuple
     Ht: tuple
-
-    @property
-    def dim(self) -> int:
-        return len(self.F)
 
     def matrices(self):
         return (self.F, self.G, self.H, self.Ht)
@@ -64,32 +62,25 @@ def _entrywise_h(a: GaugedMatrix, m: int, transposed: bool):
         H_{kk'}  = (-1)^(n+m+k') d_{km}  A_{kk'} - (-1)^k  A_{km} A_{mk'}
         H~_{kk'} = (-1)^(n+m+k)  d_{k'm} A_{kk'} - (-1)^k' A_{km} A_{mk'}
 
-    (the delta term carries the extra (-1)^n that the sign-conjugation
-    identity forces; without it the closed form only covers even n)."""
-    rng = a.range
-    n, u = rng.n, a.ucore()
-    i_m = m - rng.k_min
-    rows = []
-    for k in rng.indices():
-        i = k - rng.k_min
-        row = []
-        for kp in rng.indices():
-            j = kp - rng.k_min
-            if transposed:
-                delta = Fraction(minus_one_pow(n + m + k)) if kp == m else Fraction(0)
-                sign = minus_one_pow(kp)
-            else:
-                delta = Fraction(minus_one_pow(n + m + kp)) if k == m else Fraction(0)
-                sign = minus_one_pow(k)
-            entry = delta * u[i][j] - sign * u[i][i_m] * u[i_m][j]
-            row.append(entry)
-        rows.append(tuple(row))
-    return tuple(rows)
+    on the integer core, times L^2 like `fgh_operators`: for H the entry
+    is delta L N_{kk'} - (-1)^k N_{km} N_{mk'} (the delta term carries the
+    extra (-1)^n that the sign-conjugation identity forces; without it the
+    closed form only covers even n)."""
+    rng, u, lcm = a.range, a.int_ucore, a.ucore_lcm
+    n, i_m = rng.n, m - rng.k_min
+
+    def entry(i, k, j, kp):
+        p, q = (kp, k) if transposed else (k, kp)
+        delta = minus_one_pow(n + m + q) * lcm * u[i][j] if p == m else 0
+        return delta - minus_one_pow(p) * u[i][i_m] * u[i_m][j]
+
+    return tuple(tuple(entry(i, k, j, kp) for j, kp in enumerate(rng.indices()))
+                 for i, k in enumerate(rng.indices()))
 
 
 def fgh_matrices(s, m: int, n: int) -> FghSystem:
-    """Exact construction from the operator products, cross-checked
-    entrywise against the closed forms."""
+    """Exact integer construction from the operator products (L^2 times
+    the gauge values), cross-checked entrywise against the closed forms."""
     s = HalfInt.coerce(s)
     if theta(s, m, n) != 1:
         raise DomainError(f"index m={m} not active at level n={n} for s={s}")
@@ -160,11 +151,14 @@ def _scan_cell(s: HalfInt, m: int, n: int) -> DegeneracyRecord:
     sys = fgh_matrices(s, m, n)
     rng = LevelRange.for_level(s, n)
     total = mat_add(sys.H, sys.Ht)
+    # One elimination serves the rank and the decomposition of H + H~ over
+    # G and F: [G, F, H + H~, H, H~] spans the same space as F, G, H, H~.
+    coords = span_coordinates([sys.G, sys.F, total, sys.H, sys.Ht])
     if is_zero_matrix(sys.G) and is_zero_matrix(total):
         # dimension-1 levels: every relation is trivial, scalars indeterminate
         holds_multiple, beta, beta_tilde = True, None, None
     else:
-        beta, beta_tilde = span_solve(total, [sys.G, sys.F]) or (None, None)
+        beta, beta_tilde = coords[2] or (None, None)
         # F gets coordinate 0 whenever it adds nothing to span{G}, and when
         # G = 0 a zero F-coordinate means H + H~ = 0.
         holds_multiple = beta_tilde == 0
@@ -174,7 +168,7 @@ def _scan_cell(s: HalfInt, m: int, n: int) -> DegeneracyRecord:
     return DegeneracyRecord(
         s=s, m=m, n=n, dim=rng.dim, shifted=rng.shifted,
         holds_transpose=sys.H == sys.Ht, holds_multiple=holds_multiple,
-        beta=beta, beta_tilde=beta_tilde, rank=span_rank(sys.matrices()),
+        beta=beta, beta_tilde=beta_tilde, rank=sum(c is None for c in coords),
         cond_a=cond_a, cond_b=cond_b)
 
 
@@ -320,9 +314,9 @@ def projector_obstruction_check(s, m: int) -> bool:
     i_m = m - a.range.k_min
     if any(a.core[i][i_m] == 0 for i in range(a.dim)):
         return False
-    mu = a.ucore()
+    core = a.int_ucore
     pi = rank_one_projector(a.range, m)
-    return diag_mul_right(mu, pi) != diag_mul_left(pi, mu)
+    return diag_mul_right(core, pi) != diag_mul_left(pi, core)
 
 
 def eta_level4_m3(s) -> Fraction:

@@ -25,8 +25,9 @@ from .classify import (constant_m_prime, constant_roots, degeneracy_scan,
                        permutation_rigidity, projector_obstruction_check)
 from .exact import (DomainError, HalfInt, display_discriminant, format_rational,
                     parse_rational)
-from .oracle import (IDENTITY_TOL, YBE_TOL, dense_operator_identities,
-                     dense_ybe_residual, reduction_consistency)
+from .oracle import (IDENTITIES_TWO_S_CAP, IDENTITY_TOL, YBE_TOL,
+                     dense_operator_identities, dense_ybe_residual,
+                     reduction_consistency)
 from .sixj import SixJArgs, sixj
 from .spectral import (PoleError, check_regularity_unitarity, family_from_json,
                        make_family)
@@ -160,15 +161,17 @@ def cmd_family(args):
 def cmd_verify(args):
     fam = _load_family(args)
     levels = _parse_levels(args.levels)
-    if args.grid == "dense":
-        samples, grid_note = _dense_grid(fam), "dense 13x13 product grid"
-    else:
-        samples = list(default_grid(fam)) + list(second_grid(fam))
-        grid_note = "two disjoint 6-point grids"
     start = time.monotonic()
     if fam.constant:
+        # the residual does not depend on the sample, so --grid is moot
+        grid_note = "one marker sample per level (constant family)"
         report = constant_check(fam, levels=levels)
     else:
+        if args.grid == "dense":
+            samples, grid_note = _dense_grid(fam), "dense 13x13 product grid"
+        else:
+            samples = list(default_grid(fam)) + list(second_grid(fam))
+            grid_note = "two disjoint 6-point grids"
         report = full_check(fam, levels=levels, samples=samples)
         unit = unitarity_samples(fam)
         report["regularity_samples"] = [str(x) for x in unit]
@@ -245,7 +248,8 @@ def cmd_oracle(args):
     fam = _load_family(args)
     lam, mu = parse_rational(args.lam), parse_rational(args.mu)
     residual = dense_ybe_residual(fam, lam, mu)
-    identities = dense_operator_identities(fam.s) if fam.s.twice <= 3 else None
+    identities = (dense_operator_identities(fam.s)
+                  if fam.s.twice <= IDENTITIES_TWO_S_CAP else None)
     consistency = reduction_consistency(fam, [(lam, mu)])
     case = consistency["cases"][0]
     doc = {"check": "dense-oracle", "family": fam.tag, "s": str(fam.s),
@@ -336,7 +340,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s")
     p.add_argument("--m", type=int)
     p.add_argument("--levels", help="single level or a..b range")
-    p.add_argument("--grid", choices=("default", "dense"), default="default")
+    p.add_argument("--grid", choices=("default", "dense"), default="default",
+                   help="sample grid of a spectral family; a constant family "
+                        "is checked on one marker sample per level")
     p.add_argument("--json", action="store_true")
     p.add_argument("--out")
     p.set_defaults(fn=cmd_verify)

@@ -2,7 +2,8 @@
 
 Matrices are tuples of tuples.  Entries may be int, Fraction or QuadExt
 (mixed freely; QuadExt absorbs rationals), anything supporting the
-arithmetic operators and equality with 0.
+arithmetic operators and equality with 0.  Products of int matrices stay
+int; `span_coordinates` takes int entries as Fraction to divide exactly.
 """
 from __future__ import annotations
 
@@ -14,21 +15,15 @@ __all__ = [
     "diag_mul_left",
     "diag_mul_right",
     "diagonal",
-    "identity",
     "is_zero_matrix",
     "mat_add",
     "mat_mul",
     "mat_scale",
     "mat_sub",
     "sandwich",
+    "span_coordinates",
     "span_rank",
-    "span_solve",
-    "transpose",
 ]
-
-
-def identity(dim: int) -> Matrix:
-    return tuple(tuple(Fraction(int(i == j)) for j in range(dim)) for i in range(dim))
 
 
 def diagonal(entries) -> Matrix:
@@ -79,20 +74,18 @@ def mat_scale(c, x: Matrix) -> Matrix:
     return tuple(tuple(c * a for a in row) for row in x)
 
 
-def transpose(x: Matrix) -> Matrix:
-    return tuple(zip(*x))
-
-
 def is_zero_matrix(x: Matrix) -> bool:
     return all(a == 0 for row in x for a in row)
 
 
-def _eliminate(vectors):
-    """Forward elimination of the vectors in the given order: each one is
-    reduced against the echelon rows found before it and becomes a new row
-    if anything is left.  Returns, for each vector, None if it became a row,
-    else its coordinates over the earlier vectors; a vector that became no
-    row gets coordinate 0 in every later solution."""
+def span_coordinates(matrices) -> list:
+    """One exact forward elimination of the matrices, flattened to vectors,
+    in the given order.  For each matrix: None if it enlarges the span of
+    the earlier ones, else its exact coordinates over the earlier matrices,
+    with coordinate 0 for every earlier matrix that enlarged nothing.  Int
+    entries are taken as Fraction, so every division is exact."""
+    vectors = [[Fraction(a) if isinstance(a, int) else a for row in m for a in row]
+               for m in matrices]
     zero = [Fraction(0)] * len(vectors)
     rows = []   # (pivot column, reduced row, the row over the input vectors)
     out = []
@@ -105,7 +98,7 @@ def _eliminate(vectors):
                 coords = [x + c * y for x, y in zip(coords, combo)]
         pivot = next((j for j, a in enumerate(v) if a != 0), None)
         if pivot is None:
-            out.append(coords)
+            out.append(coords[:i])
         else:
             combo = [-x for x in coords]
             combo[i] += 1
@@ -114,19 +107,7 @@ def _eliminate(vectors):
     return out
 
 
-def _flat(m: Matrix) -> list:
-    return [a for row in m for a in row]
-
-
 def span_rank(matrices) -> int:
     """Exact rank of the linear span of the given matrices, flattened to
     vectors."""
-    return sum(c is None for c in _eliminate([_flat(m) for m in matrices]))
-
-
-def span_solve(target: Matrix, basis):
-    """Exact coordinates of target over the basis matrices, or None when
-    target lies outside their span.  A basis matrix that adds nothing to
-    the span of the earlier ones gets coordinate 0."""
-    coords = _eliminate([_flat(m) for m in basis] + [_flat(target)])[-1]
-    return None if coords is None else coords[:-1]
+    return sum(c is None for c in span_coordinates(matrices))

@@ -18,7 +18,9 @@ from .spectral import SpectralFamily
 from .ybe import reduced_ybe_check
 
 __all__ = [
+    "IDENTITIES_TWO_S_CAP",
     "IDENTITY_TOL",
+    "PROJECTOR_TWO_S_CAP",
     "PROJECTOR_TOL",
     "YBE_TOL",
     "dense_operator_identities",
@@ -34,7 +36,8 @@ PROJECTOR_TOL = 1e-10   # projector algebra: idempotence, orthogonality, sums
 IDENTITY_TOL = 1e-9     # three-site operator identities
 YBE_TOL = 1e-10         # full braid-form residual for exact solutions
 
-DEFAULT_TWO_S_CAP = 4   # (2s+1)^3 = 125 at the cap
+PROJECTOR_TWO_S_CAP = 4    # (2s+1)^3 = 125 at the cap
+IDENTITIES_TWO_S_CAP = 3   # the three-site identities, (2s+1)^3 = 64
 
 
 def _two_s(s) -> int:
@@ -64,12 +67,12 @@ def _two_site_casimir(s) -> np.ndarray:
             + 2 * np.kron(sz, sz) + np.kron(sp, sm) + np.kron(sm, sp))
 
 
-def dense_projectors(s, two_s_cap: int = DEFAULT_TWO_S_CAP) -> list[np.ndarray]:
+def dense_projectors(s) -> list[np.ndarray]:
     """Projectors P^j, j = 0..2s, on V_s (x) V_s via Lagrange interpolation
     in the two-site Casimir; all real double precision."""
     ts = _two_s(s)
-    if ts > two_s_cap:
-        raise DomainError(f"2s={ts} above the dense cap {two_s_cap}")
+    if ts > PROJECTOR_TWO_S_CAP:
+        raise DomainError(f"2s={ts} above the dense cap {PROJECTOR_TWO_S_CAP}")
     j2 = _two_site_casimir(s)
     dim2 = j2.shape[0]
     eigs = [j * (j + 1) for j in range(ts + 1)]
@@ -99,7 +102,7 @@ def _maxabs(x: np.ndarray) -> float:
     return float(np.max(np.abs(x)))
 
 
-def dense_operator_identities(s, two_s_cap: int = 3) -> dict:
+def dense_operator_identities(s) -> dict:
     """Max-norm residuals of the three-site relations among the
     permutation, the singlet projector, and every P^j sandwich
 
@@ -108,10 +111,10 @@ def dense_operator_identities(s, two_s_cap: int = 3) -> dict:
     with xi = (-1)^2s and eta = 1/(2s+1); both site orders checked.
     """
     ts = _two_s(s)
-    if ts > two_s_cap:
-        raise DomainError(f"2s={ts} above the dense cap {two_s_cap}")
+    if ts > IDENTITIES_TWO_S_CAP:
+        raise DomainError(f"2s={ts} above the dense cap {IDENTITIES_TWO_S_CAP}")
     dim = ts + 1
-    projs = dense_projectors(s, two_s_cap=max(two_s_cap, ts))
+    projs = dense_projectors(s)
     perm = permutation_dense(s, projs)
     xi = minus_one_pow(ts)
     eta = 1.0 / (ts + 1)

@@ -3,11 +3,13 @@
     D(lambda) D^(lambda+mu) D(mu) = D^(mu) D(lambda+mu) D^(lambda),
 
 level by level, where D^ = A D A.  Everything runs on the rational
-similarity gauge: A enters only as its ucore M*U, so residuals are exact
-matrices over Q or Q(sqrt(d)).  They are decided over the integers: with
-the ucore cleared to N = L*(M*U) and each diagonal cleared to
-D_i = (A_i + sqrt(d) B_i) / c_i, the residual times L^4 c1 c2 c3 is an
-integer matrix plus sqrt(d) times another.
+similarity gauge, where A enters only as its integer core N = L*(M*U)
+and the hat is N D N = L^2 D^, so residuals are exact matrices over Q or
+Q(sqrt(d)).  They are decided over the integers: with each diagonal
+cleared to D_i = (A_i + sqrt(d) B_i) / c_i, the residual times
+L^4 c1 c2 c3 is an integer matrix plus sqrt(d) times another.  The
+four-matrix system F, G, H, H~ is built on N as well and comes out as
+L^2 times its values.
 """
 from __future__ import annotations
 
@@ -21,7 +23,7 @@ from .amatrix import (GaugedMatrix, LevelRange, a_matrix, eta,
                       rank_one_projector, sign_diagonal, top_level)
 from .exact import DomainError, HalfInt, QuadExt, minus_one_pow, rescale_surd
 from .linalg import (diag_mul_left, diag_mul_right, diagonal, is_zero_matrix,
-                     mat_add, mat_scale, mat_sub, sandwich)
+                     mat_add, mat_mul, mat_scale, mat_sub)
 from .spectral import SpectralFamily, reduced_d
 
 __all__ = [
@@ -145,17 +147,17 @@ def braid_residual(a: GaugedMatrix, d1, d2, d3):
     d = min((x.d for e in (d1, d2, d3) for x in e if isinstance(x, QuadExt) and x.b),
             default=1)
     cleared = [_cleared(e, d) for e in (d1, d2, d3)]
-    core, l2 = a.int_ucore, a.ucore_lcm ** 2
+    l2 = a.ucore_lcm ** 2
     choices = []
     for a_int, b_int, _ in cleared:
-        parts = [(a_int, sandwich(core, a_int, core), 0)]
+        parts = [(a_int, a.hat(a_int), 0)]
         if b_int is not None:
-            parts.append((b_int, sandwich(core, b_int, core), 1))
+            parts.append((b_int, a.hat(b_int), 1))
         choices.append(parts)
     sums = [None, None]
     for (e1, h1, k1), (e2, h2, k2), (e3, h3, k3) in product(*choices):
         term = mat_sub(diag_mul_left([l2 * x for x in e1], diag_mul_right(h2, e3)),
-                       sandwich(h3, e2, h1))
+                       mat_mul(diag_mul_right(h3, e2), h1))
         k = k1 + k2 + k3
         if k > 1:
             term = mat_scale(d ** (k // 2), term)
@@ -288,10 +290,13 @@ class CrosscheckResult:
 
 def fgh_operators(a: GaugedMatrix, d0, pi):
     """F = D0 - D0^, G = pi - pi^, H = pi D0^ - D0 pi^ and H~ = D0^ pi -
-    pi^ D0 at the level of a, from the entries of D0 and pi."""
+    pi^ D0 at the level of a, from the entries of D0 and pi, each as L^2
+    times its gauge value (the hats are N D N, so the plain diagonals are
+    scaled by L^2 to match); integer entries give integer matrices."""
     d0h, pih = a.hat(d0), a.hat(pi)
-    return (mat_sub(diagonal(d0), d0h),
-            mat_sub(diagonal(pi), pih),
+    l2 = a.ucore_lcm ** 2
+    return (mat_sub(diagonal([l2 * x for x in d0]), d0h),
+            mat_sub(diagonal([l2 * x for x in pi]), pih),
             mat_sub(diag_mul_left(pi, d0h), diag_mul_left(d0, pih)),
             mat_sub(diag_mul_right(d0h, pi), diag_mul_right(pih, d0)))
 
@@ -307,8 +312,10 @@ def ansatz_residual_crosscheck(s, m: int, n: int, f: Callable, g: Callable,
         F_{lm} F + G_{lm} G + H_{lm} H + H_{ml} H~
 
     with the matrices F = D0 - D0^, G = pi - pi^, H = pi D0^ - D0 pi^,
-    H~ = D0^ pi - pi^ D0.  The cleared prefactor
-    (1+f(lam))(1+f(mu))(1+f(lam+mu)) is returned; it must be nonzero.
+    H~ = D0^ pi - pi^ D0, which `fgh_operators` gives as L^2 times their
+    values, so the combination is divided by L^2 once.  The cleared
+    prefactor (1+f(lam))(1+f(mu))(1+f(lam+mu)) is returned; it must be
+    nonzero.
     The hat of a cleared diagonal is E + f D0^ + theta g pi^, since the hat
     is linear and A^2 = E.
     """
@@ -320,7 +327,7 @@ def ansatz_residual_crosscheck(s, m: int, n: int, f: Callable, g: Callable,
     a = a_matrix(s, n)
     d0 = sign_diagonal(a.range)
     th = theta(s, m, n)
-    pi = rank_one_projector(a.range, m) if th else (Fraction(0),) * a.dim
+    pi = rank_one_projector(a.range, m) if th else (0,) * a.dim
 
     def cleared(x):
         fx, gx = f(x), g(x) * th
@@ -332,6 +339,7 @@ def ansatz_residual_crosscheck(s, m: int, n: int, f: Callable, g: Callable,
     c = coeff_functions(s, m, n, f, g, lam, mu)
     combo = mat_add(mat_add(mat_scale(c.F, big_f), mat_scale(c.G, big_g)),
                     mat_add(mat_scale(c.H, big_h), mat_scale(c.H_swapped, big_ht)))
+    combo = mat_scale(Fraction(1, a.ucore_lcm ** 2), combo)
     return CrosscheckResult(matches=resid.residual == combo,
                             residual_zero=resid.is_zero,
                             prefactor=pref)

@@ -9,10 +9,16 @@ from sl2ybe.amatrix import (LevelRange, a_matrix,
                             verify_sign_conjugation)
 from sl2ybe.exact import (DomainError, HalfInt, SqrtRational, minus_one_pow,
                           sqrt_canonicalize)
-from sl2ybe.linalg import diagonal, mat_mul
+from sl2ybe.linalg import diagonal, mat_mul, mat_scale
 from sl2ybe.sixj import SixJArgs, sixj
 
 GRID = [(ts, n) for ts in range(1, 7) for n in range(0, 3 * ts // 2 + 1)]
+
+
+def fraction_ucore(a):
+    """The rational ucore M * diag(u), built here from the core and the
+    weights, independently of the integer core N that the package keeps."""
+    return tuple(tuple(x * w for x, w in zip(row, a.weights)) for row in a.core)
 
 
 def a_entry_from_sixj(s: HalfInt, n: int, k: int, kp: int) -> SqrtRational:
@@ -116,15 +122,17 @@ class TestProperties:
 
     @pytest.mark.parametrize("ts,n", GRID)
     def test_hat_matches_dense_product(self, ts, n):
+        # the hat is N diag(e) N = L^2 (M U) diag(e) (M U)
         a = a_matrix(HalfInt(ts), n)
-        mu = a.ucore()
+        mu = fraction_ucore(a)
         rng = a.range
         ramp = tuple(Fraction(1 + 2 * i, 3 + i) for i in range(rng.dim))
         gaps = tuple(Fraction(0) if i % 2 else x for i, x in enumerate(ramp))
         cases = [sign_diagonal(rng), ramp, (Fraction(0),) * rng.dim, gaps]
         cases += [rank_one_projector(rng, m) for m in rng.indices()]
         for e in cases:
-            assert a.hat(e) == mat_mul(mat_mul(mu, diagonal(e)), mu), (ts, n, e)
+            assert a.hat(e) == mat_scale(a.ucore_lcm ** 2,
+                                         mat_mul(mat_mul(mu, diagonal(e)), mu)), (ts, n, e)
 
 
 class TestEta:

@@ -2,7 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from sl2ybe.amatrix import eta_closed_form
+from sl2ybe.amatrix import (a_matrix, eta_closed_form, rank_one_projector,
+                            sign_diagonal, top_level)
 from sl2ybe.classify import (constant_m_prime, constant_roots, degeneracy_scan,
                              eta_incompatibility, eta_level4_m3,
                              exceptional_level_combination, fgh_matrices,
@@ -10,16 +11,43 @@ from sl2ybe.classify import (constant_m_prime, constant_roots, degeneracy_scan,
                              permutation_rigidity,
                              projector_obstruction_check)
 from sl2ybe.exact import DomainError, HalfInt, QuadExt
-from sl2ybe.linalg import is_zero_matrix, mat_add, mat_scale, mat_sub, transpose
+from sl2ybe.linalg import (diagonal, is_zero_matrix, mat_add, mat_mul, mat_scale,
+                           mat_sub, span_rank)
+from sl2ybe.ybe import theta
 
 F = Fraction
+
+
+def fraction_fgh(a, m):
+    """F, G, H and H~ by dense Fraction products on the rational ucore
+    M * diag(u), built here from the core and the weights."""
+    x = tuple(tuple(c * w for c, w in zip(row, a.weights)) for row in a.core)
+    d0 = diagonal([F(e) for e in sign_diagonal(a.range)])
+    pi = diagonal([F(e) for e in rank_one_projector(a.range, m)])
+    d0h, pih = mat_mul(mat_mul(x, d0), x), mat_mul(mat_mul(x, pi), x)
+    return (mat_sub(d0, d0h), mat_sub(pi, pih),
+            mat_sub(mat_mul(pi, d0h), mat_mul(d0, pih)),
+            mat_sub(mat_mul(d0h, pi), mat_mul(pih, d0)))
+
+
+ACTIVE_CELLS = [(ts, m, n) for ts in range(1, 7) for m in range(ts + 1)
+                for n in range(top_level(HalfInt(ts)) + 1) if theta(HalfInt(ts), m, n)]
 
 
 class TestFghSystem:
     def test_g_entry_at_distinguished_index(self):
         sys = fgh_matrices(1, 2, 2)
-        # G_mm = 1 - eta^2 with eta = 1/3
-        assert sys.G[2][2] == 1 - F(1, 9)
+        # G_mm = 1 - eta^2 with eta = 1/3, times L^2 on the integer core
+        assert sys.G[2][2] == (1 - F(1, 9)) * a_matrix(1, 2).ucore_lcm ** 2
+
+    @pytest.mark.parametrize("ts, m, n", ACTIVE_CELLS)
+    def test_integer_system_is_scaled_fraction_system(self, ts, m, n):
+        a = a_matrix(HalfInt(ts), n)
+        want = fraction_fgh(a, m)
+        got = fgh_matrices(HalfInt(ts), m, n).matrices()
+        assert got == tuple(mat_scale(a.ucore_lcm ** 2, x) for x in want)
+        assert all(type(x) is int for mat in got for row in mat for x in row)
+        assert span_rank(got) == span_rank(want)
 
     def test_theta_zero_cell_rejected(self):
         with pytest.raises(DomainError):
@@ -32,11 +60,10 @@ class TestFghSystem:
     def test_transpose_relation_in_raw_gauge(self):
         # H~ = H^t holds for the raw matrices: in gauge form that reads
         # Ht = U^-1 H^t U with U the diagonal of weights.
-        from sl2ybe.amatrix import a_matrix
         for (s, m, n) in [(1, 2, 2), (2, 3, 4), ("5/2", 3, 5)]:
             sys = fgh_matrices(s, m, n)
             w = a_matrix(s, n).weights
-            ht = transpose(sys.H)
+            ht = tuple(zip(*sys.H))
             conj = tuple(tuple(ht[i][j] * w[j] / w[i] for j in range(len(w)))
                          for i in range(len(w)))
             assert conj == sys.Ht

@@ -173,6 +173,17 @@ class TestVerifyCommand:
                                "--s", "1")
         assert code == 0
 
+    @pytest.mark.parametrize("grid", ["default", "dense"])
+    def test_constant_family_reports_the_marker_sample(self, capsys, grid):
+        # constant_check tests one marker sample per level, whatever --grid says
+        note = "one marker sample per level (constant family)"
+        code, out, _ = run_cli(capsys, "verify", "--family", "permutation", "--s", "1",
+                               "--grid", grid, "--json")
+        assert code == 0 and json.loads(out)["grid"] == note
+        code, out, _ = run_cli(capsys, "verify", "--family", "permutation", "--s", "1",
+                               "--grid", grid)
+        assert code == 0 and out.splitlines()[0].endswith(f"on {note}")
+
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "report.json"
         code, out, _ = run_cli(capsys, "verify", "--family", "yang", "--s", "1/2",

@@ -5,7 +5,8 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sl2ybe.linalg import mat_add, mat_scale, span_rank, span_solve
+from sl2ybe.exact import QuadExt
+from sl2ybe.linalg import mat_add, mat_scale, span_coordinates, span_rank
 
 GM = ((F(1), F(2)), (F(0), F(-1)))
 FM = ((F(0), F(1)), (F(3), F(1)))
@@ -19,7 +20,15 @@ def combo(*terms):
     return out
 
 
+def solve(target, basis):
+    """Coordinates of target over the basis: the last entry of one
+    elimination over the basis followed by the target."""
+    return span_coordinates([*basis, target])[-1]
+
+
 class TestSpanSolve:
+    """Span coordinates and rank from the one elimination."""
+
     @pytest.mark.parametrize("target, basis, expected", [
         (combo((3, GM), (F(-1, 2), FM)), (GM, FM), [F(3), F(-1, 2)]),
         (combo((5, GM)), (GM, mat_scale(F(2), GM)), [F(5), F(0)]),
@@ -30,7 +39,7 @@ class TestSpanSolve:
     ], ids=["independent", "f-twice-g", "g-zero", "both-zero", "zero-target",
             "zero-target-g-zero"])
     def test_coordinates(self, target, basis, expected):
-        assert span_solve(target, basis) == expected
+        assert solve(target, basis) == expected
 
     @pytest.mark.parametrize("target, basis", [
         (FM, (GM, mat_scale(F(2), GM))),
@@ -39,7 +48,26 @@ class TestSpanSolve:
         (((F(0), F(0)), (F(0), F(1))), (GM, FM)),
     ], ids=["outside-line", "outside-f-line", "outside-zero-span", "outside-plane"])
     def test_outside_span(self, target, basis):
-        assert span_solve(target, basis) is None
+        assert solve(target, basis) is None
+
+    def test_every_matrix_gets_an_entry(self):
+        twice = mat_scale(F(2), GM)
+        assert span_coordinates([GM, twice, FM, combo((1, GM), (1, FM)), ZERO]) == [
+            None, [F(2)], None, [F(1), F(0), F(1)], [F(0)] * 4]
+        assert span_coordinates([]) == []
+
+    def test_int_entries_divide_exactly(self):
+        coords = solve(((2, 4), (6, 8)), [((1, 2), (3, 4))])
+        assert coords == [F(2)] and type(coords[0]) is F
+        coords = solve(((1, 1), (1, 1)), [((2, 2), (2, 2))])
+        assert coords == [F(1, 2)] and type(coords[0]) is F
+
+    def test_quadext_entries(self):
+        root = QuadExt(F(0), F(1), 5)
+        basis = [((1, root), (0, 2)), ((root, 1), (1, 0))]
+        target = mat_add(mat_scale(1 + root, basis[0]), mat_scale(F(-1, 3), basis[1]))
+        assert solve(target, basis) == [1 + root, F(-1, 3)]
+        assert solve(((1, 0), (0, 0)), basis) is None
 
     def test_rank_of_examples(self):
         assert span_rank([GM, FM, combo((1, GM), (1, FM)), ZERO]) == 2
@@ -47,7 +75,8 @@ class TestSpanSolve:
         assert span_rank([]) == 0
 
 
-entries = st.integers(-2, 2).map(F)
+# Plain int and Fraction entries, mixed within one matrix.
+entries = st.one_of(st.integers(-2, 2), st.integers(-2, 2).map(F))
 matrices = st.tuples(st.tuples(entries, entries, entries),
                      st.tuples(entries, entries, entries),
                      st.tuples(entries, entries, entries))
@@ -64,9 +93,10 @@ def sympy_rank(ms):
 def test_one_elimination_agrees_with_sympy(basis, target):
     rank = span_rank(basis)
     assert rank == sympy_rank(basis)
-    coords = span_solve(target, basis)
+    coords = solve(target, basis)
     assert (coords is None) == (sympy_rank(basis + [target]) > rank)
     if coords is not None:
         assert len(coords) == len(basis)
+        assert all(type(c) is F for c in coords)
         assert all(sum(c * m[i][j] for c, m in zip(coords, basis)) == target[i][j]
                    for i in range(3) for j in range(3))

@@ -5,7 +5,8 @@ import pytest
 
 from sl2ybe.amatrix import LevelRange, top_level
 from sl2ybe.exact import DomainError, HalfInt
-from sl2ybe.oracle import (IDENTITY_TOL, PROJECTOR_TOL, YBE_TOL,
+from sl2ybe.oracle import (IDENTITIES_TWO_S_CAP, IDENTITY_TOL, PROJECTOR_TOL,
+                           PROJECTOR_TWO_S_CAP, YBE_TOL,
                            dense_operator_identities, dense_projectors,
                            dense_r_matrix, dense_ybe_residual,
                            permutation_dense, reduction_consistency,
@@ -67,6 +68,8 @@ class TestProjectors:
     def test_dimension_cap(self):
         with pytest.raises(DomainError):
             dense_projectors(3)
+        with pytest.raises(DomainError, match=f"above the dense cap {PROJECTOR_TWO_S_CAP}"):
+            dense_projectors(HalfInt(PROJECTOR_TWO_S_CAP + 1))
 
 
 class TestOperatorIdentities:
@@ -74,6 +77,11 @@ class TestOperatorIdentities:
     def test_all_identities(self, s):
         report = dense_operator_identities(s)
         assert report["pass"], report["residuals"]
+
+    def test_dimension_cap(self):
+        dense_operator_identities(HalfInt(IDENTITIES_TWO_S_CAP))
+        with pytest.raises(DomainError, match=f"above the dense cap {IDENTITIES_TWO_S_CAP}"):
+            dense_operator_identities(HalfInt(IDENTITIES_TWO_S_CAP + 1))
 
     def test_sandwich_values(self):
         report = dense_operator_identities(1)

@@ -18,9 +18,9 @@ GOLDEN = [
     ("verify --family zamolodchikov --s 3/2 --m 2", 0, "6b6566c26feb91dca85d23f63c0e28411ebc0e4a484bc06b15b1fcab14316326"),
     ("verify --family krs-prefix --s 2", 0, "f94b26cda3eedd7af2e9be8066fd08e06792c60555b53eb5486a68f6ca0c5325"),
     ("verify --family exceptional-s3 --levels 0..9", 0, "c76c0f200a4c24c44fd78b9cfd94bb481e66509b5ebb66f53c330ff7a90895be"),
-    ("verify --family constant-baxter --s 2 --m 3", 1, "d9eeb9324febcaf3c78c3a589e23f07e106fbe0a0e827a91483e891db766d8ca"),
-    ("verify --family permutation --s 3/2", 0, "a4026793619f3dc3b7318fcf6a8a8dc1fcdf3f4b3b38a4154e5ddf363832c7b9"),
-    ("verify --family identity --s 1", 0, "5a7c94297514b68940ba09593ce30335624a9fecbdc7249fbcbb362b64d319be"),
+    ("verify --family constant-baxter --s 2 --m 3", 1, "e5892fbee09149ec57e886738c4f9c29bd5448e26bb1c4b998cbac2859b76af5"),
+    ("verify --family permutation --s 3/2", 0, "e5dd42af6784eefd5bc9d464f2ce58690659d8f208e33c42a6ce20b98378ab58"),
+    ("verify --family identity --s 1", 0, "37fa11395c6e2ecdb315572a2867e928c88cd8c28d7ec1303e7f29c3a72fb342"),
     ("family show --tag yang --s 3/2", 0, "f08c40de4b68f66b691c015ee34bb3310c352a0a7f9d6b771001e64abf35e9fb"),
     ("family show --tag baxter-tl --s 1", 0, "c617164fe0bed5b9ab31e6f8a889197579e96517cfb4d695e79698bad951e4e4"),
     ("family show --tag zamolodchikov --s 2 --m 3", 0, "c60017832744d3e4b1a530d66854275216ef26a677f27b5a6ef966a62266fd35"),

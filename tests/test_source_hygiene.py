@@ -7,7 +7,9 @@ uses is dead weight and hides which module really depends on which, and
 so is a module-level private function or class that no module refers to.
 The benchmark in `perfbench/` times package functions by name, so each
 name it lists must stay a public function of its module.  Exact verdicts
-never rest on factoring, so `squarefree_split` is for printing only.
+never rest on factoring, so `squarefree_split` is for printing only.  The
+gauge has one hat, so `GaugedMatrix.hat` is the only caller of
+`linalg.sandwich`.
 """
 import ast
 import importlib
@@ -100,6 +102,15 @@ def test_factoring_only_prints(path):
     isqrt; only printing may call squarefree_split."""
     found = _calls_outside(_tree(path), "squarefree_split", DISPLAY_FUNCTIONS)
     assert found == [], f"{path.name}: squarefree_split called at {found}"
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_sandwich_only_in_the_hat(path):
+    """Every hat of a diagonal goes through GaugedMatrix.hat, the one method
+    named `hat` in amatrix, and nothing else calls linalg.sandwich."""
+    allowed = {"hat"} if path.name == "amatrix.py" else set()
+    found = _calls_outside(_tree(path), "sandwich", allowed)
+    assert found == [], f"{path.name}: sandwich called at {found}"
 
 
 def _module_value(path, name):

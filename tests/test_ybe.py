@@ -35,8 +35,9 @@ def perturbed_yang(two_s=1):
 
 def dense_reference(a, d1, d2, d3):
     """diag(d1) hat(d2) diag(d3) - hat(d3) diag(d2) hat(d1) by dense exact
-    products on the ucore, with hat(e) = ucore diag(e) ucore."""
-    x = a.ucore()
+    products on the ucore, with hat(e) = ucore diag(e) ucore and the
+    rational ucore M * diag(u) built here from the core and the weights."""
+    x = tuple(tuple(m * w for m, w in zip(row, a.weights)) for row in a.core)
 
     def hat(e):
         return mat_mul(mat_mul(x, diagonal(e)), x)

@@ -13,9 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .amatrix import (LevelRange, a_matrix, consecutive_level_ratio, eta,
-                      eta_closed_form, top_level, verify_a_properties,
-                      verify_sign_conjugation)
+from .amatrix import (LevelRange, a_matrix, eta, eta_closed_form, top_level,
+                      verify_a_properties, verify_sign_conjugation)
 from .classify import (constant_m_prime, constant_roots, degeneracy_scan,
                        eta_incompatibility, eta_level4_m3,
                        exceptional_level_combination,
@@ -153,23 +152,19 @@ def criterion_4() -> CriterionResult:
 
 def criterion_5() -> CriterionResult:
     details, ok = [], True
-    # consecutive-level ratio on its validity grid
-    for ts in range(2, 9):
-        s = HalfInt(ts)
-        for m in range(2, ts):
-            lhs = a_matrix(s, m + 1).diagonal_rational(m)
-            rhs = consecutive_level_ratio(s, m) * a_matrix(s, m).diagonal_rational(m)
-            if lhs != rhs:
-                ok = False
-                details.append(f"consecutive ratio fails at (s={s}, m={m})")
-    details.append("consecutive-level diagonal ratio exact for 2 <= m <= 2s-1, 2s <= 8")
-    # |A_mm| equality across levels never holds
+    # consecutive-level ratio on its validity grid; |A_mm| equality across
+    # levels never holds
     for ts in range(2, 9):
         s = HalfInt(ts)
         for m in range(2, ts + 1):
-            if eta_incompatibility(s, m).abs_equal:
+            rep = eta_incompatibility(s, m)
+            if m < ts and not rep.ratio_verified:
+                ok = False
+                details.append(f"consecutive ratio fails at (s={s}, m={m})")
+            if rep.abs_equal:
                 ok = False
                 details.append(f"magnitude equality unexpectedly holds at (s={s}, m={m})")
+    details.append("consecutive-level diagonal ratio exact for 2 <= m <= 2s-1, 2s <= 8")
     details.append("cross-level magnitude equality fails everywhere on 2 <= m <= 2s <= 8")
     # level 3 vs level 5 ratio and its single spin-3 root
     for ts in range(4, 13):

@@ -299,6 +299,9 @@ def permutation_rigidity(s, m: int) -> bool:
     """g = 0 is the only deformation: G and H + H~ are exactly linearly
     independent at level n = m, so the coefficient system forces
     g^2 (1 + eta g) = 0 and g^2 = 0."""
+    s = HalfInt.coerce(s)
+    if not 2 <= m <= s.twice:
+        raise DomainError(f"m={m} must satisfy 2 <= m <= 2s={s.twice}")
     sys = fgh_matrices(s, m, m)
     return span_rank([sys.G, mat_add(sys.H, sys.Ht)]) == 2
 

@@ -26,8 +26,7 @@ from .classify import (constant_m_prime, constant_roots, degeneracy_scan,
 from .exact import (DomainError, HalfInt, display_discriminant, format_rational,
                     parse_rational)
 from .oracle import (IDENTITIES_TWO_S_CAP, IDENTITY_TOL, YBE_TOL,
-                     dense_operator_identities, dense_ybe_residual,
-                     reduction_consistency)
+                     dense_operator_identities, reduction_consistency)
 from .sixj import SixJArgs, sixj
 from .spectral import (PoleError, check_regularity_unitarity, family_from_json,
                        make_family)
@@ -37,19 +36,13 @@ from .ybe import (constant_check, default_grid, full_check, second_grid,
 EXIT_PASS, EXIT_FAIL, EXIT_USAGE = 0, 1, 2
 
 
-def _emit(doc, args, human_lines=None):
-    if getattr(args, "json", False):
-        payload = json.dumps(doc, sort_keys=True, separators=(",", ":"))
-        print(payload)
-        if getattr(args, "out", None):
-            with open(args.out, "w") as fh:
-                fh.write(payload + "\n")
-    else:
-        for line in human_lines if human_lines is not None else [json.dumps(doc, indent=2, sort_keys=True)]:
-            print(line)
-        if getattr(args, "out", None):
-            with open(args.out, "w") as fh:
-                fh.write(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
+def _emit(doc, args, human_lines):
+    payload = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    for line in [payload] if getattr(args, "json", False) else human_lines:
+        print(line)
+    if getattr(args, "out", None):
+        with open(args.out, "w") as fh:
+            fh.write(payload + "\n")
 
 
 def _parse_levels(text: str | None):
@@ -247,11 +240,11 @@ def cmd_rigidity(args):
 def cmd_oracle(args):
     fam = _load_family(args)
     lam, mu = parse_rational(args.lam), parse_rational(args.mu)
-    residual = dense_ybe_residual(fam, lam, mu)
     identities = (dense_operator_identities(fam.s)
                   if fam.s.twice <= IDENTITIES_TWO_S_CAP else None)
     consistency = reduction_consistency(fam, [(lam, mu)])
     case = consistency["cases"][0]
+    residual = case["dense_residual"]
     doc = {"check": "dense-oracle", "family": fam.tag, "s": str(fam.s),
            "lambda": str(lam), "mu": str(mu),
            "braid_residual": residual, "braid_tolerance": YBE_TOL,

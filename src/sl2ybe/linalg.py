@@ -3,7 +3,8 @@
 Matrices are tuples of tuples.  Entries may be int, Fraction or QuadExt
 (mixed freely; QuadExt absorbs rationals), anything supporting the
 arithmetic operators and equality with 0.  Products of int matrices stay
-int; `span_coordinates` takes int entries as Fraction to divide exactly.
+int; `span_coordinates` eliminates fraction-free, with one exact
+division per matrix in the span of the earlier ones.
 """
 from __future__ import annotations
 
@@ -79,29 +80,30 @@ def is_zero_matrix(x: Matrix) -> bool:
 
 
 def span_coordinates(matrices) -> list:
-    """One exact forward elimination of the matrices, flattened to vectors,
-    in the given order.  For each matrix: None if it enlarges the span of
-    the earlier ones, else its exact coordinates over the earlier matrices,
-    with coordinate 0 for every earlier matrix that enlarged nothing.  Int
-    entries are taken as Fraction, so every division is exact."""
-    vectors = [[Fraction(a) if isinstance(a, int) else a for row in m for a in row]
-               for m in matrices]
-    zero = [Fraction(0)] * len(vectors)
+    """One fraction-free forward elimination of the matrices, flattened to
+    vectors, in the given order.  For each matrix: None if it enlarges the
+    span of the earlier ones, else its exact coordinates over the earlier
+    matrices (0 for each earlier matrix that enlarged nothing).  A vector
+    is reduced by cross-multiplication, v <- row[p] v - v[p] row, in the
+    ring of its entries, and so is its combination c over the inputs; one
+    reduced to zero has coordinates -c_j / c_i, the only division."""
+    vectors = [[a for row in m for a in row] for m in matrices]
     rows = []   # (pivot column, reduced row, the row over the input vectors)
     out = []
     for i, v in enumerate(vectors):
-        coords = zero
-        for p, row, combo in rows:
-            if v[p] != 0:
-                c = v[p] / row[p]
-                v = v[:p] + [a - c * b for a, b in zip(v[p:], row[p:])]
-                coords = [x + c * y for x, y in zip(coords, combo)]
+        combo = [0] * len(vectors)
+        combo[i] = 1
+        for p, row, row_combo in rows:
+            b = v[p]
+            if b != 0:
+                a = row[p]
+                v = [a * x - b * y for x, y in zip(v, row)]
+                combo = [a * x - b * y for x, y in zip(combo, row_combo)]
         pivot = next((j for j, a in enumerate(v) if a != 0), None)
         if pivot is None:
-            out.append(coords[:i])
+            unit = Fraction(-1) / combo[i]
+            out.append([x * unit for x in combo[:i]])
         else:
-            combo = [-x for x in coords]
-            combo[i] += 1
             rows.append((pivot, v, combo))
             out.append(None)
     return out

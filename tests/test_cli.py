@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from sl2ybe import cli
+from sl2ybe import cli, oracle
 from sl2ybe.cli import main
 
 pytestmark = pytest.mark.usefixtures("capsys")
@@ -256,12 +256,33 @@ class TestClassifyCommands:
         code, out, _ = run_cli(capsys, "rigidity", "--s", "3", "--m", "3")
         assert code == 0 and "True" in out
 
+    @pytest.mark.parametrize("m", ["0", "1", "7"])
+    def test_rigidity_outside_its_domain_is_usage_error(self, capsys, m):
+        code, out, err = run_cli(capsys, "rigidity", "--s", "3", "--m", m)
+        assert code == 2 and out == ""
+        assert err == f"error: m={m} must satisfy 2 <= m <= 2s=6\n"
+
 
 class TestOracleCommand:
     def test_consistency(self, capsys):
         code, out, _ = run_cli(capsys, "oracle", "--family", "yang", "--s", "1",
                                "--lambda", "1/2", "--mu", "1/3")
         assert code == 0 and "consistent: True" in out
+
+    def test_dense_residual_computed_once(self, capsys, monkeypatch):
+        calls = []
+        real = oracle.dense_ybe_residual
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(oracle, "dense_ybe_residual", counting)
+        # a call the command made itself would count too
+        monkeypatch.setattr(cli, "dense_ybe_residual", counting, raising=False)
+        code, _, _ = run_cli(capsys, "oracle", "--family", "yang", "--s", "1",
+                             "--lambda", "1/2", "--mu", "1/3", "--json")
+        assert code == 0 and len(calls) == 1
 
     def test_family_file_negative_control(self, capsys):
         # the dense oracle sees the perturbed family break (residual 1/2),

@@ -75,8 +75,12 @@ class TestSpanSolve:
         assert span_rank([]) == 0
 
 
-# Plain int and Fraction entries, mixed within one matrix.
-entries = st.one_of(st.integers(-2, 2), st.integers(-2, 2).map(F))
+# Plain int and Fraction entries, mixed within one matrix, and ints around
+# +-2^150, the size of the L^2-scaled F, G, H, H~ entries.
+BIG = 2 ** 150
+entries = st.one_of(st.integers(-2, 2), st.integers(-2, 2).map(F),
+                    st.builds(lambda sign, k: sign * (BIG + k),
+                              st.sampled_from((-1, 1)), st.integers(-2, 2)))
 matrices = st.tuples(st.tuples(entries, entries, entries),
                      st.tuples(entries, entries, entries),
                      st.tuples(entries, entries, entries))

@@ -32,6 +32,7 @@ GOLDEN = [
     ("classify-constant --s 1 --m 2", 0, "e3c4dd10c1748574c1bcd65ef44152f7fc4b99ecc5eacaf1226ad584a5b4cc26"),
     ("rigidity --s 3 --m 3", 0, "d3e928c01c016b2bfe14cf258f9b2df45a31eb111d4162318035c436c3b5637a"),
     ("scan-degeneracy --max-2s 6", 0, "160e28dd4d21619860a4dccff7a0f3d73895f8fbdf7b04c3855407eb8781f403"),
+    ("scan-degeneracy --max-2s 10", 0, "7a5e5c7739e531777bb783c3cbd096dc0c1ec9987121fd0d02e3baa8ff6864fe"),
     ("amat --s 3/2 --n 3", 0, "7f464c807f202105e604f8d408595d580666a0cf35fad3dc277c6bf9c1909f8f"),
     ("amat --s 3/2 --n 3 --gauge", 0, "bdaae3a56043ff507fb6a584027ff284986d054e6dbc60fe8eac7b00ddb14f8f"),
     ("eta --s 5/2 --m 3 --n 4", 0, "7faf29411cc15a1579354fc1720a29eee29a985f3e8ed60f0960d947cf5ac5b1"),

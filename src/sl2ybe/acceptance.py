@@ -77,7 +77,7 @@ def deformed_permutation(two_s: int, m: int, g: Fraction):
         if j == two_s - m:
             value += g
         tables[j] = RationalFunction((value,), (F(1),))
-    return custom_family(HalfInt(two_s), tables, constant=True)
+    return custom_family(HalfInt(two_s), tables)
 
 
 def criterion_1(max_two_s: int = 6) -> CriterionResult:

@@ -2,9 +2,7 @@
 ratio obstructions, constant R-matrix analysis, and permutation rigidity.
 
 Ground truth everywhere is direct exact matrix computation in the
-rational gauge; the scalar index shortcuts recorded alongside are
-reporting-only (they are inconsistent at the known degeneracy, see
-DegeneracyRecord.cond_a).
+rational gauge.
 """
 from __future__ import annotations
 
@@ -106,10 +104,7 @@ class DegeneracyRecord:
     H + H~ is a scalar multiple of G (beta records the scalar; for an
     all-zero cell the scalar is indeterminate and beta is None).
     beta/beta_tilde also record the decomposition H + H~ = beta G +
-    beta_tilde F whenever it exists.  cond_a / cond_b record the scalar
-    index conditions 2m^2-2m+n^2-n = 8ms-6ns and m^2-m = 4ms-ns;
-    reporting-only, the matrix computation is the ground truth (cond_a
-    fails even at the true degeneracy cells).
+    beta_tilde F whenever it exists.
     """
 
     s: HalfInt
@@ -122,8 +117,6 @@ class DegeneracyRecord:
     beta: Fraction | None
     beta_tilde: Fraction | None
     rank: int
-    cond_a: bool
-    cond_b: bool
 
     @property
     def exceptional(self) -> bool:
@@ -162,14 +155,10 @@ def _scan_cell(s: HalfInt, m: int, n: int) -> DegeneracyRecord:
         # F gets coordinate 0 whenever it adds nothing to span{G}, and when
         # G = 0 a zero F-coordinate means H + H~ = 0.
         holds_multiple = beta_tilde == 0
-    sf = s.as_fraction()
-    cond_a = Fraction(2 * m * m - 2 * m + n * n - n) == 8 * m * sf - 6 * n * sf
-    cond_b = Fraction(m * m - m) == 4 * m * sf - n * sf
     return DegeneracyRecord(
         s=s, m=m, n=n, dim=rng.dim, shifted=rng.shifted,
         holds_transpose=sys.H == sys.Ht, holds_multiple=holds_multiple,
-        beta=beta, beta_tilde=beta_tilde, rank=sum(c is None for c in coords),
-        cond_a=cond_a, cond_b=cond_b)
+        beta=beta, beta_tilde=beta_tilde, rank=sum(c is None for c in coords))
 
 
 def degeneracy_scan(max_two_s: int = 6) -> ScanResult:

@@ -192,7 +192,6 @@ def cmd_scan(args):
             "beta": None if rec.beta is None else format_rational(rec.beta),
             "beta_tilde": None if rec.beta_tilde is None else format_rational(rec.beta_tilde),
             "rank": rec.rank,
-            "index_condition_a": rec.cond_a, "index_condition_b": rec.cond_b,
         })
     if args.json:
         for rec in records:

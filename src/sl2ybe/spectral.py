@@ -47,10 +47,6 @@ class PoleError(ZeroDivisionError):
     """Evaluation at a pole of a spectral coefficient."""
 
 
-TAGS = ("yang", "baxter-tl", "zamolodchikov", "krs-prefix", "exceptional-s3",
-        "constant-baxter", "permutation", "identity", "custom")
-
-
 @dataclass(frozen=True)
 class RationalFunction:
     """num(x)/den(x) with coefficients in Q or Q(sqrt(d)), ascending powers.
@@ -103,6 +99,9 @@ class SpectralFamily:
     prefix-style families only pin the top few).  discriminant is the d
     of the coefficient field Q(sqrt(d)) as the arithmetic keeps it, not
     necessarily squarefree (display_discriminant gives the printed one).
+    The family is constant when every table is a constant (one numerator
+    and one denominator coefficient); any other family is spectral and
+    must be regular, r_j = 1 at the origin.
     """
 
     tag: str
@@ -111,11 +110,10 @@ class SpectralFamily:
     m: int | None = None
     discriminant: int = 1
     multiplicative: bool = False
-    constant: bool = False
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.tag not in TAGS:
+        if self.tag not in _CATALOG and self.tag != "custom":
             raise DomainError(f"unknown family tag {self.tag!r}")
         if self.s.twice < 0:
             raise DomainError(f"spin s={self.s} is negative")
@@ -126,6 +124,10 @@ class SpectralFamily:
                 if value != 1:
                     raise DomainError(
                         f"family {self.tag} not regular: r_{j} at the origin is {value}")
+
+    @property
+    def constant(self) -> bool:
+        return all(len(rf.num) == len(rf.den) == 1 for rf in self.coeffs.values())
 
     def defined(self):
         return sorted(self.coeffs)
@@ -299,7 +301,7 @@ def exceptional_s3() -> SpectralFamily:
     }, m=3)
 
 
-def constant_baxter(s, m: int, branch: int = +1) -> SpectralFamily:
+def constant_baxter(s, m: int | None, branch: int = +1) -> SpectralFamily:
     """Constant family r_j = 1 + [j == 2s-m] g with g a root of the
     level-m quadratic 1 + g + eta^2 g^2 = 0, living in Q(sqrt(1-4 eta^2)).
 
@@ -309,7 +311,7 @@ def constant_baxter(s, m: int, branch: int = +1) -> SpectralFamily:
     """
     s = _require_spin(s, 2, "constant shifted family needs s >= 1")
     ts = s.twice
-    if not 2 <= m <= ts:
+    if m is None or not 2 <= m <= ts:
         raise DomainError(f"m={m} must satisfy 2 <= m <= 2s={ts}")
     eta = eta_closed_form(s, m)
     g = constant_root(eta, branch)
@@ -318,7 +320,7 @@ def constant_baxter(s, m: int, branch: int = +1) -> SpectralFamily:
     coeffs[ts - m] = _constant(shifted.as_fraction() if shifted.is_rational
                                else shifted)
     return SpectralFamily("constant-baxter", s, coeffs,
-                          m=m, discriminant=g.d, constant=True,
+                          m=m, discriminant=g.d,
                           params={"eta": eta, "g": g, "branch": branch})
 
 
@@ -327,73 +329,68 @@ def permutation_family(s) -> SpectralFamily:
     ts = s.twice
     return SpectralFamily(
         "permutation", s,
-        {j: _constant(Fraction(minus_one_pow(ts - j))) for j in range(ts + 1)},
-        constant=True)
+        {j: _constant(Fraction(minus_one_pow(ts - j))) for j in range(ts + 1)})
 
 
 def identity_family(s) -> SpectralFamily:
     s = HalfInt.coerce(s)
     return SpectralFamily(
-        "identity", s, {j: _constant(Fraction(1)) for j in range(s.twice + 1)},
-        constant=True)
+        "identity", s, {j: _constant(Fraction(1)) for j in range(s.twice + 1)})
 
 
 def custom_family(s, tables: Mapping[int, RationalFunction],
-                  multiplicative: bool = False,
-                  constant: bool = False) -> SpectralFamily:
+                  multiplicative: bool = False) -> SpectralFamily:
     """Family from explicit rational-function coefficient tables."""
     s = HalfInt.coerce(s)
-    return SpectralFamily("custom", s, dict(tables),
-                          multiplicative=multiplicative, constant=constant)
+    return SpectralFamily("custom", s, dict(tables), multiplicative=multiplicative)
 
 
-_FACTORIES = {
-    "yang": yang,
-    "baxter-tl": baxter_tl,
-    "zamolodchikov": zamolodchikov,
-    "krs-prefix": krs_prefix,
-    "constant-baxter": constant_baxter,
-    "permutation": permutation_family,
-    "identity": identity_family,
+# tag -> (factory, the options it takes in call order); "custom" is no
+# catalog tag: a custom family comes from its coefficient tables.
+_CATALOG = {
+    "yang": (yang, ("s",)),
+    "baxter-tl": (baxter_tl, ("s", "m")),
+    "zamolodchikov": (zamolodchikov, ("s", "m")),
+    "krs-prefix": (krs_prefix, ("s",)),
+    "exceptional-s3": (exceptional_s3, ()),
+    "constant-baxter": (constant_baxter, ("s", "m")),
+    "permutation": (permutation_family, ("s",)),
+    "identity": (identity_family, ("s",)),
 }
-_TAKES_M = ("baxter-tl", "zamolodchikov", "constant-baxter")
 
 
 def make_family(tag: str, s=None, m: int | None = None) -> SpectralFamily:
-    if tag == "exceptional-s3":
-        return exceptional_s3()
-    if tag not in _FACTORIES:
-        catalog = tuple(t for t in TAGS if t != "custom")
-        raise DomainError(f"unknown family tag {tag!r} (one of {catalog}); "
+    """The catalog family of the tag; an option the tag does not take is
+    refused, not dropped."""
+    if tag not in _CATALOG:
+        raise DomainError(f"unknown family tag {tag!r} (one of {tuple(_CATALOG)}); "
                           "a custom family is loaded from a family document "
                           "(--family-file)")
-    if s is None:
+    factory, takes = _CATALOG[tag]
+    options = {"s": s, "m": m}
+    for name, value in options.items():
+        if value is not None and name not in takes:
+            raise DomainError(f"family {tag!r} takes no {name}")
+    if "s" in takes and s is None:
         raise DomainError(f"family {tag!r} needs a spin")
-    if tag == "constant-baxter" and m is None:
-        raise DomainError("constant-baxter needs m")
-    if tag in _TAKES_M:
-        return _FACTORIES[tag](s, m)
-    return _FACTORIES[tag](s)
+    return factory(*(options[name] for name in takes))
 
 
 def family_to_json(fam: SpectralFamily) -> dict:
-    doc = {"tag": fam.tag, "s": str(fam.s)}
-    if fam.m is not None:
-        doc["m"] = fam.m
-    if fam.tag == "custom":
-        coeffs = []
-        for j in range(fam.s.twice + 1):
-            if j in fam.coeffs:
-                rf = fam.coeffs[j]
-                coeffs.append({"num": [format_rational(c) for c in rf.num],
-                               "den": [format_rational(c) for c in rf.den]})
-            else:
-                coeffs.append(None)
-        doc["coeffs"] = coeffs
-        if fam.multiplicative:
-            doc["multiplicative"] = True
-        if fam.constant:
-            doc["constant"] = True
+    """The document family_from_json reads back: a catalog family by its
+    tag and the options it takes, a custom one by its tables."""
+    if fam.tag != "custom":
+        options = {"s": str(fam.s), "m": fam.m}
+        return {"tag": fam.tag, **{name: options[name] for name in _CATALOG[fam.tag][1]}}
+    coeffs = []
+    for j in range(fam.s.twice + 1):
+        rf = fam.coeffs.get(j)
+        coeffs.append(None if rf is None else
+                      {"num": [format_rational(c) for c in rf.num],
+                       "den": [format_rational(c) for c in rf.den]})
+    doc = {"tag": "custom", "s": str(fam.s), "coeffs": coeffs}
+    if fam.multiplicative:
+        doc["multiplicative"] = True
     return doc
 
 
@@ -405,11 +402,14 @@ def _coefficient_list(entry, key: str, j: int) -> tuple:
 
 
 def family_from_json(doc: dict | str) -> SpectralFamily:
-    """Family description: {"tag": ..., "s": "p/2", "m": int?, "coeffs":
-    [{"num": [...], "den": [...]} | null, ...]?}; coefficient lists are
-    ascending powers, entries "p/q" strings or integer numbers.  A document
-    of any other shape, a non-integer JSON number among them, raises
-    DomainError."""
+    """Family description, read by these keys only: "tag"; "s" ("p/2" or
+    an integer); "m" (an integer or absent); for "custom" also "coeffs",
+    [{"num": [...], "den": [...]} | null, ...] indexed by j, and
+    "multiplicative" (true or false, default false).  Coefficient lists
+    are ascending powers, entries "p/q" strings or integer numbers.  A
+    catalog document goes through make_family, so it may name only the
+    options its tag takes.  A document of any other shape, a non-integer
+    JSON number among them, raises DomainError."""
     if isinstance(doc, str):
         doc = json.loads(doc)
     if not isinstance(doc, dict) or not isinstance(doc.get("tag"), str):
@@ -426,37 +426,29 @@ def family_from_json(doc: dict | str) -> SpectralFamily:
     coeffs = doc.get("coeffs", [])
     if not isinstance(coeffs, list):
         raise DomainError("\"coeffs\" must be a list")
+    multiplicative = doc.get("multiplicative", False)
+    if not isinstance(multiplicative, bool):
+        raise DomainError(f"\"multiplicative\" must be true or false, not {multiplicative!r}")
     tables = {j: RationalFunction(_coefficient_list(entry, "num", j),
                                   _coefficient_list(entry, "den", j))
               for j, entry in enumerate(coeffs) if entry is not None}
-    return custom_family(s, tables,
-                         multiplicative=bool(doc.get("multiplicative", False)),
-                         constant=bool(doc.get("constant", False)))
+    return custom_family(s, tables, multiplicative=multiplicative)
 
 
 def check_regularity_unitarity(fam: SpectralFamily, samples) -> dict:
-    """Exact regularity, unitarity, and normalization at each sample:
+    """Exact unitarity and normalization at each sample:
 
-        r_j(origin) = 1,  r_j(x) r_j(inv x) = 1,  r_{2s}(x) = 1.
+        r_j(x) r_j(inv x) = 1,  r_{2s}(x) = 1.
+
+    Regularity, r_j(origin) = 1, holds already: building a spectral
+    family enforces it.
     """
     ts = fam.s.twice
     failures = []
-    origin = fam.zero_sample()
-    for j in fam.defined():
-        if fam.eval_coeff(j, origin) != 1:
-            failures.append({"check": "regular", "j": j})
-    checks = []
     for x in samples:
         for j in fam.defined():
-            product = fam.eval_coeff(j, x) * fam.eval_coeff(j, fam.invert_sample(x))
-            ok = product == 1
-            checks.append({"check": "unitary", "j": j, "sample": str(x), "ok": ok})
-            if not ok:
+            if fam.eval_coeff(j, x) * fam.eval_coeff(j, fam.invert_sample(x)) != 1:
                 failures.append({"check": "unitary", "j": j, "sample": str(x)})
-        if ts in fam.coeffs:
-            ok = fam.eval_coeff(ts, x) == 1
-            checks.append({"check": "normalized", "sample": str(x), "ok": ok})
-            if not ok:
-                failures.append({"check": "normalized", "sample": str(x)})
-    return {"family": fam.tag, "s": str(fam.s), "samples": [str(x) for x in samples],
-            "checks": checks, "failures": failures, "pass": not failures}
+        if ts in fam.coeffs and fam.eval_coeff(ts, x) != 1:
+            failures.append({"check": "normalized", "sample": str(x)})
+    return {"failures": failures, "pass": not failures}

@@ -190,15 +190,6 @@ def _levels_or_default(fam: SpectralFamily, levels):
     return levels
 
 
-def _check_level_defined(fam: SpectralFamily, n: int):
-    ts = fam.s.twice
-    rng = LevelRange.for_level(fam.s, n)
-    for k in rng.indices():
-        if ts - k not in fam.coeffs:
-            raise DomainError(
-                f"family {fam.tag} lacks r_{ts - k} needed at level n={n}")
-
-
 def full_check(fam: SpectralFamily, levels=None, samples=None) -> dict:
     """Per-level, per-sample residual table; pass iff every residual is
     exactly zero."""
@@ -207,7 +198,6 @@ def full_check(fam: SpectralFamily, levels=None, samples=None) -> dict:
     out_levels = []
     ok = True
     for n in levels:
-        _check_level_defined(fam, n)
         rows = []
         for lam, mu in samples:
             zero = reduced_ybe_check(fam, n, lam, mu).is_zero
@@ -225,7 +215,6 @@ def constant_check(fam: SpectralFamily, levels=None) -> dict:
     rows = []
     ok = True
     for n in levels:
-        _check_level_defined(fam, n)
         zero = reduced_ybe_check(fam, n, marker, marker).is_zero
         ok = ok and zero
         rows.append({"n": n, "zero": zero})

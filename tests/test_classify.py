@@ -131,10 +131,6 @@ class TestDegeneracyScan:
         sample = next(r for r in hits if (r.s.twice, r.m, r.n) == (2, 2, 2))
         assert sample.beta == 1 and sample.beta_tilde == F(-2, 3)
 
-    def test_scalar_conditions_fail_at_true_degeneracy(self, scan):
-        rec = next(r for r in scan.records if (r.s.twice, r.m, r.n) == (4, 3, 4))
-        assert not rec.cond_a  # 24 != 0: the recorded index condition is broken
-
 
 class TestEtaIncompatibility:
     def test_three_halves_m3(self):

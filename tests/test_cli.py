@@ -159,6 +159,58 @@ class TestVerifyCommand:
         named = [x for x in argv if x in ("--family", "--tag", "--s", "--m")]
         assert all(opt in err for opt in named), err
 
+    def test_constant_key_is_not_read(self, capsys, tmp_path):
+        # the perturbed table is spectral whatever a leftover key claims, so
+        # it is sampled on both grids and fails instead of passing the
+        # one-sample braid check at the origin
+        doc = json.loads(PERTURBED.read_text())
+        doc["constant"] = True
+        path = tmp_path / "family.json"
+        path.write_text(json.dumps(doc))
+        code, out, _ = run_cli(capsys, "verify", "--family-file", str(path), "--json")
+        report = json.loads(out)
+        assert code == 1 and report["pass"] is False
+        assert report["grid"] == "two disjoint 6-point grids"
+
+    def test_table_of_constants_is_a_constant_family(self, capsys, tmp_path):
+        # the permutation signs for s = 1 need no "constant" key
+        doc = {"tag": "custom", "s": "1",
+               "coeffs": [{"num": [sign], "den": ["1"]} for sign in ("1", "-1", "1")]}
+        path = tmp_path / "family.json"
+        path.write_text(json.dumps(doc))
+        code, out, _ = run_cli(capsys, "verify", "--family-file", str(path), "--json")
+        assert code == 0
+        assert json.loads(out)["grid"] == "one marker sample per level (constant family)"
+
+    @pytest.mark.parametrize("argv, tag, option", [
+        (("verify", "--family", "exceptional-s3", "--s", "1"), "exceptional-s3", "s"),
+        (("verify", "--family", "yang", "--s", "2", "--m", "3"), "yang", "m"),
+        (("family", "show", "--tag", "identity", "--s", "1", "--m", "5"), "identity", "m"),
+    ], ids=["exceptional-s", "yang-m", "identity-m"])
+    def test_option_the_tag_does_not_take_is_usage_error(self, capsys, argv, tag, option):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err == f"error: family {tag!r} takes no {option}\n"
+
+    def test_catalog_document_with_an_option_it_does_not_take(self, capsys, tmp_path):
+        path = tmp_path / "family.json"
+        path.write_text(json.dumps({"tag": "exceptional-s3", "s": "1"}))
+        code, out, err = run_cli(capsys, "verify", "--family-file", str(path))
+        assert code == 2 and out == ""
+        assert err == "error: family 'exceptional-s3' takes no s\n"
+
+    @pytest.mark.parametrize("value", ["false", 0], ids=["string", "zero"])
+    def test_non_boolean_multiplicative_is_usage_error(self, capsys, tmp_path, value):
+        # the yang-1/2 table, which passes as an additive family
+        doc = {"tag": "custom", "s": "1/2", "multiplicative": value,
+               "coeffs": [{"num": ["1", "-1"], "den": ["1", "1"]},
+                          {"num": ["1", "1"], "den": ["1", "1"]}]}
+        path = tmp_path / "family.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "verify", "--family-file", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith('error: "multiplicative" must be true or false')
+
     def test_family_file_alone_still_loads(self, capsys):
         code, out, _ = run_cli(capsys, "family", "show", "--file", str(PERTURBED))
         assert code == 0 and out.startswith("custom: s=1/2")

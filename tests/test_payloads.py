@@ -5,6 +5,8 @@ on the numpy and BLAS build.
 
 Only an intended payload change may re-record a digest: print
 `hashlib.sha256(out.encode()).hexdigest()` for the command's stdout.
+Family-file paths are relative to the repository root, where the suite
+runs, because the `verify` payload echoes the command.
 """
 import hashlib
 
@@ -29,10 +31,12 @@ GOLDEN = [
     ("family show --tag constant-baxter --s 2 --m 3", 0, "1f2948c3f35118a252d615371dcf153adba48af0da35cc336b78c2a573776161"),
     ("family show --tag permutation --s 3/2", 0, "9128aeb369f740d9222c10f53d7a2b1244fb09caf98a77e50c572b3ecf940133"),
     ("family show --tag identity --s 1", 0, "7799c7bec8895cd910b691c5061ea455d1ebbd735f33c16417d37aabd69bd54b"),
+    ("verify --family-file perfbench/perturbed_spin_half.json", 1, "3cb952ef51b518c55f2200deb9bcbe28419d6066631b59e21e9052d81960f05d"),
+    ("family show --file perfbench/perturbed_spin_half.json", 0, "e3cb2be584292479427a8eb4240f43570088bd3ba98152d3a9b6a90e536056fb"),
     ("classify-constant --s 1 --m 2", 0, "e3c4dd10c1748574c1bcd65ef44152f7fc4b99ecc5eacaf1226ad584a5b4cc26"),
     ("rigidity --s 3 --m 3", 0, "d3e928c01c016b2bfe14cf258f9b2df45a31eb111d4162318035c436c3b5637a"),
-    ("scan-degeneracy --max-2s 6", 0, "160e28dd4d21619860a4dccff7a0f3d73895f8fbdf7b04c3855407eb8781f403"),
-    ("scan-degeneracy --max-2s 10", 0, "7a5e5c7739e531777bb783c3cbd096dc0c1ec9987121fd0d02e3baa8ff6864fe"),
+    ("scan-degeneracy --max-2s 6", 0, "3a89352101d82373b942e0a6d0a7f873d36a060d56a79f3b677528560d57416e"),
+    ("scan-degeneracy --max-2s 10", 0, "90a82ac64b95a396840d0f4e11bf19f53269d0ff33db91094db6358e543a0339"),
     ("amat --s 3/2 --n 3", 0, "7f464c807f202105e604f8d408595d580666a0cf35fad3dc277c6bf9c1909f8f"),
     ("amat --s 3/2 --n 3 --gauge", 0, "bdaae3a56043ff507fb6a584027ff284986d054e6dbc60fe8eac7b00ddb14f8f"),
     ("eta --s 5/2 --m 3 --n 4", 0, "7faf29411cc15a1579354fc1720a29eee29a985f3e8ed60f0960d947cf5ac5b1"),

@@ -186,8 +186,10 @@ class TestRegularityUnitarity:
         assert any(f["check"] == "unitary" for f in report["failures"])
 
     def test_irregular_family_rejected_at_construction(self):
-        with pytest.raises(DomainError):
-            custom_family(1, {2: RationalFunction((F(2),), (F(1),))})
+        with pytest.raises(DomainError, match="not regular: r_2 at the origin is 2"):
+            custom_family(1, {2: RationalFunction((F(2), F(1)), (F(1), F(1)))})
+        # a table of constants is a constant family, which need not be regular
+        assert custom_family(1, {2: RationalFunction((F(2),), (F(1),))}).constant
 
 
 class TestFamilySerialization:
@@ -206,6 +208,15 @@ class TestFamilySerialization:
         back = family_from_json(doc)
         for lam in (F(0), F(1, 3), F(4)):
             assert back.eval_coeff(0, lam) == fam.eval_coeff(0, lam)
+
+    @pytest.mark.parametrize("fam", [yang(2), baxter_tl(1), zamolodchikov("5/2", 3),
+                                     krs_prefix(2), exceptional_s3(),
+                                     constant_baxter(2, 3), identity_family(1)],
+                             ids=str)
+    def test_catalog_document_reads_back(self, fam):
+        back = family_from_json(json.loads(json.dumps(family_to_json(fam))))
+        assert (back.tag, back.s, back.m, back.constant) == (
+            fam.tag, fam.s, fam.m, fam.constant)
 
     def test_make_family_dispatch(self):
         assert make_family("exceptional-s3").tag == "exceptional-s3"

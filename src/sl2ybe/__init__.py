@@ -24,9 +24,8 @@ from .sixj import SixJArgs, racah_identity_residual, sixj, triangle_ok
 from .spectral import (PoleError, RationalFunction, SpectralFamily, baxter_b,
                        baxter_tl, check_regularity_unitarity, constant_baxter,
                        custom_family, exceptional_s3, family_from_json,
-                       family_to_json, identity_family, krs_prefix,
-                       make_family, permutation_family, reduced_d, yang,
-                       zamolodchikov)
+                       identity_family, krs_prefix, make_family,
+                       permutation_family, reduced_d, yang, zamolodchikov)
 from .ybe import (CoeffTriple, ReducedResidual, ansatz_residual_crosscheck,
                   coeff_functions, constant_check, full_check,
                   reduced_ybe_check)

@@ -15,7 +15,7 @@ from .amatrix import (GaugedMatrix, LevelRange, a_matrix,
 from .exact import DomainError, HalfInt, QuadExt, minus_one_pow
 from .linalg import (diag_mul_left, diag_mul_right, is_zero_matrix, mat_add,
                      span_coordinates, span_rank)
-from .spectral import RationalFunction, constant_root
+from .spectral import RationalFunction, _require_index, constant_root
 from .ybe import coeff_functions, fgh_operators, theta
 
 __all__ = [
@@ -220,8 +220,7 @@ class EtaIncompatibility:
 def eta_incompatibility(s, m: int) -> EtaIncompatibility:
     s = HalfInt.coerce(s)
     ts = s.twice
-    if not 2 <= m <= ts:
-        raise DomainError(f"m={m} must satisfy 2 <= m <= 2s={ts}")
+    _require_index(s, m)
     sf = s.as_fraction()
     eta_mm = eta(s, m, m)
     a_mm = _diag_entry(s, m, m)
@@ -252,8 +251,7 @@ def constant_roots(s, m: int) -> tuple[QuadExt, QuadExt]:
     """Both roots of 1 + g + eta^2 g^2 = 0 at eta = eta_{m,m}, each
     verified to satisfy the quadratic exactly in Q(sqrt(1-4 eta^2))."""
     s = HalfInt.coerce(s)
-    if not 2 <= m <= s.twice:
-        raise DomainError(f"m={m} must satisfy 2 <= m <= 2s={s.twice}")
+    _require_index(s, m)
     eta_mm = eta_closed_form(s, m)
     roots = (constant_root(eta_mm, +1), constant_root(eta_mm, -1))
     for g in roots:
@@ -269,8 +267,7 @@ def constant_m_prime(s, m: int) -> int:
     coefficients exist, so the bound is vacuous."""
     s = HalfInt.coerce(s)
     ts = s.twice
-    if not 2 <= m <= ts:
-        raise DomainError(f"m={m} must satisfy 2 <= m <= 2s={ts}")
+    _require_index(s, m)
     if 2 * (m + 1) <= 3 * ts and theta(s, m, m + 1):
         eta_m = eta(s, m, m)
         eta_next = eta(s, m, m + 1)
@@ -289,8 +286,7 @@ def permutation_rigidity(s, m: int) -> bool:
     independent at level n = m, so the coefficient system forces
     g^2 (1 + eta g) = 0 and g^2 = 0."""
     s = HalfInt.coerce(s)
-    if not 2 <= m <= s.twice:
-        raise DomainError(f"m={m} must satisfy 2 <= m <= 2s={s.twice}")
+    _require_index(s, m)
     sys = fgh_matrices(s, m, m)
     return span_rank([sys.G, mat_add(sys.H, sys.Ht)]) == 2
 

@@ -12,13 +12,13 @@ everything stays exact.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
 from .amatrix import LevelRange, eta_closed_form
-from .exact import (DomainError, HalfInt, QuadExt, format_rational,
-                    minus_one_pow, parse_rational)
+from .exact import (DomainError, HalfInt, QuadExt, minus_one_pow,
+                    parse_rational)
 
 __all__ = [
     "PoleError",
@@ -32,7 +32,6 @@ __all__ = [
     "custom_family",
     "exceptional_s3",
     "family_from_json",
-    "family_to_json",
     "identity_family",
     "krs_prefix",
     "make_family",
@@ -94,29 +93,30 @@ def _poly_mul(p, q) -> tuple:
 class SpectralFamily:
     """A named R-matrix family with evaluable spectral coefficients.
 
-    coeffs maps the total-spin label j to its coefficient table;
-    labels absent from the map are undefined for this family (the
-    prefix-style families only pin the top few).  discriminant is the d
-    of the coefficient field Q(sqrt(d)) as the arithmetic keeps it, not
-    necessarily squarefree (display_discriminant gives the printed one).
-    The family is constant when every table is a constant (one numerator
-    and one denominator coefficient); any other family is spectral and
-    must be regular, r_j = 1 at the origin.
+    It holds only what its tables cannot tell.  coeffs maps the
+    total-spin label j, 0 <= j <= 2s, to its coefficient table; labels
+    absent from the map are undefined for this family (the prefix-style
+    families only pin the top few).  Every other fact is read from the
+    tables: the family is constant when every table is a constant (one
+    numerator and one denominator coefficient), and any other family is
+    spectral and must be regular, r_j = 1 at the origin; discriminant is
+    the d of the coefficient field Q(sqrt(d)).
     """
 
     tag: str
     s: HalfInt
     coeffs: Mapping[int, RationalFunction]
     m: int | None = None
-    discriminant: int = 1
     multiplicative: bool = False
-    params: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.tag not in _CATALOG and self.tag != "custom":
             raise DomainError(f"unknown family tag {self.tag!r}")
         if self.s.twice < 0:
             raise DomainError(f"spin s={self.s} is negative")
+        for j in sorted(self.coeffs):
+            if not 0 <= j <= self.s.twice:
+                raise DomainError(f"coefficient label j={j} outside 0..2s={self.s.twice}")
         if not self.constant:
             origin = self.zero_sample()
             for j in sorted(self.coeffs):
@@ -128,6 +128,13 @@ class SpectralFamily:
     @property
     def constant(self) -> bool:
         return all(len(rf.num) == len(rf.den) == 1 for rf in self.coeffs.values())
+
+    @property
+    def discriminant(self) -> int:
+        """The d of the first coefficient with a sqrt(d) part, 1 if none, as
+        the arithmetic keeps it (display_discriminant gives the printed d)."""
+        return next((c.d for rf in self.coeffs.values() for c in rf.num + rf.den
+                     if isinstance(c, QuadExt) and c.b), 1)
 
     def defined(self):
         return sorted(self.coeffs)
@@ -196,6 +203,12 @@ def _require_spin(s, minimum_twice: int, why: str) -> HalfInt:
     return s
 
 
+def _require_index(s: HalfInt, m) -> None:
+    """The distinguished index m of a shifted family or level-m check."""
+    if m is None or not 2 <= m <= s.twice:
+        raise DomainError(f"m={m} must satisfy 2 <= m <= 2s={s.twice}")
+
+
 def _ratio(num, den) -> RationalFunction:
     """(num[0] + num[1] x + ...)/(den[0] + den[1] x + ...) over Q."""
     return RationalFunction(tuple(map(Fraction, num)), tuple(map(Fraction, den)))
@@ -228,16 +241,14 @@ def zamolodchikov(s, m: int | None = None) -> SpectralFamily:
     ts = s.twice
     if m is None:
         m = ts
-    if not 2 <= m <= ts:
-        raise DomainError(f"m={m} must satisfy 2 <= m <= 2s={ts}")
+    _require_index(s, m)
     xi = minus_one_pow(m)
     eta = eta_closed_form(s, m)
     c0, c1 = eta - Fraction(xi, 2), xi * eta
     coeffs = {j: _ratio((1, minus_one_pow(ts - j)), (1, 1))
               for j in range(ts - m + 1, ts + 1)}
     coeffs[ts - m] = _ratio((c0, xi * c0 - c1 + 1, -xi * c1), (c0, c0 - c1, -c1))
-    return SpectralFamily("zamolodchikov", s, coeffs,
-                          m=m, params={"xi": xi, "eta": eta})
+    return SpectralFamily("zamolodchikov", s, coeffs, m=m)
 
 
 def baxter_tl(s, m: int | None = None) -> SpectralFamily:
@@ -262,8 +273,7 @@ def baxter_tl(s, m: int | None = None) -> SpectralFamily:
     big_a, big_b = eta * b, eta * b.inverse()
     coeffs = {j: _constant(Fraction(1)) for j in range(1, ts + 1)}
     coeffs[0] = RationalFunction((big_a - 1, 1 - big_b), (big_a, -big_b))
-    return SpectralFamily("baxter-tl", s, coeffs, m=ts, discriminant=b.d,
-                          multiplicative=True, params={"eta": eta})
+    return SpectralFamily("baxter-tl", s, coeffs, m=ts, multiplicative=True)
 
 
 def krs_prefix(s) -> SpectralFamily:
@@ -282,7 +292,7 @@ def krs_prefix(s) -> SpectralFamily:
         ts: _constant(Fraction(1)),
         ts - 1: r1,
         ts - 2: r1 * _ratio((1, -tau), (1, tau)),
-    }, params={"tau": tau})
+    })
 
 
 def exceptional_s3() -> SpectralFamily:
@@ -301,9 +311,10 @@ def exceptional_s3() -> SpectralFamily:
     }, m=3)
 
 
-def constant_baxter(s, m: int | None, branch: int = +1) -> SpectralFamily:
-    """Constant family r_j = 1 + [j == 2s-m] g with g a root of the
-    level-m quadratic 1 + g + eta^2 g^2 = 0, living in Q(sqrt(1-4 eta^2)).
+def constant_baxter(s, m: int | None) -> SpectralFamily:
+    """Constant family r_j = 1 + [j == 2s-m] g with g the +1 root
+    (constant_root) of the level-m quadratic 1 + g + eta^2 g^2 = 0,
+    living in Q(sqrt(1-4 eta^2)).
 
     For m = 2s this is a full solution.  For m < 2s it is only the leading
     part of one: it passes every level up through m and fails at level
@@ -311,17 +322,12 @@ def constant_baxter(s, m: int | None, branch: int = +1) -> SpectralFamily:
     """
     s = _require_spin(s, 2, "constant shifted family needs s >= 1")
     ts = s.twice
-    if m is None or not 2 <= m <= ts:
-        raise DomainError(f"m={m} must satisfy 2 <= m <= 2s={ts}")
-    eta = eta_closed_form(s, m)
-    g = constant_root(eta, branch)
-    shifted = 1 + g
+    _require_index(s, m)
+    shifted = 1 + constant_root(eta_closed_form(s, m))
     coeffs = {j: _constant(Fraction(1)) for j in range(ts + 1)}
     coeffs[ts - m] = _constant(shifted.as_fraction() if shifted.is_rational
                                else shifted)
-    return SpectralFamily("constant-baxter", s, coeffs,
-                          m=m, discriminant=g.d,
-                          params={"eta": eta, "g": g, "branch": branch})
+    return SpectralFamily("constant-baxter", s, coeffs, m=m)
 
 
 def permutation_family(s) -> SpectralFamily:
@@ -376,24 +382,6 @@ def make_family(tag: str, s=None, m: int | None = None) -> SpectralFamily:
     return factory(*(options[name] for name in takes))
 
 
-def family_to_json(fam: SpectralFamily) -> dict:
-    """The document family_from_json reads back: a catalog family by its
-    tag and the options it takes, a custom one by its tables."""
-    if fam.tag != "custom":
-        options = {"s": str(fam.s), "m": fam.m}
-        return {"tag": fam.tag, **{name: options[name] for name in _CATALOG[fam.tag][1]}}
-    coeffs = []
-    for j in range(fam.s.twice + 1):
-        rf = fam.coeffs.get(j)
-        coeffs.append(None if rf is None else
-                      {"num": [format_rational(c) for c in rf.num],
-                       "den": [format_rational(c) for c in rf.den]})
-    doc = {"tag": "custom", "s": str(fam.s), "coeffs": coeffs}
-    if fam.multiplicative:
-        doc["multiplicative"] = True
-    return doc
-
-
 def _coefficient_list(entry, key: str, j: int) -> tuple:
     values = entry.get(key) if isinstance(entry, dict) else None
     if not isinstance(values, list):
@@ -402,19 +390,24 @@ def _coefficient_list(entry, key: str, j: int) -> tuple:
 
 
 def family_from_json(doc: dict | str) -> SpectralFamily:
-    """Family description, read by these keys only: "tag"; "s" ("p/2" or
-    an integer); "m" (an integer or absent); for "custom" also "coeffs",
-    [{"num": [...], "den": [...]} | null, ...] indexed by j, and
-    "multiplicative" (true or false, default false).  Coefficient lists
-    are ascending powers, entries "p/q" strings or integer numbers.  A
-    catalog document goes through make_family, so it may name only the
-    options its tag takes.  A document of any other shape, a non-integer
-    JSON number among them, raises DomainError."""
+    """Family description.  A catalog document has the keys "tag", "s"
+    ("p/2" or an integer) and "m" (an integer or absent), and goes
+    through make_family, so it may name only the options its tag takes.
+    A "custom" document has "tag", "s", "coeffs", [{"num": [...], "den":
+    [...]} | null, ...] indexed by j = 0..2s, and "multiplicative" (true
+    or false, default false).  Coefficient lists are ascending powers,
+    entries "p/q" strings or integer numbers.  A key the tag does not use
+    ("coeffs" or "multiplicative" on a catalog document, "m" on a custom
+    one), a label beyond 2s, or a document of any other shape, a
+    non-integer JSON number among them, raises DomainError."""
     if isinstance(doc, str):
         doc = json.loads(doc)
     if not isinstance(doc, dict) or not isinstance(doc.get("tag"), str):
         raise DomainError("a family document is a JSON object with a string \"tag\"")
     tag = doc["tag"]
+    for name in ("m",) if tag == "custom" else ("coeffs", "multiplicative"):
+        if doc.get(name) is not None:
+            raise DomainError(f"family {tag!r} takes no {name}")
     s = HalfInt.parse(str(doc["s"])) if "s" in doc else None
     m = doc.get("m")
     if m is not None and not isinstance(m, int):

@@ -1,17 +1,23 @@
 import json
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from sl2ybe import cli, oracle
 from sl2ybe.cli import main
+from sl2ybe.exact import DomainError
+from sl2ybe.spectral import RationalFunction, custom_family
 
 pytestmark = pytest.mark.usefixtures("capsys")
 
 
 PERTURBED = Path(__file__).resolve().parent.parent / "perfbench" / "perturbed_spin_half.json"
+
+# the s = 1/2 yang table r_0 = (1 - l)/(1 + l), r_1 = 1, as family-file entries
+YANG_HALF = [{"num": ["1", "-1"], "den": ["1", "1"]}, {"num": ["1", "1"], "den": ["1", "1"]}]
 
 
 def run_cli(capsys, *argv):
@@ -198,6 +204,39 @@ class TestVerifyCommand:
         code, out, err = run_cli(capsys, "verify", "--family-file", str(path))
         assert code == 2 and out == ""
         assert err == "error: family 'exceptional-s3' takes no s\n"
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"tag": "yang", "s": "1", "multiplicative": True},
+         "family 'yang' takes no multiplicative"),
+        ({"tag": "yang", "s": "1",
+          "coeffs": [{"num": ["1", "1"], "den": ["1", "1"]} for _ in range(3)]},
+         "family 'yang' takes no coeffs"),
+        ({"tag": "custom", "s": "1/2", "m": 3, "coeffs": YANG_HALF},
+         "family 'custom' takes no m"),
+    ], ids=["catalog-multiplicative", "catalog-coeffs", "custom-m"])
+    def test_key_the_tag_does_not_use_is_usage_error(self, capsys, tmp_path, doc, message):
+        # read by its tag and tables alone, each document is a yang table that passes
+        path = tmp_path / "family.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "verify", "--family-file", str(path))
+        assert code == 2 and out == ""
+        assert err == f"error: {message}\n"
+
+    def test_label_beyond_two_s_is_usage_error(self, capsys, tmp_path):
+        # r_2 = (1 + 5l)/(1 + l) is regular, but no s = 1/2 R-matrix has an r_2
+        doc = {"tag": "custom", "s": "1/2",
+               "coeffs": YANG_HALF + [{"num": ["1", "5"], "den": ["1", "1"]}]}
+        path = tmp_path / "family.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "verify", "--family-file", str(path))
+        assert code == 2 and out == ""
+        assert err == "error: coefficient label j=2 outside 0..2s=1\n"
+
+    @pytest.mark.parametrize("j", [-1, 3])
+    def test_custom_label_outside_zero_to_two_s(self, j):
+        one = RationalFunction((Fraction(1),), (Fraction(1),))
+        with pytest.raises(DomainError, match=f"label j={j} outside 0..2s=2"):
+            custom_family(1, {0: one, j: one})
 
     @pytest.mark.parametrize("value", ["false", 0], ids=["string", "zero"])
     def test_non_boolean_multiplicative_is_usage_error(self, capsys, tmp_path, value):

@@ -31,6 +31,9 @@ GOLDEN = [
     ("family show --tag constant-baxter --s 2 --m 3", 0, "1f2948c3f35118a252d615371dcf153adba48af0da35cc336b78c2a573776161"),
     ("family show --tag permutation --s 3/2", 0, "9128aeb369f740d9222c10f53d7a2b1244fb09caf98a77e50c572b3ecf940133"),
     ("family show --tag identity --s 1", 0, "7799c7bec8895cd910b691c5061ea455d1ebbd735f33c16417d37aabd69bd54b"),
+    ("family show --tag baxter-tl --s 3", 0, "2e24d7bcfe01e2277e46f1e0ca88e318977a89b4a362c3813f3e6161155f6e8e"),
+    ("family show --tag constant-baxter --s 3/2 --m 2", 0, "66f15141a35c2752e32a2005bef1abb738032b8b7845e7988896120ab0655f36"),
+    ("family show --tag constant-baxter --s 3 --m 6", 0, "686e8bfa9aeb8532a1eecb67b88649aecb43413757e9e82e4e1abb6dac275e2f"),
     ("verify --family-file perfbench/perturbed_spin_half.json", 1, "3cb952ef51b518c55f2200deb9bcbe28419d6066631b59e21e9052d81960f05d"),
     ("family show --file perfbench/perturbed_spin_half.json", 0, "e3cb2be584292479427a8eb4240f43570088bd3ba98152d3a9b6a90e536056fb"),
     ("classify-constant --s 1 --m 2", 0, "e3c4dd10c1748574c1bcd65ef44152f7fc4b99ecc5eacaf1226ad584a5b4cc26"),

@@ -3,13 +3,13 @@ from fractions import Fraction
 
 import pytest
 
+from sl2ybe.amatrix import eta_closed_form
 from sl2ybe.exact import DomainError, HalfInt, QuadExt
 from sl2ybe.spectral import (PoleError, RationalFunction, baxter_b, baxter_tl,
                              check_regularity_unitarity, constant_baxter,
                              constant_root, custom_family, exceptional_s3,
-                             family_from_json, family_to_json,
-                             identity_family, krs_prefix, make_family,
-                             permutation_family, reduced_d, yang,
+                             family_from_json, identity_family, krs_prefix,
+                             make_family, permutation_family, reduced_d, yang,
                              zamolodchikov)
 
 F = Fraction
@@ -80,7 +80,7 @@ class TestBaxterTL:
         # g(t)+g(u)-g(tu)+g(t)g(u)+eta^2 g(t)g(u)g(tu) == 0 exactly in Q(sqrt d)
         for ts in (2, 3, 4):
             fam = baxter_tl(HalfInt(ts))
-            eta = fam.params["eta"]
+            eta = eta_closed_form(HalfInt(ts), ts)
             g = lambda t: fam.eval_coeff(0, t) - 1
             for (t, u) in ((F(2), F(3)), (F(5), F(2)), (F(3), F(7))):
                 lhs = (g(t) + g(u) - g(t * u) + g(t) * g(u)
@@ -100,6 +100,12 @@ class TestBaxterTL:
     def test_field_is_irrational(self):
         assert baxter_tl(1).discriminant == 5
         assert baxter_tl("3/2").discriminant == 3
+
+    def test_discriminant_is_read_from_the_table(self):
+        # the d of baxter_b(eta), which the family once stored beside its table
+        for ts in range(2, 9):
+            s = HalfInt(ts)
+            assert baxter_tl(s).discriminant == baxter_b(eta_closed_form(s, ts)).d, ts
 
 
 class TestKrsPrefix:
@@ -148,10 +154,18 @@ class TestConstantFamilies:
 
     def test_constant_baxter_root(self):
         fam = constant_baxter(1, 2)
-        g = fam.params["g"]
+        g = fam.eval_coeff(0, F(0)) - 1   # r_{2s-m} = 1 + g
         assert g == QuadExt(F(-9, 2), F(3, 2), 5)
-        eta = fam.params["eta"]
+        eta = eta_closed_form(HalfInt(2), 2)
         assert (1 + g + eta * eta * g * g).is_zero
+
+    def test_discriminant_is_read_from_the_table(self):
+        # the d of the +1 root, rational (d = 1) at 2s = 3, m = 2
+        for ts in range(2, 9):
+            s = HalfInt(ts)
+            for m in range(2, ts + 1):
+                expected = constant_root(eta_closed_form(s, m)).d
+                assert constant_baxter(s, m).discriminant == expected, (ts, m)
 
     def test_constant_root_branches(self):
         plus, minus = constant_root(F(1, 3), +1), constant_root(F(1, 3), -1)
@@ -194,8 +208,7 @@ class TestRegularityUnitarity:
 
 class TestFamilySerialization:
     def test_builtin_roundtrip(self):
-        doc = family_to_json(yang("3/2"))
-        fam = family_from_json(doc)
+        fam = family_from_json('{"tag": "yang", "s": "3/2"}')
         assert fam.tag == "yang" and fam.s == HalfInt(3)
 
     def test_custom_roundtrip(self):
@@ -204,19 +217,22 @@ class TestFamilySerialization:
             1: RationalFunction((F(1),), (F(1),)),
         }
         fam = custom_family("1/2", tables)
-        doc = json.loads(json.dumps(family_to_json(fam)))
-        back = family_from_json(doc)
+        back = family_from_json({"tag": "custom", "s": "1/2", "coeffs": [
+            {"num": ["1", "-1"], "den": ["1", "1"]}, {"num": [1], "den": ["1"]}]})
+        assert back.coeffs == fam.coeffs
         for lam in (F(0), F(1, 3), F(4)):
             assert back.eval_coeff(0, lam) == fam.eval_coeff(0, lam)
 
-    @pytest.mark.parametrize("fam", [yang(2), baxter_tl(1), zamolodchikov("5/2", 3),
-                                     krs_prefix(2), exceptional_s3(),
-                                     constant_baxter(2, 3), identity_family(1)],
-                             ids=str)
-    def test_catalog_document_reads_back(self, fam):
-        back = family_from_json(json.loads(json.dumps(family_to_json(fam))))
-        assert (back.tag, back.s, back.m, back.constant) == (
-            fam.tag, fam.s, fam.m, fam.constant)
+    @pytest.mark.parametrize("doc", [
+        {"tag": "yang", "s": "2"}, {"tag": "baxter-tl", "s": "1"},
+        {"tag": "zamolodchikov", "s": "5/2", "m": 3}, {"tag": "krs-prefix", "s": "2"},
+        {"tag": "exceptional-s3"}, {"tag": "constant-baxter", "s": "2", "m": 3},
+        {"tag": "identity", "s": "1"},
+    ], ids=lambda doc: str(make_family(doc["tag"], doc.get("s"), doc.get("m"))))
+    def test_catalog_document_reads_back(self, doc):
+        back = family_from_json(json.loads(json.dumps(doc)))
+        fam = make_family(doc["tag"], doc.get("s"), doc.get("m"))
+        assert back == fam
 
     def test_make_family_dispatch(self):
         assert make_family("exceptional-s3").tag == "exceptional-s3"
@@ -228,7 +244,7 @@ class TestFamilySerialization:
 CATALOG = [yang("1/2"), yang(2), zamolodchikov(1, 2), zamolodchikov("5/2", 3),
            baxter_tl(1), baxter_tl("3/2"), krs_prefix(2), exceptional_s3(),
            constant_baxter(1, 2), constant_baxter("3/2", 2),
-           constant_baxter(2, 3, branch=-1), permutation_family("3/2"),
+           constant_baxter(3, 6), permutation_family("3/2"),
            identity_family(1)]
 
 

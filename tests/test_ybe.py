@@ -4,13 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sl2ybe.amatrix import LevelRange, a_matrix, top_level
+from sl2ybe.amatrix import LevelRange, a_matrix, eta_closed_form, top_level
 from sl2ybe.exact import DomainError, HalfInt, QuadExt, rescale_surd
 from sl2ybe.linalg import diagonal, is_zero_matrix, mat_mul, mat_sub
 from sl2ybe.spectral import (RationalFunction, baxter_tl, constant_baxter,
-                             custom_family, exceptional_s3, identity_family,
-                             krs_prefix, permutation_family, reduced_d, yang,
-                             zamolodchikov)
+                             constant_root, custom_family, exceptional_s3,
+                             identity_family, krs_prefix, permutation_family,
+                             reduced_d, yang, zamolodchikov)
 from sl2ybe.ybe import (DEFAULT_GRID, SECOND_GRID, ReducedResidual,
                         ansatz_residual_crosscheck, braid_residual,
                         coeff_functions, constant_check, default_grid,
@@ -57,24 +57,37 @@ def defined_levels(fam):
     return levels
 
 
+def minus_root_family(s: HalfInt, m: int):
+    """constant_baxter(s, m) with the -1 root g of 1 + g + eta^2 g^2 = 0,
+    as a custom table: the catalog family is the +1 root."""
+    shifted = 1 + constant_root(eta_closed_form(s, m), -1)
+    value = shifted.as_fraction() if shifted.is_rational else shifted
+    ts = s.twice
+    return custom_family(s, {j: RationalFunction((value if j == ts - m else F(1),), (F(1),))
+                             for j in range(ts + 1)})
+
+
 def kernel_families():
+    def case(fam, branch=""):
+        return pytest.param(fam, id=f"{fam.tag}-{fam.s}-m{fam.m}-{branch}")
+
     for ts in range(1, 7):
-        yield yang(HalfInt(ts))
-        yield perturbed_yang(ts)
+        yield case(yang(HalfInt(ts)))
+        yield case(perturbed_yang(ts))
     for ts in range(2, 7):
-        yield baxter_tl(HalfInt(ts))
+        s = HalfInt(ts)
+        yield case(baxter_tl(s))
         for m in range(2, ts + 1):
-            yield zamolodchikov(HalfInt(ts), m)
+            yield case(zamolodchikov(s, m))
         for m in range(2, ts):
-            for branch in (+1, -1):
-                yield constant_baxter(HalfInt(ts), m, branch)
+            yield case(constant_baxter(s, m), "1")
+            yield pytest.param(minus_root_family(s, m), id=f"constant-baxter-{s}-m{m}--1")
 
 
 class TestIntegerKernel:
     """The cleared integer kernel against a dense exact reference."""
 
-    @pytest.mark.parametrize("fam", list(kernel_families()),
-                             ids=lambda f: f"{f.tag}-{f.s}-m{f.m}-{f.params.get('branch', '')}")
+    @pytest.mark.parametrize("fam", list(kernel_families()))
     def test_residual_matches_dense_reference(self, fam):
         if fam.constant:
             samples = [(fam.zero_sample(), fam.zero_sample())]
@@ -309,9 +322,9 @@ class TestConstantCheck:
         assert report["pass"]
 
     def test_top_index_member_is_full_solution(self):
-        for branch in (+1, -1):
-            for ts in (2, 3, 4):
-                assert constant_check(constant_baxter(HalfInt(ts), ts, branch))["pass"]
+        for ts in (2, 3, 4):
+            assert constant_check(constant_baxter(HalfInt(ts), ts))["pass"]
+            assert constant_check(minus_root_family(HalfInt(ts), ts))["pass"]
 
     def test_truncated_member_fails_above_its_level(self):
         # with m < 2s the two-term family passes levels <= m and breaks at

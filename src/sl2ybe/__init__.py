@@ -16,7 +16,7 @@ from .amatrix import (GaugedMatrix, LevelRange, a_matrix,
 from .classify import (DegeneracyRecord, FghSystem, constant_m_prime,
                        constant_roots, degeneracy_scan, eta_incompatibility,
                        eta_level4_m3, exceptional_level_combination,
-                       fgh_matrices, fgh_rank, level_three_five_ratio,
+                       fgh_matrices, level_three_five_ratio,
                        permutation_rigidity, projector_obstruction_check)
 from .exact import (DomainError, HalfInt, QuadExt, Rational, SqrtRational,
                     factorial, sqrt_canonicalize)

@@ -16,15 +16,14 @@ L^2 times the image of A D A).
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 from .exact import (DomainError, HalfInt, SqrtRational, factorial,
                     minus_one_pow, sqrt_canonicalize)
-from .linalg import (diag_mul_left, diag_mul_right, diagonal, mat_mul, mat_scale,
-                     sandwich)
+from .linalg import (clear_denominators, diag_mul_left, diag_mul_right, diagonal,
+                     mat_mul, mat_scale, sandwich)
 
 __all__ = [
     "GaugedMatrix",
@@ -108,11 +107,8 @@ class GaugedMatrix:
         self.core = tuple(tuple(row) for row in core)
         if any(w <= 0 for w in self.weights):
             raise DomainError("gauge weights must be positive")
-        ucore = [[x * w for x, w in zip(row, self.weights)] for row in self.core]
-        lcm = math.lcm(*(x.denominator for row in ucore for x in row))
-        self.ucore_lcm = lcm
-        self.int_ucore = tuple(tuple(x.numerator * (lcm // x.denominator) for x in row)
-                               for row in ucore)
+        self.ucore_lcm, self.int_ucore = clear_denominators(
+            [[x * w for x, w in zip(row, self.weights)] for row in self.core])
 
     @property
     def dim(self) -> int:

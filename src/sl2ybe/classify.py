@@ -28,7 +28,6 @@ __all__ = [
     "eta_level4_m3",
     "exceptional_level_combination",
     "fgh_matrices",
-    "fgh_rank",
     "level_three_five_ratio",
     "permutation_rigidity",
     "projector_obstruction_check",
@@ -91,11 +90,6 @@ def fgh_matrices(s, m: int, n: int) -> FghSystem:
         raise AssertionError(f"H~ closed form mismatch at (s={s}, m={m}, n={n})")
     # G_{kk'} = d_{km} d_{k'm} - A_{km} A_{mk'} needs no correction.
     return FghSystem(s, m, n, big_f, big_g, big_h, big_ht)
-
-
-def fgh_rank(s, m: int, n: int) -> int:
-    """Exact rank of span{F, G, H, H~} as vectors of gauge entries."""
-    return span_rank(fgh_matrices(s, m, n).matrices())
 
 
 @dataclass(frozen=True)

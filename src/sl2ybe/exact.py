@@ -227,9 +227,10 @@ class SqrtRational:
     str() prints the squarefree form, the only place a radicand is
     factored.
 
-    Closed under multiplication.  Addition is defined only between values
-    of the same radicand class, whose radicands multiply to a square;
-    mixing classes raises, by design.
+    A value is built (`sqrt_canonicalize`), compared, printed and
+    converted, but never combined: there are no arithmetic operators.  A
+    check that would combine surds works on their radical-free parts, as
+    sixj.racah_identity_residual does for the Racah sum rule.
     """
 
     __slots__ = ("coeff", "radicand")
@@ -261,55 +262,6 @@ class SqrtRational:
         if not self.is_rational:
             raise DomainError(f"{self} is irrational")
         return self.coeff
-
-    def _coerce(self, other) -> "SqrtRational":
-        if isinstance(other, SqrtRational):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return SqrtRational._raw(Fraction(other), 1)
-        raise TypeError(f"cannot combine SqrtRational with {other!r}")
-
-    def __mul__(self, other) -> "SqrtRational":
-        """sqrt(r1) sqrt(r2) = g sqrt((r1/g)(r2/g)) with g = gcd(r1, r2)."""
-        other = self._coerce(other)
-        coeff = self.coeff * other.coeff
-        r1, r2 = self.radicand, other.radicand
-        if coeff == 0:
-            return SqrtRational._raw(Fraction(0), 1)
-        if r1 == 1 or r2 == 1:
-            return SqrtRational._raw(coeff, r1 * r2)
-        g = math.gcd(r1, r2)
-        n = (r1 // g) * (r2 // g)
-        root = _perfect_root(n)
-        if root is not None:
-            return SqrtRational._raw(coeff * g * root, 1)
-        return SqrtRational._raw(coeff * g, n)
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "SqrtRational":
-        return SqrtRational._raw(-self.coeff, self.radicand)
-
-    def __add__(self, other) -> "SqrtRational":
-        other = self._coerce(other)
-        if self.is_zero:
-            return other
-        if other.is_zero:
-            return self
-        # the sum keeps the smaller radicand
-        x, y = (self, other) if self.radicand <= other.radicand else (other, self)
-        total = x.coeff + rescale_surd(y.coeff, y.radicand, x.radicand)
-        if total == 0:
-            return SqrtRational._raw(Fraction(0), 1)
-        return SqrtRational._raw(total, x.radicand)
-
-    __radd__ = __add__
-
-    def __sub__(self, other) -> "SqrtRational":
-        return self + (-self._coerce(other))
-
-    def __rsub__(self, other) -> "SqrtRational":
-        return (-self) + other
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):

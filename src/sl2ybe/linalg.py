@@ -8,11 +8,13 @@ division per matrix in the span of the earlier ones.
 """
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 Matrix = tuple
 
 __all__ = [
+    "clear_denominators",
     "diag_mul_left",
     "diag_mul_right",
     "diagonal",
@@ -73,6 +75,14 @@ def mat_sub(x: Matrix, y: Matrix) -> Matrix:
 
 def mat_scale(c, x: Matrix) -> Matrix:
     return tuple(tuple(c * a for a in row) for row in x)
+
+
+def clear_denominators(x: Matrix) -> tuple:
+    """(L, L*x) for a matrix of rationals, L the lcm of their denominators,
+    so L*x is an int matrix."""
+    lcm = math.lcm(*(a.denominator for row in x for a in row))
+    return lcm, tuple(tuple(a.numerator * (lcm // a.denominator) for a in row)
+                      for row in x)
 
 
 def is_zero_matrix(x: Matrix) -> bool:

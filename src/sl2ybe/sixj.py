@@ -3,20 +3,23 @@
 A symbol {a b e; c d f} evaluates to a single SqrtRational: the four
 triangle coefficients multiply under one radical and the alternating
 factorial sum is rational.  Inadmissible arguments give exact zero.
-Values are memoized on the six labels until clear_sixj_cache().
+The Racah sum rule is checked one level at a time as an integer matrix
+identity on the radical-free sums, so no arithmetic on SqrtRational
+values is needed.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
+from .amatrix import LevelRange
 from .exact import (DomainError, HalfInt, SqrtRational, factorial,
                     minus_one_pow, sqrt_canonicalize)
+from .linalg import (clear_denominators, diag_mul_left, diag_mul_right,
+                     mat_mul, mat_scale, mat_sub)
 
 __all__ = [
     "SixJArgs",
-    "clear_sixj_cache",
     "racah_identity_residual",
     "sixj",
     "triangle_ok",
@@ -75,26 +78,9 @@ def _triangle_sq(x: HalfInt, y: HalfInt, z: HalfInt) -> Fraction:
     )
 
 
-def sixj(args: SixJArgs) -> SqrtRational:
-    """Exact 6-j value; zero for inadmissible arguments.  Memoized on the
-    six labels (twice each spin) until clear_sixj_cache()."""
-    return _sixj_cached(args.a.twice, args.b.twice, args.e.twice,
-                        args.c.twice, args.d.twice, args.f.twice)
-
-
-def clear_sixj_cache() -> None:
-    """Drop every memoized 6-j value."""
-    _sixj_cached.cache_clear()
-
-
-@lru_cache(maxsize=None)
-def _sixj_cached(ta: int, tb: int, te: int, tc: int, td: int, tf: int) -> SqrtRational:
-    args = SixJArgs(*map(HalfInt, (ta, tb, te, tc, td, tf)))
-    if not args.admissible():
-        return SqrtRational(0)
-    radicand = Fraction(1)
-    for t in args.triads():
-        radicand *= _triangle_sq(*t)
+def _racah_sum(ta: int, tb: int, te: int, tc: int, td: int, tf: int) -> Fraction:
+    """The alternating factorial sum of an admissible {a b e; c d f}, twice
+    each label given: the 6-j value without its triangle radical."""
     triad_sums = [(ta + tb + te) // 2, (ta + td + tf) // 2,
                   (tb + tc + tf) // 2, (tc + td + te) // 2]
     quad_sums = [(ta + tb + tc + td) // 2, (tb + te + td + tf) // 2,
@@ -107,34 +93,44 @@ def _sixj_cached(ta: int, tb: int, te: int, tc: int, td: int, tf: int) -> SqrtRa
         for qs in quad_sums:
             den *= factorial(qs - t)
         total += Fraction(minus_one_pow(t) * factorial(t + 1), den)
-    return sqrt_canonicalize(total, radicand)
+    return total
 
 
-def _half_sign(value: HalfInt) -> int:
-    if not value.is_integer:
-        raise DomainError(f"(-1)**({value}) is undefined for half-integers")
-    return minus_one_pow(value.twice // 2)
+def sixj(args: SixJArgs) -> SqrtRational:
+    """Exact 6-j value; zero for inadmissible arguments."""
+    if not args.admissible():
+        return SqrtRational(0)
+    radicand = Fraction(1)
+    for t in args.triads():
+        radicand *= _triangle_sq(*t)
+    labels = (args.a, args.b, args.e, args.c, args.d, args.f)
+    return sqrt_canonicalize(_racah_sum(*(x.twice for x in labels)), radicand)
 
 
-def racah_identity_residual(r1: HalfInt, r2: HalfInt, r3: HalfInt,
-                            r4: HalfInt, l: HalfInt, lp: HalfInt) -> SqrtRational:
-    """Residual of the Racah sum rule
+def racah_identity_residual(s, n: int) -> tuple:
+    """Integer residual of the Racah sum rule at level (s, n),
 
-        sum_p (-1)^p (2p+1) {r1 r3 l; r2 r4 p} {r1 r2 l'; r3 r4 p}
-            - (-1)^(l+l') {r3 r1 l; r2 r4 l'}
+        sum_p (-1)^p (2p+1) W_lp W_pl' - (-1)^(l+l') W_ll',
+        W_lp = {s s l; s r4 p},  r4 = 3s - n,
 
-    which must vanish identically.  The p-dependent triangle radicals
-    square away, so every term shares one radicand class and the residual
-    is a single exact SqrtRational.  All exponents must come out integer.
+    over l, p = 2s - k for k in the level range, rows and columns in
+    ascending k.  Each symbol splits as W_lp = sqrt(u_l) C_lp sqrt(u_p),
+    u_x the squared triangle coefficients of (s, s, x) and (s, r4, x) and
+    C the Racah sum, so the rule holds cell for cell iff
+    C diag(u_p (-1)^p (2p+1)) C == S C S with S = diag((-1)^l).  Cleared
+    to integers Ci = dC C and Ui = dU u_p (-1)^p (2p+1), the residual is
+    Ci diag(Ui) Ci - dC dU S Ci S, zero exactly when the rule holds.
     """
-    lo = max(abs(r1.twice - r4.twice), abs(r2.twice - r3.twice))
-    hi = min(r1.twice + r4.twice, r2.twice + r3.twice)
-    total = SqrtRational(0)
-    for tp in range(lo, hi + 1, 2):
-        p = HalfInt(tp)
-        term = sixj(SixJArgs(r1, r3, l, r2, r4, p)) * sixj(SixJArgs(r1, r2, lp, r3, r4, p))
-        if term.is_zero:
-            continue
-        total = total + term * (_half_sign(p) * (tp + 1))
-    rhs = sixj(SixJArgs(r3, r1, l, r2, r4, lp))
-    return total - _half_sign(l + lp) * rhs
+    s = HalfInt.coerce(s)
+    ts, r4 = s.twice, HalfInt(3 * s.twice - 2 * n)
+    labels = [HalfInt(2 * ts - 2 * k) for k in LevelRange.for_level(s, n).indices()]
+    signs = [minus_one_pow(x.twice // 2) for x in labels]
+    d_core, core = clear_denominators(
+        [[_racah_sum(ts, ts, x.twice, ts, r4.twice, y.twice) for y in labels]
+         for x in labels])
+    d_weights, (weights,) = clear_denominators([[
+        _triangle_sq(s, s, x) * _triangle_sq(s, r4, x) * sign * (x.twice + 1)
+        for x, sign in zip(labels, signs)]])
+    lhs = mat_mul(diag_mul_right(core, weights), core)
+    rhs = diag_mul_left(signs, diag_mul_right(core, signs))
+    return mat_sub(lhs, mat_scale(d_core * d_weights, rhs))

@@ -321,6 +321,8 @@ def constant_baxter(s, m: int | None) -> SpectralFamily:
     m + 1, which is exactly the obstruction forcing lower coefficients.
     """
     s = _require_spin(s, 2, "constant shifted family needs s >= 1")
+    if m is None:
+        raise DomainError("family 'constant-baxter' needs m")
     ts = s.twice
     _require_index(s, m)
     shifted = 1 + constant_root(eta_closed_form(s, m))

@@ -14,6 +14,7 @@ import pytest
 
 from sl2ybe import acceptance
 from sl2ybe.classify import degeneracy_scan
+from sl2ybe.exact import HalfInt
 
 MAX_TWO_S = 6
 
@@ -67,6 +68,26 @@ def test_criterion_6_literal_full_rank_claim():
     for rec in scan.records:
         if not rec.shifted and not rec.exceptional:
             assert rec.rank == 4, (str(rec.s), rec.m, rec.n, rec.rank)
+
+
+def test_criterion_2_witness_names_the_cell(monkeypatch):
+    # one nonzero entry planted at row 1, column 2 of the shifted level
+    # (s=2, n=5), whose range starts at k_min = 1
+    real = acceptance.racah_identity_residual
+
+    def planted(s, n):
+        residual = [list(row) for row in real(s, n)]
+        if (s, n) == (HalfInt(4), 5):
+            residual[1][2] = -3
+        return residual
+
+    monkeypatch.setattr(acceptance, "racah_identity_residual", planted)
+    result = acceptance.criterion_2(4)
+    assert not result.passed and result.defect is None
+    assert result.line() == ("[FAIL] criterion 2: Racah identity on the full "
+                             "level grid (exact)")
+    assert result.details == ["nonzero at (s=2, n=5, k=2, k'=3)",
+                              "119 Racah sum-rule residuals, 1 nonzero"]
 
 
 def test_suite_runtime_budget(battery):

@@ -29,9 +29,9 @@ def a_entry_from_sixj(s: HalfInt, n: int, k: int, kp: int) -> SqrtRational:
     ts = s.twice
     symbol = sixj(SixJArgs(s, s, HalfInt(2 * ts - 2 * k),
                            s, HalfInt(3 * ts - 2 * n), HalfInt(2 * ts - 2 * kp)))
-    pref = sqrt_canonicalize(Fraction(minus_one_pow(ts - n)),
-                             Fraction((2 * ts - 2 * k + 1) * (2 * ts - 2 * kp + 1)))
-    return pref * symbol
+    return sqrt_canonicalize(
+        minus_one_pow(ts - n) * symbol.coeff,
+        (2 * ts - 2 * k + 1) * (2 * ts - 2 * kp + 1) * symbol.radicand)
 
 
 class TestLevelRange:
@@ -81,11 +81,9 @@ class TestConstruction:
         for k in a.range.indices():
             for kp in a.range.indices():
                 raw = a.entry(k, kp)
-                sq = raw * raw
                 i, j = k - a.range.k_min, kp - a.range.k_min
-                assert sq.is_rational
-                assert sq.as_fraction() == (a.weights[i] * a.weights[j]
-                                            * a.core[i][j] ** 2)
+                assert raw.coeff ** 2 * raw.radicand == (a.weights[i] * a.weights[j]
+                                                         * a.core[i][j] ** 2)
 
     def test_shared_weights_per_level(self):
         assert a_matrix(2, 3) is a_matrix(2, 3)  # cached, hence same gauge

@@ -7,7 +7,7 @@ from sl2ybe.amatrix import (a_matrix, eta_closed_form, rank_one_projector,
 from sl2ybe.classify import (constant_m_prime, constant_roots, degeneracy_scan,
                              eta_incompatibility, eta_level4_m3,
                              exceptional_level_combination, fgh_matrices,
-                             fgh_rank, level_three_five_ratio,
+                             level_three_five_ratio,
                              permutation_rigidity,
                              projector_obstruction_check)
 from sl2ybe.exact import DomainError, HalfInt, QuadExt
@@ -80,15 +80,15 @@ class TestRank:
     def test_small_level_carries_one_relation(self):
         # at (s=1, m=2, n=2) the exact span is 3-dimensional:
         # H + H~ = G - (2/3) F, confirmed by the dense oracle as well
-        assert fgh_rank(1, 2, 2) == 3
+        assert span_rank(fgh_matrices(1, 2, 2).matrices()) == 3
 
     def test_degenerate_cell_rank_two(self):
-        assert fgh_rank(2, 3, 4) == 2
+        assert span_rank(fgh_matrices(2, 3, 4).matrices()) == 2
 
     def test_generic_cell_rank_four(self):
-        assert fgh_rank(3, 3, 5) == 4
-        assert fgh_rank(2, 2, 4) == 4
-        assert fgh_rank(2, 4, 4) == 4
+        assert span_rank(fgh_matrices(3, 3, 5).matrices()) == 4
+        assert span_rank(fgh_matrices(2, 2, 4).matrices()) == 4
+        assert span_rank(fgh_matrices(2, 4, 4).matrices()) == 4
 
 
 @pytest.fixture(scope="module")

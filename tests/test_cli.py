@@ -198,6 +198,12 @@ class TestVerifyCommand:
         assert code == 2 and out == ""
         assert err == f"error: family {tag!r} takes no {option}\n"
 
+    def test_missing_index_is_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "family", "show", "--tag", "constant-baxter",
+                                 "--s", "2")
+        assert code == 2 and out == ""
+        assert err == "error: family 'constant-baxter' needs m\n"
+
     def test_catalog_document_with_an_option_it_does_not_take(self, capsys, tmp_path):
         path = tmp_path / "family.json"
         path.write_text(json.dumps({"tag": "exceptional-s3", "s": "1"}))

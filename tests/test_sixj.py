@@ -1,19 +1,47 @@
+import importlib
 import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
-from sl2ybe.exact import DomainError, HalfInt, SqrtRational
-from sl2ybe import acceptance
-from sl2ybe.sixj import (SixJArgs, _sixj_cached, clear_sixj_cache,
+from sl2ybe.amatrix import LevelRange, top_level
+from sl2ybe.exact import (DomainError, HalfInt, SqrtRational, rescale_surd,
+                          sqrt_canonicalize)
+from sl2ybe.linalg import is_zero_matrix
+from sl2ybe.sixj import (SixJArgs, _racah_sum, _triangle_sq,
                          racah_identity_residual, sixj, triangle_ok)
 
 H = HalfInt
+# the module, which the package's `sixj` function shadows as an attribute
+sixj_module = importlib.import_module("sl2ybe.sixj")
 
 
 def S(*args):
     return SixJArgs.coerce(*args)
+
+
+def surd_product(x, y, scale=1):
+    """scale * x * y for SqrtRational x and y, exactly."""
+    return sqrt_canonicalize(scale * x.coeff * y.coeff, x.radicand * y.radicand)
+
+
+def surd_sum(terms):
+    """The exact sum of SqrtRational terms of one radicand class: each
+    coefficient is rescaled onto the radicand of the first nonzero term
+    (rescale_surd raises across classes)."""
+    terms = [t for t in terms if not t.is_zero]
+    if not terms:
+        return SqrtRational(0)
+    target = terms[0].radicand
+    return SqrtRational(sum(rescale_surd(t.coeff, t.radicand, target) for t in terms),
+                        target)
+
+
+def level_grid(max_two_s):
+    for ts in range(1, max_two_s + 1):
+        for n in range(top_level(H(ts)) + 1):
+            yield H(ts), n
 
 
 class TestTriangle:
@@ -113,11 +141,11 @@ class TestOrthogonality:
                 continue
             tp, tq = rng.sample(ps, 2)
             for t_right in (tp, tq):
-                total = SqrtRational(0)
-                for tx in range(abs(ta - tb), ta + tb + 1, 2):
-                    term = (sixj(SixJArgs(*map(H, (ta, tb, tx, tc, td, tp))))
-                            * sixj(SixJArgs(*map(H, (ta, tb, tx, tc, td, t_right)))))
-                    total = total + (tx + 1) * term
+                total = surd_sum(
+                    surd_product(sixj(SixJArgs(*map(H, (ta, tb, tx, tc, td, tp)))),
+                                 sixj(SixJArgs(*map(H, (ta, tb, tx, tc, td, t_right)))),
+                                 tx + 1)
+                    for tx in range(abs(ta - tb), ta + tb + 1, 2))
                 if t_right == tp:
                     assert total == Fraction(1, tp + 1)
                 else:
@@ -126,61 +154,67 @@ class TestOrthogonality:
 
 
 class TestRacahIdentity:
+    """racah_identity_residual(s, n) is the integer matrix of the sum rule
+    at one level, rows and columns k = k_min, k_min + 1, ..."""
+
     def test_minimal_case(self):
-        # from s=1/2, n=1, k=k'=1
-        r = racah_identity_residual(H(1), H(1), H(1), H(1), H(0), H(0))
-        assert r.is_zero
+        # s=1/2, n=1: k, k' in 0..1
+        r = racah_identity_residual(H(1), 1)
+        assert len(r) == 2 and is_zero_matrix(r)
 
     def test_spin_one_case(self):
-        # from s=1, n=1, k=0, k'=1
-        r = racah_identity_residual(H(2), H(2), H(2), H(4), H(4), H(2))
-        assert r.is_zero
+        # s=1, n=1: the cell k=0, k'=1
+        r = racah_identity_residual(H(2), 1)
+        assert r[0][1] == 0 and is_zero_matrix(r)
 
     def test_spin_three_case(self):
-        # from s=3, n=4, k=k'=3
-        r = racah_identity_residual(H(6), H(6), H(6), H(10), H(6), H(6))
-        assert r.is_zero
+        # s=3, n=4: k, k' in 0..4
+        r = racah_identity_residual(H(6), 4)
+        assert len(r) == 5 and r[3][3] == 0 and is_zero_matrix(r)
 
     def test_full_grid(self):
-        # r1=r2=r3=s, r4=3s-n, l=2s-k, l'=2s-k'
-        for ts in range(1, 7):
-            for n in range(0, 3 * ts // 2 + 1):
-                lo = max(0, n - ts)
-                hi = min(n, 2 * ts - n)
-                for k in range(lo, hi + 1):
-                    for kp in range(lo, hi + 1):
-                        r = racah_identity_residual(
-                            H(ts), H(ts), H(ts), H(3 * ts - 2 * n),
-                            H(2 * ts - 2 * k), H(2 * ts - 2 * kp))
-                        assert r.is_zero, (ts, n, k, kp)
+        for s, n in level_grid(6):
+            r = racah_identity_residual(s, n)
+            dim = LevelRange.for_level(s, n).dim
+            assert len(r) == dim and all(len(row) == dim for row in r)
+            assert all(type(x) is int for row in r for x in row), (s, n)
+            assert is_zero_matrix(r), (s, n)
 
+    def test_agrees_with_the_sum_of_sixj_products(self):
+        # the sum rule summed cell by cell over sixj values, as exact surds
+        for s, n in level_grid(4):
+            ts, r4 = s.twice, H(3 * s.twice - 2 * n)
+            labels = [H(2 * ts - 2 * k) for k in LevelRange.for_level(s, n).indices()]
+            for l in labels:
+                for lp in labels:
+                    lhs = surd_sum(
+                        surd_product(sixj(SixJArgs(s, s, l, s, r4, p)),
+                                     sixj(SixJArgs(s, s, lp, s, r4, p)),
+                                     (-1) ** (p.twice // 2) * (p.twice + 1))
+                        for p in labels)
+                    rhs = sixj(SixJArgs(s, s, l, s, r4, lp))
+                    sign = (-1) ** ((l.twice + lp.twice) // 2)
+                    assert lhs == SqrtRational(sign * rhs.coeff, rhs.radicand), \
+                        (s, n, l, lp)
 
-class TestMemo:
-    ARGS = SixJArgs(*map(H, (7, 5, 6, 5, 7, 4)))
+    def test_level_form_matches_sixj(self):
+        # {s s l; s r4 p} = sqrt(u_l) C_lp sqrt(u_p): C^2 u_l u_p is the
+        # square of the symbol and C carries its sign
+        for s, n in level_grid(6):
+            ts, r4 = s.twice, H(3 * s.twice - 2 * n)
+            labels = [H(2 * ts - 2 * k) for k in LevelRange.for_level(s, n).indices()]
+            u = {l: _triangle_sq(s, s, l) * _triangle_sq(s, r4, l) for l in labels}
+            for l in labels:
+                for p in labels:
+                    c = _racah_sum(ts, ts, l.twice, ts, r4.twice, p.twice)
+                    w = sixj(SixJArgs(s, s, l, s, r4, p))
+                    assert c * c * u[l] * u[p] == w.coeff * w.coeff * w.radicand
+                    assert (c > 0) - (c < 0) == (w.coeff > 0) - (w.coeff < 0)
 
-    def memo_size(self):
-        return _sixj_cached.cache_info().currsize
-
-    def test_memo_returns_the_computed_value(self):
-        clear_sixj_cache()
-        first = sixj(self.ARGS)
-        assert self.memo_size() == 1 and sixj(self.ARGS) is first
-        clear_sixj_cache()
-        assert self.memo_size() == 0 and sixj(self.ARGS) == first
-        # keyed on the labels, not on the argument object
-        assert sixj(SixJArgs(*map(H, (7, 5, 6, 5, 7, 4)))) is sixj(self.ARGS)
-
-    def test_criterion_2_clears_the_memo(self):
-        sixj(self.ARGS)
-        assert acceptance.criterion_2(3).passed
-        assert self.memo_size() == 0
-
-    def test_criterion_2_clears_the_memo_when_it_raises(self, monkeypatch):
-        def failing(*labels):
-            sixj(self.ARGS)
-            raise RuntimeError("stop")
-
-        monkeypatch.setattr(acceptance, "racah_identity_residual", failing)
-        with pytest.raises(RuntimeError):
-            acceptance.criterion_2(2)
-        assert self.memo_size() == 0
+    def test_detects_a_wrong_symbol(self, monkeypatch):
+        # s=2, n=5 with {2 2 2; 2 1 1} off by its sign is no longer zero
+        real, flipped = _racah_sum, (4, 4, 4, 4, 2, 2)
+        assert real(*flipped) != 0
+        monkeypatch.setattr(sixj_module, "_racah_sum",
+                            lambda *t: -real(*t) if t == flipped else real(*t))
+        assert not is_zero_matrix(racah_identity_residual(H(4), 5))

@@ -81,15 +81,15 @@ def deformed_permutation(two_s: int, m: int, g: Fraction):
 
 
 def criterion_1(max_two_s: int = 6) -> CriterionResult:
-    details, ok = [], True
+    details = []
     count = 0
     for s, n in _level_grid(max_two_s):
-        got = verify_a_properties(s, n) and verify_sign_conjugation(s, n)
-        ok = ok and got
         count += 1
-        if not got:
+        if not (verify_a_properties(s, n) and verify_sign_conjugation(s, n)):
             details.append(f"failed at (s={s}, n={n})")
-    details.append(f"{count} levels: symmetry, involution, sign conjugation all exact")
+    ok = not details
+    details.append(f"{count} levels: symmetry, involution, sign conjugation all exact"
+                   if ok else f"{count} levels, {len(details)} failed")
     return CriterionResult(1, "recoupling matrix properties (exact)", ok, details)
 
 

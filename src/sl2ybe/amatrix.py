@@ -97,9 +97,12 @@ class GaugedMatrix:
     """X = U^(1/2) M U^(1/2) with rational weights u and rational core M.
 
     `ucore_lcm` is the lcm L of the denominators of M U and `int_ucore`
-    the integer core N = L * (M U), the one product form of X."""
+    the integer core N = L * (M U), the one product form of X.
+    `sign_hat` is N D0 N, the hat of the sign diagonal, built once here
+    because every scan cell and sign-conjugation check of the level reads
+    it."""
 
-    __slots__ = ("range", "weights", "core", "ucore_lcm", "int_ucore")
+    __slots__ = ("range", "weights", "core", "ucore_lcm", "int_ucore", "sign_hat")
 
     def __init__(self, rng: LevelRange, weights, core):
         self.range = rng
@@ -109,6 +112,7 @@ class GaugedMatrix:
             raise DomainError("gauge weights must be positive")
         self.ucore_lcm, self.int_ucore = clear_denominators(
             [[x * w for x, w in zip(row, self.weights)] for row in self.core])
+        self.sign_hat = self.hat(sign_diagonal(rng))
 
     @property
     def dim(self) -> int:
@@ -183,11 +187,11 @@ def verify_a_properties(s, n: int) -> bool:
 
 def verify_sign_conjugation(s, n: int) -> bool:
     """A D0 A == (-1)^n D0 A D0 with the alternating sign diagonal D0, on
-    the integer core: N D0 N == (-1)^n L D0 N D0."""
+    the integer core: the cached N D0 N == (-1)^n L D0 N D0."""
     a = a_matrix(s, n)
     d0 = sign_diagonal(a.range)
     rhs = diag_mul_left(d0, diag_mul_right(a.int_ucore, d0))
-    return a.hat(d0) == mat_scale(minus_one_pow(n) * a.ucore_lcm, rhs)
+    return a.sign_hat == mat_scale(minus_one_pow(n) * a.ucore_lcm, rhs)
 
 
 def eta(s, m: int, n: int) -> Fraction:
@@ -244,7 +248,7 @@ def verify_projector_algebra(s, m: int, n: int) -> bool:
     a = a_matrix(s, n)
     d0, pi = sign_diagonal(a.range), rank_one_projector(a.range, m)
     unscale = Fraction(1, a.ucore_lcm ** 2)
-    d0h, pih = mat_scale(unscale, a.hat(d0)), mat_scale(unscale, a.hat(pi))
+    d0h, pih = mat_scale(unscale, a.sign_hat), mat_scale(unscale, a.hat(pi))
     d0, pi = diagonal(d0), diagonal(pi)
     xi = Fraction(minus_one_pow(m))
     eta_mn = eta(s, m, n)

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 from .amatrix import (GaugedMatrix, LevelRange, a_matrix,
                       consecutive_level_ratio, eta, eta_closed_form,
-                      rank_one_projector, sign_diagonal, top_level)
+                      rank_one_projector, top_level)
 from .exact import DomainError, HalfInt, QuadExt, minus_one_pow
 from .linalg import (diag_mul_left, diag_mul_right, is_zero_matrix, mat_add,
                      span_coordinates, span_rank)
@@ -82,8 +82,7 @@ def fgh_matrices(s, m: int, n: int) -> FghSystem:
     if theta(s, m, n) != 1:
         raise DomainError(f"index m={m} not active at level n={n} for s={s}")
     a = a_matrix(s, n)
-    big_f, big_g, big_h, big_ht = fgh_operators(
-        a, sign_diagonal(a.range), rank_one_projector(a.range, m))
+    big_f, big_g, big_h, big_ht = fgh_operators(a, rank_one_projector(a.range, m))
     if big_h != _entrywise_h(a, m, transposed=False):
         raise AssertionError(f"H closed form mismatch at (s={s}, m={m}, n={n})")
     if big_ht != _entrywise_h(a, m, transposed=True):

@@ -4,18 +4,21 @@ Builds the total-spin projectors on V_s (x) V_s by Casimir polynomial
 interpolation, embeds them on three sites, and checks the operator
 identities and the full braid-form equation numerically.  This module is
 the cross-check for the exact reduced machinery, never the ground truth;
-tolerances are fixed module constants.
+tolerances are fixed module constants.  numpy is imported by the functions
+that build arrays, so the exact checks never load it.
 """
 from __future__ import annotations
 
 import math
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .amatrix import top_level
 from .exact import DomainError, HalfInt, minus_one_pow
 from .spectral import SpectralFamily
 from .ybe import reduced_ybe_check
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "IDENTITIES_TWO_S_CAP",
@@ -46,6 +49,7 @@ def _two_s(s) -> int:
 
 def spin_matrices(s) -> tuple[np.ndarray, np.ndarray]:
     """(S_z, S_plus) in the standard ladder basis, real matrices."""
+    import numpy as np
     ts = _two_s(s)
     sv = ts / 2.0
     dim = ts + 1
@@ -59,6 +63,7 @@ def spin_matrices(s) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _two_site_casimir(s) -> np.ndarray:
+    import numpy as np
     sz, sp = spin_matrices(s)
     sm = sp.T
     sv = _two_s(s) / 2.0
@@ -70,6 +75,7 @@ def _two_site_casimir(s) -> np.ndarray:
 def dense_projectors(s) -> list[np.ndarray]:
     """Projectors P^j, j = 0..2s, on V_s (x) V_s via Lagrange interpolation
     in the two-site Casimir; all real double precision."""
+    import numpy as np
     ts = _two_s(s)
     if ts > PROJECTOR_TWO_S_CAP:
         raise DomainError(f"2s={ts} above the dense cap {PROJECTOR_TWO_S_CAP}")
@@ -94,12 +100,13 @@ def permutation_dense(s, projs=None) -> np.ndarray:
 
 
 def _three_site_pair(op2: np.ndarray, dim: int, left: bool) -> np.ndarray:
+    import numpy as np
     eye = np.eye(dim)
     return np.kron(op2, eye) if left else np.kron(eye, op2)
 
 
 def _maxabs(x: np.ndarray) -> float:
-    return float(np.max(np.abs(x)))
+    return float(abs(x).max())
 
 
 def dense_operator_identities(s) -> dict:
@@ -110,6 +117,7 @@ def dense_operator_identities(s) -> dict:
 
     with xi = (-1)^2s and eta = 1/(2s+1); both site orders checked.
     """
+    import numpy as np
     ts = _two_s(s)
     if ts > IDENTITIES_TWO_S_CAP:
         raise DomainError(f"2s={ts} above the dense cap {IDENTITIES_TWO_S_CAP}")
@@ -156,7 +164,7 @@ def dense_r_matrix(fam: SpectralFamily, lam, projs=None) -> np.ndarray:
     ts = fam.s.twice
     if projs is None:
         projs = dense_projectors(fam.s)
-    out = np.zeros_like(projs[0])
+    out = 0.0 * projs[0]
     for j in range(ts + 1):
         out += float(fam.eval_coeff(j, lam)) * projs[j]
     return out

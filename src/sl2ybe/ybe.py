@@ -7,7 +7,9 @@ similarity gauge, where A enters only as its integer core N = L*(M*U)
 and the hat is N D N = L^2 D^, so residuals are exact matrices over Q or
 Q(sqrt(d)).  They are decided over the integers: with each diagonal
 cleared to D_i = (A_i + sqrt(d) B_i) / c_i, the residual times
-L^4 c1 c2 c3 is an integer matrix plus sqrt(d) times another.  The
+L^4 c1 c2 c3 is an integer matrix plus sqrt(d) times another.  Within
+one level, `full_check` clears each sample argument's diagonal and takes
+its hats once, for every pair that uses the argument.  The
 four-matrix system F, G, H, H~ is built on N as well and comes out as
 L^2 times its values.
 """
@@ -16,7 +18,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from typing import Callable
 
 from .amatrix import (GaugedMatrix, LevelRange, a_matrix, eta,
@@ -130,47 +131,78 @@ def _cleared(entries, d):
     return ints[0], (ints[1] if len(ints) > 1 else None), c
 
 
-def braid_residual(a: GaugedMatrix, d1, d2, d3):
+def _leg(a: GaugedMatrix, level: dict, key, entries, d):
+    """What one diagonal contributes to a residual over sqrt(d): its cleared
+    integer vectors A and B, their hats N diag(A) N and N diag(B) N (B and
+    its hat None when the diagonal is rational) and the scale c.  Kept in
+    `level` under (key, d), so each diagonal of a level is cleared once per
+    discriminant."""
+    leg = level.get((key, d))
+    if leg is None:
+        a_int, b_int, c = _cleared(entries, d)
+        hats = (a.hat(a_int), None if b_int is None else a.hat(b_int))
+        leg = level[key, d] = ((a_int, b_int), hats, c)
+    return leg
+
+
+def braid_residual(a: GaugedMatrix, d1, d2, d3, level=None, keys=(1, 2, 3)):
     """D1 D2^ D3 - D3^ D2 D1^ for the diagonals with entries d1, d2, d3 at
     the level of a, in its rational gauge, cleared to integers.  Returns
     (rational, irrational, d, scale) as in ReducedResidual.
 
     With X = N / L and D_i = E_i / c_i the residual times L^4 c1 c2 c3 is
-    L^2 E1 (N E2 N) E3 - (N E3 N) E2 (N E1 N).  It is trilinear in the
-    diagonals, so over Q(sqrt(d)) the integer braid is summed over the
-    choice of rational part A_i or sqrt(d) part B_i of each diagonal: a
-    term with k sqrt(d) parts carries d^(k // 2) and goes to the rational
-    part for even k, to the sqrt(d) part for odd k.  Equivalent
+    L^2 E1 (N E2 N) E3 - (N E3 N) E2 (N E1 N).  Over Q(sqrt(d)) each factor
+    is a pair (A + sqrt(d) B), and the products are taken one factor at a
+    time, (A + sqrt(d) B)(A' + sqrt(d) B') = (A A' + d B B') + sqrt(d)
+    (A B' + B A'), a missing sqrt(d) part counting as zero.  Equivalent
     discriminants (d and d*k^2) share one residual over the smallest d; as
     in QuadExt arithmetic, incompatible ones raise ValueError before
-    anything is summed."""
+    anything is summed.
+
+    `level` keeps each diagonal's cleared vectors and hats (its leg) under
+    its key and d, for calls on one level whose diagonals with equal keys
+    are equal; a call without it builds the three legs into a fresh dict."""
     d = min((x.d for e in (d1, d2, d3) for x in e if isinstance(x, QuadExt) and x.b),
             default=1)
-    cleared = [_cleared(e, d) for e in (d1, d2, d3)]
+    level = {} if level is None else level
+    (e1, h1, c1), (e2, h2, c2), (e3, h3, c3) = (
+        _leg(a, level, key, e, d) for key, e in zip(keys, (d1, d2, d3)))
     l2 = a.ucore_lcm ** 2
-    choices = []
-    for a_int, b_int, _ in cleared:
-        parts = [(a_int, a.hat(a_int), 0)]
-        if b_int is not None:
-            parts.append((b_int, a.hat(b_int), 1))
-        choices.append(parts)
-    sums = [None, None]
-    for (e1, h1, k1), (e2, h2, k2), (e3, h3, k3) in product(*choices):
-        term = mat_sub(diag_mul_left([l2 * x for x in e1], diag_mul_right(h2, e3)),
-                       mat_mul(diag_mul_right(h3, e2), h1))
-        k = k1 + k2 + k3
-        if k > 1:
-            term = mat_scale(d ** (k // 2), term)
-        sums[k % 2] = term if sums[k % 2] is None else mat_add(sums[k % 2], term)
-    scale = l2 * l2 * math.prod(c for _, _, c in cleared)
-    return sums[0], sums[1], d, scale
+
+    def times(mul, x, y):
+        """(x0 + sqrt(d) x1)(y0 + sqrt(d) y1) under the bilinear product mul."""
+        (x0, x1), (y0, y1) = x, y
+        if x1 is None and y1 is None:
+            return mul(x0, y0), None
+        if x1 is None:
+            return mul(x0, y0), mul(x0, y1)
+        if y1 is None:
+            return mul(x0, y0), mul(x1, y0)
+        return (mat_add(mul(x0, y0), mat_scale(d, mul(x1, y1))),
+                mat_add(mul(x0, y1), mul(x1, y0)))
+
+    l2e1 = tuple(None if p is None else [l2 * x for x in p] for p in e1)
+    left = times(diag_mul_left, l2e1, times(diag_mul_right, h2, e3))
+    right = times(mat_mul, times(diag_mul_right, h3, e2), h1)
+    # Both sides have a sqrt(d) part exactly when some diagonal has one.
+    irrational = None if left[1] is None else mat_sub(left[1], right[1])
+    return mat_sub(left[0], right[0]), irrational, d, l2 * l2 * c1 * c2 * c3
 
 
-def reduced_ybe_check(fam: SpectralFamily, n: int, lam, mu) -> ReducedResidual:
-    """Exact level-n residual for the family at samples (lam, mu)."""
-    a = a_matrix(fam.s, n)
-    d1, d2, d3 = (reduced_d(fam, n, x) for x in (lam, fam.compose(lam, mu), mu))
-    return ReducedResidual(n, lam, mu, *braid_residual(a, d1, d2, d3))
+def reduced_ybe_check(fam: SpectralFamily, n: int, lam, mu, level=None) -> ReducedResidual:
+    """Exact level-n residual for the family at samples (lam, mu).  `level`
+    is a dict shared by the calls of one level: it maps each sample argument
+    to its diagonal, and each (argument, d) to its leg (`_leg`)."""
+    level = {} if level is None else level
+    args = (lam, fam.compose(lam, mu), mu)
+    diagonals = []
+    for x in args:
+        entries = level.get(x)
+        if entries is None:
+            entries = level[x] = reduced_d(fam, n, x)
+        diagonals.append(entries)
+    return ReducedResidual(n, lam, mu, *braid_residual(
+        a_matrix(fam.s, n), *diagonals, level, args))
 
 
 def _levels_or_default(fam: SpectralFamily, levels):
@@ -198,9 +230,9 @@ def full_check(fam: SpectralFamily, levels=None, samples=None) -> dict:
     out_levels = []
     ok = True
     for n in levels:
-        rows = []
+        rows, level = [], {}
         for lam, mu in samples:
-            zero = reduced_ybe_check(fam, n, lam, mu).is_zero
+            zero = reduced_ybe_check(fam, n, lam, mu, level).is_zero
             ok = ok and zero
             rows.append({"lambda": str(lam), "mu": str(mu), "zero": zero})
         out_levels.append({"n": n, "samples": rows})
@@ -277,12 +309,13 @@ class CrosscheckResult:
     prefactor: object
 
 
-def fgh_operators(a: GaugedMatrix, d0, pi):
+def fgh_operators(a: GaugedMatrix, pi):
     """F = D0 - D0^, G = pi - pi^, H = pi D0^ - D0 pi^ and H~ = D0^ pi -
-    pi^ D0 at the level of a, from the entries of D0 and pi, each as L^2
-    times its gauge value (the hats are N D N, so the plain diagonals are
-    scaled by L^2 to match); integer entries give integer matrices."""
-    d0h, pih = a.hat(d0), a.hat(pi)
+    pi^ D0 at the level of a, from the sign diagonal D0 (its hat is the
+    cached `sign_hat`) and the entries of pi, each as L^2 times its gauge
+    value (the hats are N D N, so the plain diagonals are scaled by L^2 to
+    match); integer entries give integer matrices."""
+    d0, d0h, pih = sign_diagonal(a.range), a.sign_hat, a.hat(pi)
     l2 = a.ucore_lcm ** 2
     return (mat_sub(diagonal([l2 * x for x in d0]), d0h),
             mat_sub(diagonal([l2 * x for x in pi]), pih),
@@ -324,7 +357,7 @@ def ansatz_residual_crosscheck(s, m: int, n: int, f: Callable, g: Callable,
 
     resid = ReducedResidual(n, lam, mu, *braid_residual(
         a, cleared(lam), cleared(comp), cleared(mu)))
-    big_f, big_g, big_h, big_ht = fgh_operators(a, d0, pi)
+    big_f, big_g, big_h, big_ht = fgh_operators(a, pi)
     c = coeff_functions(s, m, n, f, g, lam, mu)
     combo = mat_add(mat_add(mat_scale(c.F, big_f), mat_scale(c.G, big_g)),
                     mat_add(mat_scale(c.H, big_h), mat_scale(c.H_swapped, big_ht)))

@@ -90,6 +90,19 @@ def test_criterion_2_witness_names_the_cell(monkeypatch):
                               "119 Racah sum-rule residuals, 1 nonzero"]
 
 
+def test_criterion_1_witness_replaces_the_summary(monkeypatch):
+    real = acceptance.verify_sign_conjugation
+
+    def planted(s, n):
+        return (s, n) != (HalfInt(2), 1) and real(s, n)
+
+    monkeypatch.setattr(acceptance, "verify_sign_conjugation", planted)
+    result = acceptance.criterion_1(2)
+    assert not result.passed
+    assert result.line() == "[FAIL] criterion 1: recoupling matrix properties (exact)"
+    assert result.details == ["failed at (s=1, n=1)", "6 levels, 1 failed"]
+
+
 def test_suite_runtime_budget(battery):
     # the full battery must stay far under the two-minute target
     assert battery[1] < 120

@@ -9,11 +9,15 @@ The benchmark in `perfbench/` times package functions by name, so each
 name it lists must stay a public function of its module.  Exact verdicts
 never rest on factoring, so `squarefree_split` is for printing only.  The
 gauge has one hat, so `GaugedMatrix.hat` is the only caller of
-`linalg.sandwich`.
+`linalg.sandwich`.  Only the dense oracle uses numpy, so an exact check
+never imports it.
 """
 import ast
 import importlib
 import inspect
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -140,3 +144,14 @@ def test_benchmarked_function_is_public(name):
     fn = getattr(mod, attr, None)
     assert not attr.startswith("_") and inspect.isfunction(fn), name
     assert fn.__module__ == mod.__name__, f"{name} is defined in {fn.__module__}"
+
+
+def test_exact_verify_never_imports_numpy():
+    code = ("import sys, sl2ybe.cli\n"
+            "code = sl2ybe.cli.main(['verify', '--family', 'yang', '--s', '2', '--json'])\n"
+            "assert code == 0 and 'numpy' not in sys.modules, sorted(sys.modules)\n")
+    path = [str(ROOT / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]

@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sl2ybe.amatrix import LevelRange, a_matrix, eta_closed_form, top_level
+from sl2ybe import cli, ybe
+from sl2ybe.amatrix import (GaugedMatrix, LevelRange, a_matrix, eta_closed_form,
+                            top_level)
 from sl2ybe.exact import DomainError, HalfInt, QuadExt, rescale_surd
 from sl2ybe.linalg import diagonal, is_zero_matrix, mat_mul, mat_sub
 from sl2ybe.spectral import (RationalFunction, baxter_tl, constant_baxter,
@@ -236,6 +238,107 @@ class TestFullCheck:
     def test_negative_control_fails_level_one(self):
         report = full_check(perturbed_yang(), levels=[1], samples=[(F(1), F(1))])
         assert not report["pass"]
+
+
+def recorded_full_check(monkeypatch, fam, levels, samples):
+    """Run full_check and return every residual it computed, in order, with
+    the level dict each call shared."""
+    real, calls = ybe.reduced_ybe_check, []
+
+    def record(fam, n, lam, mu, level=None):
+        res = real(fam, n, lam, mu, level)
+        calls.append((res, level))
+        return res
+
+    monkeypatch.setattr(ybe, "reduced_ybe_check", record)
+    return full_check(fam, levels=levels, samples=samples), calls
+
+
+def mixed_root_family(root_b: int):
+    """Regular s=1 family with r_1 = 1 + sqrt(5) (x^2 - x), rational at
+    x = 0 and x = 1, and r_0 = 1 + sqrt(root_b) x."""
+    return custom_family(HalfInt(2), {
+        2: RationalFunction((F(1),), (F(1),)),
+        1: RationalFunction((F(1), QuadExt(0, -1, 5), QuadExt(0, 1, 5)), (F(1),)),
+        0: RationalFunction((F(1), QuadExt(0, 1, root_b)), (F(1),)),
+    })
+
+
+class TestSharedLegs:
+    """full_check shares each sample argument's diagonal and cleared legs
+    between the pairs of one level; every residual must be the one a fresh
+    reduced_ybe_check gives."""
+
+    @pytest.mark.parametrize("fam, levels", [
+        (yang(2), None), (baxter_tl(2), None), (zamolodchikov("3/2", 2), None),
+        (exceptional_s3(), range(10)), (perturbed_yang(), None)], ids=str)
+    def test_level_dict_agrees_with_fresh_checks(self, monkeypatch, fam, levels):
+        grid = cli._dense_grid(fam)
+        report, calls = recorded_full_check(monkeypatch, fam, levels, grid)
+        want_levels = list(levels) if levels is not None else defined_levels(fam)
+        assert len(calls) == len(want_levels) * len(grid)
+        dicts = {}
+        for res, level in calls:
+            assert level is not None
+            dicts.setdefault(res.n, set()).add(id(level))
+            assert res == reduced_ybe_check(fam, res.n, res.lam, res.mu)
+        assert sorted(dicts) == want_levels
+        assert all(len(ids) == 1 for ids in dicts.values())
+        assert report["pass"] == (fam.tag != "custom")
+        if fam.tag == "custom":
+            assert any(not res.is_zero for res, _ in calls)
+
+    def test_equivalent_discriminants_per_triple(self, monkeypatch):
+        # sqrt(20) = 2 sqrt(5): at level 2 the arguments 0 and 1 see only
+        # r_0's sqrt(20), so the pairs (1, 0) and (0, 1) are over d = 20;
+        # with 1/2 or 1/3 in the triple r_1's sqrt(5) joins, and the leg of
+        # the argument 1 is cleared again over d = 5
+        fam = mixed_root_family(20)
+        grid = [(F(1), F(0)), (F(0), F(1)), (F(1), F(1, 2)), (F(1, 2), F(1, 3))]
+        _, calls = recorded_full_check(monkeypatch, fam, [1, 2], grid)
+        seen = set()
+        for res, _ in calls:
+            fresh = reduced_ybe_check(fam, res.n, res.lam, res.mu)
+            assert res == fresh
+            ref = dense_reference(a_matrix(fam.s, res.n), *(
+                reduced_d(fam, res.n, x) for x in (res.lam, res.lam + res.mu, res.mu)))
+            assert res.residual == ref
+            seen.add((res.n, res.lam, res.mu, res.d))
+        assert {(2, F(1), F(0), 20), (2, F(0), F(1), 20), (2, F(1), F(1, 2), 5),
+                (1, F(1), F(0), 1)} <= seen
+
+    def test_incompatible_discriminants_raise(self):
+        fam = mixed_root_family(3)
+        with pytest.raises(ValueError, match="mixed discriminants"):
+            full_check(fam, levels=[2], samples=[(F(1, 2), F(1, 3))])
+        with pytest.raises(ValueError, match="mixed discriminants"):
+            reduced_ybe_check(fam, 2, F(1, 2), F(1, 3))
+
+    def test_each_argument_is_evaluated_once_per_level(self, monkeypatch):
+        fam = yang(2)
+        grid = cli._dense_grid(fam)
+        levels = defined_levels(fam)
+        for n in levels:
+            a_matrix(fam.s, n)  # built (and its sign hat taken) before counting
+        arguments = {x for lam, mu in grid for x in (lam, fam.compose(lam, mu), mu)}
+        counts = {"reduced_d": 0, "hat": 0}
+        real_d, real_hat = ybe.reduced_d, GaugedMatrix.hat
+
+        def count_d(*args):
+            counts["reduced_d"] += 1
+            return real_d(*args)
+
+        def count_hat(self, entries):
+            counts["hat"] += 1
+            return real_hat(self, entries)
+
+        monkeypatch.setattr(ybe, "reduced_d", count_d)
+        monkeypatch.setattr(GaugedMatrix, "hat", count_hat)
+        assert full_check(fam, samples=grid)["pass"]
+        # 73 distinct arguments on each of the 7 levels; yang is rational,
+        # so each leg takes one hat
+        assert counts["reduced_d"] == len(levels) * len(arguments) == 511
+        assert counts["hat"] == counts["reduced_d"]
 
 
 class TestCoeffFunctions:

@@ -11,8 +11,7 @@ oracle cross-validates the reduced formalism on small spins.
 from .amatrix import (GaugedMatrix, LevelRange, a_matrix,
                       consecutive_level_ratio, eta, eta_closed_form,
                       rank_one_projector, sign_diagonal, top_level,
-                      verify_a_properties, verify_projector_algebra,
-                      verify_sign_conjugation)
+                      verify_a_properties, verify_sign_conjugation)
 from .classify import (DegeneracyRecord, FghSystem, constant_m_prime,
                        constant_roots, degeneracy_scan, eta_incompatibility,
                        eta_level4_m3, exceptional_level_combination,

@@ -13,6 +13,11 @@ diagonals untouched.  Each matrix keeps that image, the *ucore*, in one
 form: the integer core N = L*(M*U), L the lcm of its denominators.  Every
 gauge product runs on N and writes its power of L once (the hat N D N is
 L^2 times the image of A D A).
+
+The entries are prefactored 6-j symbols {s s l; s 3s-n p}, l, p = 2s-k:
+the weights are (2l+1) times two squared triangle coefficients and the
+core is (-1)^(2s-n) times the Racah single sum.  This module defines that
+sum and those coefficients once; `sixj` reads them from here.
 """
 from __future__ import annotations
 
@@ -36,7 +41,6 @@ __all__ = [
     "sign_diagonal",
     "top_level",
     "verify_a_properties",
-    "verify_projector_algebra",
     "verify_sign_conjugation",
 ]
 
@@ -138,36 +142,46 @@ class GaugedMatrix:
         return f"GaugedMatrix(s={self.range.s}, n={self.range.n}, dim={self.dim})"
 
 
-def _weight_sq(ts: int, n: int, k: int) -> Fraction:
-    """(prefactor * F_k)^2: the squared k-th gauge weight."""
-    num = (factorial(k) * factorial(n - k) * factorial(ts - n + k)
-           * factorial(2 * ts - n - k))
-    den = factorial(2 * ts - k + 1) * factorial(3 * ts - n - k + 1)
-    return Fraction((2 * ts - 2 * k + 1) * factorial(ts - k) ** 2 * num, den)
+def _triangle_sq(x: HalfInt, y: HalfInt, z: HalfInt) -> Fraction:
+    """Squared triangle coefficient (a+b-c)!(a-b+c)!(-a+b+c)!/(a+b+c+1)!."""
+    tx, ty, tz = x.twice, y.twice, z.twice
+    return Fraction(
+        factorial((tx + ty - tz) // 2)
+        * factorial((tx - ty + tz) // 2)
+        * factorial((-tx + ty + tz) // 2),
+        factorial((tx + ty + tz) // 2 + 1),
+    )
 
 
-def _core_sum(ts: int, n: int, k: int, kp: int) -> Fraction:
-    """Alternating factorial sum; the summation window is the stated index
-    interval intersected with nonnegativity of every factorial argument."""
-    lo = max(3 * ts - n - min(k, kp), 2 * ts - k, 2 * ts - kp, 0)
-    hi = min(3 * ts - max(n, k + kp), 4 * ts - n - k - kp)
+def _racah_sum(ta: int, tb: int, te: int, tc: int, td: int, tf: int) -> Fraction:
+    """The alternating factorial sum of an admissible 6-j symbol
+    {a b e; c d f}, twice each label given: the symbol without its
+    triangle radical."""
+    triad_sums = [(ta + tb + te) // 2, (ta + td + tf) // 2,
+                  (tb + tc + tf) // 2, (tc + td + te) // 2]
+    quad_sums = [(ta + tb + tc + td) // 2, (tb + te + td + tf) // 2,
+                 (te + ta + tf + tc) // 2]
     total = Fraction(0)
-    for l in range(lo, hi + 1):
-        den = (factorial(l - 2 * ts + k) * factorial(l - 2 * ts + kp)
-               * factorial(l - 3 * ts + n + k) * factorial(l - 3 * ts + n + kp)
-               * factorial(3 * ts - n - l) * factorial(3 * ts - k - kp - l)
-               * factorial(4 * ts - n - k - kp - l))
-        total += Fraction(minus_one_pow(l) * factorial(l + 1), den)
+    for t in range(max(triad_sums), min(quad_sums) + 1):
+        den = 1
+        for ts_ in triad_sums:
+            den *= factorial(t - ts_)
+        for qs in quad_sums:
+            den *= factorial(qs - t)
+        total += Fraction(minus_one_pow(t) * factorial(t + 1), den)
     return total
 
 
 @lru_cache(maxsize=None)
 def _a_matrix_cached(ts: int, n: int) -> GaugedMatrix:
-    rng = LevelRange.for_level(HalfInt(ts), n)
+    s, r4 = HalfInt(ts), HalfInt(3 * ts - 2 * n)
+    rng = LevelRange.for_level(s, n)
+    labels = [HalfInt(2 * ts - 2 * k) for k in rng.indices()]
     sign = minus_one_pow(ts - n)
-    weights = [_weight_sq(ts, n, k) for k in rng.indices()]
-    core = [[sign * _core_sum(ts, n, k, kp) for kp in rng.indices()]
-            for k in rng.indices()]
+    weights = [(l.twice + 1) * _triangle_sq(s, s, l) * _triangle_sq(s, r4, l)
+               for l in labels]
+    core = [[sign * _racah_sum(ts, ts, l.twice, ts, r4.twice, p.twice)
+             for p in labels] for l in labels]
     return GaugedMatrix(rng, weights, core)
 
 
@@ -232,39 +246,3 @@ def consecutive_level_ratio(s, m: int) -> Fraction:
     """Exact ratio A_mm^(s,m+1) / A_mm^(s,m) = (m^2 - m - 3ms + s)/(2s)."""
     sf = HalfInt.coerce(s).as_fraction()
     return (Fraction(m * m - m) - 3 * m * sf + sf) / (2 * sf)
-
-
-def verify_projector_algebra(s, m: int, n: int) -> bool:
-    """The reduced operator algebra at level n with distinguished index m:
-    the involutions, braid identity, and sandwich relations
-
-        pi D0^ pi = eta pi,   pi pi^ pi = eta^2 pi,
-        pi pi^ D0 = xi eta pi D0^,  D0 pi^ pi = xi eta D0^ pi,  ...
-
-    checked exactly in the rational gauge, with the two hats divided by
-    L^2 once, in both hatted and unhatted substitution directions, so
-    every operand is a dense matrix.
-    """
-    a = a_matrix(s, n)
-    d0, pi = sign_diagonal(a.range), rank_one_projector(a.range, m)
-    unscale = Fraction(1, a.ucore_lcm ** 2)
-    d0h, pih = mat_scale(unscale, a.sign_hat), mat_scale(unscale, a.hat(pi))
-    d0, pi = diagonal(d0), diagonal(pi)
-    xi = Fraction(minus_one_pow(m))
-    eta_mn = eta(s, m, n)
-    e = diagonal((1,) * a.dim)
-
-    def relations(p, ph, d, dh):
-        yield mat_mul(p, p) == p
-        yield mat_mul(d, d) == e
-        yield mat_mul(p, d) == mat_scale(xi, p)
-        yield mat_mul(d, p) == mat_scale(xi, p)
-        yield mat_mul(mat_mul(d, dh), d) == mat_mul(mat_mul(dh, d), dh)
-        yield mat_mul(mat_mul(p, dh), d) == mat_mul(mat_mul(dh, d), ph)
-        yield mat_mul(mat_mul(d, ph), d) == mat_mul(mat_mul(dh, p), dh)
-        yield mat_mul(mat_mul(p, dh), p) == mat_scale(eta_mn, p)
-        yield mat_mul(mat_mul(p, ph), p) == mat_scale(eta_mn * eta_mn, p)
-        yield mat_mul(mat_mul(p, ph), d) == mat_scale(xi * eta_mn, mat_mul(p, dh))
-        yield mat_mul(mat_mul(d, ph), p) == mat_scale(xi * eta_mn, mat_mul(dh, p))
-
-    return all(relations(pi, pih, d0, d0h)) and all(relations(pih, pi, d0h, d0))

@@ -2,19 +2,20 @@
 
 A symbol {a b e; c d f} evaluates to a single SqrtRational: the four
 triangle coefficients multiply under one radical and the alternating
-factorial sum is rational.  Inadmissible arguments give exact zero.
-The Racah sum rule is checked one level at a time as an integer matrix
-identity on the radical-free sums, so no arithmetic on SqrtRational
-values is needed.
+factorial sum is rational; both come from `amatrix`, whose A^(s,n) is
+built from the same sum.  Inadmissible arguments give exact zero.  The
+Racah sum rule is checked one level at a time as an integer matrix
+identity on the core and weights of the cached A^(s,n), so it evaluates
+no sum and needs no arithmetic on SqrtRational values.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .amatrix import LevelRange
-from .exact import (DomainError, HalfInt, SqrtRational, factorial,
-                    minus_one_pow, sqrt_canonicalize)
+from .amatrix import _racah_sum, _triangle_sq, a_matrix
+from .exact import (DomainError, HalfInt, SqrtRational, minus_one_pow,
+                    sqrt_canonicalize)
 from .linalg import (clear_denominators, diag_mul_left, diag_mul_right,
                      mat_mul, mat_scale, mat_sub)
 
@@ -67,35 +68,6 @@ class SixJArgs:
                 and all(triangle_ok(*t) for t in self.triads()))
 
 
-def _triangle_sq(x: HalfInt, y: HalfInt, z: HalfInt) -> Fraction:
-    """Squared triangle coefficient (a+b-c)!(a-b+c)!(-a+b+c)!/(a+b+c+1)!."""
-    tx, ty, tz = x.twice, y.twice, z.twice
-    return Fraction(
-        factorial((tx + ty - tz) // 2)
-        * factorial((tx - ty + tz) // 2)
-        * factorial((-tx + ty + tz) // 2),
-        factorial((tx + ty + tz) // 2 + 1),
-    )
-
-
-def _racah_sum(ta: int, tb: int, te: int, tc: int, td: int, tf: int) -> Fraction:
-    """The alternating factorial sum of an admissible {a b e; c d f}, twice
-    each label given: the 6-j value without its triangle radical."""
-    triad_sums = [(ta + tb + te) // 2, (ta + td + tf) // 2,
-                  (tb + tc + tf) // 2, (tc + td + te) // 2]
-    quad_sums = [(ta + tb + tc + td) // 2, (tb + te + td + tf) // 2,
-                 (te + ta + tf + tc) // 2]
-    total = Fraction(0)
-    for t in range(max(triad_sums), min(quad_sums) + 1):
-        den = 1
-        for ts_ in triad_sums:
-            den *= factorial(t - ts_)
-        for qs in quad_sums:
-            den *= factorial(qs - t)
-        total += Fraction(minus_one_pow(t) * factorial(t + 1), den)
-    return total
-
-
 def sixj(args: SixJArgs) -> SqrtRational:
     """Exact 6-j value; zero for inadmissible arguments."""
     if not args.admissible():
@@ -114,23 +86,23 @@ def racah_identity_residual(s, n: int) -> tuple:
         W_lp = {s s l; s r4 p},  r4 = 3s - n,
 
     over l, p = 2s - k for k in the level range, rows and columns in
-    ascending k.  Each symbol splits as W_lp = sqrt(u_l) C_lp sqrt(u_p),
-    u_x the squared triangle coefficients of (s, s, x) and (s, r4, x) and
-    C the Racah sum, so the rule holds cell for cell iff
-    C diag(u_p (-1)^p (2p+1)) C == S C S with S = diag((-1)^l).  Cleared
+    ascending k.  A^(s,n) is built from these symbols: its weights are
+    u_p (2p+1), u_p the product of the squared triangle coefficients of
+    (s, s, p) and (s, r4, p), and its core is (-1)^(2s-n) C, C the Racah
+    sum, so that W_lp = sqrt(u_l) C_lp sqrt(u_p).  The rule therefore
+    holds cell for cell iff C diag(u_p (-1)^p (2p+1)) C == S C S with
+    S = diag((-1)^l), read here from the cached matrix without evaluating
+    any sum.  Cleared
     to integers Ci = dC C and Ui = dU u_p (-1)^p (2p+1), the residual is
     Ci diag(Ui) Ci - dC dU S Ci S, zero exactly when the rule holds.
     """
-    s = HalfInt.coerce(s)
-    ts, r4 = s.twice, HalfInt(3 * s.twice - 2 * n)
-    labels = [HalfInt(2 * ts - 2 * k) for k in LevelRange.for_level(s, n).indices()]
-    signs = [minus_one_pow(x.twice // 2) for x in labels]
-    d_core, core = clear_denominators(
-        [[_racah_sum(ts, ts, x.twice, ts, r4.twice, y.twice) for y in labels]
-         for x in labels])
-    d_weights, (weights,) = clear_denominators([[
-        _triangle_sq(s, s, x) * _triangle_sq(s, r4, x) * sign * (x.twice + 1)
-        for x, sign in zip(labels, signs)]])
+    a = a_matrix(s, n)
+    ts = a.range.s.twice
+    sign = minus_one_pow(ts - n)
+    signs = [minus_one_pow(ts - k) for k in a.range.indices()]
+    d_core, core = clear_denominators([[sign * x for x in row] for row in a.core])
+    d_weights, (weights,) = clear_denominators(
+        [[w * e for w, e in zip(a.weights, signs)]])
     lhs = mat_mul(diag_mul_right(core, weights), core)
     rhs = diag_mul_left(signs, diag_mul_right(core, signs))
     return mat_sub(lhs, mat_scale(d_core * d_weights, rhs))

@@ -44,6 +44,8 @@ GOLDEN = [
     ("scan-degeneracy --max-2s 10", 0, "90a82ac64b95a396840d0f4e11bf19f53269d0ff33db91094db6358e543a0339"),
     ("amat --s 3/2 --n 3", 0, "7f464c807f202105e604f8d408595d580666a0cf35fad3dc277c6bf9c1909f8f"),
     ("amat --s 3/2 --n 3 --gauge", 0, "bdaae3a56043ff507fb6a584027ff284986d054e6dbc60fe8eac7b00ddb14f8f"),
+    ("amat --s 5 --n 12", 0, "c3168ad6a1c857c2f9fc1c0aabd5d1be3c503cb734fa564da55139580a728ce7"),
+    ("amat --s 5 --n 12 --gauge", 0, "e7be1e1c7993240cf12810ba23b2c88a785bd3777cce1274ac781a68690ced60"),
     ("eta --s 5/2 --m 3 --n 4", 0, "7faf29411cc15a1579354fc1720a29eee29a985f3e8ed60f0960d947cf5ac5b1"),
     ("sixj 3/2 3/2 0 1/2 1/2 2", 0, "d11e52b99c1768ad470aa3edbab9fda3315aeb1210469f221e61ee38a5774de7"),
 ]

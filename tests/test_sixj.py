@@ -5,16 +5,18 @@ from fractions import Fraction
 
 import pytest
 
-from sl2ybe.amatrix import LevelRange, top_level
+from sl2ybe.acceptance import criterion_2
+from sl2ybe.amatrix import (GaugedMatrix, LevelRange, _racah_sum, _triangle_sq,
+                            a_matrix, top_level)
 from sl2ybe.exact import (DomainError, HalfInt, SqrtRational, rescale_surd,
                           sqrt_canonicalize)
 from sl2ybe.linalg import is_zero_matrix
-from sl2ybe.sixj import (SixJArgs, _racah_sum, _triangle_sq,
-                         racah_identity_residual, sixj, triangle_ok)
+from sl2ybe.sixj import SixJArgs, racah_identity_residual, sixj, triangle_ok
 
 H = HalfInt
 # the module, which the package's `sixj` function shadows as an attribute
 sixj_module = importlib.import_module("sl2ybe.sixj")
+amatrix_module = importlib.import_module("sl2ybe.amatrix")
 
 
 def S(*args):
@@ -212,9 +214,28 @@ class TestRacahIdentity:
                     assert (c > 0) - (c < 0) == (w.coeff > 0) - (w.coeff < 0)
 
     def test_detects_a_wrong_symbol(self, monkeypatch):
-        # s=2, n=5 with {2 2 2; 2 1 1} off by its sign is no longer zero
-        real, flipped = _racah_sum, (4, 4, 4, 4, 2, 2)
-        assert real(*flipped) != 0
-        monkeypatch.setattr(sixj_module, "_racah_sum",
-                            lambda *t: -real(*t) if t == flipped else real(*t))
+        # s=2, n=5 with {2 2 2; 2 1 1} (k=2, k'=3) off by its sign is no
+        # longer zero; the wrong level is a fresh matrix, not the cached one
+        real = a_matrix(H(4), 5)
+        core = [list(row) for row in real.core]
+        assert core[1][2] != 0
+        core[1][2] = -core[1][2]
+        wrong = GaugedMatrix(real.range, real.weights, core)
+        monkeypatch.setattr(sixj_module, "a_matrix", lambda s, n: wrong)
         assert not is_zero_matrix(racah_identity_residual(H(4), 5))
+
+    def test_reads_the_cached_matrices(self, monkeypatch):
+        # once every A^(s,n) with 2s <= 10 is built, criterion 2 evaluates
+        # no Racah sum of its own
+        for s, n in level_grid(10):
+            a_matrix(s, n)
+        calls = []
+
+        def counted(*t):
+            calls.append(t)
+            return _racah_sum(*t)
+
+        monkeypatch.setattr(amatrix_module, "_racah_sum", counted)
+        monkeypatch.setattr(sixj_module, "_racah_sum", counted)
+        result = criterion_2(10)
+        assert result.passed and calls == []

@@ -17,8 +17,8 @@ from .classify import (DegeneracyRecord, FghSystem, constant_m_prime,
                        eta_level4_m3, exceptional_level_combination,
                        fgh_matrices, level_three_five_ratio,
                        permutation_rigidity, projector_obstruction_check)
-from .exact import (DomainError, HalfInt, QuadExt, Rational, SqrtRational,
-                    factorial, sqrt_canonicalize)
+from .exact import (DomainError, HalfInt, QuadExt, Rational, factorial,
+                    sqrt_canonicalize)
 from .sixj import SixJArgs, racah_identity_residual, sixj, triangle_ok
 from .spectral import (PoleError, RationalFunction, SpectralFamily, baxter_b,
                        baxter_tl, check_regularity_unitarity, constant_baxter,

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .exact import (DomainError, HalfInt, SqrtRational, factorial,
+from .exact import (DomainError, HalfInt, QuadExt, factorial,
                     minus_one_pow, sqrt_canonicalize)
 from .linalg import (clear_denominators, diag_mul_left, diag_mul_right, diagonal,
                      mat_mul, mat_scale, sandwich)
@@ -128,7 +128,7 @@ class GaugedMatrix:
         only, so the hat of a rank-one projector is one outer product."""
         return sandwich(self.int_ucore, entries, self.int_ucore)
 
-    def entry(self, k: int, kp: int) -> SqrtRational:
+    def entry(self, k: int, kp: int) -> QuadExt:
         """Raw entry sqrt(u_k) M_{kk'} sqrt(u_{k'})."""
         i, j = k - self.range.k_min, kp - self.range.k_min
         return sqrt_canonicalize(self.core[i][j], self.weights[i] * self.weights[j])
@@ -211,23 +211,14 @@ def verify_sign_conjugation(s, n: int) -> bool:
 def eta(s, m: int, n: int) -> Fraction:
     """(-1)^n times the (m,m) diagonal entry of A^(s,n), exactly rational.
 
-    The raw diagonal entry carries u_m under one square root; the gauge
-    form never creates the radical, and the SqrtRational route is checked
-    to collapse to the same rational.
+    The raw diagonal entry sqrt(u_m) M_mm sqrt(u_m) is u_m M_mm: the gauge
+    form never creates the radical.
     """
     a = a_matrix(s, n)
     if m not in a.range:
         raise DomainError(f"m={m} outside level range "
                           f"{a.range.k_min}..{a.range.k_max} at n={n}")
-    value = Fraction(minus_one_pow(n)) * a.diagonal_rational(m)
-    raw = a.entry(m, m)
-    if not raw.is_rational:
-        raise DomainError(f"diagonal entry ({m},{m}) of A^({s},{n}) not rational")
-    if raw.as_fraction() != a.diagonal_rational(m):
-        raise AssertionError(
-            f"diagonal entry ({m},{m}) of A^({s},{n}): square-root route "
-            f"{raw} disagrees with the gauge value {a.diagonal_rational(m)}")
-    return value
+    return minus_one_pow(n) * a.diagonal_rational(m)
 
 
 def eta_closed_form(s, m: int) -> Fraction:

@@ -1,5 +1,6 @@
-"""Exact scalar arithmetic: half-integer labels, square-root-carrying
-rationals, and quadratic extensions Q(sqrt(d)).
+"""Exact scalar arithmetic: half-integer labels and quadratic extensions
+Q(sqrt(d)), whose a = 0 elements c*sqrt(r) carry the square roots of
+rationals (6-j symbols and raw recoupling entries).
 
 All values are immutable; rationals are `fractions.Fraction` throughout.
 No floating point enters this module except through explicit `float()`
@@ -20,7 +21,6 @@ __all__ = [
     "HalfInt",
     "QuadExt",
     "Rational",
-    "SqrtRational",
     "display_discriminant",
     "factorial",
     "format_rational",
@@ -131,6 +131,14 @@ def _surd_eq(b1: Fraction, d1: int, b2: Fraction, d2: int) -> bool:
     return _sign(b1) == _sign(b2) and b1 * b1 * d1 == b2 * b2 * d2
 
 
+def _sqrt_float(x: Fraction) -> float:
+    """sqrt(x) for a rational x >= 0, rounded from an integer square root
+    of at least 64 bits, so it overflows only when the result does."""
+    p, q = x.numerator, x.denominator
+    k = max(0, (q.bit_length() - p.bit_length() + 129) // 2)
+    return math.isqrt((p << 2 * k) // q) / (1 << k)
+
+
 @dataclass(frozen=True, order=True)
 class HalfInt:
     """A spin or level label x stored as twice = 2x, so all index
@@ -202,91 +210,13 @@ def format_rational(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-def sqrt_canonicalize(coeff: Fraction, radicand: Fraction) -> "SqrtRational":
-    """Normal form of coeff*sqrt(radicand): the radicand becomes a positive
-    integer, 1 iff the value is rational.  Square factors are not extracted
-    (see SqrtRational), so nothing is factored."""
-    coeff, radicand = Fraction(coeff), Fraction(radicand)
+def sqrt_canonicalize(coeff: Fraction, radicand: Fraction) -> "QuadExt":
+    """coeff*sqrt(radicand) as the a = 0 element of Q(sqrt(radicand)): the
+    radicand becomes a positive integer, 1 iff the value is rational.
+    Square factors are not extracted (see QuadExt), so nothing is factored."""
     if radicand < 0:
         raise DomainError("negative radicand (no complex support)")
-    c, n = _split_radicand(radicand)
-    if c != 1:
-        coeff *= c
-    if coeff == 0:
-        return SqrtRational._raw(Fraction(0), 1)
-    return SqrtRational._raw(coeff, n)
-
-
-class SqrtRational:
-    """Exact scalar coeff*sqrt(radicand) with rational coeff and a positive
-    integer radicand, 1 iff the value is rational.
-
-    The radicand is not reduced to squarefree form, so one value has many
-    representations (2*sqrt(3) and 1*sqrt(12)).  Equality and hashing are
-    decided on the sign of coeff and the square coeff^2 * radicand, and
-    str() prints the squarefree form, the only place a radicand is
-    factored.
-
-    A value is built (`sqrt_canonicalize`), compared, printed and
-    converted, but never combined: there are no arithmetic operators.  A
-    check that would combine surds works on their radical-free parts, as
-    sixj.racah_identity_residual does for the Racah sum rule.
-    """
-
-    __slots__ = ("coeff", "radicand")
-
-    def __init__(self, coeff, radicand=1):
-        canon = sqrt_canonicalize(Fraction(coeff), Fraction(radicand))
-        object.__setattr__(self, "coeff", canon.coeff)
-        object.__setattr__(self, "radicand", canon.radicand)
-
-    @classmethod
-    def _raw(cls, coeff: Fraction, radicand: int) -> "SqrtRational":
-        obj = object.__new__(cls)
-        object.__setattr__(obj, "coeff", coeff)
-        object.__setattr__(obj, "radicand", radicand)
-        return obj
-
-    def __setattr__(self, *args):
-        raise AttributeError("SqrtRational is immutable")
-
-    @property
-    def is_zero(self) -> bool:
-        return self.coeff == 0
-
-    @property
-    def is_rational(self) -> bool:
-        return self.radicand == 1
-
-    def as_fraction(self) -> Fraction:
-        if not self.is_rational:
-            raise DomainError(f"{self} is irrational")
-        return self.coeff
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            return self.is_rational and self.coeff == other
-        if isinstance(other, SqrtRational):
-            return _surd_eq(self.coeff, self.radicand, other.coeff, other.radicand)
-        return NotImplemented
-
-    def __hash__(self):
-        if self.is_rational:
-            return hash(self.coeff)
-        return hash((_sign(self.coeff), self.coeff * self.coeff * self.radicand))
-
-    def __float__(self) -> float:
-        return math.copysign(math.sqrt(self.coeff * self.coeff * self.radicand),
-                             self.coeff)
-
-    def __repr__(self) -> str:
-        return f"SqrtRational({self.coeff!r}, {self.radicand!r})"
-
-    def __str__(self) -> str:
-        if self.is_rational:
-            return format_rational(self.coeff)
-        m, d = squarefree_split(self.radicand)
-        return f"{format_rational(self.coeff * m)}*sqrt({d})"
+    return QuadExt(0, coeff, radicand)
 
 
 class QuadExt:
@@ -297,8 +227,9 @@ class QuadExt:
     lie in one field iff the product of their discriminants is a square,
     and arithmetic then rescales the second to the first one's d.
     Equality and hashing are decided on a, the sign of b and b^2 d, and
-    str() prints the squarefree form.  Rational values embed into any
-    extension.
+    str() prints the squarefree form, the only place d is factored.
+    Rational values embed into any extension, and a pure surd c*sqrt(r)
+    is the element with a = 0 (`sqrt_canonicalize`).
     """
 
     __slots__ = ("a", "b", "d")
@@ -407,7 +338,8 @@ class QuadExt:
         return hash((self.a, _sign(self.b), self.b * self.b * self.d))
 
     def __float__(self) -> float:
-        return float(self.a) + float(self.b) * math.sqrt(self.d)
+        return float(self.a) + math.copysign(_sqrt_float(self.b * self.b * self.d),
+                                             self.b)
 
     def __repr__(self) -> str:
         return f"QuadExt({self.a!r}, {self.b!r}, {self.d!r})"
@@ -416,5 +348,7 @@ class QuadExt:
         if self.b == 0:
             return format_rational(self.a)
         m, d = squarefree_split(self.d)
+        if self.a == 0:
+            return f"{format_rational(self.b * m)}*sqrt({d})"
         sign = "+" if self.b >= 0 else "-"
         return f"{format_rational(self.a)} {sign} {format_rational(abs(self.b) * m)}*sqrt({d})"

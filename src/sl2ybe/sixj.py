@@ -1,12 +1,12 @@
 """Exact Wigner 6-j symbols of sl2 via the Racah single-sum formula.
 
-A symbol {a b e; c d f} evaluates to a single SqrtRational: the four
-triangle coefficients multiply under one radical and the alternating
-factorial sum is rational; both come from `amatrix`, whose A^(s,n) is
-built from the same sum.  Inadmissible arguments give exact zero.  The
-Racah sum rule is checked one level at a time as an integer matrix
-identity on the core and weights of the cached A^(s,n), so it evaluates
-no sum and needs no arithmetic on SqrtRational values.
+A symbol {a b e; c d f} evaluates to a single surd c*sqrt(r), the
+QuadExt with a = 0: the four triangle coefficients multiply under one
+radical and the alternating factorial sum is rational; both come from
+`amatrix`, whose A^(s,n) is built from the same sum.  Inadmissible
+arguments give exact zero.  The Racah sum rule is checked one level at a
+time as an integer matrix identity on the core and weights of the cached
+A^(s,n), so it evaluates no sum and needs no arithmetic on surds.
 """
 from __future__ import annotations
 
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .amatrix import _racah_sum, _triangle_sq, a_matrix
-from .exact import (DomainError, HalfInt, SqrtRational, minus_one_pow,
+from .exact import (DomainError, HalfInt, QuadExt, minus_one_pow,
                     sqrt_canonicalize)
 from .linalg import (clear_denominators, diag_mul_left, diag_mul_right,
                      mat_mul, mat_scale, mat_sub)
@@ -68,10 +68,10 @@ class SixJArgs:
                 and all(triangle_ok(*t) for t in self.triads()))
 
 
-def sixj(args: SixJArgs) -> SqrtRational:
+def sixj(args: SixJArgs) -> QuadExt:
     """Exact 6-j value; zero for inadmissible arguments."""
     if not args.admissible():
-        return SqrtRational(0)
+        return QuadExt(0)
     radicand = Fraction(1)
     for t in args.triads():
         radicand *= _triangle_sq(*t)

@@ -6,7 +6,7 @@ from sl2ybe.amatrix import (LevelRange, a_matrix,
                             consecutive_level_ratio, eta, eta_closed_form,
                             rank_one_projector, sign_diagonal, top_level,
                             verify_a_properties, verify_sign_conjugation)
-from sl2ybe.exact import (DomainError, HalfInt, SqrtRational, minus_one_pow,
+from sl2ybe.exact import (DomainError, HalfInt, QuadExt, minus_one_pow,
                           sqrt_canonicalize)
 from sl2ybe.linalg import diagonal, mat_mul, mat_scale
 from sl2ybe.sixj import SixJArgs, sixj
@@ -20,7 +20,7 @@ def fraction_ucore(a):
     return tuple(tuple(x * w for x, w in zip(row, a.weights)) for row in a.core)
 
 
-def a_entry_from_sixj(s: HalfInt, n: int, k: int, kp: int) -> SqrtRational:
+def a_entry_from_sixj(s: HalfInt, n: int, k: int, kp: int) -> QuadExt:
     """Independent route: prefactor times a 6-j symbol,
 
         (-1)^(2s-n) sqrt((4s-2k+1)(4s-2k'+1)) {s s 2s-k; s 3s-n 2s-k'}.
@@ -28,9 +28,10 @@ def a_entry_from_sixj(s: HalfInt, n: int, k: int, kp: int) -> SqrtRational:
     ts = s.twice
     symbol = sixj(SixJArgs(s, s, HalfInt(2 * ts - 2 * k),
                            s, HalfInt(3 * ts - 2 * n), HalfInt(2 * ts - 2 * kp)))
+    # a surd is a QuadExt with a = 0, or with b = 0 when it is rational
     return sqrt_canonicalize(
-        minus_one_pow(ts - n) * symbol.coeff,
-        (2 * ts - 2 * k + 1) * (2 * ts - 2 * kp + 1) * symbol.radicand)
+        minus_one_pow(ts - n) * (symbol.a + symbol.b),
+        (2 * ts - 2 * k + 1) * (2 * ts - 2 * kp + 1) * symbol.d)
 
 
 class TestLevelRange:
@@ -59,8 +60,8 @@ class TestConstruction:
         a = a_matrix("1/2", 1)
         assert a.entry(0, 0) == Fraction(1, 2)
         assert a.entry(1, 1) == Fraction(-1, 2)
-        assert a.entry(0, 1) == SqrtRational(Fraction(1, 2), 3)
-        assert a.entry(1, 0) == SqrtRational(Fraction(1, 2), 3)
+        assert a.entry(0, 1) == QuadExt(0, Fraction(1, 2), 3)
+        assert a.entry(1, 0) == QuadExt(0, Fraction(1, 2), 3)
 
     def test_level_zero_is_one(self):
         for ts in range(1, 7):
@@ -81,8 +82,9 @@ class TestConstruction:
             for kp in a.range.indices():
                 raw = a.entry(k, kp)
                 i, j = k - a.range.k_min, kp - a.range.k_min
-                assert raw.coeff ** 2 * raw.radicand == (a.weights[i] * a.weights[j]
-                                                         * a.core[i][j] ** 2)
+                assert raw.a * raw.b == 0  # a surd: rational or a = 0
+                assert (raw.a + raw.b) ** 2 * raw.d == (a.weights[i] * a.weights[j]
+                                                       * a.core[i][j] ** 2)
 
     def test_shared_weights_per_level(self):
         assert a_matrix(2, 3) is a_matrix(2, 3)  # cached, hence same gauge

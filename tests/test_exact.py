@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from sl2ybe.exact import (DomainError, HalfInt, QuadExt, SqrtRational,
-                          factorial, format_rational, parse_rational,
-                          rescale_surd, sqrt_canonicalize, squarefree_split)
+from sl2ybe.exact import (DomainError, HalfInt, QuadExt, factorial,
+                          format_rational, parse_rational, rescale_surd,
+                          sqrt_canonicalize, squarefree_split)
 
 rationals = st.fractions(min_value=Fraction(-10**6), max_value=Fraction(10**6),
                          max_denominator=10**4)
@@ -15,17 +15,16 @@ small_rationals = st.fractions(min_value=Fraction(-50), max_value=Fraction(50),
                                max_denominator=40)
 
 
+def surd(c, r=1):
+    """c*sqrt(r) as the package builds it: the QuadExt with a = 0."""
+    return QuadExt(0, c, r)
+
+
 def surd_product(x, y):
-    """x * y for SqrtRational x and y: one sqrt_canonicalize of the
-    coefficient and radicand products."""
-    return sqrt_canonicalize(x.coeff * y.coeff, x.radicand * y.radicand)
-
-
-def surd_sum(x, y):
-    """x + y for SqrtRational x and y of one radicand class: y's coefficient
-    rescaled onto x's radicand (rescale_surd raises across classes)."""
-    return SqrtRational(x.coeff + rescale_surd(y.coeff, y.radicand, x.radicand),
-                        x.radicand)
+    """x * y for surds x and y (a = 0, or b = 0 when rational) of any two
+    radicand classes, which QuadExt refuses to multiply: one
+    sqrt_canonicalize of the coefficient and radicand products."""
+    return sqrt_canonicalize((x.a + x.b) * (y.a + y.b), x.d * y.d)
 
 
 class TestFactorial:
@@ -107,12 +106,12 @@ class TestSqrtCanonicalize:
         # the stored radicand may keep its square factor; the value, its
         # hash and its printed form are those of 2*sqrt(3)
         v = sqrt_canonicalize(Fraction(1), Fraction(12))
-        assert v == SqrtRational(2, 3) and hash(v) == hash(SqrtRational(2, 3))
+        assert v == surd(2, 3) and hash(v) == hash(surd(2, 3))
         assert str(v) == "2*sqrt(3)"
 
     def test_already_rational(self):
         v = sqrt_canonicalize(Fraction(5), Fraction(1))
-        assert (v.coeff, v.radicand) == (Fraction(5), 1)
+        assert (v.a, v.b, v.d) == (Fraction(5), 0, 1)
 
     def test_perfect_square_ratio(self):
         v = sqrt_canonicalize(Fraction(1), Fraction(9, 4))
@@ -135,35 +134,36 @@ class TestSqrtCanonicalize:
 
 
 class TestSqrtRational:
+    """Square roots of rationals c*sqrt(r): the QuadExt values with a = 0."""
+
     def test_zero_form(self):
-        z = SqrtRational(0, 7)
-        assert z.is_zero and z.radicand == 1
+        z = surd(0, 7)
+        assert z.is_zero and (z.a, z.b, z.d) == (0, 0, 1)
 
     def test_multiplication_closes(self):
-        x = SqrtRational(Fraction(1, 2), 6)
-        y = SqrtRational(3, 10)
+        x = surd(Fraction(1, 2), 6)
+        y = surd(3, 10)
         prod = surd_product(x, y)
-        assert prod == SqrtRational(3, 15) and str(prod) == "3*sqrt(15)"
+        assert prod == surd(3, 15) and str(prod) == "3*sqrt(15)"
 
     def test_addition_same_class(self):
-        assert surd_sum(SqrtRational(1, 3), SqrtRational(Fraction(1, 2), 3)) \
-            == SqrtRational(Fraction(3, 2), 3)
+        assert surd(1, 3) + surd(Fraction(1, 2), 3) == surd(Fraction(3, 2), 3)
         # 1*sqrt(12) + 1/2*sqrt(3) == 5/2*sqrt(3)
-        assert surd_sum(SqrtRational(1, 12), SqrtRational(Fraction(1, 2), 3)) \
-            == SqrtRational(Fraction(5, 2), 3)
+        assert surd(1, 12) + surd(Fraction(1, 2), 3) == surd(Fraction(5, 2), 3)
 
     def test_addition_mixed_class_rejected(self):
         with pytest.raises(ValueError):
-            surd_sum(SqrtRational(1, 2), SqrtRational(1, 3))
+            surd(1, 2) + surd(1, 3)
 
     def test_string_forms(self):
-        assert str(SqrtRational(Fraction(-1, 2))) == "-1/2"
-        assert str(SqrtRational(Fraction(1, 2), 3)) == "1/2*sqrt(3)"
+        assert str(surd(Fraction(-1, 2))) == "-1/2"
+        assert str(surd(Fraction(1, 2), 3)) == "1/2*sqrt(3)"
+        assert str(surd(Fraction(-1, 2), 20)) == "-1*sqrt(5)"
 
     @given(small_rationals, st.integers(min_value=0, max_value=60),
            small_rationals, st.integers(min_value=0, max_value=60))
     def test_product_matches_float(self, c1, r1, c2, r2):
-        x, y = SqrtRational(c1, r1), SqrtRational(c2, r2)
+        x, y = surd(c1, r1), surd(c2, r2)
         exact = float(surd_product(x, y))
         approx = float(x) * float(y)
         assert abs(exact - approx) <= 1e-12 * max(1.0, abs(approx))
@@ -208,7 +208,7 @@ class TestQuadExt:
 
     def test_discriminant_canonicalized(self):
         x = QuadExt(0, 1, Fraction(5, 9))
-        assert x == QuadExt(0, Fraction(1, 3), 5) and str(x) == "0 + 1/3*sqrt(5)"
+        assert x == QuadExt(0, Fraction(1, 3), 5) and str(x) == "1/3*sqrt(5)"
         y = QuadExt(0, 2, 9)
         assert y.is_rational and y == 6 and str(y) == "6"
 
@@ -223,6 +223,18 @@ class TestQuadExt:
         got = float(x * y + x - y)
         want = float(x) * float(y) + float(x) - float(y)
         assert abs(got - want) <= 1e-9 * max(1.0, abs(want))
+
+    def test_float_with_huge_discriminant(self):
+        # d alone, or b alone squared, is beyond the float range; the value
+        # is not
+        root3 = math.sqrt(3)
+        assert float(QuadExt(0, Fraction(1, 10**200), 3 * 10**400)) \
+            == pytest.approx(root3, rel=1e-15)
+        assert float(QuadExt(1, Fraction(-1, 10**200), 3 * 10**400)) \
+            == pytest.approx(1 - root3, rel=1e-15)
+        assert float(QuadExt(0, 10**200, 3)) == pytest.approx(root3 * 1e200, rel=1e-15)
+        with pytest.raises(OverflowError):
+            float(QuadExt(0, 10**200, 3 * 10**400))
 
     def test_format(self):
         assert str(QuadExt(Fraction(-9, 2), Fraction(3, 2), 5)) == "-9/2 + 3/2*sqrt(5)"
@@ -247,44 +259,39 @@ def test_large_prime_square_probe():
     p, q = 1000003, 1000033
     assert QuadExt(0, 1, p * p * q) == QuadExt(0, p, q)
     assert hash(QuadExt(0, 1, p * p * q)) == hash(QuadExt(0, p, q))
-    assert SqrtRational(1, p * p * q) == SqrtRational(p, q)
-    assert hash(SqrtRational(1, p * p * q)) == hash(SqrtRational(p, q))
-    assert SqrtRational(1, p * p * q) != SqrtRational(-p, q)
+    assert QuadExt(0, 1, p * p * q) != QuadExt(0, -p, q)
     assert QuadExt(0, 1, p * p * q) - QuadExt(0, p, q) == 0
 
 
 class TestLargePrimeRadicands:
     @given(nonzero, kernels, cofactors)
     def test_sqrt_equality_and_hash(self, c, q, k):
-        x, y = SqrtRational(c, k * k * q), SqrtRational(c * k, q)
+        x, y = surd(c, k * k * q), surd(c * k, q)
         assert x == y and hash(x) == hash(y)
-        assert x != SqrtRational(-c * k, q) and x != SqrtRational(c * k, 4 * q)
+        assert x != surd(-c * k, q) and x != surd(c * k, 4 * q)
         assert not x.is_rational and not surd_product(x, y).is_zero
 
     @given(nonzero, nonzero, kernels, cofactors, cofactors)
     def test_sqrt_product_is_rational_in_one_class(self, c1, c2, q, k1, k2):
-        prod = surd_product(SqrtRational(c1, k1 * k1 * q), SqrtRational(c2, k2 * k2 * q))
+        prod = surd_product(surd(c1, k1 * k1 * q), surd(c2, k2 * k2 * q))
         assert prod.is_rational and prod == c1 * c2 * k1 * k2 * q
 
     @given(nonzero, nonzero, distinct_kernels, cofactors, cofactors)
     def test_sqrt_product_across_classes(self, c1, c2, qs, k1, k2):
         q1, q2 = qs
-        prod = surd_product(SqrtRational(c1, k1 * k1 * q1),
-                            SqrtRational(c2, k2 * k2 * q2))
-        assert prod == SqrtRational(c1 * c2 * k1 * k2, q1 * q2)
+        prod = surd_product(surd(c1, k1 * k1 * q1), surd(c2, k2 * k2 * q2))
+        assert prod == surd(c1 * c2 * k1 * k2, q1 * q2)
 
     @given(nonzero, nonzero, kernels, cofactors, cofactors)
     def test_sqrt_same_class_sum(self, c1, c2, q, k1, k2):
-        total = surd_sum(SqrtRational(c1, k1 * k1 * q), SqrtRational(c2, k2 * k2 * q))
-        assert total == SqrtRational(c1 * k1 + c2 * k2, q)
+        total = surd(c1, k1 * k1 * q) + surd(c2, k2 * k2 * q)
+        assert total == surd(c1 * k1 + c2 * k2, q)
 
     @given(nonzero, nonzero, distinct_kernels, cofactors, cofactors)
     def test_sqrt_cross_class_sum_raises(self, c1, c2, qs, k1, k2):
         q1, q2 = qs
         with pytest.raises(ValueError):
-            surd_sum(SqrtRational(c1, k1 * k1 * q1), SqrtRational(c2, k2 * k2 * q2))
-        with pytest.raises(ValueError):
-            surd_sum(SqrtRational(c1, k1 * k1 * q1), SqrtRational(c2))
+            surd(c1, k1 * k1 * q1) + surd(c2, k2 * k2 * q2)
 
     @given(small_rationals, nonzero, kernels, cofactors)
     def test_quadext_equality_and_hash(self, a, b, q, k):

@@ -48,6 +48,10 @@ GOLDEN = [
     ("amat --s 5 --n 12 --gauge", 0, "e7be1e1c7993240cf12810ba23b2c88a785bd3777cce1274ac781a68690ced60"),
     ("eta --s 5/2 --m 3 --n 4", 0, "7faf29411cc15a1579354fc1720a29eee29a985f3e8ed60f0960d947cf5ac5b1"),
     ("sixj 3/2 3/2 0 1/2 1/2 2", 0, "d11e52b99c1768ad470aa3edbab9fda3315aeb1210469f221e61ee38a5774de7"),
+    ("sixj 150 151 150 149 150 151", 0, "720e0c129f1caa79ae3ebeaa95b37a4d87402e2a2c4b5be75bcc44fa21a7bd4b"),
+    ("sixj 1/2 1/2 1 2 2 3/2", 0, "9077bb638ee8c23c711a94cecad7c3a8be5577582a6e960b04c77d3327f6f2d8"),
+    ("sixj 1 1 1 1/2 1/2 1/2", 0, "759bdc74d8766e3585baeea24826619174b88948caf80c9e98f7afbee4ee8bca"),
+    ("sixj 1 1 3 1 1 1", 0, "ac97fba6e7cb7cc1568435e2ce3a6fba3d93e4bfd060cc2407bb8214ec1e8f3f"),
 ]
 
 

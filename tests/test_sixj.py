@@ -8,8 +8,7 @@ import pytest
 from sl2ybe.acceptance import criterion_2
 from sl2ybe.amatrix import (GaugedMatrix, LevelRange, _racah_sum, _triangle_sq,
                             a_matrix, top_level)
-from sl2ybe.exact import (DomainError, HalfInt, SqrtRational, rescale_surd,
-                          sqrt_canonicalize)
+from sl2ybe.exact import DomainError, HalfInt, sqrt_canonicalize
 from sl2ybe.linalg import is_zero_matrix
 from sl2ybe.sixj import SixJArgs, racah_identity_residual, sixj, triangle_ok
 
@@ -23,21 +22,16 @@ def S(*args):
     return SixJArgs.coerce(*args)
 
 
+def surd_coeff(x):
+    """c with x == c*sqrt(x.d) for a surd x, a QuadExt with a = 0 (or with
+    b = 0 when it is rational)."""
+    return x.a + x.b
+
+
 def surd_product(x, y, scale=1):
-    """scale * x * y for SqrtRational x and y, exactly."""
-    return sqrt_canonicalize(scale * x.coeff * y.coeff, x.radicand * y.radicand)
-
-
-def surd_sum(terms):
-    """The exact sum of SqrtRational terms of one radicand class: each
-    coefficient is rescaled onto the radicand of the first nonzero term
-    (rescale_surd raises across classes)."""
-    terms = [t for t in terms if not t.is_zero]
-    if not terms:
-        return SqrtRational(0)
-    target = terms[0].radicand
-    return SqrtRational(sum(rescale_surd(t.coeff, t.radicand, target) for t in terms),
-                        target)
+    """scale * x * y for surds x and y of any two radicand classes, exactly
+    (QuadExt multiplies only within one field)."""
+    return sqrt_canonicalize(scale * surd_coeff(x) * surd_coeff(y), x.d * y.d)
 
 
 def level_grid(max_two_s):
@@ -79,6 +73,13 @@ class TestSixJValues:
             val = sixj(SixJArgs(H(ts), H(ts), H(2 * ts), H(ts), H(3 * ts), H(2 * ts)))
             sign = -1 if ts % 2 else 1
             assert val == Fraction(sign, 2 * ts + 1)
+
+    def test_float_of_a_huge_radicand(self):
+        # the radicand has 860 digits, far beyond the float range; the
+        # symbol is not
+        val = sixj(S(150, 151, 150, 149, 150, 151))
+        assert val.d.bit_length() > 2000
+        assert float(val) == pytest.approx(2.548668048365154e-04, rel=1e-12)
 
 
 def _sympy_sixj(targs):
@@ -143,7 +144,7 @@ class TestOrthogonality:
                 continue
             tp, tq = rng.sample(ps, 2)
             for t_right in (tp, tq):
-                total = surd_sum(
+                total = sum(
                     surd_product(sixj(SixJArgs(*map(H, (ta, tb, tx, tc, td, tp)))),
                                  sixj(SixJArgs(*map(H, (ta, tb, tx, tc, td, t_right)))),
                                  tx + 1)
@@ -189,14 +190,14 @@ class TestRacahIdentity:
             labels = [H(2 * ts - 2 * k) for k in LevelRange.for_level(s, n).indices()]
             for l in labels:
                 for lp in labels:
-                    lhs = surd_sum(
+                    lhs = sum(
                         surd_product(sixj(SixJArgs(s, s, l, s, r4, p)),
                                      sixj(SixJArgs(s, s, lp, s, r4, p)),
                                      (-1) ** (p.twice // 2) * (p.twice + 1))
                         for p in labels)
                     rhs = sixj(SixJArgs(s, s, l, s, r4, lp))
                     sign = (-1) ** ((l.twice + lp.twice) // 2)
-                    assert lhs == SqrtRational(sign * rhs.coeff, rhs.radicand), \
+                    assert lhs == sign * rhs, \
                         (s, n, l, lp)
 
     def test_level_form_matches_sixj(self):
@@ -210,8 +211,9 @@ class TestRacahIdentity:
                 for p in labels:
                     c = _racah_sum(ts, ts, l.twice, ts, r4.twice, p.twice)
                     w = sixj(SixJArgs(s, s, l, s, r4, p))
-                    assert c * c * u[l] * u[p] == w.coeff * w.coeff * w.radicand
-                    assert (c > 0) - (c < 0) == (w.coeff > 0) - (w.coeff < 0)
+                    w_coeff = surd_coeff(w)
+                    assert c * c * u[l] * u[p] == w_coeff * w_coeff * w.d
+                    assert (c > 0) - (c < 0) == (w_coeff > 0) - (w_coeff < 0)
 
     def test_detects_a_wrong_symbol(self, monkeypatch):
         # s=2, n=5 with {2 2 2; 2 1 1} (k=2, k'=3) off by its sign is no

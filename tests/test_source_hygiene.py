@@ -5,10 +5,10 @@ Invariants must be explicit raises, because `python -O` strips `assert`
 statements.  A name imported with `from .x import` that its module never
 uses is dead weight and hides which module really depends on which, and
 so is a module-level private function or class that no module refers to.
-The benchmark in `perfbench/` times package functions by name, so each
-name it lists must stay a public function of its module.  Exact verdicts
-never rest on factoring, so `squarefree_split` is for printing only.  The
-gauge has one hat, so `GaugedMatrix.hat` is the only caller of
+The benchmark in `perfbench/` times and counts package functions by name,
+so each name it lists must stay a public function of its module.  Exact
+verdicts never rest on factoring, so `squarefree_split` is for printing
+only.  The gauge has one hat, so `GaugedMatrix.hat` is the only caller of
 `linalg.sandwich`.  Only the dense oracle uses numpy, so an exact check
 never imports it.
 """
@@ -144,6 +144,34 @@ def test_benchmarked_function_is_public(name):
     fn = getattr(mod, attr, None)
     assert not attr.startswith("_") and inspect.isfunction(fn), name
     assert fn.__module__ == mod.__name__, f"{name} is defined in {fn.__module__}"
+
+
+def _exact_counts():
+    return _module_value(ROOT / "perfbench" / "child.py", "EXACT_COUNTS")
+
+
+def _counted_exact_functions():
+    return [name.split(".")[1] for name in _exact_counts()
+            if name.startswith("exact.") and name.endswith(".calls")]
+
+
+@pytest.mark.parametrize("name", _counted_exact_functions())
+def test_counted_exact_function_is_public(name):
+    """The benchmark's `count` mode reads `exact.<name>` for each
+    `exact.<name>.calls` entry; a missing name fails that run with an
+    AttributeError."""
+    exact = importlib.import_module("sl2ybe.exact")
+    fn = getattr(exact, name, None)
+    assert not name.startswith("_") and inspect.isfunction(fn), name
+    assert fn.__module__ == exact.__name__, f"{name} is defined in {fn.__module__}"
+
+
+def test_counted_quadext_constructor():
+    """`exact.quadext_new` counts calls of QuadExt.__init__; without its own
+    __init__ the count reads 0 without any error."""
+    exact = importlib.import_module("sl2ybe.exact")
+    assert "exact.quadext_new" in _exact_counts()
+    assert inspect.isfunction(vars(exact.QuadExt).get("__init__"))
 
 
 def test_exact_verify_never_imports_numpy():

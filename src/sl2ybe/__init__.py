@@ -12,11 +12,11 @@ from .amatrix import (GaugedMatrix, LevelRange, a_matrix,
                       consecutive_level_ratio, eta, eta_closed_form,
                       rank_one_projector, sign_diagonal, top_level,
                       verify_a_properties, verify_sign_conjugation)
-from .classify import (DegeneracyRecord, FghSystem, constant_m_prime,
-                       constant_roots, degeneracy_scan, eta_incompatibility,
-                       eta_level4_m3, exceptional_level_combination,
-                       fgh_matrices, level_three_five_ratio,
-                       permutation_rigidity, projector_obstruction_check)
+from .classify import (DegeneracyRecord, constant_m_prime, constant_roots,
+                       degeneracy_scan, eta_level4_m3,
+                       exceptional_level_combination, fgh_matrices,
+                       level_three_five_ratio, permutation_rigidity,
+                       projector_obstruction_check)
 from .exact import (DomainError, HalfInt, QuadExt, Rational, factorial,
                     sqrt_canonicalize)
 from .sixj import SixJArgs, racah_identity_residual, sixj, triangle_ok

@@ -20,11 +20,9 @@ from .ybe import coeff_functions, fgh_operators, theta
 
 __all__ = [
     "DegeneracyRecord",
-    "FghSystem",
     "constant_m_prime",
     "constant_roots",
     "degeneracy_scan",
-    "eta_incompatibility",
     "eta_level4_m3",
     "exceptional_level_combination",
     "fgh_matrices",
@@ -32,25 +30,6 @@ __all__ = [
     "permutation_rigidity",
     "projector_obstruction_check",
 ]
-
-
-@dataclass(frozen=True)
-class FghSystem:
-    """The matrices F = D0 - D0^, G = pi - pi^, H = pi D0^ - D0 pi^ and
-    H~ = H^t at level n with distinguished index m, in the rational gauge,
-    as integer matrices: L^2 times their values, a common positive scale
-    that leaves ranks, span coordinates and H == H~ unchanged."""
-
-    s: HalfInt
-    m: int
-    n: int
-    F: tuple
-    G: tuple
-    H: tuple
-    Ht: tuple
-
-    def matrices(self):
-        return (self.F, self.G, self.H, self.Ht)
 
 
 def _entrywise_h(a: GaugedMatrix, m: int, transposed: bool):
@@ -75,20 +54,23 @@ def _entrywise_h(a: GaugedMatrix, m: int, transposed: bool):
                  for i, k in enumerate(rng.indices()))
 
 
-def fgh_matrices(s, m: int, n: int) -> FghSystem:
-    """Exact integer construction from the operator products (L^2 times
-    the gauge values), cross-checked entrywise against the closed forms."""
+def fgh_matrices(s, m: int, n: int) -> tuple:
+    """The matrices (F, G, H, H~) of `ybe.fgh_operators` at level n with
+    distinguished index m, in the rational gauge, as integer matrices: L^2
+    times their values, a common positive scale that leaves ranks, span
+    coordinates and H == H~ unchanged.  H and H~ are cross-checked
+    entrywise against the closed forms."""
     s = HalfInt.coerce(s)
     if theta(s, m, n) != 1:
         raise DomainError(f"index m={m} not active at level n={n} for s={s}")
     a = a_matrix(s, n)
-    big_f, big_g, big_h, big_ht = fgh_operators(a, rank_one_projector(a.range, m))
+    fgh = _, _, big_h, big_ht = fgh_operators(a, rank_one_projector(a.range, m))
     if big_h != _entrywise_h(a, m, transposed=False):
         raise AssertionError(f"H closed form mismatch at (s={s}, m={m}, n={n})")
     if big_ht != _entrywise_h(a, m, transposed=True):
         raise AssertionError(f"H~ closed form mismatch at (s={s}, m={m}, n={n})")
     # G_{kk'} = d_{km} d_{k'm} - A_{km} A_{mk'} needs no correction.
-    return FghSystem(s, m, n, big_f, big_g, big_h, big_ht)
+    return fgh
 
 
 @dataclass(frozen=True)
@@ -134,13 +116,13 @@ class ScanResult:
 
 
 def _scan_cell(s: HalfInt, m: int, n: int) -> DegeneracyRecord:
-    sys = fgh_matrices(s, m, n)
+    big_f, big_g, big_h, big_ht = fgh_matrices(s, m, n)
     rng = LevelRange.for_level(s, n)
-    total = mat_add(sys.H, sys.Ht)
+    total = mat_add(big_h, big_ht)
     # One elimination serves the rank and the decomposition of H + H~ over
     # G and F: [G, F, H + H~, H, H~] spans the same space as F, G, H, H~.
-    coords = span_coordinates([sys.G, sys.F, total, sys.H, sys.Ht])
-    if is_zero_matrix(sys.G) and is_zero_matrix(total):
+    coords = span_coordinates([big_g, big_f, total, big_h, big_ht])
+    if is_zero_matrix(big_g) and is_zero_matrix(total):
         # dimension-1 levels: every relation is trivial, scalars indeterminate
         holds_multiple, beta, beta_tilde = True, None, None
     else:
@@ -150,7 +132,7 @@ def _scan_cell(s: HalfInt, m: int, n: int) -> DegeneracyRecord:
         holds_multiple = beta_tilde == 0
     return DegeneracyRecord(
         s=s, m=m, n=n, dim=rng.dim, shifted=rng.shifted,
-        holds_transpose=sys.H == sys.Ht, holds_multiple=holds_multiple,
+        holds_transpose=big_h == big_ht, holds_multiple=holds_multiple,
         beta=beta, beta_tilde=beta_tilde, rank=sum(c is None for c in coords))
 
 
@@ -185,59 +167,6 @@ def level_three_five_ratio(s) -> Fraction:
     if den == 0:
         raise DomainError("ratio undefined at s in {0, 7/4}")
     return (10 * sf * sf - 32 * sf + 21) / den
-
-
-def _diag_entry(s: HalfInt, m: int, n: int):
-    a = a_matrix(s, n)
-    if m not in a.range:
-        return None
-    return a.diagonal_rational(m)
-
-
-@dataclass(frozen=True)
-class EtaIncompatibility:
-    """Why the level-m solution cannot extend past level m+1 for this m."""
-
-    s: HalfInt
-    m: int
-    eta_mm: Fraction
-    eta_next: Fraction | None        # None when m leaves the level range
-    abs_equal: bool                  # |A_mm^(s,m)| == |A_mm^(s,m+1)|
-    ratio: Fraction                  # (m^2 - m - 3ms + s)/(2s)
-    ratio_verified: bool | None
-    eq61_holds: bool | None = None   # A_33^(s,3) == A_33^(s,5)
-    ratio_35: Fraction | None = None
-    factorization_ok: bool | None = None  # 6s^2-25s+21 == (s-3)(6s-7)
-
-
-def eta_incompatibility(s, m: int) -> EtaIncompatibility:
-    s = HalfInt.coerce(s)
-    ts = s.twice
-    _require_index(s, m)
-    sf = s.as_fraction()
-    eta_mm = eta(s, m, m)
-    a_mm = _diag_entry(s, m, m)
-    ratio = consecutive_level_ratio(s, m)
-    eta_next = None
-    abs_equal = False
-    ratio_verified = None
-    if 2 * (m + 1) <= 3 * ts:
-        a_next = _diag_entry(s, m, m + 1)
-        if a_next is not None:
-            eta_next = Fraction(minus_one_pow(m + 1)) * a_next
-            abs_equal = abs(a_mm) == abs(a_next)
-            ratio_verified = a_next == ratio * a_mm
-    eq61 = ratio_35 = factor_ok = None
-    if m == 3 and 2 * 5 <= 3 * ts:
-        a3 = _diag_entry(s, 3, 3)
-        a5 = _diag_entry(s, 3, 5)
-        if a3 is not None and a5 is not None:
-            eq61 = a3 == a5
-            ratio_35 = level_three_five_ratio(s)
-            lhs = 6 * sf * sf - 25 * sf + 21
-            factor_ok = lhs == (sf - 3) * (6 * sf - 7)
-    return EtaIncompatibility(s, m, eta_mm, eta_next, abs_equal, ratio,
-                              ratio_verified, eq61, ratio_35, factor_ok)
 
 
 def constant_roots(s, m: int) -> tuple[QuadExt, QuadExt]:
@@ -280,8 +209,8 @@ def permutation_rigidity(s, m: int) -> bool:
     g^2 (1 + eta g) = 0 and g^2 = 0."""
     s = HalfInt.coerce(s)
     _require_index(s, m)
-    sys = fgh_matrices(s, m, m)
-    return span_rank([sys.G, mat_add(sys.H, sys.Ht)]) == 2
+    _, big_g, big_h, big_ht = fgh_matrices(s, m, m)
+    return span_rank([big_g, mat_add(big_h, big_ht)]) == 2
 
 
 def projector_obstruction_check(s, m: int) -> bool:
@@ -310,8 +239,7 @@ def eta_level4_m3(s) -> Fraction:
         raise DomainError("needs s >= 3/2")
     if theta(s, 3, 4):
         return eta(s, 3, 4)
-    a33 = _diag_entry(s, 3, 3)
-    return consecutive_level_ratio(s, 3) * a33
+    return consecutive_level_ratio(s, 3) * a_matrix(s, 3).diagonal_rational(3)
 
 
 def exceptional_level_combination(s, lam, mu):

@@ -30,8 +30,7 @@ from .oracle import (IDENTITIES_TWO_S_CAP, IDENTITY_TOL, YBE_TOL,
 from .sixj import SixJArgs, sixj
 from .spectral import (PoleError, check_regularity_unitarity, family_from_json,
                        make_family)
-from .ybe import (constant_check, default_grid, full_check, second_grid,
-                  unitarity_samples)
+from .ybe import constant_check, default_grid, full_check, unitarity_samples
 
 EXIT_PASS, EXIT_FAIL, EXIT_USAGE = 0, 1, 2
 
@@ -163,7 +162,7 @@ def cmd_verify(args):
         if args.grid == "dense":
             samples, grid_note = _dense_grid(fam), "dense 13x13 product grid"
         else:
-            samples = list(default_grid(fam)) + list(second_grid(fam))
+            samples = default_grid(fam)
             grid_note = "two disjoint 6-point grids"
         report = full_check(fam, levels=levels, samples=samples)
         unit = unitarity_samples(fam)

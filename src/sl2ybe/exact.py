@@ -167,21 +167,8 @@ class HalfInt:
             raise DomainError(f"{text!r} is not a half-integer")
         return cls(int(2 * frac))
 
-    @property
-    def is_integer(self) -> bool:
-        return self.twice % 2 == 0
-
     def as_fraction(self) -> Fraction:
         return Fraction(self.twice, 2)
-
-    def __add__(self, other: "HalfInt") -> "HalfInt":
-        return HalfInt(self.twice + other.twice)
-
-    def __sub__(self, other: "HalfInt") -> "HalfInt":
-        return HalfInt(self.twice - other.twice)
-
-    def __neg__(self) -> "HalfInt":
-        return HalfInt(-self.twice)
 
     def __str__(self) -> str:
         if self.twice % 2 == 0:

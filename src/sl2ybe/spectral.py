@@ -184,16 +184,11 @@ def baxter_b(eta: Fraction) -> QuadExt:
 
 
 def constant_root(eta: Fraction, branch: int = +1) -> QuadExt:
-    """Root g = (-1 +- sqrt(1-4 eta^2)) / (2 eta^2) of 1 + g + eta^2 g^2."""
-    eta = Fraction(eta)
-    if eta == 0:
-        raise DomainError("eta must be nonzero")
-    disc = 1 - 4 * eta * eta
-    if disc < 0:
-        raise DomainError("discriminant 1 - 4*eta^2 is negative")
-    scale = Fraction(1) / (2 * eta * eta)
-    sign = 1 if branch >= 0 else -1
-    return QuadExt(-scale, sign * scale, disc)
+    """Root g = (-1 +- sqrt(1-4 eta^2)) / (2 eta^2) of 1 + g + eta^2 g^2,
+    which is -1/(eta b) for branch +1 and -b/eta for branch -1, with
+    b = baxter_b(eta)."""
+    b = baxter_b(eta)
+    return -(b.inverse() if branch >= 0 else b) / eta
 
 
 def _require_spin(s, minimum_twice: int, why: str) -> HalfInt:

@@ -39,26 +39,26 @@ __all__ = [
     "fgh_operators",
     "full_check",
     "reduced_ybe_check",
-    "second_grid",
     "theta",
     "unitarity_samples",
 ]
 
-# Disjoint rational sample grids; all entries positive, clear of every
-# catalog pole (poles sit on the negative axis or at irrational t).
+# Two disjoint 6-pair rational sample grids, run as one; all entries
+# positive, clear of every catalog pole (poles sit on the negative axis or
+# at irrational t).
 DEFAULT_GRID = ((Fraction(1, 2), Fraction(1, 3)), (Fraction(1), Fraction(2)),
                 (Fraction(1, 3), Fraction(1, 5)), (Fraction(3, 2), Fraction(1, 4)),
-                (Fraction(2, 5), Fraction(3, 7)), (Fraction(5, 2), Fraction(1, 6)))
-SECOND_GRID = ((Fraction(1, 4), Fraction(1, 7)), (Fraction(2), Fraction(3)),
-               (Fraction(1, 5), Fraction(2, 3)), (Fraction(7, 3), Fraction(1, 2)),
-               (Fraction(3, 8), Fraction(5, 6)), (Fraction(4), Fraction(1, 9)))
+                (Fraction(2, 5), Fraction(3, 7)), (Fraction(5, 2), Fraction(1, 6)),
+                (Fraction(1, 4), Fraction(1, 7)), (Fraction(2), Fraction(3)),
+                (Fraction(1, 5), Fraction(2, 3)), (Fraction(7, 3), Fraction(1, 2)),
+                (Fraction(3, 8), Fraction(5, 6)), (Fraction(4), Fraction(1, 9)))
 # Multiplicative counterparts (t-samples > 1 keep t, u, t*u distinct).
 DEFAULT_GRID_MULT = ((Fraction(2), Fraction(3)), (Fraction(2), Fraction(5)),
                      (Fraction(3), Fraction(4)), (Fraction(5), Fraction(2)),
-                     (Fraction(7), Fraction(3)), (Fraction(4), Fraction(9)))
-SECOND_GRID_MULT = ((Fraction(3), Fraction(5)), (Fraction(2), Fraction(7)),
-                    (Fraction(9), Fraction(2)), (Fraction(5), Fraction(3)),
-                    (Fraction(6), Fraction(7)), (Fraction(8), Fraction(3)))
+                     (Fraction(7), Fraction(3)), (Fraction(4), Fraction(9)),
+                     (Fraction(3), Fraction(5)), (Fraction(2), Fraction(7)),
+                     (Fraction(9), Fraction(2)), (Fraction(5), Fraction(3)),
+                     (Fraction(6), Fraction(7)), (Fraction(8), Fraction(3)))
 # Unitarity needs r_j defined and nonzero at the sample and its mirror;
 # these stay clear of every catalog pole and coefficient zero.
 UNITARITY_SAMPLES = (Fraction(1, 3), Fraction(2, 7), Fraction(5, 9))
@@ -71,10 +71,6 @@ def unitarity_samples(fam: SpectralFamily):
 
 def default_grid(fam: SpectralFamily):
     return DEFAULT_GRID_MULT if fam.multiplicative else DEFAULT_GRID
-
-
-def second_grid(fam: SpectralFamily):
-    return SECOND_GRID_MULT if fam.multiplicative else SECOND_GRID
 
 
 def theta(s, m: int, n: int) -> int:

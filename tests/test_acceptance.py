@@ -106,3 +106,21 @@ def test_criterion_1_witness_replaces_the_summary(monkeypatch):
 def test_suite_runtime_budget(battery):
     # the full battery must stay far under the two-minute target
     assert battery[1] < 120
+
+
+def test_criterion_5_detects_a_wrong_consecutive_ratio(monkeypatch):
+    real = acceptance.consecutive_level_ratio
+    monkeypatch.setattr(acceptance, "consecutive_level_ratio",
+                        lambda s, m: real(s, m) + 1)
+    result = acceptance.criterion_5()
+    assert not result.passed and result.defect is None
+    assert result.details[0] == "consecutive ratio fails at (s=3/2, m=2)"
+
+
+def test_criterion_5_detects_a_wrong_three_five_ratio(monkeypatch):
+    real = acceptance.level_three_five_ratio
+    monkeypatch.setattr(acceptance, "level_three_five_ratio",
+                        lambda s: real(s) + 1)
+    result = acceptance.criterion_5()
+    assert not result.passed and result.defect is None
+    assert "3-to-5 ratio fails at 2s=4" in result.details

@@ -2,12 +2,12 @@ from fractions import Fraction
 
 import pytest
 
-from sl2ybe.amatrix import (a_matrix, eta_closed_form, rank_one_projector,
-                            sign_diagonal, top_level)
+from sl2ybe.amatrix import (a_matrix, consecutive_level_ratio, eta,
+                            eta_closed_form, rank_one_projector, sign_diagonal,
+                            top_level)
 from sl2ybe.classify import (constant_m_prime, constant_roots, degeneracy_scan,
-                             eta_incompatibility, eta_level4_m3,
-                             exceptional_level_combination, fgh_matrices,
-                             level_three_five_ratio,
+                             eta_level4_m3, exceptional_level_combination,
+                             fgh_matrices, level_three_five_ratio,
                              permutation_rigidity,
                              projector_obstruction_check)
 from sl2ybe.exact import DomainError, HalfInt, QuadExt
@@ -36,15 +36,15 @@ ACTIVE_CELLS = [(ts, m, n) for ts in range(1, 7) for m in range(ts + 1)
 
 class TestFghSystem:
     def test_g_entry_at_distinguished_index(self):
-        sys = fgh_matrices(1, 2, 2)
+        _, big_g, _, _ = fgh_matrices(1, 2, 2)
         # G_mm = 1 - eta^2 with eta = 1/3, times L^2 on the integer core
-        assert sys.G[2][2] == (1 - F(1, 9)) * a_matrix(1, 2).ucore_lcm ** 2
+        assert big_g[2][2] == (1 - F(1, 9)) * a_matrix(1, 2).ucore_lcm ** 2
 
     @pytest.mark.parametrize("ts, m, n", ACTIVE_CELLS)
     def test_integer_system_is_scaled_fraction_system(self, ts, m, n):
         a = a_matrix(HalfInt(ts), n)
         want = fraction_fgh(a, m)
-        got = fgh_matrices(HalfInt(ts), m, n).matrices()
+        got = fgh_matrices(HalfInt(ts), m, n)
         assert got == tuple(mat_scale(a.ucore_lcm ** 2, x) for x in want)
         assert all(type(x) is int for mat in got for row in mat for x in row)
         assert span_rank(got) == span_rank(want)
@@ -61,34 +61,34 @@ class TestFghSystem:
         # H~ = H^t holds for the raw matrices: in gauge form that reads
         # Ht = U^-1 H^t U with U the diagonal of weights.
         for (s, m, n) in [(1, 2, 2), (2, 3, 4), ("5/2", 3, 5)]:
-            sys = fgh_matrices(s, m, n)
+            _, _, big_h, big_ht = fgh_matrices(s, m, n)
             w = a_matrix(s, n).weights
-            ht = tuple(zip(*sys.H))
+            ht = tuple(zip(*big_h))
             conj = tuple(tuple(ht[i][j] * w[j] / w[i] for j in range(len(w)))
                          for i in range(len(w)))
-            assert conj == sys.Ht
+            assert conj == big_ht
 
     def test_degenerate_cell_relations(self):
         for s in (2, "5/2", 3):
-            sys = fgh_matrices(s, 3, 4)
-            assert is_zero_matrix(mat_sub(sys.H, sys.Ht))
-            assert is_zero_matrix(mat_sub(mat_add(sys.H, sys.Ht),
-                                          mat_scale(F(2), sys.G)))
+            _, big_g, big_h, big_ht = fgh_matrices(s, 3, 4)
+            assert is_zero_matrix(mat_sub(big_h, big_ht))
+            assert is_zero_matrix(mat_sub(mat_add(big_h, big_ht),
+                                          mat_scale(F(2), big_g)))
 
 
 class TestRank:
     def test_small_level_carries_one_relation(self):
         # at (s=1, m=2, n=2) the exact span is 3-dimensional:
         # H + H~ = G - (2/3) F, confirmed by the dense oracle as well
-        assert span_rank(fgh_matrices(1, 2, 2).matrices()) == 3
+        assert span_rank(fgh_matrices(1, 2, 2)) == 3
 
     def test_degenerate_cell_rank_two(self):
-        assert span_rank(fgh_matrices(2, 3, 4).matrices()) == 2
+        assert span_rank(fgh_matrices(2, 3, 4)) == 2
 
     def test_generic_cell_rank_four(self):
-        assert span_rank(fgh_matrices(3, 3, 5).matrices()) == 4
-        assert span_rank(fgh_matrices(2, 2, 4).matrices()) == 4
-        assert span_rank(fgh_matrices(2, 4, 4).matrices()) == 4
+        assert span_rank(fgh_matrices(3, 3, 5)) == 4
+        assert span_rank(fgh_matrices(2, 2, 4)) == 4
+        assert span_rank(fgh_matrices(2, 4, 4)) == 4
 
 
 @pytest.fixture(scope="module")
@@ -132,36 +132,41 @@ class TestDegeneracyScan:
         assert sample.beta == 1 and sample.beta_tilde == F(-2, 3)
 
 
+def a_diag(s, m, n):
+    """A_mm^(s,n), the raw rational diagonal entry."""
+    return a_matrix(s, n).diagonal_rational(m)
+
+
 class TestEtaIncompatibility:
     def test_three_halves_m3(self):
-        rep = eta_incompatibility("3/2", 3)
-        assert rep.ratio == -2
-        assert rep.eta_mm == F(1, 4)
+        assert consecutive_level_ratio("3/2", 3) == -2
+        assert eta("3/2", 3, 3) == F(1, 4)
         # next level drops the index: no equality constraint possible there
-        assert rep.eta_next is None and not rep.abs_equal
+        assert 3 not in a_matrix("3/2", 4).range
 
     def test_spin_two_m2(self):
-        rep = eta_incompatibility(2, 2)
-        assert rep.eta_mm == F(2, 7)
-        assert rep.eta_next == F(4, 7)
-        assert rep.ratio == -2 and rep.ratio_verified
-        assert not rep.abs_equal
+        assert eta(2, 2, 2) == F(2, 7)
+        assert eta(2, 2, 3) == F(4, 7)
+        assert consecutive_level_ratio(2, 2) == -2
+        assert a_diag(2, 2, 3) == -2 * a_diag(2, 2, 2)
+        assert abs(a_diag(2, 2, 3)) != abs(a_diag(2, 2, 2))
 
     def test_abs_never_equal_on_grid(self):
         for ts in range(2, 9):
-            for m in range(2, ts + 1):
-                assert not eta_incompatibility(HalfInt(ts), m).abs_equal
+            s = HalfInt(ts)
+            for m in range(2, ts):
+                assert abs(a_diag(s, m, m)) != abs(a_diag(s, m, m + 1)), (ts, m)
+            # at m = 2s the index leaves level m+1: nothing to compare
+            assert ts not in a_matrix(s, ts + 1).range
 
     def test_spin_three_level_equality(self):
-        rep = eta_incompatibility(3, 3)
-        assert rep.eq61_holds is True
-        assert rep.ratio_35 == 1
-        assert rep.factorization_ok
+        assert a_diag(3, 3, 3) == a_diag(3, 3, 5)
+        assert level_three_five_ratio(3) == 1
 
     def test_level_equality_fails_off_spin_three(self):
         for ts in (4, 5, 7, 8):
-            rep = eta_incompatibility(HalfInt(ts), 3)
-            assert rep.eq61_holds is False, ts
+            s = HalfInt(ts)
+            assert a_diag(s, 3, 3) != a_diag(s, 3, 5), ts
 
     def test_ratio_three_five(self):
         assert level_three_five_ratio(3) == 1
@@ -232,18 +237,14 @@ class TestStructuralRestrictions:
             for m in range(2, ts):
                 if m == 3:
                     continue
-                rep = eta_incompatibility(s, m)
-                if rep.eta_next is not None:
-                    assert rep.eta_mm != rep.eta_next, (ts, m)
+                assert eta(s, m, m) != eta(s, m, m + 1), (ts, m)
         # m = 3: level 4 imposes nothing (the scalar combination vanishes,
         # see TestExceptionalLevel), level 5 blocks unless s = 3
-        assert eta_incompatibility(2, 3).eq61_holds is False
-        assert eta_incompatibility("5/2", 3).eq61_holds is False
-        assert eta_incompatibility(3, 3).eq61_holds is True
+        assert a_diag(2, 3, 3) != a_diag(2, 3, 5)
+        assert a_diag("5/2", 3, 3) != a_diag("5/2", 3, 5)
+        assert a_diag(3, 3, 3) == a_diag(3, 3, 5)
         # and at s = 3 the level-6 constant finally differs, capping the run
-        from sl2ybe.amatrix import a_matrix
-        assert (a_matrix(3, 6).diagonal_rational(3)
-                != a_matrix(3, 3).diagonal_rational(3))
+        assert a_diag(3, 3, 6) != a_diag(3, 3, 3)
 
 
 class TestExceptionalLevel:

@@ -79,11 +79,6 @@ class TestHalfInt:
         with pytest.raises(DomainError):
             HalfInt.coerce(Fraction(1, 3))
 
-    def test_arithmetic(self):
-        assert (HalfInt(3) + HalfInt(1)).twice == 4
-        assert (HalfInt(3) - HalfInt(4)).as_fraction() == Fraction(-1, 2)
-        assert HalfInt(2).is_integer and not HalfInt(3).is_integer
-
 
 class TestParseRational:
     @pytest.mark.parametrize("text, value", [

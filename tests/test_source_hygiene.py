@@ -75,6 +75,46 @@ def test_no_unreferenced_private_definitions():
     assert dead == [], f"unreferenced private definitions: {dead}"
 
 
+
+def _module_level_names(tree):
+    """Names a module binds at top level: functions, classes, assignments
+    and imports."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(a.asname or a.name.split(".")[0] for a in node.names)
+    return names
+
+
+def _declared_all(tree):
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            return ast.literal_eval(node.value)
+    return []
+
+
+def test_all_names_defined():
+    """Every `__all__` entry is bound in its module, and the package
+    re-exports only names its source module lists in `__all__`: a stale
+    `__all__` string fails no import, so a deleted name could linger there."""
+    trees = {path.stem: _tree(path) for path in SOURCES}
+    missing = [f"{name}.{entry}" for name, tree in trees.items()
+               for entry in _declared_all(tree)
+               if entry not in _module_level_names(tree)]
+    assert missing == [], f"__all__ entries never defined: {missing}"
+    unlisted = [f"{node.module}.{alias.name}"
+                for node in trees["__init__"].body
+                if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module
+                for alias in node.names
+                if alias.name not in _declared_all(trees[node.module])]
+    assert unlisted == [], f"package imports names outside __all__: {unlisted}"
+
 # The functions that may factor a radicand: they print values.
 DISPLAY_FUNCTIONS = {"__str__", "display_discriminant"}
 

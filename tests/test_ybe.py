@@ -13,10 +13,10 @@ from sl2ybe.spectral import (RationalFunction, baxter_tl, constant_baxter,
                              constant_root, custom_family, exceptional_s3,
                              identity_family, krs_prefix, permutation_family,
                              reduced_d, yang, zamolodchikov)
-from sl2ybe.ybe import (DEFAULT_GRID, SECOND_GRID, ReducedResidual,
+from sl2ybe.ybe import (DEFAULT_GRID, ReducedResidual,
                         ansatz_residual_crosscheck, braid_residual,
-                        coeff_functions, constant_check, default_grid,
-                        full_check, reduced_ybe_check, second_grid, theta)
+                        coeff_functions, constant_check, full_check,
+                        reduced_ybe_check, theta)
 
 F = Fraction
 
@@ -201,20 +201,17 @@ class TestFullCheck:
     @pytest.mark.parametrize("ts", [1, 2, 3, 4])
     def test_yang_all_levels(self, ts):
         fam = yang(HalfInt(ts))
-        for grid in (DEFAULT_GRID, SECOND_GRID):
-            assert full_check(fam, samples=grid)["pass"]
+        assert full_check(fam)["pass"]
 
     @pytest.mark.parametrize("ts", [2, 3, 4])
     def test_shifted_family_all_levels(self, ts):
         fam = zamolodchikov(HalfInt(ts), ts)
-        for grid in (DEFAULT_GRID, SECOND_GRID):
-            assert full_check(fam, samples=grid)["pass"]
+        assert full_check(fam)["pass"]
 
     @pytest.mark.parametrize("ts", [2, 3, 4])
     def test_baxter_tl_all_levels(self, ts):
         fam = baxter_tl(HalfInt(ts))
-        for grid in (default_grid(fam), second_grid(fam)):
-            assert full_check(fam, samples=grid)["pass"]
+        assert full_check(fam)["pass"]
 
     def test_exceptional_all_levels(self):
         fam = exceptional_s3()

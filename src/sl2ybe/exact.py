@@ -64,22 +64,31 @@ _TRIAL_BOUND = 100_000
 
 
 def squarefree_split(n: int) -> tuple[int, int]:
-    """Write n = m*m*d with d squarefree (for smooth n); returns (m, d).
-    Used for printing only."""
+    """Write n = m*m*d and return (m, d).  Used for printing only.
+
+    Trial division by every p up to 1e5 leaves a cofactor whose prime
+    factors all exceed 1e5.  Below 1e15 = (1e5)^3 that cofactor has at most
+    two of them, so it is squarefree unless isqrt shows it to be a square.
+    Only a larger cofactor that is not a square may keep a square factor
+    in d."""
     if n < 0:
         raise DomainError("squarefree_split of negative integer")
     if n == 0:
         return 0, 1
-    m, d, p = 1, n, 2
-    while p * p <= d and p <= _TRIAL_BOUND:
-        while d % (p * p) == 0:
-            d //= p * p
-            m *= p
+    m, d, rest, p = 1, 1, n, 2
+    while p * p <= rest and p <= _TRIAL_BOUND:
+        if rest % p == 0:
+            e = 0
+            while rest % p == 0:
+                rest //= p
+                e += 1
+            m *= p ** (e // 2)
+            d *= p ** (e % 2)
         p += 1 if p == 2 else 2
-    r = math.isqrt(d)
-    if r * r == d:
-        return m * r, 1
-    return m, d
+    r = math.isqrt(rest)
+    if r * r == rest:
+        return m * r, d
+    return m, d * rest
 
 
 def display_discriminant(d: int) -> int:
@@ -213,8 +222,8 @@ class QuadExt:
     (b == 0); it is not reduced to squarefree form.  Two irrational values
     lie in one field iff the product of their discriminants is a square,
     and arithmetic then rescales the second to the first one's d.
-    Equality and hashing are decided on a, the sign of b and b^2 d, and
-    str() prints the squarefree form, the only place d is factored.
+    Equality, hashing and str() all read a, the sign of b and b^2 d;
+    str() factors b^2 d to print it, the only place anything is factored.
     Rational values embed into any extension, and a pure surd c*sqrt(r)
     is the element with a = 0 (`sqrt_canonicalize`).
     """
@@ -332,10 +341,16 @@ class QuadExt:
         return f"QuadExt({self.a!r}, {self.b!r}, {self.d!r})"
 
     def __str__(self) -> str:
+        """a + c*sqrt(r), read from a, the sign of b and b^2 d alone, so equal
+        values print alike however d is written: with b^2 d = p/q in lowest
+        terms, |b| sqrt(d) = sqrt(p q) / q, and squarefree_split(p q) gives
+        c and r."""
         if self.b == 0:
             return format_rational(self.a)
-        m, d = squarefree_split(self.d)
+        x = self.b * self.b * self.d
+        m, r = squarefree_split(x.numerator * x.denominator)
+        c = Fraction(m, x.denominator)
         if self.a == 0:
-            return f"{format_rational(self.b * m)}*sqrt({d})"
-        sign = "+" if self.b >= 0 else "-"
-        return f"{format_rational(self.a)} {sign} {format_rational(abs(self.b) * m)}*sqrt({d})"
+            return f"{format_rational(c if self.b > 0 else -c)}*sqrt({r})"
+        sign = "+" if self.b > 0 else "-"
+        return f"{format_rational(self.a)} {sign} {format_rational(c)}*sqrt({r})"

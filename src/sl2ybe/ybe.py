@@ -7,11 +7,14 @@ similarity gauge, where A enters only as its integer core N = L*(M*U)
 and the hat is N D N = L^2 D^, so residuals are exact matrices over Q or
 Q(sqrt(d)).  They are decided over the integers: with each diagonal
 cleared to D_i = (A_i + sqrt(d) B_i) / c_i, the residual times
-L^4 c1 c2 c3 is an integer matrix plus sqrt(d) times another.  Within
-one level, `full_check` clears each sample argument's diagonal and takes
-its hats once, for every pair that uses the argument.  The
-four-matrix system F, G, H, H~ is built on N as well and comes out as
-L^2 times its values.
+L^4 c1 c2 c3 is an integer matrix plus sqrt(d) times another.
+`full_check` pays for the distinct values of a grid, not for its pairs:
+each r_j(x) is evaluated once per check, each level hats each distinct
+cleared vector once, and one verdict is taken per distinct triple of
+cleared legs and d.  Reusing a verdict is exact: the integer matrices
+are a function of those four inputs alone, and the positive scale
+decides nothing.  The four-matrix system F, G, H, H~ is built on N as
+well and comes out as L^2 times its values.
 """
 from __future__ import annotations
 
@@ -127,42 +130,32 @@ def _cleared(entries, d):
     return ints[0], (ints[1] if len(ints) > 1 else None), c
 
 
-def _leg(a: GaugedMatrix, level: dict, key, entries, d):
+def _discriminant(diagonals) -> int:
+    """The d of a residual: the smallest d among the sqrt(d) parts of the
+    diagonals, 1 when every entry is rational."""
+    return min((x.d for e in diagonals for x in e if isinstance(x, QuadExt) and x.b),
+               default=1)
+
+
+def _leg(a: GaugedMatrix, hats: dict, entries, d):
     """What one diagonal contributes to a residual over sqrt(d): its cleared
-    integer vectors A and B, their hats N diag(A) N and N diag(B) N (B and
-    its hat None when the diagonal is rational) and the scale c.  Kept in
-    `level` under (key, d), so each diagonal of a level is cleared once per
-    discriminant."""
-    leg = level.get((key, d))
-    if leg is None:
-        a_int, b_int, c = _cleared(entries, d)
-        hats = (a.hat(a_int), None if b_int is None else a.hat(b_int))
-        leg = level[key, d] = ((a_int, b_int), hats, c)
-    return leg
+    integer vectors (A, B), their hats N diag(A) N and N diag(B) N (B and
+    its hat None when the diagonal is rational) and the scale c.  `hats`
+    maps each integer vector already hatted at the level of a to its hat,
+    so equal cleared vectors share one hat."""
+    a_int, b_int, c = _cleared(entries, d)
+    for v in (a_int, b_int):
+        if v is not None and v not in hats:
+            hats[v] = a.hat(v)
+    return (a_int, b_int), (hats[a_int], None if b_int is None else hats[b_int]), c
 
 
-def braid_residual(a: GaugedMatrix, d1, d2, d3, level=None, keys=(1, 2, 3)):
-    """D1 D2^ D3 - D3^ D2 D1^ for the diagonals with entries d1, d2, d3 at
-    the level of a, in its rational gauge, cleared to integers.  Returns
-    (rational, irrational, d, scale) as in ReducedResidual.
-
-    With X = N / L and D_i = E_i / c_i the residual times L^4 c1 c2 c3 is
-    L^2 E1 (N E2 N) E3 - (N E3 N) E2 (N E1 N).  Over Q(sqrt(d)) each factor
-    is a pair (A + sqrt(d) B), and the products are taken one factor at a
-    time, (A + sqrt(d) B)(A' + sqrt(d) B') = (A A' + d B B') + sqrt(d)
-    (A B' + B A'), a missing sqrt(d) part counting as zero.  Equivalent
-    discriminants (d and d*k^2) share one residual over the smallest d; as
-    in QuadExt arithmetic, incompatible ones raise ValueError before
-    anything is summed.
-
-    `level` keeps each diagonal's cleared vectors and hats (its leg) under
-    its key and d, for calls on one level whose diagonals with equal keys
-    are equal; a call without it builds the three legs into a fresh dict."""
-    d = min((x.d for e in (d1, d2, d3) for x in e if isinstance(x, QuadExt) and x.b),
-            default=1)
-    level = {} if level is None else level
-    (e1, h1, c1), (e2, h2, c2), (e3, h3, c3) = (
-        _leg(a, level, key, e, d) for key, e in zip(keys, (d1, d2, d3)))
+def _braid(a: GaugedMatrix, d: int, leg1, leg2, leg3):
+    """The residual kernel: (rational, irrational, d, scale) of three legs
+    over sqrt(d) at the level of a (see braid_residual).  The integer
+    matrices depend only on the legs' cleared vectors and d; the scale
+    alone reads each leg's c."""
+    (e1, h1, c1), (e2, h2, c2), (e3, h3, c3) = leg1, leg2, leg3
     l2 = a.ucore_lcm ** 2
 
     def times(mul, x, y):
@@ -185,20 +178,29 @@ def braid_residual(a: GaugedMatrix, d1, d2, d3, level=None, keys=(1, 2, 3)):
     return mat_sub(left[0], right[0]), irrational, d, l2 * l2 * c1 * c2 * c3
 
 
-def reduced_ybe_check(fam: SpectralFamily, n: int, lam, mu, level=None) -> ReducedResidual:
-    """Exact level-n residual for the family at samples (lam, mu).  `level`
-    is a dict shared by the calls of one level: it maps each sample argument
-    to its diagonal, and each (argument, d) to its leg (`_leg`)."""
-    level = {} if level is None else level
-    args = (lam, fam.compose(lam, mu), mu)
-    diagonals = []
-    for x in args:
-        entries = level.get(x)
-        if entries is None:
-            entries = level[x] = reduced_d(fam, n, x)
-        diagonals.append(entries)
-    return ReducedResidual(n, lam, mu, *braid_residual(
-        a_matrix(fam.s, n), *diagonals, level, args))
+def braid_residual(a: GaugedMatrix, d1, d2, d3):
+    """D1 D2^ D3 - D3^ D2 D1^ for the diagonals with entries d1, d2, d3 at
+    the level of a, in its rational gauge, cleared to integers.  Returns
+    (rational, irrational, d, scale) as in ReducedResidual.
+
+    With X = N / L and D_i = E_i / c_i the residual times L^4 c1 c2 c3 is
+    L^2 E1 (N E2 N) E3 - (N E3 N) E2 (N E1 N).  Over Q(sqrt(d)) each factor
+    is a pair (A + sqrt(d) B), and the products are taken one factor at a
+    time, (A + sqrt(d) B)(A' + sqrt(d) B') = (A A' + d B B') + sqrt(d)
+    (A B' + B A'), a missing sqrt(d) part counting as zero.  Equivalent
+    discriminants (d and d*k^2) share one residual over the smallest d; as
+    in QuadExt arithmetic, incompatible ones raise ValueError before
+    anything is summed.  The legs come from `_leg` and the products from
+    `_braid`, the leg builder and kernel `full_check` uses as well."""
+    d = _discriminant((d1, d2, d3))
+    hats = {}
+    return _braid(a, d, *(_leg(a, hats, e, d) for e in (d1, d2, d3)))
+
+
+def reduced_ybe_check(fam: SpectralFamily, n: int, lam, mu) -> ReducedResidual:
+    """Exact level-n residual for the family at samples (lam, mu)."""
+    diagonals = [reduced_d(fam, n, x) for x in (lam, fam.compose(lam, mu), mu)]
+    return ReducedResidual(n, lam, mu, *braid_residual(a_matrix(fam.s, n), *diagonals))
 
 
 def _levels_or_default(fam: SpectralFamily, levels):
@@ -218,20 +220,70 @@ def _levels_or_default(fam: SpectralFamily, levels):
     return levels
 
 
+def _level_verdicts(a: GaugedMatrix, js, triples, coeff) -> list:
+    """The verdict of each argument triple on the level of a, whose
+    diagonals read r_j for j in js; coeff(j, i) is r_j at argument i.  A
+    triple's three diagonals are formed first, then its legs are cleared,
+    as in reduced_ybe_check."""
+    diagonals, legs, hats, verdicts, zeros = {}, {}, {}, {}, []
+    for triple in triples:
+        for i in triple:
+            if i not in diagonals:
+                diagonals[i] = tuple(coeff(j, i) for j in js)
+        d = _discriminant(diagonals[i] for i in triple)
+        for i in triple:
+            if (i, d) not in legs:
+                legs[i, d] = _leg(a, hats, diagonals[i], d)
+        three = [legs[i, d] for i in triple]
+        key = (*(vectors for vectors, _, _ in three), d)
+        if key not in verdicts:
+            verdicts[key] = ReducedResidual(a.range.n, None, None,
+                                            *_braid(a, d, *three)).is_zero
+        zeros.append(verdicts[key])
+    return zeros
+
+
 def full_check(fam: SpectralFamily, levels=None, samples=None) -> dict:
     """Per-level, per-sample residual table; pass iff every residual is
-    exactly zero."""
+    exactly zero.  Each row's verdict is `reduced_ybe_check(...).is_zero`,
+    taken at the cost of the distinct values the grid holds:
+
+    - each pair's argument triple (lam, lam o mu, mu) is formed once;
+    - each r_j(x) is evaluated at most once, when a level first needs it,
+      in the order the pairs would evaluate it one by one, so the first
+      PoleError, DomainError or ValueError raised is theirs;
+    - on each level a diagonal is cleared once per discriminant, and its
+      cleared integer vectors are hatted once, however many arguments
+      share them;
+    - one verdict is taken per distinct (leg, leg, leg, d), the legs by
+      their cleared vectors.  The kernel's integer matrices are a function
+      of those four alone and its positive scale decides nothing, so a
+      reused verdict is the one the pair's own residual gives."""
     samples = list(samples) if samples is not None else list(default_grid(fam))
     levels = _levels_or_default(fam, levels)
+    index = {}  # argument -> its position, in order of first use
+    triples = [[index.setdefault(x, len(index)) for x in (lam, fam.compose(lam, mu), mu)]
+               for lam, mu in samples]
+    args = list(index)
+    values = [{} for _ in args]  # values[i][j] = r_j(args[i])
+
+    def coeff(j, i):
+        if j not in values[i]:
+            values[i][j] = fam.eval_coeff(j, args[i])
+        return values[i][j]
+
     out_levels = []
     ok = True
     for n in levels:
-        rows, level = [], {}
-        for lam, mu in samples:
-            zero = reduced_ybe_check(fam, n, lam, mu, level).is_zero
-            ok = ok and zero
-            rows.append({"lambda": str(lam), "mu": str(mu), "zero": zero})
-        out_levels.append({"n": n, "samples": rows})
+        zeros = []
+        if triples:
+            a = a_matrix(fam.s, n)
+            js = [fam.s.twice - k for k in a.range.indices()]
+            zeros = _level_verdicts(a, js, triples, coeff)
+        ok = ok and all(zeros)
+        out_levels.append({"n": n, "samples": [
+            {"lambda": str(lam), "mu": str(mu), "zero": zero}
+            for (lam, mu), zero in zip(samples, zeros)]})
     return {"family": fam.tag, "s": str(fam.s), "levels": out_levels, "pass": ok}
 
 

@@ -258,11 +258,26 @@ def test_large_prime_square_probe():
     assert QuadExt(0, 1, p * p * q) - QuadExt(0, p, q) == 0
 
 
+def test_large_prime_square_prints_canonically():
+    """Equal values print alike when a radicand hides the square of a prime
+    beyond trial division: both are printed from b^2 d, whose large-prime
+    cofactor p^2 q (above 1e15, not a square) is left whole."""
+    p, q = 1000003, 1000033
+    assert str(QuadExt(0, 1, p * p * q)) == str(QuadExt(0, p, q)) == f"1*sqrt({p * p * q})"
+    assert str(QuadExt(3, -1, p * p * q)) == str(QuadExt(3, -p, q))
+    assert str(QuadExt(0, Fraction(-1, 7), p * p * q)) == str(QuadExt(0, Fraction(-p, 7), q))
+    # a cofactor below 1e15 is decided: p q is squarefree, p^2 a square
+    assert squarefree_split(12 * p * q) == (2, 3 * p * q)
+    assert str(QuadExt(0, 1, 2 * p * p)) == str(QuadExt(0, p, 2)) == f"{p}*sqrt(2)"
+    assert squarefree_split(p * p * q) == (1, p * p * q)
+
+
 class TestLargePrimeRadicands:
     @given(nonzero, kernels, cofactors)
     def test_sqrt_equality_and_hash(self, c, q, k):
         x, y = surd(c, k * k * q), surd(c * k, q)
         assert x == y and hash(x) == hash(y)
+        assert str(x) == str(y)
         assert x != surd(-c * k, q) and x != surd(c * k, 4 * q)
         assert not x.is_rational and not surd_product(x, y).is_zero
 
@@ -291,7 +306,7 @@ class TestLargePrimeRadicands:
     @given(small_rationals, nonzero, kernels, cofactors)
     def test_quadext_equality_and_hash(self, a, b, q, k):
         x, y = QuadExt(a, b, k * k * q), QuadExt(a, b * k, q)
-        assert x == y and hash(x) == hash(y)
+        assert x == y and hash(x) == hash(y) and str(x) == str(y)
         assert x != y.conjugate() and x != QuadExt(a, b * k, 4 * q)
 
     @given(small_rationals, nonzero, small_rationals, nonzero, kernels,

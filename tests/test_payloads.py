@@ -37,6 +37,9 @@ GOLDEN = [
     ("family show --tag constant-baxter --s 3/2 --m 2", 0, "66f15141a35c2752e32a2005bef1abb738032b8b7845e7988896120ab0655f36"),
     ("family show --tag constant-baxter --s 3 --m 6", 0, "686e8bfa9aeb8532a1eecb67b88649aecb43413757e9e82e4e1abb6dac275e2f"),
     ("verify --family-file perfbench/perturbed_spin_half.json", 1, "3cb952ef51b518c55f2200deb9bcbe28419d6066631b59e21e9052d81960f05d"),
+    ("verify --family-file perfbench/perturbed_spin_half.json --grid dense", 1, "babd7e66718e6f09f14ea7dba31759b0b53156e3277f1f76b3fcda2ff31b59ac"),
+    ("verify --family zamolodchikov --s 2 --m 3 --levels 5 --grid dense", 1, "2c85ce83324b2c316c75776f2e88caf6cb1a9bb8006934f0eb2c92725204141c"),
+    ("verify --family baxter-tl --s 3 --grid dense", 0, "3c771f0031cc5c55c8280d8d6908fbe5a11326004437398281a0703903b474d2"),
     ("family show --file perfbench/perturbed_spin_half.json", 0, "e3cb2be584292479427a8eb4240f43570088bd3ba98152d3a9b6a90e536056fb"),
     ("classify-constant --s 1 --m 2", 0, "e3c4dd10c1748574c1bcd65ef44152f7fc4b99ecc5eacaf1226ad584a5b4cc26"),
     ("rigidity --s 3 --m 3", 0, "d3e928c01c016b2bfe14cf258f9b2df45a31eb111d4162318035c436c3b5637a"),

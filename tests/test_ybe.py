@@ -9,10 +9,10 @@ from sl2ybe.amatrix import (GaugedMatrix, LevelRange, a_matrix, eta_closed_form,
                             top_level)
 from sl2ybe.exact import DomainError, HalfInt, QuadExt, rescale_surd
 from sl2ybe.linalg import diagonal, is_zero_matrix, mat_mul, mat_sub
-from sl2ybe.spectral import (RationalFunction, baxter_tl, constant_baxter,
-                             constant_root, custom_family, exceptional_s3,
-                             identity_family, krs_prefix, permutation_family,
-                             reduced_d, yang, zamolodchikov)
+from sl2ybe.spectral import (RationalFunction, SpectralFamily, baxter_tl,
+                             constant_baxter, constant_root, custom_family,
+                             exceptional_s3, identity_family, krs_prefix,
+                             permutation_family, reduced_d, yang, zamolodchikov)
 from sl2ybe.ybe import (DEFAULT_GRID, ReducedResidual,
                         ansatz_residual_crosscheck, braid_residual,
                         coeff_functions, constant_check, full_check,
@@ -237,18 +237,49 @@ class TestFullCheck:
         assert not report["pass"]
 
 
-def recorded_full_check(monkeypatch, fam, levels, samples):
-    """Run full_check and return every residual it computed, in order, with
-    the level dict each call shared."""
-    real, calls = ybe.reduced_ybe_check, []
+def kernel_calls(monkeypatch):
+    """Record the level and result (rational, irrational, d, scale) of
+    every residual kernel call."""
+    real, calls = ybe._braid, []
 
-    def record(fam, n, lam, mu, level=None):
-        res = real(fam, n, lam, mu, level)
-        calls.append((res, level))
-        return res
+    def record(a, d, *legs):
+        out = real(a, d, *legs)
+        calls.append((a.range.n, out))
+        return out
 
-    monkeypatch.setattr(ybe, "reduced_ybe_check", record)
-    return full_check(fam, levels=levels, samples=samples), calls
+    monkeypatch.setattr(ybe, "_braid", record)
+    return calls
+
+
+def fresh_residuals(fam, report, samples):
+    """A fresh reduced_ybe_check for every (level, sample) row of a
+    full_check report, per level, each row's verdict checked to be its
+    is_zero."""
+    fresh = {}
+    for level in report["levels"]:
+        n = level["n"]
+        assert len(level["samples"]) == len(samples)
+        for row, (lam, mu) in zip(level["samples"], samples):
+            res = reduced_ybe_check(fam, n, lam, mu)
+            assert (row["lambda"], row["mu"], row["zero"]) == (str(lam), str(mu), res.is_zero)
+            fresh.setdefault(n, []).append(res)
+    return fresh
+
+
+def assert_computed_by_kernel(fresh, kernels):
+    """Every fresh residual's integer matrices and d are the result of a
+    kernel call recorded by kernel_calls on its level: a reused verdict
+    rests on the pair's own integer residual, and only the positive scale
+    may come from another pair."""
+    computed = {(n, out[:3]) for n, out in kernels}
+    for n, row in fresh.items():
+        for res in row:
+            assert (n, (res.rational, res.irrational, res.d)) in computed
+
+
+def fresh_verdicts(fam, report, samples):
+    return {n: [res.is_zero for res in row]
+            for n, row in fresh_residuals(fam, report, samples).items()}
 
 
 def mixed_root_family(root_b: int):
@@ -261,29 +292,54 @@ def mixed_root_family(root_b: int):
     })
 
 
+def yang_at_one_and_two():
+    """Yang at s=1 with r_0 times 1 + x(x-1)(x-2): regular, and equal to
+    yang exactly at x in {0, 1, 2}, so on a grid only the pairs whose three
+    arguments lie there can pass."""
+    tables = dict(yang(1).coeffs)
+    tables[0] = tables[0] * RationalFunction((F(1), F(2), F(-3), F(1)), (F(1),))
+    return custom_family(HalfInt(2), tables)
+
+
+def root_sign_family():
+    """constant_baxter(1, 2) made spectral: r_0(x) = 1 + a p(x) + b q(x)
+    sqrt(5) with g = a + b sqrt(5) its root, p(x) = x^3/6 - x^2 + 11x/6
+    and q(x) = x(7 - x^2)/6.  p is 1 at x = 1, 2, 3 and q is 1 at 1 and 2
+    but -1 at 3, so r_0 is 1 + g at x = 1, 2 and 1 + conj(g) at x = 3:
+    the level-2 diagonals at 1, 2 and 3 share their rational part and
+    differ in their sqrt(5) part."""
+    g = constant_root(eta_closed_form(1, 2))
+    assert g.d == 5
+    a, b = g.a, g.b
+    num = (F(1), QuadExt(F(11, 6) * a, F(7, 6) * b, 5), -a,
+           QuadExt(a / 6, -b / 6, 5))
+    one = RationalFunction((F(1),), (F(1),))
+    return custom_family(HalfInt(2), {2: one, 1: one, 0: RationalFunction(num, (F(1),))})
+
+
 class TestSharedLegs:
-    """full_check shares each sample argument's diagonal and cleared legs
-    between the pairs of one level; every residual must be the one a fresh
-    reduced_ybe_check gives."""
+    """full_check evaluates each coefficient once, shares each level's legs
+    by their cleared vectors and takes one verdict per distinct leg triple;
+    every verdict must be the one a fresh reduced_ybe_check gives."""
 
     @pytest.mark.parametrize("fam, levels", [
         (yang(2), None), (baxter_tl(2), None), (zamolodchikov("3/2", 2), None),
-        (exceptional_s3(), range(10)), (perturbed_yang(), None)], ids=str)
+        (exceptional_s3(), range(10)), (perturbed_yang(), None),
+        (mixed_root_family(20), None)], ids=str)
     def test_level_dict_agrees_with_fresh_checks(self, monkeypatch, fam, levels):
+        """The dicts each level of full_check keeps (legs, hats, verdicts)
+        give every row the verdict, and every pair the integer residual, of
+        a fresh check."""
         grid = cli._dense_grid(fam)
-        report, calls = recorded_full_check(monkeypatch, fam, levels, grid)
-        want_levels = list(levels) if levels is not None else defined_levels(fam)
-        assert len(calls) == len(want_levels) * len(grid)
-        dicts = {}
-        for res, level in calls:
-            assert level is not None
-            dicts.setdefault(res.n, set()).add(id(level))
-            assert res == reduced_ybe_check(fam, res.n, res.lam, res.mu)
-        assert sorted(dicts) == want_levels
-        assert all(len(ids) == 1 for ids in dicts.values())
+        kernels = kernel_calls(monkeypatch)
+        report = full_check(fam, levels=levels, samples=grid)
+        monkeypatch.undo()  # the fresh checks below go unrecorded
+        fresh = fresh_residuals(fam, report, grid)
+        assert sorted(fresh) == (list(levels) if levels is not None
+                                 else defined_levels(fam))
+        assert_computed_by_kernel(fresh, kernels)
+        assert report["pass"] == all(res.is_zero for row in fresh.values() for res in row)
         assert report["pass"] == (fam.tag != "custom")
-        if fam.tag == "custom":
-            assert any(not res.is_zero for res, _ in calls)
 
     def test_equivalent_discriminants_per_triple(self, monkeypatch):
         # sqrt(20) = 2 sqrt(5): at level 2 the arguments 0 and 1 see only
@@ -292,15 +348,18 @@ class TestSharedLegs:
         # the argument 1 is cleared again over d = 5
         fam = mixed_root_family(20)
         grid = [(F(1), F(0)), (F(0), F(1)), (F(1), F(1, 2)), (F(1, 2), F(1, 3))]
-        _, calls = recorded_full_check(monkeypatch, fam, [1, 2], grid)
+        kernels = kernel_calls(monkeypatch)
+        report = full_check(fam, [1, 2], grid)
+        monkeypatch.undo()  # the fresh checks below go unrecorded
+        fresh = fresh_residuals(fam, report, grid)
+        assert_computed_by_kernel(fresh, kernels)
         seen = set()
-        for res, _ in calls:
-            fresh = reduced_ybe_check(fam, res.n, res.lam, res.mu)
-            assert res == fresh
-            ref = dense_reference(a_matrix(fam.s, res.n), *(
-                reduced_d(fam, res.n, x) for x in (res.lam, res.lam + res.mu, res.mu)))
-            assert res.residual == ref
-            seen.add((res.n, res.lam, res.mu, res.d))
+        for n, row in fresh.items():
+            for (lam, mu), res in zip(grid, row):
+                ref = dense_reference(a_matrix(fam.s, n), *(
+                    reduced_d(fam, n, x) for x in (lam, lam + mu, mu)))
+                assert res.residual == ref
+                seen.add((n, lam, mu, res.d))
         assert {(2, F(1), F(0), 20), (2, F(0), F(1), 20), (2, F(1), F(1, 2), 5),
                 (1, F(1), F(0), 1)} <= seen
 
@@ -311,31 +370,78 @@ class TestSharedLegs:
         with pytest.raises(ValueError, match="mixed discriminants"):
             reduced_ybe_check(fam, 2, F(1, 2), F(1, 3))
 
-    def test_each_argument_is_evaluated_once_per_level(self, monkeypatch):
+    def test_each_coefficient_is_evaluated_once_per_check(self, monkeypatch):
+        fam = yang(2)
+        grid = cli._dense_grid(fam)
+        arguments = {x for lam, mu in grid for x in (lam, fam.compose(lam, mu), mu)}
+        calls, real = [], SpectralFamily.eval_coeff
+
+        def count(self, j, x):
+            calls.append((j, x))
+            return real(self, j, x)
+
+        monkeypatch.setattr(SpectralFamily, "eval_coeff", count)
+        assert full_check(fam, samples=grid)["pass"]
+        # r_0 .. r_4 at each of the 73 distinct arguments, over all 7 levels
+        assert len(calls) == len(set(calls)) == 5 * len(arguments) == 365
+
+    def test_each_cleared_diagonal_is_hatted_once_per_level(self, monkeypatch):
         fam = yang(2)
         grid = cli._dense_grid(fam)
         levels = defined_levels(fam)
         for n in levels:
             a_matrix(fam.s, n)  # built (and its sign hat taken) before counting
         arguments = {x for lam, mu in grid for x in (lam, fam.compose(lam, mu), mu)}
-        counts = {"reduced_d": 0, "hat": 0}
-        real_d, real_hat = ybe.reduced_d, GaugedMatrix.hat
+        distinct = {n: len({reduced_d(fam, n, x) for x in arguments}) for n in levels}
+        hats, real = [], GaugedMatrix.hat
 
-        def count_d(*args):
-            counts["reduced_d"] += 1
-            return real_d(*args)
+        def count(self, entries):
+            hats.append(self.range.n)
+            return real(self, entries)
 
-        def count_hat(self, entries):
-            counts["hat"] += 1
-            return real_hat(self, entries)
-
-        monkeypatch.setattr(ybe, "reduced_d", count_d)
-        monkeypatch.setattr(GaugedMatrix, "hat", count_hat)
+        monkeypatch.setattr(GaugedMatrix, "hat", count)
         assert full_check(fam, samples=grid)["pass"]
-        # 73 distinct arguments on each of the 7 levels; yang is rational,
-        # so each leg takes one hat
-        assert counts["reduced_d"] == len(levels) * len(arguments) == 511
-        assert counts["hat"] == counts["reduced_d"]
+        # yang is rational, so each cleared diagonal takes one hat; levels 0
+        # and 6 see one diagonal (all ones), the others 73
+        assert {n: hats.count(n) for n in levels} == distinct
+        assert len(hats) == 1 + 5 * 73 + 1
+
+    def test_equal_diagonals_share_one_kernel(self, monkeypatch):
+        # baxter-tl at s=2: only r_0 depends on t, and only level 4 reads it
+        fam = baxter_tl(2)
+        grid = cli._dense_grid(fam)
+        kernels = kernel_calls(monkeypatch)
+        assert full_check(fam, samples=grid)["pass"]
+        per_level = {n: [out[2] for m, out in kernels if m == n] for n in defined_levels(fam)}
+        assert {n: len(ds) for n, ds in per_level.items() if n != 4} == {
+            n: 1 for n in (0, 1, 2, 3, 5, 6)}
+        assert len(per_level[4]) == len(grid) and set(per_level[4]) == {21}
+
+    def test_memo_tells_apart_samples_equal_on_other_arguments(self):
+        fam = yang_at_one_and_two()
+        grid = cli._dense_grid(fam)
+        report = full_check(fam, samples=grid)
+        verdicts = fresh_verdicts(fam, report, grid)
+        assert all(verdicts[0]) and all(verdicts[1])
+        # level 2 reads r_0: (1, 1), with arguments 1, 2, 1, passes, and
+        # pairs with an argument outside {0, 1, 2} fail
+        assert verdicts[2][grid.index((F(1), F(1)))]
+        assert not all(verdicts[2])
+        assert not report["pass"]
+
+    def test_legs_sharing_the_rational_part_are_not_merged(self, monkeypatch):
+        fam = root_sign_family()
+        one, two, three = (reduced_d(fam, 2, F(x)) for x in (1, 2, 3))
+        # (r_2, r_1, r_0): only r_0 differs, in its sqrt(5) part alone
+        assert one == two and three[:-1] == one[:-1]
+        assert three[-1].a == one[-1].a and three[-1].b == -one[-1].b != 0
+        # (1, 1) has the legs 1, 2, 1 and (1, 2) the legs 1, 3, 2: the same
+        # rational parts over d = 5, and the middle sqrt(5) parts of opposite sign
+        grid = [(F(1), F(1)), (F(1), F(2))]
+        kernels = kernel_calls(monkeypatch)
+        report = full_check(fam, levels=[2], samples=grid)
+        assert [(n, out[2]) for n, out in kernels] == [(2, 5), (2, 5)]
+        assert fresh_verdicts(fam, report, grid) == {2: [True, False]}
 
 
 class TestCoeffFunctions:

@@ -17,16 +17,14 @@ from .classify import (DegeneracyRecord, constant_m_prime, constant_roots,
                        exceptional_level_combination, fgh_matrices,
                        level_three_five_ratio, permutation_rigidity,
                        projector_obstruction_check)
-from .exact import (DomainError, HalfInt, QuadExt, Rational, factorial,
-                    sqrt_canonicalize)
+from .exact import DomainError, HalfInt, QuadExt, factorial, sqrt_canonicalize
 from .sixj import SixJArgs, racah_identity_residual, sixj, triangle_ok
 from .spectral import (PoleError, RationalFunction, SpectralFamily, baxter_b,
                        baxter_tl, check_regularity_unitarity, constant_baxter,
                        custom_family, exceptional_s3, family_from_json,
                        identity_family, krs_prefix, make_family,
                        permutation_family, reduced_d, yang, zamolodchikov)
-from .ybe import (CoeffTriple, ReducedResidual, ansatz_residual_crosscheck,
-                  coeff_functions, constant_check, full_check,
-                  reduced_ybe_check)
+from .ybe import (ReducedResidual, ansatz_residual_crosscheck, coeff_functions,
+                  constant_check, full_check, reduced_ybe_check)
 
 __version__ = "0.1.0"

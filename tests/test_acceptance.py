@@ -66,7 +66,7 @@ def test_criterion_6_degeneracy_set_and_relations(results):
 def test_criterion_6_literal_full_rank_claim():
     scan = degeneracy_scan(MAX_TWO_S)
     for rec in scan.records:
-        if not rec.shifted and not rec.exceptional:
+        if not rec.shifted and not rec.holds_transpose:
             assert rec.rank == 4, (str(rec.s), rec.m, rec.n, rec.rank)
 
 

@@ -121,7 +121,7 @@ class TestDegeneracyScan:
 
     def test_nondegenerate_unshifted_ranks(self, scan):
         for rec in scan.records:
-            if not rec.shifted and not rec.exceptional:
+            if not rec.shifted and not rec.holds_transpose:
                 assert rec.rank in (3, 4), rec
 
     def test_beta_tilde_occurrences_are_recorded(self, scan):

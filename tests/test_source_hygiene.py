@@ -223,3 +223,27 @@ def test_exact_verify_never_imports_numpy():
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr[-2000:]
+
+
+def _is_dataclass(node):
+    return any((isinstance(d, ast.Name) and d.id == "dataclass")
+               or (isinstance(d, ast.Call) and isinstance(d.func, ast.Name)
+                   and d.func.id == "dataclass")
+               for d in node.decorator_list)
+
+
+def test_dataclass_fields_are_read():
+    """Each annotated field of a package dataclass is read as an attribute
+    somewhere under the package (tests do not count as readers): a field
+    nothing reads repeats an input or a result held elsewhere.  The match
+    is by name alone, so an attribute of the same name on another object
+    hides an unread field; `args.lam` in the CLI would mask a field `lam`."""
+    read = {node.attr for path in SOURCES for node in ast.walk(_tree(path))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    unread = [f"{path.name}:{cls.name}.{item.target.id}"
+              for path in SOURCES for cls in ast.walk(_tree(path))
+              if isinstance(cls, ast.ClassDef) and _is_dataclass(cls)
+              for item in cls.body
+              if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+              and item.target.id not in read]
+    assert unread == [], f"dataclass fields never read: {unread}"

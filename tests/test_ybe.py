@@ -4,17 +4,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sl2ybe import cli, ybe
-from sl2ybe.amatrix import (GaugedMatrix, LevelRange, a_matrix, eta_closed_form,
-                            top_level)
+from sl2ybe import acceptance, cli, ybe
+from sl2ybe.amatrix import (GaugedMatrix, LevelRange, a_matrix, eta,
+                            eta_closed_form, top_level)
 from sl2ybe.exact import DomainError, HalfInt, QuadExt, rescale_surd
 from sl2ybe.linalg import diagonal, is_zero_matrix, mat_mul, mat_sub
 from sl2ybe.spectral import (RationalFunction, SpectralFamily, baxter_tl,
                              constant_baxter, constant_root, custom_family,
                              exceptional_s3, identity_family, krs_prefix,
                              permutation_family, reduced_d, yang, zamolodchikov)
-from sl2ybe.ybe import (DEFAULT_GRID, ReducedResidual,
-                        ansatz_residual_crosscheck, braid_residual,
+from sl2ybe.ybe import (DEFAULT_GRID, ansatz_residual_crosscheck, braid_residual,
                         coeff_functions, constant_check, full_check,
                         reduced_ybe_check, theta)
 
@@ -148,13 +147,12 @@ class TestIntegerKernel:
         mixed = [tuple(QuadExt(x, y / 2, 20) if i % 2 else QuadExt(x, y, 5)
                        for i, (x, y) in enumerate(row)) for row in values]
         assert {x.d for row in mixed for x in row if x.b} == {5, 20}
-        want = ReducedResidual(3, None, None, *braid_residual(a, *five))
-        got = ReducedResidual(3, None, None, *braid_residual(a, *mixed))
+        want = braid_residual(a, *five)
+        got = braid_residual(a, *mixed)
         assert got.residual == want.residual == dense_reference(a, *five)
         assert not got.is_zero and got.d == 5
         only_twenty = [tuple(QuadExt(x, y / 2, 20) for x, y in row) for row in values]
-        assert ReducedResidual(3, None, None, *braid_residual(a, *only_twenty)
-                               ).residual == want.residual
+        assert braid_residual(a, *only_twenty).residual == want.residual
 
     small = st.fractions(min_value=-4, max_value=4, max_denominator=5)
     cells = st.sampled_from([(ts, n) for ts in range(1, 5) for n in range(3 * ts // 2 + 1)])
@@ -171,7 +169,7 @@ class TestIntegerKernel:
             entry = st.one_of(st.just(F(0)), self.small)
         d1, d2, d3 = (tuple(data.draw(st.lists(entry, min_size=a.dim, max_size=a.dim)))
                       for _ in range(3))
-        res = ReducedResidual(n, None, None, *braid_residual(a, d1, d2, d3))
+        res = braid_residual(a, d1, d2, d3)
         ref = dense_reference(a, d1, d2, d3)
         assert res.residual == ref
         assert res.is_zero == is_zero_matrix(ref)
@@ -238,8 +236,8 @@ class TestFullCheck:
 
 
 def kernel_calls(monkeypatch):
-    """Record the level and result (rational, irrational, d, scale) of
-    every residual kernel call."""
+    """Record the level and the ReducedResidual of every residual kernel
+    call."""
     real, calls = ybe._braid, []
 
     def record(a, d, *legs):
@@ -271,7 +269,7 @@ def assert_computed_by_kernel(fresh, kernels):
     kernel call recorded by kernel_calls on its level: a reused verdict
     rests on the pair's own integer residual, and only the positive scale
     may come from another pair."""
-    computed = {(n, out[:3]) for n, out in kernels}
+    computed = {(n, (out.rational, out.irrational, out.d)) for n, out in kernels}
     for n, row in fresh.items():
         for res in row:
             assert (n, (res.rational, res.irrational, res.d)) in computed
@@ -412,7 +410,7 @@ class TestSharedLegs:
         grid = cli._dense_grid(fam)
         kernels = kernel_calls(monkeypatch)
         assert full_check(fam, samples=grid)["pass"]
-        per_level = {n: [out[2] for m, out in kernels if m == n] for n in defined_levels(fam)}
+        per_level = {n: [out.d for m, out in kernels if m == n] for n in defined_levels(fam)}
         assert {n: len(ds) for n, ds in per_level.items() if n != 4} == {
             n: 1 for n in (0, 1, 2, 3, 5, 6)}
         assert len(per_level[4]) == len(grid) and set(per_level[4]) == {21}
@@ -440,80 +438,91 @@ class TestSharedLegs:
         grid = [(F(1), F(1)), (F(1), F(2))]
         kernels = kernel_calls(monkeypatch)
         report = full_check(fam, levels=[2], samples=grid)
-        assert [(n, out[2]) for n, out in kernels] == [(2, 5), (2, 5)]
+        assert [(n, out.d) for n, out in kernels] == [(2, 5), (2, 5)]
         assert fresh_verdicts(fam, report, grid) == {2: [True, False]}
+
+
+def values(fn, lam, mu, compose=lambda a, b: a + b):
+    """(fn(lam), fn(mu), fn(lam o mu)), the value triple the scalar system
+    and the ansatz crosscheck take."""
+    return tuple(fn(x) for x in (lam, mu, compose(lam, mu)))
+
+
+def zamolodchikov_g(s, m):
+    """The shifted coefficient g(x) = x / (eta - xi/2 - xi eta x) of the
+    zamolodchikov family, xi = (-1)^m and eta the level-m constant."""
+    xi, eta_m = (-1) ** m, eta_closed_form(s, m)
+    return lambda x: x / (eta_m - F(xi, 2) - xi * eta_m * x)
+
+
+ZEROS = (F(0),) * 3
 
 
 class TestCoeffFunctions:
     def test_linear_f_gives_zero(self):
-        c = coeff_functions(1, 2, 1, lambda l: l, lambda l: F(0), F(1, 2), F(1, 3))
-        assert c.F == 0 and c.G == 0 and c.H == 0 and c.theta == 0
+        # index 2 is inactive at level 1, so g = 0 and only F is left
+        assert theta(1, 2, 1) == 0
+        assert coeff_functions(2, 0, values(lambda l: l, F(1, 2), F(1, 3)), ZEROS) == (0,) * 4
 
     def test_shifted_solution_annihilates(self):
-        from sl2ybe.amatrix import eta_closed_form
-        eta = eta_closed_form(1, 2)
-
-        def g(l):
-            return l / (eta - F(1, 2) - eta * l)
-
-        c = coeff_functions(1, 2, 2, lambda l: l, g, F(1, 2), F(1, 3))
-        assert c.G == 0 and c.H == 0 and c.H_swapped == 0
-        assert c.xi == 1 and c.eta == F(1, 3) and c.theta == 1
+        f = values(lambda l: l, F(1, 2), F(1, 3))
+        g = values(zamolodchikov_g(1, 2), F(1, 2), F(1, 3))
+        assert coeff_functions(2, eta(1, 2, 2), f, g) == (0,) * 4
 
     def test_multiplicative_tl_annihilates(self):
         fam = baxter_tl("3/2")
-        g = lambda t: fam.eval_coeff(0, t) - 1
-        c = coeff_functions("3/2", 3, 3, lambda t: t * 0, g, F(2), F(3),
-                            combine=lambda a, b: a * b)
-        assert c.G.is_zero
+        g = values(lambda t: fam.eval_coeff(0, t) - 1, F(2), F(3), fam.compose)
+        assert coeff_functions(3, eta("3/2", 3, 3), ZEROS, g)[1].is_zero
 
-    def test_top_index_reproduces_base_constants(self):
-        # m = 2s gives xi = (-1)^2s and eta = 1/(2s+1)
+    def test_top_index_solution_annihilates(self):
+        # m = 2s, where xi = (-1)^2s and eta = 1/(2s+1) enter the family's g
         for ts in (2, 3, 4):
-            c = coeff_functions(HalfInt(ts), ts, ts, lambda l: l, lambda l: F(0),
-                                F(1, 2), F(1, 5))
-            assert c.xi == (-1 if ts % 2 else 1)
-            assert c.eta == F(1, ts + 1)
+            s = HalfInt(ts)
+            f = values(lambda l: l, F(1, 2), F(1, 5))
+            g = values(zamolodchikov_g(s, ts), F(1, 2), F(1, 5))
+            assert ansatz_residual_crosscheck(s, ts, ts, f, g)
 
 
 class TestAnsatzCrosscheck:
     def test_linear_solution(self):
-        r = ansatz_residual_crosscheck(1, 2, 1, lambda l: l, lambda l: F(0),
-                                       F(1, 2), F(1, 3))
-        assert r.matches and r.residual_zero
+        assert ansatz_residual_crosscheck(1, 2, 1, values(lambda l: l, F(1, 2), F(1, 3)),
+                                          ZEROS)
 
     def test_shifted_solution(self):
-        from sl2ybe.amatrix import eta_closed_form
-        eta = eta_closed_form(1, 2)
-
-        def g(l):
-            return l / (eta - F(1, 2) - eta * l)
-
-        r = ansatz_residual_crosscheck(1, 2, 2, lambda l: l, g, F(1, 2), F(1, 3))
-        assert r.matches and r.residual_zero
+        f = values(lambda l: l, F(1, 2), F(1, 3))
+        g = values(zamolodchikov_g(1, 2), F(1, 2), F(1, 3))
+        assert ansatz_residual_crosscheck(1, 2, 2, f, g)
 
     def test_quadratic_f_nonsolution(self):
-        r = ansatz_residual_crosscheck(1, 2, 1, lambda l: l * l, lambda l: F(0),
-                                       F(1), F(1))
-        assert r.matches and not r.residual_zero
+        f = values(lambda l: l * l, F(1), F(1))
+        assert not ansatz_residual_crosscheck(1, 2, 1, f, ZEROS)
         # F_{l,m} = l^2 + m^2 - (l+m)^2 = -2 at (1, 1)
-        c = coeff_functions(1, 2, 1, lambda l: l * l, lambda l: F(0), F(1), F(1))
-        assert c.F == -2
+        assert coeff_functions(2, 0, f, ZEROS)[0] == -2
 
     def test_generic_nonsolution_at_active_level(self):
-        r = ansatz_residual_crosscheck(2, 3, 3, lambda l: l, lambda l: l,
-                                       F(1, 2), F(1, 3))
-        assert r.matches and not r.residual_zero
-
-    def test_prefactor_recorded(self):
-        r = ansatz_residual_crosscheck(1, 2, 1, lambda l: l, lambda l: F(0),
-                                       F(1), F(2))
-        assert r.prefactor == (1 + 1) * (1 + 2) * (1 + 3)
+        f = values(lambda l: l, F(1, 2), F(1, 3))
+        assert not ansatz_residual_crosscheck(2, 3, 3, f, f)
 
     def test_prefactor_zero_rejected(self):
         with pytest.raises(DomainError):
-            ansatz_residual_crosscheck(1, 2, 1, lambda l: l, lambda l: F(0),
-                                       F(-1), F(2))
+            ansatz_residual_crosscheck(1, 2, 1, values(lambda l: l, F(-1), F(2)), ZEROS)
+
+    def test_wrong_matrix_raises(self, monkeypatch):
+        """With G negated the residual no longer equals the combination: the
+        crosscheck raises, and so does criterion 11, which runs it at every
+        active cell (s, 3, 4)."""
+        real = ybe.fgh_operators
+
+        def negated_g(a, pi):
+            big_f, big_g, big_h, big_ht = real(a, pi)
+            return big_f, tuple(tuple(-x for x in row) for row in big_g), big_h, big_ht
+
+        monkeypatch.setattr(ybe, "fgh_operators", negated_g)
+        f = values(lambda l: l, F(1, 2), F(1, 3))
+        with pytest.raises(AssertionError, match="scalar combination"):
+            ansatz_residual_crosscheck(2, 3, 3, f, f)
+        with pytest.raises(AssertionError, match="scalar combination at"):
+            acceptance.criterion_11()
 
 
 class TestConstantCheck:

@@ -27,8 +27,7 @@ from functools import lru_cache
 
 from .exact import (DomainError, HalfInt, QuadExt, factorial,
                     minus_one_pow, sqrt_canonicalize)
-from .linalg import (clear_denominators, diag_mul_left, diag_mul_right, diagonal,
-                     mat_mul, mat_scale, sandwich)
+from .linalg import clear_denominators, diagonal, mat_mul, sandwich
 
 __all__ = [
     "GaugedMatrix",
@@ -201,11 +200,14 @@ def verify_a_properties(s, n: int) -> bool:
 
 def verify_sign_conjugation(s, n: int) -> bool:
     """A D0 A == (-1)^n D0 A D0 with the alternating sign diagonal D0, on
-    the integer core: the cached N D0 N == (-1)^n L D0 N D0."""
+    the integer core: the cached N D0 N == (-1)^n L D0 N D0, entry by
+    entry."""
     a = a_matrix(s, n)
     d0 = sign_diagonal(a.range)
-    rhs = diag_mul_left(d0, diag_mul_right(a.int_ucore, d0))
-    return a.sign_hat == mat_scale(minus_one_pow(n) * a.ucore_lcm, rhs)
+    scale = minus_one_pow(n) * a.ucore_lcm
+    return all(h == scale * di * dj * x
+               for di, hat_row, row in zip(d0, a.sign_hat, a.int_ucore)
+               for dj, h, x in zip(d0, hat_row, row))
 
 
 def eta(s, m: int, n: int) -> Fraction:

@@ -9,9 +9,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .amatrix import (GaugedMatrix, LevelRange, a_matrix,
-                      consecutive_level_ratio, eta, eta_closed_form,
-                      rank_one_projector, top_level)
+from .amatrix import (LevelRange, a_matrix, consecutive_level_ratio, eta,
+                      eta_closed_form, rank_one_projector, top_level,
+                      verify_sign_conjugation)
 from .exact import DomainError, HalfInt, QuadExt, minus_one_pow
 from .linalg import (diag_mul_left, diag_mul_right, is_zero_matrix, mat_add,
                      span_coordinates, span_rank)
@@ -33,54 +33,30 @@ __all__ = [
 ]
 
 
-def _entrywise_h(a: GaugedMatrix, m: int, transposed: bool):
-    """Gauge image of the closed-form entries
-
-        H_{kk'}  = (-1)^(n+m+k') d_{km}  A_{kk'} - (-1)^k  A_{km} A_{mk'}
-        H~_{kk'} = (-1)^(n+m+k)  d_{k'm} A_{kk'} - (-1)^k' A_{km} A_{mk'}
-
-    on the integer core, times L^2 like `fgh_operators`: for H the entry
-    is delta L N_{kk'} - (-1)^k N_{km} N_{mk'} (the delta term carries the
-    extra (-1)^n that the sign-conjugation identity forces; without it the
-    closed form only covers even n)."""
-    rng, u, lcm = a.range, a.int_ucore, a.ucore_lcm
-    n, i_m = rng.n, m - rng.k_min
-
-    def entry(i, k, j, kp):
-        p, q = (kp, k) if transposed else (k, kp)
-        delta = minus_one_pow(n + m + q) * lcm * u[i][j] if p == m else 0
-        return delta - minus_one_pow(p) * u[i][i_m] * u[i_m][j]
-
-    return tuple(tuple(entry(i, k, j, kp) for j, kp in enumerate(rng.indices()))
-                 for i, k in enumerate(rng.indices()))
-
-
 def fgh_matrices(s, m: int, n: int) -> tuple:
     """The matrices (F, G, H, H~) of `ybe.fgh_operators` at level n with
     distinguished index m, in the rational gauge, as integer matrices: L^2
     times their values, a common positive scale that leaves ranks, span
-    coordinates and H == H~ unchanged.  H and H~ are cross-checked
-    entrywise against the closed forms."""
+    coordinates and H == H~ unchanged.  Each is read from the cached
+    N D0 N, which sign conjugation must fix entrywise: row m of
+    N D0 N = (-1)^n L D0 N D0 is the closed form of H, column m that of
+    H~, and every entry enters F (README "The four-matrix system")."""
     s = HalfInt.coerce(s)
     if theta(s, m, n) != 1:
         raise DomainError(f"index m={m} not active at level n={n} for s={s}")
+    if not verify_sign_conjugation(s, n):
+        raise AssertionError(f"sign conjugation fails at (s={s}, n={n})")
     a = a_matrix(s, n)
-    fgh = _, _, big_h, big_ht = fgh_operators(a, rank_one_projector(a.range, m))
-    if big_h != _entrywise_h(a, m, transposed=False):
-        raise AssertionError(f"H closed form mismatch at (s={s}, m={m}, n={n})")
-    if big_ht != _entrywise_h(a, m, transposed=True):
-        raise AssertionError(f"H~ closed form mismatch at (s={s}, m={m}, n={n})")
-    # G_{kk'} = d_{km} d_{k'm} - A_{km} A_{mk'} needs no correction.
-    return fgh
+    return fgh_operators(a, rank_one_projector(a.range, m))
 
 
 @dataclass(frozen=True)
 class DegeneracyRecord:
-    """One scan cell.  holds_transpose: H == H~ exactly.  holds_multiple:
-    H + H~ is a scalar multiple of G (beta records the scalar; for an
-    all-zero cell the scalar is indeterminate and beta is None).
-    beta/beta_tilde also record the decomposition H + H~ = beta G +
-    beta_tilde F whenever it exists.
+    """One scan cell.  holds_transpose: H == H~ exactly; the scan raises
+    unless it equals the scalar-multiple relation (H + H~ a multiple of G).
+    beta/beta_tilde record the decomposition H + H~ = beta G +
+    beta_tilde F whenever it exists (None, None for an all-zero cell,
+    where the scalars are indeterminate).
     """
 
     s: HalfInt
@@ -89,7 +65,6 @@ class DegeneracyRecord:
     dim: int
     shifted: bool
     holds_transpose: bool
-    holds_multiple: bool
     beta: Fraction | None
     beta_tilde: Fraction | None
     rank: int
@@ -113,6 +88,8 @@ class ScanResult:
 
 
 def _scan_cell(s: HalfInt, m: int, n: int) -> DegeneracyRecord:
+    """The record of one active cell.  Hard failure if H == H~ and the
+    scalar-multiple relation disagree (they must hold simultaneously)."""
     big_f, big_g, big_h, big_ht = fgh_matrices(s, m, n)
     rng = LevelRange.for_level(s, n)
     total = mat_add(big_h, big_ht)
@@ -127,16 +104,21 @@ def _scan_cell(s: HalfInt, m: int, n: int) -> DegeneracyRecord:
         # F gets coordinate 0 whenever it adds nothing to span{G}, and when
         # G = 0 a zero F-coordinate means H + H~ = 0.
         holds_multiple = beta_tilde == 0
+    holds_transpose = big_h == big_ht
+    if holds_transpose != holds_multiple:
+        raise AssertionError(
+            f"simultaneity violated at (s={s}, m={m}, n={n}): "
+            f"transpose={holds_transpose} multiple={holds_multiple}")
     return DegeneracyRecord(
         s=s, m=m, n=n, dim=rng.dim, shifted=rng.shifted,
-        holds_transpose=big_h == big_ht, holds_multiple=holds_multiple,
-        beta=beta, beta_tilde=beta_tilde, rank=sum(c is None for c in coords))
+        holds_transpose=holds_transpose, beta=beta, beta_tilde=beta_tilde,
+        rank=sum(c is None for c in coords))
 
 
 def degeneracy_scan(max_two_s: int = 6) -> ScanResult:
     """Scan every active cell 2 <= m <= 2s <= max_two_s, m <= n <=
-    floor(3s).  Hard failure if H == H~ and the scalar-multiple relation
-    ever disagree (they must hold simultaneously)."""
+    floor(3s); each cell raises if its two degeneracy relations
+    disagree."""
     if max_two_s < 2:
         raise DomainError("max_two_s must be at least 2")
     out = ScanResult()
@@ -148,12 +130,7 @@ def degeneracy_scan(max_two_s: int = 6) -> ScanResult:
                     out.skipped.append({"s": str(s), "m": m, "n": n,
                                         "reason": "index outside level range"})
                     continue
-                rec = _scan_cell(s, m, n)
-                if rec.holds_transpose != rec.holds_multiple:
-                    raise AssertionError(
-                        f"simultaneity violated at (s={s}, m={m}, n={n}): "
-                        f"transpose={rec.holds_transpose} multiple={rec.holds_multiple}")
-                out.records.append(rec)
+                out.records.append(_scan_cell(s, m, n))
     return out
 
 
@@ -255,12 +232,7 @@ def exceptional_level_combination(s, lam, mu):
     c0, c1 = eta_33 - Fraction(xi, 2), xi * eta_33
     f = (lam, mu, lam + mu)
     g = tuple(x / (c0 - c1 * x) for x in f)
-    eta_4 = eta_level4_m3(s)
-    _, big_g, big_h, big_ht = coeff_functions(3, eta_4, f, g)
-    swapped = coeff_functions(3, eta_4, (mu, lam, f[2]), (g[1], g[0], g[2]))
-    if swapped[2] != big_ht:
-        raise AssertionError(
-            f"H with swapped samples disagrees with H~ at (s={s}, {lam}, {mu})")
+    _, big_g, big_h, big_ht = coeff_functions(3, eta_level4_m3(s), f, g)
     value = big_g + big_h + big_ht
     if theta(s, 3, 4) and ansatz_residual_crosscheck(s, 3, 4, f, g) != (value == 0):
         raise AssertionError(f"level-4 residual and scalar combination disagree "

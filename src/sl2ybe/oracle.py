@@ -10,6 +10,7 @@ that build arrays, so the exact checks never load it.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from typing import TYPE_CHECKING
 
 from .amatrix import top_level
@@ -74,12 +75,17 @@ def _two_site_casimir(s) -> np.ndarray:
 
 def dense_projectors(s) -> list[np.ndarray]:
     """Projectors P^j, j = 0..2s, on V_s (x) V_s via Lagrange interpolation
-    in the two-site Casimir; all real double precision."""
+    in the two-site Casimir; all real double precision, built once per 2s
+    and read-only."""
+    return list(_projectors(_two_s(s)))
+
+
+@lru_cache(maxsize=None)
+def _projectors(ts: int) -> tuple:
     import numpy as np
-    ts = _two_s(s)
     if ts > PROJECTOR_TWO_S_CAP:
         raise DomainError(f"2s={ts} above the dense cap {PROJECTOR_TWO_S_CAP}")
-    j2 = _two_site_casimir(s)
+    j2 = _two_site_casimir(HalfInt(ts))
     dim2 = j2.shape[0]
     eigs = [j * (j + 1) for j in range(ts + 1)]
     projs = []
@@ -88,14 +94,14 @@ def dense_projectors(s) -> list[np.ndarray]:
         for i in range(ts + 1):
             if i != j:
                 p = p @ (j2 - eigs[i] * np.eye(dim2)) / (eigs[j] - eigs[i])
+        p.setflags(write=False)
         projs.append(p)
-    return projs
+    return tuple(projs)
 
 
-def permutation_dense(s, projs=None) -> np.ndarray:
+def permutation_dense(s) -> np.ndarray:
     ts = _two_s(s)
-    if projs is None:
-        projs = dense_projectors(s)
+    projs = dense_projectors(s)
     return sum(minus_one_pow(ts - j) * projs[j] for j in range(ts + 1))
 
 
@@ -123,7 +129,7 @@ def dense_operator_identities(s) -> dict:
         raise DomainError(f"2s={ts} above the dense cap {IDENTITIES_TWO_S_CAP}")
     dim = ts + 1
     projs = dense_projectors(s)
-    perm = permutation_dense(s, projs)
+    perm = permutation_dense(s)
     xi = minus_one_pow(ts)
     eta = 1.0 / (ts + 1)
     eye3 = np.eye(dim ** 3)
@@ -159,27 +165,23 @@ def dense_operator_identities(s) -> dict:
             "pass": worst < IDENTITY_TOL}
 
 
-def dense_r_matrix(fam: SpectralFamily, lam, projs=None) -> np.ndarray:
+def dense_r_matrix(fam: SpectralFamily, lam) -> np.ndarray:
     """R(lam) = sum_j r_j(lam) P^j as a dense float matrix."""
     ts = fam.s.twice
-    if projs is None:
-        projs = dense_projectors(fam.s)
+    projs = dense_projectors(fam.s)
     out = 0.0 * projs[0]
     for j in range(ts + 1):
         out += float(fam.eval_coeff(j, lam)) * projs[j]
     return out
 
 
-def dense_ybe_residual(fam: SpectralFamily, lam, mu, projs=None) -> float:
+def dense_ybe_residual(fam: SpectralFamily, lam, mu) -> float:
     """Max-norm of R12(l) R23(l+m) R12(m) - R23(m) R12(l+m) R23(l)."""
-    ts = fam.s.twice
-    dim = ts + 1
-    if projs is None:
-        projs = dense_projectors(fam.s)
+    dim = fam.s.twice + 1
     comp = fam.compose(lam, mu)
-    r12 = [_three_site_pair(dense_r_matrix(fam, x, projs), dim, True)
+    r12 = [_three_site_pair(dense_r_matrix(fam, x), dim, True)
            for x in (lam, comp, mu)]
-    r23 = [_three_site_pair(dense_r_matrix(fam, x, projs), dim, False)
+    r23 = [_three_site_pair(dense_r_matrix(fam, x), dim, False)
            for x in (lam, comp, mu)]
     lhs = r12[0] @ r23[1] @ r12[2]
     rhs = r23[2] @ r12[1] @ r23[0]
@@ -190,10 +192,9 @@ def reduction_consistency(fam: SpectralFamily, samples) -> dict:
     """Dense verdict (residual below tolerance) must agree with the exact
     verdict (every reduced level exactly zero) on each sample; a mismatch
     is a hard failure."""
-    projs = dense_projectors(fam.s)
     cases = []
     for lam, mu in samples:
-        dense = dense_ybe_residual(fam, lam, mu, projs)
+        dense = dense_ybe_residual(fam, lam, mu)
         dense_zero = dense < IDENTITY_TOL
         exact_zero = all(reduced_ybe_check(fam, n, lam, mu).is_zero
                          for n in range(top_level(fam.s) + 1))

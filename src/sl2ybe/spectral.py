@@ -69,24 +69,12 @@ class RationalFunction:
                             f"vanishes at {x}")
         return _horner(self.num, x) / den
 
-    def __mul__(self, other: "RationalFunction") -> "RationalFunction":
-        return RationalFunction(_poly_mul(self.num, other.num),
-                                _poly_mul(self.den, other.den))
-
 
 def _horner(coeffs, x):
     acc = coeffs[-1]
     for c in coeffs[-2::-1]:
         acc = acc * x + c
     return acc
-
-
-def _poly_mul(p, q) -> tuple:
-    out = [0] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        for j, b in enumerate(q):
-            out[i + j] += a * b
-    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -278,15 +266,16 @@ def krs_prefix(s) -> SpectralFamily:
         r_{2s-2} = (1-l)/(1+l) * (1 - tau l)/(1 + tau l),  tau = 2s/(2s-1).
 
     Lower coefficients are undefined; levels above 2 cannot be formed.
+    r_{2s-2} is stored expanded, (1 - (1+tau) l + tau l^2)/(1 + (1+tau) l
+    + tau l^2).
     """
     s = _require_spin(s, 2, "the prefix family needs s >= 1")
     ts = s.twice
     tau = Fraction(ts, ts - 1)
-    r1 = _ratio((1, -1), (1, 1))
     return SpectralFamily("krs-prefix", s, {
         ts: _constant(Fraction(1)),
-        ts - 1: r1,
-        ts - 2: r1 * _ratio((1, -tau), (1, tau)),
+        ts - 1: _ratio((1, -1), (1, 1)),
+        ts - 2: _ratio((1, -(1 + tau), tau), (1, 1 + tau, tau)),
     })
 
 
@@ -294,7 +283,9 @@ def exceptional_s3() -> SpectralFamily:
     """The spin-3 solution with shifted coefficients at j = 3 and j = 0:
 
         r_6 = r_4 = r_2 = 1,  r_5 = r_1 = (1-l)/(1+l),
-        r_3 = (4-l)/(4+l),    r_0 = (1-l)/(1+l) * (6-l)/(6+l).
+        r_3 = (4-l)/(4+l),    r_0 = (1-l)/(1+l) * (6-l)/(6+l),
+
+    r_0 stored expanded as (6 - 7l + l^2)/(6 + 7l + l^2).
     """
     one = _constant(Fraction(1))
     r1 = _ratio((1, -1), (1, 1))
@@ -302,7 +293,7 @@ def exceptional_s3() -> SpectralFamily:
         6: one, 4: one, 2: one,
         5: r1, 1: r1,
         3: _ratio((4, -1), (4, 1)),
-        0: r1 * _ratio((6, -1), (6, 1)),
+        0: _ratio((6, -7, 1), (6, 7, 1)),
     }, m=3)
 
 

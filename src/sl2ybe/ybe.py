@@ -18,15 +18,15 @@ well and comes out as L^2 times its values.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .amatrix import (GaugedMatrix, LevelRange, a_matrix, eta,
                       rank_one_projector, sign_diagonal, top_level)
 from .exact import DomainError, HalfInt, QuadExt, minus_one_pow, rescale_surd
-from .linalg import (diag_mul_left, diag_mul_right, diagonal, is_zero_matrix,
-                     mat_add, mat_mul, mat_scale, mat_sub)
+from .linalg import (clear_denominators, diag_mul_left, diag_mul_right,
+                     diagonal, is_zero_matrix, mat_add, mat_mul, mat_scale,
+                     mat_sub)
 from .spectral import SpectralFamily, reduced_d
 
 __all__ = [
@@ -119,8 +119,7 @@ def _cleared(entries, d):
                for x in entries]
     if any(b_parts):
         parts.append(b_parts)
-    c = math.lcm(*(x.denominator for part in parts for x in part))
-    ints = [tuple(x.numerator * (c // x.denominator) for x in part) for part in parts]
+    c, ints = clear_denominators(parts)
     return ints[0], (ints[1] if len(ints) > 1 else None), c
 
 
@@ -307,11 +306,14 @@ def coeff_functions(m: int, eta_mn, f, g) -> tuple:
     inactive passes g = 0, which leaves only F."""
     xi = minus_one_pow(m)
     (fl, fm, fc), (gl, gm, gc) = f, g
+
+    def big_h(fx, gx, fy):
+        """H at the sample pair (x, y); H~ is H at (mu, lam)."""
+        return gx * fc - fx * gc + xi * eta_mn * gx * fy * gc
+
     big_g = (gl + gm - gc + xi * fl * gm + xi * gl * fm + gl * gm
              + eta_mn * gl * gm * fc + eta_mn * eta_mn * gl * gm * gc)
-    big_h = gl * fc - fl * gc + xi * eta_mn * gl * fm * gc
-    big_hs = gm * fc - fm * gc + xi * eta_mn * gm * fl * gc
-    return fl + fm - fc, big_g, big_h, big_hs
+    return fl + fm - fc, big_g, big_h(fl, gl, fm), big_h(fm, gm, fl)
 
 
 def fgh_operators(a: GaugedMatrix, pi):

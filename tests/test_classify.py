@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from sl2ybe import classify
 from sl2ybe.amatrix import (a_matrix, consecutive_level_ratio, eta,
                             eta_closed_form, rank_one_projector, sign_diagonal,
                             top_level)
@@ -10,6 +11,7 @@ from sl2ybe.classify import (constant_m_prime, constant_roots, degeneracy_scan,
                              fgh_matrices, level_three_five_ratio,
                              permutation_rigidity,
                              projector_obstruction_check)
+from sl2ybe.cli import main
 from sl2ybe.exact import DomainError, HalfInt, QuadExt
 from sl2ybe.linalg import (diagonal, is_zero_matrix, mat_add, mat_mul, mat_scale,
                            mat_sub, span_rank)
@@ -76,6 +78,37 @@ class TestFghSystem:
                                           mat_scale(F(2), big_g)))
 
 
+def plant_in_sign_hat(monkeypatch, s, n, i, j):
+    """Add 1 to entry (i, j) of the cached N D0 N of A^(s,n)."""
+    a = a_matrix(s, n)
+    bad = [list(row) for row in a.sign_hat]
+    bad[i][j] += 1
+    monkeypatch.setattr(a, "sign_hat", tuple(map(tuple, bad)))
+
+
+class TestSignHatFaults:
+    """Sign conjugation guards every entry of N D0 N that F, H and H~
+    read, not only row and column m."""
+
+    def test_fault_outside_row_m_raises(self, monkeypatch):
+        # entry (0, 0) enters F alone; row and column m = 2 are intact
+        plant_in_sign_hat(monkeypatch, 2, 3, 0, 0)
+        with pytest.raises(AssertionError,
+                           match=r"sign conjugation fails at \(s=2, n=3\)"):
+            fgh_matrices(2, 2, 3)
+
+    def test_fault_outside_row_m_fails_the_scan(self, monkeypatch, capsys):
+        plant_in_sign_hat(monkeypatch, 2, 3, 0, 0)
+        assert main(["scan-degeneracy", "--max-2s", "4"]) == 1
+        assert capsys.readouterr().err == (
+            "error: internal check failed: sign conjugation fails at (s=2, n=3)\n")
+
+    def test_fault_in_row_m_raises(self, monkeypatch):
+        plant_in_sign_hat(monkeypatch, 2, 3, 2, 0)
+        with pytest.raises(AssertionError, match=r"n=3\)"):
+            fgh_matrices(2, 2, 3)
+
+
 class TestRank:
     def test_small_level_carries_one_relation(self):
         # at (s=1, m=2, n=2) the exact span is 3-dimensional:
@@ -103,7 +136,7 @@ class TestDegeneracyScan:
 
     def test_degenerate_records_have_beta_two(self, scan):
         for rec in scan.unshifted_degeneracies():
-            assert rec.beta == 2 and rec.holds_transpose and rec.holds_multiple
+            assert rec.beta == 2 and rec.holds_transpose
 
     def test_shifted_degeneracies_follow_sign_rule(self, scan):
         # every extra degeneracy lives at a shifted level with beta = -2*(-1)^m
@@ -111,9 +144,19 @@ class TestDegeneracyScan:
             if rec.shifted and rec.beta is not None:
                 assert rec.beta == -2 * (-1) ** rec.m, rec
 
-    def test_simultaneity_never_violated(self, scan):
-        for rec in scan.records:
-            assert rec.holds_transpose == rec.holds_multiple
+    def test_disagreeing_relations_raise(self, monkeypatch):
+        # H~ replaced by H: the transpose relation holds at every cell, but
+        # H + H~ = 2H is no multiple of G at (s=1, m=2, n=2)
+        real = classify.fgh_matrices
+
+        def same_h(s, m, n):
+            big_f, big_g, big_h, _ = real(s, m, n)
+            return big_f, big_g, big_h, big_h
+
+        monkeypatch.setattr(classify, "fgh_matrices", same_h)
+        with pytest.raises(AssertionError, match=r"simultaneity violated at "
+                           r"\(s=1, m=2, n=2\): transpose=True multiple=False"):
+            degeneracy_scan(2)
 
     def test_out_of_range_cells_are_skipped(self, scan):
         skipped = {(e["s"], e["m"], e["n"]) for e in scan.skipped}

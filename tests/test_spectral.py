@@ -270,15 +270,3 @@ class TestCoefficientTables:
         with pytest.raises(DomainError):
             RationalFunction((F(1),), ())
 
-    def test_product(self):
-        r = RationalFunction((F(1), F(-1)), (F(1), F(1)))
-        q = RationalFunction((F(2), F(1)), (F(3),))
-        for x in (F(0), F(1, 2), F(5)):
-            assert (r * q)(x) == r(x) * q(x)
-
-    def test_product_pole_is_union_of_poles(self):
-        r = RationalFunction((F(1),), (F(1), F(1)))
-        q = RationalFunction((F(1),), (F(2), F(-1)))
-        for x in (F(-1), F(2)):
-            with pytest.raises(PoleError):
-                (r * q)(x)

@@ -295,7 +295,8 @@ def yang_at_one_and_two():
     yang exactly at x in {0, 1, 2}, so on a grid only the pairs whose three
     arguments lie there can pass."""
     tables = dict(yang(1).coeffs)
-    tables[0] = tables[0] * RationalFunction((F(1), F(2), F(-3), F(1)), (F(1),))
+    # (1 + x)(1 + 2x - 3x^2 + x^3) / (1 + x)
+    tables[0] = RationalFunction((F(1), F(3), F(-1), F(-2), F(1)), (F(1), F(1)))
     return custom_family(HalfInt(2), tables)
 
 

@@ -102,9 +102,9 @@ def criterion_2(max_two_s: int = 6) -> CriterionResult:
     return CriterionResult(2, "Racah identity on the full level grid (exact)", ok, details)
 
 
-def criterion_3(max_two_s: int = 8) -> CriterionResult:
+def criterion_3() -> CriterionResult:
     details, ok = [], True
-    for ts in range(2, max_two_s + 1):
+    for ts in range(2, 9):
         s = HalfInt(ts)
         for m in range(2, ts + 1):
             if eta(s, m, m) != eta_closed_form(s, m):
@@ -114,7 +114,7 @@ def criterion_3(max_two_s: int = 8) -> CriterionResult:
         (eta(HalfInt(2), 2, 2) == F(1, 3), "eta(s=1, m=2) == 1/3"),
         (eta(HalfInt(3), 3, 3) == F(1, 4), "eta(s=3/2, m=3) == 1/4"),
         (all(eta_closed_form(HalfInt(ts), ts) == F(1, ts + 1)
-             for ts in range(1, max_two_s + 1)),
+             for ts in range(1, 9)),
          "top index reduces to 1/(2s+1)"),
     ]
     for good, label in checks:

@@ -27,7 +27,7 @@ from functools import lru_cache
 
 from .exact import (DomainError, HalfInt, QuadExt, factorial,
                     minus_one_pow, sqrt_canonicalize)
-from .linalg import clear_denominators, diagonal, mat_mul, sandwich
+from .linalg import clear_denominators, diagonal, is_zero_matrix, mat_mul, sandwich
 
 __all__ = [
     "GaugedMatrix",
@@ -127,6 +127,15 @@ class GaugedMatrix:
         only, so the hat of a rank-one projector is one outer product."""
         return sandwich(self.int_ucore, entries, self.int_ucore)
 
+    def sign_conjugation_residual(self) -> tuple:
+        """N D0 N - (-1)^n L D0 N D0 from the current `sign_hat`, zero
+        exactly when A D0 A == (-1)^n D0 A D0 (and the Racah sum rule holds)."""
+        d0 = sign_diagonal(self.range)
+        scale = minus_one_pow(self.range.n) * self.ucore_lcm
+        return tuple(tuple(h - scale * di * dj * x
+                           for dj, h, x in zip(d0, hat_row, row))
+                     for di, hat_row, row in zip(d0, self.sign_hat, self.int_ucore))
+
     def entry(self, k: int, kp: int) -> QuadExt:
         """Raw entry sqrt(u_k) M_{kk'} sqrt(u_{k'})."""
         i, j = k - self.range.k_min, kp - self.range.k_min
@@ -199,15 +208,8 @@ def verify_a_properties(s, n: int) -> bool:
 
 
 def verify_sign_conjugation(s, n: int) -> bool:
-    """A D0 A == (-1)^n D0 A D0 with the alternating sign diagonal D0, on
-    the integer core: the cached N D0 N == (-1)^n L D0 N D0, entry by
-    entry."""
-    a = a_matrix(s, n)
-    d0 = sign_diagonal(a.range)
-    scale = minus_one_pow(n) * a.ucore_lcm
-    return all(h == scale * di * dj * x
-               for di, hat_row, row in zip(d0, a.sign_hat, a.int_ucore)
-               for dj, h, x in zip(d0, hat_row, row))
+    """A D0 A == (-1)^n D0 A D0, D0 the alternating sign diagonal."""
+    return is_zero_matrix(a_matrix(s, n).sign_conjugation_residual())
 
 
 def eta(s, m: int, n: int) -> Fraction:

@@ -13,8 +13,7 @@ from .amatrix import (LevelRange, a_matrix, consecutive_level_ratio, eta,
                       eta_closed_form, rank_one_projector, top_level,
                       verify_sign_conjugation)
 from .exact import DomainError, HalfInt, QuadExt, minus_one_pow
-from .linalg import (diag_mul_left, diag_mul_right, is_zero_matrix, mat_add,
-                     span_coordinates, span_rank)
+from .linalg import is_zero_matrix, mat_add, span_coordinates, span_rank
 from .spectral import _require_index, constant_root
 from .ybe import (ansatz_residual_crosscheck, coeff_functions, fgh_operators,
                   theta)
@@ -158,22 +157,18 @@ def constant_roots(s, m: int) -> tuple[QuadExt, QuadExt]:
 
 def constant_m_prime(s, m: int) -> int:
     """m' = m + 1 for the constant shifted family: the level-m roots never
-    satisfy the level-(m+1) quadratic (eta^2 differs between the levels);
-    at m = 2s the next level carries no constraint and no lower
+    satisfy the level-(m+1) quadratic, because a common root g != 0 would
+    give (eta_{m+1}^2 - eta_m^2) g^2 = 0 and eta^2 differs between the
+    levels; at m = 2s the next level carries no constraint and no lower
     coefficients exist, so the bound is vacuous."""
     s = HalfInt.coerce(s)
-    ts = s.twice
     _require_index(s, m)
-    if 2 * (m + 1) <= 3 * ts and theta(s, m, m + 1):
+    if 2 * (m + 1) <= 3 * s.twice and theta(s, m, m + 1):
         eta_m = eta(s, m, m)
         eta_next = eta(s, m, m + 1)
         if eta_m * eta_m == eta_next * eta_next:
             raise AssertionError(
                 f"level-{m} and level-{m + 1} quadratics coincide at s={s}")
-        for g in constant_roots(s, m):
-            if (1 + g + eta_next * eta_next * g * g).is_zero:
-                raise AssertionError(
-                    f"root {g} unexpectedly satisfies the level-{m + 1} quadratic")
     return m + 1
 
 
@@ -190,17 +185,14 @@ def permutation_rigidity(s, m: int) -> bool:
 def projector_obstruction_check(s, m: int) -> bool:
     """No constant solution can drop the top coefficient: every entry
     A_{km}^(s,m) is nonzero and A^(s,m) fails to commute with the rank-one
-    projector at index m (both exact)."""
+    projector pi at index m (both exact).  The first decides the second:
+    entry (k, m), k != m, of N pi - pi N is N_km = L M_km u_m, L, u_m > 0,
+    and level m has dimension m + 1 >= 2."""
     s = HalfInt.coerce(s)
     if not 0 < m <= s.twice:
         raise DomainError(f"m={m} must satisfy 0 < m <= 2s={s.twice}")
-    a = a_matrix(s, m)
-    i_m = m - a.range.k_min
-    if any(a.core[i][i_m] == 0 for i in range(a.dim)):
-        return False
-    core = a.int_ucore
-    pi = rank_one_projector(a.range, m)
-    return diag_mul_right(core, pi) != diag_mul_left(pi, core)
+    # level m <= 2s runs over k = 0..m, so column m of the core is index m
+    return all(row[m] != 0 for row in a_matrix(s, m).core)
 
 
 def eta_level4_m3(s) -> Fraction:

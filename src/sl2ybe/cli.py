@@ -113,8 +113,9 @@ def cmd_amat(args):
 
 
 def cmd_eta(args):
-    value = eta(HalfInt.parse(args.s), args.m, args.n)
-    doc = {"check": "diagonal-constant", "s": args.s, "m": args.m, "n": args.n,
+    s = HalfInt.parse(args.s)
+    value = eta(s, args.m, args.n)
+    doc = {"check": "diagonal-constant", "s": str(s), "m": args.m, "n": args.n,
            "value": format_rational(value)}
     _emit(doc, args, [format_rational(value)])
     return EXIT_PASS

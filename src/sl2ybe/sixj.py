@@ -4,9 +4,9 @@ A symbol {a b e; c d f} evaluates to a single surd c*sqrt(r), the
 QuadExt with a = 0: the four triangle coefficients multiply under one
 radical and the alternating factorial sum is rational; both come from
 `amatrix`, whose A^(s,n) is built from the same sum.  Inadmissible
-arguments give exact zero.  The Racah sum rule is checked one level at a
-time as an integer matrix identity on the core and weights of the cached
-A^(s,n), so it evaluates no sum and needs no arithmetic on surds.
+arguments give exact zero.  The Racah sum rule of one level is sign
+conjugation of the cached A^(s,n) in 6-j form, so checking it evaluates
+no sum and needs no arithmetic on surds.
 """
 from __future__ import annotations
 
@@ -14,10 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .amatrix import _racah_sum, _triangle_sq, a_matrix
-from .exact import (DomainError, HalfInt, QuadExt, minus_one_pow,
-                    sqrt_canonicalize)
-from .linalg import (clear_denominators, diag_mul_left, diag_mul_right,
-                     mat_mul, mat_scale, mat_sub)
+from .exact import DomainError, HalfInt, QuadExt, sqrt_canonicalize
 
 __all__ = [
     "SixJArgs",
@@ -86,23 +83,9 @@ def racah_identity_residual(s, n: int) -> tuple:
         W_lp = {s s l; s r4 p},  r4 = 3s - n,
 
     over l, p = 2s - k for k in the level range, rows and columns in
-    ascending k.  A^(s,n) is built from these symbols: its weights are
-    u_p (2p+1), u_p the product of the squared triangle coefficients of
-    (s, s, p) and (s, r4, p), and its core is (-1)^(2s-n) C, C the Racah
-    sum, so that W_lp = sqrt(u_l) C_lp sqrt(u_p).  The rule therefore
-    holds cell for cell iff C diag(u_p (-1)^p (2p+1)) C == S C S with
-    S = diag((-1)^l), read here from the cached matrix without evaluating
-    any sum.  Cleared
-    to integers Ci = dC C and Ui = dU u_p (-1)^p (2p+1), the residual is
-    Ci diag(Ui) Ci - dC dU S Ci S, zero exactly when the rule holds.
+    ascending k.  The rule is sign conjugation of A^(s,n) in 6-j form,
+    and this is the sign-conjugation residual of A^(s,n): the rule's
+    residual times positive factors, nonzero at exactly the same cells
+    (README "On one level (s, n)").
     """
-    a = a_matrix(s, n)
-    ts = a.range.s.twice
-    sign = minus_one_pow(ts - n)
-    signs = [minus_one_pow(ts - k) for k in a.range.indices()]
-    d_core, core = clear_denominators([[sign * x for x in row] for row in a.core])
-    d_weights, (weights,) = clear_denominators(
-        [[w * e for w, e in zip(a.weights, signs)]])
-    lhs = mat_mul(diag_mul_right(core, weights), core)
-    rhs = diag_mul_left(signs, diag_mul_right(core, signs))
-    return mat_sub(lhs, mat_scale(d_core * d_weights, rhs))
+    return a_matrix(s, n).sign_conjugation_residual()

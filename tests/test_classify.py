@@ -3,7 +3,8 @@ from fractions import Fraction
 import pytest
 
 from sl2ybe import classify
-from sl2ybe.amatrix import (a_matrix, consecutive_level_ratio, eta,
+from sl2ybe.acceptance import criterion_1, criterion_2
+from sl2ybe.amatrix import (GaugedMatrix, a_matrix, consecutive_level_ratio, eta,
                             eta_closed_form, rank_one_projector, sign_diagonal,
                             top_level)
 from sl2ybe.classify import (constant_m_prime, constant_roots, degeneracy_scan,
@@ -107,6 +108,16 @@ class TestSignHatFaults:
         plant_in_sign_hat(monkeypatch, 2, 3, 2, 0)
         with pytest.raises(AssertionError, match=r"n=3\)"):
             fgh_matrices(2, 2, 3)
+
+    def test_fault_fails_criteria_1_and_2_at_its_cell(self, monkeypatch):
+        # the Racah sum rule is sign conjugation in 6-j form, so one
+        # residual decides both criteria
+        plant_in_sign_hat(monkeypatch, 2, 3, 0, 0)
+        assert criterion_1(4).details == ["failed at (s=2, n=3)", "18 levels, 1 failed"]
+        result = criterion_2(4)
+        assert not result.passed
+        assert result.details == ["nonzero at (s=2, n=3, k=0, k'=0)",
+                                  "119 Racah sum-rule residuals, 1 nonzero"]
 
 
 class TestRank:
@@ -248,6 +259,25 @@ class TestConstantAnalysis:
         for ts in range(1, 7):
             for m in range(1, ts + 1):
                 assert projector_obstruction_check(HalfInt(ts), m), (ts, m)
+
+    def test_nonzero_column_breaks_the_commutation(self):
+        # entry (k, m), k != m, of N pi - pi N is N_km, so a nonzero column
+        # m means A^(s,m) does not commute with pi
+        for ts in range(1, 11):
+            for m in range(1, ts + 1):
+                a = a_matrix(HalfInt(ts), m)
+                pi = diagonal(rank_one_projector(a.range, m))
+                core = a.int_ucore
+                assert all(row[m] != 0 for row in core)
+                assert mat_mul(core, pi) != mat_mul(pi, core), (ts, m)
+
+    def test_zero_in_column_m_fails(self, monkeypatch):
+        real = a_matrix(2, 3)
+        core = [list(row) for row in real.core]
+        core[0][3] = 0
+        wrong = GaugedMatrix(real.range, real.weights, core)
+        monkeypatch.setattr(classify, "a_matrix", lambda s, n: wrong)
+        assert not projector_obstruction_check(HalfInt(4), 3)
 
     def test_rigidity_full_grid(self):
         for ts in range(2, 7):

@@ -80,6 +80,12 @@ class TestEtaCommand:
         code, out, _ = run_cli(capsys, "eta", "--s", "5/2", "--m", "3", "--n", "4")
         assert code == 0 and out.strip() == "1/2"
 
+    def test_json_echoes_the_parsed_spin(self, capsys):
+        # "4/2" is spin 2, printed as amat, classify-constant and rigidity do
+        code, out, _ = run_cli(capsys, "eta", "--s", "4/2", "--m", "2", "--n", "2",
+                               "--json")
+        assert code == 0 and json.loads(out)["s"] == "2"
+
 
 class TestVerifyCommand:
     def test_exceptional_full_pass(self, capsys):

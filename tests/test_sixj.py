@@ -8,8 +8,9 @@ import pytest
 from sl2ybe.acceptance import criterion_2
 from sl2ybe.amatrix import (GaugedMatrix, LevelRange, _racah_sum, _triangle_sq,
                             a_matrix, top_level)
-from sl2ybe.exact import DomainError, HalfInt, sqrt_canonicalize
-from sl2ybe.linalg import is_zero_matrix
+from sl2ybe.exact import DomainError, HalfInt, minus_one_pow, sqrt_canonicalize
+from sl2ybe.linalg import (clear_denominators, diag_mul_left, diag_mul_right,
+                           is_zero_matrix, mat_mul, mat_scale, mat_sub)
 from sl2ybe.sixj import SixJArgs, racah_identity_residual, sixj, triangle_ok
 
 H = HalfInt
@@ -38,6 +39,43 @@ def level_grid(max_two_s):
     for ts in range(1, max_two_s + 1):
         for n in range(top_level(H(ts)) + 1):
             yield H(ts), n
+
+
+def product_form_residual(a):
+    """The Racah sum rule of a level as its own product form, built from the
+    core and weights of `a`: with C = (-1)^(2s-n) core, S = diag((-1)^l),
+    l = 2s - k, and the weights w, the integer matrix
+    Ci diag(Ui) Ci - dC dU S Ci S, Ci = dC C and Ui = dU w S cleared to
+    integers, which is dC^2 dU (C diag(w S) C - S C S).  Returns it with
+    dC^2 dU."""
+    ts, n = a.range.s.twice, a.range.n
+    sign = minus_one_pow(ts - n)
+    signs = [minus_one_pow(ts - k) for k in a.range.indices()]
+    d_core, core = clear_denominators([[sign * x for x in row] for row in a.core])
+    d_weights, (weights,) = clear_denominators(
+        [[w * e for w, e in zip(a.weights, signs)]])
+    lhs = mat_mul(diag_mul_right(core, weights), core)
+    rhs = diag_mul_left(signs, diag_mul_right(core, signs))
+    return (mat_sub(lhs, mat_scale(d_core * d_weights, rhs)),
+            d_core * d_core * d_weights)
+
+
+def planted_core_faults(max_two_s, seed):
+    """One sign flip, one symmetric bump and one asymmetric bump of a random
+    core entry per level, each a fresh matrix beside the cached one."""
+    rng = random.Random(seed)
+    for s, n in level_grid(max_two_s):
+        real = a_matrix(s, n)
+        for kind in ("flip", "symmetric", "asymmetric"):
+            core = [list(row) for row in real.core]
+            i, j = rng.randrange(real.dim), rng.randrange(real.dim)
+            if kind == "flip":
+                core[i][j] = -core[i][j]
+            else:
+                core[i][j] += Fraction(1, rng.randint(1, 5))
+                if kind == "symmetric" and i != j:
+                    core[j][i] = core[i][j]
+            yield s, n, GaugedMatrix(real.range, real.weights, core)
 
 
 class TestTriangle:
@@ -225,6 +263,22 @@ class TestRacahIdentity:
         wrong = GaugedMatrix(real.range, real.weights, core)
         monkeypatch.setattr(sixj_module, "a_matrix", lambda s, n: wrong)
         assert not is_zero_matrix(racah_identity_residual(H(4), 5))
+
+    def test_is_the_product_form_scaled_by_positive_factors(self, monkeypatch):
+        # residual * dC^2 dU == (-1)^(2s) L^2 (product form) diag(w) for any
+        # core, so both vanish at the same cells (w, L > 0)
+        faults = detected = 0
+        for s, n, wrong in planted_core_faults(8, seed=19):
+            monkeypatch.setattr(sixj_module, "a_matrix", lambda s, n: wrong)
+            got = racah_identity_residual(s, n)
+            ref, scale = product_form_residual(wrong)
+            lsq = minus_one_pow(s.twice) * wrong.ucore_lcm ** 2
+            assert [[x * scale for x in row] for row in got] == [
+                [lsq * r * w for r, w in zip(row, wrong.weights)] for row in ref], (s, n)
+            assert all(type(x) is int for row in got for x in row)
+            faults += wrong.core != a_matrix(s, n).core
+            detected += not is_zero_matrix(got)
+        assert faults == detected > 150
 
     def test_reads_the_cached_matrices(self, monkeypatch):
         # once every A^(s,n) with 2s <= 10 is built, criterion 2 evaluates

@@ -12,7 +12,8 @@ from .amatrix import (GaugedMatrix, LevelRange, a_matrix,
                       consecutive_level_ratio, eta, eta_closed_form,
                       rank_one_projector, sign_diagonal, top_level,
                       verify_a_properties, verify_sign_conjugation)
-from .classify import (DegeneracyRecord, constant_m_prime, constant_roots,
+from .classify import (DegeneracyRecord, ansatz_residual_crosscheck,
+                       coeff_functions, constant_m_prime, constant_roots,
                        degeneracy_scan, eta_level4_m3,
                        exceptional_level_combination, fgh_matrices,
                        level_three_five_ratio, permutation_rigidity,
@@ -24,7 +25,6 @@ from .spectral import (PoleError, RationalFunction, SpectralFamily, baxter_b,
                        custom_family, exceptional_s3, family_from_json,
                        identity_family, krs_prefix, make_family,
                        permutation_family, reduced_d, yang, zamolodchikov)
-from .ybe import (ReducedResidual, ansatz_residual_crosscheck, coeff_functions,
-                  constant_check, full_check, reduced_ybe_check)
+from .ybe import ReducedResidual, constant_check, full_check, reduced_ybe_check
 
 __version__ = "0.1.0"

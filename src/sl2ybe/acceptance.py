@@ -230,14 +230,14 @@ def criterion_7() -> CriterionResult:
                            ok, details)
 
 
-def criterion_8(max_two_s: int = 6) -> CriterionResult:
+def criterion_8() -> CriterionResult:
     details, ok = [], True
     res = reduced_ybe_check(perturbed_yang(1), 1, F(1), F(1))
     good = not res.is_zero
     ok = ok and good
     details.append(("ok: " if good else "FAIL: ")
                    + "perturbed family has nonzero exact residual at level 1")
-    for ts in range(2, max_two_s + 1):
+    for ts in range(2, 7):
         for m in range(2, ts + 1):
             if not permutation_rigidity(HalfInt(ts), m):
                 ok = False
@@ -253,9 +253,9 @@ def criterion_8(max_two_s: int = 6) -> CriterionResult:
     return CriterionResult(8, "negative controls fail exactly", ok, details)
 
 
-def criterion_9(max_two_s: int = 6) -> CriterionResult:
+def criterion_9() -> CriterionResult:
     details, ok = [], True
-    for ts in range(2, max_two_s + 1):
+    for ts in range(2, 7):
         s = HalfInt(ts)
         for m in range(2, ts + 1):
             constant_roots(s, m)  # self-verifying against the quadratic
@@ -319,10 +319,9 @@ def criterion_11() -> CriterionResult:
 
 
 def run_all(max_two_s: int = 6) -> list[CriterionResult]:
-    """Every criterion in order; max_two_s widens the adjustable scan grids
-    (criteria 8 and 9 stay capped at 2s <= 6)."""
-    capped = min(max_two_s, 6)
+    """Every criterion in order; max_two_s widens the level grids of
+    criteria 1 and 2 and the scan of criterion 6, and every other criterion
+    runs the fixed range its details state."""
     return [criterion_1(max_two_s), criterion_2(max_two_s), criterion_3(),
             criterion_4(), criterion_5(), criterion_6(max_two_s), criterion_7(),
-            criterion_8(capped), criterion_9(capped), criterion_10(),
-            criterion_11()]
+            criterion_8(), criterion_9(), criterion_10(), criterion_11()]

@@ -78,6 +78,13 @@ class LevelRange:
     def __contains__(self, k: int) -> bool:
         return self.k_min <= k <= self.k_max
 
+    def offset(self, k: int) -> int:
+        """Position k - k_min of index k in the level; DomainError off it."""
+        if k not in self:
+            raise DomainError(f"index {k} outside level range "
+                              f"{self.k_min}..{self.k_max} at n={self.n}")
+        return k - self.k_min
+
     @property
     def shifted(self) -> bool:
         return self.n > self.s.twice
@@ -90,10 +97,8 @@ def sign_diagonal(rng: LevelRange) -> tuple:
 
 def rank_one_projector(rng: LevelRange, m: int) -> tuple:
     """Entries delta_{km} of the rank-one projector pi over a level range."""
-    if m not in rng:
-        raise DomainError(
-            f"index m={m} outside level range {rng.k_min}..{rng.k_max}")
-    return tuple(int(k == m) for k in rng.indices())
+    i = rng.offset(m)
+    return tuple(int(j == i) for j in range(rng.dim))
 
 
 class GaugedMatrix:
@@ -138,12 +143,12 @@ class GaugedMatrix:
 
     def entry(self, k: int, kp: int) -> QuadExt:
         """Raw entry sqrt(u_k) M_{kk'} sqrt(u_{k'})."""
-        i, j = k - self.range.k_min, kp - self.range.k_min
+        i, j = self.range.offset(k), self.range.offset(kp)
         return sqrt_canonicalize(self.core[i][j], self.weights[i] * self.weights[j])
 
     def diagonal_rational(self, k: int) -> Fraction:
         """Raw diagonal entry u_k M_kk, rational with no radical at all."""
-        i = k - self.range.k_min
+        i = self.range.offset(k)
         return self.weights[i] * self.core[i][i]
 
     def __repr__(self):
@@ -218,11 +223,7 @@ def eta(s, m: int, n: int) -> Fraction:
     The raw diagonal entry sqrt(u_m) M_mm sqrt(u_m) is u_m M_mm: the gauge
     form never creates the radical.
     """
-    a = a_matrix(s, n)
-    if m not in a.range:
-        raise DomainError(f"m={m} outside level range "
-                          f"{a.range.k_min}..{a.range.k_max} at n={n}")
-    return minus_one_pow(n) * a.diagonal_rational(m)
+    return minus_one_pow(n) * a_matrix(s, n).diagonal_rational(m)
 
 
 def eta_closed_form(s, m: int) -> Fraction:

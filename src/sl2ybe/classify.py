@@ -1,39 +1,90 @@
-"""Classification scans: degeneracy of the four-matrix system, diagonal
-ratio obstructions, constant R-matrix analysis, and permutation rigidity.
-
-Ground truth everywhere is direct exact matrix computation in the
-rational gauge.
+"""The four-matrix system F, G, H, H~ of the ansatz, its scalars and the
+scans built on them: degeneracy, diagonal ratio obstructions, constant
+R-matrices, permutation rigidity and the exceptional level.  The ansatz
+crosscheck compares the scalar combination with `ybe.braid_residual`, the
+one name taken from `ybe`; ground truth is exact gauge computation.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .amatrix import (LevelRange, a_matrix, consecutive_level_ratio, eta,
-                      eta_closed_form, rank_one_projector, top_level,
+from .amatrix import (GaugedMatrix, LevelRange, a_matrix,
+                      consecutive_level_ratio, eta, eta_closed_form,
+                      rank_one_projector, sign_diagonal, top_level,
                       verify_sign_conjugation)
 from .exact import DomainError, HalfInt, QuadExt, minus_one_pow
-from .linalg import is_zero_matrix, mat_add, span_coordinates, span_rank
+from .linalg import (diag_mul_left, diag_mul_right, diagonal, is_zero_matrix,
+                     mat_add, mat_scale, mat_sub, span_coordinates, span_rank)
 from .spectral import _require_index, constant_root
-from .ybe import (ansatz_residual_crosscheck, coeff_functions, fgh_operators,
-                  theta)
+from .ybe import braid_residual
 
 __all__ = [
     "DegeneracyRecord",
+    "ansatz_residual_crosscheck",
+    "coeff_functions",
     "constant_m_prime",
     "constant_roots",
     "degeneracy_scan",
     "eta_level4_m3",
     "exceptional_level_combination",
     "fgh_matrices",
+    "fgh_operators",
     "level_three_five_ratio",
     "permutation_rigidity",
     "projector_obstruction_check",
+    "theta",
 ]
 
 
+def theta(s, m: int, n: int) -> int:
+    """1 when the distinguished index m lives in the level-n range (the
+    shifted coefficient actually appears at this level), else 0."""
+    return int(m in LevelRange.for_level(s, n))
+
+
+def coeff_functions(m: int, eta_mn, f, g) -> tuple:
+    """The scalars (F, G, H, H~) multiplying the matrices of
+    `fgh_operators` in a level residual of the ansatz, from the values
+    f = (f(lam), f(mu), f(lam o mu)) and g likewise, with xi = (-1)^m and
+    eta_mn the level's diagonal constant at index m:
+
+        F = f(lam) + f(mu) - f(lam o mu)
+        G = g(lam) + g(mu) - g(lam o mu) + xi (f(lam) g(mu) + g(lam) f(mu))
+            + g(lam) g(mu) (1 + eta f(lam o mu) + eta^2 g(lam o mu))
+        H = g(lam) f(lam o mu) - f(lam) g(lam o mu)
+            + xi eta g(lam) f(mu) g(lam o mu)
+
+    and H~ is H with lam and mu swapped.  A level where the index m is
+    inactive passes g = 0, which leaves only F."""
+    xi = minus_one_pow(m)
+    (fl, fm, fc), (gl, gm, gc) = f, g
+
+    def big_h(fx, gx, fy):
+        """H at the sample pair (x, y); H~ is H at (mu, lam)."""
+        return gx * fc - fx * gc + xi * eta_mn * gx * fy * gc
+
+    big_g = (gl + gm - gc + xi * fl * gm + xi * gl * fm + gl * gm
+             + eta_mn * gl * gm * fc + eta_mn * eta_mn * gl * gm * gc)
+    return fl + fm - fc, big_g, big_h(fl, gl, fm), big_h(fm, gm, fl)
+
+
+def fgh_operators(a: GaugedMatrix, pi):
+    """F = D0 - D0^, G = pi - pi^, H = pi D0^ - D0 pi^ and H~ = D0^ pi -
+    pi^ D0 at the level of a, from the sign diagonal D0 (its hat is the
+    cached `sign_hat`) and the entries of pi, each as L^2 times its gauge
+    value (the hats are N D N, so the plain diagonals are scaled by L^2 to
+    match); integer entries give integer matrices."""
+    d0, d0h, pih = sign_diagonal(a.range), a.sign_hat, a.hat(pi)
+    l2 = a.ucore_lcm ** 2
+    return (mat_sub(diagonal([l2 * x for x in d0]), d0h),
+            mat_sub(diagonal([l2 * x for x in pi]), pih),
+            mat_sub(diag_mul_left(pi, d0h), diag_mul_left(d0, pih)),
+            mat_sub(diag_mul_right(d0h, pi), diag_mul_right(pih, d0)))
+
+
 def fgh_matrices(s, m: int, n: int) -> tuple:
-    """The matrices (F, G, H, H~) of `ybe.fgh_operators` at level n with
+    """The matrices (F, G, H, H~) of `fgh_operators` at level n with
     distinguished index m, in the rational gauge, as integer matrices: L^2
     times their values, a common positive scale that leaves ranks, span
     coordinates and H == H~ unchanged.  Each is read from the cached
@@ -41,12 +92,11 @@ def fgh_matrices(s, m: int, n: int) -> tuple:
     N D0 N = (-1)^n L D0 N D0 is the closed form of H, column m that of
     H~, and every entry enters F (README "The four-matrix system")."""
     s = HalfInt.coerce(s)
-    if theta(s, m, n) != 1:
-        raise DomainError(f"index m={m} not active at level n={n} for s={s}")
+    a = a_matrix(s, n)
+    pi = rank_one_projector(a.range, m)
     if not verify_sign_conjugation(s, n):
         raise AssertionError(f"sign conjugation fails at (s={s}, n={n})")
-    a = a_matrix(s, n)
-    return fgh_operators(a, rank_one_projector(a.range, m))
+    return fgh_operators(a, pi)
 
 
 @dataclass(frozen=True)
@@ -159,13 +209,12 @@ def constant_m_prime(s, m: int) -> int:
     """m' = m + 1 for the constant shifted family: the level-m roots never
     satisfy the level-(m+1) quadratic, because a common root g != 0 would
     give (eta_{m+1}^2 - eta_m^2) g^2 = 0 and eta^2 differs between the
-    levels; at m = 2s the next level carries no constraint and no lower
-    coefficients exist, so the bound is vacuous."""
+    levels.  For m < 2s level m+1 is unshifted and holds index m; at m = 2s
+    its range is 1..2s-1, so the bound is vacuous."""
     s = HalfInt.coerce(s)
     _require_index(s, m)
-    if 2 * (m + 1) <= 3 * s.twice and theta(s, m, m + 1):
-        eta_m = eta(s, m, m)
-        eta_next = eta(s, m, m + 1)
+    if m < s.twice:
+        eta_m, eta_next = eta(s, m, m), eta(s, m, m + 1)
         if eta_m * eta_m == eta_next * eta_next:
             raise AssertionError(
                 f"level-{m} and level-{m + 1} quadratics coincide at s={s}")
@@ -191,8 +240,9 @@ def projector_obstruction_check(s, m: int) -> bool:
     s = HalfInt.coerce(s)
     if not 0 < m <= s.twice:
         raise DomainError(f"m={m} must satisfy 0 < m <= 2s={s.twice}")
-    # level m <= 2s runs over k = 0..m, so column m of the core is index m
-    return all(row[m] != 0 for row in a_matrix(s, m).core)
+    a = a_matrix(s, m)
+    col = a.range.offset(m)
+    return all(row[col] != 0 for row in a.core)
 
 
 def eta_level4_m3(s) -> Fraction:
@@ -230,3 +280,43 @@ def exceptional_level_combination(s, lam, mu):
         raise AssertionError(f"level-4 residual and scalar combination disagree "
                              f"at (s={s}, {lam}, {mu})")
     return value
+
+
+def ansatz_residual_crosscheck(s, m: int, n: int, f, g) -> bool:
+    """Whether the level-n residual of the ansatz
+
+        D(x) = (E + f(x) D0 + theta g(x) pi) / (1 + f(x))
+
+    is zero at one sample pair, from the values f = (f(lam), f(mu),
+    f(lam o mu)) and g likewise.  The residual of the cleared diagonals
+    (1 + f(x)) D(x) must equal the scalar combination
+
+        F_{lm} F + G_{lm} G + H_{lm} H + H_{ml} H~
+
+    of `coeff_functions` and the matrices F = D0 - D0^, G = pi - pi^,
+    H = pi D0^ - D0 pi^, H~ = D0^ pi - pi^ D0, which `fgh_operators` gives
+    as L^2 times their values, so the combination is divided by L^2 once;
+    a mismatch raises AssertionError.  The prefactor (1+f(lam))(1+f(mu))
+    (1+f(lam o mu)) must be nonzero.
+    The hat of a cleared diagonal is E + f D0^ + theta g pi^, since the hat
+    is linear and A^2 = E.
+    """
+    s = HalfInt.coerce(s)
+    if (1 + f[0]) * (1 + f[1]) * (1 + f[2]) == 0:
+        raise DomainError("sample hits a zero of the 1 + f prefactor")
+    a = a_matrix(s, n)
+    d0 = sign_diagonal(a.range)
+    th = theta(s, m, n)
+    pi = rank_one_projector(a.range, m) if th else (0,) * a.dim
+    g = tuple(gx * th for gx in g)
+    lam, mu, comp = (tuple(1 + fx * e + gx * p for e, p in zip(d0, pi))
+                     for fx, gx in zip(f, g))
+    resid = braid_residual(a, lam, comp, mu)
+    terms = [mat_scale(c, x) for c, x in zip(
+        coeff_functions(m, eta(s, m, n) if th else 0, f, g), fgh_operators(a, pi))]
+    combo = mat_scale(Fraction(1, a.ucore_lcm ** 2),
+                      mat_add(mat_add(*terms[:2]), mat_add(*terms[2:])))
+    if resid.residual != combo:
+        raise AssertionError(f"ansatz residual differs from its scalar combination "
+                             f"at (s={s}, m={m}, n={n})")
+    return resid.is_zero

@@ -13,33 +13,26 @@ each r_j(x) is evaluated once per check, each level hats each distinct
 cleared vector once, and one verdict is taken per distinct triple of
 cleared legs and d.  Reusing a verdict is exact: the integer matrices
 are a function of those four inputs alone, and the positive scale
-decides nothing.  The four-matrix system F, G, H, H~ is built on N as
-well and comes out as L^2 times its values.
+decides nothing.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .amatrix import (GaugedMatrix, LevelRange, a_matrix, eta,
-                      rank_one_projector, sign_diagonal, top_level)
-from .exact import DomainError, HalfInt, QuadExt, minus_one_pow, rescale_surd
+from .amatrix import GaugedMatrix, LevelRange, a_matrix, top_level
+from .exact import DomainError, QuadExt, rescale_surd
 from .linalg import (clear_denominators, diag_mul_left, diag_mul_right,
-                     diagonal, is_zero_matrix, mat_add, mat_mul, mat_scale,
-                     mat_sub)
+                     is_zero_matrix, mat_add, mat_mul, mat_scale, mat_sub)
 from .spectral import SpectralFamily, reduced_d
 
 __all__ = [
     "ReducedResidual",
-    "ansatz_residual_crosscheck",
     "braid_residual",
-    "coeff_functions",
     "constant_check",
     "default_grid",
-    "fgh_operators",
     "full_check",
     "reduced_ybe_check",
-    "theta",
     "unitarity_samples",
 ]
 
@@ -71,12 +64,6 @@ def unitarity_samples(fam: SpectralFamily):
 
 def default_grid(fam: SpectralFamily):
     return DEFAULT_GRID_MULT if fam.multiplicative else DEFAULT_GRID
-
-
-def theta(s, m: int, n: int) -> int:
-    """1 when the distinguished index m lives in the level-n range (the
-    shifted coefficient actually appears at this level), else 0."""
-    return int(m in LevelRange.for_level(s, n))
 
 
 @dataclass(frozen=True)
@@ -288,83 +275,3 @@ def constant_check(fam: SpectralFamily, levels=None) -> dict:
     report["levels"] = [{"n": level["n"], "zero": level["samples"][0]["zero"]}
                         for level in report["levels"]]
     return report
-
-
-def coeff_functions(m: int, eta_mn, f, g) -> tuple:
-    """The scalars (F, G, H, H~) multiplying the matrices of
-    `fgh_operators` in a level residual of the ansatz, from the values
-    f = (f(lam), f(mu), f(lam o mu)) and g likewise, with xi = (-1)^m and
-    eta_mn the level's diagonal constant at index m:
-
-        F = f(lam) + f(mu) - f(lam o mu)
-        G = g(lam) + g(mu) - g(lam o mu) + xi (f(lam) g(mu) + g(lam) f(mu))
-            + g(lam) g(mu) (1 + eta f(lam o mu) + eta^2 g(lam o mu))
-        H = g(lam) f(lam o mu) - f(lam) g(lam o mu)
-            + xi eta g(lam) f(mu) g(lam o mu)
-
-    and H~ is H with lam and mu swapped.  A level where the index m is
-    inactive passes g = 0, which leaves only F."""
-    xi = minus_one_pow(m)
-    (fl, fm, fc), (gl, gm, gc) = f, g
-
-    def big_h(fx, gx, fy):
-        """H at the sample pair (x, y); H~ is H at (mu, lam)."""
-        return gx * fc - fx * gc + xi * eta_mn * gx * fy * gc
-
-    big_g = (gl + gm - gc + xi * fl * gm + xi * gl * fm + gl * gm
-             + eta_mn * gl * gm * fc + eta_mn * eta_mn * gl * gm * gc)
-    return fl + fm - fc, big_g, big_h(fl, gl, fm), big_h(fm, gm, fl)
-
-
-def fgh_operators(a: GaugedMatrix, pi):
-    """F = D0 - D0^, G = pi - pi^, H = pi D0^ - D0 pi^ and H~ = D0^ pi -
-    pi^ D0 at the level of a, from the sign diagonal D0 (its hat is the
-    cached `sign_hat`) and the entries of pi, each as L^2 times its gauge
-    value (the hats are N D N, so the plain diagonals are scaled by L^2 to
-    match); integer entries give integer matrices."""
-    d0, d0h, pih = sign_diagonal(a.range), a.sign_hat, a.hat(pi)
-    l2 = a.ucore_lcm ** 2
-    return (mat_sub(diagonal([l2 * x for x in d0]), d0h),
-            mat_sub(diagonal([l2 * x for x in pi]), pih),
-            mat_sub(diag_mul_left(pi, d0h), diag_mul_left(d0, pih)),
-            mat_sub(diag_mul_right(d0h, pi), diag_mul_right(pih, d0)))
-
-
-def ansatz_residual_crosscheck(s, m: int, n: int, f, g) -> bool:
-    """Whether the level-n residual of the ansatz
-
-        D(x) = (E + f(x) D0 + theta g(x) pi) / (1 + f(x))
-
-    is zero at one sample pair, from the values f = (f(lam), f(mu),
-    f(lam o mu)) and g likewise.  The residual of the cleared diagonals
-    (1 + f(x)) D(x) must equal the scalar combination
-
-        F_{lm} F + G_{lm} G + H_{lm} H + H_{ml} H~
-
-    of `coeff_functions` and the matrices F = D0 - D0^, G = pi - pi^,
-    H = pi D0^ - D0 pi^, H~ = D0^ pi - pi^ D0, which `fgh_operators` gives
-    as L^2 times their values, so the combination is divided by L^2 once;
-    a mismatch raises AssertionError.  The prefactor (1+f(lam))(1+f(mu))
-    (1+f(lam o mu)) must be nonzero.
-    The hat of a cleared diagonal is E + f D0^ + theta g pi^, since the hat
-    is linear and A^2 = E.
-    """
-    s = HalfInt.coerce(s)
-    if (1 + f[0]) * (1 + f[1]) * (1 + f[2]) == 0:
-        raise DomainError("sample hits a zero of the 1 + f prefactor")
-    a = a_matrix(s, n)
-    d0 = sign_diagonal(a.range)
-    th = theta(s, m, n)
-    pi = rank_one_projector(a.range, m) if th else (0,) * a.dim
-    g = tuple(gx * th for gx in g)
-    lam, mu, comp = (tuple(1 + fx * e + gx * p for e, p in zip(d0, pi))
-                     for fx, gx in zip(f, g))
-    resid = braid_residual(a, lam, comp, mu)
-    terms = [mat_scale(c, x) for c, x in zip(
-        coeff_functions(m, eta(s, m, n) if th else 0, f, g), fgh_operators(a, pi))]
-    combo = mat_scale(Fraction(1, a.ucore_lcm ** 2),
-                      mat_add(mat_add(*terms[:2]), mat_add(*terms[2:])))
-    if resid.residual != combo:
-        raise AssertionError(f"ansatz residual differs from its scalar combination "
-                             f"at (s={s}, m={m}, n={n})")
-    return resid.is_zero

@@ -124,3 +124,22 @@ def test_criterion_5_detects_a_wrong_three_five_ratio(monkeypatch):
     result = acceptance.criterion_5()
     assert not result.passed and result.defect is None
     assert "3-to-5 ratio fails at 2s=4" in result.details
+
+
+def test_criteria_8_and_9_run_their_stated_range(monkeypatch):
+    # their details state 2 <= m <= 2s <= 6 whatever grid the suite widens
+    seen = {"rigidity": set(), "m_prime": set(), "obstruction": set()}
+
+    def recording(key, real):
+        def call(s, *rest):
+            seen[key].add(s.twice)
+            return real(s, *rest)
+        return call
+
+    for key, name in (("rigidity", "permutation_rigidity"), ("m_prime", "constant_m_prime"),
+                      ("obstruction", "projector_obstruction_check")):
+        monkeypatch.setattr(acceptance, name, recording(key, getattr(acceptance, name)))
+    results = {r.number: r for r in acceptance.run_all(4)}
+    assert results[8].passed and results[9].passed
+    assert seen == {"rigidity": set(range(2, 7)), "m_prime": set(range(2, 7)),
+                    "obstruction": set(range(2, 7))}

@@ -54,6 +54,25 @@ class TestLevelRange:
         with pytest.raises(DomainError):
             rank_one_projector(rng, 3)
 
+    def test_offset_on_a_shifted_level(self):
+        rng = LevelRange.for_level(2, 5)
+        assert [rng.offset(k) for k in rng.indices()] == [0, 1, 2]
+
+    @pytest.mark.parametrize("read", [
+        lambda a: a.diagonal_rational(0),
+        lambda a: a.diagonal_rational(4),
+        lambda a: a.entry(0, 1),
+        lambda a: a.entry(1, 4),
+        lambda a: rank_one_projector(a.range, 0),
+        lambda a: eta(2, 0, 5),
+    ], ids=["diagonal-below", "diagonal-above", "entry-row-below",
+            "entry-column-above", "projector", "eta"])
+    def test_index_off_the_level_raises(self, read):
+        # level (s=2, n=5) runs over k = 1..3: an index off it must not wrap
+        # around to another entry or surface as an IndexError
+        with pytest.raises(DomainError, match=r"index \d outside level range 1\.\.3 at n=5"):
+            read(a_matrix(2, 5))
+
 
 class TestConstruction:
     def test_two_by_two(self):

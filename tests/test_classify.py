@@ -11,12 +11,11 @@ from sl2ybe.classify import (constant_m_prime, constant_roots, degeneracy_scan,
                              eta_level4_m3, exceptional_level_combination,
                              fgh_matrices, level_three_five_ratio,
                              permutation_rigidity,
-                             projector_obstruction_check)
+                             projector_obstruction_check, theta)
 from sl2ybe.cli import main
 from sl2ybe.exact import DomainError, HalfInt, QuadExt
 from sl2ybe.linalg import (diagonal, is_zero_matrix, mat_add, mat_mul, mat_scale,
                            mat_sub, span_rank)
-from sl2ybe.ybe import theta
 
 F = Fraction
 
@@ -254,6 +253,30 @@ class TestConstantAnalysis:
                                              (4, 4, 5), (6, 3, 4), (6, 6, 7)])
     def test_m_prime(self, ts, m, expect):
         assert constant_m_prime(HalfInt(ts), m) == expect
+
+    def test_m_prime_bound_is_m_below_two_s(self):
+        # the bound written out: level m+1 exists (2(m+1) <= 3*2s) and holds
+        # index m; it holds exactly when m < 2s
+        def reference(s, m):
+            return 2 * (m + 1) <= 3 * s.twice and theta(s, m, m + 1) == 1
+
+        for ts in range(2, 61):
+            for m in range(2, ts + 1):
+                assert reference(HalfInt(ts), m) == (m < ts), (ts, m)
+
+    def test_m_prime_raises_when_quadratics_coincide(self, monkeypatch):
+        # plant eta(2, 3, 4) = -eta(2, 3, 3), so both squares agree
+        real = classify.eta
+
+        def planted(s, m, n):
+            if (HalfInt.coerce(s), m, n) == (HalfInt(4), 3, 4):
+                return -real(s, 3, 3)
+            return real(s, m, n)
+
+        monkeypatch.setattr(classify, "eta", planted)
+        with pytest.raises(AssertionError, match="level-3 and level-4 quadratics "
+                                                 "coincide at s=2"):
+            constant_m_prime(2, 3)
 
     def test_obstruction_check_full_grid(self):
         for ts in range(1, 7):

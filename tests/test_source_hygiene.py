@@ -115,6 +115,23 @@ def test_all_names_defined():
                 if alias.name not in _declared_all(trees[node.module])]
     assert unlisted == [], f"package imports names outside __all__: {unlisted}"
 
+
+def _names_imported_from(tree, module):
+    """Every name a module takes with `from .module import`, at any depth."""
+    return sorted(alias.name for node in ast.walk(tree)
+                  if isinstance(node, ast.ImportFrom) and node.level == 1
+                  and node.module == module for alias in node.names)
+
+
+def test_four_matrix_system_boundary():
+    """`classify` owns the four-matrix system F, G, H, H~ and its ansatz
+    crosscheck, and reads only the reduced-equation residual from `ybe`;
+    `ybe` reads nothing from `classify`."""
+    trees = {path.stem: _tree(path) for path in SOURCES}
+    assert _names_imported_from(trees["ybe"], "classify") == []
+    assert _names_imported_from(trees["classify"], "ybe") == ["braid_residual"]
+
+
 # The functions that may factor a radicand: they print values.
 DISPLAY_FUNCTIONS = {"__str__", "display_discriminant"}
 

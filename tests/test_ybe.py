@@ -4,18 +4,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sl2ybe import acceptance, cli, ybe
+from sl2ybe import acceptance, classify, cli, ybe
 from sl2ybe.amatrix import (GaugedMatrix, LevelRange, a_matrix, eta,
                             eta_closed_form, top_level)
 from sl2ybe.exact import DomainError, HalfInt, QuadExt, rescale_surd
 from sl2ybe.linalg import diagonal, is_zero_matrix, mat_mul, mat_sub
+from sl2ybe.classify import (ansatz_residual_crosscheck, coeff_functions,
+                             theta)
 from sl2ybe.spectral import (RationalFunction, SpectralFamily, baxter_tl,
                              constant_baxter, constant_root, custom_family,
                              exceptional_s3, identity_family, krs_prefix,
                              permutation_family, reduced_d, yang, zamolodchikov)
-from sl2ybe.ybe import (DEFAULT_GRID, ansatz_residual_crosscheck, braid_residual,
-                        coeff_functions, constant_check, full_check,
-                        reduced_ybe_check, theta)
+from sl2ybe.ybe import (DEFAULT_GRID, braid_residual, constant_check, full_check,
+                        reduced_ybe_check)
 
 F = Fraction
 
@@ -512,13 +513,13 @@ class TestAnsatzCrosscheck:
         """With G negated the residual no longer equals the combination: the
         crosscheck raises, and so does criterion 11, which runs it at every
         active cell (s, 3, 4)."""
-        real = ybe.fgh_operators
+        real = classify.fgh_operators
 
         def negated_g(a, pi):
             big_f, big_g, big_h, big_ht = real(a, pi)
             return big_f, tuple(tuple(-x for x in row) for row in big_g), big_h, big_ht
 
-        monkeypatch.setattr(ybe, "fgh_operators", negated_g)
+        monkeypatch.setattr(classify, "fgh_operators", negated_g)
         f = values(lambda l: l, F(1, 2), F(1, 3))
         with pytest.raises(AssertionError, match="scalar combination"):
             ansatz_residual_crosscheck(2, 3, 3, f, f)

@@ -5,8 +5,8 @@ braid-form Yang-Baxter equation to the highest-weight spaces of the
 triple tensor power, evaluates the known solution families exactly over
 Q and Q(sqrt(d)), and runs the classification scans (degeneracy of the
 four-matrix system, diagonal ratio obstructions, constant R-matrices,
-permutation rigidity) with zero numerical error.  A dense floating-point
-oracle cross-validates the reduced formalism on small spins.
+permutation rigidity) with zero numerical error.  An exact dense oracle
+cross-validates the reduced formalism on small spins.
 """
 from .amatrix import (GaugedMatrix, LevelRange, a_matrix,
                       consecutive_level_ratio, eta, eta_closed_form,

@@ -25,8 +25,8 @@ from .classify import (constant_m_prime, constant_roots, degeneracy_scan,
                        permutation_rigidity, projector_obstruction_check)
 from .exact import (DomainError, HalfInt, display_discriminant, format_rational,
                     parse_rational)
-from .oracle import (IDENTITIES_TWO_S_CAP, IDENTITY_TOL, YBE_TOL,
-                     dense_operator_identities, reduction_consistency)
+from .oracle import (IDENTITIES_TWO_S_CAP, dense_operator_identities,
+                     reduction_consistency)
 from .sixj import SixJArgs, sixj
 from .spectral import (PoleError, check_regularity_unitarity, family_from_json,
                        make_family)
@@ -91,7 +91,7 @@ def cmd_sixj(args):
 
 
 def cmd_amat(args):
-    a = a_matrix(HalfInt.parse(args.s), args.n)
+    a = a_matrix(HalfInt.parse(args.s).as_spin(), args.n)
     rng = a.range
     doc = {
         "check": "recoupling-matrix", "s": str(rng.s), "n": rng.n,
@@ -113,7 +113,7 @@ def cmd_amat(args):
 
 
 def cmd_eta(args):
-    s = HalfInt.parse(args.s)
+    s = HalfInt.parse(args.s).as_spin()
     value = eta(s, args.m, args.n)
     doc = {"check": "diagonal-constant", "s": str(s), "m": args.m, "n": args.n,
            "value": format_rational(value)}
@@ -213,7 +213,7 @@ def cmd_scan(args):
 
 
 def cmd_classify_constant(args):
-    s = HalfInt.parse(args.s)
+    s = HalfInt.parse(args.s).as_spin()
     plus, minus = constant_roots(s, args.m)
     mprime = constant_m_prime(s, args.m)
     obstruction = projector_obstruction_check(s, args.m)
@@ -230,7 +230,7 @@ def cmd_classify_constant(args):
 
 
 def cmd_rigidity(args):
-    s = HalfInt.parse(args.s)
+    s = HalfInt.parse(args.s).as_spin()
     rigid = permutation_rigidity(s, args.m)
     doc = {"check": "permutation-rigidity", "s": str(s), "m": args.m, "rigid": rigid}
     _emit(doc, args, [f"rigid: {rigid}"])
@@ -244,22 +244,19 @@ def cmd_oracle(args):
                   if fam.s.twice <= IDENTITIES_TWO_S_CAP else None)
     consistency = reduction_consistency(fam, [(lam, mu)])
     case = consistency["cases"][0]
-    residual = case["dense_residual"]
+    residual = format_rational(case["dense_residual"])
     doc = {"check": "dense-oracle", "family": fam.tag, "s": str(fam.s),
-           "lambda": str(lam), "mu": str(mu),
-           "braid_residual": residual, "braid_tolerance": YBE_TOL,
-           "identity_tolerance": IDENTITY_TOL,
+           "lambda": str(lam), "mu": str(mu), "braid_residual": residual,
            "dense_zero": case["dense_zero"], "exact_zero": case["exact_zero"],
            "consistent": case["consistent"]}
-    lines = [f"dense braid residual: {residual:.3e} (tolerance {YBE_TOL:.0e})",
+    lines = [f"dense braid residual: {residual} (exact)",
              f"exact reduced verdict: {'zero' if case['exact_zero'] else 'nonzero'}",
              f"dense/exact consistent: {case['consistent']}"]
     if identities is not None:
-        doc["identities_max_residual"] = identities["max_residual"]
+        doc["identities_max_residual"] = format_rational(identities["max_residual"])
         doc["identities_pass"] = identities["pass"]
         lines.append(f"operator identities max residual: "
-                     f"{identities['max_residual']:.3e}"
-                     f" (tolerance {IDENTITY_TOL:.0e})")
+                     f"{doc['identities_max_residual']} (exact)")
     _emit(doc, args, lines)
     return EXIT_PASS if case["consistent"] else EXIT_FAIL
 

@@ -176,6 +176,12 @@ class HalfInt:
     def as_fraction(self) -> Fraction:
         return Fraction(self.twice, 2)
 
+    def as_spin(self) -> "HalfInt":
+        """The label as a spin, refused when negative."""
+        if self.twice < 0:
+            raise DomainError(f"spin s={self} is negative")
+        return self
+
     def __str__(self) -> str:
         if self.twice % 2 == 0:
             return str(self.twice // 2)

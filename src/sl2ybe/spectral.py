@@ -100,8 +100,7 @@ class SpectralFamily:
     def __post_init__(self):
         if self.tag not in _CATALOG and self.tag != "custom":
             raise DomainError(f"unknown family tag {self.tag!r}")
-        if self.s.twice < 0:
-            raise DomainError(f"spin s={self.s} is negative")
+        self.s.as_spin()
         for j in sorted(self.coeffs):
             if not 0 <= j <= self.s.twice:
                 raise DomainError(f"coefficient label j={j} outside 0..2s={self.s.twice}")

@@ -1,12 +1,11 @@
 """Acceptance battery as a test module: one test per criterion, each
-printing its pass/fail line.  Exactness criteria tolerate nothing; the
-dense-oracle criterion runs at its fixed tolerances (1e-9 identities,
-1e-10 braid residuals).
+printing its pass/fail line.  Every criterion, the dense-oracle one
+included, tolerates nothing: each verdict is an exact zero test.
 
 The literal full-rank expectation inside criterion 6 is strict-xfail: the
-exact computation and the independent dense oracle both give rank 3 with
-an explicit relation at small-index generic cells, so the honest verdict
-for that sub-claim is a documented failure, not a pass.
+exact computation gives rank 3 with an explicit relation at small-index
+generic cells, so the honest verdict for that sub-claim is a documented
+failure, not a pass.
 """
 import time
 
@@ -61,8 +60,7 @@ def test_criterion_6_degeneracy_set_and_relations(results):
 
 @pytest.mark.xfail(strict=True,
                    reason="exact rank is 3 at small-index generic cells, e.g. "
-                          "(s=1, m=2, n=2) where H + H~ = G - (2/3) F; confirmed "
-                          "by the dense oracle on the full tensor cube")
+                          "(s=1, m=2, n=2) where H + H~ = G - (2/3) F")
 def test_criterion_6_literal_full_rank_claim():
     scan = degeneracy_scan(MAX_TWO_S)
     for rec in scan.records:

@@ -122,7 +122,7 @@ class TestSignHatFaults:
 class TestRank:
     def test_small_level_carries_one_relation(self):
         # at (s=1, m=2, n=2) the exact span is 3-dimensional:
-        # H + H~ = G - (2/3) F, confirmed by the dense oracle as well
+        # H + H~ = G - (2/3) F
         assert span_rank(fgh_matrices(1, 2, 2)) == 3
 
     def test_degenerate_cell_rank_two(self):

@@ -153,6 +153,21 @@ class TestVerifyCommand:
         assert code == 2 and out == "" and err.startswith("error:")
 
     @pytest.mark.parametrize("argv", [
+        ("verify", "--family", "yang", "--s", "-1"),
+        ("family", "show", "--tag", "yang", "--s", "-1"),
+        ("oracle", "--family", "yang", "--s", "-1", "--lambda", "1", "--mu", "1"),
+        ("amat", "--s", "-1", "--n", "0"),
+        ("eta", "--s", "-1", "--m", "2", "--n", "2"),
+        ("rigidity", "--s", "-1", "--m", "2"),
+        ("classify-constant", "--s", "-1", "--m", "2"),
+    ], ids=["verify", "family-show", "oracle", "amat", "eta", "rigidity",
+            "classify-constant"])
+    def test_negative_spin_is_refused_first(self, capsys, argv):
+        # one refusal, before any level or index range is read
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err) == (2, "", "error: spin s=-1 is negative\n")
+
+    @pytest.mark.parametrize("argv", [
         ("verify", "--family", "yang", "--s", "1", "--family-file", str(PERTURBED)),
         ("verify", "--s", "1", "--family-file", str(PERTURBED)),
         ("verify", "--m", "2", "--family-file", str(PERTURBED)),
@@ -389,15 +404,15 @@ class TestOracleCommand:
 
     def test_family_file_negative_control(self, capsys):
         # the dense oracle sees the perturbed family break (residual 1/2),
-        # and so does the exact reduced check: a float cross-check of a
-        # nonzero exact verdict
+        # and so does the exact reduced check: two independent exact
+        # verdicts agree
         code, out, _ = run_cli(capsys, "oracle", "--family-file", str(PERTURBED),
                                "--lambda", "1", "--mu", "2", "--json")
         doc = json.loads(out)
         assert code == 0 and doc["family"] == "custom"
         assert doc["exact_zero"] is False and doc["dense_zero"] is False
         assert doc["consistent"] is True
-        assert doc["braid_residual"] == pytest.approx(0.5)
+        assert doc["braid_residual"] == "1/2"
 
     def test_custom_tag_points_to_an_existing_option(self, capsys):
         code, out, err = run_cli(capsys, "oracle", "--family", "custom", "--s", "1",

@@ -9,8 +9,9 @@ The benchmark in `perfbench/` times and counts package functions by name,
 so each name it lists must stay a public function of its module.  Exact
 verdicts never rest on factoring, so `squarefree_split` is for printing
 only.  The gauge has one hat, so `GaugedMatrix.hat` is the only caller of
-`linalg.sandwich`.  Only the dense oracle uses numpy, so an exact check
-never imports it.
+`linalg.sandwich`.  Every verdict is exact, so no module imports numpy,
+and the dense oracle, the independent check of the reduction, imports
+nothing from the 6-j route.
 """
 import ast
 import importlib
@@ -231,10 +232,36 @@ def test_counted_quadext_constructor():
     assert inspect.isfunction(vars(exact.QuadExt).get("__init__"))
 
 
+def _imported_words(tree):
+    """Each dotted part of every module and name an import statement names,
+    at any depth."""
+    names = [name for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+             for name in [a.name for a in node.names] + [getattr(node, "module", None) or ""]]
+    return {part for name in names for part in name.split(".")}
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_numpy_import(path):
+    assert "numpy" not in _imported_words(_tree(path)), path.name
+
+
+def test_oracle_independent_of_the_six_j_route():
+    """The dense oracle is the independent check of the reduction, so it
+    reads nothing from the 6-j symbols or the four-matrix system."""
+    words = _imported_words(_tree(ROOT / "src" / "sl2ybe" / "oracle.py"))
+    assert words & {"sixj", "classify"} == set()
+
+
 def test_exact_verify_never_imports_numpy():
+    """Neither a reduced check, the whole battery nor the dense oracle
+    loads numpy."""
     code = ("import sys, sl2ybe.cli\n"
-            "code = sl2ybe.cli.main(['verify', '--family', 'yang', '--s', '2', '--json'])\n"
-            "assert code == 0 and 'numpy' not in sys.modules, sorted(sys.modules)\n")
+            "runs = (['verify', '--family', 'yang', '--s', '2'],\n"
+            "        ['suite', '--max-2s', '6'],\n"
+            "        ['oracle', '--family', 'yang', '--s', '1', '--lambda', '1/2',\n"
+            "         '--mu', '1/3'])\n"
+            "codes = [sl2ybe.cli.main(argv + ['--json']) for argv in runs]\n"
+            "assert codes == [0, 1, 0] and 'numpy' not in sys.modules, sorted(sys.modules)\n")
     path = [str(ROOT / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,

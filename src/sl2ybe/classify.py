@@ -14,8 +14,8 @@ from .amatrix import (GaugedMatrix, LevelRange, a_matrix,
                       rank_one_projector, sign_diagonal, top_level,
                       verify_sign_conjugation)
 from .exact import DomainError, HalfInt, QuadExt, minus_one_pow
-from .linalg import (diag_mul_left, diag_mul_right, diagonal, is_zero_matrix,
-                     mat_add, mat_scale, mat_sub, span_coordinates, span_rank)
+from .linalg import (is_zero_matrix, mat_add, mat_scale, span_coordinates,
+                     span_rank)
 from .spectral import _require_index, constant_root
 from .ybe import braid_residual
 
@@ -69,18 +69,34 @@ def coeff_functions(m: int, eta_mn, f, g) -> tuple:
     return fl + fm - fc, big_g, big_h(fl, gl, fm), big_h(fm, gm, fl)
 
 
+def _fgh_entries(a: GaugedMatrix, pi, positions) -> tuple:
+    """F, G, H and H~ of `fgh_operators` at the given (row, column)
+    positions, four tuples: the one entry rule, pi^ read entrywise off N."""
+    d0, d0h, core = sign_diagonal(a.range), a.sign_hat, a.int_ucore
+    l2, support = a.ucore_lcm ** 2, [l for l, p in enumerate(pi) if p != 0]
+
+    def entry(r, c):
+        dh, ph = d0h[r][c], sum(core[r][l] * pi[l] * core[l][c] for l in support)
+        eye = l2 if r == c else 0
+        return (eye * d0[r] - dh, eye * pi[r] - ph,
+                pi[r] * dh - d0[r] * ph, dh * pi[c] - ph * d0[c])
+    return tuple(zip(*(entry(r, c) for r, c in positions)))
+
+
 def fgh_operators(a: GaugedMatrix, pi):
     """F = D0 - D0^, G = pi - pi^, H = pi D0^ - D0 pi^ and H~ = D0^ pi -
     pi^ D0 at the level of a, from the sign diagonal D0 (its hat is the
     cached `sign_hat`) and the entries of pi, each as L^2 times its gauge
     value (the hats are N D N, so the plain diagonals are scaled by L^2 to
     match); integer entries give integer matrices."""
-    d0, d0h, pih = sign_diagonal(a.range), a.sign_hat, a.hat(pi)
-    l2 = a.ucore_lcm ** 2
-    return (mat_sub(diagonal([l2 * x for x in d0]), d0h),
-            mat_sub(diagonal([l2 * x for x in pi]), pih),
-            mat_sub(diag_mul_left(pi, d0h), diag_mul_left(d0, pih)),
-            mat_sub(diag_mul_right(d0h, pi), diag_mul_right(pih, d0)))
+    dim = a.dim
+    return tuple(tuple(v[k:k + dim] for k in range(0, dim * dim, dim)) for v in
+                 _fgh_entries(a, pi, [(r, c) for r in range(dim) for c in range(dim)]))
+
+
+def _require_sign_conjugation(s: HalfInt, n: int) -> None:
+    if not verify_sign_conjugation(s, n):
+        raise AssertionError(f"sign conjugation fails at (s={s}, n={n})")
 
 
 def fgh_matrices(s, m: int, n: int) -> tuple:
@@ -94,8 +110,7 @@ def fgh_matrices(s, m: int, n: int) -> tuple:
     s = HalfInt.coerce(s)
     a = a_matrix(s, n)
     pi = rank_one_projector(a.range, m)
-    if not verify_sign_conjugation(s, n):
-        raise AssertionError(f"sign conjugation fails at (s={s}, n={n})")
+    _require_sign_conjugation(s, n)
     return fgh_operators(a, pi)
 
 
@@ -136,11 +151,25 @@ class ScanResult:
                 if r.beta_tilde is not None and r.beta_tilde != 0]
 
 
+def _rank_four_by_projection(a: GaugedMatrix, pi) -> bool:
+    """F, G, H, H~ independent on the diagonal, row m and column m (pi at
+    m) alone, so in full: rank 4, no relation (README, four-matrix system)."""
+    i, dim = pi.index(1), range(a.dim)
+    return span_rank([(v,) for v in _fgh_entries(
+        a, pi, [(r, r) for r in dim] + [(i, c) for c in dim if c != i]
+        + [(r, i) for r in dim if r != i])]) == 4
+
+
 def _scan_cell(s: HalfInt, m: int, n: int) -> DegeneracyRecord:
-    """The record of one active cell.  Hard failure if H == H~ and the
-    scalar-multiple relation disagree (they must hold simultaneously)."""
-    big_f, big_g, big_h, big_ht = fgh_matrices(s, m, n)
-    rng = LevelRange.for_level(s, n)
+    """The record of one active cell of a guarded level.  Hard failure if
+    H == H~ and the scalar-multiple relation disagree (they must hold
+    simultaneously)."""
+    a = a_matrix(s, n)
+    rng, pi = a.range, rank_one_projector(a.range, m)
+    if _rank_four_by_projection(a, pi):
+        return DegeneracyRecord(s, m, n, rng.dim, rng.shifted, holds_transpose=False,
+                                beta=None, beta_tilde=None, rank=4)
+    big_f, big_g, big_h, big_ht = fgh_operators(a, pi)
     total = mat_add(big_h, big_ht)
     # One elimination serves the rank and the decomposition of H + H~ over
     # G and F: [G, F, H + H~, H, H~] spans the same space as F, G, H, H~.
@@ -158,19 +187,17 @@ def _scan_cell(s: HalfInt, m: int, n: int) -> DegeneracyRecord:
         raise AssertionError(
             f"simultaneity violated at (s={s}, m={m}, n={n}): "
             f"transpose={holds_transpose} multiple={holds_multiple}")
-    return DegeneracyRecord(
-        s=s, m=m, n=n, dim=rng.dim, shifted=rng.shifted,
-        holds_transpose=holds_transpose, beta=beta, beta_tilde=beta_tilde,
-        rank=sum(c is None for c in coords))
+    return DegeneracyRecord(s, m, n, rng.dim, rng.shifted, holds_transpose,
+                            beta, beta_tilde, rank=sum(c is None for c in coords))
 
 
 def degeneracy_scan(max_two_s: int = 6) -> ScanResult:
     """Scan every active cell 2 <= m <= 2s <= max_two_s, m <= n <=
-    floor(3s); each cell raises if its two degeneracy relations
-    disagree."""
+    floor(3s), sign conjugation checked once per level; each cell raises
+    if its two degeneracy relations disagree."""
     if max_two_s < 2:
         raise DomainError("max_two_s must be at least 2")
-    out = ScanResult()
+    out, guarded = ScanResult(), set()
     for ts in range(2, max_two_s + 1):
         s = HalfInt(ts)
         for m in range(2, ts + 1):
@@ -179,6 +206,9 @@ def degeneracy_scan(max_two_s: int = 6) -> ScanResult:
                     out.skipped.append({"s": str(s), "m": m, "n": n,
                                         "reason": "index outside level range"})
                     continue
+                if (ts, n) not in guarded:
+                    _require_sign_conjugation(s, n)
+                    guarded.add((ts, n))
                 out.records.append(_scan_cell(s, m, n))
     return out
 

@@ -157,16 +157,30 @@ class TestDegeneracyScan:
     def test_disagreeing_relations_raise(self, monkeypatch):
         # H~ replaced by H: the transpose relation holds at every cell, but
         # H + H~ = 2H is no multiple of G at (s=1, m=2, n=2)
-        real = classify.fgh_matrices
+        real = classify.fgh_operators
 
-        def same_h(s, m, n):
-            big_f, big_g, big_h, _ = real(s, m, n)
+        def same_h(a, pi):
+            big_f, big_g, big_h, _ = real(a, pi)
             return big_f, big_g, big_h, big_h
 
-        monkeypatch.setattr(classify, "fgh_matrices", same_h)
+        monkeypatch.setattr(classify, "fgh_operators", same_h)
         with pytest.raises(AssertionError, match=r"simultaneity violated at "
                            r"\(s=1, m=2, n=2\): transpose=True multiple=False"):
             degeneracy_scan(2)
+
+    @pytest.mark.parametrize("max_two_s, levels", [(10, 69), (20, 289)])
+    def test_sign_conjugation_checked_once_per_level(self, monkeypatch,
+                                                     max_two_s, levels):
+        real, seen = classify.verify_sign_conjugation, []
+
+        def counted(s, n):
+            seen.append((s, n))
+            return real(s, n)
+
+        monkeypatch.setattr(classify, "verify_sign_conjugation", counted)
+        result = degeneracy_scan(max_two_s)
+        assert len(seen) == len(set(seen)) == levels
+        assert set(seen) == {(r.s, r.n) for r in result.records}
 
     def test_out_of_range_cells_are_skipped(self, scan):
         skipped = {(e["s"], e["m"], e["n"]) for e in scan.skipped}
@@ -183,6 +197,52 @@ class TestDegeneracyScan:
         assert hits
         sample = next(r for r in hits if (r.s.twice, r.m, r.n) == (2, 2, 2))
         assert sample.beta == 1 and sample.beta_tilde == F(-2, 3)
+
+
+class TestProjection:
+    """Rank 4 is decided on row m, column m and the diagonal; every other
+    cell runs the full system."""
+
+    @pytest.mark.parametrize("ts", range(1, 13))
+    def test_projected_entries_are_those_of_the_full_system(self, monkeypatch, ts):
+        ranked = []
+
+        def spy(matrices):
+            ranked.append(tuple(v for (v,) in matrices))
+            return span_rank(matrices)
+
+        monkeypatch.setattr(classify, "span_rank", spy)
+        s = HalfInt(ts)
+        for n in range(top_level(s) + 1):
+            a = a_matrix(s, n)
+            dim = range(a.dim)
+            for m in a.range.indices():
+                pi = rank_one_projector(a.range, m)
+                i = a.range.offset(m)
+                # the diagonal, then row m, then column m, each entry once
+                cells = ([(r, r) for r in dim] + [(i, c) for c in dim if c != i]
+                         + [(r, i) for r in dim if r != i])
+                want = tuple(tuple(x[r][c] for r, c in cells)
+                             for x in classify.fgh_operators(a, pi))
+                ranked.clear()
+                decided = classify._rank_four_by_projection(a, pi)
+                assert ranked == [want], (ts, m, n)
+                assert decided == (span_rank([(v,) for v in want]) == 4)
+
+    def test_scan_without_the_projection_is_unchanged(self, monkeypatch):
+        real, decided = classify._rank_four_by_projection, []
+
+        def counted(a, pi):
+            decided.append(real(a, pi))
+            return decided[-1]
+
+        monkeypatch.setattr(classify, "_rank_four_by_projection", counted)
+        fast = degeneracy_scan(10)
+        assert (len(decided), sum(decided)) == (251, 180)
+        monkeypatch.setattr(classify, "_rank_four_by_projection",
+                            lambda a, pi: False)
+        full = degeneracy_scan(10)
+        assert (full.records, full.skipped) == (fast.records, fast.skipped)
 
 
 def a_diag(s, m, n):

@@ -57,6 +57,7 @@ GOLDEN = [
     ("sixj 1 1 1 1/2 1/2 1/2", 0, "759bdc74d8766e3585baeea24826619174b88948caf80c9e98f7afbee4ee8bca"),
     ("sixj 1 1 3 1 1 1", 0, "ac97fba6e7cb7cc1568435e2ce3a6fba3d93e4bfd060cc2407bb8214ec1e8f3f"),
     ("suite --max-2s 6", 1, "e49ba24858567b971b0072851886c9171a99bdca47d1c0e8edf51cdfd265203a"),
+    ("suite --max-2s 10", 1, "6109270ae1d0be597f7e1e9f7f54fa2e08ec7d67e402a38f70df3e9f7d5d5434"),
     ("oracle --family yang --s 1 --lambda 1/2 --mu 1/3", 0, "a5074da564d88d2ffb0004100edaecd215014f15074e9adf5127a07d87d3234a"),
     ("oracle --family-file perfbench/perturbed_spin_half.json --lambda 1 --mu 2", 0, "9194cf9cd655fab2cf19e34b7640395bf76cd56f017a78c09ffd96c655ff70f8"),
 ]

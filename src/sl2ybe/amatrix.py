@@ -105,12 +105,14 @@ class GaugedMatrix:
     """X = U^(1/2) M U^(1/2) with rational weights u and rational core M.
 
     `ucore_lcm` is the lcm L of the denominators of M U and `int_ucore`
-    the integer core N = L * (M U), the one product form of X.
+    the integer core N = L * (M U), the one product form of X;
+    `int_weights` are the weights u cleared to positive integers.
     `sign_hat` is N D0 N, the hat of the sign diagonal, built once here
     because every scan cell and sign-conjugation check of the level reads
     it."""
 
-    __slots__ = ("range", "weights", "core", "ucore_lcm", "int_ucore", "sign_hat")
+    __slots__ = ("range", "weights", "core", "ucore_lcm", "int_ucore",
+                 "int_weights", "sign_hat", "_involutive")
 
     def __init__(self, rng: LevelRange, weights, core):
         self.range = rng
@@ -120,17 +122,29 @@ class GaugedMatrix:
             raise DomainError("gauge weights must be positive")
         self.ucore_lcm, self.int_ucore = clear_denominators(
             [[x * w for x, w in zip(row, self.weights)] for row in self.core])
+        self.int_weights = clear_denominators([self.weights])[1][0]
         self.sign_hat = self.hat(sign_diagonal(rng))
+        self._involutive = None
 
     @property
     def dim(self) -> int:
         return self.range.dim
 
-    def hat(self, entries):
+    def hat(self, entries, right=None):
         """L^2 times the hat X D X of the diagonal D with the given entries,
         in gauge form: N D N, one sandwich summed over the nonzero entries
-        only, so the hat of a rank-one projector is one outer product."""
-        return sandwich(self.int_ucore, entries, self.int_ucore)
+        only, so the hat of a rank-one projector is one outer product.  A
+        given right factor replaces the second N: N D right."""
+        return sandwich(self.int_ucore, entries, right or self.int_ucore)
+
+    @property
+    def involutive(self) -> bool:
+        """M symmetric and N N == L^2 I, decided on the first read and kept."""
+        if self._involutive is None:
+            n = self.int_ucore
+            self._involutive = self.core == tuple(zip(*self.core)) and (
+                mat_mul(n, n) == diagonal((self.ucore_lcm ** 2,) * self.dim))
+        return self._involutive
 
     def sign_conjugation_residual(self) -> tuple:
         """N D0 N - (-1)^n L D0 N D0 from the current `sign_hat`, zero
@@ -204,12 +218,8 @@ def a_matrix(s, n: int) -> GaugedMatrix:
 
 
 def verify_a_properties(s, n: int) -> bool:
-    """A symmetric and equal to its own inverse, checked exactly in gauge."""
-    a = a_matrix(s, n)
-    if any(a.core[i][j] != a.core[j][i] for i in range(a.dim) for j in range(a.dim)):
-        return False
-    core, lcm = a.int_ucore, a.ucore_lcm
-    return mat_mul(core, core) == diagonal((lcm * lcm,) * a.dim)
+    """A symmetric and its own inverse: the guard the residual kernel reads."""
+    return a_matrix(s, n).involutive
 
 
 def verify_sign_conjugation(s, n: int) -> bool:

@@ -7,13 +7,14 @@ similarity gauge, where A enters only as its integer core N = L*(M*U)
 and the hat is N D N = L^2 D^, so residuals are exact matrices over Q or
 Q(sqrt(d)).  They are decided over the integers: with each diagonal
 cleared to D_i = (A_i + sqrt(d) B_i) / c_i, the residual times
-L^4 c1 c2 c3 is an integer matrix plus sqrt(d) times another.
+L^4 c1 c2 c3 is an integer matrix plus sqrt(d) times another, zero
+exactly when one weighted product is symmetric, since A^2 = I (_braid).
 `full_check` pays for the distinct values of a grid, not for its pairs:
 each r_j(x) is evaluated once per check, each level hats each distinct
-cleared vector once, and one verdict is taken per distinct triple of
-cleared legs and d.  Reusing a verdict is exact: the integer matrices
-are a function of those four inputs alone, and the positive scale
-decides nothing.
+third leg once, and one verdict is taken per distinct triple of cleared
+legs and d.  Reusing a verdict is exact: the integer matrices are a
+function of those four inputs alone, and the positive scale decides
+nothing.
 """
 from __future__ import annotations
 
@@ -22,8 +23,8 @@ from fractions import Fraction
 
 from .amatrix import GaugedMatrix, LevelRange, a_matrix, top_level
 from .exact import DomainError, QuadExt, rescale_surd
-from .linalg import (clear_denominators, diag_mul_left, diag_mul_right,
-                     is_zero_matrix, mat_add, mat_mul, mat_scale, mat_sub)
+from .linalg import (clear_denominators, diag_mul_left, is_zero_matrix, mat_add,
+                     mat_mul, mat_scale, mat_sub)
 from .spectral import SpectralFamily, reduced_d
 
 __all__ = [
@@ -96,18 +97,19 @@ class ReducedResidual:
                      for rx, ry in zip(self.rational, self.irrational))
 
 
-def _cleared(entries, d):
-    """Integer vectors A, B and the positive integer c with
-    entries = (A + sqrt(d) B) / c; B is None when every entry is rational.
-    A sqrt part over an equivalent discriminant d*k^2 is rescaled to sqrt(d);
-    an incompatible one raises ValueError."""
+def _leg(entries, d):
+    """What one diagonal contributes to a residual over sqrt(d): its cleared
+    integer vectors, (A, B) or (A,) when every entry is rational, and the
+    positive integer c with entries = (A + sqrt(d) B) / c.  A sqrt part
+    over an equivalent discriminant d*k^2 is rescaled to sqrt(d); an
+    incompatible one raises ValueError."""
     parts = [[x.a if isinstance(x, QuadExt) else x for x in entries]]
     b_parts = [rescale_surd(x.b, x.d, d) if isinstance(x, QuadExt) and x.b else 0
                for x in entries]
     if any(b_parts):
         parts.append(b_parts)
     c, ints = clear_denominators(parts)
-    return ints[0], (ints[1] if len(ints) > 1 else None), c
+    return ints, c
 
 
 def _discriminant(diagonals) -> int:
@@ -117,64 +119,66 @@ def _discriminant(diagonals) -> int:
                default=1)
 
 
-def _leg(a: GaugedMatrix, hats: dict, entries, d):
-    """What one diagonal contributes to a residual over sqrt(d): its cleared
-    integer vectors (A, B), their hats N diag(A) N and N diag(B) N (B and
-    its hat None when the diagonal is rational) and the scale c.  `hats`
-    maps each integer vector already hatted at the level of a to its hat,
-    so equal cleared vectors share one hat."""
-    a_int, b_int, c = _cleared(entries, d)
-    for v in (a_int, b_int):
-        if v is not None and v not in hats:
-            hats[v] = a.hat(v)
-    return (a_int, b_int), (hats[a_int], None if b_int is None else hats[b_int]), c
+def _hat(a: GaugedMatrix, vectors):
+    """The hat of a third leg with cleared vectors (A, B) or (A,) at the
+    level of a, each part as factors (F, R) of N diag(.) N: (N diag(A) N,
+    None), and for B the nonzero columns of N diag(B) and the rows of N at
+    them, so a product through B costs dim^2 per nonzero entry."""
+    n, hat = a.int_ucore, [(a.hat(vectors[0]), None)]
+    for b in vectors[1:]:
+        support = [k for k, x in enumerate(b) if x]
+        hat.append((tuple(tuple(row[k] * b[k] for k in support) for row in n),
+                    tuple(n[k] for k in support)))
+    return hat
 
 
-def _braid(a: GaugedMatrix, d: int, leg1, leg2, leg3) -> ReducedResidual:
-    """The residual kernel: the ReducedResidual of three legs over sqrt(d)
-    at the level of a (see braid_residual).  The integer matrices depend
-    only on the legs' cleared vectors and d; the scale alone reads each
-    leg's c."""
-    (e1, h1, c1), (e2, h2, c2), (e3, h3, c3) = leg1, leg2, leg3
-    l2 = a.ucore_lcm ** 2
+def _add(parts, k, x):
+    """Add x to the rational (k even) or the sqrt(d) part (k odd) of a sum."""
+    parts[k % 2] = mat_add(parts[k % 2], x) if k % 2 in parts else x
 
-    def times(mul, x, y):
-        """(x0 + sqrt(d) x1)(y0 + sqrt(d) y1) under the bilinear product mul."""
-        (x0, x1), (y0, y1) = x, y
-        if x1 is None and y1 is None:
-            return mul(x0, y0), None
-        if x1 is None:
-            return mul(x0, y0), mul(x0, y1)
-        if y1 is None:
-            return mul(x0, y0), mul(x1, y0)
-        return (mat_add(mul(x0, y0), mat_scale(d, mul(x1, y1))),
-                mat_add(mul(x0, y1), mul(x1, y0)))
 
-    l2e1 = tuple(None if p is None else [l2 * x for x in p] for p in e1)
-    left = times(diag_mul_left, l2e1, times(diag_mul_right, h2, e3))
-    right = times(mat_mul, times(diag_mul_right, h3, e2), h1)
-    # Both sides have a sqrt(d) part exactly when some diagonal has one.
-    irrational = None if left[1] is None else mat_sub(left[1], right[1])
-    return ReducedResidual(mat_sub(left[0], right[0]), irrational, d,
-                           l2 * l2 * c1 * c2 * c3)
+def _braid(a: GaugedMatrix, d: int, leg1, leg2, leg3, hat3) -> ReducedResidual:
+    """The ReducedResidual of three legs over sqrt(d) at the level of a,
+    hat3 the third leg's `_hat`.  As N N = L^2 I and N^T = U N U^(-1), the
+    integer residual R = L^2 E1 (N E2 N) E3 - (N E3 N) E2 (N E1 N) has
+    R N = L^2 (Y - U^(-1) Y^T U) for Y = E1 N E2 (N E3 N), so
+    R = W^(-1) (S - S^T) N for S = W Y, W = int_weights: R is zero exactly
+    when S is symmetric (each part apart), and is multiplied out only when
+    it is not.  The integer matrices depend only on the legs' cleared
+    vectors and d; the scale alone reads each leg's c."""
+    if not a.involutive:
+        raise DomainError(f"A^(s={a.range.s}, n={a.range.n}) is not a symmetric involution")
+    (e1, c1), (e2, c2), (_, c3) = leg1, leg2, leg3
+    p, parts = {}, {}  # P = N E2 (N E3 N) and S = W E1 P, by part
+    for k2, v2 in enumerate(e2):
+        for k3, (f, rows) in enumerate(hat3):
+            _add(p, k2 + k3, a.hat(v2, f) if rows is None else
+                 mat_mul(a.hat(v2, f), mat_scale(d, rows) if k2 else rows))
+    for k1, v1 in enumerate(e1):
+        for kp, pk in p.items():
+            _add(parts, k1 + kp, diag_mul_left(
+                [d ** (k1 & kp) * w * x for w, x in zip(a.int_weights, v1)], pk))
+    symmetric = all(s == tuple(zip(*s)) for s in parts.values())
+    zero = ((0,) * a.dim,) * a.dim
+    r = {k: zero if symmetric else tuple(tuple(x // w for x in row) for w, row in zip(
+        a.int_weights, mat_mul(mat_sub(s, tuple(zip(*s))), a.int_ucore)))
+        for k, s in parts.items()}
+    return ReducedResidual(r[0], r.get(1), d, a.ucore_lcm ** 4 * c1 * c2 * c3)
 
 
 def braid_residual(a: GaugedMatrix, d1, d2, d3) -> ReducedResidual:
     """D1 D2^ D3 - D3^ D2 D1^ for the diagonals with entries d1, d2, d3 at
-    the level of a, in its rational gauge, cleared to integers.
-
-    With X = N / L and D_i = E_i / c_i the residual times L^4 c1 c2 c3 is
-    L^2 E1 (N E2 N) E3 - (N E3 N) E2 (N E1 N).  Over Q(sqrt(d)) each factor
-    is a pair (A + sqrt(d) B), and the products are taken one factor at a
-    time, (A + sqrt(d) B)(A' + sqrt(d) B') = (A A' + d B B') + sqrt(d)
-    (A B' + B A'), a missing sqrt(d) part counting as zero.  Equivalent
-    discriminants (d and d*k^2) share one residual over the smallest d; as
-    in QuadExt arithmetic, incompatible ones raise ValueError before
-    anything is summed.  The legs come from `_leg` and the products from
-    `_braid`, the leg builder and kernel `full_check` uses as well."""
+    the level of a, in its rational gauge, cleared to integers: with
+    X = N / L and D_i = E_i / c_i, E_i = A_i + sqrt(d) B_i, the residual
+    times L^4 c1 c2 c3 is L^2 E1 (N E2 N) E3 - (N E3 N) E2 (N E1 N), as a
+    rational and a sqrt(d) integer part.  Equivalent discriminants (d and
+    d*k^2) share one residual over the smallest d; as in QuadExt
+    arithmetic, incompatible ones raise ValueError before anything is
+    summed, and a level whose A is not a symmetric involution raises
+    DomainError.  Legs, hat and kernel are those of `full_check`."""
     d = _discriminant((d1, d2, d3))
-    hats = {}
-    return _braid(a, d, *(_leg(a, hats, e, d) for e in (d1, d2, d3)))
+    legs = [_leg(e, d) for e in (d1, d2, d3)]
+    return _braid(a, d, *legs, _hat(a, legs[2][0]))
 
 
 def reduced_ybe_check(fam: SpectralFamily, n: int, lam, mu) -> ReducedResidual:
@@ -205,19 +209,23 @@ def _level_verdicts(a: GaugedMatrix, js, triples, coeff) -> list:
     diagonals read r_j for j in js; coeff(j, i) is r_j at argument i.  A
     triple's three diagonals are formed first, then its legs are cleared,
     as in reduced_ybe_check."""
-    diagonals, legs, hats, verdicts, zeros = {}, {}, {}, {}, []
+    diagonals, ds, legs, hats, verdicts, zeros = {}, {}, {}, {}, {}, []
     for triple in triples:
         for i in triple:
             if i not in diagonals:
                 diagonals[i] = tuple(coeff(j, i) for j in js)
-        d = _discriminant(diagonals[i] for i in triple)
+                ds[i] = _discriminant([diagonals[i]])
+        d = min((ds[i] for i in triple if ds[i] != 1), default=1)
         for i in triple:
             if (i, d) not in legs:
-                legs[i, d] = _leg(a, hats, diagonals[i], d)
+                legs[i, d] = _leg(diagonals[i], d)
         three = [legs[i, d] for i in triple]
-        key = (*(vectors for vectors, _, _ in three), d)
+        key = (*(vectors for vectors, _ in three), d)
         if key not in verdicts:
-            verdicts[key] = _braid(a, d, *three).is_zero
+            third = three[2][0]
+            if third not in hats:
+                hats[third] = _hat(a, third)
+            verdicts[key] = _braid(a, d, *three, hats[third]).is_zero
         zeros.append(verdicts[key])
     return zeros
 
@@ -231,9 +239,9 @@ def full_check(fam: SpectralFamily, levels=None, samples=None) -> dict:
     - each r_j(x) is evaluated at most once, when a level first needs it,
       in the order the pairs would evaluate it one by one, so the first
       PoleError, DomainError or ValueError raised is theirs;
-    - on each level a diagonal is cleared once per discriminant, and its
-      cleared integer vectors are hatted once, however many arguments
-      share them;
+    - on each level an argument's d is read once, a diagonal is cleared
+      once per discriminant, and a cleared third leg is hatted once,
+      however many pairs share it;
     - one verdict is taken per distinct (leg, leg, leg, d), the legs by
       their cleared vectors.  The kernel's integer matrices are a function
       of those four alone and its positive scale decides nothing, so a

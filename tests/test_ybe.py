@@ -131,6 +131,34 @@ class TestIntegerKernel:
         assert str(root).endswith("*sqrt(21)")
         assert reduced_ybe_check(baxter_tl(2), 3, F(2), F(3)).irrational is None
 
+    def test_a_level_that_is_not_an_involution_raises(self):
+        # one diagonal core entry off: still symmetric, no longer N N = L^2 I
+        a = a_matrix(2, 3)
+        core = [list(row) for row in a.core]
+        core[1][1] += 1
+        faulty = GaugedMatrix(a.range, a.weights, core)
+        assert a.involutive and not faulty.involutive
+        ones = (F(1),) * a.dim
+        with pytest.raises(DomainError, match=r"s=2, n=3"):
+            braid_residual(faulty, ones, ones, ones)
+
+    @pytest.mark.parametrize("fam, n", [(baxter_tl(2), 4), (yang(2), 3),
+                                        (perturbed_yang(2), 2)], ids=str)
+    def test_sign_flipped_involution_matches_dense_reference(self, fam, n):
+        # S A S with S = diag((-1)^k) is another symmetric involution, with
+        # another N and the residual S R S; the perturbed family's is nonzero
+        a = a_matrix(fam.s, n)
+        flip = [(-1) ** k for k in range(a.dim)]
+        flipped = GaugedMatrix(a.range, a.weights, [
+            [si * sj * x for sj, x in zip(flip, row)] for si, row in zip(flip, a.core)])
+        assert flipped.involutive
+        samples = [(F(2), F(3)), (F(3, 2), F(5))] if fam.multiplicative else [
+            (F(1, 2), F(1, 3)), (F(3, 2), F(1, 4))]
+        for lam, mu in samples:
+            diagonals = [reduced_d(fam, n, x) for x in (lam, fam.compose(lam, mu), mu)]
+            ref = dense_reference(flipped, *diagonals)
+            assert braid_residual(flipped, *diagonals).residual == ref
+
     def test_mixed_discriminants_raise(self):
         a = a_matrix(1, 2)
         one = (F(1),) * a.dim
@@ -391,20 +419,21 @@ class TestSharedLegs:
         levels = defined_levels(fam)
         for n in levels:
             a_matrix(fam.s, n)  # built (and its sign hat taken) before counting
-        arguments = {x for lam, mu in grid for x in (lam, fam.compose(lam, mu), mu)}
-        distinct = {n: len({reduced_d(fam, n, x) for x in arguments}) for n in levels}
+        distinct = {n: len({reduced_d(fam, n, mu) for _, mu in grid}) for n in levels}
         hats, real = [], GaugedMatrix.hat
 
-        def count(self, entries):
-            hats.append(self.range.n)
-            return real(self, entries)
+        def count(self, entries, right=None):
+            if right is None:  # a hat N D N, not a kernel product N D P
+                hats.append(self.range.n)
+            return real(self, entries, right)
 
         monkeypatch.setattr(GaugedMatrix, "hat", count)
         assert full_check(fam, samples=grid)["pass"]
-        # yang is rational, so each cleared diagonal takes one hat; levels 0
-        # and 6 see one diagonal (all ones), the others 73
+        # only third legs are hatted, and yang is rational, so each distinct
+        # cleared mu-diagonal takes one hat; levels 0 and 6 see one diagonal
+        # (all ones), the others 13
         assert {n: hats.count(n) for n in levels} == distinct
-        assert len(hats) == 1 + 5 * 73 + 1
+        assert len(hats) == 1 + 5 * 13 + 1
 
     def test_equal_diagonals_share_one_kernel(self, monkeypatch):
         # baxter-tl at s=2: only r_0 depends on t, and only level 4 reads it

@@ -27,7 +27,8 @@ from functools import lru_cache
 
 from .exact import (DomainError, HalfInt, QuadExt, factorial,
                     minus_one_pow, sqrt_canonicalize)
-from .linalg import clear_denominators, diagonal, is_zero_matrix, mat_mul, sandwich
+from .linalg import (clear_denominators, diag_mul_right, diagonal, is_zero_matrix,
+                     mat_mul)
 
 __all__ = [
     "GaugedMatrix",
@@ -132,10 +133,10 @@ class GaugedMatrix:
 
     def hat(self, entries, right=None):
         """L^2 times the hat X D X of the diagonal D with the given entries,
-        in gauge form: N D N, one sandwich summed over the nonzero entries
-        only, so the hat of a rank-one projector is one outer product.  A
+        in gauge form: N D N, one product that skips the zero columns of
+        N D, so the hat of a rank-one projector is one outer product.  A
         given right factor replaces the second N: N D right."""
-        return sandwich(self.int_ucore, entries, right or self.int_ucore)
+        return mat_mul(diag_mul_right(self.int_ucore, entries), right or self.int_ucore)
 
     @property
     def involutive(self) -> bool:

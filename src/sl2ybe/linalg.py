@@ -2,9 +2,10 @@
 
 Matrices are tuples of tuples.  Entries may be int, Fraction or QuadExt
 (mixed freely; QuadExt absorbs rationals), anything supporting the
-arithmetic operators and equality with 0.  Products of int matrices stay
-int; `span_coordinates` eliminates fraction-free, with one exact
-division per matrix in the span of the earlier ones.
+arithmetic operators and equality with 0.  `mat_mul`, the one matrix
+product, skips the zero entries of its left factor.  Products of int
+matrices stay int; `span_coordinates` eliminates fraction-free, with one
+exact division per matrix in the span of the earlier ones.
 """
 from __future__ import annotations
 
@@ -23,7 +24,6 @@ __all__ = [
     "mat_mul",
     "mat_scale",
     "mat_sub",
-    "sandwich",
     "span_coordinates",
     "span_rank",
 ]
@@ -38,21 +38,18 @@ def diagonal(entries) -> Matrix:
 
 
 def mat_mul(x: Matrix, y: Matrix) -> Matrix:
-    """x @ y; x may be p-by-r and y r-by-q.  Each sum starts at its first
-    term, so entries keep the scalar type of the operands."""
-    inner, cols = range(1, len(y)), range(len(y[0]))
-    return tuple(
-        tuple(sum((xi[l] * y[l][j] for l in inner), xi[0] * y[0][j]) for j in cols)
-        for xi in x)
-
-
-def sandwich(x: Matrix, entries, y: Matrix) -> Matrix:
-    """x @ diag(entries) @ y as one product summed over the nonzero entries
-    only, so a diagonal with one nonzero entry gives one outer product.  An
-    all-zero diagonal keeps one (zero) term."""
-    support = [l for l, e in enumerate(entries) if e != 0] or [0]
-    left = tuple(tuple(row[l] * entries[l] for l in support) for row in x)
-    return mat_mul(left, tuple(y[l] for l in support))
+    """x @ y; x may be p-by-r and y r-by-q.  Each row of x accumulates the
+    rows of y over its nonzero entries only, so a sparse left factor costs
+    one row of y per nonzero entry.  A QuadExt entry is never skipped; a
+    row with no nonzero entry gives int 0s."""
+    out = []
+    for row in x:
+        acc = [0] * len(y[0])
+        for a, y_row in zip(row, y):
+            if a:
+                acc = [u + a * v for u, v in zip(acc, y_row)]
+        out.append(tuple(acc))
+    return tuple(out)
 
 
 def diag_mul_left(entries, x: Matrix) -> Matrix:

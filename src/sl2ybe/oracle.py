@@ -20,7 +20,7 @@ from operator import eq, mul
 
 from .amatrix import top_level
 from .exact import DomainError, HalfInt, QuadExt, minus_one_pow, rescale_surd
-from .linalg import diagonal
+from .linalg import diagonal, mat_mul
 from .spectral import SpectralFamily
 from .ybe import reduced_ybe_check
 
@@ -65,19 +65,6 @@ def sector_labels(ts: int, sites: int) -> tuple:
     return tuple(map(tuple, sectors))
 
 
-def _block_mul(x, y):
-    """x @ y for one sector, summed over the nonzero entries of x only:
-    the embedded two-site blocks are sparse."""
-    out = []
-    for row in x:
-        acc = [0] * len(y)
-        for l, a in enumerate(row):
-            if a:
-                acc = [u + a * v for u, v in zip(acc, y[l])]
-        out.append(tuple(acc))
-    return tuple(out)
-
-
 @dataclass(frozen=True)
 class SectorOperator:
     """A weight-preserving operator in the rescaled basis: block w, over the
@@ -89,7 +76,7 @@ class SectorOperator:
     den: int = 1
 
     def __matmul__(self, other: SectorOperator) -> SectorOperator:
-        return SectorOperator(tuple(map(_block_mul, self.blocks, other.blocks)),
+        return SectorOperator(tuple(map(mat_mul, self.blocks, other.blocks)),
                               self.den * other.den)
 
     def __sub__(self, other: SectorOperator) -> SectorOperator:

@@ -147,7 +147,7 @@ def _braid(a: GaugedMatrix, d: int, leg1, leg2, leg3, hat3) -> ReducedResidual:
     it is not.  The integer matrices depend only on the legs' cleared
     vectors and d; the scale alone reads each leg's c."""
     if not a.involutive:
-        raise DomainError(f"A^(s={a.range.s}, n={a.range.n}) is not a symmetric involution")
+        raise AssertionError(f"A^(s={a.range.s}, n={a.range.n}) is not a symmetric involution")
     (e1, c1), (e2, c2), (_, c3) = leg1, leg2, leg3
     p, parts = {}, {}  # P = N E2 (N E3 N) and S = W E1 P, by part
     for k2, v2 in enumerate(e2):
@@ -174,8 +174,9 @@ def braid_residual(a: GaugedMatrix, d1, d2, d3) -> ReducedResidual:
     rational and a sqrt(d) integer part.  Equivalent discriminants (d and
     d*k^2) share one residual over the smallest d; as in QuadExt
     arithmetic, incompatible ones raise ValueError before anything is
-    summed, and a level whose A is not a symmetric involution raises
-    DomainError.  Legs, hat and kernel are those of `full_check`."""
+    summed, and a level whose A is not a symmetric involution fails an
+    internal check (AssertionError).  Legs, hat and kernel are those of
+    `full_check`."""
     d = _discriminant((d1, d2, d3))
     legs = [_leg(e, d) for e in (d1, d2, d3)]
     return _braid(a, d, *legs, _hat(a, legs[2][0]))

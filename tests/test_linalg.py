@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sl2ybe.exact import QuadExt
-from sl2ybe.linalg import mat_add, mat_scale, span_coordinates, span_rank
+from sl2ybe.linalg import mat_add, mat_mul, mat_scale, span_coordinates, span_rank
 
 GM = ((F(1), F(2)), (F(0), F(-1)))
 FM = ((F(0), F(1)), (F(3), F(1)))
@@ -104,3 +104,47 @@ def test_one_elimination_agrees_with_sympy(basis, target):
         assert all(type(c) is F for c in coords)
         assert all(sum(c * m[i][j] for c, m in zip(coords, basis)) == target[i][j]
                    for i in range(3) for j in range(3))
+
+
+@st.composite
+def product_factors(draw):
+    """A p-by-r and an r-by-q matrix, 1 <= p, r, q <= 4, over the entries
+    above, with some rows and columns of each set to int or Fraction 0."""
+    def matrix(rows, cols):
+        m = [[draw(entries) for _ in range(cols)] for _ in range(rows)]
+        zero = draw(st.sampled_from((0, F(0))))
+        for i in draw(st.sets(st.integers(0, rows - 1))):
+            m[i] = [zero] * cols
+        for j in draw(st.sets(st.integers(0, cols - 1))):
+            for row in m:
+                row[j] = zero
+        return tuple(map(tuple, m))
+
+    p, r, q = (draw(st.integers(1, 4)) for _ in range(3))
+    return matrix(p, r), matrix(r, q)
+
+
+@settings(max_examples=150, deadline=None)
+@given(product_factors())
+def test_product_agrees_with_sympy(factors):
+    x, y = factors
+    product = mat_mul(x, y)
+    assert len(product) == len(x) and all(len(row) == len(y[0]) for row in product)
+    assert sympy.Matrix(product) == sympy.Matrix(x) * sympy.Matrix(y)
+    if all(type(a) is int for m in factors for row in m for a in row):
+        assert all(type(a) is int for row in product for a in row)
+
+
+class TestProduct:
+    def test_quadext_zeros_are_multiplied_exactly(self):
+        # QuadExt has no __bool__, so its zeros take part in the sums
+        root, zero = QuadExt(0, 1, 5), QuadExt(0)
+        x = ((zero, root), (1, zero))
+        y = ((root, 2), (F(1, 3), zero))
+        assert mat_mul(x, y) == ((QuadExt(0, F(1, 3), 5), 0), (root, 2))
+        assert mat_mul(((root,),), ((root,),)) == ((5,),)
+
+    def test_all_zero_left_factor_gives_int_zeros(self):
+        product = mat_mul(((0, F(0)),) * 3, ((F(1, 2), 2, 3, 4), (5, 6, 7, 8)))
+        assert product == ((0,) * 4,) * 3
+        assert all(type(a) is int for row in product for a in row)

@@ -9,7 +9,7 @@ The benchmark in `perfbench/` times and counts package functions by name,
 so each name it lists must stay a public function of its module.  Exact
 verdicts never rest on factoring, so `squarefree_split` is for printing
 only.  The gauge has one hat, so `GaugedMatrix.hat` is the only caller of
-`linalg.sandwich`.  Every verdict is exact, so no module imports numpy,
+`linalg.diag_mul_right`.  Every verdict is exact, so no module imports numpy,
 and the dense oracle, the independent check of the reduction, imports
 nothing from the 6-j route.
 """
@@ -168,11 +168,14 @@ def test_factoring_only_prints(path):
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_sandwich_only_in_the_hat(path):
-    """Every hat of a diagonal goes through GaugedMatrix.hat, the one method
-    named `hat` in amatrix, and nothing else calls linalg.sandwich."""
-    allowed = {"hat"} if path.name == "amatrix.py" else set()
-    found = _calls_outside(_tree(path), "sandwich", allowed)
-    assert found == [], f"{path.name}: sandwich called at {found}"
+    """Every hat of a diagonal, the sandwich N diag(e) N, goes through
+    GaugedMatrix.hat, the one method named `hat` in amatrix: it scales the
+    columns of N by e before the one product, and nothing else calls
+    linalg.diag_mul_right."""
+    found = _calls_outside(_tree(path), "diag_mul_right", set())
+    owners = {"hat"} if path.name == "amatrix.py" else set()
+    assert {owner for _, owner in found} == owners, (
+        f"{path.name}: diag_mul_right called at {found}")
 
 
 def _module_value(path, name):

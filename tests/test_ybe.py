@@ -139,8 +139,15 @@ class TestIntegerKernel:
         faulty = GaugedMatrix(a.range, a.weights, core)
         assert a.involutive and not faulty.involutive
         ones = (F(1),) * a.dim
-        with pytest.raises(DomainError, match=r"s=2, n=3"):
+        with pytest.raises(AssertionError, match=r"s=2, n=3"):
             braid_residual(faulty, ones, ones, ones)
+
+    def test_a_level_that_is_not_an_involution_fails_verify(self, monkeypatch, capsys):
+        # an internal check failure (exit 1), not a usage error (exit 2)
+        monkeypatch.setattr(a_matrix(2, 3), "_involutive", False)
+        assert cli.main(["verify", "--family", "yang", "--s", "2", "--json"]) == 1
+        assert capsys.readouterr().err == ("error: internal check failed: "
+                                           "A^(s=2, n=3) is not a symmetric involution\n")
 
     @pytest.mark.parametrize("fam, n", [(baxter_tl(2), 4), (yang(2), 3),
                                         (perturbed_yang(2), 2)], ids=str)

@@ -9,22 +9,27 @@ Q(sqrt(d)).  They are decided over the integers: with each diagonal
 cleared to D_i = (A_i + sqrt(d) B_i) / c_i, the residual times
 L^4 c1 c2 c3 is an integer matrix plus sqrt(d) times another, zero
 exactly when one weighted product is symmetric, since A^2 = I (_braid).
+A level's positions fall into classes on which the middle diagonal is
+constant (positions whose labels share a coefficient table), so that
+product is a sum over the classes of the third leg's class products,
+taken once per third leg; a verdict reads the symmetry off them in
+q dim^2 for q classes (_products).
 `full_check` pays for the distinct values of a grid, not for its pairs:
-each r_j(x) is evaluated once per check, each level hats each distinct
-third leg once, and one verdict is taken per distinct triple of cleared
-legs and d.  Reusing a verdict is exact: the integer matrices are a
-function of those four inputs alone, and the positive scale decides
-nothing.
+each coefficient table is evaluated once per argument per check, each
+level takes the class products of each distinct third leg once, and one
+verdict is taken per distinct triple of cleared legs and d.  Reusing a
+verdict is exact: the integer matrices are a function of those four
+inputs alone, and the positive scale decides nothing.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .amatrix import GaugedMatrix, LevelRange, a_matrix, top_level
 from .exact import DomainError, QuadExt, rescale_surd
-from .linalg import (clear_denominators, diag_mul_left, is_zero_matrix, mat_add,
-                     mat_mul, mat_scale, mat_sub)
+from .linalg import clear_denominators, is_zero_matrix, mat_mul
 from .spectral import SpectralFamily, reduced_d
 
 __all__ = [
@@ -119,50 +124,91 @@ def _discriminant(diagonals) -> int:
                default=1)
 
 
-def _hat(a: GaugedMatrix, vectors):
-    """The hat of a third leg with cleared vectors (A, B) or (A,) at the
-    level of a, each part as factors (F, R) of N diag(.) N: (N diag(A) N,
-    None), and for B the nonzero columns of N diag(B) and the rows of N at
-    them, so a product through B costs dim^2 per nonzero entry."""
-    n, hat = a.int_ucore, [(a.hat(vectors[0]), None)]
-    for b in vectors[1:]:
-        support = [k for k, x in enumerate(b) if x]
-        hat.append((tuple(tuple(row[k] * b[k] for k in support) for row in n),
-                    tuple(n[k] for k in support)))
-    return hat
+def _classes(keys) -> list:
+    """Positions grouped by equal key, each class in position order and the
+    classes in order of their first position."""
+    classes = {}
+    for i, key in enumerate(keys):
+        classes.setdefault(key, []).append(i)
+    return list(classes.values())
 
 
-def _add(parts, k, x):
-    """Add x to the rational (k even) or the sqrt(d) part (k odd) of a sum."""
-    parts[k % 2] = mat_add(parts[k % 2], x) if k % 2 in parts else x
+@lru_cache(maxsize=None)
+def _pairs(dim: int) -> tuple:
+    """The off-diagonal positions (i, j), i < j, of a dim x dim matrix, as
+    one index vector: the rows i of the pairs, then their columns j."""
+    pairs = [(i, j) for j in range(dim) for i in range(j)]
+    return tuple(i for i, _ in pairs) + tuple(j for _, j in pairs)
 
 
-def _braid(a: GaugedMatrix, d: int, leg1, leg2, leg3, hat3) -> ReducedResidual:
+def _products(a: GaugedMatrix, classes, vectors) -> list:
+    """The class products of a third leg with cleared vectors (A,) or
+    (A, B) at the level of a, for a middle leg constant on each class: per
+    class, one of its positions and, per part H of the leg's hat
+    (N diag(A) N, then N diag(B) N), the entries of G = W N Pi H at the
+    off-diagonal pairs i < j, the G_ij and then the G_ji (`_pairs`), Pi
+    the class's indicator diagonal and W = int_weights.  Each part is
+    hatted once, and its class products cost one dim^3 product in all."""
+    w, index = a.int_weights, _pairs(a.dim)
+    half = len(index) // 2
+    swapped = index[half:] + index[:half]
+    hats = [a.hat(v) for v in vectors]
+    products = []
+    for positions in classes:
+        pi = [0] * a.dim
+        for i in positions:
+            pi[i] = 1
+        products.append((positions[0], [
+            [w[i] * g[i][j] for i, j in zip(index, swapped)]
+            for g in (a.hat(pi, h) for h in hats)]))
+    return products
+
+
+def _add(acc, k, x, v):
+    """acc[k] += x v for vectors; acc[k] is x v when absent."""
+    if k in acc:
+        acc[k] = [y + x * z for y, z in zip(acc[k], v)]
+    else:
+        acc[k] = v if x == 1 else [x * z for z in v]
+
+
+def _braid(a: GaugedMatrix, d: int, leg1, leg2, leg3, products) -> ReducedResidual:
     """The ReducedResidual of three legs over sqrt(d) at the level of a,
-    hat3 the third leg's `_hat`.  As N N = L^2 I and N^T = U N U^(-1), the
-    integer residual R = L^2 E1 (N E2 N) E3 - (N E3 N) E2 (N E1 N) has
+    products the third leg's `_products` over classes on which the middle
+    leg is constant.  As N N = L^2 I and N^T = U N U^(-1), the integer
+    residual R = L^2 E1 (N E2 N) E3 - (N E3 N) E2 (N E1 N) has
     R N = L^2 (Y - U^(-1) Y^T U) for Y = E1 N E2 (N E3 N), so
     R = W^(-1) (S - S^T) N for S = W Y, W = int_weights: R is zero exactly
-    when S is symmetric (each part apart), and is multiplied out only when
-    it is not.  The integer matrices depend only on the legs' cleared
-    vectors and d; the scale alone reads each leg's c."""
+    when S is symmetric (each part apart).  With E2 = sum_b e2_b Pi_b,
+    S = E1 sum_b e2_b G_b, so the verdict compares S_ij with S_ji off the
+    class products, q dim^2 products for q classes, and R is multiplied
+    out only when they differ.  The integer matrices depend only on the
+    legs' cleared vectors and d; the scale alone reads each leg's c."""
     if not a.involutive:
         raise AssertionError(f"A^(s={a.range.s}, n={a.range.n}) is not a symmetric involution")
-    (e1, c1), (e2, c2), (_, c3) = leg1, leg2, leg3
-    p, parts = {}, {}  # P = N E2 (N E3 N) and S = W E1 P, by part
-    for k2, v2 in enumerate(e2):
-        for k3, (f, rows) in enumerate(hat3):
-            _add(p, k2 + k3, a.hat(v2, f) if rows is None else
-                 mat_mul(a.hat(v2, f), mat_scale(d, rows) if k2 else rows))
+    (e1, c1), (e2, c2), (e3, c3) = leg1, leg2, leg3
+    index = _pairs(a.dim)
+    half = len(index) // 2
+    wp = {}  # W P at the pairs, P = N E2 (N E3 N), by power of sqrt(d)
+    for i, parts in products:
+        for k2, v2 in enumerate(e2):
+            if v2[i]:
+                for k3, g in enumerate(parts):
+                    _add(wp, k2 + k3, v2[i], g)
+    s = {}  # S = E1 W P at the pairs, by part
     for k1, v1 in enumerate(e1):
-        for kp, pk in p.items():
-            _add(parts, k1 + kp, diag_mul_left(
-                [d ** (k1 & kp) * w * x for w, x in zip(a.int_weights, v1)], pk))
-    symmetric = all(s == tuple(zip(*s)) for s in parts.values())
+        f = [v1[i] for i in index]
+        for k, g in wp.items():
+            _add(s, (k1 + k) % 2, d ** ((k1 + k) // 2), [x * y for x, y in zip(f, g)])
     zero = ((0,) * a.dim,) * a.dim
-    r = {k: zero if symmetric else tuple(tuple(x // w for x in row) for w, row in zip(
-        a.int_weights, mat_mul(mat_sub(s, tuple(zip(*s))), a.int_ucore)))
-        for k, s in parts.items()}
+    r = dict.fromkeys(range(max(len(e1), len(e2), len(e3))), zero)  # sqrt(d) part if a leg has one
+    if any(v[:half] != v[half:] for v in s.values()):
+        for k, v in s.items():
+            x = [[0] * a.dim for _ in range(a.dim)]
+            for i, j, y, z in zip(index, index[half:], v, v[half:]):
+                x[i][j], x[j][i] = y - z, z - y
+            r[k] = tuple(tuple(y // w for y in row)
+                         for w, row in zip(a.int_weights, mat_mul(x, a.int_ucore)))
     return ReducedResidual(r[0], r.get(1), d, a.ucore_lcm ** 4 * c1 * c2 * c3)
 
 
@@ -175,11 +221,12 @@ def braid_residual(a: GaugedMatrix, d1, d2, d3) -> ReducedResidual:
     d*k^2) share one residual over the smallest d; as in QuadExt
     arithmetic, incompatible ones raise ValueError before anything is
     summed, and a level whose A is not a symmetric involution fails an
-    internal check (AssertionError).  Legs, hat and kernel are those of
-    `full_check`."""
+    internal check (AssertionError).  Legs, class products and kernel are
+    those of `full_check`, the classes read off d2's equal entries."""
     d = _discriminant((d1, d2, d3))
     legs = [_leg(e, d) for e in (d1, d2, d3)]
-    return _braid(a, d, *legs, _hat(a, legs[2][0]))
+    classes = _classes(zip(*legs[1][0]))
+    return _braid(a, d, *legs, _products(a, classes, legs[2][0]))
 
 
 def reduced_ybe_check(fam: SpectralFamily, n: int, lam, mu) -> ReducedResidual:
@@ -205,16 +252,18 @@ def _levels_or_default(fam: SpectralFamily, levels):
     return levels
 
 
-def _level_verdicts(a: GaugedMatrix, js, triples, coeff) -> list:
+def _level_verdicts(a: GaugedMatrix, labels, triples, coeff) -> list:
     """The verdict of each argument triple on the level of a, whose
-    diagonals read r_j for j in js; coeff(j, i) is r_j at argument i.  A
-    triple's three diagonals are formed first, then its legs are cleared,
-    as in reduced_ybe_check."""
-    diagonals, ds, legs, hats, verdicts, zeros = {}, {}, {}, {}, {}, []
+    diagonals read r_j for j in labels, each label standing for its class
+    of equal tables; coeff(j, i) is r_j at argument i.  A triple's three
+    diagonals are formed first, then its legs are cleared, as in
+    reduced_ybe_check."""
+    classes = _classes(labels)
+    diagonals, ds, legs, products, verdicts, zeros = {}, {}, {}, {}, {}, []
     for triple in triples:
         for i in triple:
             if i not in diagonals:
-                diagonals[i] = tuple(coeff(j, i) for j in js)
+                diagonals[i] = tuple(coeff(j, i) for j in labels)
                 ds[i] = _discriminant([diagonals[i]])
         d = min((ds[i] for i in triple if ds[i] != 1), default=1)
         for i in triple:
@@ -224,9 +273,9 @@ def _level_verdicts(a: GaugedMatrix, js, triples, coeff) -> list:
         key = (*(vectors for vectors, _ in three), d)
         if key not in verdicts:
             third = three[2][0]
-            if third not in hats:
-                hats[third] = _hat(a, third)
-            verdicts[key] = _braid(a, d, *three, hats[third]).is_zero
+            if third not in products:
+                products[third] = _products(a, classes, third)
+            verdicts[key] = _braid(a, d, *three, products[third]).is_zero
         zeros.append(verdicts[key])
     return zeros
 
@@ -237,12 +286,14 @@ def full_check(fam: SpectralFamily, levels=None, samples=None) -> dict:
     taken at the cost of the distinct values the grid holds:
 
     - each pair's argument triple (lam, lam o mu, mu) is formed once;
-    - each r_j(x) is evaluated at most once, when a level first needs it,
-      in the order the pairs would evaluate it one by one, so the first
-      PoleError, DomainError or ValueError raised is theirs;
+    - labels with equal coefficient tables form one class, and each
+      class's table is evaluated at most once per argument, read through
+      its first label, when a level first needs it, in the order the
+      pairs would evaluate it one by one, so the first PoleError,
+      DomainError or ValueError raised is theirs;
     - on each level an argument's d is read once, a diagonal is cleared
-      once per discriminant, and a cleared third leg is hatted once,
-      however many pairs share it;
+      once per discriminant, and the class products of a cleared third leg
+      are taken once, however many pairs share it;
     - one verdict is taken per distinct (leg, leg, leg, d), the legs by
       their cleared vectors.  The kernel's integer matrices are a function
       of those four alone and its positive scale decides nothing, so a
@@ -253,12 +304,14 @@ def full_check(fam: SpectralFamily, levels=None, samples=None) -> dict:
     triples = [[index.setdefault(x, len(index)) for x in (lam, fam.compose(lam, mu), mu)]
                for lam, mu in samples]
     args = list(index)
-    values = [{} for _ in args]  # values[i][j] = r_j(args[i])
+    first = {}  # coefficient table -> its first label
+    label = {j: first.setdefault(table, j) for j, table in sorted(fam.coeffs.items())}
+    values = {}  # values[j, i] = r_j(args[i]) for a first label j
 
     def coeff(j, i):
-        if j not in values[i]:
-            values[i][j] = fam.eval_coeff(j, args[i])
-        return values[i][j]
+        if (j, i) not in values:
+            values[j, i] = fam.eval_coeff(j, args[i])
+        return values[j, i]
 
     out_levels = []
     ok = True
@@ -266,8 +319,8 @@ def full_check(fam: SpectralFamily, levels=None, samples=None) -> dict:
         zeros = []
         if triples:
             a = a_matrix(fam.s, n)
-            js = [fam.s.twice - k for k in a.range.indices()]
-            zeros = _level_verdicts(a, js, triples, coeff)
+            labels = [label.get(fam.s.twice - k, fam.s.twice - k) for k in a.range.indices()]
+            zeros = _level_verdicts(a, labels, triples, coeff)
         ok = ok and all(zeros)
         out_levels.append({"n": n, "samples": [
             {"lambda": str(lam), "mu": str(mu), "zero": zero}

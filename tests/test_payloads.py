@@ -20,6 +20,9 @@ GOLDEN = [
     ("verify --family exceptional-s3 --levels 0..9", 0, "c76c0f200a4c24c44fd78b9cfd94bb481e66509b5ebb66f53c330ff7a90895be"),
     ("verify --family yang --s 2 --grid dense", 0, "4feddfe91c921acb69a9d6c62e0fc198909d75af9e31999e78e34b3f294ddd61"),
     ("verify --family baxter-tl --s 2 --grid dense", 0, "714c4873afd8a1ce5146891964fcad90e2f6ef392390d66d896fde9c9c937a3a"),
+    ("verify --family zamolodchikov --s 2 --grid dense", 0, "9d3f0cb6644be5c90e4fa6c2a5e12a1b47833b8f6ce21c3ad92d75463c198c7f"),
+    ("verify --family krs-prefix --s 3 --grid dense", 0, "f487e4d64f2c5fd1de63e3cb9fe2be2c248554972eaac81bc580a8395051c7bf"),
+    ("verify --family exceptional-s3 --levels 0..9 --grid dense", 0, "013b3d6cf6e04012aee498a12551d222a19abbc3fe1c5b45dabd452157acdfda"),
     ("verify --family constant-baxter --s 2 --m 3", 1, "e5892fbee09149ec57e886738c4f9c29bd5448e26bb1c4b998cbac2859b76af5"),
     ("verify --family permutation --s 3/2", 0, "e5dd42af6784eefd5bc9d464f2ce58690659d8f208e33c42a6ce20b98378ab58"),
     ("verify --family identity --s 1", 0, "37fa11395c6e2ecdb315572a2867e928c88cd8c28d7ec1303e7f29c3a72fb342"),

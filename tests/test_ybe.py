@@ -6,12 +6,12 @@ from hypothesis import strategies as st
 
 from sl2ybe import acceptance, classify, cli, ybe
 from sl2ybe.amatrix import (GaugedMatrix, LevelRange, a_matrix, eta,
-                            eta_closed_form, top_level)
+                            eta_closed_form, sign_diagonal, top_level)
 from sl2ybe.exact import DomainError, HalfInt, QuadExt, rescale_surd
 from sl2ybe.linalg import diagonal, is_zero_matrix, mat_mul, mat_sub
 from sl2ybe.classify import (ansatz_residual_crosscheck, coeff_functions,
                              theta)
-from sl2ybe.spectral import (RationalFunction, SpectralFamily, baxter_tl,
+from sl2ybe.spectral import (PoleError, RationalFunction, SpectralFamily, baxter_tl,
                              constant_baxter, constant_root, custom_family,
                              exceptional_s3, identity_family, krs_prefix,
                              permutation_family, reduced_d, yang, zamolodchikov)
@@ -194,8 +194,13 @@ class TestIntegerKernel:
     cells = st.sampled_from([(ts, n) for ts in range(1, 5) for n in range(3 * ts // 2 + 1)])
 
     @settings(max_examples=60, deadline=None)
-    @given(data=st.data(), cell=cells, irrational=st.booleans())
-    def test_random_diagonals_match_dense_reference(self, data, cell, irrational):
+    @given(data=st.data(), cell=cells, irrational=st.booleans(),
+           shape=st.sampled_from(["free", "pooled", "solution"]))
+    def test_random_diagonals_match_dense_reference(self, data, cell, irrational, shape):
+        """Free diagonals; a middle diagonal drawn from a pool of 2-3
+        values, so the kernel's classes hold several positions; and scaled
+        yang diagonals D(x) = I + x D0, D0 the sign diagonal, whose triples
+        (D(x), D(x + y), D(y)) solve the level, so the residual is zero."""
         ts, n = cell
         a = a_matrix(HalfInt(ts), n)
         if irrational:
@@ -205,10 +210,21 @@ class TestIntegerKernel:
             entry = st.one_of(st.just(F(0)), self.small)
         d1, d2, d3 = (tuple(data.draw(st.lists(entry, min_size=a.dim, max_size=a.dim)))
                       for _ in range(3))
+        if shape == "pooled":
+            pool = data.draw(st.lists(entry, min_size=2, max_size=3))
+            d2 = tuple(data.draw(st.lists(st.sampled_from(pool), min_size=a.dim,
+                                          max_size=a.dim)))
+        elif shape == "solution":
+            x, y = data.draw(self.small), data.draw(self.small)
+            scales = [data.draw(entry) for _ in range(3)]
+            d1, d2, d3 = (tuple(c * (1 + t * sign) for sign in sign_diagonal(a.range))
+                          for c, t in zip(scales, (x, x + y, y)))
         res = braid_residual(a, d1, d2, d3)
         ref = dense_reference(a, d1, d2, d3)
         assert res.residual == ref
         assert res.is_zero == is_zero_matrix(ref)
+        if shape == "solution":
+            assert res.is_zero
 
 
 class TestReducedCheck:
@@ -229,6 +245,32 @@ class TestReducedCheck:
                 fwd = reduced_ybe_check(fam, 1, lam, mu).is_zero
                 bwd = reduced_ybe_check(fam, 1, mu, lam).is_zero
                 assert fwd == bwd
+
+
+def first_error(check):
+    """The type and message of what check() raises."""
+    with pytest.raises(Exception) as info:
+        check()
+    return type(info.value), str(info.value)
+
+
+def two_poles():
+    """s = 2 with three tables: r_4 = r_2 = 1, r_3 = r_1 = (1 - x)/(1 + x),
+    with its pole at -1, and r_0 = (2 - x)/(2 + x), with its pole at -2."""
+    one, odd = RationalFunction((F(1),), (F(1),)), RationalFunction((F(1), F(-1)), (F(1), F(1)))
+    return custom_family(HalfInt(4), {4: one, 3: odd, 2: one, 1: odd,
+                                      0: RationalFunction((F(2), F(-1)), (F(2), F(1)))})
+
+
+def no_r0():
+    """s = 1 with r_2 = 1 and r_1 = (1 - x)/(1 + x), r_0 undefined."""
+    return custom_family(HalfInt(2), {2: RationalFunction((F(1),), (F(1),)),
+                                      1: RationalFunction((F(1), F(-1)), (F(1), F(1)))})
+
+
+# the pairs' arguments (lam, lam + mu, mu): (1/2, 5/6, 1/3), (-3, -2, 1),
+# (1/2, -1, -3/2)
+POLE_GRID = [(F(1, 2), F(1, 3)), (F(-3), F(1)), (F(1, 2), F(-3, 2))]
 
 
 class TestFullCheck:
@@ -269,6 +311,33 @@ class TestFullCheck:
     def test_negative_control_fails_level_one(self):
         report = full_check(perturbed_yang(), levels=[1], samples=[(F(1), F(1))])
         assert not report["pass"]
+
+    @pytest.mark.parametrize("fam, levels, samples, error", [
+        # r_3 = r_1 meets its pole at -1 on level 1, in the third pair
+        (two_poles(), None, POLE_GRID, "denominator ['1', '1'] vanishes at -1"),
+        # level 4 reads r_0 first, at -2 in the second pair
+        (two_poles(), [4, 1], POLE_GRID, "denominator ['2', '1'] vanishes at -2"),
+        # level 5 reads r_3, r_2, r_1: the shared table, at -1
+        (two_poles(), [5], POLE_GRID, "denominator ['1', '1'] vanishes at -1"),
+        (krs_prefix(3), [0, 3, 4], None, "does not define r_3"),
+        # r_1 at its pole comes before the undefined r_0 in a level-2 diagonal
+        (no_r0(), [1, 2], [(F(1, 2), F(-3, 2))], "denominator ['1', '1'] vanishes at -1"),
+        (no_r0(), [1, 2], [(F(1, 2), F(1, 3))], "does not define r_0"),
+    ], ids=["pole-level-1", "pole-level-4", "pole-shared-table", "undefined-label",
+            "pole-before-undefined", "undefined-after-values"])
+    def test_first_error_is_the_pair_loops(self, fam, levels, samples, error):
+        """full_check evaluates each table once per argument, yet raises
+        what checking the pairs one by one raises first."""
+        def pair_by_pair():
+            for n in (levels if levels is not None else defined_levels(fam)):
+                for lam, mu in (samples if samples is not None else DEFAULT_GRID):
+                    reduced_ybe_check(fam, n, lam, mu)
+
+        got, want = (first_error(check) for check in (
+            lambda: full_check(fam, levels, samples), pair_by_pair))
+        assert got == want
+        assert got[0] is (PoleError if "vanishes" in error else DomainError)
+        assert error in got[1]
 
 
 def kernel_calls(monkeypatch):
@@ -417,8 +486,11 @@ class TestSharedLegs:
 
         monkeypatch.setattr(SpectralFamily, "eval_coeff", count)
         assert full_check(fam, samples=grid)["pass"]
-        # r_0 .. r_4 at each of the 73 distinct arguments, over all 7 levels
-        assert len(calls) == len(set(calls)) == 5 * len(arguments) == 365
+        # yang's five labels hold two tables, (1 + x)/(1 + x) for even
+        # 2s - j and (1 - x)/(1 + x) for odd: each is evaluated once at each
+        # of the 73 distinct arguments, over all 7 levels
+        assert len(set(fam.coeffs.values())) == 2
+        assert len(calls) == len(set(calls)) == 2 * len(arguments) == 146
 
     def test_each_cleared_diagonal_is_hatted_once_per_level(self, monkeypatch):
         fam = yang(2)

@@ -2,9 +2,8 @@
 Q(sqrt(d)), whose a = 0 elements c*sqrt(r) carry the square roots of
 rationals (6-j symbols and raw recoupling entries).
 
-All values are immutable; rationals are `fractions.Fraction` throughout.
-No floating point enters this module except through explicit `float()`
-conversions requested by the caller.
+All values are immutable; rationals are `fractions.Fraction` throughout,
+and no floating point enters.
 """
 from __future__ import annotations
 
@@ -137,14 +136,6 @@ def _surd_eq(b1: Fraction, d1: int, b2: Fraction, d2: int) -> bool:
     return _sign(b1) == _sign(b2) and b1 * b1 * d1 == b2 * b2 * d2
 
 
-def _sqrt_float(x: Fraction) -> float:
-    """sqrt(x) for a rational x >= 0, rounded from an integer square root
-    of at least 64 bits, so it overflows only when the result does."""
-    p, q = x.numerator, x.denominator
-    k = max(0, (q.bit_length() - p.bit_length() + 129) // 2)
-    return math.isqrt((p << 2 * k) // q) / (1 << k)
-
-
 @dataclass(frozen=True, order=True)
 class HalfInt:
     """A spin or level label x stored as twice = 2x, so all index
@@ -265,9 +256,6 @@ class QuadExt:
             raise DomainError(f"{self} is irrational")
         return self.a
 
-    def conjugate(self) -> "QuadExt":
-        return QuadExt(self.a, -self.b, self.d)
-
     def _coerce(self, other) -> "QuadExt":
         if isinstance(other, QuadExt):
             if other.b != 0 and self.b != 0 and other.d != self.d:
@@ -335,10 +323,6 @@ class QuadExt:
         if self.b == 0:
             return hash(self.a)
         return hash((self.a, _sign(self.b), self.b * self.b * self.d))
-
-    def __float__(self) -> float:
-        return float(self.a) + math.copysign(_sqrt_float(self.b * self.b * self.d),
-                                             self.b)
 
     def __repr__(self) -> str:
         return f"QuadExt({self.a!r}, {self.b!r}, {self.d!r})"

@@ -16,14 +16,12 @@ Matrix = tuple
 
 __all__ = [
     "clear_denominators",
-    "diag_mul_left",
     "diag_mul_right",
     "diagonal",
     "is_zero_matrix",
     "mat_add",
     "mat_mul",
     "mat_scale",
-    "mat_sub",
     "span_coordinates",
     "span_rank",
 ]
@@ -52,11 +50,6 @@ def mat_mul(x: Matrix, y: Matrix) -> Matrix:
     return tuple(out)
 
 
-def diag_mul_left(entries, x: Matrix) -> Matrix:
-    """diag(entries) @ x by row scaling."""
-    return tuple(tuple(e * a for a in row) for e, row in zip(entries, x))
-
-
 def diag_mul_right(x: Matrix, entries) -> Matrix:
     """x @ diag(entries) by column scaling."""
     return tuple(tuple(a * e for a, e in zip(row, entries)) for row in x)
@@ -64,10 +57,6 @@ def diag_mul_right(x: Matrix, entries) -> Matrix:
 
 def mat_add(x: Matrix, y: Matrix) -> Matrix:
     return tuple(tuple(a + b for a, b in zip(rx, ry)) for rx, ry in zip(x, y))
-
-
-def mat_sub(x: Matrix, y: Matrix) -> Matrix:
-    return tuple(tuple(a - b for a, b in zip(rx, ry)) for rx, ry in zip(x, y))
 
 
 def mat_scale(c, x: Matrix) -> Matrix:

@@ -11,7 +11,6 @@ everything stays exact.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
@@ -147,9 +146,6 @@ class SpectralFamily:
     def zero_sample(self):
         return Fraction(1) if self.multiplicative else Fraction(0)
 
-    def __str__(self):
-        return f"{self.tag}(s={self.s})"
-
 
 def reduced_d(fam: SpectralFamily, n: int, lam) -> tuple:
     """Entries r_{2s-k}(lam) of the level-n diagonal D(lam), k over the
@@ -233,23 +229,19 @@ def zamolodchikov(s, m: int | None = None) -> SpectralFamily:
     return SpectralFamily("zamolodchikov", s, coeffs, m=m)
 
 
-def baxter_tl(s, m: int | None = None) -> SpectralFamily:
+def baxter_tl(s) -> SpectralFamily:
     """Temperley-Lieb style family over Q(sqrt(d)), multiplicative samples:
 
         r_0(t) = 1 + (t - 1)/(A - B t),  r_j = 1 for j >= 1,
 
     where A = eta*b, B = eta/b are the roots of x^2 - x + eta^2 and
-    b + 1/b = 1/eta with eta = 1/(2s+1).  Only the m = 2s member has a
-    closed form for every coefficient.  r_0 is stored as
-    ((A - 1) + (1 - B) t)/(A - B t); the r_j for j >= 1 stay rational.
+    b + 1/b = 1/eta with eta = 1/(2s+1).  The family is the m = 2s member,
+    the only one with a closed form for every coefficient, and records
+    m = 2s.  r_0 is stored as ((A - 1) + (1 - B) t)/(A - B t); the r_j for
+    j >= 1 stay rational.
     """
     s = _require_spin(s, 2, "the Temperley-Lieb family needs s >= 1")
     ts = s.twice
-    if m is None:
-        m = ts
-    if m != ts:
-        raise DomainError("only m = 2s has closed-form lower coefficients; "
-                          "supply others as a custom family")
     eta = eta_closed_form(s, ts)
     b = baxter_b(eta)
     big_a, big_b = eta * b, eta * b.inverse()
@@ -342,7 +334,7 @@ def custom_family(s, tables: Mapping[int, RationalFunction],
 # catalog tag: a custom family comes from its coefficient tables.
 _CATALOG = {
     "yang": (yang, ("s",)),
-    "baxter-tl": (baxter_tl, ("s", "m")),
+    "baxter-tl": (baxter_tl, ("s",)),
     "zamolodchikov": (zamolodchikov, ("s", "m")),
     "krs-prefix": (krs_prefix, ("s",)),
     "exceptional-s3": (exceptional_s3, ()),
@@ -376,19 +368,18 @@ def _coefficient_list(entry, key: str, j: int) -> tuple:
     return tuple(parse_rational(str(c)) for c in values)
 
 
-def family_from_json(doc: dict | str) -> SpectralFamily:
-    """Family description.  A catalog document has the keys "tag", "s"
-    ("p/2" or an integer) and "m" (an integer or absent), and goes
-    through make_family, so it may name only the options its tag takes.
-    A "custom" document has "tag", "s", "coeffs", [{"num": [...], "den":
-    [...]} | null, ...] indexed by j = 0..2s, and "multiplicative" (true
-    or false, default false).  Coefficient lists are ascending powers,
-    entries "p/q" strings or integer numbers.  A key the tag does not use
-    ("coeffs" or "multiplicative" on a catalog document, "m" on a custom
-    one), a label beyond 2s, or a document of any other shape, a
-    non-integer JSON number among them, raises DomainError."""
-    if isinstance(doc, str):
-        doc = json.loads(doc)
+def family_from_json(doc: dict) -> SpectralFamily:
+    """Family from a family document, already parsed from JSON.  A catalog
+    document has the keys "tag", "s" ("p/2" or an integer) and "m" (an
+    integer or absent), and goes through make_family, so it may name only
+    the options its tag takes.  A "custom" document has "tag", "s",
+    "coeffs", [{"num": [...], "den": [...]} | null, ...] indexed by
+    j = 0..2s, and "multiplicative" (true or false, default false).
+    Coefficient lists are ascending powers, entries "p/q" strings or
+    integer numbers.  A key the tag does not use ("coeffs" or
+    "multiplicative" on a catalog document, "m" on a custom one), a label
+    beyond 2s, or a document of any other shape, a non-integer JSON number
+    among them, raises DomainError."""
     if not isinstance(doc, dict) or not isinstance(doc.get("tag"), str):
         raise DomainError("a family document is a JSON object with a string \"tag\"")
     tag = doc["tag"]

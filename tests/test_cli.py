@@ -213,7 +213,8 @@ class TestVerifyCommand:
         (("verify", "--family", "exceptional-s3", "--s", "1"), "exceptional-s3", "s"),
         (("verify", "--family", "yang", "--s", "2", "--m", "3"), "yang", "m"),
         (("family", "show", "--tag", "identity", "--s", "1", "--m", "5"), "identity", "m"),
-    ], ids=["exceptional-s", "yang-m", "identity-m"])
+        (("verify", "--family", "baxter-tl", "--s", "2", "--m", "4"), "baxter-tl", "m"),
+    ], ids=["exceptional-s", "yang-m", "identity-m", "baxter-tl-m"])
     def test_option_the_tag_does_not_take_is_usage_error(self, capsys, argv, tag, option):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and out == ""

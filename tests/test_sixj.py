@@ -9,8 +9,8 @@ from sl2ybe.acceptance import criterion_2
 from sl2ybe.amatrix import (GaugedMatrix, LevelRange, _racah_sum, _triangle_sq,
                             a_matrix, top_level)
 from sl2ybe.exact import DomainError, HalfInt, minus_one_pow, sqrt_canonicalize
-from sl2ybe.linalg import (clear_denominators, diag_mul_left, diag_mul_right,
-                           is_zero_matrix, mat_mul, mat_scale, mat_sub)
+from sl2ybe.linalg import (clear_denominators, diag_mul_right, diagonal,
+                           is_zero_matrix, mat_add, mat_mul, mat_scale)
 from sl2ybe.sixj import SixJArgs, racah_identity_residual, sixj, triangle_ok
 
 H = HalfInt
@@ -55,8 +55,8 @@ def product_form_residual(a):
     d_weights, (weights,) = clear_denominators(
         [[w * e for w, e in zip(a.weights, signs)]])
     lhs = mat_mul(diag_mul_right(core, weights), core)
-    rhs = diag_mul_left(signs, diag_mul_right(core, signs))
-    return (mat_sub(lhs, mat_scale(d_core * d_weights, rhs)),
+    rhs = mat_mul(diagonal(signs), diag_mul_right(core, signs))
+    return (mat_add(lhs, mat_scale(-d_core * d_weights, rhs)),
             d_core * d_core * d_weights)
 
 
@@ -113,31 +113,41 @@ class TestSixJValues:
             assert val == Fraction(sign, 2 * ts + 1)
 
     def test_float_of_a_huge_radicand(self):
-        # the radicand has 860 digits, far beyond the float range; the
-        # symbol is not
+        # the radicand has 860 digits
         val = sixj(S(150, 151, 150, 149, 150, 151))
         assert val.d.bit_length() > 2000
-        assert float(val) == pytest.approx(2.548668048365154e-04, rel=1e-12)
+        assert signed_square(val) == sympy_signed_square((300, 302, 300, 298, 300, 302))
 
 
-def _sympy_sixj(targs):
+def signed_square(x):
+    """(sign, square) of a surd x, both exact."""
+    c = surd_coeff(x)
+    return (c > 0) - (c < 0), c * c * x.d
+
+
+def sympy_signed_square(targs):
+    """(sign, square) of sympy's exact wigner_6j at the doubled labels; a
+    symbol sympy refuses is 0."""
     sympy_wigner = pytest.importorskip("sympy.physics.wigner")
-    from sympy import Rational
+    from sympy import Rational, sign
     try:
         value = sympy_wigner.wigner_6j(*[Rational(t, 2) for t in targs])
     except ValueError:
-        return 0.0
-    return float(value)
+        return 0, 0
+    square = value ** 2
+    if not square.is_Rational:
+        raise ValueError(f"sympy's {value} has no rational square")
+    return int(sign(value)), Fraction(int(square.p), int(square.q))
 
 
 class TestAgainstIndependentOracle:
     def test_random_arguments_match_sympy(self):
+        # sign and square agree exactly, so the values do, zeros included
         rng = random.Random(20240817)
         for _ in range(250):
             targs = [rng.randint(0, 6) for _ in range(6)]
-            mine = float(sixj(SixJArgs(*map(H, targs))))
-            theirs = _sympy_sixj(targs)
-            assert mine == pytest.approx(theirs, abs=1e-13)
+            mine = signed_square(sixj(SixJArgs(*map(H, targs))))
+            assert mine == sympy_signed_square(targs), targs
 
 
 def _random_admissible(rng):

@@ -4,14 +4,14 @@ module.
 Invariants must be explicit raises, because `python -O` strips `assert`
 statements.  A name imported with `from .x import` that its module never
 uses is dead weight and hides which module really depends on which, and
-so is a module-level private function or class that no module refers to.
-The benchmark in `perfbench/` times and counts package functions by name,
-so each name it lists must stay a public function of its module.  Exact
+so is a function, class or method that no module refers to.  The
+benchmark in `perfbench/` times and counts package functions by name, so
+each name it lists must stay a public function of its module.  Exact
 verdicts never rest on factoring, so `squarefree_split` is for printing
 only.  The gauge has one hat, so `GaugedMatrix.hat` is the only caller of
-`linalg.diag_mul_right`.  Every verdict is exact, so no module imports numpy,
-and the dense oracle, the independent check of the reduction, imports
-nothing from the 6-j route.
+`linalg.diag_mul_right`.  Every verdict is exact, so no module imports
+numpy or touches floating point, and the dense oracle, the independent
+check of the reduction, imports nothing from the 6-j route.
 """
 import ast
 import importlib
@@ -64,16 +64,40 @@ def _referenced_names():
     return names
 
 
-def test_no_unreferenced_private_definitions():
-    """A module-level `_name` function or class that nothing under the
-    package refers to is dead code (tests do not count as users)."""
+def _definitions(tree):
+    """(qualified name, name) of every module-level function and class and
+    of every method that is not a dunder."""
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    for node in tree.body:
+        if isinstance(node, defs):
+            yield node.name, node.name
+        if isinstance(node, ast.ClassDef):
+            yield from ((f"{node.name}.{item.name}", item.name) for item in node.body
+                        if isinstance(item, defs) and not item.name.startswith("__"))
+
+
+def test_no_unreferenced_definitions():
+    """A function, class or method, public or private, that nothing under
+    the package refers to is dead code: tests do not count as users, and
+    neither does an `__all__` entry.  The match is by name alone."""
     used = _referenced_names()
-    dead = [f"{path.name}:{node.name}"
-            for path in SOURCES for node in _tree(path).body
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-            and node.name.startswith("_") and not node.name.startswith("__")
-            and node.name not in used]
-    assert dead == [], f"unreferenced private definitions: {dead}"
+    dead = [f"{path.name}:{qualname}" for path in SOURCES
+            for qualname, name in _definitions(_tree(path)) if name not in used]
+    assert dead == [], f"unreferenced definitions: {dead}"
+
+
+def _is_floating_point(node):
+    return ((isinstance(node, ast.Name) and node.id == "float")
+            or (isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)))
+            or (isinstance(node, ast.FunctionDef) and node.name == "__float__"))
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_floating_point(path):
+    """Every verdict is exact, so no module names `float`, holds a float
+    literal or defines `__float__`."""
+    found = sorted({node.lineno for node in ast.walk(_tree(path)) if _is_floating_point(node)})
+    assert found == [], f"{path.name}: floating point at lines {found}"
 
 
 

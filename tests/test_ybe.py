@@ -8,7 +8,7 @@ from sl2ybe import acceptance, classify, cli, ybe
 from sl2ybe.amatrix import (GaugedMatrix, LevelRange, a_matrix, eta,
                             eta_closed_form, sign_diagonal, top_level)
 from sl2ybe.exact import DomainError, HalfInt, QuadExt, rescale_surd
-from sl2ybe.linalg import diagonal, is_zero_matrix, mat_mul, mat_sub
+from sl2ybe.linalg import diagonal, is_zero_matrix, mat_add, mat_mul, mat_scale
 from sl2ybe.classify import (ansatz_residual_crosscheck, coeff_functions,
                              theta)
 from sl2ybe.spectral import (PoleError, RationalFunction, SpectralFamily, baxter_tl,
@@ -19,6 +19,11 @@ from sl2ybe.ybe import (DEFAULT_GRID, braid_residual, constant_check, full_check
                         reduced_ybe_check)
 
 F = Fraction
+
+
+def param_id(value):
+    """A parameter's test id: tag and spin for a family, str() otherwise."""
+    return f"{value.tag}(s={value.s})" if isinstance(value, SpectralFamily) else str(value)
 
 
 def perturbed_yang(two_s=1):
@@ -44,8 +49,8 @@ def dense_reference(a, d1, d2, d3):
     def hat(e):
         return mat_mul(mat_mul(x, diagonal(e)), x)
 
-    return mat_sub(mat_mul(mat_mul(diagonal(d1), hat(d2)), diagonal(d3)),
-                   mat_mul(mat_mul(hat(d3), diagonal(d2)), hat(d1)))
+    return mat_add(mat_mul(mat_mul(diagonal(d1), hat(d2)), diagonal(d3)),
+                   mat_scale(-1, mat_mul(mat_mul(hat(d3), diagonal(d2)), hat(d1))))
 
 
 def defined_levels(fam):
@@ -112,7 +117,7 @@ class TestIntegerKernel:
         assert all(verdicts) == solution
 
     @pytest.mark.parametrize("fam", [yang(2), baxter_tl(2), constant_baxter(2, 3)],
-                             ids=str)
+                             ids=param_id)
     def test_verdict_is_taken_on_integers(self, fam):
         lam, mu = (F(2), F(3)) if fam.multiplicative else (F(1, 2), F(1, 3))
         for n in defined_levels(fam):
@@ -150,7 +155,7 @@ class TestIntegerKernel:
                                            "A^(s=2, n=3) is not a symmetric involution\n")
 
     @pytest.mark.parametrize("fam, n", [(baxter_tl(2), 4), (yang(2), 3),
-                                        (perturbed_yang(2), 2)], ids=str)
+                                        (perturbed_yang(2), 2)], ids=param_id)
     def test_sign_flipped_involution_matches_dense_reference(self, fam, n):
         # S A S with S = diag((-1)^k) is another symmetric involution, with
         # another N and the residual S R S; the perturbed family's is nonzero
@@ -429,7 +434,7 @@ class TestSharedLegs:
     @pytest.mark.parametrize("fam, levels", [
         (yang(2), None), (baxter_tl(2), None), (zamolodchikov("3/2", 2), None),
         (exceptional_s3(), range(10)), (perturbed_yang(), None),
-        (mixed_root_family(20), None)], ids=str)
+        (mixed_root_family(20), None)], ids=param_id)
     def test_level_dict_agrees_with_fresh_checks(self, monkeypatch, fam, levels):
         """The dicts each level of full_check keeps (legs, hats, verdicts)
         give every row the verdict, and every pair the integer residual, of

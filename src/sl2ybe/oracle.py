@@ -257,10 +257,11 @@ def dense_ybe_residual(fam: SpectralFamily, lam, mu) -> Fraction:
     return (r12[0] @ (r23[1] @ r12[2]) - r23[2] @ (r12[1] @ r23[0])).max_abs()
 
 
-def reduction_consistency(fam: SpectralFamily, samples) -> dict:
-    """Dense verdict (braid residual exactly zero) must agree with the exact
-    reduced verdict (every level exactly zero) on each sample; a mismatch
-    is a hard failure."""
+def reduction_consistency(fam: SpectralFamily, samples) -> list:
+    """One case per sample pair: the dense verdict (braid residual exactly
+    zero) must agree with the exact reduced verdict (every level exactly
+    zero); a mismatch raises AssertionError, so every returned case is
+    consistent."""
     cases = []
     for lam, mu in samples:
         dense = dense_ybe_residual(fam, lam, mu)
@@ -275,4 +276,4 @@ def reduction_consistency(fam: SpectralFamily, samples) -> dict:
             raise AssertionError(
                 f"dense/exact verdict mismatch for {fam.tag} at ({lam}, {mu}): "
                 f"dense {dense} vs exact_zero={exact_zero}")
-    return {"family": fam.tag, "s": str(fam.s), "cases": cases, "pass": True}
+    return cases

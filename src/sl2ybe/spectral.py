@@ -369,31 +369,26 @@ def _coefficient_list(entry, key: str, j: int) -> tuple:
 
 
 def family_from_json(doc: dict) -> SpectralFamily:
-    """Family from a family document, already parsed from JSON.  A catalog
-    document has the keys "tag", "s" ("p/2" or an integer) and "m" (an
-    integer or absent), and goes through make_family, so it may name only
-    the options its tag takes.  A "custom" document has "tag", "s",
-    "coeffs", [{"num": [...], "den": [...]} | null, ...] indexed by
-    j = 0..2s, and "multiplicative" (true or false, default false).
-    Coefficient lists are ascending powers, entries "p/q" strings or
-    integer numbers.  A key the tag does not use ("coeffs" or
-    "multiplicative" on a catalog document, "m" on a custom one), a label
-    beyond 2s, or a document of any other shape, a non-integer JSON number
-    among them, raises DomainError."""
+    """The custom family of a family document, already parsed from JSON:
+    "tag" is "custom", "s" is "p/2" or an integer, "coeffs" is
+    [{"num": [...], "den": [...]} | null, ...] indexed by j = 0..2s, and
+    "multiplicative" is true or false (default false).  Coefficient lists
+    are ascending powers, entries "p/q" strings or integer numbers.  A
+    catalog family is named by tag, spin and m on the command line, never
+    by a document, so any other tag raises DomainError, and so do an "m"
+    key, a label beyond 2s and a document of any other shape, a
+    non-integer JSON number among them."""
     if not isinstance(doc, dict) or not isinstance(doc.get("tag"), str):
         raise DomainError("a family document is a JSON object with a string \"tag\"")
-    tag = doc["tag"]
-    for name in ("m",) if tag == "custom" else ("coeffs", "multiplicative"):
-        if doc.get(name) is not None:
-            raise DomainError(f"family {tag!r} takes no {name}")
-    s = HalfInt.parse(str(doc["s"])) if "s" in doc else None
-    m = doc.get("m")
-    if m is not None and not isinstance(m, int):
-        raise DomainError(f"\"m\" must be an integer, not {m!r}")
-    if tag != "custom":
-        return make_family(tag, s, m)
-    if s is None:
+    if doc["tag"] != "custom":
+        raise DomainError(f"a family file holds a custom family, not {doc['tag']!r}; "
+                          "name a catalog family with --family (--tag in family show), "
+                          "--s and --m")
+    if doc.get("m") is not None:
+        raise DomainError("family 'custom' takes no m")
+    if "s" not in doc:
         raise DomainError("a custom family needs \"s\"")
+    s = HalfInt.parse(str(doc["s"]))
     coeffs = doc.get("coeffs", [])
     if not isinstance(coeffs, list):
         raise DomainError("\"coeffs\" must be a list")

@@ -1,4 +1,6 @@
 import json
+import os
+import shlex
 import subprocess
 import sys
 from fractions import Fraction
@@ -14,7 +16,8 @@ from sl2ybe.spectral import RationalFunction, custom_family
 pytestmark = pytest.mark.usefixtures("capsys")
 
 
-PERTURBED = Path(__file__).resolve().parent.parent / "perfbench" / "perturbed_spin_half.json"
+ROOT = Path(__file__).resolve().parent.parent
+PERTURBED = ROOT / "perfbench" / "perturbed_spin_half.json"
 
 # the s = 1/2 yang table r_0 = (1 - l)/(1 + l), r_1 = 1, as family-file entries
 YANG_HALF = [{"num": ["1", "-1"], "den": ["1", "1"]}, {"num": ["1", "1"], "den": ["1", "1"]}]
@@ -133,7 +136,7 @@ class TestVerifyCommand:
                                                  {"num": ["1"], "den": ["1"]}]},
         {"tag": "custom", "s": "1/2", "coeffs": [{"num": ["1", "-1"], "den": ["1", 2.5e-5]},
                                                  {"num": ["1"], "den": ["1"]}]},
-        {"tag": "yang", "s": 1.5},
+        {"tag": "custom", "s": 1.5, "coeffs": YANG_HALF},
     ], ids=["empty", "custom-without-s", "missing-den", "empty-num", "list",
             "decimal-coefficient", "float-integer-coefficient", "exponent-coefficient",
             "decimal-spin"])
@@ -226,24 +229,31 @@ class TestVerifyCommand:
         assert code == 2 and out == ""
         assert err == "error: family 'constant-baxter' needs m\n"
 
-    def test_catalog_document_with_an_option_it_does_not_take(self, capsys, tmp_path):
+    @pytest.mark.parametrize("doc, verdict", [
+        ({"tag": "yang", "s": "2"}, 0), ({"tag": "baxter-tl", "s": "1"}, 0),
+        ({"tag": "zamolodchikov", "s": "5/2", "m": 3}, 0), ({"tag": "krs-prefix", "s": "2"}, 0),
+        ({"tag": "exceptional-s3"}, 0), ({"tag": "constant-baxter", "s": "2", "m": 3}, 1),
+        ({"tag": "identity", "s": "1"}, 0),
+    ], ids=["yang(s=2)", "baxter-tl(s=1)", "zamolodchikov(s=5/2)", "krs-prefix(s=2)",
+            "exceptional-s3(s=3)", "constant-baxter(s=2)", "identity(s=1)"])
+    def test_catalog_document_is_refused(self, capsys, tmp_path, doc, verdict):
+        # a family file holds a custom family only; the catalog family it
+        # names is reached through --family, --s and --m
         path = tmp_path / "family.json"
-        path.write_text(json.dumps({"tag": "exceptional-s3", "s": "1"}))
+        path.write_text(json.dumps(doc))
         code, out, err = run_cli(capsys, "verify", "--family-file", str(path))
         assert code == 2 and out == ""
-        assert err == "error: family 'exceptional-s3' takes no s\n"
+        assert err.startswith("error: a family file holds a custom family") and "--family" in err
+        options = [x for key in ("s", "m") if key in doc for x in (f"--{key}", str(doc[key]))]
+        code, out, _ = run_cli(capsys, "verify", "--family", doc["tag"], *options, "--json")
+        assert (code, json.loads(out)["family"]) == (verdict, doc["tag"])
 
     @pytest.mark.parametrize("doc, message", [
-        ({"tag": "yang", "s": "1", "multiplicative": True},
-         "family 'yang' takes no multiplicative"),
-        ({"tag": "yang", "s": "1",
-          "coeffs": [{"num": ["1", "1"], "den": ["1", "1"]} for _ in range(3)]},
-         "family 'yang' takes no coeffs"),
         ({"tag": "custom", "s": "1/2", "m": 3, "coeffs": YANG_HALF},
          "family 'custom' takes no m"),
-    ], ids=["catalog-multiplicative", "catalog-coeffs", "custom-m"])
+    ], ids=["custom-m"])
     def test_key_the_tag_does_not_use_is_usage_error(self, capsys, tmp_path, doc, message):
-        # read by its tag and tables alone, each document is a yang table that passes
+        # read by its tag and table alone, the document is a yang table that passes
         path = tmp_path / "family.json"
         path.write_text(json.dumps(doc))
         code, out, err = run_cli(capsys, "verify", "--family-file", str(path))
@@ -302,12 +312,6 @@ class TestVerifyCommand:
         code, out, _ = run_cli(capsys, "verify", "--family", "permutation", "--s", "1",
                                "--grid", grid)
         assert code == 0 and out.splitlines()[0].endswith(f"on {note}")
-
-    def test_out_file(self, capsys, tmp_path):
-        target = tmp_path / "report.json"
-        code, out, _ = run_cli(capsys, "verify", "--family", "yang", "--s", "1/2",
-                               "--json", "--out", str(target))
-        assert json.loads(target.read_text())["pass"] is True
 
 
 class TestExactInput:
@@ -441,15 +445,46 @@ class TestSuiteCommand:
         assert code == 1 and doc["pass"] is False
 
 
+def run_module(*argv):
+    """`python -m sl2ybe.cli` in a fresh interpreter, the package taken from
+    this checkout whether or not it is installed."""
+    path = [str(ROOT / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    return subprocess.run([sys.executable, "-m", "sl2ybe.cli", *argv], env=env,
+                          capture_output=True, text=True)
+
+
 class TestEntryPoint:
     def test_module_invocation(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "sl2ybe.cli", "sixj", "1", "1", "1", "1", "1", "1"],
-            capture_output=True, text=True)
+        proc = run_module("sixj", "1", "1", "1", "1", "1", "1")
         assert proc.returncode == 0 and proc.stdout.strip() == "1/6"
 
     def test_unknown_flag_usage_error(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "sl2ybe.cli", "verify", "--nonsense"],
-            capture_output=True, text=True)
+        proc = run_module("verify", "--nonsense")
         assert proc.returncode == 2
+
+    @pytest.mark.parametrize("argv", [
+        ("verify", "--family", "yang", "--s", "1", "--json"),
+        ("suite", "--json"),
+    ], ids=["verify-out", "suite-out"])
+    def test_out_is_usage_error(self, capsys, tmp_path, argv):
+        # `--json > file` writes the payload; there is no second way
+        target = tmp_path / "report.json"
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--out", str(target)])
+        assert exc.value.code == 2 and not target.exists()
+        captured = capsys.readouterr()
+        assert captured.out == "" and "unrecognized arguments: --out" in captured.err
+
+
+def test_readme_command_lines_parse():
+    """Every `sl2ybe ...` line of the README's "Command line" block parses,
+    so a removed or renamed option cannot stay documented."""
+    text = (ROOT / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    lines = [shlex.split(line, comments=True)[1:] for line in block.splitlines()
+             if line.startswith("sl2ybe ")]
+    assert len(lines) >= 10
+    parser = cli.build_parser()
+    for argv in lines:
+        assert parser.parse_args(argv).fn, argv

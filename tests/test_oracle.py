@@ -142,11 +142,11 @@ class TestDenseYbe:
         # baxter-tl lives in Q(sqrt(5)); with r_1 = 1 - sqrt(5) + sqrt(5) t
         # it stays regular and breaks, on the dense and the reduced side
         fam = baxter_tl(1)
-        assert reduction_consistency(fam, [(F(2), F(3))])["cases"][0]["dense_zero"]
+        assert reduction_consistency(fam, [(F(2), F(3))])[0]["dense_zero"]
         tables = dict(fam.coeffs)
         tables[1] = RationalFunction((QuadExt(1, -1, 5), QuadExt(0, 1, 5)), (F(1),))
         bad = custom_family(1, tables, multiplicative=True)
-        case = reduction_consistency(bad, [(F(2), F(3))])["cases"][0]
+        case, = reduction_consistency(bad, [(F(2), F(3))])
         assert not case["dense_zero"] and not case["exact_zero"]
 
     def test_r_matrix_assembly(self):
@@ -160,17 +160,16 @@ class TestDenseYbe:
 class TestReductionConsistency:
     def test_positive_cases(self):
         samples = [(F(1, 2), F(1, 3)), (F(1), F(2)), (F(1, 3), F(1, 5)), (F(2), F(1, 4))]
-        assert reduction_consistency(yang(1), samples)["pass"]
-        assert reduction_consistency(zamolodchikov(1, 2), samples[:2])["pass"]
+        # a verdict mismatch raises
+        reduction_consistency(yang(1), samples)
+        reduction_consistency(zamolodchikov(1, 2), samples[:2])
 
     def test_negative_control_consistent(self):
-        report = reduction_consistency(perturbed_yang(1), [(F(1), F(1))])
-        case = report["cases"][0]
+        case, = reduction_consistency(perturbed_yang(1), [(F(1), F(1))])
         assert not case["dense_zero"] and not case["exact_zero"]
 
     def test_constant_family_consistent(self):
-        report = reduction_consistency(permutation_family(1), [(F(0), F(0))])
-        assert report["pass"]
+        reduction_consistency(permutation_family(1), [(F(0), F(0))])
 
 
 def weight_space_dimension(s, n: int) -> int:

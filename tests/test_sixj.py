@@ -1,10 +1,10 @@
-import importlib
 import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
+from sl2ybe import amatrix as amatrix_module, sixj as sixj_module
 from sl2ybe.acceptance import criterion_2
 from sl2ybe.amatrix import (GaugedMatrix, LevelRange, _racah_sum, _triangle_sq,
                             a_matrix, top_level)
@@ -14,9 +14,6 @@ from sl2ybe.linalg import (clear_denominators, diag_mul_right, diagonal,
 from sl2ybe.sixj import SixJArgs, racah_identity_residual, sixj, triangle_ok
 
 H = HalfInt
-# the module, which the package's `sixj` function shadows as an attribute
-sixj_module = importlib.import_module("sl2ybe.sixj")
-amatrix_module = importlib.import_module("sl2ybe.amatrix")
 
 
 def S(*args):

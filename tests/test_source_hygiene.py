@@ -11,7 +11,8 @@ verdicts never rest on factoring, so `squarefree_split` is for printing
 only.  The gauge has one hat, so `GaugedMatrix.hat` is the only caller of
 `linalg.diag_mul_right`.  Every verdict is exact, so no module imports
 numpy or touches floating point, and the dense oracle, the independent
-check of the reduction, imports nothing from the 6-j route.
+check of the reduction, imports nothing from the 6-j route.  The package
+root re-exports nothing, so no function shadows the submodule it lives in.
 """
 import ast
 import importlib
@@ -125,20 +126,23 @@ def _declared_all(tree):
 
 
 def test_all_names_defined():
-    """Every `__all__` entry is bound in its module, and the package
-    re-exports only names its source module lists in `__all__`: a stale
-    `__all__` string fails no import, so a deleted name could linger there."""
+    """Every `__all__` entry is bound in its module: a stale `__all__`
+    string fails no import, so a deleted name could linger there."""
     trees = {path.stem: _tree(path) for path in SOURCES}
     missing = [f"{name}.{entry}" for name, tree in trees.items()
                for entry in _declared_all(tree)
                if entry not in _module_level_names(tree)]
     assert missing == [], f"__all__ entries never defined: {missing}"
-    unlisted = [f"{node.module}.{alias.name}"
-                for node in trees["__init__"].body
-                if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module
-                for alias in node.names
-                if alias.name not in _declared_all(trees[node.module])]
-    assert unlisted == [], f"package imports names outside __all__: {unlisted}"
+
+
+def test_package_root_binds_only_version():
+    """Each function is imported from its module, so the package root binds
+    `__version__` alone and `from sl2ybe import sixj` is the module, not a
+    function of the same name shadowing it."""
+    tree = _tree(ROOT / "src" / "sl2ybe" / "__init__.py")
+    assert _module_level_names(tree) == {"__version__"}
+    from sl2ybe import sixj
+    assert inspect.ismodule(sixj)
 
 
 def _names_imported_from(tree, module):

@@ -198,9 +198,9 @@ def criterion_6(max_two_s: int = 6) -> CriterionResult:
     details.append(("ok: " if shifted_rule else "FAIL: ")
                    + "shifted-range degeneracies (outside the regime the "
                      "degeneracy statement addresses) all follow beta = -2*(-1)^m")
-    passed = part_a and part_b and part_c
+    passed = part_a and part_b and part_c and shifted_rule
     defect = None
-    if part_a and part_b and not part_c:
+    if part_a and part_b and shifted_rule and not part_c:
         defect = ("the literal rank-4 expectation is contradicted by exact "
                   "computation; generic small-index cells carry one exact linear "
                   "relation among the four matrices")

@@ -5,8 +5,9 @@ All spins are given in "p/2" or integer notation and all sample points as
 exact rationals "p/q" or integers; decimal, exponent and float input is
 rejected at the boundary (exit 2), in family files too, where a
 coefficient is a "p/q" string or an integer JSON number.  `verify`,
-`oracle` and `family show` take a catalog family by tag, spin and m, or a
-custom family from a family file, but not both.
+`oracle` and `family show` share one set of family options: a catalog
+family by `--family`, `--s` and `--m`, or a custom family by
+`--family-file`, but not both.  Every command takes `--json`.
 JSON payloads are byte-stable for identical invocations (wall time is
 shown only in the human-readable summary).
 """
@@ -55,19 +56,17 @@ def _load_family(args):
     family file holds; naming both is a usage error, since the file would
     silently win."""
     if args.family_file:
-        tag_option = "--tag" if args.command == "family" else "--family"
-        named = [opt for opt, value in ((tag_option, args.family), ("--s", args.s),
+        named = [opt for opt, value in (("--family", args.family), ("--s", args.s),
                                         ("--m", args.m)) if value is not None]
         if named:
             raise DomainError("a family file fixes the family, its spin and m; "
                               f"drop {', '.join(named)}")
         with open(args.family_file) as fh:
             return family_from_json(json.load(fh))
-    tag = args.family
-    if tag is None:
-        raise DomainError("no family given: name a catalog tag or a family file")
+    if args.family is None:
+        raise DomainError("no family given: name one with --family or --family-file")
     s = HalfInt.parse(args.s) if args.s else None
-    return make_family(tag, s, args.m)
+    return make_family(args.family, s, args.m)
 
 
 def _dense_grid(fam):
@@ -283,6 +282,27 @@ def cmd_suite(args):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # options several commands share, each declared once in a parent parser
+    json_opt = argparse.ArgumentParser(add_help=False)
+    json_opt.add_argument("--json", action="store_true",
+                          help="print the payload as one JSON line "
+                               "(scan-degeneracy: one line per scanned cell)")
+    family = argparse.ArgumentParser(add_help=False)
+    family.add_argument("--family", help="catalog family tag")
+    family.add_argument("--family-file", help="JSON document of a custom family")
+    family.add_argument("--s")
+    family.add_argument("--m", type=int)
+    spin_m = argparse.ArgumentParser(add_help=False)
+    spin_m.add_argument("--s", required=True)
+    spin_m.add_argument("--m", required=True, type=int)
+    max_2s = argparse.ArgumentParser(add_help=False)
+    max_2s.add_argument("--max-2s", type=int, default=6)
+
+    def command(subparsers, name, fn, help, *parents):
+        p = subparsers.add_parser(name, help=help, parents=[json_opt, *parents])
+        p.set_defaults(fn=fn)
+        return p
+
     parser = argparse.ArgumentParser(
         prog="sl2ybe",
         description="Exact verification of sl2-invariant R-matrices and the "
@@ -290,82 +310,39 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("sixj", help="exact 6-j symbol {a b e; c d f}")
+    p = command(sub, "sixj", cmd_sixj, "exact 6-j symbol {a b e; c d f}")
     p.add_argument("labels", nargs=6, metavar="label",
                    help="the six spins of {a b e; c d f}, in the order a b e c d f")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=cmd_sixj)
 
-    p = sub.add_parser("amat", help="exact recoupling matrix at one level")
+    p = command(sub, "amat", cmd_amat, "exact recoupling matrix at one level")
     p.add_argument("--s", required=True)
     p.add_argument("--n", required=True, type=int)
     p.add_argument("--gauge", action="store_true",
                    help="print weights and rational core instead of entries")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=cmd_amat)
 
-    p = sub.add_parser("eta", help="diagonal constant (-1)^n A_mm at one level")
-    p.add_argument("--s", required=True)
-    p.add_argument("--m", required=True, type=int)
+    p = command(sub, "eta", cmd_eta, "diagonal constant (-1)^n A_mm at one level", spin_m)
     p.add_argument("--n", required=True, type=int)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=cmd_eta)
 
     p = sub.add_parser("family", help="inspect a coefficient family")
-    family_sub = p.add_subparsers(dest="family_command", required=True)
-    q = family_sub.add_parser("show")
-    q.add_argument("--tag", dest="family")
-    q.add_argument("--s")
-    q.add_argument("--m", type=int)
-    q.add_argument("--file", dest="family_file")
-    q.add_argument("--json", action="store_true")
-    q.set_defaults(fn=cmd_family)
+    command(p.add_subparsers(dest="family_command", required=True), "show", cmd_family,
+            "defined coefficients and their values at sample points", family)
 
-    p = sub.add_parser("verify", help="reduced-equation residuals for a family")
-    p.add_argument("--family")
-    p.add_argument("--family-file", dest="family_file")
-    p.add_argument("--s")
-    p.add_argument("--m", type=int)
+    p = command(sub, "verify", cmd_verify, "reduced-equation residuals for a family", family)
     p.add_argument("--levels", help="single level or a..b range")
     p.add_argument("--grid", choices=("default", "dense"), default="default",
                    help="sample grid of a spectral family; a constant family "
                         "is checked on one marker sample per level")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=cmd_verify)
 
-    p = sub.add_parser("scan-degeneracy", help="four-matrix degeneracy scan")
-    p.add_argument("--max-2s", dest="max_2s", type=int, default=6)
-    p.add_argument("--json", action="store_true",
-                   help="emit one JSON record per scanned cell")
-    p.set_defaults(fn=cmd_scan)
+    command(sub, "scan-degeneracy", cmd_scan, "four-matrix degeneracy scan", max_2s)
+    command(sub, "classify-constant", cmd_classify_constant, "constant R-matrix analysis",
+            spin_m)
+    command(sub, "rigidity", cmd_rigidity, "permutation rigidity at one index", spin_m)
 
-    p = sub.add_parser("classify-constant", help="constant R-matrix analysis")
-    p.add_argument("--s", required=True)
-    p.add_argument("--m", required=True, type=int)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=cmd_classify_constant)
-
-    p = sub.add_parser("rigidity", help="permutation rigidity at one index")
-    p.add_argument("--s", required=True)
-    p.add_argument("--m", required=True, type=int)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=cmd_rigidity)
-
-    p = sub.add_parser("oracle", help="dense cross-check at one sample pair")
-    p.add_argument("--family")
-    p.add_argument("--family-file", dest="family_file")
-    p.add_argument("--s")
-    p.add_argument("--m", type=int)
+    p = command(sub, "oracle", cmd_oracle, "dense cross-check at one sample pair", family)
     p.add_argument("--lambda", dest="lam", required=True)
     p.add_argument("--mu", required=True)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=cmd_oracle)
 
-    p = sub.add_parser("suite", help="run the whole acceptance battery")
-    p.add_argument("--max-2s", dest="max_2s", type=int, default=6)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=cmd_suite)
-
+    command(sub, "suite", cmd_suite, "run the whole acceptance battery", max_2s)
     return parser
 
 

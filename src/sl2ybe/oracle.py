@@ -105,10 +105,10 @@ def _combine(terms) -> SectorOperator:
         for sector in zip(*(op.blocks for _, op in parts))), den)
 
 
-def _operator(ts: int, sites: int, entry, den: int = 1) -> SectorOperator:
-    """The operator with entry(row label, column label) / den in each sector."""
+def _operator(ts: int, sites: int, entry) -> SectorOperator:
+    """The operator with entry(row label, column label) in each sector."""
     return SectorOperator(tuple(tuple(tuple(entry(r, c) for c in labels) for r in labels)
-                                for labels in sector_labels(ts, sites)), den)
+                                for labels in sector_labels(ts, sites)))
 
 
 def _casimir(ts: int) -> SectorOperator:

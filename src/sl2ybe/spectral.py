@@ -382,8 +382,7 @@ def family_from_json(doc: dict) -> SpectralFamily:
         raise DomainError("a family document is a JSON object with a string \"tag\"")
     if doc["tag"] != "custom":
         raise DomainError(f"a family file holds a custom family, not {doc['tag']!r}; "
-                          "name a catalog family with --family (--tag in family show), "
-                          "--s and --m")
+                          "name a catalog family with --family, --s and --m")
     if doc.get("m") is not None:
         raise DomainError("family 'custom' takes no m")
     if "s" not in doc:

@@ -7,7 +7,9 @@ exact computation gives rank 3 with an explicit relation at small-index
 generic cells, so the honest verdict for that sub-claim is a documented
 failure, not a pass.
 """
+import dataclasses
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -66,6 +68,25 @@ def test_criterion_6_literal_full_rank_claim():
     for rec in scan.records:
         if not rec.shifted and not rec.holds_transpose:
             assert rec.rank == 4, (str(rec.s), rec.m, rec.n, rec.rank)
+
+
+def test_criterion_6_shifted_rule_failure_is_no_documented_discrepancy(monkeypatch):
+    # beta = 5 planted on the shifted degenerate cell (s=3/2, m=2, n=4),
+    # where the rule asks for -2*(-1)^m = -2
+    real = acceptance.degeneracy_scan
+
+    def planted(max_two_s):
+        scan = real(max_two_s)
+        scan.records = [dataclasses.replace(r, beta=Fraction(5))
+                        if (r.s, r.m, r.n) == (HalfInt(3), 2, 4) else r
+                        for r in scan.records]
+        return scan
+
+    monkeypatch.setattr(acceptance, "degeneracy_scan", planted)
+    result = acceptance.criterion_6(MAX_TWO_S)
+    assert any(d.startswith("FAIL: shifted-range degeneracies") for d in result.details)
+    assert not result.passed and result.defect is None
+    assert "(documented discrepancy)" not in result.line()
 
 
 def test_criterion_2_witness_names_the_cell(monkeypatch):

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import shlex
@@ -157,7 +158,7 @@ class TestVerifyCommand:
 
     @pytest.mark.parametrize("argv", [
         ("verify", "--family", "yang", "--s", "-1"),
-        ("family", "show", "--tag", "yang", "--s", "-1"),
+        ("family", "show", "--family", "yang", "--s", "-1"),
         ("oracle", "--family", "yang", "--s", "-1", "--lambda", "1", "--mu", "1"),
         ("amat", "--s", "-1", "--n", "0"),
         ("eta", "--s", "-1", "--m", "2", "--n", "2"),
@@ -178,15 +179,15 @@ class TestVerifyCommand:
          "--lambda", "1", "--mu", "2"),
         ("oracle", "--s", "1/2", "--family-file", str(PERTURBED),
          "--lambda", "1", "--mu", "2"),
-        ("family", "show", "--tag", "yang", "--file", str(PERTURBED)),
-        ("family", "show", "--s", "1", "--m", "2", "--file", str(PERTURBED)),
+        ("family", "show", "--family", "yang", "--family-file", str(PERTURBED)),
+        ("family", "show", "--s", "1", "--m", "2", "--family-file", str(PERTURBED)),
     ], ids=["verify-family-s", "verify-s", "verify-m", "oracle-family", "oracle-s",
             "show-tag", "show-s-m"])
     def test_family_file_with_catalog_options_is_usage_error(self, capsys, argv):
         # the file would silently replace the named family
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and out == "" and err.startswith("error:")
-        named = [x for x in argv if x in ("--family", "--tag", "--s", "--m")]
+        named = [x for x in argv if x in ("--family", "--s", "--m")]
         assert all(opt in err for opt in named), err
 
     def test_constant_key_is_not_read(self, capsys, tmp_path):
@@ -215,7 +216,7 @@ class TestVerifyCommand:
     @pytest.mark.parametrize("argv, tag, option", [
         (("verify", "--family", "exceptional-s3", "--s", "1"), "exceptional-s3", "s"),
         (("verify", "--family", "yang", "--s", "2", "--m", "3"), "yang", "m"),
-        (("family", "show", "--tag", "identity", "--s", "1", "--m", "5"), "identity", "m"),
+        (("family", "show", "--family", "identity", "--s", "1", "--m", "5"), "identity", "m"),
         (("verify", "--family", "baxter-tl", "--s", "2", "--m", "4"), "baxter-tl", "m"),
     ], ids=["exceptional-s", "yang-m", "identity-m", "baxter-tl-m"])
     def test_option_the_tag_does_not_take_is_usage_error(self, capsys, argv, tag, option):
@@ -224,8 +225,8 @@ class TestVerifyCommand:
         assert err == f"error: family {tag!r} takes no {option}\n"
 
     def test_missing_index_is_usage_error(self, capsys):
-        code, out, err = run_cli(capsys, "family", "show", "--tag", "constant-baxter",
-                                 "--s", "2")
+        code, out, err = run_cli(capsys, "family", "show", "--family",
+                                 "constant-baxter", "--s", "2")
         assert code == 2 and out == ""
         assert err == "error: family 'constant-baxter' needs m\n"
 
@@ -289,7 +290,7 @@ class TestVerifyCommand:
         assert err.startswith('error: "multiplicative" must be true or false')
 
     def test_family_file_alone_still_loads(self, capsys):
-        code, out, _ = run_cli(capsys, "family", "show", "--file", str(PERTURBED))
+        code, out, _ = run_cli(capsys, "family", "show", "--family-file", str(PERTURBED))
         assert code == 0 and out.startswith("custom: s=1/2")
 
     def test_custom_tag_points_to_family_file(self, capsys):
@@ -429,7 +430,8 @@ class TestOracleCommand:
 
     def test_no_family_is_usage_error(self, capsys):
         code, out, err = run_cli(capsys, "oracle", "--lambda", "1", "--mu", "1")
-        assert code == 2 and out == "" and err.startswith("error:")
+        assert code == 2 and out == ""
+        assert err == "error: no family given: name one with --family or --family-file\n"
 
 
 class TestSuiteCommand:
@@ -443,6 +445,59 @@ class TestSuiteCommand:
         assert [c["number"] for c in failing] == [6]
         assert failing[0]["documented_discrepancy"]
         assert code == 1 and doc["pass"] is False
+
+
+def _leaf_parsers(parser, path=()):
+    """(command words, parser) of every subcommand that takes no further
+    subcommand."""
+    groups = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not groups:
+        yield " ".join(path), parser
+    for group in groups:
+        for name, child in group.choices.items():
+            yield from _leaf_parsers(child, path + (name,))
+
+
+class TestParserShape:
+    """Each option is declared once and reaches every command that takes it
+    under one name."""
+
+    def test_every_command_takes_json(self):
+        leaves = dict(_leaf_parsers(cli.build_parser()))
+        assert len(leaves) == 10
+        assert [name for name, p in leaves.items()
+                if "--json" not in p._option_string_actions] == []
+
+    def test_family_options_are_shared(self):
+        leaves = dict(_leaf_parsers(cli.build_parser()))
+        shapes = {name: [(a.option_strings, a.dest, a.type, a.required)
+                         for a in leaves[name]._actions
+                         if set(a.option_strings) & {"--family", "--family-file", "--s", "--m"}]
+                  for name in ("family show", "verify", "oracle")}
+        assert shapes["family show"] == [(["--family"], "family", None, False),
+                                         (["--family-file"], "family_file", None, False),
+                                         (["--s"], "s", None, False),
+                                         (["--m"], "m", int, False)]
+        assert shapes["verify"] == shapes["oracle"] == shapes["family show"]
+
+    @pytest.mark.parametrize("argv", [
+        ("--tag", "yang", "--s", "1"),
+        ("--file", str(PERTURBED)),
+    ], ids=["tag", "file"])
+    def test_family_show_old_spelling_is_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(["family", "show", *argv])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == ""
+        assert f"unrecognized arguments: {argv[0]}" in captured.err
+
+    def test_family_show_custom_tag_points_to_its_own_option(self, capsys):
+        # the hint comes from make_family, which does not know the command
+        code, out, err = run_cli(capsys, "family", "show", "--family", "custom", "--s", "1")
+        assert code == 2 and out == "" and "(--family-file)" in err
+        with pytest.raises(SystemExit):
+            main(["family", "show", "--help"])
+        assert "--family-file" in capsys.readouterr().out
 
 
 def run_module(*argv):

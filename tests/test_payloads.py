@@ -26,22 +26,22 @@ GOLDEN = [
     ("verify --family constant-baxter --s 2 --m 3", 1, "e5892fbee09149ec57e886738c4f9c29bd5448e26bb1c4b998cbac2859b76af5"),
     ("verify --family permutation --s 3/2", 0, "e5dd42af6784eefd5bc9d464f2ce58690659d8f208e33c42a6ce20b98378ab58"),
     ("verify --family identity --s 1", 0, "37fa11395c6e2ecdb315572a2867e928c88cd8c28d7ec1303e7f29c3a72fb342"),
-    ("family show --tag yang --s 3/2", 0, "f08c40de4b68f66b691c015ee34bb3310c352a0a7f9d6b771001e64abf35e9fb"),
-    ("family show --tag baxter-tl --s 1", 0, "c617164fe0bed5b9ab31e6f8a889197579e96517cfb4d695e79698bad951e4e4"),
-    ("family show --tag zamolodchikov --s 2 --m 3", 0, "c60017832744d3e4b1a530d66854275216ef26a677f27b5a6ef966a62266fd35"),
-    ("family show --tag krs-prefix --s 2", 0, "f402de42dfc7a1cf6f53002e7211cd159f6e392a06f959b0e06f20175fe531f4"),
-    ("family show --tag exceptional-s3", 0, "b3a8eb9266fdb33483ed655cca8838b76f1a3256185380948ec206f9a658d647"),
-    ("family show --tag constant-baxter --s 2 --m 3", 0, "1f2948c3f35118a252d615371dcf153adba48af0da35cc336b78c2a573776161"),
-    ("family show --tag permutation --s 3/2", 0, "9128aeb369f740d9222c10f53d7a2b1244fb09caf98a77e50c572b3ecf940133"),
-    ("family show --tag identity --s 1", 0, "7799c7bec8895cd910b691c5061ea455d1ebbd735f33c16417d37aabd69bd54b"),
-    ("family show --tag baxter-tl --s 3", 0, "2e24d7bcfe01e2277e46f1e0ca88e318977a89b4a362c3813f3e6161155f6e8e"),
-    ("family show --tag constant-baxter --s 3/2 --m 2", 0, "66f15141a35c2752e32a2005bef1abb738032b8b7845e7988896120ab0655f36"),
-    ("family show --tag constant-baxter --s 3 --m 6", 0, "686e8bfa9aeb8532a1eecb67b88649aecb43413757e9e82e4e1abb6dac275e2f"),
+    ("family show --family yang --s 3/2", 0, "f08c40de4b68f66b691c015ee34bb3310c352a0a7f9d6b771001e64abf35e9fb"),
+    ("family show --family baxter-tl --s 1", 0, "c617164fe0bed5b9ab31e6f8a889197579e96517cfb4d695e79698bad951e4e4"),
+    ("family show --family zamolodchikov --s 2 --m 3", 0, "c60017832744d3e4b1a530d66854275216ef26a677f27b5a6ef966a62266fd35"),
+    ("family show --family krs-prefix --s 2", 0, "f402de42dfc7a1cf6f53002e7211cd159f6e392a06f959b0e06f20175fe531f4"),
+    ("family show --family exceptional-s3", 0, "b3a8eb9266fdb33483ed655cca8838b76f1a3256185380948ec206f9a658d647"),
+    ("family show --family constant-baxter --s 2 --m 3", 0, "1f2948c3f35118a252d615371dcf153adba48af0da35cc336b78c2a573776161"),
+    ("family show --family permutation --s 3/2", 0, "9128aeb369f740d9222c10f53d7a2b1244fb09caf98a77e50c572b3ecf940133"),
+    ("family show --family identity --s 1", 0, "7799c7bec8895cd910b691c5061ea455d1ebbd735f33c16417d37aabd69bd54b"),
+    ("family show --family baxter-tl --s 3", 0, "2e24d7bcfe01e2277e46f1e0ca88e318977a89b4a362c3813f3e6161155f6e8e"),
+    ("family show --family constant-baxter --s 3/2 --m 2", 0, "66f15141a35c2752e32a2005bef1abb738032b8b7845e7988896120ab0655f36"),
+    ("family show --family constant-baxter --s 3 --m 6", 0, "686e8bfa9aeb8532a1eecb67b88649aecb43413757e9e82e4e1abb6dac275e2f"),
     ("verify --family-file perfbench/perturbed_spin_half.json", 1, "3cb952ef51b518c55f2200deb9bcbe28419d6066631b59e21e9052d81960f05d"),
     ("verify --family-file perfbench/perturbed_spin_half.json --grid dense", 1, "babd7e66718e6f09f14ea7dba31759b0b53156e3277f1f76b3fcda2ff31b59ac"),
     ("verify --family zamolodchikov --s 2 --m 3 --levels 5 --grid dense", 1, "2c85ce83324b2c316c75776f2e88caf6cb1a9bb8006934f0eb2c92725204141c"),
     ("verify --family baxter-tl --s 3 --grid dense", 0, "3c771f0031cc5c55c8280d8d6908fbe5a11326004437398281a0703903b474d2"),
-    ("family show --file perfbench/perturbed_spin_half.json", 0, "e3cb2be584292479427a8eb4240f43570088bd3ba98152d3a9b6a90e536056fb"),
+    ("family show --family-file perfbench/perturbed_spin_half.json", 0, "e3cb2be584292479427a8eb4240f43570088bd3ba98152d3a9b6a90e536056fb"),
     ("classify-constant --s 1 --m 2", 0, "e3c4dd10c1748574c1bcd65ef44152f7fc4b99ecc5eacaf1226ad584a5b4cc26"),
     ("rigidity --s 3 --m 3", 0, "d3e928c01c016b2bfe14cf258f9b2df45a31eb111d4162318035c436c3b5637a"),
     ("scan-degeneracy --max-2s 6", 0, "3a89352101d82373b942e0a6d0a7f873d36a060d56a79f3b677528560d57416e"),

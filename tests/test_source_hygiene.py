@@ -13,6 +13,7 @@ only.  The gauge has one hat, so `GaugedMatrix.hat` is the only caller of
 numpy or touches floating point, and the dense oracle, the independent
 check of the reduction, imports nothing from the 6-j route.  The package
 root re-exports nothing, so no function shadows the submodule it lives in.
+The CLI declares `--json` and the family options once each.
 """
 import ast
 import importlib
@@ -143,6 +144,18 @@ def test_package_root_binds_only_version():
     assert _module_level_names(tree) == {"__version__"}
     from sl2ybe import sixj
     assert inspect.ismodule(sixj)
+
+
+def test_cli_declares_each_shared_option_once():
+    """`--json` and the family options live in one parent parser each, so
+    no command can drift to its own spelling of them."""
+    calls = [node.args[0].value for node in ast.walk(_tree(ROOT / "src" / "sl2ybe" / "cli.py"))
+             if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "add_argument"
+             and node.args and isinstance(node.args[0], ast.Constant)]
+    counts = {opt: calls.count(opt) for opt in ("--json", "--family", "--family-file",
+                                                  "--tag", "--file")}
+    assert counts == {"--json": 1, "--family": 1, "--family-file": 1, "--tag": 0,
+                      "--file": 0}
 
 
 def _names_imported_from(tree, module):

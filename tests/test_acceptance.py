@@ -89,6 +89,29 @@ def test_criterion_6_shifted_rule_failure_is_no_documented_discrepancy(monkeypat
     assert "(documented discrepancy)" not in result.line()
 
 
+def test_criterion_6_corrected_statement_fails_on_an_extra_degeneracy(monkeypatch):
+    # H == H~ planted on the generic unshifted cell (s=1, m=2, n=2)
+    real = acceptance.degeneracy_scan
+
+    def planted(max_two_s):
+        scan = real(max_two_s)
+        scan.records = [dataclasses.replace(r, holds_transpose=True)
+                        if (r.s, r.m, r.n) == (HalfInt(2), 2, 2) else r
+                        for r in scan.records]
+        return scan
+
+    monkeypatch.setattr(acceptance, "degeneracy_scan", planted)
+    result = acceptance.criterion_6(MAX_TWO_S)
+    assert any(d.startswith("FAIL: corrected statement") for d in result.details)
+    assert not any(d.startswith("ok: corrected statement") for d in result.details)
+    assert not result.passed and result.defect is None
+
+
+def test_every_criterion_explains_itself(results):
+    # a criterion that records nothing would pass silently
+    assert all(result.details for result in results.values())
+
+
 def test_criterion_2_witness_names_the_cell(monkeypatch):
     # one nonzero entry planted at row 1, column 2 of the shifted level
     # (s=2, n=5), whose range starts at k_min = 1
@@ -134,6 +157,8 @@ def test_criterion_5_detects_a_wrong_consecutive_ratio(monkeypatch):
     result = acceptance.criterion_5()
     assert not result.passed and result.defect is None
     assert result.details[0] == "consecutive ratio fails at (s=3/2, m=2)"
+    assert not any(d.startswith("consecutive-level diagonal ratio exact")
+                   for d in result.details)
 
 
 def test_criterion_5_detects_a_wrong_three_five_ratio(monkeypatch):
@@ -143,6 +168,7 @@ def test_criterion_5_detects_a_wrong_three_five_ratio(monkeypatch):
     result = acceptance.criterion_5()
     assert not result.passed and result.defect is None
     assert "3-to-5 ratio fails at 2s=4" in result.details
+    assert not any(d.startswith("3-to-5 ratio exact") for d in result.details)
 
 
 def test_criteria_8_and_9_run_their_stated_range(monkeypatch):
@@ -162,3 +188,64 @@ def test_criteria_8_and_9_run_their_stated_range(monkeypatch):
     assert results[8].passed and results[9].passed
     assert seen == {"rigidity": set(range(2, 7)), "m_prime": set(range(2, 7)),
                     "obstruction": set(range(2, 7))}
+
+
+# A planted fault leaves the witness and no success claim for its range.
+
+def test_criterion_4_failure_drops_the_summary(monkeypatch):
+    real = acceptance.eta_level4_m3
+    monkeypatch.setattr(acceptance, "eta_level4_m3",
+                        lambda s: Fraction(1, 3) if s == HalfInt(5) else real(s))
+    result = acceptance.criterion_4()
+    assert not result.passed
+    assert result.details == ["level-4 constant is 1/3 at 2s=5"]
+
+
+def test_criterion_7_failure_drops_the_summary(monkeypatch):
+    real = acceptance.full_check
+
+    def planted(fam, *args, **kwargs):
+        if (fam.tag, fam.s) == ("yang", HalfInt(1)):
+            return {"pass": False}
+        return real(fam, *args, **kwargs)
+
+    monkeypatch.setattr(acceptance, "full_check", planted)
+    result = acceptance.criterion_7()
+    assert not result.passed
+    assert result.details == ["yang s=1/2 failed"]
+
+
+def test_criterion_8_failure_drops_the_summary(monkeypatch):
+    real = acceptance.permutation_rigidity
+    monkeypatch.setattr(acceptance, "permutation_rigidity",
+                        lambda s, m: m != 2 and real(s, m))
+    result = acceptance.criterion_8()
+    assert not result.passed
+    assert [d for d in result.details if d.startswith("rigidity fails")] == [
+        f"rigidity fails at (2s={ts}, m=2)" for ts in range(2, 7)]
+    assert "permutation rigidity holds for all 2 <= m <= 2s <= 6" not in result.details
+    assert sum(d.startswith("ok: ") for d in result.details) == 3
+
+
+def test_criterion_9_failure_drops_the_summary(monkeypatch):
+    real = acceptance.projector_obstruction_check
+    monkeypatch.setattr(acceptance, "projector_obstruction_check",
+                        lambda s, m: m != 3 and real(s, m))
+    result = acceptance.criterion_9()
+    assert not result.passed
+    assert result.details == [f"obstruction check fails at (2s={ts}, m=3)"
+                              for ts in range(3, 7)]
+
+
+def test_criterion_11_failure_drops_the_summary(monkeypatch):
+    real = acceptance.exceptional_level_combination
+
+    def planted(s, lam, mu):
+        if (s, lam, mu) == (HalfInt(4), Fraction(2), Fraction(3, 7)):
+            return 7
+        return real(s, lam, mu)
+
+    monkeypatch.setattr(acceptance, "exceptional_level_combination", planted)
+    result = acceptance.criterion_11()
+    assert not result.passed
+    assert result.details == ["combination 7 at (2s=4, 2, 3/7)"]

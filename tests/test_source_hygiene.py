@@ -13,7 +13,8 @@ only.  The gauge has one hat, so `GaugedMatrix.hat` is the only caller of
 numpy or touches floating point, and the dense oracle, the independent
 check of the reduction, imports nothing from the 6-j route.  The package
 root re-exports nothing, so no function shadows the submodule it lives in.
-The CLI declares `--json` and the family options once each.
+The CLI declares `--json` and the family options once each.  Each
+acceptance criterion records its checks through `CriterionResult` alone.
 """
 import ast
 import importlib
@@ -156,6 +157,42 @@ def test_cli_declares_each_shared_option_once():
                                                   "--tag", "--file")}
     assert counts == {"--json": 1, "--family": 1, "--family-file": 1, "--tag": 0,
                       "--file": 0}
+
+
+def _writes_outside(tree, cls, attrs):
+    """(line, attribute) of every write to one of `attrs` outside the body
+    of class `cls`: an assignment or deletion of the attribute, an item of
+    it, or a method called on it."""
+    owner = next(node for node in tree.body
+                 if isinstance(node, ast.ClassDef) and node.name == cls)
+    inside = {id(node) for node in ast.walk(owner)}
+    found = []
+    for node in ast.walk(tree):
+        if id(node) in inside:
+            continue
+        if isinstance(node, (ast.Attribute, ast.Subscript)) and not isinstance(
+                node.ctx, ast.Load):
+            target = node if isinstance(node, ast.Attribute) else node.value
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            target = node.func.value
+        else:
+            continue
+        if isinstance(target, ast.Attribute) and target.attr in attrs:
+            found.append((node.lineno, target.attr))
+    return found
+
+
+def test_criteria_record_checks_through_the_result():
+    """A criterion records a check only through `CriterionResult.check` or
+    `.claim`, so no criterion can print a success line for a check that
+    failed: each result is built from its number and title alone, and
+    nothing else writes its `passed` or `details`."""
+    tree = _tree(ROOT / "src" / "sl2ybe" / "acceptance.py")
+    arities = [len(node.args) + len(node.keywords) for node in ast.walk(tree)
+               if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+               and node.func.id == "CriterionResult"]
+    assert len(arities) == 11 and set(arities) == {2}, arities
+    assert _writes_outside(tree, "CriterionResult", {"passed", "details"}) == []
 
 
 def _names_imported_from(tree, module):

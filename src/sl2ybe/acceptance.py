@@ -10,7 +10,6 @@ while the corrected non-degeneracy statement passes alongside; see README
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .amatrix import (LevelRange, a_matrix, consecutive_level_ratio, eta,
@@ -34,16 +33,16 @@ __all__ = ["CriterionResult", "run_all"]
 F = Fraction
 
 
-@dataclass
 class CriterionResult:
     """One criterion's verdict and the lines that explain it.  Every check
     is recorded through `check` or `claim`, so a line claims a result only
     when that result holds."""
-    number: int
-    title: str
-    passed: bool = True
-    details: list = field(default_factory=list)
-    defect: str | None = None
+
+    __slots__ = ("number", "title", "passed", "details", "defect")
+
+    def __init__(self, number: int, title: str):
+        self.number, self.title = number, title
+        self.passed, self.details, self.defect = True, [], None
 
     def check(self, good: bool, statement: str) -> None:
         self.passed = self.passed and good

@@ -21,7 +21,6 @@ sum and those coefficients once; `sixj` reads them from here.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -50,14 +49,19 @@ def top_level(s: HalfInt) -> int:
     return (3 * s.twice) // 2
 
 
-@dataclass(frozen=True)
 class LevelRange:
     """Index range of the level-n highest-weight space for spin s."""
 
-    s: HalfInt
-    n: int
-    k_min: int
-    k_max: int
+    __slots__ = ("s", "n", "k_min", "k_max")
+
+    def __init__(self, s: HalfInt, n: int, k_min: int, k_max: int):
+        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "k_min", k_min)
+        object.__setattr__(self, "k_max", k_max)
+
+    def __setattr__(self, *args):
+        raise AttributeError("LevelRange is immutable")
 
     @classmethod
     def for_level(cls, s, n: int) -> "LevelRange":

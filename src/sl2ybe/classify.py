@@ -6,7 +6,6 @@ one name taken from `ybe`; ground truth is exact gauge computation.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .amatrix import (GaugedMatrix, LevelRange, a_matrix,
@@ -114,7 +113,6 @@ def fgh_matrices(s, m: int, n: int) -> tuple:
     return fgh_operators(a, pi)
 
 
-@dataclass(frozen=True)
 class DegeneracyRecord:
     """One scan cell.  holds_transpose: H == H~ exactly; the scan raises
     unless it equals the scalar-multiple relation (H + H~ a multiple of G).
@@ -123,21 +121,27 @@ class DegeneracyRecord:
     where the scalars are indeterminate).
     """
 
-    s: HalfInt
-    m: int
-    n: int
-    dim: int
-    shifted: bool
-    holds_transpose: bool
-    beta: Fraction | None
-    beta_tilde: Fraction | None
-    rank: int
+    __slots__ = ("s", "m", "n", "dim", "shifted", "holds_transpose", "beta",
+                 "beta_tilde", "rank")
+
+    def __init__(self, s: HalfInt, m: int, n: int, dim: int, shifted: bool,
+                 holds_transpose: bool, beta: Fraction | None,
+                 beta_tilde: Fraction | None, rank: int):
+        self.s, self.m, self.n, self.dim, self.shifted = s, m, n, dim, shifted
+        self.holds_transpose, self.beta, self.beta_tilde = holds_transpose, beta, beta_tilde
+        self.rank = rank
+
+    def __eq__(self, other):
+        if isinstance(other, DegeneracyRecord):
+            return all(getattr(self, f) == getattr(other, f) for f in self.__slots__)
+        return NotImplemented
 
 
-@dataclass
 class ScanResult:
-    records: list = field(default_factory=list)
-    skipped: list = field(default_factory=list)
+    __slots__ = ("records", "skipped")
+
+    def __init__(self):
+        self.records, self.skipped = [], []
 
     @property
     def degeneracies(self):

@@ -9,7 +9,9 @@ coefficient is a "p/q" string or an integer JSON number.  `verify`,
 family by `--family`, `--s` and `--m`, or a custom family by
 `--family-file`, but not both.  Every command takes `--json`.
 JSON payloads are byte-stable for identical invocations (wall time is
-shown only in the human-readable summary).
+shown only in the human-readable summary).  `acceptance`, `classify`,
+`oracle` and `sixj` are imported by the commands that call them, so a
+fresh `verify`, `family show`, `amat` or `eta` loads none of them.
 """
 from __future__ import annotations
 
@@ -20,15 +22,9 @@ import time
 from fractions import Fraction
 
 from . import __version__
-from .acceptance import run_all
 from .amatrix import a_matrix, eta
-from .classify import (constant_m_prime, constant_roots, degeneracy_scan,
-                       permutation_rigidity, projector_obstruction_check)
 from .exact import (DomainError, HalfInt, display_discriminant, format_rational,
                     parse_rational)
-from .oracle import (IDENTITIES_TWO_S_CAP, dense_operator_identities,
-                     reduction_consistency)
-from .sixj import SixJArgs, sixj
 from .spectral import (PoleError, check_regularity_unitarity, family_from_json,
                        make_family)
 from .ybe import constant_check, default_grid, full_check, unitarity_samples
@@ -81,6 +77,7 @@ def _dense_grid(fam):
 
 
 def cmd_sixj(args):
+    from .sixj import SixJArgs, sixj
     value = sixj(SixJArgs.coerce(*args.labels))
     doc = {"check": "sixj", "args": args.labels, "value": str(value)}
     _emit(doc, args, [str(value)])
@@ -178,6 +175,7 @@ def cmd_verify(args):
 
 
 def cmd_scan(args):
+    from .classify import degeneracy_scan
     scan = degeneracy_scan(args.max_2s)
     records = []
     for rec in scan.records:
@@ -210,6 +208,7 @@ def cmd_scan(args):
 
 
 def cmd_classify_constant(args):
+    from .classify import constant_m_prime, constant_roots, projector_obstruction_check
     s = HalfInt.parse(args.s).as_spin()
     plus, minus = constant_roots(s, args.m)
     mprime = constant_m_prime(s, args.m)
@@ -227,6 +226,7 @@ def cmd_classify_constant(args):
 
 
 def cmd_rigidity(args):
+    from .classify import permutation_rigidity
     s = HalfInt.parse(args.s).as_spin()
     rigid = permutation_rigidity(s, args.m)
     doc = {"check": "permutation-rigidity", "s": str(s), "m": args.m, "rigid": rigid}
@@ -235,6 +235,8 @@ def cmd_rigidity(args):
 
 
 def cmd_oracle(args):
+    from .oracle import (IDENTITIES_TWO_S_CAP, dense_operator_identities,
+                         reduction_consistency)
     fam = _load_family(args)
     lam, mu = parse_rational(args.lam), parse_rational(args.mu)
     identities = (dense_operator_identities(fam.s)
@@ -258,6 +260,7 @@ def cmd_oracle(args):
 
 
 def cmd_suite(args):
+    from .acceptance import run_all
     start = time.monotonic()
     results = run_all(args.max_2s)
     elapsed = time.monotonic() - start

@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 import re
 import threading
-from dataclasses import dataclass
 from fractions import Fraction
 
 __all__ = [
@@ -136,12 +135,35 @@ def _surd_eq(b1: Fraction, d1: int, b2: Fraction, d2: int) -> bool:
     return _sign(b1) == _sign(b2) and b1 * b1 * d1 == b2 * b2 * d2
 
 
-@dataclass(frozen=True, order=True)
 class HalfInt:
     """A spin or level label x stored as twice = 2x, so all index
-    arithmetic stays in plain integers."""
+    arithmetic stays in plain integers.  Labels compare and hash by twice."""
 
-    twice: int
+    __slots__ = ("twice",)
+
+    def __init__(self, twice: int):
+        object.__setattr__(self, "twice", twice)
+
+    def __setattr__(self, *args):
+        raise AttributeError("HalfInt is immutable")
+
+    def __eq__(self, other):
+        if isinstance(other, HalfInt):
+            return self.twice == other.twice
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self.twice)
+
+    def __lt__(self, other):
+        if isinstance(other, HalfInt):
+            return self.twice < other.twice
+        return NotImplemented
+
+    def __le__(self, other):
+        if isinstance(other, HalfInt):
+            return self.twice <= other.twice
+        return NotImplemented
 
     @classmethod
     def coerce(cls, value) -> "HalfInt":

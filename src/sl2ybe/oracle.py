@@ -12,7 +12,6 @@ one denominator; entries in Q(sqrt(d)) enter the products as 2x2 blocks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
@@ -65,15 +64,20 @@ def sector_labels(ts: int, sites: int) -> tuple:
     return tuple(map(tuple, sectors))
 
 
-@dataclass(frozen=True)
 class SectorOperator:
     """A weight-preserving operator in the rescaled basis: block w, over the
     labels sector_labels(2s, sites)[w], holds the matrix entries times the
     positive integer den.  Entries are int, or QuadExt once a coefficient in
     Q(sqrt(d)) enters."""
 
-    blocks: tuple
-    den: int = 1
+    __slots__ = ("blocks", "den")
+
+    def __init__(self, blocks: tuple, den: int = 1):
+        object.__setattr__(self, "blocks", blocks)
+        object.__setattr__(self, "den", den)
+
+    def __setattr__(self, *args):
+        raise AttributeError("SectorOperator is immutable")
 
     def __matmul__(self, other: SectorOperator) -> SectorOperator:
         return SectorOperator(tuple(map(mat_mul, self.blocks, other.blocks)),

@@ -10,7 +10,6 @@ no sum and needs no arithmetic on surds.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .amatrix import _racah_sum, _triangle_sq, a_matrix
@@ -30,7 +29,6 @@ def triangle_ok(x: HalfInt, y: HalfInt, z: HalfInt) -> bool:
     return abs(tx - ty) <= tz <= tx + ty and (tx + ty + tz) % 2 == 0
 
 
-@dataclass(frozen=True)
 class SixJArgs:
     """Arguments laid out as {a b e; c d f}.
 
@@ -39,12 +37,11 @@ class SixJArgs:
     integer perimeter.
     """
 
-    a: HalfInt
-    b: HalfInt
-    e: HalfInt
-    c: HalfInt
-    d: HalfInt
-    f: HalfInt
+    __slots__ = ("a", "b", "e", "c", "d", "f")
+
+    def __init__(self, a: HalfInt, b: HalfInt, e: HalfInt, c: HalfInt, d: HalfInt,
+                 f: HalfInt):
+        self.a, self.b, self.e, self.c, self.d, self.f = a, b, e, c, d, f
 
     @classmethod
     def coerce(cls, *args) -> "SixJArgs":

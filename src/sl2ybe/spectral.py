@@ -11,9 +11,7 @@ everything stays exact.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
 
 from .amatrix import LevelRange, eta_closed_form
 from .exact import (DomainError, HalfInt, QuadExt, minus_one_pow,
@@ -45,21 +43,33 @@ class PoleError(ZeroDivisionError):
     """Evaluation at a pole of a spectral coefficient."""
 
 
-@dataclass(frozen=True)
 class RationalFunction:
     """num(x)/den(x) with coefficients in Q or Q(sqrt(d)), ascending powers.
 
     Evaluation is the single pole check of the package: it raises
-    PoleError wherever the denominator vanishes.
+    PoleError wherever the denominator vanishes.  Two functions are equal
+    when their coefficient tuples are, so a table can key a dict.
     """
 
-    num: tuple
-    den: tuple
+    __slots__ = ("num", "den")
 
-    def __post_init__(self):
-        if not self.num or not self.den:
+    def __init__(self, num: tuple, den: tuple):
+        if not num or not den:
             raise DomainError("a rational function needs at least one numerator "
                               "and one denominator coefficient")
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den)
+
+    def __setattr__(self, *args):
+        raise AttributeError("RationalFunction is immutable")
+
+    def __eq__(self, other):
+        if isinstance(other, RationalFunction):
+            return self.num == other.num and self.den == other.den
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.num, self.den))
 
     def __call__(self, x):
         den = _horner(self.den, x)
@@ -76,7 +86,6 @@ def _horner(coeffs, x):
     return acc
 
 
-@dataclass(frozen=True)
 class SpectralFamily:
     """A named R-matrix family with evaluable spectral coefficients.
 
@@ -90,19 +99,18 @@ class SpectralFamily:
     the d of the coefficient field Q(sqrt(d)).
     """
 
-    tag: str
-    s: HalfInt
-    coeffs: Mapping[int, RationalFunction]
-    m: int | None = None
-    multiplicative: bool = False
+    __slots__ = ("tag", "s", "coeffs", "m", "multiplicative")
 
-    def __post_init__(self):
-        if self.tag not in _CATALOG and self.tag != "custom":
-            raise DomainError(f"unknown family tag {self.tag!r}")
-        self.s.as_spin()
-        for j in sorted(self.coeffs):
-            if not 0 <= j <= self.s.twice:
-                raise DomainError(f"coefficient label j={j} outside 0..2s={self.s.twice}")
+    def __init__(self, tag: str, s: HalfInt, coeffs: dict, m: int | None = None,
+                 multiplicative: bool = False):
+        if tag not in _CATALOG and tag != "custom":
+            raise DomainError(f"unknown family tag {tag!r}")
+        s.as_spin()
+        for j in sorted(coeffs):
+            if not 0 <= j <= s.twice:
+                raise DomainError(f"coefficient label j={j} outside 0..2s={s.twice}")
+        self.tag, self.s, self.coeffs, self.m = tag, s, coeffs, m
+        self.multiplicative = multiplicative
         if not self.constant:
             origin = self.zero_sample()
             for j in sorted(self.coeffs):
@@ -256,9 +264,12 @@ def krs_prefix(s) -> SpectralFamily:
         r_2s = 1,  r_{2s-1} = (1-l)/(1+l),
         r_{2s-2} = (1-l)/(1+l) * (1 - tau l)/(1 + tau l),  tau = 2s/(2s-1).
 
-    Lower coefficients are undefined; levels above 2 cannot be formed.
-    r_{2s-2} is stored expanded, (1 - (1+tau) l + tau l^2)/(1 + (1+tau) l
-    + tau l^2).
+    Lower coefficients are undefined.  A level is formed when its
+    diagonal reads only these three: levels 0, 1 and 2 at every s, and the
+    top level, whose diagonal is shifted, at s <= 2 (level 3 at s = 1
+    reads only r_1).  The default check runs the contiguous prefix of
+    formed levels: 0..3 at s = 1 and 0..2 above.  r_{2s-2} is stored
+    expanded, (1 - (1+tau) l + tau l^2)/(1 + (1+tau) l + tau l^2).
     """
     s = _require_spin(s, 2, "the prefix family needs s >= 1")
     ts = s.twice

@@ -23,7 +23,6 @@ inputs alone, and the positive scale decides nothing.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -72,7 +71,6 @@ def default_grid(fam: SpectralFamily):
     return DEFAULT_GRID_MULT if fam.multiplicative else DEFAULT_GRID
 
 
-@dataclass(frozen=True)
 class ReducedResidual:
     """Left-minus-right of a level's reduced equation at one sample pair,
     in the rational gauge of that level, kept cleared to integers: the exact
@@ -81,10 +79,10 @@ class ReducedResidual:
     is positive, so the residual is zero iff both integer matrices are, and
     sqrt(d) is irrational (QuadExt keeps no perfect-square d)."""
 
-    rational: tuple
-    irrational: tuple | None
-    d: int
-    scale: int
+    __slots__ = ("rational", "irrational", "d", "scale")
+
+    def __init__(self, rational: tuple, irrational: tuple | None, d: int, scale: int):
+        self.rational, self.irrational, self.d, self.scale = rational, irrational, d, scale
 
     @property
     def is_zero(self) -> bool:

@@ -7,14 +7,13 @@ exact computation gives rank 3 with an explicit relation at small-index
 generic cells, so the honest verdict for that sub-claim is a documented
 failure, not a pass.
 """
-import dataclasses
 import time
 from fractions import Fraction
 
 import pytest
 
 from sl2ybe import acceptance
-from sl2ybe.classify import degeneracy_scan
+from sl2ybe.classify import DegeneracyRecord, degeneracy_scan
 from sl2ybe.exact import HalfInt
 
 MAX_TWO_S = 6
@@ -77,7 +76,9 @@ def test_criterion_6_shifted_rule_failure_is_no_documented_discrepancy(monkeypat
 
     def planted(max_two_s):
         scan = real(max_two_s)
-        scan.records = [dataclasses.replace(r, beta=Fraction(5))
+        scan.records = [DegeneracyRecord(r.s, r.m, r.n, r.dim, r.shifted,
+                                         r.holds_transpose, Fraction(5), r.beta_tilde,
+                                         r.rank)
                         if (r.s, r.m, r.n) == (HalfInt(3), 2, 4) else r
                         for r in scan.records]
         return scan
@@ -95,7 +96,8 @@ def test_criterion_6_corrected_statement_fails_on_an_extra_degeneracy(monkeypatc
 
     def planted(max_two_s):
         scan = real(max_two_s)
-        scan.records = [dataclasses.replace(r, holds_transpose=True)
+        scan.records = [DegeneracyRecord(r.s, r.m, r.n, r.dim, r.shifted, True, r.beta,
+                                         r.beta_tilde, r.rank)
                         if (r.s, r.m, r.n) == (HalfInt(2), 2, 2) else r
                         for r in scan.records]
         return scan

@@ -44,6 +44,12 @@ class TestLevelRange:
         assert (rng.k_min, rng.k_max) == (1, 2)
         assert rng.shifted
 
+    def test_cached_range_refuses_writes(self):
+        rng = a_matrix(1, 2).range
+        with pytest.raises(AttributeError):
+            rng.k_max = 5
+        assert a_matrix(1, 2).range.k_max == 2
+
     def test_level_bounds(self):
         assert top_level(HalfInt.coerce(3)) == 9
         with pytest.raises(DomainError):

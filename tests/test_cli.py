@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from sl2ybe import cli, oracle
+from sl2ybe import classify, cli, oracle
 from sl2ybe.cli import main
 from sl2ybe.exact import DomainError
 from sl2ybe.spectral import RationalFunction, custom_family
@@ -364,7 +364,7 @@ class TestScanCommand:
         def broken_scan(max_two_s):
             raise AssertionError("simultaneity violated")
 
-        monkeypatch.setattr(cli, "degeneracy_scan", broken_scan)
+        monkeypatch.setattr(classify, "degeneracy_scan", broken_scan)
         code, out, err = run_cli(capsys, "scan-degeneracy", "--max-2s", "4")
         assert code == 1 and out == ""
         assert err == "error: internal check failed: simultaneity violated\n"

@@ -98,6 +98,16 @@ class TestHalfInt:
         with pytest.raises(DomainError):
             HalfInt.coerce(Fraction(1, 3))
 
+    def test_labels_compare_by_value(self):
+        # labels key dicts and sort as spins
+        assert HalfInt(3) == HalfInt(3) and len({HalfInt(3), HalfInt(3)}) == 1
+        assert HalfInt(2) != 1 and HalfInt(2) != HalfInt(1)
+        assert sorted([HalfInt(3), HalfInt(1), HalfInt(2)]) == [HalfInt(1), HalfInt(2),
+                                                                HalfInt(3)]
+        assert HalfInt(1) < HalfInt(2) <= HalfInt(2) and HalfInt(3) >= HalfInt(3) > HalfInt(2)
+        with pytest.raises(AttributeError):
+            HalfInt(1).twice = 2
+
 
 class TestParseRational:
     @pytest.mark.parametrize("text, value", [

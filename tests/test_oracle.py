@@ -1,4 +1,3 @@
-import dataclasses
 from fractions import Fraction
 from itertools import product
 
@@ -8,7 +7,7 @@ from sl2ybe import oracle
 from sl2ybe.amatrix import LevelRange, top_level
 from sl2ybe.exact import DomainError, HalfInt, QuadExt
 from sl2ybe.linalg import span_rank
-from sl2ybe.oracle import (IDENTITIES_TWO_S_CAP, PROJECTOR_TWO_S_CAP,
+from sl2ybe.oracle import (IDENTITIES_TWO_S_CAP, PROJECTOR_TWO_S_CAP, SectorOperator,
                            dense_operator_identities, dense_projectors,
                            dense_r_matrix, dense_ybe_residual,
                            permutation_dense, reduction_consistency,
@@ -111,12 +110,16 @@ class TestOperatorIdentities:
         report = dense_operator_identities("3/2")
         assert report["residuals"]["12-23/sandwich"] == 0  # eta = 1/4
 
+    def test_cached_projectors_refuse_writes(self):
+        with pytest.raises(AttributeError):
+            dense_projectors(HalfInt(1))[0].den = 2
+
     @pytest.mark.parametrize("ts", [1, 2, 3])
     def test_planted_projector_fault_fails(self, monkeypatch, ts):
         projs = dense_projectors(HalfInt(ts))
         blocks = [list(map(list, block)) for block in projs[0].blocks]
         blocks[ts][0][0] *= 2   # the singlet lives in the weight-2s sector
-        bad = dataclasses.replace(projs[0], blocks=tuple(tuple(map(tuple, b)) for b in blocks))
+        bad = SectorOperator(tuple(tuple(map(tuple, b)) for b in blocks), projs[0].den)
         monkeypatch.setattr(oracle, "dense_projectors", lambda s: [bad] + projs[1:])
         report = dense_operator_identities(HalfInt(ts))
         assert not report["pass"] and report["max_residual"] > 0

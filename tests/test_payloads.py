@@ -16,6 +16,7 @@ GOLDEN = [
     ("verify --family yang --s 3/2", 0, "31a6c6756c2630d4f09dae8ae2f2530c9b27d54d9e3ad5066cd7483b997bef58"),
     ("verify --family baxter-tl --s 1", 0, "68a05636ec3e58f5ad71b6317e54e22407ea1b362665efc6b553fed094e9d767"),
     ("verify --family zamolodchikov --s 3/2 --m 2", 0, "6b6566c26feb91dca85d23f63c0e28411ebc0e4a484bc06b15b1fcab14316326"),
+    ("verify --family krs-prefix --s 1", 0, "043b00b10c79ddc90d4219b70ef1081fef3a181f23139cb7a86612950c9ec2db"),
     ("verify --family krs-prefix --s 2", 0, "f94b26cda3eedd7af2e9be8066fd08e06792c60555b53eb5486a68f6ca0c5325"),
     ("verify --family exceptional-s3 --levels 0..9", 0, "c76c0f200a4c24c44fd78b9cfd94bb481e66509b5ebb66f53c330ff7a90895be"),
     ("verify --family yang --s 2 --grid dense", 0, "4feddfe91c921acb69a9d6c62e0fc198909d75af9e31999e78e34b3f294ddd61"),

@@ -333,16 +333,9 @@ def test_oracle_independent_of_the_six_j_route():
     assert words & {"sixj", "classify"} == set()
 
 
-def test_exact_verify_never_imports_numpy():
-    """Neither a reduced check, the whole battery nor the dense oracle
-    loads numpy."""
-    code = ("import sys, sl2ybe.cli\n"
-            "runs = (['verify', '--family', 'yang', '--s', '2'],\n"
-            "        ['suite', '--max-2s', '6'],\n"
-            "        ['oracle', '--family', 'yang', '--s', '1', '--lambda', '1/2',\n"
-            "         '--mu', '1/3'])\n"
-            "codes = [sl2ybe.cli.main(argv + ['--json']) for argv in runs]\n"
-            "assert codes == [0, 1, 0] and 'numpy' not in sys.modules, sorted(sys.modules)\n")
+def _run_fresh(code):
+    """Run `code` in a fresh interpreter with the package's `src` on its
+    path; it fails the test by raising."""
     path = [str(ROOT / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
@@ -350,25 +343,69 @@ def test_exact_verify_never_imports_numpy():
     assert proc.returncode == 0, proc.stderr[-2000:]
 
 
-def _is_dataclass(node):
-    return any((isinstance(d, ast.Name) and d.id == "dataclass")
-               or (isinstance(d, ast.Call) and isinstance(d.func, ast.Name)
-                   and d.func.id == "dataclass")
-               for d in node.decorator_list)
+def test_exact_verify_never_imports_numpy():
+    """Neither a reduced check, the whole battery nor the dense oracle
+    loads numpy."""
+    _run_fresh("import sys, sl2ybe.cli\n"
+               "runs = (['verify', '--family', 'yang', '--s', '2'],\n"
+               "        ['suite', '--max-2s', '6'],\n"
+               "        ['oracle', '--family', 'yang', '--s', '1', '--lambda', '1/2',\n"
+               "         '--mu', '1/3'])\n"
+               "codes = [sl2ybe.cli.main(argv + ['--json']) for argv in runs]\n"
+               "assert codes == [0, 1, 0] and 'numpy' not in sys.modules, sorted(sys.modules)\n")
+
+
+def test_cold_start_loads_only_what_the_command_runs():
+    """`verify`, `family show`, `amat` and `eta` load none of the modules
+    only other commands call, and no command loads `dataclasses`, which
+    pulls in `inspect`: each would add its import to every fresh run."""
+    family_file = str(ROOT / "perfbench" / "perturbed_spin_half.json")
+    _run_fresh("import sys, sl2ybe.cli\n"
+               "def run(*argvs):\n"
+               "    return [sl2ybe.cli.main(argv + ['--json']) for argv in argvs]\n"
+               "def loaded(*names):\n"
+               "    return sorted(set(names) & set(sys.modules))\n"
+               "codes = run(['verify', '--family', 'baxter-tl', '--s', '2', '--grid', 'dense'],\n"
+               f"           ['verify', '--family-file', {family_file!r}],\n"
+               "           ['family', 'show', '--family', 'zamolodchikov', '--s', '2',\n"
+               "            '--m', '4'],\n"
+               "           ['amat', '--s', '3/2', '--n', '3'],\n"
+               "           ['eta', '--s', '5/2', '--m', '3', '--n', '4'])\n"
+               "assert codes == [0, 1, 0, 0, 0], codes\n"
+               "unused = loaded('sl2ybe.acceptance', 'sl2ybe.classify', 'sl2ybe.oracle',\n"
+               "                'sl2ybe.sixj', 'dataclasses')\n"
+               "assert unused == [], unused\n"
+               "codes = run(['suite', '--max-2s', '6'],\n"
+               "           ['oracle', '--family', 'yang', '--s', '1', '--lambda', '1/2',\n"
+               "            '--mu', '1/3'],\n"
+               "           ['scan-degeneracy'], ['sixj', '1/2', '1/2', '1', '1/2', '1/2', '1'])\n"
+               "assert codes == [1, 0, 0, 0], codes\n"
+               "assert loaded('dataclasses') == [], sorted(sys.modules)\n")
+
+
+def _slots(cls):
+    """The names a class declares in `__slots__`, or None without one."""
+    for node in cls.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__slots__" for t in node.targets):
+            return ast.literal_eval(node.value)
+    return None
 
 
 def test_dataclass_fields_are_read():
-    """Each annotated field of a package dataclass is read as an attribute
-    somewhere under the package (tests do not count as readers): a field
-    nothing reads repeats an input or a result held elsewhere.  The match
-    is by name alone, so an attribute of the same name on another object
-    hides an unread field; `args.lam` in the CLI would mask a field `lam`."""
+    """Every package class but an exception declares its fields in
+    `__slots__`, and each field is read as an attribute somewhere under the
+    package (tests do not count as readers): a field nothing reads repeats
+    an input or a result held elsewhere.  The match is by name alone, so an
+    attribute of the same name on another object hides an unread field;
+    `args.lam` in the CLI would mask a field `lam`."""
     read = {node.attr for path in SOURCES for node in ast.walk(_tree(path))
             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
-    unread = [f"{path.name}:{cls.name}.{item.target.id}"
-              for path in SOURCES for cls in ast.walk(_tree(path))
-              if isinstance(cls, ast.ClassDef) and _is_dataclass(cls)
-              for item in cls.body
-              if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
-              and item.target.id not in read]
-    assert unread == [], f"dataclass fields never read: {unread}"
+    classes = [(path.name, cls) for path in SOURCES for cls in ast.walk(_tree(path))
+               if isinstance(cls, ast.ClassDef)]
+    unslotted = [f"{name}:{cls.name}" for name, cls in classes if _slots(cls) is None
+                 and not any(getattr(b, "id", "").endswith("Error") for b in cls.bases)]
+    assert unslotted == [], f"classes without __slots__: {unslotted}"
+    unread = [f"{name}:{cls.name}.{slot}" for name, cls in classes
+              for slot in _slots(cls) or () if slot not in read]
+    assert unread == [], f"slots never read: {unread}"

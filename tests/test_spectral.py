@@ -11,6 +11,7 @@ from sl2ybe.spectral import (PoleError, RationalFunction, baxter_b, baxter_tl,
                              family_from_json, identity_family, krs_prefix,
                              make_family, permutation_family, reduced_d, yang,
                              zamolodchikov)
+from sl2ybe.ybe import full_check
 
 F = Fraction
 
@@ -126,6 +127,10 @@ class TestKrsPrefix:
     def test_lower_is_domain_error(self):
         with pytest.raises(DomainError):
             krs_prefix(2).eval_coeff(1, F(1))
+
+    @pytest.mark.parametrize("s, n", [("3/2", 4), (2, 6)])
+    def test_shifted_top_level_reads_only_the_prefix(self, s, n):
+        assert full_check(krs_prefix(s), levels=[n])["pass"]
 
     def test_matches_shifted_family_when_full(self):
         # for s = 1, m = 2 the shifted family defines the same three coefficients
@@ -259,6 +264,15 @@ class TestCoefficientTables:
         fam = constant_baxter("3/2", 2)
         assert fam.discriminant == 1
         assert isinstance(fam.eval_coeff(1, F(0)), Fraction)
+
+    def test_equal_tables_are_one_key(self):
+        # full_check evaluates each class of equal tables once, keyed by table
+        odd = RationalFunction((F(1), F(-1)), (F(1), F(1)))
+        same = RationalFunction((F(1), F(-1)), (F(1), F(1)))
+        assert odd == same and len({odd, same}) == 1
+        assert odd != RationalFunction((F(1),), (F(1),))
+        with pytest.raises(AttributeError):
+            odd.num = (F(2),)
 
     def test_empty_coefficient_lists_rejected(self):
         with pytest.raises(DomainError):

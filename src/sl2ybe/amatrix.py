@@ -188,20 +188,30 @@ def _triangle_sq(x: HalfInt, y: HalfInt, z: HalfInt) -> Fraction:
 def _racah_sum(ta: int, tb: int, te: int, tc: int, td: int, tf: int) -> Fraction:
     """The alternating factorial sum of an admissible 6-j symbol
     {a b e; c d f}, twice each label given: the symbol without its
-    triangle radical."""
-    triad_sums = [(ta + tb + te) // 2, (ta + td + tf) // 2,
-                  (tb + tc + tf) // 2, (tc + td + te) // 2]
-    quad_sums = [(ta + tb + tc + td) // 2, (tb + te + td + tf) // 2,
-                 (te + ta + tf + tc) // 2]
-    total = Fraction(0)
-    for t in range(max(triad_sums), min(quad_sums) + 1):
-        den = 1
-        for ts_ in triad_sums:
-            den *= factorial(t - ts_)
-        for qs in quad_sums:
-            den *= factorial(qs - t)
-        total += Fraction(minus_one_pow(t) * factorial(t + 1), den)
-    return total
+    triangle radical.  Summed as T_lo times a Horner sum over the term
+    ratios T_{t+1}/T_t = -(t+2) prod_j (beta_j - t) / prod_i (t+1 - alpha_i),
+    alpha the triad sums and beta the quadrangle sums, in integers from the
+    top term down, with one division at the end."""
+    alphas = [(ta + tb + te) // 2, (ta + td + tf) // 2,
+              (tb + tc + tf) // 2, (tc + td + te) // 2]
+    betas = [(ta + tb + tc + td) // 2, (tb + te + td + tf) // 2,
+             (te + ta + tf + tc) // 2]
+    lo, hi = max(alphas), min(betas)
+    if lo > hi:
+        return Fraction(0)
+    num = den = 1  # the Horner sum 1 + r_t (1 + r_{t+1} (...)) as num / den
+    for t in range(hi - 1, lo - 1, -1):
+        r_num, r_den = -(t + 2), 1
+        for b in betas:
+            r_num *= b - t
+        for a in alphas:
+            r_den *= t + 1 - a
+        num, den = r_den * den + r_num * num, r_den * den
+    for a in alphas:
+        den *= factorial(lo - a)
+    for b in betas:
+        den *= factorial(b - lo)
+    return Fraction(minus_one_pow(lo) * factorial(lo + 1) * num, den)
 
 
 @lru_cache(maxsize=None)
@@ -212,8 +222,10 @@ def _a_matrix_cached(ts: int, n: int) -> GaugedMatrix:
     sign = minus_one_pow(ts - n)
     weights = [(l.twice + 1) * _triangle_sq(s, s, l) * _triangle_sq(s, r4, l)
                for l in labels]
-    core = [[sign * _racah_sum(ts, ts, l.twice, ts, r4.twice, p.twice)
-             for p in labels] for l in labels]
+    core = [[_racah_sum(ts, ts, l.twice, ts, r4.twice, p.twice) for p in labels]
+            for l in labels]
+    if sign < 0:
+        core = [[-x for x in row] for row in core]
     return GaugedMatrix(rng, weights, core)
 
 

@@ -39,12 +39,16 @@ def _emit(doc, args, human_lines):
 
 
 def _parse_levels(text: str | None):
+    """--levels as n or lo..hi, both ends included."""
     if text is None:
         return None
-    if ".." in text:
-        lo, hi = text.split("..")
-        return range(int(lo), int(hi) + 1)
-    return [int(text)]
+    try:
+        bounds = [int(x) for x in text.split("..")]
+    except ValueError:
+        bounds = []
+    if len(bounds) not in (1, 2):
+        raise DomainError(f"--levels takes n or lo..hi, not {text!r}")
+    return range(bounds[0], bounds[-1] + 1)
 
 
 def _load_family(args):

@@ -9,22 +9,29 @@ Q(sqrt(d)).  They are decided over the integers: with each diagonal
 cleared to D_i = (A_i + sqrt(d) B_i) / c_i, the residual times
 L^4 c1 c2 c3 is an integer matrix plus sqrt(d) times another, zero
 exactly when one weighted product is symmetric, since A^2 = I (_braid).
-A level's positions fall into classes on which the middle diagonal is
-constant (positions whose labels share a coefficient table), so that
-product is a sum over the classes of the third leg's class products,
-taken once per third leg; a verdict reads the symmetry off them in
-q dim^2 for q classes (_products).
+In `full_check` every diagonal is constant on a level's q classes
+(positions whose labels share a coefficient table), so that symmetry is
+one integer linear condition on the q^3 products of the legs' class
+values: the level's class form, built once and read in q^3 r per verdict
+for its r <= min(P, q^3) rows, P = dim(dim-1)/2 (_class_form).  It is
+built only where that read costs no more than hatting one third leg
+(_form_pays).  Elsewhere, and in `braid_residual`, the product is a sum
+over the middle leg's classes of the third leg's class products, taken
+once per third leg, and a verdict reads the symmetry off them in q dim^2
+(_products).
 `full_check` pays for the distinct values of a grid, not for its pairs:
 each coefficient table is evaluated once per argument per check, each
-level takes the class products of each distinct third leg once, and one
-verdict is taken per distinct triple of cleared legs and d.  Reusing a
-verdict is exact: the integer matrices are a function of those four
+level builds its form once or takes the class products of each distinct
+third leg once, and one verdict is taken per distinct triple of cleared
+legs and d.  Reusing a verdict is exact: it is a function of those four
 inputs alone, and the positive scale decides nothing.
 """
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 
 from .amatrix import GaugedMatrix, LevelRange, a_matrix, top_level
 from .exact import DomainError, QuadExt, rescale_surd
@@ -170,6 +177,11 @@ def _add(acc, k, x, v):
         acc[k] = v if x == 1 else [x * z for z in v]
 
 
+def _require_involution(a: GaugedMatrix):
+    if not a.involutive:
+        raise AssertionError(f"A^(s={a.range.s}, n={a.range.n}) is not a symmetric involution")
+
+
 def _braid(a: GaugedMatrix, d: int, leg1, leg2, leg3, products) -> ReducedResidual:
     """The ReducedResidual of three legs over sqrt(d) at the level of a,
     products the third leg's `_products` over classes on which the middle
@@ -182,8 +194,7 @@ def _braid(a: GaugedMatrix, d: int, leg1, leg2, leg3, products) -> ReducedResidu
     class products, q dim^2 products for q classes, and R is multiplied
     out only when they differ.  The integer matrices depend only on the
     legs' cleared vectors and d; the scale alone reads each leg's c."""
-    if not a.involutive:
-        raise AssertionError(f"A^(s={a.range.s}, n={a.range.n}) is not a symmetric involution")
+    _require_involution(a)
     (e1, c1), (e2, c2), (e3, c3) = leg1, leg2, leg3
     index = _pairs(a.dim)
     half = len(index) // 2
@@ -250,18 +261,78 @@ def _levels_or_default(fam: SpectralFamily, levels):
     return levels
 
 
-def _level_verdicts(a: GaugedMatrix, labels, triples, coeff) -> list:
+def _form_pays(q: int, dim: int) -> bool:
+    """The cost rule: a level's class form pays when a verdict read off it,
+    q^3 min(P, q^3) products for q classes and P = dim(dim-1)/2 pairs,
+    costs no more than hatting one third leg, 2 dim^3 + q dim^2."""
+    return q ** 3 * min(dim * (dim - 1) // 2, q ** 3) <= 2 * dim ** 3 + q * dim ** 2
+
+
+def _class_form(a: GaugedMatrix, classes) -> list:
+    """The rows B of a level's class form: integer rows over the q^3
+    monomials x1_a x2_b x3_c of three legs constant on the classes, B m = 0
+    exactly when S (`_braid`) is symmetric.  With G_bc = W N Pi_b N Pi_c N,
+    S = sum m_abc Pi_a G_bc, so S - S^T is the matrix Z whose row at the
+    pair i < j holds [i in a] G_bc[i][j] - [j in a] G_bc[j][i]; B is Z
+    row-reduced fraction-free, each row divided by its gcd, r <= min(P, q^3)
+    rows.  q hats N Pi_c N, then q^2 products N Pi_b H_c."""
+    _require_involution(a)
+    w = a.int_weights
+    pairs = [(i, j) for j in range(a.dim) for i in range(j)]
+    pis = [[int(i in positions) for i in range(a.dim)] for positions in classes]
+    hats = [a.hat(pi) for pi in pis]
+    gs = [[(w[i] * g[i][j], w[j] * g[j][i]) for i, j in pairs]
+          for g in (a.hat(pb, h) for pb in pis for h in hats)]
+    columns = [[pa[i] * gij - pa[j] * gji for (i, j), (gij, gji) in zip(pairs, g)]
+               for pa in pis for g in gs]
+    basis = []  # (pivot, row)
+    for v in zip(*columns):
+        if len(basis) == len(columns):
+            break
+        for p, row in basis:
+            if v[p]:
+                x, y = row[p], v[p]
+                v = [x * u - y * z for u, z in zip(v, row)]
+        pivot = next((k for k, x in enumerate(v) if x), None)
+        if pivot is not None:
+            g = math.gcd(*v)
+            basis.append((pivot, [x // g for x in v]))
+    return [row for _, row in basis]
+
+
+def _form_zero(form, d: int, e1, e2, e3) -> bool:
+    """The verdict of three legs' class vectors over sqrt(d) off a class
+    form: the monomials m, split by power of sqrt(d) as in `_braid`, each
+    part annihilated by every row."""
+    m = {}
+    for k1, v1 in enumerate(e1):
+        for k2, v2 in enumerate(e2):
+            for k3, v3 in enumerate(e3):
+                k = k1 + k2 + k3
+                _add(m, k % 2, d ** (k // 2), [x * y * z for x in v1 for y in v2 for z in v3])
+    return not any(sum(map(mul, row, v)) for v in m.values() for row in form)
+
+
+def _level_verdicts(a: GaugedMatrix, labels, triples, coeff, shared) -> list:
     """The verdict of each argument triple on the level of a, whose
     diagonals read r_j for j in labels, each label standing for its class
     of equal tables; coeff(j, i) is r_j at argument i.  A triple's three
-    diagonals are formed first, then its legs are cleared, as in
-    reduced_ybe_check."""
+    diagonals are formed first, one value per class, then its legs are
+    cleared, as in reduced_ybe_check; shared keeps diagonals, their d and
+    legs for every level of the check that reads the same tables.
+    Verdicts come off the level's class form when `_form_pays`, else off
+    the third leg's class products."""
     classes = _classes(labels)
-    diagonals, ds, legs, products, verdicts, zeros = {}, {}, {}, {}, {}, []
+    heads = tuple(labels[positions[0]] for positions in classes)
+    order = {j: k for k, j in enumerate(heads)}
+    where = [order[j] for j in labels]  # position -> its class
+    use_form = _form_pays(len(classes), a.dim)
+    diagonals, ds, legs = shared.setdefault(heads, ({}, {}, {}))
+    form, products, verdicts, zeros = None, {}, {}, []
     for triple in triples:
         for i in triple:
             if i not in diagonals:
-                diagonals[i] = tuple(coeff(j, i) for j in labels)
+                diagonals[i] = tuple(coeff(j, i) for j in heads)
                 ds[i] = _discriminant([diagonals[i]])
         d = min((ds[i] for i in triple if ds[i] != 1), default=1)
         for i in triple:
@@ -270,10 +341,16 @@ def _level_verdicts(a: GaugedMatrix, labels, triples, coeff) -> list:
         three = [legs[i, d] for i in triple]
         key = (*(vectors for vectors, _ in three), d)
         if key not in verdicts:
-            third = three[2][0]
-            if third not in products:
-                products[third] = _products(a, classes, third)
-            verdicts[key] = _braid(a, d, *three, products[third]).is_zero
+            if use_form:
+                if form is None:
+                    form = _class_form(a, classes)
+                verdicts[key] = _form_zero(form, d, *key[:3])
+            else:
+                three = [(tuple(tuple(v[k] for k in where) for v in vectors), c)
+                         for vectors, c in three]
+                if key[2] not in products:
+                    products[key[2]] = _products(a, classes, three[2][0])
+                verdicts[key] = _braid(a, d, *three, products[key[2]]).is_zero
         zeros.append(verdicts[key])
     return zeros
 
@@ -289,13 +366,17 @@ def full_check(fam: SpectralFamily, levels=None, samples=None) -> dict:
       its first label, when a level first needs it, in the order the
       pairs would evaluate it one by one, so the first PoleError,
       DomainError or ValueError raised is theirs;
-    - on each level an argument's d is read once, a diagonal is cleared
-      once per discriminant, and the class products of a cleared third leg
-      are taken once, however many pairs share it;
+    - an argument's diagonal, one value per class, and its d are formed
+      once, and it is cleared once per discriminant, for all levels that
+      read the same tables;
+    - on each level the class form is built once where `_form_pays`, else
+      the class products of a cleared third leg are taken once, however
+      many pairs share it;
     - one verdict is taken per distinct (leg, leg, leg, d), the legs by
-      their cleared vectors.  The kernel's integer matrices are a function
-      of those four alone and its positive scale decides nothing, so a
-      reused verdict is the one the pair's own residual gives."""
+      their cleared class vectors.  Either route decides the symmetry of
+      the integer S of `_braid`, a function of those four alone, and the
+      positive scale decides nothing, so a reused verdict is the one the
+      pair's own residual gives."""
     samples = list(samples) if samples is not None else list(default_grid(fam))
     levels = _levels_or_default(fam, levels)
     index = {}  # argument -> its position, in order of first use
@@ -311,6 +392,8 @@ def full_check(fam: SpectralFamily, levels=None, samples=None) -> dict:
             values[j, i] = fam.eval_coeff(j, args[i])
         return values[j, i]
 
+    names = [(str(lam), str(mu)) for lam, mu in samples]
+    shared = {}  # class heads -> diagonals, d and legs of the levels reading them
     out_levels = []
     ok = True
     for n in levels:
@@ -318,11 +401,10 @@ def full_check(fam: SpectralFamily, levels=None, samples=None) -> dict:
         if triples:
             a = a_matrix(fam.s, n)
             labels = [label.get(fam.s.twice - k, fam.s.twice - k) for k in a.range.indices()]
-            zeros = _level_verdicts(a, labels, triples, coeff)
+            zeros = _level_verdicts(a, labels, triples, coeff, shared)
         ok = ok and all(zeros)
         out_levels.append({"n": n, "samples": [
-            {"lambda": str(lam), "mu": str(mu), "zero": zero}
-            for (lam, mu), zero in zip(samples, zeros)]})
+            {"lambda": lam, "mu": mu, "zero": zero} for (lam, mu), zero in zip(names, zeros)]})
     return {"family": fam.tag, "s": str(fam.s), "levels": out_levels, "pass": ok}
 
 

@@ -2,11 +2,11 @@ from fractions import Fraction
 
 import pytest
 
-from sl2ybe.amatrix import (LevelRange, a_matrix,
+from sl2ybe.amatrix import (LevelRange, _racah_sum, a_matrix,
                             consecutive_level_ratio, eta, eta_closed_form,
                             rank_one_projector, sign_diagonal, top_level,
                             verify_a_properties, verify_sign_conjugation)
-from sl2ybe.exact import (DomainError, HalfInt, QuadExt, minus_one_pow,
+from sl2ybe.exact import (DomainError, HalfInt, QuadExt, factorial, minus_one_pow,
                           sqrt_canonicalize)
 from sl2ybe.linalg import diagonal, mat_mul, mat_scale
 from sl2ybe.sixj import SixJArgs, sixj
@@ -80,7 +80,38 @@ class TestLevelRange:
             read(a_matrix(2, 5))
 
 
+def direct_racah_sum(ta, tb, te, tc, td, tf):
+    """The Racah single sum term by term: sum over t of
+    (-1)^t (t+1)! / (prod (t - alpha_i)! prod (beta_j - t)!)."""
+    alphas = [(ta + tb + te) // 2, (ta + td + tf) // 2, (tb + tc + tf) // 2,
+              (tc + td + te) // 2]
+    betas = [(ta + tb + tc + td) // 2, (tb + te + td + tf) // 2, (te + ta + tf + tc) // 2]
+    total = Fraction(0)
+    for t in range(max(alphas), min(betas) + 1):
+        den = 1
+        for x in [t - a for a in alphas] + [b - t for b in betas]:
+            den *= factorial(x)
+        total += Fraction(minus_one_pow(t) * factorial(t + 1), den)
+    return total
+
+
 class TestConstruction:
+    def test_racah_sum_matches_the_direct_sum(self):
+        # every core entry {s s l; s 3s-n p} with 2s <= 12, and the large
+        # symbol of the sixj golden payload
+        entries = 0
+        for ts in range(1, 13):
+            for n in range(top_level(HalfInt(ts)) + 1):
+                labels = [2 * ts - 2 * k for k in LevelRange.for_level(HalfInt(ts), n).indices()]
+                for tl in labels:
+                    for tp in labels:
+                        args = (ts, ts, tl, ts, 3 * ts - 2 * n, tp)
+                        assert _racah_sum(*args) == direct_racah_sum(*args), args
+                        entries += 1
+        assert entries == 4185
+        big = (300, 302, 300, 298, 300, 302)
+        assert _racah_sum(*big) == direct_racah_sum(*big)
+
     def test_two_by_two(self):
         a = a_matrix("1/2", 1)
         assert a.entry(0, 0) == Fraction(1, 2)

@@ -156,6 +156,13 @@ class TestVerifyCommand:
         code, out, err = run_cli(capsys, "verify", *argv)
         assert code == 2 and out == "" and err.startswith("error:")
 
+    @pytest.mark.parametrize("levels", ["x", "0..2..4", "..2", "1.5", ""])
+    def test_malformed_levels_is_usage_error(self, capsys, levels):
+        code, out, err = run_cli(capsys, "verify", "--family", "yang", "--s", "1",
+                                 "--levels", levels)
+        assert (code, out, err) == (
+            2, "", f"error: --levels takes n or lo..hi, not {levels!r}\n")
+
     @pytest.mark.parametrize("argv", [
         ("verify", "--family", "yang", "--s", "-1"),
         ("family", "show", "--family", "yang", "--s", "-1"),

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -359,6 +360,37 @@ def kernel_calls(monkeypatch):
     return calls
 
 
+def form_calls(monkeypatch):
+    """Record the level and class count of every class form built, and the
+    level and d of every verdict read off one."""
+    real_form, real_zero = ybe._class_form, ybe._form_zero
+    forms, verdicts, level = [], [], {}
+
+    def build(a, classes):
+        out = real_form(a, classes)
+        forms.append((a.range.n, len(classes)))
+        level[id(out)] = a.range.n
+        return out
+
+    def read(form, d, *legs):
+        verdicts.append((level[id(form)], d))
+        return real_zero(form, d, *legs)
+
+    monkeypatch.setattr(ybe, "_class_form", build)
+    monkeypatch.setattr(ybe, "_form_zero", read)
+    return forms, verdicts
+
+
+def level_classes(fam, n):
+    """The number of distinct coefficient tables a defined level reads."""
+    rng = LevelRange.for_level(fam.s, n)
+    return len({fam.coeffs[fam.s.twice - k] for k in rng.indices()})
+
+
+def form_pays(fam, n):
+    return ybe._form_pays(level_classes(fam, n), LevelRange.for_level(fam.s, n).dim)
+
+
 def fresh_residuals(fam, report, samples):
     """A fresh reduced_ybe_check for every (level, sample) row of a
     full_check report, per level, each row's verdict checked to be its
@@ -436,17 +468,26 @@ class TestSharedLegs:
         (exceptional_s3(), range(10)), (perturbed_yang(), None),
         (mixed_root_family(20), None)], ids=param_id)
     def test_level_dict_agrees_with_fresh_checks(self, monkeypatch, fam, levels):
-        """The dicts each level of full_check keeps (legs, hats, verdicts)
-        give every row the verdict, and every pair the integer residual, of
-        a fresh check."""
+        """The dicts each level of full_check keeps (legs, forms, verdicts)
+        give every row the verdict of a fresh check.  Each level where the
+        cost rule pays builds one class form and calls no kernel; with the
+        class products route forced, every pair's integer residual is a
+        kernel call's."""
         grid = cli._dense_grid(fam)
+        forms, _ = form_calls(monkeypatch)
         kernels = kernel_calls(monkeypatch)
         report = full_check(fam, levels=levels, samples=grid)
+        unforced = len(kernels)
+        monkeypatch.setattr(ybe, "_form_pays", lambda q, dim: False)
+        assert full_check(fam, levels=levels, samples=grid) == report
         monkeypatch.undo()  # the fresh checks below go unrecorded
         fresh = fresh_residuals(fam, report, grid)
         assert sorted(fresh) == (list(levels) if levels is not None
                                  else defined_levels(fam))
-        assert_computed_by_kernel(fresh, kernels)
+        paying = [n for n in fresh if form_pays(fam, n)]
+        assert forms == [(n, level_classes(fam, n)) for n in paying]
+        assert not {n for n, _ in kernels[:unforced]} & set(paying)
+        assert_computed_by_kernel(fresh, kernels[unforced:])
         assert report["pass"] == all(res.is_zero for row in fresh.values() for res in row)
         assert report["pass"] == (fam.tag != "custom")
 
@@ -457,11 +498,13 @@ class TestSharedLegs:
         # the argument 1 is cleared again over d = 5
         fam = mixed_root_family(20)
         grid = [(F(1), F(0)), (F(0), F(1)), (F(1), F(1, 2)), (F(1, 2), F(1, 3))]
-        kernels = kernel_calls(monkeypatch)
+        forms, verdicts = form_calls(monkeypatch)
         report = full_check(fam, [1, 2], grid)
         monkeypatch.undo()  # the fresh checks below go unrecorded
         fresh = fresh_residuals(fam, report, grid)
-        assert_computed_by_kernel(fresh, kernels)
+        # one form per level, and the level-2 verdicts over both discriminants
+        assert forms == [(1, 2), (2, 3)]
+        assert {d for n, d in verdicts if n == 2} == {20, 5}
         seen = set()
         for n, row in fresh.items():
             for (lam, mu), res in zip(grid, row):
@@ -503,29 +546,33 @@ class TestSharedLegs:
         levels = defined_levels(fam)
         for n in levels:
             a_matrix(fam.s, n)  # built (and its sign hat taken) before counting
-        distinct = {n: len({reduced_d(fam, n, mu) for _, mu in grid}) for n in levels}
-        hats, real = [], GaugedMatrix.hat
+        hats, products, real = [], [], GaugedMatrix.hat
 
         def count(self, entries, right=None):
-            if right is None:  # a hat N D N, not a kernel product N D P
-                hats.append(self.range.n)
+            # a hat N D N, or a class product N D H
+            (hats if right is None else products).append(self.range.n)
             return real(self, entries, right)
 
         monkeypatch.setattr(GaugedMatrix, "hat", count)
         assert full_check(fam, samples=grid)["pass"]
-        # only third legs are hatted, and yang is rational, so each distinct
-        # cleared mu-diagonal takes one hat; levels 0 and 6 see one diagonal
-        # (all ones), the others 13
-        assert {n: hats.count(n) for n in levels} == distinct
-        assert len(hats) == 1 + 5 * 13 + 1
+        # each level builds one class form, whatever its diagonals: q hats of
+        # class indicators and q^2 class products; yang holds two tables, so
+        # q is 1 on levels 0 and 6 (one position) and 2 on the others
+        classes = {n: level_classes(fam, n) for n in levels}
+        assert classes == {0: 1, 1: 2, 2: 2, 3: 2, 4: 2, 5: 2, 6: 1}
+        assert {n: hats.count(n) for n in levels} == classes
+        assert {n: products.count(n) for n in levels} == {n: q * q for n, q in classes.items()}
+        assert len(hats) == 1 + 5 * 2 + 1
 
     def test_equal_diagonals_share_one_kernel(self, monkeypatch):
         # baxter-tl at s=2: only r_0 depends on t, and only level 4 reads it
         fam = baxter_tl(2)
         grid = cli._dense_grid(fam)
-        kernels = kernel_calls(monkeypatch)
+        forms, verdicts = form_calls(monkeypatch)
         assert full_check(fam, samples=grid)["pass"]
-        per_level = {n: [out.d for m, out in kernels if m == n] for n in defined_levels(fam)}
+        levels = defined_levels(fam)
+        assert [n for n, _ in forms] == levels
+        per_level = {n: [d for m, d in verdicts if m == n] for n in levels}
         assert {n: len(ds) for n, ds in per_level.items() if n != 4} == {
             n: 1 for n in (0, 1, 2, 3, 5, 6)}
         assert len(per_level[4]) == len(grid) and set(per_level[4]) == {21}
@@ -551,10 +598,102 @@ class TestSharedLegs:
         # (1, 1) has the legs 1, 2, 1 and (1, 2) the legs 1, 3, 2: the same
         # rational parts over d = 5, and the middle sqrt(5) parts of opposite sign
         grid = [(F(1), F(1)), (F(1), F(2))]
-        kernels = kernel_calls(monkeypatch)
+        forms, verdicts = form_calls(monkeypatch)
         report = full_check(fam, levels=[2], samples=grid)
+        assert forms == [(2, 2)] and verdicts == [(2, 5), (2, 5)]
+        monkeypatch.setattr(ybe, "_form_pays", lambda q, dim: False)
+        kernels = kernel_calls(monkeypatch)
+        assert full_check(fam, levels=[2], samples=grid) == report
         assert [(n, out.d) for n, out in kernels] == [(2, 5), (2, 5)]
+        monkeypatch.undo()
         assert fresh_verdicts(fam, report, grid) == {2: [True, False]}
+
+
+small = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+positive = st.fractions(min_value=F(1, 4), max_value=3, max_denominator=4)
+
+
+@st.composite
+def coefficients(draw, irrational):
+    """A coefficient over Q or Q(sqrt(5)), its sqrt part written over
+    sqrt(5) or, halved, over sqrt(20)."""
+    x = draw(small)
+    if not irrational:
+        return x
+    y = draw(st.one_of(st.just(F(0)), small))
+    return QuadExt(x, y / 2, 20) if draw(st.booleans()) else QuadExt(x, y, 5)
+
+
+def times(poly, factor):
+    """The product of two polynomials in ascending coefficients."""
+    out = [F(0)] * (len(poly) + len(factor) - 1)
+    for i, x in enumerate(poly):
+        for j, y in enumerate(factor):
+            out[i + j] += x * y
+    return tuple(out)
+
+
+@st.composite
+def random_families(draw):
+    """A regular custom family with s <= 2 and a few positive samples:
+    all-distinct tables 1 + c x + c' x^2, tables drawn from a pool of two,
+    or a solution times a common factor 1 + c x (1 - c + c x for the
+    multiplicative baxter-tl at s = 1, whose r_0 carries sqrt(5) apart from
+    the factor).  With `zero`, the first table, or the factor, vanishes at
+    the first sample's lambda, so a class value is 0 there."""
+    shape = draw(st.sampled_from(["distinct", "pooled", "yang", "baxter-tl"]))
+    ts = 2 if shape == "baxter-tl" else draw(st.integers(1, 4))
+    samples = draw(st.lists(st.tuples(positive, positive), min_size=1, max_size=3))
+    coefficient = coefficients(draw(st.booleans()))
+    zero, lam = draw(st.booleans()), samples[0][0]
+    if shape == "baxter-tl":
+        c = 1 / (1 - lam) if zero and lam != 1 else draw(coefficient)
+        solution, factor = baxter_tl(1), (1 - c, c)
+    elif shape == "yang":
+        solution, factor = yang(HalfInt(ts)), (F(1), -1 / lam if zero else draw(coefficient))
+    else:
+        def table(vanishes=False):
+            c = -1 / lam if vanishes else draw(coefficient)
+            return RationalFunction((F(1), c, draw(coefficient)), (F(1),))
+
+        pool = [table(zero), table()] if shape == "pooled" else None
+        return custom_family(HalfInt(ts), {
+            j: draw(st.sampled_from(pool)) if pool else table(zero and j == 0)
+            for j in range(ts + 1)}), samples
+    return custom_family(HalfInt(ts), {
+        j: RationalFunction(times(rf.num, factor), rf.den)
+        for j, rf in solution.coeffs.items()}, solution.multiplicative), samples
+
+
+class TestClassForm:
+    """Both verdict routes of full_check, each forced by patching the cost
+    rule, give every row a fresh reduced_ybe_check's verdict."""
+
+    @pytest.mark.parametrize("route", [True, False], ids=["form", "products"])
+    @settings(max_examples=40, deadline=None)
+    @given(case=random_families())
+    def test_each_route_matches_fresh_checks(self, route, case):
+        fam, samples = case
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ybe, "_form_pays", lambda q, dim: route)
+            report = full_check(fam, samples=samples)
+        fresh_residuals(fam, report, samples)
+
+    @pytest.mark.parametrize("q, dim, pays", [
+        (1, 1, True), (2, 5, True), (3, 3, True), (3, 7, True), (4, 7, False),
+        (4, 12, False), (4, 13, True), (5, 5, False), (9, 9, False)])
+    def test_cost_rule(self, q, dim, pays):
+        # the form pays when q^3 min(P, q^3) <= 2 dim^3 + q dim^2
+        assert ybe._form_pays(q, dim) == pays
+
+    def test_form_rows_are_reduced(self):
+        # yang s=2 level 3: q = 2 classes, so at most 8 rows over 8 monomials
+        a, classes = a_matrix(2, 3), [[0, 2], [1, 3]]
+        form = ybe._class_form(a, classes)
+        assert 0 < len(form) <= 8 and all(len(row) == 8 for row in form)
+        pivots = [next(k for k, x in enumerate(row) if x) for row in form]
+        assert len(set(pivots)) == len(form)
+        assert all(math.gcd(*row) == 1 for row in form)
 
 
 def values(fn, lam, mu, compose=lambda a, b: a + b):

@@ -239,26 +239,22 @@ def cmd_rigidity(args):
 
 
 def cmd_oracle(args):
-    from .oracle import (IDENTITIES_TWO_S_CAP, dense_operator_identities,
-                         reduction_consistency)
+    from .oracle import dense_operator_identities, reduction_consistency
     fam = _load_family(args)
     lam, mu = parse_rational(args.lam), parse_rational(args.mu)
-    identities = (dense_operator_identities(fam.s)
-                  if fam.s.twice <= IDENTITIES_TWO_S_CAP else None)
+    identities = dense_operator_identities(fam.s)
     case, = reduction_consistency(fam, [(lam, mu)])
     residual = format_rational(case["dense_residual"])
+    worst = format_rational(identities["max_residual"])
     doc = {"check": "dense-oracle", "family": fam.tag, "s": str(fam.s),
            "lambda": str(lam), "mu": str(mu), "braid_residual": residual,
            "dense_zero": case["dense_zero"], "exact_zero": case["exact_zero"],
-           "consistent": case["consistent"]}
+           "consistent": case["consistent"], "identities_max_residual": worst,
+           "identities_pass": identities["pass"]}
     lines = [f"dense braid residual: {residual} (exact)",
              f"exact reduced verdict: {'zero' if case['exact_zero'] else 'nonzero'}",
-             f"dense/exact consistent: {case['consistent']}"]
-    if identities is not None:
-        doc["identities_max_residual"] = format_rational(identities["max_residual"])
-        doc["identities_pass"] = identities["pass"]
-        lines.append(f"operator identities max residual: "
-                     f"{doc['identities_max_residual']} (exact)")
+             f"dense/exact consistent: {case['consistent']}",
+             f"operator identities max residual: {worst} (exact)"]
     _emit(doc, args, lines)
     return EXIT_PASS
 

@@ -1,4 +1,4 @@
-"""Exact dense oracle on the full tensor cube, independent of the 6-j route.
+"""Exact dense oracle on V_s (x) V_s (x) V_s, independent of the 6-j route.
 
 Builds the total-spin projectors on V_s (x) V_s by Casimir polynomial
 interpolation, embeds them on three sites, and checks the operator
@@ -8,24 +8,32 @@ matrix; the rescaling T (x) T commutes with the swap, so every identity
 and braid verdict is that of the standard basis.  Every operator preserves
 the total weight and is kept as integer blocks, one per weight sector, over
 one denominator; entries in Q(sqrt(d)) enter the products as 2x2 blocks.
+
+Every residual is a sum of products of embedded projectors, so it commutes
+with total sl2 when the projectors do, and is then zero iff its block on
+the middle three-site sector w = floor(3*2s/2) (S_z = 0 or 1/2) is: each
+irreducible component has one vector there.  So a residual is built on
+that sector first, and its zero stands only for a certified projector set,
+every P^j commuting with Delta(S_plus) and Delta(S_minus) block by block
+(checked once per set).  A nonzero middle block, or an uncertified set, is
+recomputed on every sector: the value is the largest entry of the whole
+operator.
 """
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import product
 from operator import eq, mul
 
 from .amatrix import top_level
-from .exact import DomainError, HalfInt, QuadExt, minus_one_pow, rescale_surd
+from .exact import HalfInt, QuadExt, minus_one_pow, rescale_surd
 from .linalg import diagonal, mat_mul
 from .spectral import SpectralFamily
 from .ybe import reduced_ybe_check
 
 __all__ = [
-    "IDENTITIES_TWO_S_CAP",
-    "PROJECTOR_TWO_S_CAP",
     "SectorOperator",
     "dense_operator_identities",
     "dense_projectors",
@@ -36,9 +44,6 @@ __all__ = [
     "sector_labels",
     "spin_matrices",
 ]
-
-PROJECTOR_TWO_S_CAP = 4    # (2s+1)^3 = 125 at the cap
-IDENTITIES_TWO_S_CAP = 3   # the three-site identities, (2s+1)^3 = 64
 
 
 def _two_s(s) -> int:
@@ -64,24 +69,37 @@ def sector_labels(ts: int, sites: int) -> tuple:
     return tuple(map(tuple, sectors))
 
 
+def _middle(ts: int) -> range:
+    """The three-site sector of S_z = 0 or 1/2, w = floor(3*2s/2)."""
+    return range(3 * ts // 2, 3 * ts // 2 + 1)
+
+
+def _read_weights(ts: int, weights: range) -> range:
+    """The two-site sectors an embedded operator reads on the three-site
+    sectors weights: w - a for each spectator label a = 0..2s."""
+    return range(max(weights.start - ts, 0), min(weights.stop, 2 * ts + 1))
+
+
 class SectorOperator:
-    """A weight-preserving operator in the rescaled basis: block w, over the
-    labels sector_labels(2s, sites)[w], holds the matrix entries times the
-    positive integer den.  Entries are int, or QuadExt once a coefficient in
-    Q(sqrt(d)) enters."""
+    """A weight-preserving operator in the rescaled basis, held on the
+    weight sectors weights (a range, every sector by default): blocks[k],
+    over the labels sector_labels(2s, sites)[weights[k]], holds the matrix
+    entries times the positive integer den.  Entries are int, or QuadExt
+    once a coefficient in Q(sqrt(d)) enters."""
 
-    __slots__ = ("blocks", "den")
+    __slots__ = ("blocks", "den", "weights")
 
-    def __init__(self, blocks: tuple, den: int = 1):
+    def __init__(self, blocks: tuple, den: int = 1, weights: range | None = None):
         object.__setattr__(self, "blocks", blocks)
         object.__setattr__(self, "den", den)
+        object.__setattr__(self, "weights", range(len(blocks)) if weights is None else weights)
 
     def __setattr__(self, *args):
         raise AttributeError("SectorOperator is immutable")
 
     def __matmul__(self, other: SectorOperator) -> SectorOperator:
         return SectorOperator(tuple(map(mat_mul, self.blocks, other.blocks)),
-                              self.den * other.den)
+                              self.den * other.den, self.weights)
 
     def __sub__(self, other: SectorOperator) -> SectorOperator:
         return _combine([(1, self), (-1, other)])
@@ -89,16 +107,24 @@ class SectorOperator:
     def __rmul__(self, c) -> SectorOperator:
         return _combine([(c, self)])
 
+    def restrict(self, weights: range) -> SectorOperator:
+        """The same operator on the sectors weights, a subrange of its own."""
+        start = weights.start - self.weights.start
+        if start < 0 or weights.stop > self.weights.stop:
+            raise ValueError(f"sectors {weights} outside {self.weights}")
+        return SectorOperator(self.blocks[start:start + len(weights)], self.den, weights)
+
     def max_abs(self) -> Fraction:
-        """The largest |entry| of a rational operator, exact: zero iff the
-        operator is (over Q(sqrt(d)), take it of the _over_q form)."""
+        """The largest |entry| of a rational operator on its sectors, exact:
+        zero iff it is zero there (over Q(sqrt(d)), take it of the _over_q
+        form)."""
         return Fraction(max(abs(x) for block in self.blocks for row in block
                             for x in row)) / self.den
 
 
 def _combine(terms) -> SectorOperator:
     """The sum of c * op over the (c, op) pairs, c int, Fraction or QuadExt,
-    over the lcm of the rational denominators."""
+    over the lcm of the rational denominators; the ops share their sectors."""
     parts = [((c, 1) if isinstance(c, QuadExt) else (c.numerator, c.denominator), op)
              for c, op in terms]
     den = math.lcm(*(q * op.den for (_, q), op in parts))
@@ -106,13 +132,16 @@ def _combine(terms) -> SectorOperator:
     return SectorOperator(tuple(
         tuple(tuple(sum(map(mul, factors, column)) for column in zip(*rows))
               for rows in zip(*sector))
-        for sector in zip(*(op.blocks for _, op in parts))), den)
+        for sector in zip(*(op.blocks for _, op in parts))), den, parts[0][1].weights)
 
 
-def _operator(ts: int, sites: int, entry) -> SectorOperator:
-    """The operator with entry(row label, column label) in each sector."""
-    return SectorOperator(tuple(tuple(tuple(entry(r, c) for c in labels) for r in labels)
-                                for labels in sector_labels(ts, sites)))
+def _operator(ts: int, sites: int, entry, weights: range | None = None) -> SectorOperator:
+    """The operator with entry(row label, column label) in each sector of
+    weights, every sector by default."""
+    labels = sector_labels(ts, sites)
+    weights = range(len(labels)) if weights is None else weights
+    return SectorOperator(tuple(tuple(tuple(entry(r, c) for c in labels[w]) for r in labels[w])
+                                for w in weights), 1, weights)
 
 
 def _casimir(ts: int) -> SectorOperator:
@@ -136,8 +165,6 @@ def dense_projectors(s) -> list[SectorOperator]:
 
 @lru_cache(maxsize=None)
 def _projectors(ts: int) -> tuple:
-    if ts > PROJECTOR_TWO_S_CAP:
-        raise DomainError(f"2s={ts} above the dense cap {PROJECTOR_TWO_S_CAP}")
     casimir, eye = _casimir(ts), _operator(ts, 2, eq)   # entries row == col
     eigs = [4 * j * (j + 1) for j in range(ts + 1)]
     projs = []
@@ -150,33 +177,70 @@ def _projectors(ts: int) -> tuple:
     return tuple(projs)
 
 
-def permutation_dense(s) -> SectorOperator:
-    """The swap, sum_j (-1)^(2s-j) P^j."""
-    ts = _two_s(s)
-    return _combine([(minus_one_pow(ts - j), p) for j, p in enumerate(dense_projectors(s))])
+@lru_cache(maxsize=None)
+def _certified(projs: tuple) -> bool:
+    """Whether every two-site operator in projs commutes with
+    Delta(S_plus) = S_plus (x) 1 + 1 (x) S_plus and Delta(S_minus), which
+    map sector w to w - 1 and w - 1 to w: checked block by block, once per
+    set (a SectorOperator hashes by identity)."""
+    ts = len(projs) - 1
+    _, sp = spin_matrices(HalfInt(ts))
+    labels = sector_labels(ts, 2)
+    for w in range(1, 2 * ts + 1):
+        up = tuple(tuple(sp[r1][c1] * (r2 == c2) + (r1 == c1) * sp[r2][c2]
+                         for c1, c2 in labels[w]) for r1, r2 in labels[w - 1])
+        down = tuple(tuple(int(r == (c1 + 1, c2)) + int(r == (c1, c2 + 1))
+                           for c1, c2 in labels[w - 1]) for r in labels[w])
+        for p in projs:
+            low, high = p.blocks[w - 1], p.blocks[w]
+            if (mat_mul(low, up) != mat_mul(up, high)
+                    or mat_mul(high, down) != mat_mul(down, low)):
+                return False
+    return True
+
+
+def _largest_entries(residuals, projs: list) -> dict:
+    """{name: largest |entry|} of the three-site operators residuals(weights)
+    forms from projs, exact.  Decided on the middle sector when projs is
+    certified and every middle block is zero, else on every sector."""
+    ts = len(projs) - 1
+    if _certified(tuple(projs)):
+        values = {name: op.max_abs() for name, op in residuals(_middle(ts)).items()}
+        if not any(values.values()):
+            return values
+    return {name: op.max_abs() for name, op in residuals(range(3 * ts + 1)).items()}
+
+
+def permutation_dense(projs) -> SectorOperator:
+    """The swap, sum_j (-1)^(2s-j) P^j, from the projectors P^0..P^2s on
+    the sectors they hold."""
+    return _combine([(minus_one_pow(len(projs) - 1 - j), p) for j, p in enumerate(projs)])
 
 
 @lru_cache(maxsize=None)
-def _embedding(ts: int, left: bool) -> tuple:
-    """The blocks of op2 (x) I (left) or I (x) op2 on three sites as
-    positions in op2's block entries read row by row, -1 (a zero) where
-    the spectator labels differ."""
+def _embedding(ts: int, left: bool, weights: range) -> tuple:
+    """The blocks of op2 (x) I (left) or I (x) op2 on the three-site sectors
+    weights, as positions in the entries of op2's blocks on
+    _read_weights(ts, weights) read row by row, -1 (a zero) where the
+    spectator labels differ."""
+    labels = sector_labels(ts, 2)
     position = {(r, c): k for k, (r, c) in enumerate(
-        (r, c) for labels in sector_labels(ts, 2) for r in labels for c in labels)}
+        (r, c) for w in _read_weights(ts, weights) for r in labels[w] for c in labels[w])}
 
     def source(row, col):
         (r, x), (c, y) = [(a[:2], a[2]) if left else (a[1:], a[0]) for a in (row, col)]
         return position[r, c] if x == y else -1
 
-    return _operator(ts, 3, source).blocks
+    return _operator(ts, 3, source, weights).blocks
 
 
-def _embed(op2: SectorOperator, left: bool) -> SectorOperator:
-    """op2 (x) I (left) or I (x) op2 on three sites."""
+def _embed(op2: SectorOperator, ts: int, left: bool, weights: range) -> SectorOperator:
+    """op2 (x) I (left) or I (x) op2 on the three-site sectors weights."""
+    op2 = op2.restrict(_read_weights(ts, weights))
     flat = [x for block in op2.blocks for row in block for x in row] + [0]
-    ts = len(op2.blocks) // 2   # two sites have the weights 0..2*2s
     return SectorOperator(tuple(tuple(tuple(flat[k] for k in row) for row in block)
-                                for block in _embedding(ts, left)), op2.den)
+                                for block in _embedding(ts, left, weights)),
+                          op2.den, weights)
 
 
 def _over_q(op: SectorOperator, d: int) -> SectorOperator:
@@ -192,7 +256,7 @@ def _over_q(op: SectorOperator, d: int) -> SectorOperator:
     return SectorOperator(tuple(
         tuple(tuple(int(v * c) for a, b in row for v in ((a, d * b) if top else (b, a)))
               for row in block for top in (True, False))
-        for block in pairs), op.den * c)
+        for block in pairs), op.den * c, op.weights)
 
 
 def dense_operator_identities(s) -> dict:
@@ -202,23 +266,34 @@ def dense_operator_identities(s) -> dict:
         P0_12 P^j_23 P0_12 = (2j+1)/(2s+1)^2 P0_12,
 
     with xi = (-1)^2s and eta = 1/(2s+1); both site orders checked.  The
-    report passes iff every residual is zero.
+    report passes iff every residual is zero.  Every relation is first
+    built on the middle weight sector; when the projectors are certified
+    sl2-invariant and every middle block is zero, that decides the report,
+    and otherwise every residual is recomputed on all sectors.
     """
-    ts = _two_s(s)
-    if ts > IDENTITIES_TWO_S_CAP:
-        raise DomainError(f"2s={ts} above the dense cap {IDENTITIES_TWO_S_CAP}")
     projs = dense_projectors(s)
-    perm = permutation_dense(s)
+    residuals = _largest_entries(partial(_identity_residuals, projs), projs)
+    worst = max(residuals.values())
+    return {"s": str(HalfInt(_two_s(s))), "residuals": residuals,
+            "max_residual": worst, "pass": worst == 0}
+
+
+def _identity_residuals(projs: list, weights: range) -> dict:
+    """The relations of dense_operator_identities on the three-site sectors
+    weights, each a SectorOperator that is zero when the relation holds."""
+    ts = len(projs) - 1
+    projs = [p.restrict(_read_weights(ts, weights)) for p in projs]
+    perm = permutation_dense(projs)
     xi = minus_one_pow(ts)
     eta = Fraction(1, ts + 1)
-    eye3 = _operator(ts, 3, eq)
+    eye3 = _operator(ts, 3, eq, weights)
     residuals = {}
     for order in ("12-23", "23-12"):
         left_first = order == "12-23"
-        pl = _embed(perm, left_first)
-        plp = _embed(perm, not left_first)
-        p0l = _embed(projs[0], left_first)
-        p0lp = _embed(projs[0], not left_first)
+        pl = _embed(perm, ts, left_first, weights)
+        plp = _embed(perm, ts, not left_first, weights)
+        p0l = _embed(projs[0], ts, left_first, weights)
+        p0lp = _embed(projs[0], ts, not left_first, weights)
         # triple products grouped to the right, as in dense_ybe_residual
         rel = {
             "idempotent": p0l @ p0l - p0l,
@@ -234,31 +309,39 @@ def dense_operator_identities(s) -> dict:
             "chain-b": pl @ (p0lp @ p0l) - xi * eta * (plp @ p0l),
         }
         for j in range(ts + 1):
-            pj = _embed(projs[j], not left_first)
+            pj = _embed(projs[j], ts, not left_first, weights)
             rel[f"spin-{j}-sandwich"] = (p0l @ (pj @ p0l)
                                          - Fraction(2 * j + 1, (ts + 1) ** 2) * p0l)
-        for name, mat in rel.items():
-            residuals[f"{order}/{name}"] = mat.max_abs()
-    worst = max(residuals.values())
-    return {"s": str(HalfInt(ts)), "residuals": residuals,
-            "max_residual": worst, "pass": worst == 0}
+        residuals.update((f"{order}/{name}", mat) for name, mat in rel.items())
+    return residuals
 
 
-def dense_r_matrix(fam: SpectralFamily, lam) -> SectorOperator:
-    """R(lam) = sum_j r_j(lam) P^j on V_s (x) V_s."""
-    return _combine([(fam.eval_coeff(j, lam), p)
-                     for j, p in enumerate(dense_projectors(fam.s))])
+def dense_r_matrix(fam: SpectralFamily, lam, projs: list) -> SectorOperator:
+    """R(lam) = sum_j r_j(lam) P^j on V_s (x) V_s, from the projectors
+    P^0..P^2s on the sectors they hold."""
+    return _combine([(fam.eval_coeff(j, lam), p) for j, p in enumerate(projs)])
 
 
 def dense_ybe_residual(fam: SpectralFamily, lam, mu) -> Fraction:
     """The largest |entry| of R12(l) R23(l+m) R12(m) - R23(m) R12(l+m) R23(l)
     in the rescaled basis, of its rational form over Q(sqrt(d)), exact: zero
-    iff the braid equation holds there."""
-    r = [dense_r_matrix(fam, x) for x in (lam, fam.compose(lam, mu), mu)]
-    r12 = [_over_q(_embed(x, True), fam.discriminant) for x in r]
-    r23 = [_over_q(_embed(x, False), fam.discriminant) for x in r]
+    iff the braid equation holds there.  The residual is first built on the
+    middle weight sector, from R on the 2s+1 two-site sectors it reads; a
+    zero there stands when the projectors are certified sl2-invariant, and
+    a nonzero block, or an uncertified set, is recomputed on all sectors."""
+    projs = dense_projectors(fam.s)
+    return _largest_entries(partial(_braid_residual, fam, lam, mu, projs), projs)["braid"]
+
+
+def _braid_residual(fam: SpectralFamily, lam, mu, projs: list, weights: range) -> dict:
+    """{"braid": the braid residual on the three-site sectors weights}."""
+    ts = len(projs) - 1
+    projs = [p.restrict(_read_weights(ts, weights)) for p in projs]
+    r = [dense_r_matrix(fam, x, projs) for x in (lam, fam.compose(lam, mu), mu)]
+    r12 = [_over_q(_embed(x, ts, True, weights), fam.discriminant) for x in r]
+    r23 = [_over_q(_embed(x, ts, False, weights), fam.discriminant) for x in r]
     # grouped to the right, so each left factor is an embedded, sparse one
-    return (r12[0] @ (r23[1] @ r12[2]) - r23[2] @ (r12[1] @ r23[0])).max_abs()
+    return {"braid": r12[0] @ (r23[1] @ r12[2]) - r23[2] @ (r12[1] @ r23[0])}
 
 
 def reduction_consistency(fam: SpectralFamily, samples) -> list:

@@ -2,18 +2,20 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from sl2ybe import oracle
 from sl2ybe.amatrix import LevelRange, top_level
-from sl2ybe.exact import DomainError, HalfInt, QuadExt
+from sl2ybe.exact import HalfInt, QuadExt
 from sl2ybe.linalg import span_rank
-from sl2ybe.oracle import (IDENTITIES_TWO_S_CAP, PROJECTOR_TWO_S_CAP, SectorOperator,
-                           dense_operator_identities, dense_projectors,
+from sl2ybe.oracle import (SectorOperator, dense_operator_identities, dense_projectors,
                            dense_r_matrix, dense_ybe_residual,
                            permutation_dense, reduction_consistency,
                            sector_labels, spin_matrices)
-from sl2ybe.spectral import (RationalFunction, baxter_tl, custom_family,
-                             permutation_family, yang, zamolodchikov)
+from sl2ybe.spectral import (PoleError, RationalFunction, baxter_tl, constant_baxter,
+                             custom_family, identity_family, permutation_family, yang,
+                             zamolodchikov)
 
 F = Fraction
 
@@ -27,6 +29,29 @@ def perturbed_yang(ts):
             num = (F(1), F(sign), F(1), F(sign))
         tables[j] = RationalFunction(num, (F(1), F(1)))
     return custom_family(HalfInt(ts), tables)
+
+
+def with_top_fault(projs):
+    """projs with den added to the weight-0 entry of P^(2s): the set no
+    longer commutes with Delta(S_plus), and the middle three-site sector
+    never reads the entry."""
+    top = projs[-1]
+    blocks = [list(map(list, block)) for block in top.blocks]
+    blocks[0][0][0] += top.den
+    return projs[:-1] + [SectorOperator(tuple(tuple(map(tuple, b)) for b in blocks), top.den)]
+
+
+def perturbed(fam, j, c):
+    """fam with r_j moved by c: a constant shifted by c, any other table
+    times 1 + c (x - x0), so r_j stays 1 at the origin x0."""
+    rf = fam.coeffs[j]
+    if fam.constant:
+        num = (rf.num[0] + c * rf.den[0],)
+    else:
+        x0 = fam.zero_sample()
+        num = tuple(a * (1 - c * x0) + b * c for a, b in zip(rf.num + (0,), (0,) + rf.num))
+    return custom_family(fam.s, {**fam.coeffs, j: RationalFunction(num, rf.den)},
+                         multiplicative=fam.multiplicative)
 
 
 def entries(op, ts, sites=2):
@@ -80,14 +105,13 @@ class TestProjectors:
     def test_permutation_swaps_basis_vectors(self):
         # the rescaling T (x) T commutes with the swap, which stays the
         # plain label permutation f_a (x) f_b -> f_b (x) f_a
-        perm = entries(permutation_dense(1), 2)
+        perm = entries(permutation_dense(dense_projectors(1)), 2)
         assert perm == {(r, c): int(r == c[::-1]) for r, c in perm}
 
-    def test_dimension_cap(self):
-        with pytest.raises(DomainError):
-            dense_projectors(3)
-        with pytest.raises(DomainError, match=f"above the dense cap {PROJECTOR_TWO_S_CAP}"):
-            dense_projectors(HalfInt(PROJECTOR_TWO_S_CAP + 1))
+    def test_builds_past_the_float_cap(self):
+        # 2s = 5 was refused while the oracle ran in floating point
+        projs = dense_projectors(HalfInt(5))
+        assert len(projs) == 6 and oracle._certified(tuple(projs))
 
 
 class TestOperatorIdentities:
@@ -96,10 +120,10 @@ class TestOperatorIdentities:
         report = dense_operator_identities(s)
         assert report["pass"], report["residuals"]
 
-    def test_dimension_cap(self):
-        dense_operator_identities(HalfInt(IDENTITIES_TWO_S_CAP))
-        with pytest.raises(DomainError, match=f"above the dense cap {IDENTITIES_TWO_S_CAP}"):
-            dense_operator_identities(HalfInt(IDENTITIES_TWO_S_CAP + 1))
+    def test_identities_past_the_float_cap(self):
+        # 2s = 4 was refused while the oracle ran in floating point
+        report = dense_operator_identities(HalfInt(4))
+        assert report["pass"] and len(report["residuals"]) == 2 * (11 + 5)
 
     def test_sandwich_values(self):
         report = dense_operator_identities(1)
@@ -154,10 +178,84 @@ class TestDenseYbe:
 
     def test_r_matrix_assembly(self):
         fam = yang("1/2")
-        r = entries(dense_r_matrix(fam, F(1)), 1)
-        perm = entries(permutation_dense("1/2"), 1)
+        projs = dense_projectors("1/2")
+        r = entries(dense_r_matrix(fam, F(1), projs), 1)
+        perm = entries(permutation_dense(projs), 1)
         # at lambda = 1, R = (E + P)/2
         assert r == {(a, b): F(int(a == b) + perm[a, b], 2) for a, b in perm}
+
+
+@pytest.fixture(params=["one", "both"])
+def casimir_sign_flip(request, monkeypatch):
+    """The projectors rebuilt from 4 C_12 with a sign flipped: "one" negates
+    its S_plus (x) S_minus term (the entries whose row lowers a_1), "both"
+    every off-diagonal entry.  Yields the flip."""
+    real = oracle._casimir
+
+    def flipped_entry(r, col, x):
+        return -x if r[0] < col[0] or (request.param == "both" and r != col) else x
+
+    def flipped(ts):
+        c = real(ts)
+        return SectorOperator(tuple(
+            tuple(tuple(flipped_entry(r, col, x) for col, x in zip(labels, row))
+                  for r, row in zip(labels, block))
+            for labels, block in zip(sector_labels(ts, 2), c.blocks)), c.den)
+
+    monkeypatch.setattr(oracle, "_casimir", flipped)
+    oracle._projectors.cache_clear()
+    yield request.param
+    oracle._projectors.cache_clear()
+
+
+class TestCertificate:
+    """A zero is read from the middle three-site sector only for projectors
+    that commute with total sl2; any other set is decided on every sector."""
+
+    @pytest.mark.parametrize("ts", [2, 3])
+    def test_fault_outside_the_middle_sector_fails(self, monkeypatch, ts):
+        bad = with_top_fault(dense_projectors(HalfInt(ts)))
+        fam = yang(HalfInt(ts))
+        middle = oracle._middle(ts)
+        # the middle sector alone reads every relation as exactly zero
+        assert not any(op.max_abs() for op in oracle._identity_residuals(bad, middle).values())
+        assert oracle._braid_residual(fam, F(1, 2), F(1, 3), bad, middle)["braid"].max_abs() == 0
+        assert not oracle._certified(tuple(bad))
+        monkeypatch.setattr(oracle, "dense_projectors", lambda s: list(bad))
+        assert not dense_operator_identities(HalfInt(ts))["pass"]
+        assert dense_ybe_residual(fam, F(1, 2), F(1, 3)) != 0
+
+    @pytest.mark.parametrize("ts", [1, 2, 3])
+    def test_casimir_sign_flip_is_caught(self, casimir_sign_flip, ts):
+        assert not oracle._certified(tuple(dense_projectors(HalfInt(ts))))
+        report = dense_operator_identities(HalfInt(ts))
+        residual = dense_ybe_residual(yang(HalfInt(ts)), F(1, 2), F(1, 3))
+        if casimir_sign_flip == "both":
+            # equivalent for the verdicts: the basis sign change f_a -> (-1)^a f_a
+            # on the middle site maps both embedded Casimirs to the flipped ones
+            assert report["pass"] and residual == 0
+        else:
+            assert not report["pass"] and residual != 0
+
+    @settings(max_examples=40, deadline=None)
+    @given(fam=st.sampled_from([
+        yang("1/2"), yang(1), yang("3/2"), zamolodchikov(1, 2), zamolodchikov("3/2", 3),
+        baxter_tl(1), baxter_tl("3/2"), constant_baxter(1, 2), constant_baxter("3/2", 3),
+        permutation_family(1), identity_family("3/2")]),
+           lam=st.fractions(min_value=0, max_value=3, max_denominator=5),
+           mu=st.fractions(min_value=0, max_value=3, max_denominator=5), data=st.data())
+    def test_residual_equals_the_all_sector_one(self, fam, lam, mu, data):
+        if data.draw(st.booleans(), label="perturbed"):
+            j = data.draw(st.integers(0, fam.s.twice), label="j")
+            c = data.draw(st.sampled_from([F(1), F(-1, 2), F(1, 3)]), label="c")
+            fam = perturbed(fam, j, c)
+        every = range(3 * fam.s.twice + 1)
+        try:
+            got = dense_ybe_residual(fam, lam, mu)
+        except PoleError:
+            assume(False)
+        projs = dense_projectors(fam.s)
+        assert got == oracle._braid_residual(fam, lam, mu, projs, every)["braid"].max_abs()
 
 
 class TestReductionConsistency:
@@ -200,3 +298,12 @@ class TestWeightSpaces:
             for n in range(top_level(s) + 1):
                 rng = LevelRange.for_level(s, n)
                 assert weight_space_dimension(s, n) == rng.dim, (ts, n)
+
+    def test_middle_sector_holds_one_vector_per_component(self):
+        # S_z = 0 or 1/2 meets every irreducible component of V_s^(x)3 once,
+        # and the level-n space counts the components of spin 3s - n
+        for ts in range(1, 13):
+            s = HalfInt(ts)
+            middle, = (sector_labels(ts, 3)[w] for w in oracle._middle(ts))
+            assert len(middle) == sum(LevelRange.for_level(s, n).dim
+                                      for n in range(top_level(s) + 1)), ts

@@ -66,6 +66,7 @@ GOLDEN = [
     ("oracle --family-file perfbench/perturbed_spin_half.json --lambda 1 --mu 2", 0, "9194cf9cd655fab2cf19e34b7640395bf76cd56f017a78c09ffd96c655ff70f8"),
     ("oracle --family baxter-tl --s 1 --lambda 2 --mu 3", 0, "d22d79f7d895d01112afe20e1030c20cc21b8236832c1bee2f2e5bd350e7e172"),
     ("oracle --family constant-baxter --s 3/2 --m 2 --lambda 0 --mu 0", 0, "2c0111a3da974fb53d95d3352b5a9f1f44dc01eea53f3771d95821e88bf1a3af"),
+    ("oracle --family exceptional-s3 --lambda 1/2 --mu 1/3", 0, "ac8b950cd9de603c791e20968d5ccd031ad76e12d1b2ee96dc1e59b4039faadf"),
 ]
 
 

@@ -4,7 +4,9 @@ evaluation.
 Every family, catalog or custom, is a table of spectral coefficients
 r_j, each an exact RationalFunction with coefficients in Q (Fraction) or
 in a quadratic extension Q(sqrt(d)) (QuadExt), evaluated at rational
-sample points.  The Temperley-Lieb style family is parameterized
+sample points.  A table is cleared to integer vectors once, when it is
+built, so an evaluation runs in integers and builds one exact value, a
+Fraction or a QuadExt.  The Temperley-Lieb style family is parameterized
 multiplicatively: samples are values of t = exp(gamma*lambda), so the
 additive arguments (lambda, mu, lambda+mu) become (t, u, t*u) and
 everything stays exact.
@@ -15,7 +17,8 @@ from fractions import Fraction
 
 from .amatrix import LevelRange, eta_closed_form
 from .exact import (DomainError, HalfInt, QuadExt, minus_one_pow,
-                    parse_rational)
+                    parse_rational, rescale_surd)
+from .linalg import clear_denominators
 
 __all__ = [
     "PoleError",
@@ -46,12 +49,22 @@ class PoleError(ZeroDivisionError):
 class RationalFunction:
     """num(x)/den(x) with coefficients in Q or Q(sqrt(d)), ascending powers.
 
+    The table is cleared once, when it is built: both sides are padded to
+    one length k + 1 and written as integer vectors over one common scale,
+    a rational part A and, when the side has one, a sqrt(d) part B, with d
+    the smallest discriminant among the coefficients (as in
+    ybe._discriminant).  The scale and the q^k of a sample x = p/q cancel
+    in num/den, so evaluation runs Horner in integers and builds one exact
+    value, a Fraction, or a QuadExt when any coefficient is one.  Surds over
+    incompatible fields (sqrt(2) with sqrt(3)) are refused here with
+    rescale_surd's ValueError.
+
     Evaluation is the single pole check of the package: it raises
     PoleError wherever the denominator vanishes.  Two functions are equal
     when their coefficient tuples are, so a table can key a dict.
     """
 
-    __slots__ = ("num", "den")
+    __slots__ = ("num", "den", "_cleared")
 
     def __init__(self, num: tuple, den: tuple):
         if not num or not den:
@@ -59,6 +72,7 @@ class RationalFunction:
                               "and one denominator coefficient")
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
+        object.__setattr__(self, "_cleared", _clear(num, den))
 
     def __setattr__(self, *args):
         raise AttributeError("RationalFunction is immutable")
@@ -72,17 +86,51 @@ class RationalFunction:
         return hash((self.num, self.den))
 
     def __call__(self, x):
-        den = _horner(self.den, x)
-        if den == 0:
+        """The value at a rational x: (a + b sqrt(d)) / (c + e sqrt(d)) in
+        integers, made rational in the denominator by its conjugate."""
+        p, q = x.numerator, x.denominator
+        num, den, d = self._cleared
+        a, c = _homogeneous(num[0], p, q), _homogeneous(den[0], p, q)
+        b = _homogeneous(num[1], p, q) if len(num) > 1 else 0
+        e = _homogeneous(den[1], p, q) if len(den) > 1 else 0
+        if c == 0 and e == 0:
             raise PoleError(f"denominator {[str(c) for c in self.den]} "
                             f"vanishes at {x}")
-        return _horner(self.num, x) / den
+        if d is None:
+            return Fraction(a, c)
+        if e:
+            a, b, c = a * c - d * b * e, b * c - a * e, c * c - d * e * e
+        return QuadExt(Fraction(a, c), Fraction(b, c), d)
 
 
-def _horner(coeffs, x):
-    acc = coeffs[-1]
+def _clear(num: tuple, den: tuple) -> tuple:
+    """(num vectors, den vectors, d) of a table: each side (A,) or (A, B)
+    with integer entries, both sides over one scale and of one length; d is
+    None when no coefficient is a QuadExt, else the smallest sqrt(d) among
+    them (1 if none is irrational)."""
+    quads = [c for c in num + den if isinstance(c, QuadExt)]
+    d = min((c.d for c in quads if c.b), default=1) if quads else None
+    width = max(len(num), len(den))
+    sides = []
+    for side in (num, den):
+        side += (0,) * (width - len(side))
+        parts = [[c.a if isinstance(c, QuadExt) else c for c in side]]
+        surd = [rescale_surd(c.b, c.d, d) if isinstance(c, QuadExt) and c.b else 0
+                for c in side]
+        if any(surd):
+            parts.append(surd)
+        sides.append(parts)
+    _, ints = clear_denominators(sides[0] + sides[1])
+    return ints[:len(sides[0])], ints[len(sides[0]):], d
+
+
+def _homogeneous(coeffs: tuple, p: int, q: int) -> int:
+    """q^k f(p/q) for the integer polynomial f = sum coeffs[i] x^i of
+    degree at most k = len(coeffs) - 1, by Horner in integers."""
+    acc, power = coeffs[-1], 1
     for c in coeffs[-2::-1]:
-        acc = acc * x + c
+        power *= q
+        acc = acc * p + c * power
     return acc
 
 

@@ -1,9 +1,14 @@
 import json
+import operator
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from sl2ybe import spectral, ybe
 from sl2ybe.amatrix import eta_closed_form
+from sl2ybe.cli import _dense_grid
 from sl2ybe.exact import DomainError, HalfInt, QuadExt
 from sl2ybe.spectral import (PoleError, RationalFunction, baxter_b, baxter_tl,
                              check_regularity_unitarity, constant_baxter,
@@ -280,3 +285,181 @@ class TestCoefficientTables:
         with pytest.raises(DomainError):
             RationalFunction((F(1),), ())
 
+
+def reference_value(rf, x):
+    """The evaluation the cleared tables replace: Horner in Fraction or
+    QuadExt arithmetic, one normalization per step."""
+    def horner(coeffs):
+        acc = coeffs[-1]
+        for c in coeffs[-2::-1]:
+            acc = acc * x + c
+        return acc
+
+    den = horner(rf.den)
+    if den == 0:
+        raise PoleError(f"denominator {[str(c) for c in rf.den]} vanishes at {x}")
+    return horner(rf.num) / den
+
+
+def outcome(f, x):
+    """What an evaluation gives: its type, value and field d, or the pole
+    message; a float would compare equal to its Fraction, so the type
+    is part of the outcome."""
+    try:
+        value = f(x)
+    except PoleError as err:
+        return "pole", str(err)
+    return type(value), value, getattr(value, "d", None)
+
+
+def times(p, q):
+    """The product of two ascending coefficient tuples."""
+    out = [F(0)] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] = out[i + j] + a * b
+    return tuple(out)
+
+
+small = st.fractions(min_value=-4, max_value=4, max_denominator=5)
+positive = st.fractions(min_value=F(1, 5), max_value=9, max_denominator=5)
+# additive arguments lambda, lambda + mu and multiplicative ones t*u, 1/t
+samples = st.one_of(st.just(F(0)), small, st.builds(operator.add, small, small),
+                    st.builds(operator.mul, positive, positive),
+                    st.builds(lambda t: 1 / t, positive))
+
+
+@st.composite
+def tables(draw, fields):
+    """A table over Q or Q(sqrt(d)) for a d of the fields (several d: one
+    table mixing equivalent surds), with zero coefficients anywhere, the
+    leading ones included, and a denominator with rational roots; returns
+    the table and its roots."""
+    ds = draw(st.sampled_from(fields))
+    rational = st.one_of(st.just(F(0)), small)
+    if ds:
+        surd = st.builds(QuadExt, small, small, st.sampled_from(ds))
+        coefficient = st.one_of(rational, surd)
+    else:
+        coefficient = rational
+    poly = st.lists(coefficient, min_size=1, max_size=4).map(tuple)
+    num, den = draw(poly), draw(poly)
+    roots = draw(st.lists(small, max_size=2))
+    for r in roots:
+        den = times(den, (-r, F(1)))
+    return RationalFunction(num, den), roots
+
+
+class TestClearedEvaluation:
+    """Evaluation of the cleared integer form against Horner in Fraction or
+    QuadExt arithmetic."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), drawn=tables([(), (5,), (20,)]))
+    def test_matches_the_reference(self, data, drawn):
+        # each table over one field: the value, its type and its d agree,
+        # and so does every pole with its message
+        rf, roots = drawn
+        x = data.draw(st.one_of(samples, st.sampled_from(roots)) if roots else samples)
+        got = outcome(rf, x)
+        assert got == outcome(lambda y: reference_value(rf, y), x)
+        assert got[0] in ("pole", Fraction, QuadExt)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), drawn=tables([(5, 20)]))
+    def test_equivalent_surds_share_the_smallest_d(self, data, drawn):
+        # sqrt(5) and sqrt(20) in one table: one field, stated by the
+        # smallest d among the coefficients, as ybe._discriminant reads it
+        rf, roots = drawn
+        x = data.draw(st.one_of(samples, st.sampled_from(roots)) if roots else samples)
+        got, want = outcome(rf, x), outcome(lambda y: reference_value(rf, y), x)
+        assert got[:2] == want[:2]
+        if got[0] is QuadExt and not got[1].is_rational:
+            assert got[2] == ybe._discriminant([rf.num + rf.den])
+
+    def test_equivalent_surds_example(self):
+        # (sqrt(5) + sqrt(20) x) / (1 + x) = sqrt(5) (1 + 2x) / (1 + x)
+        rf = RationalFunction((QuadExt(0, 1, 5), QuadExt(0, 1, 20)), (F(1), F(1)))
+        value = rf(F(1, 2))
+        assert value == QuadExt(0, F(4, 3), 5) and value.d == 5
+
+    @pytest.mark.parametrize("num, den", [
+        ((QuadExt(0, 1, 2), QuadExt(0, 1, 3)), (F(1),)),
+        ((F(1), QuadExt(0, 1, 2)), (QuadExt(1, 1, 3),)),
+    ])
+    def test_mixed_surds_refused_when_built(self, num, den):
+        with pytest.raises(ValueError, match=r"mixed discriminants sqrt\(3\) vs sqrt\(2\)"):
+            RationalFunction(num, den)
+
+    def test_every_catalog_table_at_every_grid_argument(self):
+        grids = [ybe.DEFAULT_GRID, ybe.DEFAULT_GRID_MULT]
+        grids += [_dense_grid(fam) for fam in (yang(1), baxter_tl(1))]
+        args = {x for grid in grids for lam, mu in grid
+                for x in (lam, mu, lam + mu, lam * mu)}
+        tables = catalog_tables()
+        assert len(tables) > 40 and len(args) > 150
+        for rf in tables:
+            for x in args:
+                assert outcome(rf, x) == outcome(lambda y: reference_value(rf, y), x), (
+                    rf.num, rf.den, x)
+
+
+def catalog_tables():
+    """Every coefficient table of the catalog families with 2s <= 6, at
+    every m a family takes."""
+    tables = set(exceptional_s3().coeffs.values())
+    for tag, (_, takes) in spectral._CATALOG.items():
+        for ts in range(7) if "s" in takes else []:
+            for m in range(2, ts + 1) if "m" in takes else [None]:
+                try:
+                    fam = make_family(tag, HalfInt(ts), m)
+                except DomainError:  # below the family's smallest spin
+                    continue
+                tables.update(fam.coeffs.values())
+    return tables
+
+
+def count_calls(monkeypatch, cls, name, calls):
+    """Patch cls.name, a function, staticmethod or classmethod, to append
+    to calls on each call."""
+    raw = vars(cls)[name]
+    wrap = type(raw) if isinstance(raw, (staticmethod, classmethod)) else (lambda f: f)
+    func = getattr(raw, "__func__", raw)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return func(*args, **kwargs)
+
+    monkeypatch.setattr(cls, name, wrap(counted))
+
+
+class TestOneValuePerEvaluation:
+    """An evaluation builds its one exact value at the end: no Fraction or
+    QuadExt per Horner step."""
+
+    @pytest.mark.parametrize("rf", [
+        yang(2).coeffs[0], zamolodchikov(1, 2).coeffs[0],
+        exceptional_s3().coeffs[0], RationalFunction((F(1, 3),), (F(2, 7),)),
+    ], ids=["yang", "zamolodchikov", "exceptional-s3", "constant"])
+    @pytest.mark.parametrize("x", [F(0), F(2, 3), F(-5, 7), F(9)])
+    def test_one_fraction_for_a_rational_table(self, monkeypatch, rf, x):
+        calls = []
+        with monkeypatch.context() as patch:
+            # Fraction arithmetic builds through _from_coprime_ints from 3.12 on
+            for name in ("__new__", "_from_coprime_ints"):
+                if name in vars(Fraction):
+                    count_calls(patch, Fraction, name, calls)
+            value = rf(x)
+        assert isinstance(value, Fraction) and len(calls) == 1
+
+    @pytest.mark.parametrize("rf", [
+        baxter_tl(2).coeffs[0], constant_baxter(1, 2).coeffs[0],
+        RationalFunction((F(1), QuadExt(0, 1, 5)), (QuadExt(2, 1, 5), F(1), F(3))),
+    ], ids=["baxter-tl", "constant-baxter", "surd-denominator"])
+    @pytest.mark.parametrize("x", [F(2, 3), F(-5, 7), F(9)])
+    def test_one_quadext_for_an_irrational_table(self, monkeypatch, rf, x):
+        calls = []
+        with monkeypatch.context() as patch:
+            count_calls(patch, QuadExt, "__init__", calls)
+            value = rf(x)
+        assert isinstance(value, QuadExt) and len(calls) == 1

@@ -17,17 +17,19 @@ L^2 times the image of A D A).
 The entries are prefactored 6-j symbols {s s l; s 3s-n p}, l, p = 2s-k:
 the weights are (2l+1) times two squared triangle coefficients and the
 core is (-1)^(2s-n) times the Racah single sum.  This module defines that
-sum and those coefficients once; `sixj` reads them from here.
+sum and those coefficients once, as integer pairs, and `sixj` reads them
+from here; A^(s,n) is built from them in integers, and its rational
+weights and core are formed only to be printed.
 """
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .exact import (DomainError, HalfInt, QuadExt, factorial,
+from .exact import (DomainError, HalfInt, QuadExt, factorial, factorials,
                     minus_one_pow, sqrt_canonicalize)
-from .linalg import (clear_denominators, diag_mul_right, diagonal, is_zero_matrix,
-                     mat_mul)
+from .linalg import diag_mul_right, diagonal, is_zero_matrix, mat_mul
 
 __all__ = [
     "GaugedMatrix",
@@ -107,33 +109,50 @@ def rank_one_projector(rng: LevelRange, m: int) -> tuple:
 
 
 class GaugedMatrix:
-    """X = U^(1/2) M U^(1/2) with rational weights u and rational core M.
+    """X = U^(1/2) M U^(1/2) with positive rational weights u and a
+    symmetric rational core M, held in integers: W = `int_weights` is u
+    times `weights_lcm`, and N = `int_ucore` = L (M U), L = `ucore_lcm`,
+    the one product form of X.  One pass over N gives N N, which decides
+    `involutive`, and `sign_hat` = N D0 N, which every scan cell and
+    sign-conjugation check of the level reads."""
 
-    `ucore_lcm` is the lcm L of the denominators of M U and `int_ucore`
-    the integer core N = L * (M U), the one product form of X;
-    `int_weights` are the weights u cleared to positive integers.
-    `sign_hat` is N D0 N, the hat of the sign diagonal, built once here
-    because every scan cell and sign-conjugation check of the level reads
-    it."""
+    __slots__ = ("range", "weights_lcm", "int_weights", "ucore_lcm", "int_ucore",
+                 "sign_hat", "involutive")
 
-    __slots__ = ("range", "weights", "core", "ucore_lcm", "int_ucore",
-                 "int_weights", "sign_hat", "_involutive")
-
-    def __init__(self, rng: LevelRange, weights, core):
-        self.range = rng
-        self.weights = tuple(weights)
-        self.core = tuple(tuple(row) for row in core)
-        if any(w <= 0 for w in self.weights):
+    def __init__(self, rng: LevelRange, weights_lcm: int, int_weights, ucore_lcm: int,
+                 int_ucore):
+        self.range, self.weights_lcm, self.ucore_lcm = rng, weights_lcm, ucore_lcm
+        self.int_weights, self.int_ucore = tuple(int_weights), tuple(map(tuple, int_ucore))
+        if any(w <= 0 for w in self.int_weights):
             raise DomainError("gauge weights must be positive")
-        self.ucore_lcm, self.int_ucore = clear_denominators(
-            [[x * w for x, w in zip(row, self.weights)] for row in self.core])
-        self.int_weights = clear_denominators([self.weights])[1][0]
-        self.sign_hat = self.hat(sign_diagonal(rng))
-        self._involutive = None
+        n, w, dim = self.int_ucore, self.int_weights, self.dim
+        square, hat = [], []  # N N = P + Q and N D0 N = P - Q, with P and Q
+        for row in n:         # the terms of N N at the k where (-1)^k = 1 and -1
+            pq = [[0] * dim, [0] * dim]
+            for k, (x, n_row) in enumerate(zip(row, n), rng.k_min):
+                if x:
+                    pq[k % 2] = [y + x * z for y, z in zip(pq[k % 2], n_row)]
+            square.append(tuple(p + q for p, q in zip(*pq)))
+            hat.append(tuple(p - q for p, q in zip(*pq)))
+        self.sign_hat = tuple(hat)
+        # M symmetric is W_i N_ij == W_j N_ji, as u is proportional to W
+        symmetric = all(w[i] * n[i][j] == w[j] * n[j][i] for i in range(dim) for j in range(i))
+        self.involutive = symmetric and tuple(square) == diagonal((ucore_lcm ** 2,) * dim)
 
     @property
     def dim(self) -> int:
         return self.range.dim
+
+    @property
+    def weights(self) -> tuple:
+        return tuple(Fraction(w, self.weights_lcm) for w in self.int_weights)
+
+    @property
+    def core(self) -> tuple:
+        """The rational core M, M_kk' = N_kk' / (L u_k'), formed on read."""
+        c, lcm = self.weights_lcm, self.ucore_lcm
+        return tuple(tuple(Fraction(x * c, lcm * w) for x, w in zip(row, self.int_weights))
+                     for row in self.int_ucore)
 
     def hat(self, entries, right=None):
         """L^2 times the hat X D X of the diagonal D with the given entries,
@@ -141,15 +160,6 @@ class GaugedMatrix:
         N D, so the hat of a rank-one projector is one outer product.  A
         given right factor replaces the second N: N D right."""
         return mat_mul(diag_mul_right(self.int_ucore, entries), right or self.int_ucore)
-
-    @property
-    def involutive(self) -> bool:
-        """M symmetric and N N == L^2 I, decided on the first read and kept."""
-        if self._involutive is None:
-            n = self.int_ucore
-            self._involutive = self.core == tuple(zip(*self.core)) and (
-                mat_mul(n, n) == diagonal((self.ucore_lcm ** 2,) * self.dim))
-        return self._involutive
 
     def sign_conjugation_residual(self) -> tuple:
         """N D0 N - (-1)^n L D0 N D0 from the current `sign_hat`, zero
@@ -161,72 +171,77 @@ class GaugedMatrix:
                      for di, hat_row, row in zip(d0, self.sign_hat, self.int_ucore))
 
     def entry(self, k: int, kp: int) -> QuadExt:
-        """Raw entry sqrt(u_k) M_{kk'} sqrt(u_{k'})."""
+        """Raw entry sqrt(u_k) M_{kk'} sqrt(u_{k'}) = (N_{kk'} / L) sqrt(W_k / W_{k'})."""
         i, j = self.range.offset(k), self.range.offset(kp)
-        return sqrt_canonicalize(self.core[i][j], self.weights[i] * self.weights[j])
+        return sqrt_canonicalize(Fraction(self.int_ucore[i][j], self.ucore_lcm),
+                                 Fraction(self.int_weights[i], self.int_weights[j]))
 
     def diagonal_rational(self, k: int) -> Fraction:
-        """Raw diagonal entry u_k M_kk, rational with no radical at all."""
+        """Raw diagonal entry u_k M_kk = N_kk / L, with no radical at all."""
         i = self.range.offset(k)
-        return self.weights[i] * self.core[i][i]
+        return Fraction(self.int_ucore[i][i], self.ucore_lcm)
 
     def __repr__(self):
         return f"GaugedMatrix(s={self.range.s}, n={self.range.n}, dim={self.dim})"
 
 
-def _triangle_sq(x: HalfInt, y: HalfInt, z: HalfInt) -> Fraction:
-    """Squared triangle coefficient (a+b-c)!(a-b+c)!(-a+b+c)!/(a+b+c+1)!."""
-    tx, ty, tz = x.twice, y.twice, z.twice
-    return Fraction(
-        factorial((tx + ty - tz) // 2)
-        * factorial((tx - ty + tz) // 2)
-        * factorial((-tx + ty + tz) // 2),
-        factorial((tx + ty + tz) // 2 + 1),
-    )
+def _triangle_sq(*triads) -> tuple:
+    """The product of the squared triangle coefficients
+    (a+b-c)!(a-b+c)!(-a+b+c)!/(a+b+c+1)! of the triads, twice each label
+    given, as an integer pair (numerator, denominator)."""
+    num = den = 1
+    for tx, ty, tz in triads:
+        f = factorials((tx + ty + tz) // 2 + 1)
+        num *= f[(tx + ty - tz) // 2] * f[(tx - ty + tz) // 2] * f[(-tx + ty + tz) // 2]
+        den *= f[(tx + ty + tz) // 2 + 1]
+    return num, den
 
 
-def _racah_sum(ta: int, tb: int, te: int, tc: int, td: int, tf: int) -> Fraction:
+def _racah_sum(ta: int, tb: int, te: int, tc: int, td: int, tf: int) -> tuple:
     """The alternating factorial sum of an admissible 6-j symbol
     {a b e; c d f}, twice each label given: the symbol without its
-    triangle radical.  Summed as T_lo times a Horner sum over the term
-    ratios T_{t+1}/T_t = -(t+2) prod_j (beta_j - t) / prod_i (t+1 - alpha_i),
+    triangle radical, as an integer pair (numerator, denominator > 0).
+    Summed as T_lo times a Horner sum over the term ratios
+    T_{t+1}/T_t = -(t+2) prod_j (beta_j - t) / prod_i (t+1 - alpha_i),
     alpha the triad sums and beta the quadrangle sums, in integers from the
-    top term down, with one division at the end."""
-    alphas = [(ta + tb + te) // 2, (ta + td + tf) // 2,
-              (tb + tc + tf) // 2, (tc + td + te) // 2]
-    betas = [(ta + tb + tc + td) // 2, (tb + te + td + tf) // 2,
-             (te + ta + tf + tc) // 2]
-    lo, hi = max(alphas), min(betas)
+    top term down."""
+    a1, a2, a3, a4 = ((ta + tb + te) // 2, (ta + td + tf) // 2,
+                      (tb + tc + tf) // 2, (tc + td + te) // 2)
+    b1, b2, b3 = ((ta + tb + tc + td) // 2, (tb + te + td + tf) // 2,
+                  (te + ta + tf + tc) // 2)
+    lo, hi = max(a1, a2, a3, a4), min(b1, b2, b3)
     if lo > hi:
-        return Fraction(0)
+        return 0, 1
     num = den = 1  # the Horner sum 1 + r_t (1 + r_{t+1} (...)) as num / den
     for t in range(hi - 1, lo - 1, -1):
-        r_num, r_den = -(t + 2), 1
-        for b in betas:
-            r_num *= b - t
-        for a in alphas:
-            r_den *= t + 1 - a
+        r_num = -(t + 2) * (b1 - t) * (b2 - t) * (b3 - t)
+        r_den = (t + 1 - a1) * (t + 1 - a2) * (t + 1 - a3) * (t + 1 - a4)
         num, den = r_den * den + r_num * num, r_den * den
-    for a in alphas:
-        den *= factorial(lo - a)
-    for b in betas:
-        den *= factorial(b - lo)
-    return Fraction(minus_one_pow(lo) * factorial(lo + 1) * num, den)
+    f = factorials(max(b1, b2, b3) + 1)
+    den *= (f[lo - a1] * f[lo - a2] * f[lo - a3] * f[lo - a4]
+            * f[b1 - lo] * f[b2 - lo] * f[b3 - lo])
+    return minus_one_pow(lo) * f[lo + 1] * num, den
+
+
+def _cleared(pairs) -> tuple:
+    """(L, L * x) for rationals x given as integer pairs (p, q), q > 0, each
+    reduced by one gcd, L the lcm of their reduced denominators."""
+    pairs = [(p // (g := math.gcd(p, q)), q // g) for p, q in pairs]
+    lcm = math.lcm(*(q for _, q in pairs))
+    return lcm, [p * (lcm // q) for p, q in pairs]
 
 
 @lru_cache(maxsize=None)
 def _a_matrix_cached(ts: int, n: int) -> GaugedMatrix:
-    s, r4 = HalfInt(ts), HalfInt(3 * ts - 2 * n)
-    rng = LevelRange.for_level(s, n)
-    labels = [HalfInt(2 * ts - 2 * k) for k in rng.indices()]
-    sign = minus_one_pow(ts - n)
-    weights = [(l.twice + 1) * _triangle_sq(s, s, l) * _triangle_sq(s, r4, l)
-               for l in labels]
-    core = [[_racah_sum(ts, ts, l.twice, ts, r4.twice, p.twice) for p in labels]
-            for l in labels]
-    if sign < 0:
-        core = [[-x for x in row] for row in core]
-    return GaugedMatrix(rng, weights, core)
+    rng, tr, sign = LevelRange.for_level(HalfInt(ts), n), 3 * ts - 2 * n, minus_one_pow(ts - n)
+    labels = [2 * ts - 2 * k for k in rng.indices()]
+    u = [_triangle_sq((ts, ts, tl), (ts, tr, tl)) for tl in labels]
+    weights_lcm, w = _cleared([((tl + 1) * p, q) for tl, (p, q) in zip(labels, u)])
+    racah = [_racah_sum(ts, ts, tl, ts, tr, tp) for tl in labels for tp in labels]
+    ucore_lcm, flat = _cleared([(sign * c * wp, d * weights_lcm)  # M_lp u_p
+                                for (c, d), wp in zip(racah, w * rng.dim)])
+    return GaugedMatrix(rng, weights_lcm, w, ucore_lcm,
+                        [flat[i:i + rng.dim] for i in range(0, len(flat), rng.dim)])
 
 
 def a_matrix(s, n: int) -> GaugedMatrix:

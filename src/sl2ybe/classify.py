@@ -7,13 +7,14 @@ one name taken from `ybe`; ground truth is exact gauge computation.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 
 from .amatrix import (GaugedMatrix, LevelRange, a_matrix,
                       consecutive_level_ratio, eta, eta_closed_form,
                       rank_one_projector, sign_diagonal, top_level,
                       verify_sign_conjugation)
 from .exact import DomainError, HalfInt, QuadExt, minus_one_pow
-from .linalg import (is_zero_matrix, mat_add, mat_scale, span_coordinates,
+from .linalg import (clear_denominators, is_zero_matrix, mat_add, span_coordinates,
                      span_rank)
 from .spectral import _require_index, constant_root
 from .ybe import braid_residual
@@ -276,7 +277,7 @@ def projector_obstruction_check(s, m: int) -> bool:
         raise DomainError(f"m={m} must satisfy 0 < m <= 2s={s.twice}")
     a = a_matrix(s, m)
     col = a.range.offset(m)
-    return all(row[col] != 0 for row in a.core)
+    return all(row[col] != 0 for row in a.int_ucore)
 
 
 def eta_level4_m3(s) -> Fraction:
@@ -321,21 +322,26 @@ def ansatz_residual_crosscheck(s, m: int, n: int, f, g) -> bool:
 
         D(x) = (E + f(x) D0 + theta g(x) pi) / (1 + f(x))
 
-    is zero at one sample pair, from the values f = (f(lam), f(mu),
-    f(lam o mu)) and g likewise.  The residual of the cleared diagonals
+    is zero at one sample pair, from the rational values f = (f(lam),
+    f(mu), f(lam o mu)) and g likewise; a value in Q(sqrt(d)) is refused
+    with DomainError.  The residual of the cleared diagonals
     (1 + f(x)) D(x) must equal the scalar combination
 
         F_{lm} F + G_{lm} G + H_{lm} H + H_{ml} H~
 
     of `coeff_functions` and the matrices F = D0 - D0^, G = pi - pi^,
     H = pi D0^ - D0 pi^, H~ = D0^ pi - pi^ D0, which `fgh_operators` gives
-    as L^2 times their values, so the combination is divided by L^2 once;
-    a mismatch raises AssertionError.  The prefactor (1+f(lam))(1+f(mu))
-    (1+f(lam o mu)) must be nonzero.
+    as L^2 times their values; a mismatch raises AssertionError.  Both
+    sides are compared in integers: with the four scalars cleared to
+    integers p_k over their lcm q and the residual kept as R / scale
+    (`ReducedResidual`), R q L^2 == scale sum_k p_k FGH_k entry by entry.
+    The prefactor (1+f(lam))(1+f(mu))(1+f(lam o mu)) must be nonzero.
     The hat of a cleared diagonal is E + f D0^ + theta g pi^, since the hat
     is linear and A^2 = E.
     """
     s = HalfInt.coerce(s)
+    if not all(isinstance(x, (int, Fraction)) for x in (*f, *g)):
+        raise DomainError("the ansatz crosscheck takes rational f and g values")
     if (1 + f[0]) * (1 + f[1]) * (1 + f[2]) == 0:
         raise DomainError("sample hits a zero of the 1 + f prefactor")
     a = a_matrix(s, n)
@@ -346,11 +352,11 @@ def ansatz_residual_crosscheck(s, m: int, n: int, f, g) -> bool:
     lam, mu, comp = (tuple(1 + fx * e + gx * p for e, p in zip(d0, pi))
                      for fx, gx in zip(f, g))
     resid = braid_residual(a, lam, comp, mu)
-    terms = [mat_scale(c, x) for c, x in zip(
-        coeff_functions(m, eta(s, m, n) if th else 0, f, g), fgh_operators(a, pi))]
-    combo = mat_scale(Fraction(1, a.ucore_lcm ** 2),
-                      mat_add(mat_add(*terms[:2]), mat_add(*terms[2:])))
-    if resid.residual != combo:
+    q, (scalars,) = clear_denominators([coeff_functions(m, eta(s, m, n) if th else 0, f, g)])
+    left, right = q * a.ucore_lcm ** 2, resid.scale
+    if any(left * x != right * sum(map(mul, scalars, cell))
+           for r_row, rows in zip(resid.rational, zip(*fgh_operators(a, pi)))
+           for x, cell in zip(r_row, zip(*rows))):
         raise AssertionError(f"ansatz residual differs from its scalar combination "
                              f"at (s={s}, m={m}, n={n})")
     return resid.is_zero

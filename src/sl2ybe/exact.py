@@ -18,6 +18,7 @@ __all__ = [
     "QuadExt",
     "display_discriminant",
     "factorial",
+    "factorials",
     "format_rational",
     "parse_rational",
     "rescale_surd",
@@ -34,16 +35,21 @@ _fact_cache = [1]
 _fact_lock = threading.Lock()
 
 
-def factorial(n: int) -> int:
-    """n! with a growing cache; concurrent readers see correct values."""
+def factorials(n: int) -> list:
+    """The cached table 0!, 1!, ..., grown through at least n!, to be read
+    by index and never written; concurrent readers see correct values."""
     if n < 0:
         raise DomainError(f"factorial of negative argument {n}")
-    if n < len(_fact_cache):
-        return _fact_cache[n]
-    with _fact_lock:
-        while len(_fact_cache) <= n:
-            _fact_cache.append(_fact_cache[-1] * len(_fact_cache))
-    return _fact_cache[n]
+    if n >= len(_fact_cache):
+        with _fact_lock:
+            while len(_fact_cache) <= n:
+                _fact_cache.append(_fact_cache[-1] * len(_fact_cache))
+    return _fact_cache
+
+
+def factorial(n: int) -> int:
+    """n! from the cached table."""
+    return factorials(n)[n]
 
 
 def minus_one_pow(e: int) -> int:

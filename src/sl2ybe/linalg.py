@@ -21,7 +21,6 @@ __all__ = [
     "is_zero_matrix",
     "mat_add",
     "mat_mul",
-    "mat_scale",
     "span_coordinates",
     "span_rank",
 ]
@@ -57,10 +56,6 @@ def diag_mul_right(x: Matrix, entries) -> Matrix:
 
 def mat_add(x: Matrix, y: Matrix) -> Matrix:
     return tuple(tuple(a + b for a, b in zip(rx, ry)) for rx, ry in zip(x, y))
-
-
-def mat_scale(c, x: Matrix) -> Matrix:
-    return tuple(tuple(c * a for a in row) for row in x)
 
 
 def clear_denominators(x: Matrix) -> tuple:

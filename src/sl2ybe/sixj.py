@@ -66,11 +66,10 @@ def sixj(args: SixJArgs) -> QuadExt:
     """Exact 6-j value; zero for inadmissible arguments."""
     if not args.admissible():
         return QuadExt(0)
-    radicand = Fraction(1)
-    for t in args.triads():
-        radicand *= _triangle_sq(*t)
+    radicand = _triangle_sq(*([x.twice for x in t] for t in args.triads()))
     labels = (args.a, args.b, args.e, args.c, args.d, args.f)
-    return sqrt_canonicalize(_racah_sum(*(x.twice for x in labels)), radicand)
+    return sqrt_canonicalize(Fraction(*_racah_sum(*(x.twice for x in labels))),
+                             Fraction(*radicand))
 
 
 def racah_identity_residual(s, n: int) -> tuple:

@@ -96,16 +96,6 @@ class ReducedResidual:
         return is_zero_matrix(self.rational) and (
             self.irrational is None or is_zero_matrix(self.irrational))
 
-    @property
-    def residual(self) -> tuple:
-        """The exact residual matrix over Q or Q(sqrt(d)), built on read."""
-        c = self.scale
-        if self.irrational is None:
-            return tuple(tuple(Fraction(x, c) for x in row) for row in self.rational)
-        return tuple(tuple(QuadExt(Fraction(x, c), Fraction(y, c), self.d)
-                           for x, y in zip(rx, ry))
-                     for rx, ry in zip(self.rational, self.irrational))
-
 
 def _leg(entries, d):
     """What one diagonal contributes to a residual over sqrt(d): its cleared

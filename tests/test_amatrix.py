@@ -8,8 +8,14 @@ from sl2ybe.amatrix import (LevelRange, _racah_sum, a_matrix,
                             verify_a_properties, verify_sign_conjugation)
 from sl2ybe.exact import (DomainError, HalfInt, QuadExt, factorial, minus_one_pow,
                           sqrt_canonicalize)
-from sl2ybe.linalg import diagonal, mat_mul, mat_scale
+from sl2ybe.linalg import clear_denominators, diagonal, mat_mul
 from sl2ybe.sixj import SixJArgs, sixj
+
+
+def mat_scale(c, x):
+    """c times the matrix x, entry by entry."""
+    return tuple(tuple(c * a for a in row) for row in x)
+
 
 GRID = [(ts, n) for ts in range(1, 7) for n in range(0, 3 * ts // 2 + 1)]
 
@@ -95,7 +101,51 @@ def direct_racah_sum(ta, tb, te, tc, td, tf):
     return total
 
 
+def triangle_sq_reference(tx, ty, tz):
+    """The squared triangle coefficient as one Fraction, twice each label
+    given."""
+    return Fraction(factorial((tx + ty - tz) // 2) * factorial((tx - ty + tz) // 2)
+                    * factorial((-tx + ty + tz) // 2), factorial((tx + ty + tz) // 2 + 1))
+
+
+def fraction_reference(ts, n):
+    """Level (s, n), 2s = ts, built in Fractions, the way A^(s,n) was built
+    before its integer build: the weights (2l+1) times two squared triangle
+    coefficients, the core (-1)^(2s-n) times the term-by-term Racah sums,
+    M U cleared by `clear_denominators`, N D0 N by dense products and the
+    involution decided on the Fraction core.  The fields a GaugedMatrix
+    keeps, by name, plus the rational weights and core `amat --gauge`
+    prints."""
+    rng = LevelRange.for_level(HalfInt(ts), n)
+    tr, sign = 3 * ts - 2 * n, minus_one_pow(ts - n)
+    labels = [2 * ts - 2 * k for k in rng.indices()]
+    weights = tuple((tl + 1) * triangle_sq_reference(ts, ts, tl)
+                    * triangle_sq_reference(ts, tr, tl) for tl in labels)
+    core = tuple(tuple(sign * direct_racah_sum(ts, ts, tl, ts, tr, tp) for tp in labels)
+                 for tl in labels)
+    lcm, ucore = clear_denominators([[x * w for x, w in zip(row, weights)] for row in core])
+    return {"ucore_lcm": lcm, "int_ucore": ucore,
+            "int_weights": clear_denominators([weights])[1][0],
+            "sign_hat": mat_mul(mat_mul(ucore, diagonal(sign_diagonal(rng))), ucore),
+            "involutive": core == tuple(zip(*core))
+            and mat_mul(ucore, ucore) == diagonal((lcm ** 2,) * rng.dim),
+            "weights": weights, "core": core}
+
+
 class TestConstruction:
+    def test_integer_build_matches_the_fraction_construction(self):
+        # every level with 2s <= 12: the integer core, its scale, the integer
+        # weights, the sign hat and the involution verdict, and the rational
+        # weights and core formed from them for printing
+        levels = 0
+        for ts in range(1, 13):
+            for n in range(top_level(HalfInt(ts)) + 1):
+                a, want = a_matrix(HalfInt(ts), n), fraction_reference(ts, n)
+                assert {name: getattr(a, name) for name in want} == want, (ts, n)
+                assert want["involutive"]
+                levels += 1
+        assert levels == 126
+
     def test_racah_sum_matches_the_direct_sum(self):
         # every core entry {s s l; s 3s-n p} with 2s <= 12, and the large
         # symbol of the sixj golden payload
@@ -106,11 +156,11 @@ class TestConstruction:
                 for tl in labels:
                     for tp in labels:
                         args = (ts, ts, tl, ts, 3 * ts - 2 * n, tp)
-                        assert _racah_sum(*args) == direct_racah_sum(*args), args
+                        assert Fraction(*_racah_sum(*args)) == direct_racah_sum(*args), args
                         entries += 1
         assert entries == 4185
         big = (300, 302, 300, 298, 300, 302)
-        assert _racah_sum(*big) == direct_racah_sum(*big)
+        assert Fraction(*_racah_sum(*big)) == direct_racah_sum(*big)
 
     def test_two_by_two(self):
         a = a_matrix("1/2", 1)

@@ -14,7 +14,13 @@ from sl2ybe.classify import (constant_m_prime, constant_roots, degeneracy_scan,
                              projector_obstruction_check, theta)
 from sl2ybe.cli import main
 from sl2ybe.exact import DomainError, HalfInt, QuadExt
-from sl2ybe.linalg import diagonal, mat_add, mat_mul, mat_scale, span_rank
+from sl2ybe.linalg import diagonal, mat_add, mat_mul, span_rank
+
+
+def mat_scale(c, x):
+    """c times the matrix x, entry by entry."""
+    return tuple(tuple(c * a for a in row) for row in x)
+
 
 F = Fraction
 
@@ -357,10 +363,12 @@ class TestConstantAnalysis:
                 assert mat_mul(core, pi) != mat_mul(pi, core), (ts, m)
 
     def test_zero_in_column_m_fails(self, monkeypatch):
+        # N_03 = L M_03 u_3 is zero exactly when M_03 is
         real = a_matrix(2, 3)
-        core = [list(row) for row in real.core]
+        core = [list(row) for row in real.int_ucore]
         core[0][3] = 0
-        wrong = GaugedMatrix(real.range, real.weights, core)
+        wrong = GaugedMatrix(real.range, real.weights_lcm, real.int_weights,
+                             real.ucore_lcm, core)
         monkeypatch.setattr(classify, "a_matrix", lambda s, n: wrong)
         assert not projector_obstruction_check(HalfInt(4), 3)
 

@@ -6,7 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sl2ybe.exact import QuadExt
-from sl2ybe.linalg import mat_add, mat_mul, mat_scale, span_coordinates, span_rank
+from sl2ybe.linalg import mat_add, mat_mul, span_coordinates, span_rank
+
+
+def mat_scale(c, x):
+    """c times the matrix x, entry by entry."""
+    return tuple(tuple(c * a for a in row) for row in x)
+
 
 GM = ((F(1), F(2)), (F(0), F(-1)))
 FM = ((F(0), F(1)), (F(3), F(1)))

@@ -10,8 +10,14 @@ from sl2ybe.amatrix import (GaugedMatrix, LevelRange, _racah_sum, _triangle_sq,
                             a_matrix, top_level)
 from sl2ybe.exact import DomainError, HalfInt, minus_one_pow, sqrt_canonicalize
 from sl2ybe.linalg import (clear_denominators, diag_mul_right, diagonal,
-                           is_zero_matrix, mat_add, mat_mul, mat_scale)
+                           is_zero_matrix, mat_add, mat_mul)
 from sl2ybe.sixj import SixJArgs, racah_identity_residual, sixj, triangle_ok
+
+
+def mat_scale(c, x):
+    """c times the matrix x, entry by entry."""
+    return tuple(tuple(c * a for a in row) for row in x)
+
 
 H = HalfInt
 
@@ -57,22 +63,33 @@ def product_form_residual(a):
             d_core * d_core * d_weights)
 
 
+def with_core(a, core):
+    """A GaugedMatrix beside the cached a: its range and weights, another
+    integer core N at the same L."""
+    return GaugedMatrix(a.range, a.weights_lcm, a.int_weights, a.ucore_lcm, core)
+
+
 def planted_core_faults(max_two_s, seed):
     """One sign flip, one symmetric bump and one asymmetric bump of a random
-    core entry per level, each a fresh matrix beside the cached one."""
+    core entry per level, each a fresh matrix beside the cached one.  The
+    faults are planted in N = L M U: adding t W_j to N_ij adds t c / L to
+    M_ij (c = weights_lcm), and adding t W_i to N_ji as well keeps M
+    symmetric."""
     rng = random.Random(seed)
     for s, n in level_grid(max_two_s):
         real = a_matrix(s, n)
+        w = real.int_weights
         for kind in ("flip", "symmetric", "asymmetric"):
-            core = [list(row) for row in real.core]
+            core = [list(row) for row in real.int_ucore]
             i, j = rng.randrange(real.dim), rng.randrange(real.dim)
             if kind == "flip":
                 core[i][j] = -core[i][j]
             else:
-                core[i][j] += Fraction(1, rng.randint(1, 5))
+                t = rng.randint(1, 5)
+                core[i][j] += t * w[j]
                 if kind == "symmetric" and i != j:
-                    core[j][i] = core[i][j]
-            yield s, n, GaugedMatrix(real.range, real.weights, core)
+                    core[j][i] += t * w[i]
+            yield s, n, with_core(real, core)
 
 
 class TestTriangle:
@@ -251,10 +268,11 @@ class TestRacahIdentity:
         for s, n in level_grid(6):
             ts, r4 = s.twice, H(3 * s.twice - 2 * n)
             labels = [H(2 * ts - 2 * k) for k in LevelRange.for_level(s, n).indices()]
-            u = {l: _triangle_sq(s, s, l) * _triangle_sq(s, r4, l) for l in labels}
+            u = {l: Fraction(*_triangle_sq((ts, ts, l.twice), (ts, r4.twice, l.twice)))
+                 for l in labels}
             for l in labels:
                 for p in labels:
-                    c = _racah_sum(ts, ts, l.twice, ts, r4.twice, p.twice)
+                    c = Fraction(*_racah_sum(ts, ts, l.twice, ts, r4.twice, p.twice))
                     w = sixj(SixJArgs(s, s, l, s, r4, p))
                     w_coeff = surd_coeff(w)
                     assert c * c * u[l] * u[p] == w_coeff * w_coeff * w.d
@@ -264,10 +282,10 @@ class TestRacahIdentity:
         # s=2, n=5 with {2 2 2; 2 1 1} (k=2, k'=3) off by its sign is no
         # longer zero; the wrong level is a fresh matrix, not the cached one
         real = a_matrix(H(4), 5)
-        core = [list(row) for row in real.core]
+        core = [list(row) for row in real.int_ucore]
         assert core[1][2] != 0
         core[1][2] = -core[1][2]
-        wrong = GaugedMatrix(real.range, real.weights, core)
+        wrong = with_core(real, core)
         monkeypatch.setattr(sixj_module, "a_matrix", lambda s, n: wrong)
         assert not is_zero_matrix(racah_identity_residual(H(4), 5))
 

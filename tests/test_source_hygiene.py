@@ -249,7 +249,8 @@ def test_sandwich_only_in_the_hat(path):
     """Every hat of a diagonal, the sandwich N diag(e) N, goes through
     GaugedMatrix.hat, the one method named `hat` in amatrix: it scales the
     columns of N by e before the one product, and nothing else calls
-    linalg.diag_mul_right."""
+    linalg.diag_mul_right.  The one exception is the sign hat N D0 N, which
+    the GaugedMatrix constructor takes in the same pass over N as N N."""
     found = _calls_outside(_tree(path), "diag_mul_right", set())
     owners = {"hat"} if path.name == "amatrix.py" else set()
     assert {owner for _, owner in found} == owners, (

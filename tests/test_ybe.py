@@ -7,9 +7,10 @@ from hypothesis import strategies as st
 
 from sl2ybe import acceptance, classify, cli, ybe
 from sl2ybe.amatrix import (GaugedMatrix, LevelRange, a_matrix, eta,
-                            eta_closed_form, sign_diagonal, top_level)
+                            eta_closed_form, rank_one_projector, sign_diagonal,
+                            top_level)
 from sl2ybe.exact import DomainError, HalfInt, QuadExt, rescale_surd
-from sl2ybe.linalg import diagonal, is_zero_matrix, mat_add, mat_mul, mat_scale
+from sl2ybe.linalg import diagonal, is_zero_matrix, mat_add, mat_mul
 from sl2ybe.classify import (ansatz_residual_crosscheck, coeff_functions,
                              theta)
 from sl2ybe.spectral import (PoleError, RationalFunction, SpectralFamily, baxter_tl,
@@ -18,6 +19,12 @@ from sl2ybe.spectral import (PoleError, RationalFunction, SpectralFamily, baxter
                              permutation_family, reduced_d, yang, zamolodchikov)
 from sl2ybe.ybe import (DEFAULT_GRID, braid_residual, constant_check, full_check,
                         reduced_ybe_check)
+
+
+def mat_scale(c, x):
+    """c times the matrix x, entry by entry."""
+    return tuple(tuple(c * a for a in row) for row in x)
+
 
 F = Fraction
 
@@ -39,6 +46,22 @@ def perturbed_yang(two_s=1):
             num = (F(1), F(sign), F(1), F(sign))
         tables[j] = RationalFunction(num, (F(1), F(1)))
     return custom_family(HalfInt(ts), tables)
+
+
+def exact_residual(res):
+    """The exact residual matrix over Q or Q(sqrt(d)) that a ReducedResidual
+    stands for: its integer parts over its scale."""
+    c = res.scale
+    if res.irrational is None:
+        return tuple(tuple(F(x, c) for x in row) for row in res.rational)
+    return tuple(tuple(QuadExt(F(x, c), F(y, c), res.d) for x, y in zip(rx, ry))
+                 for rx, ry in zip(res.rational, res.irrational))
+
+
+def with_core(a, core):
+    """A GaugedMatrix beside the cached a: its range and weights, another
+    integer core N at the same L."""
+    return GaugedMatrix(a.range, a.weights_lcm, a.int_weights, a.ucore_lcm, core)
 
 
 def dense_reference(a, d1, d2, d3):
@@ -110,7 +133,7 @@ class TestIntegerKernel:
                 res = reduced_ybe_check(fam, n, lam, mu)
                 ref = dense_reference(a, *(reduced_d(fam, n, x) for x in
                                            (lam, fam.compose(lam, mu), mu)))
-                assert res.residual == ref
+                assert exact_residual(res) == ref
                 assert res.is_zero == is_zero_matrix(ref)
                 verdicts.append(res.is_zero)
         solution = fam.tag in ("yang", "baxter-tl", "zamolodchikov") or (
@@ -138,11 +161,27 @@ class TestIntegerKernel:
         assert reduced_ybe_check(baxter_tl(2), 3, F(2), F(3)).irrational is None
 
     def test_a_level_that_is_not_an_involution_raises(self):
-        # one diagonal core entry off: still symmetric, no longer N N = L^2 I
+        # one diagonal entry of N off: the core stays symmetric, and
+        # N N = L^2 I no longer holds
         a = a_matrix(2, 3)
-        core = [list(row) for row in a.core]
+        core = [list(row) for row in a.int_ucore]
         core[1][1] += 1
-        faulty = GaugedMatrix(a.range, a.weights, core)
+        faulty = with_core(a, core)
+        assert a.involutive and not faulty.involutive
+        ones = (F(1),) * a.dim
+        with pytest.raises(AssertionError, match=r"s=2, n=3"):
+            braid_residual(faulty, ones, ones, ones)
+
+    def test_a_core_that_is_not_symmetric_is_not_an_involution(self):
+        # N' = 2 E N E^(-1) with E = diag(2, 1, ..., 1) keeps N' N' = (2L)^2 I,
+        # but off the diagonal it scales row 0 by 4 and column 0 by 1, so
+        # W_0 N'_0j == W_j N'_j0 fails wherever N_0j != 0: M is not symmetric
+        a = a_matrix(2, 3)
+        e = [2] + [1] * (a.dim - 1)
+        core = [[2 * e[i] * x // e[j] for j, x in enumerate(row)]
+                for i, row in enumerate(a.int_ucore)]
+        faulty = GaugedMatrix(a.range, a.weights_lcm, a.int_weights, 2 * a.ucore_lcm, core)
+        assert mat_mul(core, core) == diagonal((4 * a.ucore_lcm ** 2,) * a.dim)
         assert a.involutive and not faulty.involutive
         ones = (F(1),) * a.dim
         with pytest.raises(AssertionError, match=r"s=2, n=3"):
@@ -150,7 +189,7 @@ class TestIntegerKernel:
 
     def test_a_level_that_is_not_an_involution_fails_verify(self, monkeypatch, capsys):
         # an internal check failure (exit 1), not a usage error (exit 2)
-        monkeypatch.setattr(a_matrix(2, 3), "_involutive", False)
+        monkeypatch.setattr(a_matrix(2, 3), "involutive", False)
         assert cli.main(["verify", "--family", "yang", "--s", "2", "--json"]) == 1
         assert capsys.readouterr().err == ("error: internal check failed: "
                                            "A^(s=2, n=3) is not a symmetric involution\n")
@@ -159,18 +198,21 @@ class TestIntegerKernel:
                                         (perturbed_yang(2), 2)], ids=param_id)
     def test_sign_flipped_involution_matches_dense_reference(self, fam, n):
         # S A S with S = diag((-1)^k) is another symmetric involution, with
-        # another N and the residual S R S; the perturbed family's is nonzero
+        # N replaced by S N S and the residual S R S; the perturbed family's
+        # is nonzero.  The involution guard must pass it: the flip is the
+        # blind spot of ROADMAP item 11, which only a check that identifies
+        # A itself (the Racah recursion) can close
         a = a_matrix(fam.s, n)
         flip = [(-1) ** k for k in range(a.dim)]
-        flipped = GaugedMatrix(a.range, a.weights, [
-            [si * sj * x for sj, x in zip(flip, row)] for si, row in zip(flip, a.core)])
+        flipped = with_core(a, [[si * sj * x for sj, x in zip(flip, row)]
+                                for si, row in zip(flip, a.int_ucore)])
         assert flipped.involutive
         samples = [(F(2), F(3)), (F(3, 2), F(5))] if fam.multiplicative else [
             (F(1, 2), F(1, 3)), (F(3, 2), F(1, 4))]
         for lam, mu in samples:
             diagonals = [reduced_d(fam, n, x) for x in (lam, fam.compose(lam, mu), mu)]
             ref = dense_reference(flipped, *diagonals)
-            assert braid_residual(flipped, *diagonals).residual == ref
+            assert exact_residual(braid_residual(flipped, *diagonals)) == ref
 
     def test_mixed_discriminants_raise(self):
         a = a_matrix(1, 2)
@@ -191,10 +233,10 @@ class TestIntegerKernel:
         assert {x.d for row in mixed for x in row if x.b} == {5, 20}
         want = braid_residual(a, *five)
         got = braid_residual(a, *mixed)
-        assert got.residual == want.residual == dense_reference(a, *five)
+        assert exact_residual(got) == exact_residual(want) == dense_reference(a, *five)
         assert not got.is_zero and got.d == 5
         only_twenty = [tuple(QuadExt(x, y / 2, 20) for x, y in row) for row in values]
-        assert braid_residual(a, *only_twenty).residual == want.residual
+        assert exact_residual(braid_residual(a, *only_twenty)) == exact_residual(want)
 
     small = st.fractions(min_value=-4, max_value=4, max_denominator=5)
     cells = st.sampled_from([(ts, n) for ts in range(1, 5) for n in range(3 * ts // 2 + 1)])
@@ -227,7 +269,7 @@ class TestIntegerKernel:
                           for c, t in zip(scales, (x, x + y, y)))
         res = braid_residual(a, d1, d2, d3)
         ref = dense_reference(a, d1, d2, d3)
-        assert res.residual == ref
+        assert exact_residual(res) == ref
         assert res.is_zero == is_zero_matrix(ref)
         if shape == "solution":
             assert res.is_zero
@@ -510,7 +552,7 @@ class TestSharedLegs:
             for (lam, mu), res in zip(grid, row):
                 ref = dense_reference(a_matrix(fam.s, n), *(
                     reduced_d(fam, n, x) for x in (lam, lam + mu, mu)))
-                assert res.residual == ref
+                assert exact_residual(res) == ref
                 seen.add((n, lam, mu, res.d))
         assert {(2, F(1), F(0), 20), (2, F(0), F(1), 20), (2, F(1), F(1, 2), 5),
                 (1, F(1), F(0), 1)} <= seen
@@ -737,7 +779,99 @@ class TestCoeffFunctions:
             assert ansatz_residual_crosscheck(s, ts, ts, f, g)
 
 
+def fraction_crosscheck(s, m, n, f, g):
+    """`ansatz_residual_crosscheck` as it compared before it compared in
+    integers: the residual as a Fraction matrix (`exact_residual`)
+    against the Fraction-scaled combination of the four matrices divided by
+    L^2.  It reads `classify.coeff_functions` and `classify.fgh_operators`
+    through the module, so a planted fault reaches both."""
+    s = HalfInt.coerce(s)
+    if (1 + f[0]) * (1 + f[1]) * (1 + f[2]) == 0:
+        raise DomainError("sample hits a zero of the 1 + f prefactor")
+    a = a_matrix(s, n)
+    d0 = sign_diagonal(a.range)
+    th = theta(s, m, n)
+    pi = rank_one_projector(a.range, m) if th else (0,) * a.dim
+    g = tuple(gx * th for gx in g)
+    lam, mu, comp = (tuple(1 + fx * e + gx * p for e, p in zip(d0, pi))
+                     for fx, gx in zip(f, g))
+    resid = braid_residual(a, lam, comp, mu)
+    terms = [mat_scale(c, x) for c, x in zip(
+        classify.coeff_functions(m, eta(s, m, n) if th else 0, f, g),
+        classify.fgh_operators(a, pi))]
+    combo = mat_scale(F(1, a.ucore_lcm ** 2),
+                      mat_add(mat_add(*terms[:2]), mat_add(*terms[2:])))
+    if exact_residual(resid) != combo:
+        raise AssertionError(f"ansatz residual differs from its scalar combination "
+                             f"at (s={s}, m={m}, n={n})")
+    return resid.is_zero
+
+
+def outcome(check, *args):
+    """What a crosscheck does on args: its verdict, or the error it raises."""
+    try:
+        return check(*args)
+    except (AssertionError, DomainError) as err:
+        return type(err), str(err)
+
+
+def moved_scalar(monkeypatch, k, delta):
+    """Plant a fault: scalar k of `coeff_functions` moved by delta."""
+    real = classify.coeff_functions
+    monkeypatch.setattr(classify, "coeff_functions", lambda *args: tuple(
+        x + delta * (i == k) for i, x in enumerate(real(*args))))
+
+
+# every cell with 2s <= 6, the levels where index m is inactive included
+CROSSCHECK_CELLS = [(ts, m, n) for ts in range(1, 7) for m in range(ts + 1)
+                    for n in range(top_level(HalfInt(ts)) + 1)]
+RATIONALS = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+
+
 class TestAnsatzCrosscheck:
+    @settings(max_examples=150, deadline=None)
+    @given(cell=st.sampled_from(CROSSCHECK_CELLS), f=st.tuples(*[RATIONALS] * 3),
+           g=st.tuples(*[RATIONALS] * 3),
+           moved=st.none() | st.tuples(st.integers(0, 3), RATIONALS.filter(bool)))
+    def test_integer_comparison_matches_the_fraction_one(self, cell, f, g, moved):
+        ts, m, n = cell
+        with pytest.MonkeyPatch.context() as patch:
+            if moved:
+                moved_scalar(patch, *moved)
+            args = (HalfInt(ts), m, n, f, g)
+            assert outcome(ansatz_residual_crosscheck, *args) == outcome(
+                fraction_crosscheck, *args)
+
+    def test_a_scalar_moved_by_one_raises_with_the_cell(self, monkeypatch):
+        # the combination changes by exactly the moved scalar's matrix, so
+        # the crosscheck raises wherever that matrix is nonzero
+        f, g = (F(1, 2), F(1, 3), F(5, 6)), (F(1, 5), F(-2, 7), F(3, 4))
+        raised = 0
+        for k in range(4):
+            with monkeypatch.context() as patch:
+                moved_scalar(patch, k, 1)
+                for ts, m, n in CROSSCHECK_CELLS:
+                    s = HalfInt(ts)
+                    a = a_matrix(s, n)
+                    pi = rank_one_projector(a.range, m) if theta(s, m, n) else (0,) * a.dim
+                    if is_zero_matrix(classify.fgh_operators(a, pi)[k]):
+                        ansatz_residual_crosscheck(s, m, n, f, g)
+                        continue
+                    with pytest.raises(AssertionError,
+                                       match=rf"at \(s={s}, m={m}, n={n}\)$"):
+                        ansatz_residual_crosscheck(s, m, n, f, g)
+                    raised += 1
+        assert raised > 400
+
+    def test_values_in_a_quadratic_field_are_refused(self):
+        # Q(sqrt(d)) values are refused by name, never converted, even when
+        # their sqrt(d) part is zero
+        root = QuadExt(0, 1, 5)
+        for f, g in [((root, F(1), F(2)), ZEROS), (ZEROS, (F(1), root, F(2))),
+                     ((QuadExt(F(1, 2)), F(1), F(2)), ZEROS)]:
+            with pytest.raises(DomainError, match="rational f and g"):
+                ansatz_residual_crosscheck(1, 2, 2, f, g)
+
     def test_linear_solution(self):
         assert ansatz_residual_crosscheck(1, 2, 1, values(lambda l: l, F(1, 2), F(1, 3)),
                                           ZEROS)

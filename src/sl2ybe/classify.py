@@ -351,7 +351,7 @@ def ansatz_residual_crosscheck(s, m: int, n: int, f, g) -> bool:
     g = tuple(gx * th for gx in g)
     lam, mu, comp = (tuple(1 + fx * e + gx * p for e, p in zip(d0, pi))
                      for fx, gx in zip(f, g))
-    resid = braid_residual(a, lam, comp, mu)
+    resid = braid_residual(a, 1, lam, comp, mu)
     q, (scalars,) = clear_denominators([coeff_functions(m, eta(s, m, n) if th else 0, f, g)])
     left, right = q * a.ucore_lcm ** 2, resid.scale
     if any(left * x != right * sum(map(mul, scalars, cell))

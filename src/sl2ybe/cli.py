@@ -69,6 +69,11 @@ def _load_family(args):
     return make_family(args.family, s, args.m)
 
 
+def _field(disc: int) -> str:
+    """The coefficient field as printed: Q, or Q(sqrt(d)) for d != 1."""
+    return f"Q(sqrt({disc}))" if disc != 1 else "Q"
+
+
 def _dense_grid(fam):
     """Product grid exceeding the catalog degree bound (<= 12 per variable)."""
     if fam.multiplicative:
@@ -138,8 +143,7 @@ def cmd_family(args):
         except PoleError:
             values[str(x)] = "pole"
     doc["values"] = values
-    lines = [f"{fam.tag}: s={fam.s}, m={fam.m}, field=Q"
-             + (f"(sqrt({disc}))" if disc != 1 else ""),
+    lines = [f"{fam.tag}: s={fam.s}, m={fam.m}, field={_field(disc)}",
              f"defined coefficients: r_j for j in {fam.defined()}",
              ("multiplicative samples t" if fam.multiplicative else "additive samples lambda")]
     for x, vals in values.items():
@@ -222,7 +226,7 @@ def cmd_classify_constant(args):
            "roots": [str(plus), str(minus)], "discriminant": disc,
            "next_incompatible_level": mprime, "obstruction_holds": obstruction}
     lines = [f"quadratic roots at (s={s}, m={args.m}): {plus}  |  {minus}",
-             f"field: Q(sqrt({disc}))",
+             f"field: {_field(disc)}",
              f"lowest incompatible continuation: m' = {mprime}",
              f"projector obstruction: {obstruction}"]
     _emit(doc, args, lines)

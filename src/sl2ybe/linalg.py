@@ -6,11 +6,15 @@ arithmetic operators and equality with 0.  `mat_mul`, the one matrix
 product, skips the zero entries of its left factor.  Products of int
 matrices stay int; `span_coordinates` eliminates fraction-free, with one
 exact division per matrix in the span of the earlier ones.
+`clear_denominators` is the one place a matrix over Q(sqrt(d)) becomes
+integer rows over one positive scale.
 """
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+
+from .exact import QuadExt, rescale_surd
 
 Matrix = tuple
 
@@ -58,12 +62,21 @@ def mat_add(x: Matrix, y: Matrix) -> Matrix:
     return tuple(tuple(a + b for a, b in zip(rx, ry)) for rx, ry in zip(x, y))
 
 
-def clear_denominators(x: Matrix) -> tuple:
-    """(L, L*x) for a matrix of rationals, L the lcm of their denominators,
-    so L*x is an int matrix."""
-    lcm = math.lcm(*(a.denominator for row in x for a in row))
+def clear_denominators(x: Matrix, d: int = 1) -> tuple:
+    """(L, rows) for a matrix x over Q(sqrt(d)) with int, Fraction or
+    QuadExt entries: the rows of x's rational parts, then, when any entry
+    has a sqrt part, the rows of its sqrt(d) parts, all times L, the lcm of
+    their denominators, so every row is an int row.  A sqrt part over an
+    equivalent discriminant d*k^2 is rescaled to sqrt(d); any other raises
+    ValueError (rescale_surd's mixed discriminants)."""
+    rows = [[a.a if isinstance(a, QuadExt) else a for a in row] for row in x]
+    surds = [[rescale_surd(a.b, a.d, d) if isinstance(a, QuadExt) and a.b else 0
+              for a in row] for row in x]
+    if any(map(any, surds)):
+        rows += surds
+    lcm = math.lcm(*(a.denominator for row in rows for a in row))
     return lcm, tuple(tuple(a.numerator * (lcm // a.denominator) for a in row)
-                      for row in x)
+                      for row in rows)
 
 
 def is_zero_matrix(x: Matrix) -> bool:

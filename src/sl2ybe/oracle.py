@@ -7,7 +7,9 @@ is rescaled to f_a = S_minus^a f_0, a = s - m, where 4 C_12 is an integer
 matrix; the rescaling T (x) T commutes with the swap, so every identity
 and braid verdict is that of the standard basis.  Every operator preserves
 the total weight and is kept as integer blocks, one per weight sector, over
-one denominator; entries in Q(sqrt(d)) enter the products as 2x2 blocks.
+one denominator.  A family over Q(sqrt(d)) has each R split into integer
+parts A + sqrt(d) B (`linalg.clear_denominators`), which enter the
+products as the 2x2 blocks [[A, d B], [B, A]].
 
 Every residual is a sum of products of embedded projectors, so it commutes
 with total sl2 when the projectors do, and is then zero iff its block on
@@ -28,8 +30,8 @@ from itertools import product
 from operator import eq, mul
 
 from .amatrix import top_level
-from .exact import HalfInt, QuadExt, minus_one_pow, rescale_surd
-from .linalg import diagonal, mat_mul
+from .exact import HalfInt, minus_one_pow
+from .linalg import clear_denominators, diagonal, mat_mul
 from .spectral import SpectralFamily
 from .ybe import reduced_ybe_check
 
@@ -84,8 +86,7 @@ class SectorOperator:
     """A weight-preserving operator in the rescaled basis, held on the
     weight sectors weights (a range, every sector by default): blocks[k],
     over the labels sector_labels(2s, sites)[weights[k]], holds the matrix
-    entries times the positive integer den.  Entries are int, or QuadExt
-    once a coefficient in Q(sqrt(d)) enters."""
+    entries times the positive integer den, as ints."""
 
     __slots__ = ("blocks", "den", "weights")
 
@@ -115,24 +116,21 @@ class SectorOperator:
         return SectorOperator(self.blocks[start:start + len(weights)], self.den, weights)
 
     def max_abs(self) -> Fraction:
-        """The largest |entry| of a rational operator on its sectors, exact:
-        zero iff it is zero there (over Q(sqrt(d)), take it of the _over_q
-        form)."""
+        """The largest |entry| on its sectors, exact: zero iff the operator
+        is zero there."""
         return Fraction(max(abs(x) for block in self.blocks for row in block
                             for x in row)) / self.den
 
 
 def _combine(terms) -> SectorOperator:
-    """The sum of c * op over the (c, op) pairs, c int, Fraction or QuadExt,
-    over the lcm of the rational denominators; the ops share their sectors."""
-    parts = [((c, 1) if isinstance(c, QuadExt) else (c.numerator, c.denominator), op)
-             for c, op in terms]
-    den = math.lcm(*(q * op.den for (_, q), op in parts))
-    factors = [p * (den // (q * op.den)) for (p, q), op in parts]
+    """The sum of c * op over the (c, op) pairs, c int or Fraction, over the
+    lcm of the denominators; the ops share their sectors."""
+    den = math.lcm(*(c.denominator * op.den for c, op in terms))
+    factors = [c.numerator * (den // (c.denominator * op.den)) for c, op in terms]
     return SectorOperator(tuple(
         tuple(tuple(sum(map(mul, factors, column)) for column in zip(*rows))
               for rows in zip(*sector))
-        for sector in zip(*(op.blocks for _, op in parts))), den, parts[0][1].weights)
+        for sector in zip(*(op.blocks for _, op in terms))), den, terms[0][1].weights)
 
 
 def _operator(ts: int, sites: int, entry, weights: range | None = None) -> SectorOperator:
@@ -243,20 +241,19 @@ def _embed(op2: SectorOperator, ts: int, left: bool, weights: range) -> SectorOp
                           op2.den, weights)
 
 
-def _over_q(op: SectorOperator, d: int) -> SectorOperator:
-    """op over Q(sqrt(d)) as a rational operator twice its size: the entry
-    a + b sqrt(d) becomes the block [[a, d b], [b, a]], a ring embedding, so
-    products, differences and zero tests carry over."""
+def _over_q(parts: list, d: int) -> SectorOperator:
+    """The operator A + sqrt(d) B, given as its integer parts [A] or [A, B]
+    over one den, as a rational operator, twice its size unless d = 1: the
+    entry a + b sqrt(d) becomes the block [[a, d b], [b, a]], a ring
+    embedding, so products, differences and zero tests carry over."""
+    a = parts[0]
     if d == 1:
-        return op
-    pairs = [[[(x.a, rescale_surd(x.b, x.d, d) if x.b else 0) if isinstance(x, QuadExt)
-               else (x, 0) for x in row] for row in block] for block in op.blocks]
-    c = math.lcm(*(Fraction(v).denominator
-                   for block in pairs for row in block for pair in row for v in pair))
+        return a
+    b = (parts[1] if len(parts) > 1 else 0 * a).blocks
     return SectorOperator(tuple(
-        tuple(tuple(int(v * c) for a, b in row for v in ((a, d * b) if top else (b, a)))
-              for row in block for top in (True, False))
-        for block in pairs), op.den * c, op.weights)
+        tuple(tuple(v for x, y in zip(ra, rb) for v in ((x, d * y) if top else (y, x)))
+              for ra, rb in zip(ba, bb) for top in (True, False))
+        for ba, bb in zip(a.blocks, b)), a.den, a.weights)
 
 
 def dense_operator_identities(s) -> dict:
@@ -316,10 +313,15 @@ def _identity_residuals(projs: list, weights: range) -> dict:
     return residuals
 
 
-def dense_r_matrix(fam: SpectralFamily, lam, projs: list) -> SectorOperator:
+def dense_r_matrix(fam: SpectralFamily, lam, projs: list) -> list:
     """R(lam) = sum_j r_j(lam) P^j on V_s (x) V_s, from the projectors
-    P^0..P^2s on the sectors they hold."""
-    return _combine([(fam.eval_coeff(j, lam), p) for j, p in enumerate(projs)])
+    P^0..P^2s on the sectors they hold, as integer parts over one den: [A]
+    when every r_j(lam) is rational, else [A, B] with R = A + sqrt(d) B,
+    d the family's discriminant."""
+    c, rows = clear_denominators([[fam.eval_coeff(j, lam) for j in range(len(projs))]],
+                                 fam.discriminant)
+    return [SectorOperator(r.blocks, r.den * c, r.weights)
+            for r in (_combine(list(zip(row, projs))) for row in rows)]
 
 
 def dense_ybe_residual(fam: SpectralFamily, lam, mu) -> Fraction:
@@ -338,8 +340,8 @@ def _braid_residual(fam: SpectralFamily, lam, mu, projs: list, weights: range) -
     ts = len(projs) - 1
     projs = [p.restrict(_read_weights(ts, weights)) for p in projs]
     r = [dense_r_matrix(fam, x, projs) for x in (lam, fam.compose(lam, mu), mu)]
-    r12 = [_over_q(_embed(x, ts, True, weights), fam.discriminant) for x in r]
-    r23 = [_over_q(_embed(x, ts, False, weights), fam.discriminant) for x in r]
+    r12 = [_over_q([_embed(p, ts, True, weights) for p in x], fam.discriminant) for x in r]
+    r23 = [_over_q([_embed(p, ts, False, weights) for p in x], fam.discriminant) for x in r]
     # grouped to the right, so each left factor is an embedded, sparse one
     return {"braid": r12[0] @ (r23[1] @ r12[2]) - r23[2] @ (r12[1] @ r23[0])}
 

@@ -5,11 +5,13 @@ Every family, catalog or custom, is a table of spectral coefficients
 r_j, each an exact RationalFunction with coefficients in Q (Fraction) or
 in a quadratic extension Q(sqrt(d)) (QuadExt), evaluated at rational
 sample points.  A table is cleared to integer vectors once, when it is
-built, so an evaluation runs in integers and builds one exact value, a
-Fraction or a QuadExt.  The Temperley-Lieb style family is parameterized
-multiplicatively: samples are values of t = exp(gamma*lambda), so the
-additive arguments (lambda, mu, lambda+mu) become (t, u, t*u) and
-everything stays exact.
+built (`linalg.clear_denominators`), so an evaluation runs in integers
+and builds one exact value, a Fraction or a QuadExt.  A family fixes its
+one field Q(sqrt(d)) when it is built, the smallest d among its tables,
+and every residual is taken over it.  The Temperley-Lieb style family is
+parameterized multiplicatively: samples are values of
+t = exp(gamma*lambda), so the additive arguments (lambda, mu, lambda+mu)
+become (t, u, t*u) and everything stays exact.
 """
 from __future__ import annotations
 
@@ -50,14 +52,14 @@ class RationalFunction:
     """num(x)/den(x) with coefficients in Q or Q(sqrt(d)), ascending powers.
 
     The table is cleared once, when it is built: both sides are padded to
-    one length k + 1 and written as integer vectors over one common scale,
-    a rational part A and, when the side has one, a sqrt(d) part B, with d
-    the smallest discriminant among the coefficients (as in
-    ybe._discriminant).  The scale and the q^k of a sample x = p/q cancel
-    in num/den, so evaluation runs Horner in integers and builds one exact
-    value, a Fraction, or a QuadExt when any coefficient is one.  Surds over
-    incompatible fields (sqrt(2) with sqrt(3)) are refused here with
-    rescale_surd's ValueError.
+    one length k + 1 and written by `linalg.clear_denominators` as integer
+    vectors over one common scale, the rational parts and, when any
+    coefficient has one, the sqrt(d) parts, with d the smallest
+    discriminant among the coefficients.  The scale and the q^k of a sample
+    x = p/q cancel in num/den, so evaluation runs Horner in integers and
+    builds one exact value, a Fraction, or a QuadExt when any coefficient
+    is one.  Surds over incompatible fields (sqrt(2) with sqrt(3)) are
+    refused here with clear_denominators' ValueError.
 
     Evaluation is the single pole check of the package: it raises
     PoleError wherever the denominator vanishes.  Two functions are equal
@@ -89,10 +91,9 @@ class RationalFunction:
         """The value at a rational x: (a + b sqrt(d)) / (c + e sqrt(d)) in
         integers, made rational in the denominator by its conjugate."""
         p, q = x.numerator, x.denominator
-        num, den, d = self._cleared
-        a, c = _homogeneous(num[0], p, q), _homogeneous(den[0], p, q)
-        b = _homogeneous(num[1], p, q) if len(num) > 1 else 0
-        e = _homogeneous(den[1], p, q) if len(den) > 1 else 0
+        rows, d = self._cleared
+        a, c, *surd = (_homogeneous(row, p, q) for row in rows)
+        b, e = surd or (0, 0)
         if c == 0 and e == 0:
             raise PoleError(f"denominator {[str(c) for c in self.den]} "
                             f"vanishes at {x}")
@@ -104,24 +105,17 @@ class RationalFunction:
 
 
 def _clear(num: tuple, den: tuple) -> tuple:
-    """(num vectors, den vectors, d) of a table: each side (A,) or (A, B)
-    with integer entries, both sides over one scale and of one length; d is
-    None when no coefficient is a QuadExt, else the smallest sqrt(d) among
-    them (1 if none is irrational)."""
+    """(rows, d) of a table: rows the integer vectors (num, den) of the
+    rational parts, then (num, den) of the sqrt(d) parts when any
+    coefficient has one, over one scale and of one length; d is None when
+    no coefficient is a QuadExt, else the smallest sqrt(d) among them (1 if
+    none is irrational)."""
     quads = [c for c in num + den if isinstance(c, QuadExt)]
     d = min((c.d for c in quads if c.b), default=1) if quads else None
     width = max(len(num), len(den))
-    sides = []
-    for side in (num, den):
-        side += (0,) * (width - len(side))
-        parts = [[c.a if isinstance(c, QuadExt) else c for c in side]]
-        surd = [rescale_surd(c.b, c.d, d) if isinstance(c, QuadExt) and c.b else 0
-                for c in side]
-        if any(surd):
-            parts.append(surd)
-        sides.append(parts)
-    _, ints = clear_denominators(sides[0] + sides[1])
-    return ints[:len(sides[0])], ints[len(sides[0]):], d
+    _, rows = clear_denominators([side + (0,) * (width - len(side)) for side in (num, den)],
+                                 d or 1)
+    return rows, d
 
 
 def _homogeneous(coeffs: tuple, p: int, q: int) -> int:
@@ -143,11 +137,15 @@ class SpectralFamily:
     families only pin the top few).  Every other fact is read from the
     tables: the family is constant when every table is a constant (one
     numerator and one denominator coefficient), and any other family is
-    spectral and must be regular, r_j = 1 at the origin; discriminant is
-    the d of the coefficient field Q(sqrt(d)).
+    spectral and must be regular, r_j = 1 at the origin.  discriminant,
+    fixed here, is the d of the coefficient field Q(sqrt(d)) as the
+    arithmetic keeps it: the smallest d among the tables' sqrt(d), 1 if
+    none (display_discriminant gives the printed d).  Tables over
+    incompatible fields (sqrt(2) with sqrt(3)) are refused with
+    rescale_surd's ValueError.
     """
 
-    __slots__ = ("tag", "s", "coeffs", "m", "multiplicative")
+    __slots__ = ("tag", "s", "coeffs", "m", "multiplicative", "discriminant")
 
     def __init__(self, tag: str, s: HalfInt, coeffs: dict, m: int | None = None,
                  multiplicative: bool = False):
@@ -159,6 +157,10 @@ class SpectralFamily:
                 raise DomainError(f"coefficient label j={j} outside 0..2s={s.twice}")
         self.tag, self.s, self.coeffs, self.m = tag, s, coeffs, m
         self.multiplicative = multiplicative
+        ds = {rf._cleared[1] for rf in coeffs.values()} - {None, 1}
+        self.discriminant = min(ds, default=1)
+        for d in sorted(ds):
+            rescale_surd(Fraction(1), d, self.discriminant)
         if not self.constant:
             origin = self.zero_sample()
             for j in sorted(self.coeffs):
@@ -170,13 +172,6 @@ class SpectralFamily:
     @property
     def constant(self) -> bool:
         return all(len(rf.num) == len(rf.den) == 1 for rf in self.coeffs.values())
-
-    @property
-    def discriminant(self) -> int:
-        """The d of the first coefficient with a sqrt(d) part, 1 if none, as
-        the arithmetic keeps it (display_discriminant gives the printed d)."""
-        return next((c.d for rf in self.coeffs.values() for c in rf.num + rf.den
-                     if isinstance(c, QuadExt) and c.b), 1)
 
     def defined(self):
         return sorted(self.coeffs)

@@ -5,8 +5,9 @@
 level by level, where D^ = A D A.  Everything runs on the rational
 similarity gauge, where A enters only as its integer core N = L*(M*U)
 and the hat is N D N = L^2 D^, so residuals are exact matrices over Q or
-Q(sqrt(d)).  They are decided over the integers: with each diagonal
-cleared to D_i = (A_i + sqrt(d) B_i) / c_i, the residual times
+Q(sqrt(d)), d the family's discriminant.  They are decided over the
+integers: with each diagonal cleared to D_i = (A_i + sqrt(d) B_i) / c_i
+(`linalg.clear_denominators`), the residual times
 L^4 c1 c2 c3 is an integer matrix plus sqrt(d) times another, zero
 exactly when one weighted product is symmetric, since A^2 = I (_braid).
 In `full_check` every diagonal is constant on a level's q classes
@@ -23,8 +24,9 @@ once per third leg, and a verdict reads the symmetry off them in q dim^2
 each coefficient table is evaluated once per argument per check, each
 level builds its form once or takes the class products of each distinct
 third leg once, and one verdict is taken per distinct triple of cleared
-legs and d.  Reusing a verdict is exact: it is a function of those four
-inputs alone, and the positive scale decides nothing.
+legs.  Reusing a verdict is exact: over the family's one d it is a
+function of those three inputs alone, and the positive scale decides
+nothing.
 """
 from __future__ import annotations
 
@@ -34,7 +36,7 @@ from functools import lru_cache
 from operator import mul
 
 from .amatrix import GaugedMatrix, LevelRange, a_matrix, top_level
-from .exact import DomainError, QuadExt, rescale_surd
+from .exact import DomainError
 from .linalg import clear_denominators, is_zero_matrix, mat_mul
 from .spectral import SpectralFamily, reduced_d
 
@@ -95,28 +97,6 @@ class ReducedResidual:
     def is_zero(self) -> bool:
         return is_zero_matrix(self.rational) and (
             self.irrational is None or is_zero_matrix(self.irrational))
-
-
-def _leg(entries, d):
-    """What one diagonal contributes to a residual over sqrt(d): its cleared
-    integer vectors, (A, B) or (A,) when every entry is rational, and the
-    positive integer c with entries = (A + sqrt(d) B) / c.  A sqrt part
-    over an equivalent discriminant d*k^2 is rescaled to sqrt(d); an
-    incompatible one raises ValueError."""
-    parts = [[x.a if isinstance(x, QuadExt) else x for x in entries]]
-    b_parts = [rescale_surd(x.b, x.d, d) if isinstance(x, QuadExt) and x.b else 0
-               for x in entries]
-    if any(b_parts):
-        parts.append(b_parts)
-    c, ints = clear_denominators(parts)
-    return ints, c
-
-
-def _discriminant(diagonals) -> int:
-    """The d of a residual: the smallest d among the sqrt(d) parts of the
-    diagonals, 1 when every entry is rational."""
-    return min((x.d for e in diagonals for x in e if isinstance(x, QuadExt) and x.b),
-               default=1)
 
 
 def _classes(keys) -> list:
@@ -182,10 +162,12 @@ def _braid(a: GaugedMatrix, d: int, leg1, leg2, leg3, products) -> ReducedResidu
     when S is symmetric (each part apart).  With E2 = sum_b e2_b Pi_b,
     S = E1 sum_b e2_b G_b, so the verdict compares S_ij with S_ji off the
     class products, q dim^2 products for q classes, and R is multiplied
-    out only when they differ.  The integer matrices depend only on the
-    legs' cleared vectors and d; the scale alone reads each leg's c."""
+    out only when they differ.  Each leg is (c, vectors) as
+    `linalg.clear_denominators` gives it.  The integer matrices depend only
+    on the legs' cleared vectors and d; the scale alone reads each leg's
+    c."""
     _require_involution(a)
-    (e1, c1), (e2, c2), (e3, c3) = leg1, leg2, leg3
+    (c1, e1), (c2, e2), (c3, e3) = leg1, leg2, leg3
     index = _pairs(a.dim)
     half = len(index) // 2
     wp = {}  # W P at the pairs, P = N E2 (N E3 N), by power of sqrt(d)
@@ -211,27 +193,28 @@ def _braid(a: GaugedMatrix, d: int, leg1, leg2, leg3, products) -> ReducedResidu
     return ReducedResidual(r[0], r.get(1), d, a.ucore_lcm ** 4 * c1 * c2 * c3)
 
 
-def braid_residual(a: GaugedMatrix, d1, d2, d3) -> ReducedResidual:
-    """D1 D2^ D3 - D3^ D2 D1^ for the diagonals with entries d1, d2, d3 at
-    the level of a, in its rational gauge, cleared to integers: with
-    X = N / L and D_i = E_i / c_i, E_i = A_i + sqrt(d) B_i, the residual
-    times L^4 c1 c2 c3 is L^2 E1 (N E2 N) E3 - (N E3 N) E2 (N E1 N), as a
-    rational and a sqrt(d) integer part.  Equivalent discriminants (d and
-    d*k^2) share one residual over the smallest d; as in QuadExt
-    arithmetic, incompatible ones raise ValueError before anything is
-    summed, and a level whose A is not a symmetric involution fails an
-    internal check (AssertionError).  Legs, class products and kernel are
-    those of `full_check`, the classes read off d2's equal entries."""
-    d = _discriminant((d1, d2, d3))
-    legs = [_leg(e, d) for e in (d1, d2, d3)]
-    classes = _classes(zip(*legs[1][0]))
-    return _braid(a, d, *legs, _products(a, classes, legs[2][0]))
+def braid_residual(a: GaugedMatrix, d: int, d1, d2, d3) -> ReducedResidual:
+    """D1 D2^ D3 - D3^ D2 D1^ for the diagonals with entries d1, d2, d3 in
+    Q(sqrt(d)) at the level of a, in its rational gauge, cleared to
+    integers: with X = N / L and D_i = E_i / c_i, E_i = A_i + sqrt(d) B_i,
+    the residual times L^4 c1 c2 c3 is
+    L^2 E1 (N E2 N) E3 - (N E3 N) E2 (N E1 N), as a rational and a sqrt(d)
+    integer part.  An entry over an equivalent discriminant d*k^2 is
+    rescaled to sqrt(d); one over any other field (a sqrt(5) entry at
+    d = 1 among them) raises ValueError before anything is summed, and a
+    level whose A is not a symmetric involution fails an internal check
+    (AssertionError).  Legs, class products and kernel are those of
+    `full_check`, the classes read off d2's equal entries."""
+    legs = [clear_denominators([e], d) for e in (d1, d2, d3)]
+    classes = _classes(zip(*legs[1][1]))
+    return _braid(a, d, *legs, _products(a, classes, legs[2][1]))
 
 
 def reduced_ybe_check(fam: SpectralFamily, n: int, lam, mu) -> ReducedResidual:
-    """Exact level-n residual for the family at samples (lam, mu)."""
+    """Exact level-n residual for the family at samples (lam, mu), over
+    the family's field."""
     diagonals = [reduced_d(fam, n, x) for x in (lam, fam.compose(lam, mu), mu)]
-    return braid_residual(a_matrix(fam.s, n), *diagonals)
+    return braid_residual(a_matrix(fam.s, n), fam.discriminant, *diagonals)
 
 
 def _levels_or_default(fam: SpectralFamily, levels):
@@ -303,43 +286,38 @@ def _form_zero(form, d: int, e1, e2, e3) -> bool:
     return not any(sum(map(mul, row, v)) for v in m.values() for row in form)
 
 
-def _level_verdicts(a: GaugedMatrix, labels, triples, coeff, shared) -> list:
-    """The verdict of each argument triple on the level of a, whose
-    diagonals read r_j for j in labels, each label standing for its class
-    of equal tables; coeff(j, i) is r_j at argument i.  A triple's three
-    diagonals are formed first, one value per class, then its legs are
-    cleared, as in reduced_ybe_check; shared keeps diagonals, their d and
-    legs for every level of the check that reads the same tables.
-    Verdicts come off the level's class form when `_form_pays`, else off
-    the third leg's class products."""
+def _level_verdicts(a: GaugedMatrix, d: int, labels, triples, coeff, shared) -> list:
+    """The verdict of each argument triple on the level of a over sqrt(d),
+    whose diagonals read r_j for j in labels, each label standing for its
+    class of equal tables; coeff(j, i) is r_j at argument i.  Each
+    argument's diagonal, one value per class, is formed and cleared into
+    its leg once, as in reduced_ybe_check; shared keeps the legs for every
+    level of the check that reads the same tables.  Verdicts come off the
+    level's class form when `_form_pays`, else off the third leg's class
+    products."""
     classes = _classes(labels)
     heads = tuple(labels[positions[0]] for positions in classes)
     order = {j: k for k, j in enumerate(heads)}
     where = [order[j] for j in labels]  # position -> its class
     use_form = _form_pays(len(classes), a.dim)
-    diagonals, ds, legs = shared.setdefault(heads, ({}, {}, {}))
+    legs = shared.setdefault(heads, {})
     form, products, verdicts, zeros = None, {}, {}, []
     for triple in triples:
         for i in triple:
-            if i not in diagonals:
-                diagonals[i] = tuple(coeff(j, i) for j in heads)
-                ds[i] = _discriminant([diagonals[i]])
-        d = min((ds[i] for i in triple if ds[i] != 1), default=1)
-        for i in triple:
-            if (i, d) not in legs:
-                legs[i, d] = _leg(diagonals[i], d)
-        three = [legs[i, d] for i in triple]
-        key = (*(vectors for vectors, _ in three), d)
+            if i not in legs:
+                legs[i] = clear_denominators([[coeff(j, i) for j in heads]], d)
+        three = [legs[i] for i in triple]
+        key = tuple(vectors for _, vectors in three)
         if key not in verdicts:
             if use_form:
                 if form is None:
                     form = _class_form(a, classes)
-                verdicts[key] = _form_zero(form, d, *key[:3])
+                verdicts[key] = _form_zero(form, d, *key)
             else:
-                three = [(tuple(tuple(v[k] for k in where) for v in vectors), c)
-                         for vectors, c in three]
+                three = [(c, tuple(tuple(v[k] for k in where) for v in vectors))
+                         for c, vectors in three]
                 if key[2] not in products:
-                    products[key[2]] = _products(a, classes, three[2][0])
+                    products[key[2]] = _products(a, classes, three[2][1])
                 verdicts[key] = _braid(a, d, *three, products[key[2]]).is_zero
         zeros.append(verdicts[key])
     return zeros
@@ -354,19 +332,19 @@ def full_check(fam: SpectralFamily, levels=None, samples=None) -> dict:
     - labels with equal coefficient tables form one class, and each
       class's table is evaluated at most once per argument, read through
       its first label, when a level first needs it, in the order the
-      pairs would evaluate it one by one, so the first PoleError,
-      DomainError or ValueError raised is theirs;
-    - an argument's diagonal, one value per class, and its d are formed
-      once, and it is cleared once per discriminant, for all levels that
-      read the same tables;
+      pairs would evaluate it one by one, so the first PoleError or
+      DomainError raised is theirs;
+    - an argument's diagonal, one value per class, is formed and cleared
+      over the family's discriminant once, for all levels that read the
+      same tables;
     - on each level the class form is built once where `_form_pays`, else
       the class products of a cleared third leg are taken once, however
       many pairs share it;
-    - one verdict is taken per distinct (leg, leg, leg, d), the legs by
+    - one verdict is taken per distinct (leg, leg, leg), the legs by
       their cleared class vectors.  Either route decides the symmetry of
-      the integer S of `_braid`, a function of those four alone, and the
-      positive scale decides nothing, so a reused verdict is the one the
-      pair's own residual gives."""
+      the integer S of `_braid`, over the family's one d a function of
+      those three alone, and the positive scale decides nothing, so a
+      reused verdict is the one the pair's own residual gives."""
     samples = list(samples) if samples is not None else list(default_grid(fam))
     levels = _levels_or_default(fam, levels)
     index = {}  # argument -> its position, in order of first use
@@ -383,7 +361,7 @@ def full_check(fam: SpectralFamily, levels=None, samples=None) -> dict:
         return values[j, i]
 
     names = [(str(lam), str(mu)) for lam, mu in samples]
-    shared = {}  # class heads -> diagonals, d and legs of the levels reading them
+    shared = {}  # class heads -> the legs of the levels reading them
     out_levels = []
     ok = True
     for n in levels:
@@ -391,7 +369,7 @@ def full_check(fam: SpectralFamily, levels=None, samples=None) -> dict:
         if triples:
             a = a_matrix(fam.s, n)
             labels = [label.get(fam.s.twice - k, fam.s.twice - k) for k in a.range.indices()]
-            zeros = _level_verdicts(a, labels, triples, coeff, shared)
+            zeros = _level_verdicts(a, fam.discriminant, labels, triples, coeff, shared)
         ok = ok and all(zeros)
         out_levels.append({"n": n, "samples": [
             {"lambda": lam, "mu": mu, "zero": zero} for (lam, mu), zero in zip(names, zeros)]})

@@ -383,6 +383,20 @@ class TestClassifyCommands:
         assert code == 0
         assert "-9/2 + 3/2*sqrt(5)" in out and "m' = 3" in out
 
+    def test_rational_roots_print_the_field_q(self, capsys):
+        # at 2s = 3, m = 2 the roots -10/9 and -10 are rational: the field
+        # prints as Q, as family show prints it, and the JSON keeps d = 1
+        code, out, _ = run_cli(capsys, "classify-constant", "--s", "3/2", "--m", "2")
+        assert code == 0 and "-10/9  |  -10" in out
+        assert "field: Q\n" in out and "sqrt" not in out
+        code, out, _ = run_cli(capsys, "family", "show", "--family", "constant-baxter",
+                               "--s", "3/2", "--m", "2")
+        assert code == 0 and out.splitlines()[0].endswith("field=Q")
+        code, out, _ = run_cli(capsys, "classify-constant", "--s", "3/2", "--m", "2", "--json")
+        assert json.loads(out)["discriminant"] == 1
+        code, out, _ = run_cli(capsys, "classify-constant", "--s", "1", "--m", "2")
+        assert "field: Q(sqrt(5))\n" in out
+
     def test_rigidity(self, capsys):
         code, out, _ = run_cli(capsys, "rigidity", "--s", "3", "--m", "3")
         assert code == 0 and "True" in out

@@ -1,5 +1,7 @@
+import math
 from fractions import Fraction
 from itertools import product
+from operator import mul
 
 import pytest
 from hypothesis import assume, given, settings
@@ -7,7 +9,7 @@ from hypothesis import strategies as st
 
 from sl2ybe import oracle
 from sl2ybe.amatrix import LevelRange, top_level
-from sl2ybe.exact import HalfInt, QuadExt
+from sl2ybe.exact import HalfInt, QuadExt, rescale_surd
 from sl2ybe.linalg import span_rank
 from sl2ybe.oracle import (SectorOperator, dense_operator_identities, dense_projectors,
                            dense_r_matrix, dense_ybe_residual,
@@ -52,6 +54,63 @@ def perturbed(fam, j, c):
         num = tuple(a * (1 - c * x0) + b * c for a, b in zip(rf.num + (0,), (0,) + rf.num))
     return custom_family(fam.s, {**fam.coeffs, j: RationalFunction(num, rf.den)},
                          multiplicative=fam.multiplicative)
+
+
+def perturbed_baxter_tl():
+    """baxter-tl at s = 1, in Q(sqrt(5)), with r_1 = 1 - sqrt(5) + sqrt(5) t:
+    regular, and not a solution."""
+    tables = dict(baxter_tl(1).coeffs)
+    tables[1] = RationalFunction((QuadExt(1, -1, 5), QuadExt(0, 1, 5)), (F(1),))
+    return custom_family(1, tables, multiplicative=True)
+
+
+def yang_with_surd():
+    """yang at s = 1 with r_0 = 1 + sqrt(5) (x^2 - x): regular and no
+    solution; at x = 1 every r_j is rational and R is not a scalar."""
+    tables = dict(yang(1).coeffs)
+    tables[0] = RationalFunction((F(1), QuadExt(0, -1, 5), QuadExt(0, 1, 5)), (F(1),))
+    return custom_family(1, tables)
+
+
+def quadext_combine(terms):
+    """The sum of c * op with c int, Fraction or QuadExt, over the lcm of the
+    rational denominators: the entries turn QuadExt once a coefficient is
+    one.  The assembly of R before it was split into integer parts."""
+    parts = [((c, 1) if isinstance(c, QuadExt) else (c.numerator, c.denominator), op)
+             for c, op in terms]
+    den = math.lcm(*(q * op.den for (_, q), op in parts))
+    factors = [p * (den // (q * op.den)) for (p, q), op in parts]
+    return SectorOperator(tuple(
+        tuple(tuple(sum(map(mul, factors, column)) for column in zip(*rows))
+              for rows in zip(*sector))
+        for sector in zip(*(op.blocks for _, op in parts))), den, parts[0][1].weights)
+
+
+def quadext_over_q(op, d):
+    """A QuadExt-entry operator as a rational one twice its size, the entry
+    a + b sqrt(d) the block [[a, d b], [b, a]], cleared entry by entry."""
+    if d == 1:
+        return op
+    pairs = [[[(x.a, rescale_surd(x.b, x.d, d) if x.b else 0) if isinstance(x, QuadExt)
+               else (x, 0) for x in row] for row in block] for block in op.blocks]
+    c = math.lcm(*(F(v).denominator
+                   for block in pairs for row in block for pair in row for v in pair))
+    return SectorOperator(tuple(
+        tuple(tuple(int(v * c) for a, b in row for v in ((a, d * b) if top else (b, a)))
+              for row in block for top in (True, False))
+        for block in pairs), op.den * c, op.weights)
+
+
+def quadext_residual(fam, lam, mu):
+    """The dense braid residual on every sector with R assembled from
+    QuadExt coefficients (quadext_combine, then quadext_over_q)."""
+    ts = fam.s.twice
+    projs, every = dense_projectors(fam.s), range(3 * ts + 1)
+    r = [quadext_combine([(fam.eval_coeff(j, x), p) for j, p in enumerate(projs)])
+         for x in (lam, fam.compose(lam, mu), mu)]
+    r12 = [quadext_over_q(oracle._embed(x, ts, True, every), fam.discriminant) for x in r]
+    r23 = [quadext_over_q(oracle._embed(x, ts, False, every), fam.discriminant) for x in r]
+    return (r12[0] @ (r23[1] @ r12[2]) - r23[2] @ (r12[1] @ r23[0])).max_abs()
 
 
 def entries(op, ts, sites=2):
@@ -168,18 +227,60 @@ class TestDenseYbe:
     def test_quadratic_field_family(self):
         # baxter-tl lives in Q(sqrt(5)); with r_1 = 1 - sqrt(5) + sqrt(5) t
         # it stays regular and breaks, on the dense and the reduced side
-        fam = baxter_tl(1)
-        assert reduction_consistency(fam, [(F(2), F(3))])[0]["dense_zero"]
-        tables = dict(fam.coeffs)
-        tables[1] = RationalFunction((QuadExt(1, -1, 5), QuadExt(0, 1, 5)), (F(1),))
-        bad = custom_family(1, tables, multiplicative=True)
-        case, = reduction_consistency(bad, [(F(2), F(3))])
+        assert reduction_consistency(baxter_tl(1), [(F(2), F(3))])[0]["dense_zero"]
+        case, = reduction_consistency(perturbed_baxter_tl(), [(F(2), F(3))])
         assert not case["dense_zero"] and not case["exact_zero"]
+
+    @pytest.mark.parametrize("fam, pairs", [
+        (baxter_tl(1), [(F(2), F(3)), (F(3, 2), F(5)), (F(1), F(3))]),
+        (baxter_tl("3/2"), [(F(2), F(3)), (F(5), F(1, 2))]),
+        (baxter_tl(2), [(F(2), F(3)), (F(4), F(9))]),
+        (constant_baxter(1, 2), [(F(0), F(0))]),
+        (constant_baxter(2, 3), [(F(0), F(0)), (F(1, 2), F(1, 3))]),
+        (constant_baxter("5/2", 4), [(F(0), F(0))]),
+        (perturbed_baxter_tl(), [(F(2), F(3)), (F(3), F(7)), (F(1, 2), F(5))]),
+        (yang_with_surd(), [(F(1), F(1)), (F(1), F(1, 2)), (F(1, 2), F(1, 3))]),
+    ], ids=["baxter-tl-1", "baxter-tl-3/2", "baxter-tl-2", "constant-baxter-1-2",
+            "constant-baxter-2-3", "constant-baxter-5/2-4", "perturbed-baxter-tl",
+            "yang-with-surd"])
+    def test_integer_parts_match_the_quadext_assembly(self, fam, pairs):
+        # splitting r_j into integer parts before they meet the projectors
+        # gives the residual the QuadExt entries gave, zero or not: a
+        # constant-baxter below m = 2s and the perturbed tables break.  A
+        # rational R (at t = 1, or at x = 1 with the surd in yang) has no
+        # sqrt(d) part
+        assert fam.discriminant != 1
+        got = [dense_ybe_residual(fam, lam, mu) for lam, mu in pairs]
+        assert got == [quadext_residual(fam, lam, mu) for lam, mu in pairs]
+        solution = fam.tag == "baxter-tl" or fam.m == fam.s.twice
+        assert all(x == 0 for x in got) == solution and any(got) != solution
+
+    @pytest.mark.parametrize("fam", [baxter_tl(2), constant_baxter(2, 3), yang(2),
+                                     perturbed_baxter_tl()], ids=lambda f: f.tag)
+    def test_every_entry_built_is_an_int(self, monkeypatch, fam):
+        built = []
+
+        class Recording(SectorOperator):
+            __slots__ = ()
+
+            def __init__(self, blocks, den=1, weights=None):
+                built.append((blocks, den))
+                super().__init__(blocks, den, weights)
+
+        projs = dense_projectors(fam.s)
+        monkeypatch.setattr(oracle, "SectorOperator", Recording)
+        lam, mu = (F(2), F(3)) if fam.multiplicative else (F(1, 2), F(1, 3))
+        oracle._braid_residual(fam, lam, mu, projs, range(3 * fam.s.twice + 1))
+        assert len(built) > 10
+        assert all(type(den) is int and den > 0 for _, den in built)
+        assert all(type(x) is int for blocks, _ in built
+                   for block in blocks for row in block for x in row)
 
     def test_r_matrix_assembly(self):
         fam = yang("1/2")
         projs = dense_projectors("1/2")
-        r = entries(dense_r_matrix(fam, F(1), projs), 1)
+        rational, = dense_r_matrix(fam, F(1), projs)
+        r = entries(rational, 1)
         perm = entries(permutation_dense(projs), 1)
         # at lambda = 1, R = (E + P)/2
         assert r == {(a, b): F(int(a == b) + perm[a, b], 2) for a, b in perm}

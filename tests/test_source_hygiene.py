@@ -56,36 +56,45 @@ def test_no_unused_relative_imports(path):
     assert sorted(imported - used) == [], f"{path.name}: unused imports"
 
 
-def _referenced_names():
-    names = set()
+def _reads():
+    """(names, attributes) read anywhere under the package: each ast.Name
+    read and each name imported with `from .x import`, and each attribute
+    read off an object."""
+    names, attrs = set(), set()
     for path in SOURCES:
         for node in ast.walk(_tree(path)):
-            if isinstance(node, ast.Name):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 names.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                names.add(node.attr)
-    return names
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                attrs.add(node.attr)
+            elif isinstance(node, ast.ImportFrom) and node.level > 0:
+                names.update(alias.name for alias in node.names)
+    return names, attrs
 
 
 def _definitions(tree):
-    """(qualified name, name) of every module-level function and class and
-    of every method that is not a dunder."""
+    """(qualified name, name, is a method) of every module-level function
+    and class and of every method that is not a dunder."""
     defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
     for node in tree.body:
         if isinstance(node, defs):
-            yield node.name, node.name
+            yield node.name, node.name, False
         if isinstance(node, ast.ClassDef):
-            yield from ((f"{node.name}.{item.name}", item.name) for item in node.body
+            yield from ((f"{node.name}.{item.name}", item.name, True) for item in node.body
                         if isinstance(item, defs) and not item.name.startswith("__"))
 
 
 def test_no_unreferenced_definitions():
     """A function, class or method, public or private, that nothing under
     the package refers to is dead code: tests do not count as users, and
-    neither does an `__all__` entry.  The match is by name alone."""
-    used = _referenced_names()
+    neither does an `__all__` entry.  A method is referred to by an
+    attribute read of its name, a module-level function or class by a name
+    read or a `from .x import`, so a local variable that shares a method's
+    name keeps nothing alive."""
+    names, attrs = _reads()
     dead = [f"{path.name}:{qualname}" for path in SOURCES
-            for qualname, name in _definitions(_tree(path)) if name not in used]
+            for qualname, name, method in _definitions(_tree(path))
+            if name not in (attrs if method else names)]
     assert dead == [], f"unreferenced definitions: {dead}"
 
 

@@ -170,7 +170,7 @@ class TestIntegerKernel:
         assert a.involutive and not faulty.involutive
         ones = (F(1),) * a.dim
         with pytest.raises(AssertionError, match=r"s=2, n=3"):
-            braid_residual(faulty, ones, ones, ones)
+            braid_residual(faulty, 1, ones, ones, ones)
 
     def test_a_core_that_is_not_symmetric_is_not_an_involution(self):
         # N' = 2 E N E^(-1) with E = diag(2, 1, ..., 1) keeps N' N' = (2L)^2 I,
@@ -185,7 +185,7 @@ class TestIntegerKernel:
         assert a.involutive and not faulty.involutive
         ones = (F(1),) * a.dim
         with pytest.raises(AssertionError, match=r"s=2, n=3"):
-            braid_residual(faulty, ones, ones, ones)
+            braid_residual(faulty, 1, ones, ones, ones)
 
     def test_a_level_that_is_not_an_involution_fails_verify(self, monkeypatch, capsys):
         # an internal check failure (exit 1), not a usage error (exit 2)
@@ -212,16 +212,25 @@ class TestIntegerKernel:
         for lam, mu in samples:
             diagonals = [reduced_d(fam, n, x) for x in (lam, fam.compose(lam, mu), mu)]
             ref = dense_reference(flipped, *diagonals)
-            assert exact_residual(braid_residual(flipped, *diagonals)) == ref
+            assert exact_residual(braid_residual(flipped, fam.discriminant, *diagonals)) == ref
 
     def test_mixed_discriminants_raise(self):
         a = a_matrix(1, 2)
         one = (F(1),) * a.dim
         with pytest.raises(ValueError, match="mixed discriminants"):
-            braid_residual(a, (QuadExt(0, 1, 2), F(1), F(1)), one,
+            braid_residual(a, 2, (QuadExt(0, 1, 2), F(1), F(1)), one,
                            (F(1), QuadExt(1, 1, 3), F(1)))
         with pytest.raises(ValueError, match="mixed discriminants"):
-            braid_residual(a, (QuadExt(0, 1, 2), QuadExt(0, 1, 5), F(1)), one, one)
+            braid_residual(a, 2, (QuadExt(0, 1, 2), QuadExt(0, 1, 5), F(1)), one, one)
+
+    def test_a_field_that_does_not_fit_the_values_raises(self):
+        # the field is stated, not read off the values: a sqrt(5) entry
+        # over d = 1 is refused, and so is one over sqrt(2)
+        a = a_matrix(1, 2)
+        one = (F(1),) * a.dim
+        for d in (1, 2):
+            with pytest.raises(ValueError, match=rf"mixed discriminants sqrt\(5\) vs sqrt\({d}\)"):
+                braid_residual(a, d, one, (F(1), QuadExt(1, 1, 5), F(1)), one)
 
     def test_equivalent_discriminants_share_one_residual(self):
         # y*sqrt(5) written as (y/2)*sqrt(20) in every other entry
@@ -231,12 +240,15 @@ class TestIntegerKernel:
         mixed = [tuple(QuadExt(x, y / 2, 20) if i % 2 else QuadExt(x, y, 5)
                        for i, (x, y) in enumerate(row)) for row in values]
         assert {x.d for row in mixed for x in row if x.b} == {5, 20}
-        want = braid_residual(a, *five)
-        got = braid_residual(a, *mixed)
+        want = braid_residual(a, 5, *five)
+        got = braid_residual(a, 5, *mixed)
         assert exact_residual(got) == exact_residual(want) == dense_reference(a, *five)
         assert not got.is_zero and got.d == 5
         only_twenty = [tuple(QuadExt(x, y / 2, 20) for x, y in row) for row in values]
-        assert exact_residual(braid_residual(a, *only_twenty)) == exact_residual(want)
+        assert exact_residual(braid_residual(a, 5, *only_twenty)) == exact_residual(want)
+        # over sqrt(20) the sqrt parts double and the residual is the same
+        over_twenty = braid_residual(a, 20, *five)
+        assert over_twenty.d == 20 and exact_residual(over_twenty) == exact_residual(want)
 
     small = st.fractions(min_value=-4, max_value=4, max_denominator=5)
     cells = st.sampled_from([(ts, n) for ts in range(1, 5) for n in range(3 * ts // 2 + 1)])
@@ -267,7 +279,7 @@ class TestIntegerKernel:
             scales = [data.draw(entry) for _ in range(3)]
             d1, d2, d3 = (tuple(c * (1 + t * sign) for sign in sign_diagonal(a.range))
                           for c, t in zip(scales, (x, x + y, y)))
-        res = braid_residual(a, d1, d2, d3)
+        res = braid_residual(a, 5 if irrational else 1, d1, d2, d3)
         ref = dense_reference(a, d1, d2, d3)
         assert exact_residual(res) == ref
         assert res.is_zero == is_zero_matrix(ref)
@@ -534,35 +546,43 @@ class TestSharedLegs:
         assert report["pass"] == (fam.tag != "custom")
 
     def test_equivalent_discriminants_per_triple(self, monkeypatch):
-        # sqrt(20) = 2 sqrt(5): at level 2 the arguments 0 and 1 see only
-        # r_0's sqrt(20), so the pairs (1, 0) and (0, 1) are over d = 20;
-        # with 1/2 or 1/3 in the triple r_1's sqrt(5) joins, and the leg of
-        # the argument 1 is cleared again over d = 5
+        # sqrt(20) = 2 sqrt(5): the family's field is Q(sqrt(5)), so every
+        # verdict is over d = 5, also at level 2 where the arguments 0 and
+        # 1 see only r_0's sqrt(20), and every level-1 leg at 0 and 1 is
+        # rational
         fam = mixed_root_family(20)
+        assert fam.discriminant == 5
         grid = [(F(1), F(0)), (F(0), F(1)), (F(1), F(1, 2)), (F(1, 2), F(1, 3))]
         forms, verdicts = form_calls(monkeypatch)
         report = full_check(fam, [1, 2], grid)
         monkeypatch.undo()  # the fresh checks below go unrecorded
         fresh = fresh_residuals(fam, report, grid)
-        # one form per level, and the level-2 verdicts over both discriminants
+        # one form per level, and every verdict over d = 5
         assert forms == [(1, 2), (2, 3)]
-        assert {d for n, d in verdicts if n == 2} == {20, 5}
-        seen = set()
+        assert {d for n, d in verdicts} == {5}
         for n, row in fresh.items():
             for (lam, mu), res in zip(grid, row):
                 ref = dense_reference(a_matrix(fam.s, n), *(
                     reduced_d(fam, n, x) for x in (lam, lam + mu, mu)))
-                assert exact_residual(res) == ref
-                seen.add((n, lam, mu, res.d))
-        assert {(2, F(1), F(0), 20), (2, F(0), F(1), 20), (2, F(1), F(1, 2), 5),
-                (1, F(1), F(0), 1)} <= seen
+                assert exact_residual(res) == ref and res.d == 5
+        assert fresh[2][0].irrational is not None and fresh[1][0].irrational is None
+
+    def test_the_smallest_surd_states_the_field(self):
+        # sqrt(20) in the first table and sqrt(5) in a later one: the field
+        # is stated by the smallest d, not by the first
+        one = RationalFunction((F(1),), (F(1),))
+        fam = custom_family(HalfInt(2), {
+            2: one, 1: RationalFunction((F(1), QuadExt(0, 1, 20)), (F(1),)),
+            0: RationalFunction((F(1), QuadExt(0, 1, 5)), (F(1),))})
+        assert list(fam.coeffs) == [2, 1, 0] and fam.discriminant == 5
+        res = reduced_ybe_check(fam, 2, F(1, 2), F(1, 3))
+        assert res.d == 5 and exact_residual(res) == dense_reference(
+            a_matrix(fam.s, 2), *(reduced_d(fam, 2, x) for x in (F(1, 2), F(5, 6), F(1, 3))))
 
     def test_incompatible_discriminants_raise(self):
-        fam = mixed_root_family(3)
-        with pytest.raises(ValueError, match="mixed discriminants"):
-            full_check(fam, levels=[2], samples=[(F(1, 2), F(1, 3))])
-        with pytest.raises(ValueError, match="mixed discriminants"):
-            reduced_ybe_check(fam, 2, F(1, 2), F(1, 3))
+        # sqrt(5) in r_1 and sqrt(3) in r_0: refused when the family is built
+        with pytest.raises(ValueError, match=r"mixed discriminants sqrt\(5\) vs sqrt\(3\)"):
+            mixed_root_family(3)
 
     def test_each_coefficient_is_evaluated_once_per_check(self, monkeypatch):
         fam = yang(2)
@@ -795,7 +815,7 @@ def fraction_crosscheck(s, m, n, f, g):
     g = tuple(gx * th for gx in g)
     lam, mu, comp = (tuple(1 + fx * e + gx * p for e, p in zip(d0, pi))
                      for fx, gx in zip(f, g))
-    resid = braid_residual(a, lam, comp, mu)
+    resid = braid_residual(a, 1, lam, comp, mu)
     terms = [mat_scale(c, x) for c, x in zip(
         classify.coeff_functions(m, eta(s, m, n) if th else 0, f, g),
         classify.fgh_operators(a, pi))]

@@ -19,7 +19,6 @@ import argparse
 import json
 import sys
 import time
-from fractions import Fraction
 
 from . import __version__
 from .amatrix import a_matrix, eta
@@ -27,7 +26,7 @@ from .exact import (DomainError, HalfInt, display_discriminant, format_rational,
                     parse_rational)
 from .spectral import (PoleError, check_regularity_unitarity, family_from_json,
                        make_family)
-from .ybe import constant_check, default_grid, full_check, unitarity_samples
+from .ybe import constant_check, full_check
 
 EXIT_PASS, EXIT_FAIL, EXIT_USAGE = 0, 1, 2
 
@@ -72,17 +71,6 @@ def _load_family(args):
 def _field(disc: int) -> str:
     """The coefficient field as printed: Q, or Q(sqrt(d)) for d != 1."""
     return f"Q(sqrt({disc}))" if disc != 1 else "Q"
-
-
-def _dense_grid(fam):
-    """Product grid exceeding the catalog degree bound (<= 12 per variable)."""
-    if fam.multiplicative:
-        points = [Fraction(v) for v in range(2, 15)]
-    else:
-        points = [Fraction(p, q) for p, q in
-                  ((1, 7), (1, 5), (1, 3), (2, 5), (1, 2), (3, 5), (2, 3),
-                   (1, 1), (4, 3), (3, 2), (2, 1), (7, 3), (3, 1))]
-    return [(a, b) for a in points for b in points]
 
 
 def cmd_sixj(args):
@@ -134,10 +122,8 @@ def cmd_family(args):
         "discriminant": disc,
         "defined_coefficients": fam.defined(),
     }
-    samples = ([Fraction(2), Fraction(3)] if fam.multiplicative
-               else [Fraction(0), Fraction(1, 2), Fraction(1)])
     values = {}
-    for x in samples:
+    for x in fam.sampling.shown:
         try:
             values[str(x)] = {str(j): str(fam.eval_coeff(j, x)) for j in fam.defined()}
         except PoleError:
@@ -145,7 +131,7 @@ def cmd_family(args):
     doc["values"] = values
     lines = [f"{fam.tag}: s={fam.s}, m={fam.m}, field={_field(disc)}",
              f"defined coefficients: r_j for j in {fam.defined()}",
-             ("multiplicative samples t" if fam.multiplicative else "additive samples lambda")]
+             fam.sampling.label]
     for x, vals in values.items():
         lines.append(f"  at {x}: " + (vals if isinstance(vals, str) else
                                       ", ".join(f"r_{j}={v}" for j, v in vals.items())))
@@ -163,12 +149,11 @@ def cmd_verify(args):
         report = constant_check(fam, levels=levels)
     else:
         if args.grid == "dense":
-            samples, grid_note = _dense_grid(fam), "dense 13x13 product grid"
+            samples, grid_note = fam.sampling.dense, "dense 13x13 product grid"
         else:
-            samples = default_grid(fam)
-            grid_note = "two disjoint 6-point grids"
+            samples, grid_note = fam.sampling.grid, "two disjoint 6-point grids"
         report = full_check(fam, levels=levels, samples=samples)
-        unit = unitarity_samples(fam)
+        unit = fam.sampling.unitarity
         report["regularity_samples"] = [str(x) for x in unit]
         report["regularity"] = check_regularity_unitarity(fam, unit)["pass"]
     elapsed = time.monotonic() - start

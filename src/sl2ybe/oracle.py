@@ -16,10 +16,11 @@ with total sl2 when the projectors do, and is then zero iff its block on
 the middle three-site sector w = floor(3*2s/2) (S_z = 0 or 1/2) is: each
 irreducible component has one vector there.  So a residual is built on
 that sector first, and its zero stands only for a certified projector set,
-every P^j commuting with Delta(S_plus) and Delta(S_minus) block by block
-(checked once per set).  A nonzero middle block, or an uncertified set, is
-recomputed on every sector: the value is the largest entry of the whole
-operator.
+every P^j commuting with Delta(S_plus) block by block (checked once per
+set), which for a weight-preserving P implies it commutes with
+Delta(S_minus) too (`_certified`).  A nonzero middle block, or an
+uncertified set, is recomputed on every sector: the value is the largest
+entry of the whole operator.
 """
 from __future__ import annotations
 
@@ -177,22 +178,24 @@ def _projectors(ts: int) -> tuple:
 
 @lru_cache(maxsize=None)
 def _certified(projs: tuple) -> bool:
-    """Whether every two-site operator in projs commutes with
-    Delta(S_plus) = S_plus (x) 1 + 1 (x) S_plus and Delta(S_minus), which
-    map sector w to w - 1 and w - 1 to w: checked block by block, once per
-    set (a SectorOperator hashes by identity)."""
+    """Whether every two-site operator in projs commutes with total sl2,
+    checked block by block, once per set (a SectorOperator hashes by
+    identity), against Delta(S_plus) = S_plus (x) 1 + 1 (x) S_plus alone,
+    which maps sector w to w - 1.  For a weight-preserving P on a
+    finite-dimensional module that implies commuting with Delta(S_minus):
+    P maps a spin-j lowest-weight vector v, of weight -j, to a weight -j
+    vector P v that S_plus^(2j+1) kills, as P S_plus^(2j+1) v = 0, so P v
+    has no component of spin above j and is itself a spin-j lowest-weight
+    vector; P maps each S_plus^k v to S_plus^k P v, on which S_minus acts
+    by the same numbers."""
     ts = len(projs) - 1
     _, sp = spin_matrices(HalfInt(ts))
     labels = sector_labels(ts, 2)
     for w in range(1, 2 * ts + 1):
         up = tuple(tuple(sp[r1][c1] * (r2 == c2) + (r1 == c1) * sp[r2][c2]
                          for c1, c2 in labels[w]) for r1, r2 in labels[w - 1])
-        down = tuple(tuple(int(r == (c1 + 1, c2)) + int(r == (c1, c2 + 1))
-                           for c1, c2 in labels[w - 1]) for r in labels[w])
         for p in projs:
-            low, high = p.blocks[w - 1], p.blocks[w]
-            if (mat_mul(low, up) != mat_mul(up, high)
-                    or mat_mul(high, down) != mat_mul(down, low)):
+            if mat_mul(p.blocks[w - 1], up) != mat_mul(up, p.blocks[w]):
                 return False
     return True
 
@@ -339,7 +342,7 @@ def _braid_residual(fam: SpectralFamily, lam, mu, projs: list, weights: range) -
     """{"braid": the braid residual on the three-site sectors weights}."""
     ts = len(projs) - 1
     projs = [p.restrict(_read_weights(ts, weights)) for p in projs]
-    r = [dense_r_matrix(fam, x, projs) for x in (lam, fam.compose(lam, mu), mu)]
+    r = [dense_r_matrix(fam, x, projs) for x in (lam, fam.sampling.compose(lam, mu), mu)]
     r12 = [_over_q([_embed(p, ts, True, weights) for p in x], fam.discriminant) for x in r]
     r23 = [_over_q([_embed(p, ts, False, weights) for p in x], fam.discriminant) for x in r]
     # grouped to the right, so each left factor is an embedded, sparse one

@@ -8,14 +8,16 @@ sample points.  A table is cleared to integer vectors once, when it is
 built (`linalg.clear_denominators`), so an evaluation runs in integers
 and builds one exact value, a Fraction or a QuadExt.  A family fixes its
 one field Q(sqrt(d)) when it is built, the smallest d among its tables,
-and every residual is taken over it.  The Temperley-Lieb style family is
-parameterized multiplicatively: samples are values of
-t = exp(gamma*lambda), so the additive arguments (lambda, mu, lambda+mu)
-become (t, u, t*u) and everything stays exact.
+and every residual is taken over it.  A family's Sampling is the one
+place that knows how it is sampled: in lambda (ADDITIVE), or, for the
+Temperley-Lieb style family, in t = exp(gamma*lambda) (MULTIPLICATIVE),
+where (lambda, mu, lambda+mu) become (t, u, t*u) and all stays exact.
 """
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
+from itertools import product
 
 from .amatrix import LevelRange, eta_closed_form
 from .exact import (DomainError, HalfInt, QuadExt, minus_one_pow,
@@ -23,8 +25,11 @@ from .exact import (DomainError, HalfInt, QuadExt, minus_one_pow,
 from .linalg import clear_denominators
 
 __all__ = [
+    "ADDITIVE",
+    "MULTIPLICATIVE",
     "PoleError",
     "RationalFunction",
+    "Sampling",
     "SpectralFamily",
     "baxter_b",
     "baxter_tl",
@@ -46,6 +51,45 @@ __all__ = [
 
 class PoleError(ZeroDivisionError):
     """Evaluation at a pole of a spectral coefficient."""
+
+
+class Sampling:
+    """One parameterization: compose(x, y) is the argument of lambda + mu,
+    invert(x) that of -lambda, origin that of lambda = 0 (the regularity
+    point and the constant check's marker); grid the default check's two
+    disjoint 6-pair grids, run as one; dense the product grid of 13 points,
+    above the catalog degree bound (<= 12 per variable); unitarity the
+    unitarity check's points, where each r_j is defined and nonzero at the
+    point and its inverse; shown the points `family show` prints under
+    label.  Grid and unitarity points are positive and clear of every
+    catalog pole (poles sit on the negative axis or at irrational t)."""
+
+    __slots__ = ("compose", "invert", "origin", "grid", "dense", "unitarity", "shown", "label")
+
+    def __init__(self, compose, invert, origin, grid, dense, unitarity, shown, label):
+        self.compose, self.invert, self.origin, self.label = compose, invert, origin, label
+        self.grid = tuple((Fraction(a), Fraction(b)) for a, b in grid)
+        self.dense = tuple(product(map(Fraction, dense), repeat=2))
+        self.unitarity, self.shown = tuple(map(Fraction, unitarity)), tuple(map(Fraction, shown))
+
+
+def _reciprocal(t):
+    if t == 0:
+        raise PoleError("sample t = 0 has no multiplicative inverse")
+    return 1 / t
+
+
+ADDITIVE = Sampling(
+    operator.add, operator.neg, Fraction(0),
+    [("1/2", "1/3"), (1, 2), ("1/3", "1/5"), ("3/2", "1/4"), ("2/5", "3/7"), ("5/2", "1/6"),
+     ("1/4", "1/7"), (2, 3), ("1/5", "2/3"), ("7/3", "1/2"), ("3/8", "5/6"), (4, "1/9")],
+    ["1/7", "1/5", "1/3", "2/5", "1/2", "3/5", "2/3", 1, "4/3", "3/2", 2, "7/3", 3],
+    ["1/3", "2/7", "5/9"], [0, "1/2", 1], "additive samples lambda")
+# t-samples > 1 keep t, u and t*u distinct
+MULTIPLICATIVE = Sampling(
+    operator.mul, _reciprocal, Fraction(1),
+    [(2, 3), (2, 5), (3, 4), (5, 2), (7, 3), (4, 9), (3, 5), (2, 7), (9, 2), (5, 3), (6, 7),
+     (8, 3)], range(2, 15), [2, 3, "9/2"], [2, 3], "multiplicative samples t")
 
 
 class RationalFunction:
@@ -142,10 +186,10 @@ class SpectralFamily:
     arithmetic keeps it: the smallest d among the tables' sqrt(d), 1 if
     none (display_discriminant gives the printed d).  Tables over
     incompatible fields (sqrt(2) with sqrt(3)) are refused with
-    rescale_surd's ValueError.
+    rescale_surd's ValueError.  The multiplicative flag picks sampling.
     """
 
-    __slots__ = ("tag", "s", "coeffs", "m", "multiplicative", "discriminant")
+    __slots__ = ("tag", "s", "coeffs", "m", "sampling", "discriminant")
 
     def __init__(self, tag: str, s: HalfInt, coeffs: dict, m: int | None = None,
                  multiplicative: bool = False):
@@ -156,18 +200,21 @@ class SpectralFamily:
             if not 0 <= j <= s.twice:
                 raise DomainError(f"coefficient label j={j} outside 0..2s={s.twice}")
         self.tag, self.s, self.coeffs, self.m = tag, s, coeffs, m
-        self.multiplicative = multiplicative
+        self.sampling = MULTIPLICATIVE if multiplicative else ADDITIVE
         ds = {rf._cleared[1] for rf in coeffs.values()} - {None, 1}
         self.discriminant = min(ds, default=1)
         for d in sorted(ds):
             rescale_surd(Fraction(1), d, self.discriminant)
         if not self.constant:
-            origin = self.zero_sample()
             for j in sorted(self.coeffs):
-                value = self.coeffs[j](origin)
+                value = self.coeffs[j](self.sampling.origin)
                 if value != 1:
                     raise DomainError(
                         f"family {self.tag} not regular: r_{j} at the origin is {value}")
+
+    @property
+    def multiplicative(self) -> bool:
+        return self.sampling is MULTIPLICATIVE
 
     @property
     def constant(self) -> bool:
@@ -182,20 +229,6 @@ class SpectralFamily:
                 f"family {self.tag} does not define r_{j} "
                 f"(defined: {self.defined()})")
         return self.coeffs[j](lam)
-
-    def compose(self, lam, mu):
-        """Sample composition matching the family parameterization."""
-        return lam * mu if self.multiplicative else lam + mu
-
-    def invert_sample(self, lam):
-        if self.multiplicative:
-            if lam == 0:
-                raise PoleError("sample t = 0 has no multiplicative inverse")
-            return 1 / lam
-        return -lam
-
-    def zero_sample(self):
-        return Fraction(1) if self.multiplicative else Fraction(0)
 
 
 def reduced_d(fam: SpectralFamily, n: int, lam) -> tuple:
@@ -377,8 +410,7 @@ def identity_family(s) -> SpectralFamily:
         "identity", s, {j: _constant(Fraction(1)) for j in range(s.twice + 1)})
 
 
-def custom_family(s, tables: Mapping[int, RationalFunction],
-                  multiplicative: bool = False) -> SpectralFamily:
+def custom_family(s, tables: dict, multiplicative: bool = False) -> SpectralFamily:
     """Family from explicit rational-function coefficient tables."""
     s = HalfInt.coerce(s)
     return SpectralFamily("custom", s, dict(tables), multiplicative=multiplicative)
@@ -466,7 +498,7 @@ def check_regularity_unitarity(fam: SpectralFamily, samples) -> dict:
     failures = []
     for x in samples:
         for j in fam.defined():
-            if fam.eval_coeff(j, x) * fam.eval_coeff(j, fam.invert_sample(x)) != 1:
+            if fam.eval_coeff(j, x) * fam.eval_coeff(j, fam.sampling.invert(x)) != 1:
                 failures.append({"check": "unitary", "j": j, "sample": str(x)})
         if ts in fam.coeffs and fam.eval_coeff(ts, x) != 1:
             failures.append({"check": "normalized", "sample": str(x)})

@@ -31,7 +31,6 @@ nothing.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import lru_cache
 from operator import mul
 
@@ -44,41 +43,9 @@ __all__ = [
     "ReducedResidual",
     "braid_residual",
     "constant_check",
-    "default_grid",
     "full_check",
     "reduced_ybe_check",
-    "unitarity_samples",
 ]
-
-# Two disjoint 6-pair rational sample grids, run as one; all entries
-# positive, clear of every catalog pole (poles sit on the negative axis or
-# at irrational t).
-DEFAULT_GRID = ((Fraction(1, 2), Fraction(1, 3)), (Fraction(1), Fraction(2)),
-                (Fraction(1, 3), Fraction(1, 5)), (Fraction(3, 2), Fraction(1, 4)),
-                (Fraction(2, 5), Fraction(3, 7)), (Fraction(5, 2), Fraction(1, 6)),
-                (Fraction(1, 4), Fraction(1, 7)), (Fraction(2), Fraction(3)),
-                (Fraction(1, 5), Fraction(2, 3)), (Fraction(7, 3), Fraction(1, 2)),
-                (Fraction(3, 8), Fraction(5, 6)), (Fraction(4), Fraction(1, 9)))
-# Multiplicative counterparts (t-samples > 1 keep t, u, t*u distinct).
-DEFAULT_GRID_MULT = ((Fraction(2), Fraction(3)), (Fraction(2), Fraction(5)),
-                     (Fraction(3), Fraction(4)), (Fraction(5), Fraction(2)),
-                     (Fraction(7), Fraction(3)), (Fraction(4), Fraction(9)),
-                     (Fraction(3), Fraction(5)), (Fraction(2), Fraction(7)),
-                     (Fraction(9), Fraction(2)), (Fraction(5), Fraction(3)),
-                     (Fraction(6), Fraction(7)), (Fraction(8), Fraction(3)))
-# Unitarity needs r_j defined and nonzero at the sample and its mirror;
-# these stay clear of every catalog pole and coefficient zero.
-UNITARITY_SAMPLES = (Fraction(1, 3), Fraction(2, 7), Fraction(5, 9))
-UNITARITY_SAMPLES_MULT = (Fraction(2), Fraction(3), Fraction(9, 2))
-
-
-def unitarity_samples(fam: SpectralFamily):
-    return UNITARITY_SAMPLES_MULT if fam.multiplicative else UNITARITY_SAMPLES
-
-
-def default_grid(fam: SpectralFamily):
-    return DEFAULT_GRID_MULT if fam.multiplicative else DEFAULT_GRID
-
 
 class ReducedResidual:
     """Left-minus-right of a level's reduced equation at one sample pair,
@@ -213,7 +180,7 @@ def braid_residual(a: GaugedMatrix, d: int, d1, d2, d3) -> ReducedResidual:
 def reduced_ybe_check(fam: SpectralFamily, n: int, lam, mu) -> ReducedResidual:
     """Exact level-n residual for the family at samples (lam, mu), over
     the family's field."""
-    diagonals = [reduced_d(fam, n, x) for x in (lam, fam.compose(lam, mu), mu)]
+    diagonals = [reduced_d(fam, n, x) for x in (lam, fam.sampling.compose(lam, mu), mu)]
     return braid_residual(a_matrix(fam.s, n), fam.discriminant, *diagonals)
 
 
@@ -345,10 +312,11 @@ def full_check(fam: SpectralFamily, levels=None, samples=None) -> dict:
       the integer S of `_braid`, over the family's one d a function of
       those three alone, and the positive scale decides nothing, so a
       reused verdict is the one the pair's own residual gives."""
-    samples = list(samples) if samples is not None else list(default_grid(fam))
+    samples = list(samples if samples is not None else fam.sampling.grid)
     levels = _levels_or_default(fam, levels)
     index = {}  # argument -> its position, in order of first use
-    triples = [[index.setdefault(x, len(index)) for x in (lam, fam.compose(lam, mu), mu)]
+    compose = fam.sampling.compose
+    triples = [[index.setdefault(x, len(index)) for x in (lam, compose(lam, mu), mu)]
                for lam, mu in samples]
     args = list(index)
     first = {}  # coefficient table -> its first label
@@ -380,7 +348,7 @@ def constant_check(fam: SpectralFamily, levels=None) -> dict:
     """Braid-form check D D^ D = D^ D D^ per level for a constant family,
     whose reduced residual at any one sample pair is that braid: the
     `full_check` of the marker pair, one {"n", "zero"} row per level."""
-    marker = fam.zero_sample()
+    marker = fam.sampling.origin
     report = full_check(fam, levels, [(marker, marker)])
     report["levels"] = [{"n": level["n"], "zero": level["samples"][0]["zero"]}
                         for level in report["levels"]]

@@ -231,6 +231,16 @@ class TestVerifyCommand:
         assert code == 2 and out == ""
         assert err == f"error: family {tag!r} takes no {option}\n"
 
+    @pytest.mark.parametrize("argv, label, points", [
+        (("--family", "yang", "--s", "1"), "additive samples lambda", ["0", "1/2", "1"]),
+        (("--family", "baxter-tl", "--s", "1"), "multiplicative samples t", ["2", "3"]),
+    ], ids=["yang", "baxter-tl"])
+    def test_family_show_prints_the_sampling(self, capsys, argv, label, points):
+        code, out, _ = run_cli(capsys, "family", "show", *argv)
+        lines = out.splitlines()
+        assert code == 0 and lines[2] == label
+        assert [line.split(":")[0] for line in lines[3:]] == [f"  at {x}" for x in points]
+
     def test_missing_index_is_usage_error(self, capsys):
         code, out, err = run_cli(capsys, "family", "show", "--family",
                                  "constant-baxter", "--s", "2")

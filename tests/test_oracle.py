@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from sl2ybe import oracle
 from sl2ybe.amatrix import LevelRange, top_level
 from sl2ybe.exact import HalfInt, QuadExt, rescale_surd
-from sl2ybe.linalg import span_rank
+from sl2ybe.linalg import mat_mul, span_rank
 from sl2ybe.oracle import (SectorOperator, dense_operator_identities, dense_projectors,
                            dense_r_matrix, dense_ybe_residual,
                            permutation_dense, reduction_consistency,
@@ -50,7 +50,7 @@ def perturbed(fam, j, c):
     if fam.constant:
         num = (rf.num[0] + c * rf.den[0],)
     else:
-        x0 = fam.zero_sample()
+        x0 = fam.sampling.origin
         num = tuple(a * (1 - c * x0) + b * c for a, b in zip(rf.num + (0,), (0,) + rf.num))
     return custom_family(fam.s, {**fam.coeffs, j: RationalFunction(num, rf.den)},
                          multiplicative=fam.multiplicative)
@@ -107,7 +107,7 @@ def quadext_residual(fam, lam, mu):
     ts = fam.s.twice
     projs, every = dense_projectors(fam.s), range(3 * ts + 1)
     r = [quadext_combine([(fam.eval_coeff(j, x), p) for j, p in enumerate(projs)])
-         for x in (lam, fam.compose(lam, mu), mu)]
+         for x in (lam, fam.sampling.compose(lam, mu), mu)]
     r12 = [quadext_over_q(oracle._embed(x, ts, True, every), fam.discriminant) for x in r]
     r23 = [quadext_over_q(oracle._embed(x, ts, False, every), fam.discriminant) for x in r]
     return (r12[0] @ (r23[1] @ r12[2]) - r23[2] @ (r12[1] @ r23[0])).max_abs()
@@ -269,7 +269,7 @@ class TestDenseYbe:
 
         projs = dense_projectors(fam.s)
         monkeypatch.setattr(oracle, "SectorOperator", Recording)
-        lam, mu = (F(2), F(3)) if fam.multiplicative else (F(1, 2), F(1, 3))
+        lam, mu = fam.sampling.grid[0]
         oracle._braid_residual(fam, lam, mu, projs, range(3 * fam.s.twice + 1))
         assert len(built) > 10
         assert all(type(den) is int and den > 0 for _, den in built)
@@ -309,9 +309,32 @@ def casimir_sign_flip(request, monkeypatch):
     oracle._projectors.cache_clear()
 
 
+def commutes_with_lowering(projs):
+    """Whether every operator in projs commutes with Delta(S_minus), which
+    maps two-site sector w - 1 to w (S_minus f_a = f_(a+1))."""
+    ts = len(projs) - 1
+    labels = sector_labels(ts, 2)
+    for w in range(1, 2 * ts + 1):
+        down = tuple(tuple(int(r == (c1 + 1, c2)) + int(r == (c1, c2 + 1))
+                           for c1, c2 in labels[w - 1]) for r in labels[w])
+        for p in projs:
+            if mat_mul(p.blocks[w], down) != mat_mul(down, p.blocks[w - 1]):
+                return False
+    return True
+
+
 class TestCertificate:
     """A zero is read from the middle three-site sector only for projectors
     that commute with total sl2; any other set is decided on every sector."""
+
+    @pytest.mark.parametrize("ts", [1, 2, 3, 4])
+    def test_raising_decides_lowering_too(self, ts):
+        # the certificate checks Delta(S_plus) alone: for weight-preserving
+        # operators, commuting with it and with Delta(S_minus) agree
+        projs = dense_projectors(HalfInt(ts))
+        assert commutes_with_lowering(projs) and not commutes_with_lowering(with_top_fault(projs))
+        for ops in (projs, with_top_fault(projs)):
+            assert oracle._certified(tuple(ops)) == commutes_with_lowering(ops)
 
     @pytest.mark.parametrize("ts", [2, 3])
     def test_fault_outside_the_middle_sector_fails(self, monkeypatch, ts):
@@ -329,6 +352,7 @@ class TestCertificate:
     @pytest.mark.parametrize("ts", [1, 2, 3])
     def test_casimir_sign_flip_is_caught(self, casimir_sign_flip, ts):
         assert not oracle._certified(tuple(dense_projectors(HalfInt(ts))))
+        assert not commutes_with_lowering(dense_projectors(HalfInt(ts)))
         report = dense_operator_identities(HalfInt(ts))
         residual = dense_ybe_residual(yang(HalfInt(ts)), F(1, 2), F(1, 3))
         if casimir_sign_flip == "both":

@@ -15,6 +15,9 @@ check of the reduction, imports nothing from the 6-j route.  The package
 root re-exports nothing, so no function shadows the submodule it lives in.
 The CLI declares `--json` and the family options once each.  Each
 acceptance criterion records its checks through `CriterionResult` alone.
+Only `spectral` knows how a family is sampled, so no other module branches
+on `multiplicative`.  Every annotation names something its module can
+resolve.
 """
 import ast
 import importlib
@@ -22,6 +25,7 @@ import inspect
 import os
 import subprocess
 import sys
+import typing
 from pathlib import Path
 
 import pytest
@@ -218,6 +222,60 @@ def test_four_matrix_system_boundary():
     trees = {path.stem: _tree(path) for path in SOURCES}
     assert _names_imported_from(trees["ybe"], "classify") == []
     assert _names_imported_from(trees["classify"], "ybe") == ["braid_residual"]
+
+
+def _branch_tests(tree):
+    """The test of every if statement, conditional expression, while loop
+    and comprehension filter."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.If, ast.IfExp, ast.While)):
+            yield node.test
+        elif isinstance(node, ast.comprehension):
+            yield from node.ifs
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "spectral.py"],
+                         ids=lambda p: p.name)
+def test_only_spectral_branches_on_the_parameterization(path):
+    """A family's `sampling` holds everything that differs between the
+    lambda and t parameterizations, so outside `spectral` the
+    `multiplicative` flag is only reported, never branched on."""
+    lines = sorted({test.lineno for test in _branch_tests(_tree(path))
+                    for node in ast.walk(test)
+                    if getattr(node, "attr", getattr(node, "id", None)) == "multiplicative"})
+    assert lines == [], f"{path.name}: branches on multiplicative at lines {lines}"
+
+
+def _package_functions():
+    """(qualified name, function) of every function and method the package
+    defines, a property's getter included."""
+    for path in SOURCES:
+        if path.name == "__init__.py":  # binds only __version__
+            continue
+        mod = importlib.import_module(f"sl2ybe.{path.stem}")
+        for name, obj in vars(mod).items():
+            if getattr(obj, "__module__", None) != mod.__name__:
+                continue
+            if inspect.isfunction(obj):
+                yield f"{path.stem}.{name}", obj
+            elif inspect.isclass(obj):
+                for attr, member in vars(obj).items():
+                    member = member.fget if isinstance(member, property) else member
+                    if inspect.isfunction(member):
+                        yield f"{path.stem}.{name}.{attr}", member
+
+
+def test_annotations_resolve():
+    """Annotations are strings under `from __future__ import annotations`,
+    so one naming an unimported type fails only when something resolves
+    it, as `typing.get_type_hints` does."""
+    unresolved = []
+    for name, fn in _package_functions():
+        try:
+            typing.get_type_hints(fn)
+        except NameError as exc:
+            unresolved.append(f"{name}: {exc}")
+    assert unresolved == []
 
 
 # The functions that may factor a radicand: they print values.

@@ -6,16 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sl2ybe import spectral, ybe
+from sl2ybe import spectral
 from sl2ybe.amatrix import eta_closed_form
-from sl2ybe.cli import _dense_grid
 from sl2ybe.exact import DomainError, HalfInt, QuadExt
-from sl2ybe.spectral import (PoleError, RationalFunction, baxter_b, baxter_tl,
-                             check_regularity_unitarity, constant_baxter,
-                             constant_root, custom_family, exceptional_s3,
-                             family_from_json, identity_family, krs_prefix,
-                             make_family, permutation_family, reduced_d, yang,
-                             zamolodchikov)
+from sl2ybe.spectral import (ADDITIVE, MULTIPLICATIVE, PoleError, RationalFunction,
+                             baxter_b, baxter_tl, check_regularity_unitarity,
+                             constant_baxter, constant_root, custom_family,
+                             exceptional_s3, family_from_json, identity_family,
+                             krs_prefix, make_family, permutation_family,
+                             reduced_d, yang, zamolodchikov)
 from sl2ybe.ybe import full_check
 
 F = Fraction
@@ -100,9 +99,12 @@ class TestBaxterTL:
 
     def test_multiplicative_parameterization(self):
         fam = baxter_tl(1)
-        assert fam.multiplicative
-        assert fam.compose(F(2), F(3)) == 6
-        assert fam.invert_sample(F(2)) == F(1, 2)
+        assert fam.multiplicative and fam.sampling is MULTIPLICATIVE
+        assert fam.sampling.compose(F(2), F(3)) == 6
+        assert fam.sampling.invert(F(2)) == F(1, 2)
+        assert fam.sampling.origin == 1
+        with pytest.raises(PoleError, match="t = 0 has no multiplicative inverse"):
+            fam.sampling.invert(F(0))
 
     def test_lower_members_rejected(self):
         # only m = 2s has a closed form, so the tag takes no m
@@ -138,11 +140,14 @@ class TestKrsPrefix:
         assert full_check(krs_prefix(s), levels=[n])["pass"]
 
     def test_matches_shifted_family_when_full(self):
-        # for s = 1, m = 2 the shifted family defines the same three coefficients
-        prefix, shifted = krs_prefix(1), zamolodchikov(1, 2)
-        for lam in (F(1, 2), F(2), F(5, 7)):
-            for j in (0, 1, 2):
-                assert prefix.eval_coeff(j, lam) == shifted.eval_coeff(j, lam)
+        # at every s the prefix is the m = 2 shifted family: the same three
+        # coefficients, each of degree <= 2, equal at 11 points
+        for ts in range(2, 13):
+            prefix, shifted = krs_prefix(HalfInt(ts)), zamolodchikov(HalfInt(ts), 2)
+            assert prefix.defined() == shifted.defined() == [ts - 2, ts - 1, ts]
+            for j in prefix.defined():
+                for lam in (F(k, 3) for k in range(1, 12)):
+                    assert prefix.eval_coeff(j, lam) == shifted.eval_coeff(j, lam), (ts, j, lam)
 
 
 class TestExceptionalS3:
@@ -152,6 +157,18 @@ class TestExceptionalS3:
         assert fam.eval_coeff(3, F(1)) == F(3, 5)
         assert fam.eval_coeff(0, F(1)) == 0
         assert fam.eval_coeff(4, F(9)) == 1
+
+    def test_built_from_the_shifted_and_yang_families(self):
+        # r_3..r_6 are the m = 3 shifted family's, r_2 and r_1 yang's, and
+        # r_0 = r_1 (6 - l)/(6 + l); every table has degree <= 2
+        fam, shifted, rational = exceptional_s3(), zamolodchikov(3, 3), yang(3)
+        assert shifted.defined() == [3, 4, 5, 6]
+        for lam in (F(k, 3) for k in range(1, 12)):
+            for j in (3, 4, 5, 6):
+                assert fam.eval_coeff(j, lam) == shifted.eval_coeff(j, lam), (j, lam)
+            for j in (1, 2):
+                assert fam.eval_coeff(j, lam) == rational.eval_coeff(j, lam), (j, lam)
+            assert fam.eval_coeff(0, lam) == fam.eval_coeff(1, lam) * (6 - lam) / (6 + lam)
 
     def test_level_nine_carries_the_middle_coefficient(self):
         # at the top level the single index is k = 3, so the diagonal holds r_3
@@ -392,8 +409,8 @@ class TestClearedEvaluation:
             RationalFunction(num, den)
 
     def test_every_catalog_table_at_every_grid_argument(self):
-        grids = [ybe.DEFAULT_GRID, ybe.DEFAULT_GRID_MULT]
-        grids += [_dense_grid(fam) for fam in (yang(1), baxter_tl(1))]
+        grids = [grid for sampling in (ADDITIVE, MULTIPLICATIVE)
+                 for grid in (sampling.grid, sampling.dense)]
         args = {x for grid in grids for lam, mu in grid
                 for x in (lam, mu, lam + mu, lam * mu)}
         tables = catalog_tables()

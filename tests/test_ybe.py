@@ -17,8 +17,7 @@ from sl2ybe.spectral import (PoleError, RationalFunction, SpectralFamily, baxter
                              constant_baxter, constant_root, custom_family,
                              exceptional_s3, identity_family, krs_prefix,
                              permutation_family, reduced_d, yang, zamolodchikov)
-from sl2ybe.ybe import (DEFAULT_GRID, braid_residual, constant_check, full_check,
-                        reduced_ybe_check)
+from sl2ybe.ybe import braid_residual, constant_check, full_check, reduced_ybe_check
 
 
 def mat_scale(c, x):
@@ -121,7 +120,7 @@ class TestIntegerKernel:
     @pytest.mark.parametrize("fam", list(kernel_families()))
     def test_residual_matches_dense_reference(self, fam):
         if fam.constant:
-            samples = [(fam.zero_sample(), fam.zero_sample())]
+            samples = [(fam.sampling.origin, fam.sampling.origin)]
         elif fam.multiplicative:
             samples = [(F(2), F(3)), (F(3, 2), F(5))]
         else:
@@ -132,7 +131,7 @@ class TestIntegerKernel:
             for lam, mu in samples:
                 res = reduced_ybe_check(fam, n, lam, mu)
                 ref = dense_reference(a, *(reduced_d(fam, n, x) for x in
-                                           (lam, fam.compose(lam, mu), mu)))
+                                           (lam, fam.sampling.compose(lam, mu), mu)))
                 assert exact_residual(res) == ref
                 assert res.is_zero == is_zero_matrix(ref)
                 verdicts.append(res.is_zero)
@@ -143,7 +142,7 @@ class TestIntegerKernel:
     @pytest.mark.parametrize("fam", [yang(2), baxter_tl(2), constant_baxter(2, 3)],
                              ids=param_id)
     def test_verdict_is_taken_on_integers(self, fam):
-        lam, mu = (F(2), F(3)) if fam.multiplicative else (F(1, 2), F(1, 3))
+        lam, mu = fam.sampling.grid[0]
         for n in defined_levels(fam):
             res = reduced_ybe_check(fam, n, lam, mu)
             parts = [res.rational] + ([res.irrational] if res.irrational is not None else [])
@@ -210,7 +209,7 @@ class TestIntegerKernel:
         samples = [(F(2), F(3)), (F(3, 2), F(5))] if fam.multiplicative else [
             (F(1, 2), F(1, 3)), (F(3, 2), F(1, 4))]
         for lam, mu in samples:
-            diagonals = [reduced_d(fam, n, x) for x in (lam, fam.compose(lam, mu), mu)]
+            diagonals = [reduced_d(fam, n, x) for x in (lam, fam.sampling.compose(lam, mu), mu)]
             ref = dense_reference(flipped, *diagonals)
             assert exact_residual(braid_residual(flipped, fam.discriminant, *diagonals)) == ref
 
@@ -301,7 +300,7 @@ class TestReducedCheck:
     def test_swap_symmetry_of_verdict(self):
         fams = [yang(1), perturbed_yang()]
         for fam in fams:
-            for lam, mu in DEFAULT_GRID:
+            for lam, mu in fam.sampling.grid:
                 fwd = reduced_ybe_check(fam, 1, lam, mu).is_zero
                 bwd = reduced_ybe_check(fam, 1, mu, lam).is_zero
                 assert fwd == bwd
@@ -390,7 +389,7 @@ class TestFullCheck:
         what checking the pairs one by one raises first."""
         def pair_by_pair():
             for n in (levels if levels is not None else defined_levels(fam)):
-                for lam, mu in (samples if samples is not None else DEFAULT_GRID):
+                for lam, mu in (samples if samples is not None else fam.sampling.grid):
                     reduced_ybe_check(fam, n, lam, mu)
 
         got, want = (first_error(check) for check in (
@@ -527,7 +526,7 @@ class TestSharedLegs:
         cost rule pays builds one class form and calls no kernel; with the
         class products route forced, every pair's integer residual is a
         kernel call's."""
-        grid = cli._dense_grid(fam)
+        grid = fam.sampling.dense
         forms, _ = form_calls(monkeypatch)
         kernels = kernel_calls(monkeypatch)
         report = full_check(fam, levels=levels, samples=grid)
@@ -586,8 +585,8 @@ class TestSharedLegs:
 
     def test_each_coefficient_is_evaluated_once_per_check(self, monkeypatch):
         fam = yang(2)
-        grid = cli._dense_grid(fam)
-        arguments = {x for lam, mu in grid for x in (lam, fam.compose(lam, mu), mu)}
+        grid = fam.sampling.dense
+        arguments = {x for lam, mu in grid for x in (lam, fam.sampling.compose(lam, mu), mu)}
         calls, real = [], SpectralFamily.eval_coeff
 
         def count(self, j, x):
@@ -604,7 +603,7 @@ class TestSharedLegs:
 
     def test_each_cleared_diagonal_is_hatted_once_per_level(self, monkeypatch):
         fam = yang(2)
-        grid = cli._dense_grid(fam)
+        grid = fam.sampling.dense
         levels = defined_levels(fam)
         for n in levels:
             a_matrix(fam.s, n)  # built (and its sign hat taken) before counting
@@ -629,7 +628,7 @@ class TestSharedLegs:
     def test_equal_diagonals_share_one_kernel(self, monkeypatch):
         # baxter-tl at s=2: only r_0 depends on t, and only level 4 reads it
         fam = baxter_tl(2)
-        grid = cli._dense_grid(fam)
+        grid = fam.sampling.dense
         forms, verdicts = form_calls(monkeypatch)
         assert full_check(fam, samples=grid)["pass"]
         levels = defined_levels(fam)
@@ -641,7 +640,7 @@ class TestSharedLegs:
 
     def test_memo_tells_apart_samples_equal_on_other_arguments(self):
         fam = yang_at_one_and_two()
-        grid = cli._dense_grid(fam)
+        grid = fam.sampling.dense
         report = full_check(fam, samples=grid)
         verdicts = fresh_verdicts(fam, report, grid)
         assert all(verdicts[0]) and all(verdicts[1])
@@ -787,7 +786,7 @@ class TestCoeffFunctions:
 
     def test_multiplicative_tl_annihilates(self):
         fam = baxter_tl("3/2")
-        g = values(lambda t: fam.eval_coeff(0, t) - 1, F(2), F(3), fam.compose)
+        g = values(lambda t: fam.eval_coeff(0, t) - 1, F(2), F(3), fam.sampling.compose)
         assert coeff_functions(3, eta("3/2", 3, 3), ZEROS, g)[1].is_zero
 
     def test_top_index_solution_annihilates(self):
@@ -979,5 +978,5 @@ class TestLevelZeroIdentity:
         fams = [yang(1), zamolodchikov(2, 2), baxter_tl(1), krs_prefix(2),
                 exceptional_s3(), permutation_family(1), identity_family(1)]
         for fam in fams:
-            lam, mu = (F(2), F(3)) if fam.multiplicative else (F(1, 2), F(1, 3))
+            lam, mu = fam.sampling.grid[0]
             assert reduced_ybe_check(fam, 0, lam, mu).is_zero

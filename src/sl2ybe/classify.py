@@ -156,13 +156,22 @@ class ScanResult:
                 if r.beta_tilde is not None and r.beta_tilde != 0]
 
 
-def _rank_four_by_projection(a: GaugedMatrix, pi) -> bool:
-    """F, G, H, H~ independent on the diagonal, row m and column m (pi at
-    m) alone, so in full: rank 4, no relation (README, four-matrix system)."""
-    i, dim = pi.index(1), range(a.dim)
-    return span_rank([(v,) for v in _fgh_entries(
-        a, pi, [(r, r) for r in dim] + [(i, c) for c in dim if c != i]
-        + [(r, i) for r in dim if r != i])]) == 4
+def _det4(x) -> int:
+    """The determinant of a 4x4 integer matrix: the 2x2 minors of its top
+    two rows times the complementary minors of its bottom two (Laplace)."""
+    (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3), (d0, d1, d2, d3) = x
+    return ((a0 * b1 - a1 * b0) * (c2 * d3 - c3 * d2) - (a0 * b2 - a2 * b0) * (c1 * d3 - c3 * d1)
+            + (a0 * b3 - a3 * b0) * (c1 * d2 - c2 * d1) + (a1 * b2 - a2 * b1) * (c0 * d3 - c3 * d0)
+            - (a1 * b3 - a3 * b1) * (c0 * d2 - c2 * d0) + (a2 * b3 - a3 * b2) * (c0 * d1 - c1 * d0))
+
+
+def _rank_four_by_minor(a: GaugedMatrix, pi) -> bool:
+    """F, G, H, H~ independent on the 2x2 block at offsets {i-1, i}, or else
+    {i, i+1} (pi at i), so in full: rank 4, no relation (README, four-matrix
+    system).  A dimension-1 level has no block and decides nothing."""
+    i = pi.index(1)
+    return any(_det4(_fgh_entries(a, pi, [(r, c) for r in b for c in b]))
+               for b in ((i - 1, i), (i, i + 1)) if b[0] >= 0 and b[1] < a.dim)
 
 
 def _scan_cell(s: HalfInt, m: int, n: int) -> DegeneracyRecord:
@@ -171,7 +180,7 @@ def _scan_cell(s: HalfInt, m: int, n: int) -> DegeneracyRecord:
     simultaneously)."""
     a = a_matrix(s, n)
     rng, pi = a.range, rank_one_projector(a.range, m)
-    if _rank_four_by_projection(a, pi):
+    if _rank_four_by_minor(a, pi):
         return DegeneracyRecord(s, m, n, rng.dim, rng.shifted, holds_transpose=False,
                                 beta=None, beta_tilde=None, rank=4)
     big_f, big_g, big_h, big_ht = fgh_operators(a, pi)

@@ -1,6 +1,10 @@
 from fractions import Fraction
+from itertools import permutations
+from math import prod
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from sl2ybe import classify
 from sl2ybe.acceptance import criterion_1, criterion_2
@@ -207,50 +211,86 @@ class TestDegeneracyScan:
         assert sample.beta == 1 and sample.beta_tilde == F(-2, 3)
 
 
+def permutation_det(x):
+    """The determinant of a square matrix as the signed sum over
+    permutations, the sign from the inversion count."""
+    n = len(x)
+    return sum((-1) ** sum(p[j] < p[i] for i in range(n) for j in range(i + 1, n))
+               * prod(x[i][p[i]] for i in range(n)) for p in permutations(range(n)))
+
+
+int_rows = st.lists(st.integers(-10**6, 10**6), min_size=4, max_size=4)
+
+
 class TestProjection:
-    """Rank 4 is decided on row m, column m and the diagonal; every other
-    cell runs the full system."""
+    """Rank 4 is decided by one 4x4 minor: F, G, H, H~ restricted to the
+    2x2 block at offsets {i-1, i}, or else {i, i+1}, with pi at i; every
+    other cell runs the full system."""
+
+    @given(st.lists(int_rows, min_size=4, max_size=4))
+    def test_determinant_matches_the_permutation_sum(self, x):
+        assert classify._det4(x) == permutation_det(x)
+
+    @given(st.lists(int_rows, min_size=3, max_size=3),
+           st.lists(st.integers(-50, 50), min_size=3, max_size=3),
+           st.integers(0, 3))
+    def test_determinant_vanishes_on_a_planted_row_relation(self, rows, coeffs, at):
+        planted = [sum(c * row[k] for c, row in zip(coeffs, rows)) for k in range(4)]
+        x = rows[:at] + [planted] + rows[at:]
+        assert classify._det4(x) == permutation_det(x) == 0
 
     @pytest.mark.parametrize("ts", range(1, 13))
     def test_projected_entries_are_those_of_the_full_system(self, monkeypatch, ts):
-        ranked = []
+        real, read = classify._det4, []
 
-        def spy(matrices):
-            ranked.append(tuple(v for (v,) in matrices))
-            return span_rank(matrices)
+        def spy(x):
+            read.append(x)
+            return real(x)
 
-        monkeypatch.setattr(classify, "span_rank", spy)
+        monkeypatch.setattr(classify, "_det4", spy)
         s = HalfInt(ts)
         for n in range(top_level(s) + 1):
             a = a_matrix(s, n)
-            dim = range(a.dim)
             for m in a.range.indices():
                 pi = rank_one_projector(a.range, m)
                 i = a.range.offset(m)
-                # the diagonal, then row m, then column m, each entry once
-                cells = ([(r, r) for r in dim] + [(i, c) for c in dim if c != i]
-                         + [(r, i) for r in dim if r != i])
-                want = tuple(tuple(x[r][c] for r, c in cells)
-                             for x in classify.fgh_operators(a, pi))
-                ranked.clear()
-                decided = classify._rank_four_by_projection(a, pi)
-                assert ranked == [want], (ts, m, n)
-                assert decided == (span_rank([(v,) for v in want]) == 4)
+                full = classify.fgh_operators(a, pi)
+                # the block at {i-1, i} first, {i, i+1} only if that minor is 0
+                want = []
+                for b in ((i - 1, i), (i, i + 1)):
+                    if b[0] >= 0 and b[1] < a.dim:
+                        want.append(tuple(tuple(x[r][c] for r in b for c in b)
+                                          for x in full))
+                        if permutation_det(want[-1]):
+                            break
+                read.clear()
+                decided = classify._rank_four_by_minor(a, pi)
+                assert read == want, (ts, m, n)
+                assert decided == any(map(permutation_det, want))
 
-    def test_scan_without_the_projection_is_unchanged(self, monkeypatch):
-        real, decided = classify._rank_four_by_projection, []
+    @staticmethod
+    def scan_with_verdicts(monkeypatch, max_two_s):
+        """degeneracy_scan(max_two_s) and the minor's verdict, in cell order."""
+        real, decided = classify._rank_four_by_minor, []
 
         def counted(a, pi):
             decided.append(real(a, pi))
             return decided[-1]
 
-        monkeypatch.setattr(classify, "_rank_four_by_projection", counted)
-        fast = degeneracy_scan(10)
+        monkeypatch.setattr(classify, "_rank_four_by_minor", counted)
+        return degeneracy_scan(max_two_s), decided
+
+    def test_scan_without_the_projection_is_unchanged(self, monkeypatch):
+        fast, decided = self.scan_with_verdicts(monkeypatch, 10)
         assert (len(decided), sum(decided)) == (251, 180)
-        monkeypatch.setattr(classify, "_rank_four_by_projection",
-                            lambda a, pi: False)
+        monkeypatch.setattr(classify, "_rank_four_by_minor", lambda a, pi: False)
         full = degeneracy_scan(10)
         assert (full.records, full.skipped) == (fast.records, fast.skipped)
+
+    def test_cells_the_minor_leaves_have_rank_below_four(self, monkeypatch):
+        scan, decided = self.scan_with_verdicts(monkeypatch, 16)
+        assert (len(scan.records), len(decided), sum(decided)) == (1037, 1037, 906)
+        assert all(rec.rank < 4 for rec, hit in zip(scan.records, decided) if not hit)
 
 
 def a_diag(s, m, n):

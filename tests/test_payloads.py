@@ -49,6 +49,7 @@ GOLDEN = [
     ("scan-degeneracy --max-2s 10", 0, "90a82ac64b95a396840d0f4e11bf19f53269d0ff33db91094db6358e543a0339"),
     ("scan-degeneracy --max-2s 14", 0, "1c3ac337c47f1b72bc19e83878aacf366beaf8140005908882fd920d15f3a2d5"),
     ("scan-degeneracy --max-2s 20", 0, "0753fb24d62b64d2de03dfacbb791e8af65bb9daab325c1fbf5f0b4de193417a"),
+    ("scan-degeneracy --max-2s 30", 0, "2eb9952a5fd621b306031f560e50c73ba00b57ff6e4acf9a6e4d684824571e8d"),
     ("rigidity --s 4 --m 8", 0, "ee6e58c005901a5378e7454d0ec4b30bd7a5b48a9c9364fd99609173140229fe"),
     ("amat --s 3/2 --n 3", 0, "7f464c807f202105e604f8d408595d580666a0cf35fad3dc277c6bf9c1909f8f"),
     ("amat --s 3/2 --n 3 --gauge", 0, "bdaae3a56043ff507fb6a584027ff284986d054e6dbc60fe8eac7b00ddb14f8f"),

@@ -188,9 +188,13 @@ class GaugedMatrix:
 def _triangle_sq(*triads) -> tuple:
     """The product of the squared triangle coefficients
     (a+b-c)!(a-b+c)!(-a+b+c)!/(a+b+c+1)! of the triads, twice each label
-    given, as an integer pair (numerator, denominator)."""
+    given, as an integer pair (numerator, denominator); (0, 1) as soon as
+    a triad is inadmissible, its perimeter a+b+c not an integer or
+    |a-b| <= c <= a+b broken: the one admissibility rule of a 6-j symbol."""
     num = den = 1
     for tx, ty, tz in triads:
+        if (tx + ty + tz) % 2 or not abs(tx - ty) <= tz <= tx + ty:
+            return 0, 1
         f = factorials((tx + ty + tz) // 2 + 1)
         num *= f[(tx + ty - tz) // 2] * f[(tx - ty + tz) // 2] * f[(-tx + ty + tz) // 2]
         den *= f[(tx + ty + tz) // 2 + 1]

@@ -53,7 +53,7 @@ def _parse_levels(text: str | None):
 def _load_family(args):
     """The catalog family named by tag, spin and m, or the custom family a
     family file holds; naming both is a usage error, since the file would
-    silently win."""
+    silently win, and so is a file nested past the JSON decoder's depth."""
     if args.family_file:
         named = [opt for opt, value in (("--family", args.family), ("--s", args.s),
                                         ("--m", args.m)) if value is not None]
@@ -61,7 +61,11 @@ def _load_family(args):
             raise DomainError("a family file fixes the family, its spin and m; "
                               f"drop {', '.join(named)}")
         with open(args.family_file) as fh:
-            return family_from_json(json.load(fh))
+            try:
+                doc = json.load(fh)
+            except RecursionError:
+                raise DomainError(f"family file {args.family_file} is nested too deeply") from None
+        return family_from_json(doc)
     if args.family is None:
         raise DomainError("no family given: name one with --family or --family-file")
     s = HalfInt.parse(args.s) if args.s else None
@@ -74,8 +78,8 @@ def _field(disc: int) -> str:
 
 
 def cmd_sixj(args):
-    from .sixj import SixJArgs, sixj
-    value = sixj(SixJArgs.coerce(*args.labels))
+    from .sixj import sixj
+    value = sixj(*args.labels)
     doc = {"check": "sixj", "args": args.labels, "value": str(value)}
     _emit(doc, args, [str(value)])
     return EXIT_PASS

@@ -292,8 +292,9 @@ def _level_verdicts(a: GaugedMatrix, d: int, labels, triples, coeff, shared) -> 
 
 def full_check(fam: SpectralFamily, levels=None, samples=None) -> dict:
     """Per-level, per-sample residual table; pass iff every residual is
-    exactly zero.  Each row's verdict is `reduced_ybe_check(...).is_zero`,
-    taken at the cost of the distinct values the grid holds:
+    exactly zero, and a check over no sample or no level is refused.  Each
+    row's verdict is `reduced_ybe_check(...).is_zero`, taken at the cost of
+    the distinct values the grid holds:
 
     - each pair's argument triple (lam, lam o mu, mu) is formed once;
     - labels with equal coefficient tables form one class, and each
@@ -314,6 +315,8 @@ def full_check(fam: SpectralFamily, levels=None, samples=None) -> dict:
       reused verdict is the one the pair's own residual gives."""
     samples = list(samples if samples is not None else fam.sampling.grid)
     levels = _levels_or_default(fam, levels)
+    if not samples:
+        raise DomainError(f"no sample to check for family {fam.tag} at s={fam.s}")
     index = {}  # argument -> its position, in order of first use
     compose = fam.sampling.compose
     triples = [[index.setdefault(x, len(index)) for x in (lam, compose(lam, mu), mu)]
@@ -333,11 +336,9 @@ def full_check(fam: SpectralFamily, levels=None, samples=None) -> dict:
     out_levels = []
     ok = True
     for n in levels:
-        zeros = []
-        if triples:
-            a = a_matrix(fam.s, n)
-            labels = [label.get(fam.s.twice - k, fam.s.twice - k) for k in a.range.indices()]
-            zeros = _level_verdicts(a, fam.discriminant, labels, triples, coeff, shared)
+        a = a_matrix(fam.s, n)
+        labels = [label.get(fam.s.twice - k, fam.s.twice - k) for k in a.range.indices()]
+        zeros = _level_verdicts(a, fam.discriminant, labels, triples, coeff, shared)
         ok = ok and all(zeros)
         out_levels.append({"n": n, "samples": [
             {"lambda": lam, "mu": mu, "zero": zero} for (lam, mu), zero in zip(names, zeros)]})
@@ -347,7 +348,11 @@ def full_check(fam: SpectralFamily, levels=None, samples=None) -> dict:
 def constant_check(fam: SpectralFamily, levels=None) -> dict:
     """Braid-form check D D^ D = D^ D D^ per level for a constant family,
     whose reduced residual at any one sample pair is that braid: the
-    `full_check` of the marker pair, one {"n", "zero"} row per level."""
+    `full_check` of the marker pair, one {"n", "zero"} row per level.  A
+    spectral family is refused: at its marker, the regularity point, every
+    D is the identity and the check would pass over nothing."""
+    if not fam.constant:
+        raise DomainError(f"constant check of the spectral family {fam.tag} at s={fam.s}")
     marker = fam.sampling.origin
     report = full_check(fam, levels, [(marker, marker)])
     report["levels"] = [{"n": level["n"], "zero": level["samples"][0]["zero"]}

@@ -9,7 +9,7 @@ from sl2ybe.amatrix import (LevelRange, _racah_sum, a_matrix,
 from sl2ybe.exact import (DomainError, HalfInt, QuadExt, factorial, minus_one_pow,
                           sqrt_canonicalize)
 from sl2ybe.linalg import clear_denominators, diagonal, mat_mul
-from sl2ybe.sixj import SixJArgs, sixj
+from sl2ybe.sixj import sixj
 
 
 def mat_scale(c, x):
@@ -32,8 +32,8 @@ def a_entry_from_sixj(s: HalfInt, n: int, k: int, kp: int) -> QuadExt:
         (-1)^(2s-n) sqrt((4s-2k+1)(4s-2k'+1)) {s s 2s-k; s 3s-n 2s-k'}.
     """
     ts = s.twice
-    symbol = sixj(SixJArgs(s, s, HalfInt(2 * ts - 2 * k),
-                           s, HalfInt(3 * ts - 2 * n), HalfInt(2 * ts - 2 * kp)))
+    symbol = sixj(s, s, HalfInt(2 * ts - 2 * k),
+                  s, HalfInt(3 * ts - 2 * n), HalfInt(2 * ts - 2 * kp))
     # a surd is a QuadExt with a = 0, or with b = 0 when it is rational
     return sqrt_canonicalize(
         minus_one_pow(ts - n) * (symbol.a + symbol.b),

@@ -148,6 +148,17 @@ class TestVerifyCommand:
         assert code == 2 and out == "" and err.startswith("error:")
 
     @pytest.mark.parametrize("argv", [
+        ("verify",), ("family", "show"), ("oracle", "--lambda", "1", "--mu", "2"),
+    ], ids=["verify", "family-show", "oracle"])
+    def test_deeply_nested_family_file_is_usage_error(self, capsys, tmp_path, argv):
+        # past the JSON decoder's depth: one error line, not a traceback
+        path = tmp_path / "family.json"
+        path.write_text("[" * 100000 + "]" * 100000)
+        code, out, err = run_cli(capsys, *argv, "--family-file", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "nested too deeply" in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
         ("--family", "yang", "--s", "1", "--levels", "3..1"),
         ("--family", "yang", "--s", "-1"),
         ("--family", "permutation", "--s", "1", "--levels", "3..1"),

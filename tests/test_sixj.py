@@ -11,7 +11,7 @@ from sl2ybe.amatrix import (GaugedMatrix, LevelRange, _racah_sum, _triangle_sq,
 from sl2ybe.exact import DomainError, HalfInt, minus_one_pow, sqrt_canonicalize
 from sl2ybe.linalg import (clear_denominators, diag_mul_right, diagonal,
                            is_zero_matrix, mat_add, mat_mul)
-from sl2ybe.sixj import SixJArgs, racah_identity_residual, sixj, triangle_ok
+from sl2ybe.sixj import racah_identity_residual, sixj
 
 
 def mat_scale(c, x):
@@ -20,10 +20,6 @@ def mat_scale(c, x):
 
 
 H = HalfInt
-
-
-def S(*args):
-    return SixJArgs.coerce(*args)
 
 
 def surd_coeff(x):
@@ -92,43 +88,83 @@ def planted_core_faults(max_two_s, seed):
             yield s, n, with_core(real, core)
 
 
+def triangle(tx, ty, tz):
+    """|x-y| <= z <= x+y with integer perimeter x+y+z, twice each label
+    given: the admissibility of one triad, stated apart from the package."""
+    return abs(tx - ty) <= tz <= tx + ty and (tx + ty + tz) % 2 == 0
+
+
+def triads(ta, tb, te, tc, td, tf):
+    """The four coupling triads of {a b e; c d f}."""
+    return (ta, tb, te), (ta, td, tf), (tb, tc, tf), (tc, td, te)
+
+
 class TestTriangle:
+    """`_triangle_sq` is the one admissibility rule: (0, 1) on any
+    inadmissible triad, never a factorial read off the end of the table."""
+
     def test_standard_coupling(self):
-        assert triangle_ok(H(1), H(1), H(2))
+        # 1/2 1/2 1: 0! 1! 1! / 3!
+        assert _triangle_sq((1, 1, 2)) == (1, 6)
 
     def test_exceeds_sum(self):
-        assert not triangle_ok(H(1), H(1), H(4))
+        assert _triangle_sq((1, 1, 4)) == (0, 1)
 
     def test_half_integer_perimeter_rejected(self):
         # 1 + 1/2 + 1 has half-integer sum
-        assert not triangle_ok(H(2), H(1), H(2))
+        assert _triangle_sq((2, 1, 2)) == (0, 1)
+
+    def test_one_inadmissible_triad_zeroes_the_product(self):
+        # each triangle inequality broken, and an odd perimeter, first or last
+        good = ((2, 2, 2), (1, 1, 2))
+        for bad in ((1, 1, 4), (4, 1, 1), (1, 4, 1), (2, 1, 2)):
+            assert _triangle_sq(bad, *good) == _triangle_sq(*good, bad) == (0, 1)
+
+    def test_matches_the_reference_predicate(self):
+        for triad in itertools.product(range(9), repeat=3):
+            num, den = _triangle_sq(triad)
+            assert den > 0 and (num != 0) == triangle(*triad), triad
 
 
 class TestSixJValues:
     def test_minimal_symbol(self):
-        assert sixj(S("1/2", "1/2", 0, "1/2", "1/2", 0)) == Fraction(-1, 2)
+        assert sixj("1/2", "1/2", 0, "1/2", "1/2", 0) == Fraction(-1, 2)
 
     def test_unit_spin_symbol(self):
-        assert sixj(S("1/2", "1/2", 1, "1/2", "1/2", 1)) == Fraction(1, 6)
+        assert sixj("1/2", "1/2", 1, "1/2", "1/2", 1) == Fraction(1, 6)
 
     def test_triangle_violation_is_zero(self):
-        assert sixj(S("1/2", "1/2", 2, "1/2", "1/2", 1)).is_zero
+        assert sixj("1/2", "1/2", 2, "1/2", "1/2", 1).is_zero
 
-    def test_negative_label_is_zero_but_refused_at_coercion(self):
-        assert sixj(SixJArgs(H(-2), H(1), H(1), H(1), H(1), H(1))).is_zero
-        with pytest.raises(DomainError):
-            S(-1, 1, 1, 1, 1, 1)
+    def test_negative_label_is_refused(self):
+        # as text, a number or a HalfInt, in any position
+        for labels in ((-1, 1, 1, 1, 1, 1), ("1/2", "-1/2", 0, "1/2", "1/2", 0),
+                       (H(1), H(1), H(1), H(1), H(1), H(-2))):
+            with pytest.raises(DomainError, match="spin labels must be >= 0, got "):
+                sixj(*labels)
+
+    def test_zero_exactly_off_the_triangle_rule(self):
+        # every twice-label set 0..4: a symbol with an inadmissible triad is
+        # zero, and an admissible one is zero only at the four labels where
+        # its Racah sum vanishes, the tetrahedral images of the one
+        # non-trivial zero {3/2 3/2 2; 2 2 3/2} among spins <= 2
+        racah_zeros = {(3, 3, 4, 4, 4, 3), (3, 4, 3, 4, 3, 4), (4, 3, 3, 3, 4, 4),
+                       (4, 4, 4, 3, 3, 3)}
+        for t in itertools.product(range(5), repeat=6):
+            admissible = all(triangle(*triad) for triad in triads(*t))
+            assert sixj(*map(H, t)).is_zero == (not admissible or t in racah_zeros), t
+        assert all(_racah_sum(*t)[0] == 0 for t in racah_zeros)
 
     def test_stretched_symbol(self):
         # {s s 2s; s 3s 2s} = (-1)^2s/(4s+1)
         for ts in (1, 2, 3, 4):
-            val = sixj(SixJArgs(H(ts), H(ts), H(2 * ts), H(ts), H(3 * ts), H(2 * ts)))
+            val = sixj(H(ts), H(ts), H(2 * ts), H(ts), H(3 * ts), H(2 * ts))
             sign = -1 if ts % 2 else 1
             assert val == Fraction(sign, 2 * ts + 1)
 
     def test_float_of_a_huge_radicand(self):
         # the radicand has 860 digits
-        val = sixj(S(150, 151, 150, 149, 150, 151))
+        val = sixj(150, 151, 150, 149, 150, 151)
         assert val.d.bit_length() > 2000
         assert signed_square(val) == sympy_signed_square((300, 302, 300, 298, 300, 302))
 
@@ -160,7 +196,7 @@ class TestAgainstIndependentOracle:
         rng = random.Random(20240817)
         for _ in range(250):
             targs = [rng.randint(0, 6) for _ in range(6)]
-            mine = signed_square(sixj(SixJArgs(*map(H, targs))))
+            mine = signed_square(sixj(*map(H, targs)))
             assert mine == sympy_signed_square(targs), targs
 
 
@@ -180,16 +216,16 @@ class TestSymmetryGroup:
         rng = random.Random(7)
         for _ in range(40):
             ta, tb, te, tc, td, tf = _random_admissible(rng)
-            ref = sixj(SixJArgs(*map(H, (ta, tb, te, tc, td, tf))))
+            ref = sixj(*map(H, (ta, tb, te, tc, td, tf)))
             columns = ((ta, tc), (tb, td), (te, tf))
             for perm in itertools.permutations((0, 1, 2)):
                 cols = [columns[i] for i in perm]
                 for flip_pair in ((), (0, 1), (0, 2), (1, 2)):
                     flipped = [(lo, up) if i in flip_pair else (up, lo)
                                for i, (up, lo) in enumerate(cols)]
-                    args = SixJArgs(*map(H, (flipped[0][0], flipped[1][0], flipped[2][0],
-                                             flipped[0][1], flipped[1][1], flipped[2][1])))
-                    assert sixj(args) == ref
+                    args = map(H, (flipped[0][0], flipped[1][0], flipped[2][0],
+                                   flipped[0][1], flipped[1][1], flipped[2][1]))
+                    assert sixj(*args) == ref
 
 
 class TestOrthogonality:
@@ -207,8 +243,8 @@ class TestOrthogonality:
             tp, tq = rng.sample(ps, 2)
             for t_right in (tp, tq):
                 total = sum(
-                    surd_product(sixj(SixJArgs(*map(H, (ta, tb, tx, tc, td, tp)))),
-                                 sixj(SixJArgs(*map(H, (ta, tb, tx, tc, td, t_right)))),
+                    surd_product(sixj(*map(H, (ta, tb, tx, tc, td, tp))),
+                                 sixj(*map(H, (ta, tb, tx, tc, td, t_right))),
                                  tx + 1)
                     for tx in range(abs(ta - tb), ta + tb + 1, 2))
                 if t_right == tp:
@@ -253,11 +289,11 @@ class TestRacahIdentity:
             for l in labels:
                 for lp in labels:
                     lhs = sum(
-                        surd_product(sixj(SixJArgs(s, s, l, s, r4, p)),
-                                     sixj(SixJArgs(s, s, lp, s, r4, p)),
+                        surd_product(sixj(s, s, l, s, r4, p),
+                                     sixj(s, s, lp, s, r4, p),
                                      (-1) ** (p.twice // 2) * (p.twice + 1))
                         for p in labels)
-                    rhs = sixj(SixJArgs(s, s, l, s, r4, lp))
+                    rhs = sixj(s, s, l, s, r4, lp)
                     sign = (-1) ** ((l.twice + lp.twice) // 2)
                     assert lhs == sign * rhs, \
                         (s, n, l, lp)
@@ -273,7 +309,7 @@ class TestRacahIdentity:
             for l in labels:
                 for p in labels:
                     c = Fraction(*_racah_sum(ts, ts, l.twice, ts, r4.twice, p.twice))
-                    w = sixj(SixJArgs(s, s, l, s, r4, p))
+                    w = sixj(s, s, l, s, r4, p)
                     w_coeff = surd_coeff(w)
                     assert c * c * u[l] * u[p] == w_coeff * w_coeff * w.d
                     assert (c > 0) - (c < 0) == (w_coeff > 0) - (w_coeff < 0)

@@ -371,6 +371,10 @@ class TestFullCheck:
         report = full_check(perturbed_yang(), levels=[1], samples=[(F(1), F(1))])
         assert not report["pass"]
 
+    def test_check_over_no_sample_is_refused(self):
+        with pytest.raises(DomainError, match="no sample to check"):
+            full_check(perturbed_yang(), samples=[])
+
     @pytest.mark.parametrize("fam, levels, samples, error", [
         # r_3 = r_1 meets its pole at -1 on level 1, in the third pair
         (two_poles(), None, POLE_GRID, "denominator ['1', '1'] vanishes at -1"),
@@ -959,6 +963,13 @@ class TestConstantCheck:
     def test_theta_inactive_levels_pass_vacuously(self):
         report = constant_check(constant_baxter(1, 2), levels=[0, 1])
         assert report["pass"]
+
+    @pytest.mark.parametrize("fam", [yang(1), perturbed_yang(2)], ids=param_id)
+    def test_spectral_family_is_refused(self, fam):
+        # its marker is the regularity point, where every D is the identity,
+        # so the check would pass whatever the family
+        with pytest.raises(DomainError, match="constant check of the spectral family"):
+            constant_check(fam)
 
 
 class TestTheta:

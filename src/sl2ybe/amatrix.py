@@ -27,8 +27,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .exact import (DomainError, HalfInt, QuadExt, factorial, factorials,
-                    minus_one_pow, sqrt_canonicalize)
+from .exact import DomainError, HalfInt, QuadExt, minus_one_pow, sqrt_canonicalize
 from .linalg import diag_mul_right, diagonal, is_zero_matrix, mat_mul
 
 __all__ = [
@@ -186,29 +185,31 @@ class GaugedMatrix:
 
 
 def _triangle_sq(*triads) -> tuple:
-    """The product of the squared triangle coefficients
-    (a+b-c)!(a-b+c)!(-a+b+c)!/(a+b+c+1)! of the triads, twice each label
-    given, as an integer pair (numerator, denominator); (0, 1) as soon as
-    a triad is inadmissible, its perimeter a+b+c not an integer or
-    |a-b| <= c <= a+b broken: the one admissibility rule of a 6-j symbol."""
-    num = den = 1
+    """The product of the squared triangle coefficients of the triads, twice
+    each label given, as an integer pair (1, denominator): with J = a+b+c,
+    x = a+b-c and y = a-b+c, (a+b-c)!(a-b+c)!(-a+b+c)!/(J+1)! is
+    1/((J+1) C(J, x) C(J-x, y)).  (0, 1) as soon as a triad is inadmissible,
+    its perimeter not an integer or |a-b| <= c <= a+b broken: the one
+    admissibility rule of a 6-j symbol."""
+    den = 1
     for tx, ty, tz in triads:
         if (tx + ty + tz) % 2 or not abs(tx - ty) <= tz <= tx + ty:
             return 0, 1
-        f = factorials((tx + ty + tz) // 2 + 1)
-        num *= f[(tx + ty - tz) // 2] * f[(tx - ty + tz) // 2] * f[(-tx + ty + tz) // 2]
-        den *= f[(tx + ty + tz) // 2 + 1]
-    return num, den
+        j, x = (tx + ty + tz) // 2, (tx + ty - tz) // 2
+        den *= (j + 1) * math.comb(j, x) * math.comb(j - x, (tx - ty + tz) // 2)
+    return 1, den
 
 
 def _racah_sum(ta: int, tb: int, te: int, tc: int, td: int, tf: int) -> tuple:
     """The alternating factorial sum of an admissible 6-j symbol
     {a b e; c d f}, twice each label given: the symbol without its
     triangle radical, as an integer pair (numerator, denominator > 0).
-    Summed as T_lo times a Horner sum over the term ratios
+    Summed as the leading term T_lo times a Horner sum over the term ratios
     T_{t+1}/T_t = -(t+2) prod_j (beta_j - t) / prod_i (t+1 - alpha_i),
     alpha the triad sums and beta the quadrangle sums, in integers from the
-    top term down."""
+    top term down.  T_lo = (-1)^lo (lo+1)! / prod (seven factorials) is an
+    integer, (-1)^lo (lo+1) times a multinomial coefficient: the offsets
+    lo - alpha_i and beta_j - lo sum to lo, since sum alpha == sum beta."""
     a1, a2, a3, a4 = ((ta + tb + te) // 2, (ta + td + tf) // 2,
                       (tb + tc + tf) // 2, (tc + td + te) // 2)
     b1, b2, b3 = ((ta + tb + tc + td) // 2, (tb + te + td + tf) // 2,
@@ -221,10 +222,10 @@ def _racah_sum(ta: int, tb: int, te: int, tc: int, td: int, tf: int) -> tuple:
         r_num = -(t + 2) * (b1 - t) * (b2 - t) * (b3 - t)
         r_den = (t + 1 - a1) * (t + 1 - a2) * (t + 1 - a3) * (t + 1 - a4)
         num, den = r_den * den + r_num * num, r_den * den
-    f = factorials(max(b1, b2, b3) + 1)
-    den *= (f[lo - a1] * f[lo - a2] * f[lo - a3] * f[lo - a4]
-            * f[b1 - lo] * f[b2 - lo] * f[b3 - lo])
-    return minus_one_pow(lo) * f[lo + 1] * num, den
+    lead, rest = minus_one_pow(lo) * (lo + 1), lo  # T_lo, a product of binomials
+    for k in (lo - a1, lo - a2, lo - a3, lo - a4, b1 - lo, b2 - lo):
+        lead, rest = lead * math.comb(rest, k), rest - k
+    return lead * num, den
 
 
 def _cleared(pairs) -> tuple:
@@ -280,8 +281,7 @@ def eta_closed_form(s, m: int) -> Fraction:
     ts = HalfInt.coerce(s).twice
     if not 0 <= m <= ts:
         raise DomainError(f"m={m} outside 0..2s={ts}")
-    return Fraction(factorial(ts) * factorial(2 * ts - 2 * m + 1),
-                    factorial(ts - m) * factorial(2 * ts - m + 1))
+    return Fraction(math.perm(ts, m), math.perm(2 * ts - m + 1, m))
 
 
 def consecutive_level_ratio(s, m: int) -> Fraction:

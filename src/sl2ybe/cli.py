@@ -22,8 +22,7 @@ import time
 
 from . import __version__
 from .amatrix import a_matrix, eta
-from .exact import (DomainError, HalfInt, display_discriminant, format_rational,
-                    parse_rational)
+from .exact import DomainError, HalfInt, display_discriminant, parse_rational
 from .spectral import (PoleError, check_regularity_unitarity, family_from_json,
                        make_family)
 from .ybe import constant_check, full_check
@@ -93,8 +92,8 @@ def cmd_amat(args):
         "k_min": rng.k_min, "k_max": rng.k_max,
     }
     if args.gauge:
-        doc["weights"] = [format_rational(w) for w in a.weights]
-        doc["core"] = [[format_rational(x) for x in row] for row in a.core]
+        doc["weights"] = [str(w) for w in a.weights]
+        doc["core"] = [[str(x) for x in row] for row in a.core]
         lines = [f"A(s={rng.s}, n={rng.n}) in gauge form, indices {rng.k_min}..{rng.k_max}",
                  "u = [" + ", ".join(doc["weights"]) + "]"]
         lines += ["M: " + "  ".join(row) for row in doc["core"]]
@@ -111,8 +110,8 @@ def cmd_eta(args):
     s = HalfInt.parse(args.s).as_spin()
     value = eta(s, args.m, args.n)
     doc = {"check": "diagonal-constant", "s": str(s), "m": args.m, "n": args.n,
-           "value": format_rational(value)}
-    _emit(doc, args, [format_rational(value)])
+           "value": str(value)}
+    _emit(doc, args, [str(value)])
     return EXIT_PASS
 
 
@@ -182,8 +181,8 @@ def cmd_scan(args):
             "transpose_pair": rec.holds_transpose,
             # the scan raises unless the two relations agree
             "scalar_multiple": rec.holds_transpose,
-            "beta": None if rec.beta is None else format_rational(rec.beta),
-            "beta_tilde": None if rec.beta_tilde is None else format_rational(rec.beta_tilde),
+            "beta": None if rec.beta is None else str(rec.beta),
+            "beta_tilde": None if rec.beta_tilde is None else str(rec.beta_tilde),
             "rank": rec.rank,
         })
     if args.json:
@@ -237,8 +236,8 @@ def cmd_oracle(args):
     lam, mu = parse_rational(args.lam), parse_rational(args.mu)
     identities = dense_operator_identities(fam.s)
     case, = reduction_consistency(fam, [(lam, mu)])
-    residual = format_rational(case["dense_residual"])
-    worst = format_rational(identities["max_residual"])
+    residual = str(case["dense_residual"])
+    worst = str(identities["max_residual"])
     doc = {"check": "dense-oracle", "family": fam.tag, "s": str(fam.s),
            "lambda": str(lam), "mu": str(mu), "braid_residual": residual,
            "dense_zero": case["dense_zero"], "exact_zero": case["exact_zero"],

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 import re
-import threading
 from fractions import Fraction
 
 __all__ = [
@@ -17,9 +16,6 @@ __all__ = [
     "HalfInt",
     "QuadExt",
     "display_discriminant",
-    "factorial",
-    "factorials",
-    "format_rational",
     "parse_rational",
     "rescale_surd",
     "sqrt_canonicalize",
@@ -29,27 +25,6 @@ __all__ = [
 
 class DomainError(ValueError):
     """Input outside the mathematical domain of an operation."""
-
-
-_fact_cache = [1]
-_fact_lock = threading.Lock()
-
-
-def factorials(n: int) -> list:
-    """The cached table 0!, 1!, ..., grown through at least n!, to be read
-    by index and never written; concurrent readers see correct values."""
-    if n < 0:
-        raise DomainError(f"factorial of negative argument {n}")
-    if n >= len(_fact_cache):
-        with _fact_lock:
-            while len(_fact_cache) <= n:
-                _fact_cache.append(_fact_cache[-1] * len(_fact_cache))
-    return _fact_cache
-
-
-def factorial(n: int) -> int:
-    """n! from the cached table."""
-    return factorials(n)[n]
 
 
 def minus_one_pow(e: int) -> int:
@@ -222,12 +197,6 @@ def parse_rational(text: str) -> Fraction:
         raise DomainError(f"{text!r} has a zero denominator") from None
 
 
-def format_rational(value: Fraction) -> str:
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
-
-
 def sqrt_canonicalize(coeff: Fraction, radicand: Fraction) -> "QuadExt":
     """coeff*sqrt(radicand) as the a = 0 element of Q(sqrt(radicand)): the
     radicand becomes a positive integer, 1 iff the value is rational.
@@ -361,11 +330,11 @@ class QuadExt:
         terms, |b| sqrt(d) = sqrt(p q) / q, and squarefree_split(p q) gives
         c and r."""
         if self.b == 0:
-            return format_rational(self.a)
+            return str(self.a)
         x = self.b * self.b * self.d
         m, r = squarefree_split(x.numerator * x.denominator)
         c = Fraction(m, x.denominator)
         if self.a == 0:
-            return f"{format_rational(c if self.b > 0 else -c)}*sqrt({r})"
+            return f"{c if self.b > 0 else -c}*sqrt({r})"
         sign = "+" if self.b > 0 else "-"
-        return f"{format_rational(self.a)} {sign} {format_rational(c)}*sqrt({r})"
+        return f"{self.a} {sign} {c}*sqrt({r})"

@@ -448,6 +448,8 @@ def make_family(tag: str, s=None, m: int | None = None) -> SpectralFamily:
 
 
 def _coefficient_list(entry, key: str, j: int) -> tuple:
+    if isinstance(entry, dict) and (extra := [k for k in entry if k not in ("num", "den")]):
+        raise DomainError(f"coeffs[{j}] takes no key {extra[0]!r}, only 'num' and 'den'")
     values = entry.get(key) if isinstance(entry, dict) else None
     if not isinstance(values, list):
         raise DomainError(f"coeffs[{j}] needs a {key!r} list")
@@ -462,13 +464,15 @@ def family_from_json(doc: dict) -> SpectralFamily:
     are ascending powers, entries "p/q" strings or integer numbers.  A
     catalog family is named by tag, spin and m on the command line, never
     by a document, so any other tag raises DomainError, and so do an "m"
-    key, a label beyond 2s and a document of any other shape, a
-    non-integer JSON number among them."""
+    key, any key not named here, a label beyond 2s and a document of any
+    other shape, a non-integer JSON number among them."""
     if not isinstance(doc, dict) or not isinstance(doc.get("tag"), str):
         raise DomainError("a family document is a JSON object with a string \"tag\"")
     if doc["tag"] != "custom":
         raise DomainError(f"a family file holds a custom family, not {doc['tag']!r}; "
                           "name a catalog family with --family, --s and --m")
+    if extra := [key for key in doc if key not in ("tag", "s", "coeffs", "multiplicative", "m")]:
+        raise DomainError(f"a family document takes no key {extra[0]!r}")
     if doc.get("m") is not None:
         raise DomainError("family 'custom' takes no m")
     if "s" not in doc:

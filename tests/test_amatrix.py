@@ -1,13 +1,15 @@
+import random
+import tracemalloc
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
-from sl2ybe.amatrix import (LevelRange, _racah_sum, a_matrix,
+from sl2ybe.amatrix import (LevelRange, _a_matrix_cached, _racah_sum, a_matrix,
                             consecutive_level_ratio, eta, eta_closed_form,
                             rank_one_projector, sign_diagonal, top_level,
                             verify_a_properties, verify_sign_conjugation)
-from sl2ybe.exact import (DomainError, HalfInt, QuadExt, factorial, minus_one_pow,
-                          sqrt_canonicalize)
+from sl2ybe.exact import DomainError, HalfInt, QuadExt, minus_one_pow, sqrt_canonicalize
 from sl2ybe.linalg import clear_denominators, diagonal, mat_mul
 from sl2ybe.sixj import sixj
 
@@ -108,6 +110,23 @@ def triangle_sq_reference(tx, ty, tz):
                     * factorial((-tx + ty + tz) // 2), factorial((tx + ty + tz) // 2 + 1))
 
 
+def admissible_label_sets(count, bound, seed):
+    """`count` random 6-j label sets {a b e; c d f}, twice each label given
+    and at most `bound`, whose four triads are all admissible: each label
+    after the first three free ones is drawn from its triangle range."""
+    rng, found = random.Random(seed), []
+    while len(found) < count:
+        ta, tb, td = (rng.randint(0, bound) for _ in range(3))
+        if abs(ta - tb) > bound or abs(ta - td) > bound:
+            continue
+        te = rng.randrange(abs(ta - tb), min(ta + tb, bound) + 1, 2)
+        tf = rng.randrange(abs(ta - td), min(ta + td, bound) + 1, 2)
+        lo, hi = max(abs(tb - tf), abs(td - te)), min(tb + tf, td + te, bound)
+        if lo <= hi:
+            found.append((ta, tb, te, rng.randrange(lo, hi + 1, 2), td, tf))
+    return found
+
+
 def fraction_reference(ts, n):
     """Level (s, n), 2s = ts, built in Fractions, the way A^(s,n) was built
     before its integer build: the weights (2l+1) times two squared triangle
@@ -161,6 +180,19 @@ class TestConstruction:
         assert entries == 4185
         big = (300, 302, 300, 298, 300, 302)
         assert Fraction(*_racah_sum(*big)) == direct_racah_sum(*big)
+        for args in admissible_label_sets(50, 400, seed=39):
+            assert Fraction(*_racah_sum(*args)) == direct_racah_sum(*args), args
+
+    def test_build_keeps_no_factorial_state(self):
+        # the 1x1 level 0 at 2s = 2000 has a triad of perimeter 6000: a table
+        # of every factorial up to 6001! would stay behind (44 MiB)
+        tracemalloc.start()
+        try:
+            _a_matrix_cached.__wrapped__(2000, 0)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert held < 2 ** 20
 
     def test_two_by_two(self):
         a = a_matrix("1/2", 1)
@@ -269,6 +301,13 @@ class TestEta:
         for ts in range(2, 9):
             for m in range(2, ts + 1):
                 assert eta(HalfInt(ts), m, m) == eta_closed_form(HalfInt(ts), m), (ts, m)
+
+    def test_closed_form_is_the_factorial_quotient(self):
+        for ts in range(61):
+            for m in range(ts + 1):
+                want = Fraction(factorial(ts) * factorial(2 * ts - 2 * m + 1),
+                                factorial(ts - m) * factorial(2 * ts - m + 1))
+                assert eta_closed_form(HalfInt(ts), m) == want, (ts, m)
 
     def test_top_index_reduces_to_inverse_dimension(self):
         for ts in range(1, 9):

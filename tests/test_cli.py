@@ -209,17 +209,16 @@ class TestVerifyCommand:
         assert all(opt in err for opt in named), err
 
     def test_constant_key_is_not_read(self, capsys, tmp_path):
-        # the perturbed table is spectral whatever a leftover key claims, so
-        # it is sampled on both grids and fails instead of passing the
-        # one-sample braid check at the origin
+        # constancy is read from the table alone: a leftover key claiming it
+        # is refused like any unknown key, so the perturbed table can never
+        # pass the one-sample braid check at the origin
         doc = json.loads(PERTURBED.read_text())
         doc["constant"] = True
         path = tmp_path / "family.json"
         path.write_text(json.dumps(doc))
-        code, out, _ = run_cli(capsys, "verify", "--family-file", str(path), "--json")
-        report = json.loads(out)
-        assert code == 1 and report["pass"] is False
-        assert report["grid"] == "two disjoint 6-point grids"
+        code, out, err = run_cli(capsys, "verify", "--family-file", str(path), "--json")
+        assert code == 2 and out == ""
+        assert err == "error: a family document takes no key 'constant'\n"
 
     def test_table_of_constants_is_a_constant_family(self, capsys, tmp_path):
         # the permutation signs for s = 1 need no "constant" key
@@ -316,6 +315,31 @@ class TestVerifyCommand:
         code, out, err = run_cli(capsys, "verify", "--family-file", str(path))
         assert code == 2 and out == ""
         assert err.startswith('error: "multiplicative" must be true or false')
+
+    @pytest.mark.parametrize("argv", [
+        ("verify",), ("family", "show"), ("oracle", "--lambda", "1", "--mu", "2"),
+    ], ids=["verify", "family-show", "oracle"])
+    def test_unknown_document_key_is_usage_error(self, capsys, tmp_path, argv):
+        # a misspelt "multiplicative" would load the table as an additive family
+        path = tmp_path / "family.json"
+        path.write_text(json.dumps({"tag": "custom", "s": "1/2", "multiplicativ": True,
+                                    "coeffs": YANG_HALF}))
+        code, out, err = run_cli(capsys, *argv, "--family-file", str(path))
+        assert code == 2 and out == ""
+        assert err == "error: a family document takes no key 'multiplicativ'\n"
+        # a catalog document is refused for its tag first
+        path.write_text(json.dumps({"tag": "yang", "s": "1/2", "coefs": YANG_HALF}))
+        code, out, err = run_cli(capsys, *argv, "--family-file", str(path))
+        assert code == 2 and "holds a custom family, not 'yang'" in err
+
+    def test_unknown_coefficient_key_is_usage_error(self, capsys, tmp_path):
+        entry = dict(YANG_HALF[0], denom=["2"])
+        path = tmp_path / "family.json"
+        path.write_text(json.dumps({"tag": "custom", "s": "1/2",
+                                    "coeffs": [entry, YANG_HALF[1]]}))
+        code, out, err = run_cli(capsys, "verify", "--family-file", str(path))
+        assert code == 2 and out == ""
+        assert err == "error: coeffs[0] takes no key 'denom', only 'num' and 'den'\n"
 
     def test_family_file_alone_still_loads(self, capsys):
         code, out, _ = run_cli(capsys, "family", "show", "--family-file", str(PERTURBED))

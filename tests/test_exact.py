@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from sl2ybe.exact import (DomainError, HalfInt, QuadExt, factorial,
-                          format_rational, parse_rational, rescale_surd,
+from sl2ybe.exact import (DomainError, HalfInt, QuadExt, parse_rational, rescale_surd,
                           sqrt_canonicalize, squarefree_split)
 
 rationals = st.fractions(min_value=Fraction(-10**6), max_value=Fraction(10**6),
@@ -44,40 +43,6 @@ def embed7(x):
 def matmul2(p, q):
     return tuple(tuple(p[i][0] * q[0][j] + p[i][1] * q[1][j] for j in range(2))
                  for i in range(2))
-
-
-class TestFactorial:
-    def test_base_cases(self):
-        assert factorial(0) == 1
-        assert factorial(1) == 1
-
-    def test_against_product(self):
-        expected = 1
-        for i in range(1, 7):
-            expected *= i
-        assert factorial(6) == expected == 720
-
-    def test_negative_rejected(self):
-        with pytest.raises(DomainError):
-            factorial(-1)
-
-    def test_ratio_recurrence(self):
-        for n in range(1, 51):
-            assert factorial(n) == n * factorial(n - 1)
-
-    def test_concurrent_reads(self):
-        import threading
-        results = []
-
-        def worker(n):
-            results.append((n, factorial(n)))
-
-        threads = [threading.Thread(target=worker, args=(n,)) for n in range(60, 80)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert all(v == math.factorial(n) for n, v in results)
 
 
 class TestHalfInt:
@@ -252,7 +217,7 @@ class TestQuadExt:
 
     def test_format(self):
         assert str(QuadExt(Fraction(-9, 2), Fraction(3, 2), 5)) == "-9/2 + 3/2*sqrt(5)"
-        assert format_rational(Fraction(3)) == "3"
+        assert str(QuadExt(Fraction(3))) == "3"
 
 
 # Primes above the trial-division bound of squarefree_split: no arithmetic

@@ -13,6 +13,8 @@ from sl2ybe.linalg import (clear_denominators, diag_mul_right, diagonal,
                            is_zero_matrix, mat_add, mat_mul)
 from sl2ybe.sixj import racah_identity_residual, sixj
 
+from test_amatrix import triangle_sq_reference
+
 
 def mat_scale(c, x):
     """c times the matrix x, entry by entry."""
@@ -101,7 +103,8 @@ def triads(ta, tb, te, tc, td, tf):
 
 class TestTriangle:
     """`_triangle_sq` is the one admissibility rule: (0, 1) on any
-    inadmissible triad, never a factorial read off the end of the table."""
+    inadmissible triad, before any binomial is taken, and the factorial
+    quotient on every admissible one."""
 
     def test_standard_coupling(self):
         # 1/2 1/2 1: 0! 1! 1! / 3!
@@ -124,6 +127,8 @@ class TestTriangle:
         for triad in itertools.product(range(9), repeat=3):
             num, den = _triangle_sq(triad)
             assert den > 0 and (num != 0) == triangle(*triad), triad
+            if num:
+                assert Fraction(num, den) == triangle_sq_reference(*triad), triad
 
 
 class TestSixJValues:

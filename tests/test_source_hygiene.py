@@ -17,7 +17,8 @@ The CLI declares `--json` and the family options once each.  Each
 acceptance criterion records its checks through `CriterionResult` alone.
 Only `spectral` knows how a family is sampled, so no other module branches
 on `multiplicative`.  Every annotation names something its module can
-resolve.
+resolve.  The scalar layer `exact` keeps no state that grows with the
+arguments it has seen: no module-level container and no lock.
 """
 import ast
 import importlib
@@ -392,6 +393,18 @@ def _imported_words(tree):
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_numpy_import(path):
     assert "numpy" not in _imported_words(_tree(path)), path.name
+
+
+def test_exact_layer_is_stateless():
+    """`exact` binds no module-level list, dict or set but its dunders
+    (`__all__`) and imports no `threading`: a scalar cache there would grow
+    with the largest argument ever seen.  Caches live in
+    `lru_cache`-decorated builders."""
+    exact = importlib.import_module("sl2ybe.exact")
+    state = sorted(name for name, value in vars(exact).items()
+                   if isinstance(value, (list, dict, set)) and not name.startswith("__"))
+    assert state == []
+    assert "threading" not in _imported_words(_tree(ROOT / "src" / "sl2ybe" / "exact.py"))
 
 
 def test_oracle_independent_of_the_six_j_route():

@@ -28,7 +28,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .exact import DomainError, HalfInt, QuadExt, minus_one_pow, sqrt_canonicalize
-from .linalg import diag_mul_right, diagonal, is_zero_matrix, mat_mul
+from .linalg import clear_parts, diag_mul_right, diagonal, is_zero_matrix, mat_mul
 
 __all__ = [
     "GaugedMatrix",
@@ -228,23 +228,15 @@ def _racah_sum(ta: int, tb: int, te: int, tc: int, td: int, tf: int) -> tuple:
     return lead * num, den
 
 
-def _cleared(pairs) -> tuple:
-    """(L, L * x) for rationals x given as integer pairs (p, q), q > 0, each
-    reduced by one gcd, L the lcm of their reduced denominators."""
-    pairs = [(p // (g := math.gcd(p, q)), q // g) for p, q in pairs]
-    lcm = math.lcm(*(q for _, q in pairs))
-    return lcm, [p * (lcm // q) for p, q in pairs]
-
-
 @lru_cache(maxsize=None)
 def _a_matrix_cached(ts: int, n: int) -> GaugedMatrix:
     rng, tr, sign = LevelRange.for_level(HalfInt(ts), n), 3 * ts - 2 * n, minus_one_pow(ts - n)
     labels = [2 * ts - 2 * k for k in rng.indices()]
     u = [_triangle_sq((ts, ts, tl), (ts, tr, tl)) for tl in labels]
-    weights_lcm, w = _cleared([((tl + 1) * p, q) for tl, (p, q) in zip(labels, u)])
+    weights_lcm, (w,) = clear_parts([((tl + 1) * p, 0, q, 1) for tl, (p, q) in zip(labels, u)])
     racah = [_racah_sum(ts, ts, tl, ts, tr, tp) for tl in labels for tp in labels]
-    ucore_lcm, flat = _cleared([(sign * c * wp, d * weights_lcm)  # M_lp u_p
-                                for (c, d), wp in zip(racah, w * rng.dim)])
+    ucore_lcm, (flat,) = clear_parts([(sign * c * wp, 0, d * weights_lcm, 1)  # M_lp u_p
+                                      for (c, d), wp in zip(racah, w * rng.dim)])
     return GaugedMatrix(rng, weights_lcm, w, ucore_lcm,
                         [flat[i:i + rng.dim] for i in range(0, len(flat), rng.dim)])
 

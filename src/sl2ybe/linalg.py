@@ -6,13 +6,15 @@ arithmetic operators and equality with 0.  `mat_mul`, the one matrix
 product, skips the zero entries of its left factor.  Products of int
 matrices stay int; `span_coordinates` eliminates fraction-free, with one
 exact division per matrix in the span of the earlier ones.
-`clear_denominators` is the one place a matrix over Q(sqrt(d)) becomes
-integer rows over one positive scale.
+`clear_denominators` is the one place values over Q(sqrt(d)) become
+integer rows over one positive scale; its core `clear_parts` clears the
+integer parts that the readers of a coefficient table get directly.
 """
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import islice
 
 from .exact import QuadExt, rescale_surd
 
@@ -20,6 +22,7 @@ Matrix = tuple
 
 __all__ = [
     "clear_denominators",
+    "clear_parts",
     "diag_mul_right",
     "diagonal",
     "is_zero_matrix",
@@ -62,21 +65,42 @@ def mat_add(x: Matrix, y: Matrix) -> Matrix:
     return tuple(tuple(a + b for a, b in zip(rx, ry)) for rx, ry in zip(x, y))
 
 
+def clear_parts(row, d: int = 1) -> tuple:
+    """(L, vectors) for a row of integer parts (a, b, c, e), each the value
+    (a + b sqrt(e)) / c with c > 0: the row is (A + sqrt(d) B) / L, vectors
+    (A,), or (A, B) when some b is nonzero, and L the least positive scale.
+    A sqrt(e) over an equivalent d*k^2 is rescaled to sqrt(d); any other
+    raises ValueError (rescale_surd's mixed discriminants).  Over gcd(a, b, c)
+    each c is least for its a/c and b/c, and L is the lcm of those c's."""
+    entries = []
+    for a, b, c, e in row:
+        if b and e != d:
+            r = rescale_surd(b, e, d)
+            a, b, c = a * r.denominator, r.numerator, c * r.denominator
+        g = math.gcd(a, b, c)
+        entries.append((a // g, b // g, c // g))
+    lcm = math.lcm(*(c for _, _, c in entries))
+    vectors = [tuple(a * (lcm // c) for a, _, c in entries)]
+    if any(b for _, b, _ in entries):
+        vectors.append(tuple(b * (lcm // c) for _, b, c in entries))
+    return lcm, tuple(vectors)
+
+
+def _parts(x) -> tuple:
+    """(a, b, c, e) of an int, Fraction or QuadExt x = (a + b sqrt(e)) / c."""
+    a, b, e = (x.a, x.b, x.d) if isinstance(x, QuadExt) else (x, 0, 1)
+    p, q = a.denominator, b.denominator
+    return a.numerator * q, b.numerator * p, p * q, e
+
+
 def clear_denominators(x: Matrix, d: int = 1) -> tuple:
     """(L, rows) for a matrix x over Q(sqrt(d)) with int, Fraction or
     QuadExt entries: the rows of x's rational parts, then, when any entry
     has a sqrt part, the rows of its sqrt(d) parts, all times L, the lcm of
-    their denominators, so every row is an int row.  A sqrt part over an
-    equivalent discriminant d*k^2 is rescaled to sqrt(d); any other raises
-    ValueError (rescale_surd's mixed discriminants)."""
-    rows = [[a.a if isinstance(a, QuadExt) else a for a in row] for row in x]
-    surds = [[rescale_surd(a.b, a.d, d) if isinstance(a, QuadExt) and a.b else 0
-              for a in row] for row in x]
-    if any(map(any, surds)):
-        rows += surds
-    lcm = math.lcm(*(a.denominator for row in rows for a in row))
-    return lcm, tuple(tuple(a.numerator * (lcm // a.denominator) for a in row)
-                      for row in rows)
+    their denominators, so every row is an int row: the entries, in parts,
+    cleared as one row by `clear_parts`, with its rescaling and ValueError."""
+    lcm, vectors = clear_parts([_parts(a) for row in x for a in row], d)
+    return lcm, tuple(tuple(islice(v, len(row))) for v in map(iter, vectors) for row in x)
 
 
 def is_zero_matrix(x: Matrix) -> bool:

@@ -8,7 +8,7 @@ matrix; the rescaling T (x) T commutes with the swap, so every identity
 and braid verdict is that of the standard basis.  Every operator preserves
 the total weight and is kept as integer blocks, one per weight sector, over
 one denominator.  A family over Q(sqrt(d)) has each R split into integer
-parts A + sqrt(d) B (`linalg.clear_denominators`), which enter the
+parts A + sqrt(d) B (`linalg.clear_parts`), which enter the
 products as the 2x2 blocks [[A, d B], [B, A]].
 
 Every residual is a sum of products of embedded projectors, so it commutes
@@ -32,7 +32,7 @@ from operator import eq, mul
 
 from .amatrix import top_level
 from .exact import HalfInt, minus_one_pow
-from .linalg import clear_denominators, diagonal, mat_mul
+from .linalg import clear_parts, diagonal, mat_mul
 from .spectral import SpectralFamily
 from .ybe import reduced_ybe_check
 
@@ -321,8 +321,8 @@ def dense_r_matrix(fam: SpectralFamily, lam, projs: list) -> list:
     P^0..P^2s on the sectors they hold, as integer parts over one den: [A]
     when every r_j(lam) is rational, else [A, B] with R = A + sqrt(d) B,
     d the family's discriminant."""
-    c, rows = clear_denominators([[fam.eval_coeff(j, lam) for j in range(len(projs))]],
-                                 fam.discriminant)
+    c, rows = clear_parts([fam.coeff_parts(j, lam) for j in range(len(projs))],
+                          fam.discriminant)
     return [SectorOperator(r.blocks, r.den * c, r.weights)
             for r in (_combine(list(zip(row, projs))) for row in rows)]
 

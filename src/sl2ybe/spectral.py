@@ -6,7 +6,7 @@ r_j, each an exact RationalFunction with coefficients in Q (Fraction) or
 in a quadratic extension Q(sqrt(d)) (QuadExt), evaluated at rational
 sample points.  A table is cleared to integer vectors once, when it is
 built (`linalg.clear_denominators`), so an evaluation runs in integers
-and builds one exact value, a Fraction or a QuadExt.  A family fixes its
+to integer parts, the exact kernels' input.  A family fixes its
 one field Q(sqrt(d)) when it is built, the smallest d among its tables,
 and every residual is taken over it.  A family's Sampling is the one
 place that knows how it is sampled: in lambda (ADDITIVE), or, for the
@@ -99,26 +99,26 @@ class RationalFunction:
     one length k + 1 and written by `linalg.clear_denominators` as integer
     vectors over one common scale, the rational parts and, when any
     coefficient has one, the sqrt(d) parts, with d the smallest
-    discriminant among the coefficients.  The scale and the q^k of a sample
-    x = p/q cancel in num/den, so evaluation runs Horner in integers and
-    builds one exact value, a Fraction, or a QuadExt when any coefficient
-    is one.  Surds over incompatible fields (sqrt(2) with sqrt(3)) are
+    discriminant among the coefficients, the table's d (None when no
+    coefficient is a QuadExt).  The scale and the q^k of a sample x = p/q
+    cancel in num/den, so `parts` runs Horner in integers; a call builds
+    one exact value from the parts, a Fraction, or a QuadExt when any
+    coefficient is one.  Surds over incompatible fields (sqrt(2) with sqrt(3)) are
     refused here with clear_denominators' ValueError.
 
-    Evaluation is the single pole check of the package: it raises
-    PoleError wherever the denominator vanishes.  Two functions are equal
-    when their coefficient tuples are, so a table can key a dict.
+    `parts` is the single pole check of the package: it raises PoleError
+    wherever the denominator vanishes.  Two functions are equal when their
+    coefficient tuples are, so a table can key a dict.
     """
 
-    __slots__ = ("num", "den", "_cleared")
+    __slots__ = ("num", "den", "rows", "d")
 
     def __init__(self, num: tuple, den: tuple):
         if not num or not den:
             raise DomainError("a rational function needs at least one numerator "
                               "and one denominator coefficient")
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
-        object.__setattr__(self, "_cleared", _clear(num, den))
+        for name, value in zip(self.__slots__, (num, den, *_clear(num, den))):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, *args):
         raise AttributeError("RationalFunction is immutable")
@@ -131,21 +131,24 @@ class RationalFunction:
     def __hash__(self):
         return hash((self.num, self.den))
 
-    def __call__(self, x):
-        """The value at a rational x: (a + b sqrt(d)) / (c + e sqrt(d)) in
-        integers, made rational in the denominator by its conjugate."""
+    def parts(self, x) -> tuple:
+        """(a, b, c), c > 0, with (a + b sqrt(d)) / c the value at a rational
+        x over the table's d, b = 0 over Q: (a + b sqrt(d)) / (c + e sqrt(d))
+        in integers, made rational in the denominator by its conjugate."""
         p, q = x.numerator, x.denominator
-        rows, d = self._cleared
-        a, c, *surd = (_homogeneous(row, p, q) for row in rows)
+        a, c, *surd = (_homogeneous(row, p, q) for row in self.rows)
         b, e = surd or (0, 0)
         if c == 0 and e == 0:
             raise PoleError(f"denominator {[str(c) for c in self.den]} "
                             f"vanishes at {x}")
-        if d is None:
-            return Fraction(a, c)
         if e:
-            a, b, c = a * c - d * b * e, b * c - a * e, c * c - d * e * e
-        return QuadExt(Fraction(a, c), Fraction(b, c), d)
+            a, b, c = a * c - self.d * b * e, b * c - a * e, c * c - self.d * e * e
+        return (a, b, c) if c > 0 else (-a, -b, -c)
+
+    def __call__(self, x):
+        """The value at a rational x, built from its parts."""
+        a, b, c = self.parts(x)
+        return Fraction(a, c) if self.d is None else QuadExt(Fraction(a, c), Fraction(b, c), self.d)
 
 
 def _clear(num: tuple, den: tuple) -> tuple:
@@ -201,16 +204,16 @@ class SpectralFamily:
                 raise DomainError(f"coefficient label j={j} outside 0..2s={s.twice}")
         self.tag, self.s, self.coeffs, self.m = tag, s, coeffs, m
         self.sampling = MULTIPLICATIVE if multiplicative else ADDITIVE
-        ds = {rf._cleared[1] for rf in coeffs.values()} - {None, 1}
+        ds = {rf.d for rf in coeffs.values()} - {None, 1}
         self.discriminant = min(ds, default=1)
         for d in sorted(ds):
             rescale_surd(Fraction(1), d, self.discriminant)
         if not self.constant:
             for j in sorted(self.coeffs):
-                value = self.coeffs[j](self.sampling.origin)
-                if value != 1:
-                    raise DomainError(
-                        f"family {self.tag} not regular: r_{j} at the origin is {value}")
+                a, b, c = self.coeffs[j].parts(self.sampling.origin)
+                if (a, b) != (c, 0):
+                    raise DomainError(f"family {self.tag} not regular: r_{j} at the "
+                                      f"origin is {self.coeffs[j](self.sampling.origin)}")
 
     @property
     def multiplicative(self) -> bool:
@@ -223,12 +226,19 @@ class SpectralFamily:
     def defined(self):
         return sorted(self.coeffs)
 
-    def eval_coeff(self, j: int, lam):
+    def table(self, j: int) -> RationalFunction:
         if j not in self.coeffs:
-            raise DomainError(
-                f"family {self.tag} does not define r_{j} "
-                f"(defined: {self.defined()})")
-        return self.coeffs[j](lam)
+            raise DomainError(f"family {self.tag} does not define r_{j} "
+                              f"(defined: {self.defined()})")
+        return self.coeffs[j]
+
+    def eval_coeff(self, j: int, lam):
+        return self.table(j)(lam)
+
+    def coeff_parts(self, j: int, lam) -> tuple:
+        """r_j(lam) as parts (a, b, c, e), (a + b sqrt(e)) / c with e the table's d."""
+        rf = self.table(j)
+        return (*rf.parts(lam), rf.d or 1)
 
 
 def reduced_d(fam: SpectralFamily, n: int, lam) -> tuple:
@@ -496,14 +506,19 @@ def check_regularity_unitarity(fam: SpectralFamily, samples) -> dict:
         r_j(x) r_j(inv x) = 1,  r_{2s}(x) = 1.
 
     Regularity, r_j(origin) = 1, holds already: building a spectral
-    family enforces it.
+    family enforces it.  Both read integer parts (c > 0): over one table's
+    d, the product is 1 iff a1 a2 + d b1 b2 = c1 c2 and a1 b2 + a2 b1 = 0.
     """
     ts = fam.s.twice
     failures = []
     for x in samples:
         for j in fam.defined():
-            if fam.eval_coeff(j, x) * fam.eval_coeff(j, fam.sampling.invert(x)) != 1:
+            a1, b1, c1, d = fam.coeff_parts(j, x)
+            a2, b2, c2, _ = fam.coeff_parts(j, fam.sampling.invert(x))
+            if a1 * a2 + d * b1 * b2 != c1 * c2 or a1 * b2 + a2 * b1:
                 failures.append({"check": "unitary", "j": j, "sample": str(x)})
-        if ts in fam.coeffs and fam.eval_coeff(ts, x) != 1:
-            failures.append({"check": "normalized", "sample": str(x)})
+        if ts in fam.coeffs:
+            a, b, c, _ = fam.coeff_parts(ts, x)
+            if (a, b) != (c, 0):
+                failures.append({"check": "normalized", "sample": str(x)})
     return {"failures": failures, "pass": not failures}

@@ -7,7 +7,7 @@ similarity gauge, where A enters only as its integer core N = L*(M*U)
 and the hat is N D N = L^2 D^, so residuals are exact matrices over Q or
 Q(sqrt(d)), d the family's discriminant.  They are decided over the
 integers: with each diagonal cleared to D_i = (A_i + sqrt(d) B_i) / c_i
-(`linalg.clear_denominators`), the residual times
+(`linalg.clear_parts`), the residual times
 L^4 c1 c2 c3 is an integer matrix plus sqrt(d) times another, zero
 exactly when one weighted product is symmetric, since A^2 = I (_braid).
 In `full_check` every diagonal is constant on a level's q classes
@@ -24,9 +24,9 @@ once per third leg, and a verdict reads the symmetry off them in q dim^2
 each coefficient table is evaluated once per argument per check, each
 level builds its form once or takes the class products of each distinct
 third leg once, and one verdict is taken per distinct triple of cleared
-legs.  Reusing a verdict is exact: over the family's one d it is a
-function of those three inputs alone, and the positive scale decides
-nothing.
+legs, each interned to an integer id.  Reusing a verdict is exact: over
+the family's one d it is a function of those three inputs alone, and the
+positive scale decides nothing.
 """
 from __future__ import annotations
 
@@ -36,7 +36,7 @@ from operator import mul
 
 from .amatrix import GaugedMatrix, LevelRange, a_matrix, top_level
 from .exact import DomainError
-from .linalg import clear_denominators, is_zero_matrix, mat_mul
+from .linalg import clear_denominators, clear_parts, is_zero_matrix, mat_mul
 from .spectral import SpectralFamily, reduced_d
 
 __all__ = [
@@ -240,49 +240,58 @@ def _class_form(a: GaugedMatrix, classes) -> list:
     return [row for _, row in basis]
 
 
+def _tensor(d: int, x, y) -> list:
+    """x (x) y for vectors over sqrt(d) as parts (A,) or (A, B), a surd pair:
+    (A1 + sqrt(d) B1)(A2 + sqrt(d) B2) = (A1 A2 + d B1 B2) + sqrt(d) (A1 B2 + B1 A2)."""
+    out = {}
+    for k1, u in enumerate(x):
+        for k2, v in enumerate(y):
+            _add(out, (k1 + k2) % 2, d ** ((k1 + k2) // 2), [s * t for s in u for t in v])
+    return list(out.values())
+
+
 def _form_zero(form, d: int, e1, e2, e3) -> bool:
     """The verdict of three legs' class vectors over sqrt(d) off a class
-    form: the monomials m, split by power of sqrt(d) as in `_braid`, each
-    part annihilated by every row."""
-    m = {}
-    for k1, v1 in enumerate(e1):
-        for k2, v2 in enumerate(e2):
-            for k3, v3 in enumerate(e3):
-                k = k1 + k2 + k3
-                _add(m, k % 2, d ** (k // 2), [x * y * z for x in v1 for y in v2 for z in v3])
-    return not any(sum(map(mul, row, v)) for v in m.values() for row in form)
+    form: the monomials m = e1 (x) e2 (x) e3, one product over Q, else two
+    tensor steps over surd pairs, each part annihilated by every row."""
+    if len(e1) == len(e2) == len(e3) == 1:
+        m = [[x * y * z for x in e1[0] for y in e2[0] for z in e3[0]]]
+    else:
+        m = _tensor(d, _tensor(d, e1, e2), e3)
+    return not any(sum(map(mul, row, v)) for v in m for row in form)
 
 
 def _level_verdicts(a: GaugedMatrix, d: int, labels, triples, coeff, shared) -> list:
     """The verdict of each argument triple on the level of a over sqrt(d),
     whose diagonals read r_j for j in labels, each label standing for its
-    class of equal tables; coeff(j, i) is r_j at argument i.  Each
-    argument's diagonal, one value per class, is formed and cleared into
-    its leg once, as in reduced_ybe_check; shared keeps the legs for every
-    level of the check that reads the same tables.  Verdicts come off the
-    level's class form when `_form_pays`, else off the third leg's class
-    products."""
+    class of equal tables; coeff(j, i) is r_j at argument i in integer
+    parts.  Each argument's diagonal, one value per class, is cleared into
+    its leg once (`linalg.clear_parts`), and equal class vectors share one
+    integer id; shared keeps both for every level reading the same tables.
+    Verdicts, keyed on id triples, come off the level's class form when
+    `_form_pays`, else off the third leg's class products."""
     classes = _classes(labels)
     heads = tuple(labels[positions[0]] for positions in classes)
     order = {j: k for k, j in enumerate(heads)}
     where = [order[j] for j in labels]  # position -> its class
     use_form = _form_pays(len(classes), a.dim)
-    legs = shared.setdefault(heads, {})
+    legs, ids = shared.setdefault(heads, ({}, {}))  # argument -> (c, vectors, id); vectors -> id
     form, products, verdicts, zeros = None, {}, {}, []
     for triple in triples:
         for i in triple:
             if i not in legs:
-                legs[i] = clear_denominators([[coeff(j, i) for j in heads]], d)
-        three = [legs[i] for i in triple]
-        key = tuple(vectors for _, vectors in three)
+                c, vectors = clear_parts([coeff(j, i) for j in heads], d)
+                legs[i] = c, vectors, ids.setdefault(vectors, len(ids))
+        (_, e1, k1), (_, e2, k2), (_, e3, k3) = three = [legs[i] for i in triple]
+        key = k1, k2, k3
         if key not in verdicts:
             if use_form:
                 if form is None:
                     form = _class_form(a, classes)
-                verdicts[key] = _form_zero(form, d, *key)
+                verdicts[key] = _form_zero(form, d, e1, e2, e3)
             else:
                 three = [(c, tuple(tuple(v[k] for k in where) for v in vectors))
-                         for c, vectors in three]
+                         for c, vectors, _ in three]
                 if key[2] not in products:
                     products[key[2]] = _products(a, classes, three[2][1])
                 verdicts[key] = _braid(a, d, *three, products[key[2]]).is_zero
@@ -302,14 +311,14 @@ def full_check(fam: SpectralFamily, levels=None, samples=None) -> dict:
       its first label, when a level first needs it, in the order the
       pairs would evaluate it one by one, so the first PoleError or
       DomainError raised is theirs;
-    - an argument's diagonal, one value per class, is formed and cleared
-      over the family's discriminant once, for all levels that read the
-      same tables;
+    - an argument's diagonal, one value per class in integer parts, is
+      formed and cleared over the family's discriminant once, for all
+      levels that read the same tables;
     - on each level the class form is built once where `_form_pays`, else
       the class products of a cleared third leg are taken once, however
       many pairs share it;
     - one verdict is taken per distinct (leg, leg, leg), the legs by
-      their cleared class vectors.  Either route decides the symmetry of
+      ids, one per distinct tuple of cleared class vectors.  Either route decides the symmetry of
       the integer S of `_braid`, over the family's one d a function of
       those three alone, and the positive scale decides nothing, so a
       reused verdict is the one the pair's own residual gives."""
@@ -328,7 +337,7 @@ def full_check(fam: SpectralFamily, levels=None, samples=None) -> dict:
 
     def coeff(j, i):
         if (j, i) not in values:
-            values[j, i] = fam.eval_coeff(j, args[i])
+            values[j, i] = fam.coeff_parts(j, args[i])
         return values[j, i]
 
     names = [(str(lam), str(mu)) for lam, mu in samples]

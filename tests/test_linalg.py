@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -5,8 +6,9 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sl2ybe.exact import QuadExt
-from sl2ybe.linalg import mat_add, mat_mul, span_coordinates, span_rank
+from sl2ybe.exact import QuadExt, rescale_surd
+from sl2ybe.linalg import (clear_denominators, clear_parts, mat_add, mat_mul,
+                           span_coordinates, span_rank)
 
 
 def mat_scale(c, x):
@@ -154,3 +156,67 @@ class TestProduct:
         product = mat_mul(((0, F(0)),) * 3, ((F(1, 2), 2, 3, 4), (5, 6, 7, 8)))
         assert product == ((0,) * 4,) * 3
         assert all(type(a) is int for row in product for a in row)
+
+
+def reference_clear(x, d=1):
+    """The clearing of values that `clear_parts` replaced: the rational
+    parts, then the sqrt(d) parts when any is nonzero, rescaled one value
+    at a time, over the lcm of their reduced denominators."""
+    rows = [[a.a if isinstance(a, QuadExt) else a for a in row] for row in x]
+    surds = [[rescale_surd(a.b, a.d, d) if isinstance(a, QuadExt) and a.b else 0
+              for a in row] for row in x]
+    if any(map(any, surds)):
+        rows += surds
+    lcm = math.lcm(*(a.denominator for row in rows for a in row))
+    return lcm, tuple(tuple(a.numerator * (lcm // a.denominator) for a in row)
+                      for row in rows)
+
+
+@st.composite
+def integer_parts(draw, rational=False):
+    """Integer parts (a, b, c, e) of a value (a + b sqrt(e)) / c over
+    Q(sqrt(5)), its surd written over sqrt(5) or sqrt(20) = 2 sqrt(5), with
+    zero parts and zero values among them, and the value itself."""
+    a = draw(st.integers(-6, 6))
+    b = 0 if rational else draw(st.one_of(st.just(0), st.integers(-6, 6)))
+    c, e = draw(st.integers(1, 12)), draw(st.sampled_from((5, 20)))
+    value = QuadExt(F(a, c), F(b, c), e) if b else F(a, c)
+    return (a, b, c, e), value
+
+
+class TestClearingCore:
+    """`clear_parts` gives the least scale the values' own clearing gives,
+    and `clear_denominators` runs on it."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.booleans().flatmap(
+        lambda rational: st.lists(integer_parts(rational), min_size=1, max_size=6)))
+    def test_parts_clear_as_the_values(self, drawn):
+        parts, values = zip(*drawn)
+        got = clear_parts(parts, 5)
+        assert got == reference_clear([values], 5)
+        assert len(got[1]) == 1 + any(b for _, b, _, _ in parts)
+        if not any(b for _, b, _, _ in parts):
+            assert clear_parts(parts) == reference_clear([values])
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 4).flatmap(lambda width: st.lists(
+        st.lists(integer_parts(), min_size=width, max_size=width), min_size=1, max_size=3)))
+    def test_matrices_clear_as_before(self, drawn):
+        matrix = [[value for _, value in row] for row in drawn]
+        assert clear_denominators(matrix, 5) == reference_clear(matrix, 5)
+
+    def test_ints_and_the_empty_matrix(self):
+        assert clear_denominators([[2, F(1, 6)], [0, F(-3, 4)]]) == (12, ((24, 2), (0, -9)))
+        assert clear_denominators([]) == reference_clear([]) == (1, ())
+
+    def test_mixed_discriminants_raise_as_before(self):
+        with pytest.raises(ValueError) as want:
+            reference_clear([[F(1), QuadExt(1, 1, 2)]], 3)
+        assert "mixed discriminants sqrt(2) vs sqrt(3)" in str(want.value)
+        with pytest.raises(ValueError) as got:
+            clear_parts([(1, 0, 1, 1), (1, 1, 1, 2)], 3)
+        assert str(got.value) == str(want.value)
+        with pytest.raises(ValueError) as got:
+            clear_denominators([[F(1), QuadExt(1, 1, 2)]], 3)
+        assert str(got.value) == str(want.value)

@@ -68,6 +68,9 @@ GOLDEN = [
     ("oracle --family baxter-tl --s 1 --lambda 2 --mu 3", 0, "d22d79f7d895d01112afe20e1030c20cc21b8236832c1bee2f2e5bd350e7e172"),
     ("oracle --family constant-baxter --s 3/2 --m 2 --lambda 0 --mu 0", 0, "2c0111a3da974fb53d95d3352b5a9f1f44dc01eea53f3771d95821e88bf1a3af"),
     ("oracle --family exceptional-s3 --lambda 1/2 --mu 1/3", 0, "ac8b950cd9de603c791e20968d5ccd031ad76e12d1b2ee96dc1e59b4039faadf"),
+    ("verify --family baxter-tl --s 4 --grid dense", 0, "4efb58ec7fc11bf0a9e601b10e07d1ecb594fdd7083f5cc91dec3da536f3385f"),
+    ("verify --family constant-baxter --s 4 --m 5", 1, "0e966f5b6473737a7e0613497be875d8f2e8cac758d6b090ae7a77c1e3b7e0b0"),
+    ("oracle --family baxter-tl --s 3/2 --lambda 2 --mu 3", 0, "29b437c7c853093c87123840514066d12a22388cd47b05aa00a1f04d61f7a93a"),
 ]
 
 

@@ -3,7 +3,7 @@ import operator
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sl2ybe import spectral
@@ -480,3 +480,69 @@ class TestOneValuePerEvaluation:
             count_calls(patch, QuadExt, "__init__", calls)
             value = rf(x)
         assert isinstance(value, QuadExt) and len(calls) == 1
+
+
+class TestIntegerParts:
+    """`RationalFunction.parts` is the one evaluation: the value as integer
+    parts (a, b, c), c > 0, over the table's own d; a call builds its value
+    from them, and the regularity and unitarity checks read them."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), drawn=tables([(), (5,), (20,), (5, 20)]))
+    def test_parts_are_the_value(self, data, drawn):
+        rf, roots = drawn
+        x = data.draw(st.one_of(samples, st.sampled_from(roots)) if roots else samples)
+        want = outcome(lambda y: reference_value(rf, y), x)
+        try:
+            parts = rf.parts(x)
+        except PoleError as err:
+            # the pole check lives in parts; a call raises its PoleError
+            assert want == outcome(rf, x) == ("pole", str(err))
+            return
+        a, b, c = parts
+        assert all(type(v) is int for v in parts) and c > 0
+        assert b == 0 or rf.d not in (None, 1)
+        assert QuadExt(F(a, c), F(b, c), rf.d or 1) == want[1] == rf(x)
+
+    @staticmethod
+    def reference_report(fam, samples):
+        """check_regularity_unitarity on values, as the check read them
+        before integer parts."""
+        ts, failures = fam.s.twice, []
+        for x in samples:
+            for j in fam.defined():
+                if fam.eval_coeff(j, x) * fam.eval_coeff(j, fam.sampling.invert(x)) != 1:
+                    failures.append({"check": "unitary", "j": j, "sample": str(x)})
+            if ts in fam.coeffs and fam.eval_coeff(ts, x) != 1:
+                failures.append({"check": "normalized", "sample": str(x)})
+        return {"failures": failures, "pass": not failures}
+
+    @settings(max_examples=150, deadline=None)
+    @given(drawn=tables([(), (5,), (20,)]), xs=st.lists(samples, min_size=1, max_size=3))
+    def test_unitarity_reads_parts_as_values(self, drawn, xs):
+        # r = 1 + x num/den, regular, at the top label, next to the unitary
+        # (1 + sqrt(5) x)/(1 - sqrt(5) x), whose denominator is a surd, and
+        # (1 - x)/(1 + x)
+        table, _ = drawn
+        assume(table.den[0] != 0)
+        shift = (F(0),) + table.num
+        width = max(len(table.den), len(shift))
+        pad = lambda p: p + (F(0),) * (width - len(p))
+        root = QuadExt(0, 1, 5)
+        fam = custom_family(1, {
+            2: RationalFunction(tuple(map(operator.add, pad(table.den), pad(shift))), table.den),
+            1: RationalFunction((F(1), root), (F(1), -root)),
+            0: RationalFunction((F(1), F(-1)), (F(1), F(1)))})
+        got = outcome(lambda y: check_regularity_unitarity(fam, y), xs)
+        assert got == outcome(lambda y: self.reference_report(fam, y), xs)
+
+    def test_surd_tables_unitary_or_irregular(self):
+        root = QuadExt(0, 1, 5)
+        unitary = custom_family(1, {
+            2: RationalFunction((F(1),), (F(1),)),
+            1: RationalFunction((F(2), 2 * root), (F(2), -2 * root)),
+            0: RationalFunction((F(1), F(-1)), (F(1), F(1)))})
+        report = check_regularity_unitarity(unitary, [F(1, 2), F(3)])
+        assert report["pass"] and not unitary.eval_coeff(1, F(3)).is_rational
+        with pytest.raises(DomainError, match=r"not regular: r_2 at the origin is 1 \+ 1\*sqrt\(5\)"):
+            custom_family(1, {2: RationalFunction((1 + root, F(1)), (F(1), F(1)))})

@@ -591,19 +591,42 @@ class TestSharedLegs:
         fam = yang(2)
         grid = fam.sampling.dense
         arguments = {x for lam, mu in grid for x in (lam, fam.sampling.compose(lam, mu), mu)}
-        calls, real = [], SpectralFamily.eval_coeff
+        calls, real = [], SpectralFamily.coeff_parts
 
         def count(self, j, x):
             calls.append((j, x))
             return real(self, j, x)
 
-        monkeypatch.setattr(SpectralFamily, "eval_coeff", count)
+        monkeypatch.setattr(SpectralFamily, "coeff_parts", count)
         assert full_check(fam, samples=grid)["pass"]
         # yang's five labels hold two tables, (1 + x)/(1 + x) for even
         # 2s - j and (1 - x)/(1 + x) for odd: each is evaluated once at each
         # of the 73 distinct arguments, over all 7 levels
         assert len(set(fam.coeffs.values())) == 2
         assert len(calls) == len(set(calls)) == 2 * len(arguments) == 146
+
+    @pytest.mark.parametrize("s", [2, 3])
+    def test_no_quadext_is_built_on_the_dense_grid(self, monkeypatch, s):
+        # the legs come from the tables' integer parts: once the family is
+        # built, no coefficient value is, not even over Q(sqrt(d))
+        fam = baxter_tl(s)
+        assert fam.discriminant != 1
+        calls, real = [], QuadExt.__init__
+
+        def count(self, *args):
+            calls.append(args)
+            real(self, *args)
+
+        monkeypatch.setattr(QuadExt, "__init__", count)
+        assert full_check(fam, samples=fam.sampling.dense)["pass"]
+        assert calls == []
+
+    @pytest.mark.parametrize("fam, count", [(yang(2), 847), (baxter_tl(2), 175)],
+                             ids=["yang", "baxter-tl"])
+    def test_one_form_verdict_per_distinct_leg_triple(self, monkeypatch, fam, count):
+        forms, verdicts = form_calls(monkeypatch)
+        assert full_check(fam, samples=fam.sampling.dense)["pass"]
+        assert len(forms) == 7 and len(verdicts) == count
 
     def test_each_cleared_diagonal_is_hatted_once_per_level(self, monkeypatch):
         fam = yang(2)

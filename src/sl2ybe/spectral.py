@@ -97,14 +97,13 @@ class RationalFunction:
 
     The table is cleared once, when it is built: both sides are padded to
     one length k + 1 and written by `linalg.clear_denominators` as integer
-    vectors over one common scale, the rational parts and, when any
-    coefficient has one, the sqrt(d) parts, with d the smallest
-    discriminant among the coefficients, the table's d (None when no
-    coefficient is a QuadExt).  The scale and the q^k of a sample x = p/q
-    cancel in num/den, so `parts` runs Horner in integers; a call builds
-    one exact value from the parts, a Fraction, or a QuadExt when any
-    coefficient is one.  Surds over incompatible fields (sqrt(2) with sqrt(3)) are
-    refused here with clear_denominators' ValueError.
+    vectors `rows` over one scale, the rational parts and, when any
+    coefficient has one, the sqrt(d) parts, d the smallest discriminant
+    among them (None when no coefficient is a QuadExt).  The scale and the
+    q^k of a sample x = p/q cancel in num/den, so `parts` runs Horner in
+    integers; a call builds a Fraction, or a QuadExt when any coefficient
+    is one, from the parts.  Surds over incompatible fields (sqrt(2) with
+    sqrt(3)) are refused with clear_denominators' ValueError.
 
     `parts` is the single pole check of the package: it raises PoleError
     wherever the denominator vanishes.  Two functions are equal when their
@@ -117,7 +116,8 @@ class RationalFunction:
         if not num or not den:
             raise DomainError("a rational function needs at least one numerator "
                               "and one denominator coefficient")
-        for name, value in zip(self.__slots__, (num, den, *_clear(num, den))):
+        rows, d = _clear(num, den)
+        for name, value in (("num", num), ("den", den), ("rows", rows), ("d", d)):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, *args):

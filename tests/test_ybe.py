@@ -621,13 +621,6 @@ class TestSharedLegs:
         assert full_check(fam, samples=fam.sampling.dense)["pass"]
         assert calls == []
 
-    @pytest.mark.parametrize("fam, count", [(yang(2), 847), (baxter_tl(2), 175)],
-                             ids=["yang", "baxter-tl"])
-    def test_one_form_verdict_per_distinct_leg_triple(self, monkeypatch, fam, count):
-        forms, verdicts = form_calls(monkeypatch)
-        assert full_check(fam, samples=fam.sampling.dense)["pass"]
-        assert len(forms) == 7 and len(verdicts) == count
-
     def test_each_cleared_diagonal_is_hatted_once_per_level(self, monkeypatch):
         fam = yang(2)
         grid = fam.sampling.dense
@@ -642,7 +635,10 @@ class TestSharedLegs:
             return real(self, entries, right)
 
         monkeypatch.setattr(GaugedMatrix, "hat", count)
+        forms, verdicts = form_calls(monkeypatch)
         assert full_check(fam, samples=grid)["pass"]
+        # one verdict per distinct leg triple on each level's form
+        assert len(forms) == 7 and len(verdicts) == 847
         # each level builds one class form, whatever its diagonals: q hats of
         # class indicators and q^2 class products; yang holds two tables, so
         # q is 1 on levels 0 and 6 (one position) and 2 on the others

@@ -76,7 +76,8 @@ def perturbed_yang(two_s: int = 1):
     with the bottom coefficient's numerator times (1 + lambda^2)."""
     tables = dict(yang(HalfInt(two_s)).coeffs)
     r0 = tables[0]
-    tables[0] = RationalFunction(r0.num + r0.num, r0.den)  # (1+x^2)(a+bx)
+    pad = (F(0),) * 2
+    tables[0] = RationalFunction(tuple(map(sum, zip(r0.num + pad, pad + r0.num))), r0.den)
     return custom_family(HalfInt(two_s), tables)
 
 

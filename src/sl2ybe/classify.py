@@ -16,7 +16,7 @@ from .amatrix import (GaugedMatrix, LevelRange, a_matrix,
 from .exact import DomainError, HalfInt, QuadExt, minus_one_pow
 from .linalg import (clear_denominators, is_zero_matrix, mat_add, span_coordinates,
                      span_rank)
-from .spectral import _require_index, constant_root
+from .spectral import _require_index, constant_root, zamolodchikov
 from .ybe import braid_residual
 
 __all__ = [
@@ -304,20 +304,19 @@ def eta_level4_m3(s) -> Fraction:
 
 def exceptional_level_combination(s, lam, mu):
     """The level-4 scalar combination G + H(lam,mu) + H(mu,lam) for the
-    m = 3 family with f(x) = x and g(x) = x / (c0 - c1 x) from the level-3
-    constants.  It vanishes identically because the level-4 diagonal
-    constant is 1/2.  Where index 3 is active at level 4 (2s >= 4), F = 0
-    and H = H~ = G, so the level-4 residual is the combination times G:
-    the ansatz crosscheck must find it zero exactly when the combination
-    is."""
+    m = 3 family with f(x) = x and g(x) = (1 + x) r(x) - (1 - x), r the
+    shifted table r_{2s-3} of zamolodchikov(s, 3).  It vanishes
+    identically because the level-4 diagonal constant is 1/2, whatever the
+    table's one root a: level 4 does not fix a.  Where index 3 is active at
+    level 4 (2s >= 4), F = 0 and H = H~ = G, so the level-4 residual is the
+    combination times G: the ansatz crosscheck must find it zero exactly
+    when the combination is."""
     s = HalfInt.coerce(s)
     if s.twice < 3:
         raise DomainError("needs s >= 3/2")
-    xi = minus_one_pow(3)
-    eta_33 = eta_closed_form(s, 3)
-    c0, c1 = eta_33 - Fraction(xi, 2), xi * eta_33
+    shifted = zamolodchikov(s, 3).table(s.twice - 3)
     f = (lam, mu, lam + mu)
-    g = tuple(x / (c0 - c1 * x) for x in f)
+    g = tuple((1 + x) * shifted(x) - (1 - x) for x in f)
     _, big_g, big_h, big_ht = coeff_functions(3, eta_level4_m3(s), f, g)
     value = big_g + big_h + big_ht
     if theta(s, 3, 4) and ansatz_residual_crosscheck(s, 3, 4, f, g) != (value == 0):

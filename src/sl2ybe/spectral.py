@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import operator
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 
 from .amatrix import LevelRange, eta_closed_form
@@ -31,7 +32,6 @@ __all__ = [
     "RationalFunction",
     "Sampling",
     "SpectralFamily",
-    "baxter_b",
     "baxter_tl",
     "check_regularity_unitarity",
     "constant_baxter",
@@ -62,7 +62,8 @@ class Sampling:
     unitarity check's points, where each r_j is defined and nonzero at the
     point and its inverse; shown the points `family show` prints under
     label.  Grid and unitarity points are positive and clear of every
-    catalog pole (poles sit on the negative axis or at irrational t)."""
+    catalog pole (poles sit at irrational t or at -a, a > 0 a root of a
+    one-factor table)."""
 
     __slots__ = ("compose", "invert", "origin", "grid", "dense", "unitarity", "shown", "label")
 
@@ -249,23 +250,17 @@ def reduced_d(fam: SpectralFamily, n: int, lam) -> tuple:
     return tuple(fam.eval_coeff(ts - k, lam) for k in rng.indices())
 
 
-def baxter_b(eta: Fraction) -> QuadExt:
-    """The larger root b of b + 1/b = 1/eta, in Q(sqrt(1 - 4 eta^2))."""
+def constant_root(eta: Fraction, branch: int = +1) -> QuadExt:
+    """Root g = (-1 +- sqrt(D)) / (2 eta^2) of 1 + g + eta^2 g^2, with
+    D = 1 - 4 eta^2: the + sign for branch +1, the - sign for branch -1."""
     eta = Fraction(eta)
     if eta == 0:
         raise DomainError("eta must be nonzero")
     disc = 1 - 4 * eta * eta
     if disc < 0:
         raise DomainError("discriminant 1 - 4*eta^2 is negative")
-    return QuadExt(Fraction(1, 2) / eta, Fraction(1, 2) / eta, disc)
-
-
-def constant_root(eta: Fraction, branch: int = +1) -> QuadExt:
-    """Root g = (-1 +- sqrt(1-4 eta^2)) / (2 eta^2) of 1 + g + eta^2 g^2,
-    which is -1/(eta b) for branch +1 and -b/eta for branch -1, with
-    b = baxter_b(eta)."""
-    b = baxter_b(eta)
-    return -(b.inverse() if branch >= 0 else b) / eta
+    scale = 1 / (2 * eta * eta)
+    return QuadExt(-scale, scale if branch >= 0 else -scale, disc)
 
 
 def _require_spin(s, minimum_twice: int, why: str) -> HalfInt:
@@ -281,21 +276,33 @@ def _require_index(s: HalfInt, m) -> None:
         raise DomainError(f"m={m} must satisfy 2 <= m <= 2s={s.twice}")
 
 
-def _ratio(num, den) -> RationalFunction:
-    """(num[0] + num[1] x + ...)/(den[0] + den[1] x + ...) over Q."""
-    return RationalFunction(tuple(map(Fraction, num)), tuple(map(Fraction, den)))
+@lru_cache
+def _one_factor(*roots) -> RationalFunction:
+    """The table prod (a - x)/(a + x) over the roots a, expanded over Q;
+    1 for no roots.  Tables are immutable, so families share one per roots."""
+    num = den = (Fraction(1),)
+    for a in map(Fraction, roots):
+        num = tuple(a * c - c_prev for c, c_prev in zip(num + (0,), (0,) + num))
+        den = tuple(a * c + c_prev for c, c_prev in zip(den + (0,), (0,) + den))
+    return RationalFunction(num, den)
 
 
 def _constant(value) -> RationalFunction:
     return RationalFunction((value,), (Fraction(1),))
 
 
+def _yang_roots(ts: int, j: int) -> tuple:
+    """yang's roots at label j: a = 1 where 2s - j is odd, none where even."""
+    return (1,) if (ts - j) % 2 else ()
+
+
 def yang(s) -> SpectralFamily:
-    """Rational family r_j = (1 + (-1)^(2s-j) lambda)/(1 + lambda)."""
+    """Rational family r_j = (1 + (-1)^(2s-j) lambda)/(1 + lambda): one
+    factor at a = 1 where 2s - j is odd, the constant 1 where it is even."""
     s = HalfInt.coerce(s)
     ts = s.twice
     return SpectralFamily("yang", s, {
-        j: _ratio((1, minus_one_pow(ts - j)), (1, 1)) for j in range(ts + 1)})
+        j: _one_factor(*_yang_roots(ts, j)) for j in range(ts + 1)})
 
 
 def zamolodchikov(s, m: int | None = None) -> SpectralFamily:
@@ -305,84 +312,71 @@ def zamolodchikov(s, m: int | None = None) -> SpectralFamily:
         g(lambda) = lambda / (eta - xi/2 - xi eta lambda),
 
     with xi = (-1)^m and eta the level-m diagonal constant.  Coefficients
-    below j = 2s - m are undefined unless m = 2s.  The shifted r_{2s-m}
-    is stored over the single denominator (1 + lambda)(c0 - c1 lambda),
-    c0 = eta - xi/2, c1 = xi eta.
+    below j = 2s - m are undefined unless m = 2s.  Above 2s - m the tables
+    are yang's; the shifted r_{2s-m} is yang's r_{2s-m+1} times one factor
+    at a = 1/(2 eta) - xi, so its roots are a and, for even m, 1.
     """
     s = _require_spin(s, 2, "the shifted family needs s >= 1")
     ts = s.twice
     if m is None:
         m = ts
     _require_index(s, m)
-    xi = minus_one_pow(m)
-    eta = eta_closed_form(s, m)
-    c0, c1 = eta - Fraction(xi, 2), xi * eta
-    coeffs = {j: _ratio((1, minus_one_pow(ts - j)), (1, 1))
-              for j in range(ts - m + 1, ts + 1)}
-    coeffs[ts - m] = _ratio((c0, xi * c0 - c1 + 1, -xi * c1), (c0, c0 - c1, -c1))
+    root = 1 / (2 * eta_closed_form(s, m)) - minus_one_pow(m)
+    coeffs = {j: _one_factor(*_yang_roots(ts, j)) for j in range(ts - m + 1, ts + 1)}
+    coeffs[ts - m] = _one_factor(*_yang_roots(ts, ts - m + 1), root)
     return SpectralFamily("zamolodchikov", s, coeffs, m=m)
 
 
 def baxter_tl(s) -> SpectralFamily:
-    """Temperley-Lieb style family over Q(sqrt(d)), multiplicative samples:
+    """Temperley-Lieb style family over Q(sqrt(D)), D = 1 - 4 eta^2 with
+    eta = 1/(2s+1), multiplicative samples:
 
-        r_0(t) = 1 + (t - 1)/(A - B t),  r_j = 1 for j >= 1,
+        r_0(t) = (A t - B)/(A - B t),  r_j = 1 for j >= 1,
 
-    where A = eta*b, B = eta/b are the roots of x^2 - x + eta^2 and
-    b + 1/b = 1/eta with eta = 1/(2s+1).  The family is the m = 2s member,
-    the only one with a closed form for every coefficient, and records
-    m = 2s.  r_0 is stored as ((A - 1) + (1 - B) t)/(A - B t); the r_j for
-    j >= 1 stay rational.
+    where A, B = (1 +- sqrt(D))/2 are the roots of x^2 - x + eta^2.  The
+    family is the m = 2s member, the only one with a closed form for every
+    coefficient, and records m = 2s.  The r_j for j >= 1 stay rational.
     """
     s = _require_spin(s, 2, "the Temperley-Lieb family needs s >= 1")
     ts = s.twice
     eta = eta_closed_form(s, ts)
-    b = baxter_b(eta)
-    big_a, big_b = eta * b, eta * b.inverse()
+    big_a, big_b = (QuadExt(Fraction(1, 2), Fraction(sign, 2), 1 - 4 * eta * eta)
+                    for sign in (1, -1))
     coeffs = {j: _constant(Fraction(1)) for j in range(1, ts + 1)}
-    coeffs[0] = RationalFunction((big_a - 1, 1 - big_b), (big_a, -big_b))
+    coeffs[0] = RationalFunction((-big_b, big_a), (big_a, -big_b))
     return SpectralFamily("baxter-tl", s, coeffs, m=ts, multiplicative=True)
 
 
 def krs_prefix(s) -> SpectralFamily:
-    """Only the three highest coefficients are pinned:
+    """Only the three highest coefficients are pinned, zamolodchikov(s, 2)'s:
 
         r_2s = 1,  r_{2s-1} = (1-l)/(1+l),
-        r_{2s-2} = (1-l)/(1+l) * (1 - tau l)/(1 + tau l),  tau = 2s/(2s-1).
+        r_{2s-2} = (1-l)/(1+l) * (1 - tau l)/(1 + tau l),  tau = 2s/(2s-1),
 
+    so r_{2s-1} has the root a = 1 and r_{2s-2} the roots 1 and 1/tau.
     Lower coefficients are undefined.  A level is formed when its
     diagonal reads only these three: levels 0, 1 and 2 at every s, and the
     top level, whose diagonal is shifted, at s <= 2 (level 3 at s = 1
     reads only r_1).  The default check runs the contiguous prefix of
-    formed levels: 0..3 at s = 1 and 0..2 above.  r_{2s-2} is stored
-    expanded, (1 - (1+tau) l + tau l^2)/(1 + (1+tau) l + tau l^2).
+    formed levels: 0..3 at s = 1 and 0..2 above.
     """
     s = _require_spin(s, 2, "the prefix family needs s >= 1")
-    ts = s.twice
-    tau = Fraction(ts, ts - 1)
-    return SpectralFamily("krs-prefix", s, {
-        ts: _constant(Fraction(1)),
-        ts - 1: _ratio((1, -1), (1, 1)),
-        ts - 2: _ratio((1, -(1 + tau), tau), (1, 1 + tau, tau)),
-    })
+    return SpectralFamily("krs-prefix", s, zamolodchikov(s, 2).coeffs)
 
 
 def exceptional_s3() -> SpectralFamily:
     """The spin-3 solution with shifted coefficients at j = 3 and j = 0:
 
         r_6 = r_4 = r_2 = 1,  r_5 = r_1 = (1-l)/(1+l),
-        r_3 = (4-l)/(4+l),    r_0 = (1-l)/(1+l) * (6-l)/(6+l),
+        r_3 = (4-l)/(4+l),    r_0 = (1-l)/(1+l) * (6-l)/(6+l).
 
-    r_0 stored expanded as (6 - 7l + l^2)/(6 + 7l + l^2).
+    r_3..r_6 are zamolodchikov(3, 3)'s tables (r_3 has the root a = 4), r_2
+    and r_1 are yang's, and r_0 has the roots 1 and 6: r_1 times one factor.
     """
-    one = _constant(Fraction(1))
-    r1 = _ratio((1, -1), (1, 1))
+    rational = yang(3).coeffs
     return SpectralFamily("exceptional-s3", HalfInt(6), {
-        6: one, 4: one, 2: one,
-        5: r1, 1: r1,
-        3: _ratio((4, -1), (4, 1)),
-        0: _ratio((6, -7, 1), (6, 7, 1)),
-    }, m=3)
+        **zamolodchikov(3, 3).coeffs, 2: rational[2], 1: rational[1],
+        0: _one_factor(1, 6)}, m=3)
 
 
 def constant_baxter(s, m: int | None) -> SpectralFamily:

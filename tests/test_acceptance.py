@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from sl2ybe import acceptance
+from sl2ybe import acceptance, classify, spectral
 from sl2ybe.classify import DegeneracyRecord, degeneracy_scan
 from sl2ybe.exact import HalfInt
 
@@ -251,3 +251,26 @@ def test_criterion_11_failure_drops_the_summary(monkeypatch):
     result = acceptance.criterion_11()
     assert not result.passed
     assert result.details == ["combination 7 at (2s=4, 2, 3/7)"]
+
+
+def test_criterion_11_fails_on_a_wrong_shifted_root(monkeypatch):
+    # the combination reads g off zamolodchikov(s, 3)'s shifted table, one
+    # factor at a = 5 - 6/(2s); with a stray yang root a = 1 beside it at
+    # 2s = 5, as an even m would carry, g leaves the one-factor shape, level
+    # 4 no longer cancels and every grid pair at that spin is a witness.
+    # (Moving a alone is not seen: the combination vanishes for every a.)
+    real = classify.zamolodchikov
+
+    def wrong_root(s, m):
+        fam = real(s, m)
+        if s == HalfInt(5):
+            fam.coeffs[s.twice - m] = spectral._one_factor(1, Fraction(19, 5))
+        return fam
+
+    monkeypatch.setattr(classify, "zamolodchikov", wrong_root)
+    result = acceptance.criterion_11()
+    assert not result.passed
+    assert result.details == [
+        "combination -2760/493 at (2s=5, 1, 2)", "combination -1215/3698 at (2s=5, 1/2, 1/2)",
+        "combination -41824/755625 at (2s=5, 1/3, 1/5)",
+        "combination -12325680/5730893 at (2s=5, 2, 3/7)"]

@@ -106,6 +106,22 @@ class TestVerifyCommand:
         level = doc["levels"][0]
         assert {"lambda", "mu", "zero"} <= set(level["samples"][0])
 
+    @pytest.mark.parametrize("grid", ["default", "dense"])
+    def test_spin_zero_yang_is_constant(self, capsys, grid):
+        # yang's one table at s = 0 is the constant 1: one marker sample, not
+        # a grid, whichever --grid is asked for
+        code, out, _ = run_cli(capsys, "verify", "--family", "yang", "--s", "0",
+                               "--grid", grid, "--json")
+        doc = json.loads(out)
+        assert code == 0 and doc["pass"] is True
+        assert doc["grid"] == "one marker sample per level (constant family)"
+        assert doc["levels"] == [{"n": 0, "zero": True}] and "regularity" not in doc
+        code, out, _ = run_cli(capsys, "family", "show", "--family", "yang", "--s", "0",
+                               "--json")
+        doc = json.loads(out)
+        assert code == 0 and doc["constant"] is True
+        assert doc["values"] == {x: {"0": "1"} for x in ("0", "1", "1/2")}
+
     def test_json_deterministic(self, capsys):
         _, first, _ = run_cli(capsys, "verify", "--family", "yang", "--s", "1", "--json")
         _, second, _ = run_cli(capsys, "verify", "--family", "yang", "--s", "1", "--json")

@@ -10,7 +10,7 @@ from sl2ybe import spectral
 from sl2ybe.amatrix import eta_closed_form
 from sl2ybe.exact import DomainError, HalfInt, QuadExt
 from sl2ybe.spectral import (ADDITIVE, MULTIPLICATIVE, PoleError, RationalFunction,
-                             baxter_b, baxter_tl, check_regularity_unitarity,
+                             baxter_tl, check_regularity_unitarity,
                              constant_baxter, constant_root, custom_family,
                              exceptional_s3, family_from_json, identity_family,
                              krs_prefix, make_family, permutation_family,
@@ -32,8 +32,13 @@ class TestYang:
         assert fam.eval_coeff(2, F(2)) == 1
 
     def test_pole(self):
+        # only the odd labels 2s - j carry the factor (1 - l)/(1 + l); the
+        # even ones are the constant 1, with no pole at -1
+        fam = yang(1)
         with pytest.raises(PoleError):
-            yang(1).eval_coeff(0, F(-1))
+            fam.eval_coeff(1, F(-1))
+        assert fam.eval_coeff(0, F(-1)) == fam.eval_coeff(2, F(-1)) == 1
+        assert fam.coeffs[0] == fam.coeffs[2] == RationalFunction((F(1),), (F(1),))
 
     def test_reduced_diagonal(self):
         d = reduced_d(yang("1/2"), 1, F(1))
@@ -52,6 +57,21 @@ class TestZamolodchikov:
         with pytest.raises(PoleError):
             fam.eval_coeff(0, F(-1, 2))
 
+    def test_shifted_table_is_the_docstring_form(self):
+        # num (1 + l)(c0 - c1 l) == den ((1 + xi l)(c0 - c1 l) + l) as
+        # polynomials: the table is (1 + xi l + g(l))/(1 + l) with
+        # g(l) = l/(c0 - c1 l), c0 = eta - xi/2, c1 = xi eta
+        for ts in range(2, 13):
+            s = HalfInt(ts)
+            for m in range(2, ts + 1):
+                xi, eta = (-1) ** m, eta_closed_form(s, m)
+                c0, c1 = eta - F(xi, 2), xi * eta
+                rf = zamolodchikov(s, m).table(ts - m)
+                g_den = (c0, -c1)
+                left = times(rf.num, times((F(1), F(1)), g_den))
+                right = times(rf.den, plus(times((F(1), F(xi)), g_den), (F(0), F(1))))
+                assert left == right, (ts, m)
+
     def test_lower_coefficients_undefined(self):
         fam = zamolodchikov(2, 2)
         with pytest.raises(DomainError):
@@ -64,25 +84,82 @@ class TestZamolodchikov:
             zamolodchikov("1/2", 2)
 
 
+def baxter_b(eta):
+    """The larger root b of b + 1/b = 1/eta, in Q(sqrt(1 - 4 eta^2)): the
+    Q(sqrt(d)) tables' reference build starts from it."""
+    return QuadExt(1 / (2 * eta), 1 / (2 * eta), 1 - 4 * eta * eta)
+
+
+def reference_tables(s, m):
+    """constant-baxter's tables at (s, m) and, at m = 2s, baxter-tl's, each
+    built in QuadExt arithmetic from b: the shifted constant is
+    1 - 1/(eta b), and with A = eta b, B = eta / b,
+    r_0 = ((A - 1) + (1 - B) t)/(A - B t)."""
+    ts, eta = s.twice, eta_closed_form(s, m)
+    b, one = baxter_b(eta), RationalFunction((F(1),), (F(1),))
+    shifted = 1 - b.inverse() / eta
+    constant = {j: one for j in range(ts + 1)}
+    constant[ts - m] = RationalFunction(
+        (shifted.as_fraction() if shifted.is_rational else shifted,), (F(1),))
+    big_a, big_b = eta * b, eta * b.inverse()
+    tl = {j: one for j in range(1, ts + 1)}
+    tl[0] = RationalFunction((big_a - 1, 1 - big_b), (big_a, -big_b))
+    return constant, tl
+
+
 class TestBaxterB:
+    """b of b + 1/b = 1/eta, from which the Q(sqrt(d)) tables were built
+    before they were written over D = 1 - 4 eta^2, kept as their
+    reference; constant_root holds the domain guards."""
+
     def test_golden_case(self):
         assert baxter_b(F(1, 3)) == QuadExt(F(3, 2), F(1, 2), 5)
+        assert constant_root(F(1, 3)) == -baxter_b(F(1, 3)).inverse() * 3
 
     def test_double_root(self):
         assert baxter_b(F(1, 2)) == 1
+        assert constant_root(F(1, 2), +1) == constant_root(F(1, 2), -1) == -2
 
     def test_perfect_square_discriminant(self):
         b = baxter_b(F(2, 5))
         assert b.is_rational and b.as_fraction() == 2
+        plus, minus = constant_root(F(2, 5), +1), constant_root(F(2, 5), -1)
+        assert plus.is_rational and (plus.as_fraction(), minus.as_fraction()) == (F(-5, 4), -5)
 
     def test_defining_equation(self):
         for eta in (F(1, 3), F(1, 4), F(1, 5), F(2, 5)):
             b = baxter_b(eta)
             assert b + b.inverse() == QuadExt(1 / eta, 0, b.d)
+            big_a, big_b = eta * b, eta * b.inverse()
+            assert big_a + big_b == 1 and big_a * big_b == eta * eta
 
     def test_negative_discriminant(self):
-        with pytest.raises(DomainError):
-            baxter_b(F(3, 4))
+        with pytest.raises(DomainError, match="negative"):
+            constant_root(F(3, 4))
+
+    def test_zero_eta(self):
+        with pytest.raises(DomainError, match="eta must be nonzero"):
+            constant_root(F(0), -1)
+
+    def test_roots_are_read_off_b(self):
+        # g = -1/(eta b) for branch +1 and -b/eta for branch -1, over b's d
+        for eta in (F(1, 3), F(1, 4), F(1, 5), F(2, 5), F(1, 2), F(3, 7)):
+            b = baxter_b(eta)
+            for got, want in ((constant_root(eta, +1), -b.inverse() / eta),
+                              (constant_root(eta, -1), -b / eta)):
+                assert got == want and got.d == want.d, eta
+
+    def test_tables_match_the_reference(self):
+        # the closed-form tables are the reference's, coefficient by
+        # coefficient, over the same d
+        for ts in range(2, 13):
+            s = HalfInt(ts)
+            tl, reference = baxter_tl(s), reference_tables(s, ts)[1]
+            assert tl.coeffs == reference and tl.coeffs[0].d == reference[0].d, ts
+            for m in range(2, ts + 1):
+                fam, (constant, _) = constant_baxter(s, m), reference_tables(s, m)
+                assert fam.coeffs == constant, (ts, m)
+                assert fam.discriminant == (constant[ts - m].d or 1), (ts, m)
 
 
 class TestBaxterTL:
@@ -116,7 +193,7 @@ class TestBaxterTL:
         assert baxter_tl("3/2").discriminant == 3
 
     def test_discriminant_is_read_from_the_table(self):
-        # the d of baxter_b(eta), which the family once stored beside its table
+        # the d of the reference b, which the family once stored beside its table
         for ts in range(2, 9):
             s = HalfInt(ts)
             assert baxter_tl(s).discriminant == baxter_b(eta_closed_form(s, ts)).d, ts
@@ -138,6 +215,10 @@ class TestKrsPrefix:
     @pytest.mark.parametrize("s, n", [("3/2", 4), (2, 6)])
     def test_shifted_top_level_reads_only_the_prefix(self, s, n):
         assert full_check(krs_prefix(s), levels=[n])["pass"]
+
+    def test_tables_are_the_shifted_family_tables(self):
+        for ts in range(2, 13):
+            assert krs_prefix(HalfInt(ts)).coeffs == zamolodchikov(HalfInt(ts), 2).coeffs, ts
 
     def test_matches_shifted_family_when_full(self):
         # at every s the prefix is the m = 2 shifted family: the same three
@@ -281,6 +362,20 @@ class TestCoefficientTables:
                 assert isinstance(c, (Fraction, QuadExt)), (fam.tag, j, c)
                 assert not (isinstance(c, QuadExt) and c.b == 0), (fam.tag, j, c)
 
+    def test_every_root_is_positive(self, monkeypatch):
+        # each rational spectral table is a product of factors
+        # (a - x)/(a + x) with a > 0, so its poles -a sit on the negative
+        # axis, clear of every sample
+        roots, real = [], spectral._one_factor
+
+        def recorded(*args):
+            roots.extend(args)
+            return real(*args)
+
+        monkeypatch.setattr(spectral, "_one_factor", recorded)
+        catalog_tables(12)
+        assert len(set(roots)) > 40 and all(a > 0 for a in roots)
+
     def test_rational_constant_root_stays_fraction(self):
         # at 2s = 3, m = 2 the discriminant 1 - 4 eta^2 is a perfect square
         fam = constant_baxter("3/2", 2)
@@ -337,6 +432,12 @@ def times(p, q):
             out[i + j] = out[i + j] + a * b
     return tuple(out)
 
+
+def plus(p, q):
+    """The sum of two ascending coefficient tuples."""
+    width = max(len(p), len(q))
+    return tuple(a + b for a, b in zip(p + (F(0),) * (width - len(p)),
+                                        q + (F(0),) * (width - len(q))))
 
 small = st.fractions(min_value=-4, max_value=4, max_denominator=5)
 positive = st.fractions(min_value=F(1, 5), max_value=9, max_denominator=5)
@@ -421,12 +522,12 @@ class TestClearedEvaluation:
                     rf.num, rf.den, x)
 
 
-def catalog_tables():
-    """Every coefficient table of the catalog families with 2s <= 6, at
-    every m a family takes."""
+def catalog_tables(max_two_s=7):
+    """Every coefficient table of the catalog families with 2s <= max_two_s,
+    at every m a family takes."""
     tables = set(exceptional_s3().coeffs.values())
     for tag, (_, takes) in spectral._CATALOG.items():
-        for ts in range(7) if "s" in takes else []:
+        for ts in range(max_two_s + 1) if "s" in takes else []:
             for m in range(2, ts + 1) if "m" in takes else [None]:
                 try:
                     fam = make_family(tag, HalfInt(ts), m)
@@ -455,7 +556,7 @@ class TestOneValuePerEvaluation:
     QuadExt per Horner step."""
 
     @pytest.mark.parametrize("rf", [
-        yang(2).coeffs[0], zamolodchikov(1, 2).coeffs[0],
+        yang(2).coeffs[1], zamolodchikov(1, 2).coeffs[0],
         exceptional_s3().coeffs[0], RationalFunction((F(1, 3),), (F(2, 7),)),
     ], ids=["yang", "zamolodchikov", "exceptional-s3", "constant"])
     @pytest.mark.parametrize("x", [F(0), F(2, 3), F(-5, 7), F(9)])

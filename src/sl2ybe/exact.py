@@ -69,7 +69,10 @@ def squarefree_split(n: int) -> tuple[int, int]:
 
 def display_discriminant(d: int) -> int:
     """The discriminant printed for the field Q(sqrt(d)): d with its square
-    factors removed (for smooth d).  Display only; arithmetic keeps d."""
+    factors removed (for smooth d).  Display only; arithmetic keeps d.  The
+    limit is `squarefree_split`'s, and only factoring would lift it: d = p^2 q
+    with primes p, q > 1e5 prints whole, as QuadExt's str prints it, so
+    Q(sqrt(p^2 q)) and Q(sqrt(q)) print differently."""
     return squarefree_split(d)[1]
 
 

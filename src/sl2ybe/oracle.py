@@ -34,7 +34,7 @@ from .amatrix import top_level
 from .exact import HalfInt, minus_one_pow
 from .linalg import clear_parts, diagonal, mat_mul
 from .spectral import SpectralFamily
-from .ybe import reduced_ybe_check
+from .ybe import full_check
 
 __all__ = [
     "SectorOperator",
@@ -351,15 +351,14 @@ def _braid_residual(fam: SpectralFamily, lam, mu, projs: list, weights: range) -
 
 def reduction_consistency(fam: SpectralFamily, samples) -> list:
     """One case per sample pair: the dense verdict (braid residual exactly
-    zero) must agree with the exact reduced verdict (every level exactly
-    zero); a mismatch raises AssertionError, so every returned case is
-    consistent."""
+    zero) must agree with the exact reduced verdict, every level exactly
+    zero by the route `verify` runs (`ybe.full_check`); a mismatch raises
+    AssertionError, so every returned case is consistent."""
     cases = []
     for lam, mu in samples:
         dense = dense_ybe_residual(fam, lam, mu)
         dense_zero = dense == 0
-        exact_zero = all(reduced_ybe_check(fam, n, lam, mu).is_zero
-                         for n in range(top_level(fam.s) + 1))
+        exact_zero = full_check(fam, range(top_level(fam.s) + 1), [(lam, mu)])["pass"]
         consistent = dense_zero == exact_zero
         cases.append({"lambda": str(lam), "mu": str(mu),
                       "dense_residual": dense, "dense_zero": dense_zero,

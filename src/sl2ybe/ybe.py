@@ -10,23 +10,23 @@ integers: with each diagonal cleared to D_i = (A_i + sqrt(d) B_i) / c_i
 (`linalg.clear_parts`), the residual times
 L^4 c1 c2 c3 is an integer matrix plus sqrt(d) times another, zero
 exactly when one weighted product is symmetric, since A^2 = I (_braid).
-In `full_check` every diagonal is constant on a level's q classes
-(positions whose labels share a coefficient table), so that symmetry is
-one integer linear condition on the q^3 products of the legs' class
-values: the level's class form, built once and read in q^3 r per verdict
-for its r <= min(P, q^3) rows, P = dim(dim-1)/2 (_class_form).  It is
-built only where that read costs no more than hatting one third leg
-(_form_pays).  Elsewhere, and in `braid_residual`, the product is a sum
-over the middle leg's classes of the third leg's class products, taken
-once per third leg, and a verdict reads the symmetry off them in q dim^2
-(_products).
+A class product W N Pi_b H, Pi_b the indicator diagonal of a class of
+positions whose labels share a coefficient table and H a hat, is taken in
+one place (_products).  In `full_check` every diagonal is constant on a
+level's q classes, so the symmetry is one integer linear condition on the
+q^3 products of the legs' class values: the level's class form, built off
+the class products of the q hats N Pi_c N and read in q^3 r per verdict
+for its r <= min(P, q^3) rows, P = dim(dim-1)/2 (_class_form), wherever
+that read costs no more than hatting one third leg (_form_pays).
+Elsewhere, and in `braid_residual`, a verdict reads the symmetry in
+q dim^2 off the class products of the third leg's hats.
 `full_check` pays for the distinct values of a grid, not for its pairs:
 each coefficient table is evaluated once per argument per check, each
-level builds its form once or takes the class products of each distinct
-third leg once, and one verdict is taken per distinct triple of cleared
-legs, each interned to an integer id.  Reusing a verdict is exact: over
-the family's one d it is a function of those three inputs alone, and the
-positive scale decides nothing.
+argument's leg is cleared once per set of tables the levels read and
+interned to an integer id, and one verdict is taken per distinct id
+triple.  Reusing a verdict is exact: over the family's one d it is a
+function of the three cleared legs alone, and the positive scale decides
+nothing.
 """
 from __future__ import annotations
 
@@ -83,18 +83,16 @@ def _pairs(dim: int) -> tuple:
     return tuple(i for i, _ in pairs) + tuple(j for _, j in pairs)
 
 
-def _products(a: GaugedMatrix, classes, vectors) -> list:
-    """The class products of a third leg with cleared vectors (A,) or
-    (A, B) at the level of a, for a middle leg constant on each class: per
-    class, one of its positions and, per part H of the leg's hat
-    (N diag(A) N, then N diag(B) N), the entries of G = W N Pi H at the
-    off-diagonal pairs i < j, the G_ij and then the G_ji (`_pairs`), Pi
-    the class's indicator diagonal and W = int_weights.  Each part is
-    hatted once, and its class products cost one dim^3 product in all."""
+def _products(a: GaugedMatrix, classes, hats) -> list:
+    """The class products of a third leg at the level of a, for a middle
+    leg constant on each class, hats the third leg's hatted parts H (N A N,
+    then N B N, or any hats N D N): per class, one of its positions and, per
+    H, G = W N Pi H at the off-diagonal pairs i < j, the G_ij and then the
+    G_ji (`_pairs`), Pi the class's indicator diagonal and W = int_weights.
+    The one place a class product is taken, one dim^3 product each."""
     w, index = a.int_weights, _pairs(a.dim)
     half = len(index) // 2
     swapped = index[half:] + index[:half]
-    hats = [a.hat(v) for v in vectors]
     products = []
     for positions in classes:
         pi = [0] * a.dim
@@ -174,7 +172,7 @@ def braid_residual(a: GaugedMatrix, d: int, d1, d2, d3) -> ReducedResidual:
     `full_check`, the classes read off d2's equal entries."""
     legs = [clear_denominators([e], d) for e in (d1, d2, d3)]
     classes = _classes(zip(*legs[1][1]))
-    return _braid(a, d, *legs, _products(a, classes, legs[2][1]))
+    return _braid(a, d, *legs, _products(a, classes, [a.hat(v) for v in legs[2][1]]))
 
 
 def reduced_ybe_check(fam: SpectralFamily, n: int, lam, mu) -> ReducedResidual:
@@ -212,18 +210,17 @@ def _class_form(a: GaugedMatrix, classes) -> list:
     """The rows B of a level's class form: integer rows over the q^3
     monomials x1_a x2_b x3_c of three legs constant on the classes, B m = 0
     exactly when S (`_braid`) is symmetric.  With G_bc = W N Pi_b N Pi_c N,
+    the class products of the q hats N Pi_c N (`_products`),
     S = sum m_abc Pi_a G_bc, so S - S^T is the matrix Z whose row at the
     pair i < j holds [i in a] G_bc[i][j] - [j in a] G_bc[j][i]; B is Z
     row-reduced fraction-free, each row divided by its gcd, r <= min(P, q^3)
-    rows.  q hats N Pi_c N, then q^2 products N Pi_b H_c."""
+    rows."""
     _require_involution(a)
-    w = a.int_weights
-    pairs = [(i, j) for j in range(a.dim) for i in range(j)]
+    index = _pairs(a.dim)
+    half = len(index) // 2
     pis = [[int(i in positions) for i in range(a.dim)] for positions in classes]
-    hats = [a.hat(pi) for pi in pis]
-    gs = [[(w[i] * g[i][j], w[j] * g[j][i]) for i, j in pairs]
-          for g in (a.hat(pb, h) for pb in pis for h in hats)]
-    columns = [[pa[i] * gij - pa[j] * gji for (i, j), (gij, gji) in zip(pairs, g)]
+    gs = [g for _, parts in _products(a, classes, [a.hat(pi) for pi in pis]) for g in parts]
+    columns = [[pa[i] * x - pa[j] * y for i, j, x, y in zip(index, index[half:], g, g[half:])]
                for pa in pis for g in gs]
     basis = []  # (pivot, row)
     for v in zip(*columns):
@@ -265,38 +262,36 @@ def _level_verdicts(a: GaugedMatrix, d: int, labels, triples, coeff, shared) -> 
     """The verdict of each argument triple on the level of a over sqrt(d),
     whose diagonals read r_j for j in labels, each label standing for its
     class of equal tables; coeff(j, i) is r_j at argument i in integer
-    parts.  Each argument's diagonal, one value per class, is cleared into
-    its leg once (`linalg.clear_parts`), and equal class vectors share one
-    integer id; shared keeps both for every level reading the same tables.
-    Verdicts, keyed on id triples, come off the level's class form when
-    `_form_pays`, else off the third leg's class products."""
+    parts.  shared keeps, per set of tables, its legs by integer id and
+    each triple's id triple; a verdict is taken per distinct id triple, off
+    the class form when `_form_pays`, else off the third leg's class
+    products, each leg expanded to positions once."""
     classes = _classes(labels)
-    heads = tuple(labels[positions[0]] for positions in classes)
-    order = {j: k for k, j in enumerate(heads)}
-    where = [order[j] for j in labels]  # position -> its class
-    use_form = _form_pays(len(classes), a.dim)
-    legs, ids = shared.setdefault(heads, ({}, {}))  # argument -> (c, vectors, id); vectors -> id
-    form, products, verdicts, zeros = None, {}, {}, []
-    for triple in triples:
-        for i in triple:
-            if i not in legs:
-                c, vectors = clear_parts([coeff(j, i) for j in heads], d)
-                legs[i] = c, vectors, ids.setdefault(vectors, len(ids))
-        (_, e1, k1), (_, e2, k2), (_, e3, k3) = three = [legs[i] for i in triple]
-        key = k1, k2, k3
-        if key not in verdicts:
-            if use_form:
-                if form is None:
-                    form = _class_form(a, classes)
-                verdicts[key] = _form_zero(form, d, e1, e2, e3)
-            else:
-                three = [(c, tuple(tuple(v[k] for k in where) for v in vectors))
-                         for c, vectors, _ in three]
-                if key[2] not in products:
-                    products[key[2]] = _products(a, classes, three[2][1])
-                verdicts[key] = _braid(a, d, *three, products[key[2]]).is_zero
-        zeros.append(verdicts[key])
-    return zeros
+    first = [labels[positions[0]] for positions in classes]
+    heads = tuple(sorted(first))
+    if heads not in shared:
+        ids, leg_of = {}, {}  # cleared vectors -> id; argument -> id
+        for i in dict.fromkeys(i for triple in triples for i in triple):
+            values = {j: coeff(j, i) for j in first}  # in the pair loops' order
+            leg_of[i] = ids.setdefault(clear_parts([values[j] for j in heads], d)[1], len(ids))
+        shared[heads] = list(ids), [tuple(leg_of[i] for i in triple) for triple in triples]
+    legs, keys = shared[heads]
+    classes.sort(key=lambda positions: labels[positions[0]])
+    verdicts = dict.fromkeys(keys)  # id triple -> verdict
+    if _form_pays(len(classes), a.dim):
+        form = _class_form(a, classes)
+        for key in verdicts:
+            verdicts[key] = _form_zero(form, d, *(legs[k] for k in key))
+    else:  # every leg at scale 1, as the positive scale decides nothing
+        where = [heads.index(j) for j in labels]  # position -> its class
+        expanded = [(1, tuple(tuple(v[k] for k in where) for v in vectors)) for vectors in legs]
+        products = {}  # third leg id -> its class products
+        for key in verdicts:
+            three = [expanded[k] for k in key]
+            if key[2] not in products:
+                products[key[2]] = _products(a, classes, [a.hat(v) for v in three[2][1]])
+            verdicts[key] = _braid(a, d, *three, products[key[2]]).is_zero
+    return [verdicts[key] for key in keys]
 
 
 def full_check(fam: SpectralFamily, levels=None, samples=None) -> dict:
@@ -312,13 +307,13 @@ def full_check(fam: SpectralFamily, levels=None, samples=None) -> dict:
       pairs would evaluate it one by one, so the first PoleError or
       DomainError raised is theirs;
     - an argument's diagonal, one value per class in integer parts, is
-      formed and cleared over the family's discriminant once, for all
-      levels that read the same tables;
+      cleared over the family's discriminant once per set of tables, with
+      the classes sorted by label, for all levels reading that set, and
+      each pair's triple of leg ids is formed once per set;
     - on each level the class form is built once where `_form_pays`, else
-      the class products of a cleared third leg are taken once, however
-      many pairs share it;
-    - one verdict is taken per distinct (leg, leg, leg), the legs by
-      ids, one per distinct tuple of cleared class vectors.  Either route decides the symmetry of
+      the class products of each distinct third leg are taken once;
+    - one verdict is taken per distinct id triple, an id per distinct
+      tuple of cleared class vectors.  Either route decides the symmetry of
       the integer S of `_braid`, over the family's one d a function of
       those three alone, and the positive scale decides nothing, so a
       reused verdict is the one the pair's own residual gives."""
@@ -341,7 +336,7 @@ def full_check(fam: SpectralFamily, levels=None, samples=None) -> dict:
         return values[j, i]
 
     names = [(str(lam), str(mu)) for lam, mu in samples]
-    shared = {}  # class heads -> the legs of the levels reading them
+    shared = {}  # a level's sorted class heads -> (legs, id triples)
     out_levels = []
     ok = True
     for n in levels:

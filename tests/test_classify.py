@@ -348,6 +348,16 @@ class TestConstantAnalysis:
         assert plus == QuadExt(-8, 4, 3)
         assert minus == QuadExt(-8, -4, 3)
 
+    def test_wrong_root_fails_the_internal_check(self, monkeypatch, capsys):
+        # a root moved by 1 misses the quadratic: exit 1, not a traceback
+        real = classify.constant_root
+        monkeypatch.setattr(classify, "constant_root",
+                            lambda eta, branch=+1: real(eta, branch) + 1)
+        assert main(["classify-constant", "--s", "1", "--m", "2"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: internal check failed: root ")
+        assert err.endswith(" fails the level-2 quadratic\n")
+
     def test_naive_half_root_shape_fails_quadratic(self):
         # g = (1 + sqrt(1-4 eta^2))/2 does not satisfy 1 + g + eta^2 g^2 = 0
         eta = eta_closed_form(1, 2)
@@ -467,3 +477,11 @@ class TestExceptionalLevel:
     def test_small_spin_rejected(self):
         with pytest.raises(DomainError):
             exceptional_level_combination(1, F(1), F(2))
+
+    def test_disagreeing_crosscheck_raises(self, monkeypatch):
+        real = classify.ansatz_residual_crosscheck
+        monkeypatch.setattr(classify, "ansatz_residual_crosscheck",
+                            lambda *args: not real(*args))
+        with pytest.raises(AssertionError, match=r"level-4 residual and scalar "
+                           r"combination disagree at \(s=2, 1, 2\)"):
+            exceptional_level_combination(HalfInt(4), F(1), F(2))

@@ -190,6 +190,26 @@ class TestVerifyCommand:
         assert (code, out, err) == (
             2, "", f"error: --levels takes n or lo..hi, not {levels!r}\n")
 
+    def test_coefficient_mapping_is_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "family.json"
+        path.write_text(json.dumps({"tag": "custom", "s": "1/2", "coeffs": {}}))
+        code, out, err = run_cli(capsys, "verify", "--family-file", str(path))
+        assert (code, out, err) == (2, "", 'error: "coeffs" must be a list\n')
+
+    def test_catalog_family_without_spin_is_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--family", "yang")
+        assert (code, out, err) == (2, "", "error: family 'yang' needs a spin\n")
+
+    def test_family_show_prints_a_pole(self, capsys, tmp_path):
+        # r_0 = 1/(1 - 2x) has its pole at the shown sample 1/2
+        path = tmp_path / "pole.json"
+        path.write_text(json.dumps({"tag": "custom", "s": "1/2", "coeffs": [
+            {"num": ["1"], "den": ["1", "-2"]}, {"num": ["1"], "den": ["1"]}]}))
+        code, out, _ = run_cli(capsys, "family", "show", "--family-file", str(path), "--json")
+        assert code == 0 and '"1/2":"pole"' in out
+        code, out, _ = run_cli(capsys, "family", "show", "--family-file", str(path))
+        assert code == 0 and "  at 1/2: pole\n" in out
+
     @pytest.mark.parametrize("argv", [
         ("verify", "--family", "yang", "--s", "-1"),
         ("family", "show", "--family", "yang", "--s", "-1"),
@@ -426,6 +446,10 @@ class TestScanCommand:
     def test_human_summary(self, capsys):
         code, out, _ = run_cli(capsys, "scan-degeneracy", "--max-2s", "4")
         assert "unshifted degenerate cells" in out
+
+    def test_spin_below_one_is_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "scan-degeneracy", "--max-2s", "1")
+        assert (code, out, err) == (2, "", "error: max_two_s must be at least 2\n")
 
 
     def test_internal_check_failure_is_exit_one(self, capsys, monkeypatch):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from sl2ybe import oracle
+from sl2ybe import oracle, ybe
 from sl2ybe.amatrix import LevelRange, top_level
 from sl2ybe.exact import HalfInt, QuadExt, rescale_surd
 from sl2ybe.linalg import mat_mul, span_rank
@@ -396,6 +396,15 @@ class TestReductionConsistency:
 
     def test_constant_family_consistent(self):
         reduction_consistency(permutation_family(1), [(F(0), F(0))])
+
+    def test_the_exact_verdict_is_the_verify_route(self, monkeypatch):
+        # the class form decides yang(1)'s verdicts in full_check: with its
+        # verdict flipped, the exact side reads nonzero and the dense side
+        # still reads zero
+        real = ybe._form_zero
+        monkeypatch.setattr(ybe, "_form_zero", lambda *args: not real(*args))
+        with pytest.raises(AssertionError, match="dense/exact verdict mismatch"):
+            reduction_consistency(yang(1), [(F(1, 2), F(1, 3))])
 
 
 def weight_space_dimension(s, n: int) -> int:

@@ -9,16 +9,17 @@ benchmark in `perfbench/` times and counts package functions by name, so
 each name it lists must stay a public function of its module.  Exact
 verdicts never rest on factoring, so `squarefree_split` is for printing
 only.  The gauge has one hat, so `GaugedMatrix.hat` is the only caller of
-`linalg.diag_mul_right`.  Every verdict is exact, so no module imports
-numpy or touches floating point, and the dense oracle, the independent
-check of the reduction, imports nothing from the 6-j route.  The package
-root re-exports nothing, so no function shadows the submodule it lives in.
-The CLI declares `--json` and the family options once each.  Each
-acceptance criterion records its checks through `CriterionResult` alone.
-Only `spectral` knows how a family is sampled, so no other module branches
-on `multiplicative`.  Every annotation names something its module can
-resolve.  The scalar layer `exact` keeps no state that grows with the
-arguments it has seen: no module-level container and no lock.
+`linalg.diag_mul_right`, and a class product, a hat with a right factor,
+is taken only in `ybe._products`.  Every verdict is exact, so no module
+imports numpy or touches floating point, and the dense oracle, the
+independent check of the reduction, imports nothing from the 6-j route.
+The package root re-exports nothing, so no function shadows the submodule
+it lives in.  The CLI declares `--json` and the family options once each.
+Each acceptance criterion records its checks through `CriterionResult`
+alone.  Only `spectral` knows how a family is sampled, so no other module
+branches on `multiplicative`.  Every annotation names something its
+module can resolve.  The scalar layer `exact` keeps no state that grows
+with the arguments it has seen: no module-level container and no lock.
 """
 import ast
 import importlib
@@ -283,9 +284,10 @@ def test_annotations_resolve():
 DISPLAY_FUNCTIONS = {"__str__", "display_discriminant"}
 
 
-def _calls_outside(tree, callee, allowed):
+def _calls_outside(tree, callee, allowed, where=lambda call: True):
     """(line, enclosing function) of every call to `callee` that is not
-    inside a function named in `allowed` (the innermost function counts)."""
+    inside a function named in `allowed` (the innermost function counts)
+    and for which `where` holds."""
     found = []
 
     def visit(node, owner):
@@ -296,7 +298,7 @@ def _calls_outside(tree, callee, allowed):
             if isinstance(child, ast.Call):
                 func = child.func
                 name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-                if name == callee and owner not in allowed:
+                if name == callee and owner not in allowed and where(child):
                     found.append((child.lineno, owner))
             visit(child, owner)
 
@@ -323,6 +325,18 @@ def test_sandwich_only_in_the_hat(path):
     owners = {"hat"} if path.name == "amatrix.py" else set()
     assert {owner for _, owner in found} == owners, (
         f"{path.name}: diag_mul_right called at {found}")
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_class_products_only_in_the_builder(path):
+    """A hat given a right factor, N Pi H for a class indicator Pi and a
+    hat H, is a class product, and `ybe._products` is the one place one is
+    taken: the class form and the residual kernel both read it."""
+    found = _calls_outside(_tree(path), "hat", set(),
+                           lambda call: len(call.args) + len(call.keywords) > 1)
+    owners = {"_products"} if path.name == "ybe.py" else set()
+    assert {owner for _, owner in found} == owners, (
+        f"{path.name}: class products taken at {found}")
 
 
 def _module_value(path, name):

@@ -1,7 +1,8 @@
 """Exact dense oracle on V_s (x) V_s (x) V_s, independent of the 6-j route.
 
-Builds the total-spin projectors on V_s (x) V_s by Casimir polynomial
-interpolation, embeds them on three sites, and checks the operator
+Builds the total-spin projectors on V_s (x) V_s by Lagrange interpolation
+in the two-site Casimir, from shared prefix and suffix products of its
+shifts C - e_i, embeds them on three sites, and checks the operator
 identities and the full braid-form equation exactly.  The ladder basis
 is rescaled to f_a = S_minus^a f_0, a = s - m, where 4 C_12 is an integer
 matrix; the rescaling T (x) T commutes with the swap, so every identity
@@ -27,8 +28,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache, partial
-from itertools import product
-from operator import eq, mul
+from itertools import accumulate, product
+from operator import eq, matmul, mul
 
 from .amatrix import top_level
 from .exact import HalfInt, minus_one_pow
@@ -157,23 +158,21 @@ def _casimir(ts: int) -> SectorOperator:
 
 
 def dense_projectors(s) -> list[SectorOperator]:
-    """Projectors P^j, j = 0..2s, on V_s (x) V_s via Lagrange interpolation
-    in the two-site Casimir, exact; built once per 2s."""
+    """Projectors P^j, j = 0..2s, on V_s (x) V_s, exact; built once per 2s."""
     return list(_projectors(_two_s(s)))
 
 
 @lru_cache(maxsize=None)
 def _projectors(ts: int) -> tuple:
+    """P^j = prod_(i != j) S_i / (e_j - e_i), S_i = C - e_i: a prefix times a
+    suffix product of the commuting S_i, each formed once, 3*2s+1 in all."""
     casimir, eye = _casimir(ts), _operator(ts, 2, eq)   # entries row == col
     eigs = [4 * j * (j + 1) for j in range(ts + 1)]
-    projs = []
-    for j in range(ts + 1):
-        p = eye
-        for i in range(ts + 1):
-            if i != j:
-                p = Fraction(1, eigs[j] - eigs[i]) * (p @ (casimir - eigs[i] * eye))
-        projs.append(p)
-    return tuple(projs)
+    shifted = [casimir - e * eye for e in eigs]
+    prefix = accumulate(shifted[:-1], matmul, initial=eye)
+    suffix = list(accumulate(shifted[:0:-1], matmul, initial=eye))[::-1]
+    return tuple(Fraction(1, math.prod(e - f for f in eigs if f != e)) * (p @ q)
+                 for e, p, q in zip(eigs, prefix, suffix))
 
 
 @lru_cache(maxsize=None)

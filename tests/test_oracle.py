@@ -131,7 +131,7 @@ def gram(label, ts):
 
 
 class TestProjectors:
-    @pytest.mark.parametrize("s", ["1/2", 1, "3/2", 2])
+    @pytest.mark.parametrize("s", ["1/2", 1, "3/2", 2, "5/2", 3])
     def test_projector_algebra(self, s):
         ts = HalfInt.coerce(s).twice
         projs = dense_projectors(s)
@@ -140,14 +140,26 @@ class TestProjectors:
             for key, x in entries(p, ts).items():
                 total[key] = total.get(key, 0) + x
         assert total == {(r, c): int(r == c) for r, c in total}
+        casimir = oracle._casimir(ts)   # 4 C, eigenvalue 4 j(j+1) on spin j
         for i, pi in enumerate(projs):
             assert (pi @ pi - pi).max_abs() == 0
+            assert (casimir @ pi - 4 * i * (i + 1) * pi).max_abs() == 0
             # self-adjoint: G P is symmetric for the Gram matrix G of the
             # rescaled basis, the exact form of P = P^T in the standard one
             e = entries(pi, ts)
             assert all(gram(r, ts) * x == gram(c, ts) * e[c, r] for (r, c), x in e.items())
             for j in range(i + 1, len(projs)):
                 assert (pi @ projs[j]).max_abs() == 0
+
+    @pytest.mark.parametrize("ts", [3, 4, 5, 6])
+    def test_shared_products(self, monkeypatch, ts):
+        # every P^j is a prefix times a suffix product of the shifted
+        # Casimirs, each formed once: at most 3*2s+1 products in all
+        calls, matmul = [], SectorOperator.__matmul__
+        monkeypatch.setattr(SectorOperator, "__matmul__",
+                            lambda a, b: calls.append(b) or matmul(a, b))
+        assert len(oracle._projectors.__wrapped__(ts)) == ts + 1
+        assert len(calls) <= 3 * ts + 1
 
     def test_traces_count_multiplets(self):
         for ts in (1, 2, 3):
